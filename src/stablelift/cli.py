@@ -162,12 +162,14 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
     continuity = "pass"
     singletons = [()] + [(b,) for b in range(N.structure.size)]
     members_M = GM.elements()
+    induced: dict = {}
     for B in singletons:
         A = continuity_witness(N, B)
         for pi in members_M:
             if all(pi(a) == a for a in A):
-                pihat = direct_induced(N, pi)
-                if any(pihat(b) != b for b in B):
+                if pi not in induced:
+                    induced[pi] = direct_induced(N, pi)
+                if any(induced[pi](b) != b for b in B):
                     continuity = "fail"
     for a in range(M.size):
         stab_N = pointwise_stabilizer(GN, (N.base_id(a),))
@@ -266,7 +268,10 @@ def _cmd_census(args) -> tuple[dict, list[str]]:
 
 def _cmd_report(args) -> tuple[dict, list[str]]:
     M = _load_structure(args.infile, args.max_size)
-    ks = [int(x) for x in args.ks.split(",") if x]
+    try:
+        ks = [int(x) for x in args.ks.split(",") if x]
+    except ValueError as e:
+        raise InputError(f"bad --ks list {args.ks!r}: {e}") from e
     As = [_parse_elements(a) for a in (args.parameters or [""])]
     census = stability_report(M, ks, As, structure_id=args.infile)
     report = census.to_json_dict()

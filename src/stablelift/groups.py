@@ -1,17 +1,28 @@
 """Permutations, automorphism groups, orbits, and pointwise stabilizers.
 
-PermGroup keeps a generating set and lazily computes a base and strong
-generating set (deterministic Schreier-Sims, base points in ascending order)
-for order and membership queries.  The automorphism search is a backtracking
-search over a color-refinement tree seeded by constants, atomic-type sorts,
-and relation degree vectors; a brute-force oracle double-checks it on small
-degrees.
+PermGroup keeps a generating set and a stabilizer chain over the base order
+0, 1, ..., n-1, built on first use.  The chain grows by incremental
+Schreier-Sims: adding a generator extends the levels it touches in place
+instead of rebuilding them (Seress, Permutation Group Algorithms, chs. 4-5).
+
+The automorphism search is individualization-refinement with orbit pruning
+(McKay & Piperno, Practical graph isomorphism II).  The first path
+individualizes the least element of the first non-singleton cell of the
+refined coloring until it is discrete; those elements form a base.  Working
+from the deepest base point up, each level tries only the cell mates of its
+base point that the automorphisms found so far do not already reach, so the
+search finds one automorphism per new orbit point rather than visiting every
+group element.  Each leaf is confirmed with is_automorphism.  The reported
+generating set is the greedy lexicographic one: each generator is the
+lex-least group element outside the subgroup the earlier ones generate,
+read off the chain directly.  A brute-force oracle double-checks the search
+on small degrees.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from dataclasses import dataclass
 
 from .formulas import sort_partition
@@ -76,43 +87,155 @@ class Permutation:
         return tuple(self.images[x] for x in t)
 
 
-@dataclass
-class _ChainLevel:
-    point: int
-    gens: list[Permutation]
-    transversal: dict[int, Permutation]
+# -- stabilizer chains ----------------------------------------------------------
+#
+# Chains work on bare image tuples; composition is (p o q)[x] = p[q[x]].
+
+Images = tuple[int, ...]
 
 
-def _orbit_transversal(point: int, gens: list[Permutation], degree: int) -> dict[int, Permutation]:
-    trans = {point: Permutation.identity(degree)}
-    queue = [point]
-    while queue:
-        x = queue.pop(0)
-        for s in gens:
-            y = s(x)
-            if y not in trans:
-                trans[y] = s * trans[x]
-                queue.append(y)
-    return trans
+def _compose(p: Images, q: Images) -> Images:
+    return tuple([p[x] for x in q])
 
 
-def _sift(levels: list[_ChainLevel], g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-    """Strip g through the chain; returns (residue, level index at which it
-    got stuck).  Residue is the identity iff g is in the group."""
-    for i in range(start, len(levels)):
-        lvl = levels[i]
-        img = g(lvl.point)
-        rep = lvl.transversal.get(img)
-        if rep is None:
-            return g, i
-        g = rep.inverse() * g
-    return g, len(levels)
+def _invert(p: Images) -> Images:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+class _Chain:
+    """Stabilizer chain over a base order that lists every point.
+
+    Level i belongs to the point order[i].  It keeps strong generators that
+    fix order[:i] and generate the level's group, the pointwise stabilizer
+    of order[:i], and a transversal mapping each point x of the fundamental
+    orbit to (u, u^-1) with u(order[i]) = x.  Levels with a trivial orbit are
+    kept, so a residue never needs a base change."""
+
+    def __init__(self, degree: int, order=None):
+        self.order = tuple(range(degree)) if order is None else tuple(order)
+        self.identity = tuple(range(degree))
+        self.gens: list[list[Images]] = [[] for _ in self.order]
+        self.trans: list[dict[int, tuple[Images, Images]]] = [
+            {b: (self.identity, self.identity)} for b in self.order
+        ]
+        # Schreier pairs (orbit point, generator index) not yet sifted
+        self._pending: list[list[tuple[int, int]]] = [[] for _ in self.order]
+
+    def sift(self, g: Images, start: int = 0) -> tuple[Images, int]:
+        """Strip g through levels start..; returns (residue, level at which
+        it got stuck), the level being len(order) iff g is a member."""
+        order, trans = self.order, self.trans
+        for i in range(start, len(order)):
+            b = order[i]
+            x = g[b]
+            if x != b:
+                rep = trans[i].get(x)
+                if rep is None:
+                    return g, i
+                g = _compose(rep[1], g)
+        return g, len(order)
+
+    def __contains__(self, g: Images) -> bool:
+        return self.sift(g)[1] == len(self.order)
+
+    def size(self) -> int:
+        result = 1
+        for t in self.trans:
+            result *= len(t)
+        return result
+
+    def add(self, g: Images) -> bool:
+        """Extend the chain by one generator; False if g is already a member."""
+        residue, j = self.sift(g)
+        if j == len(self.order):
+            return False
+        for i in range(j + 1):
+            self._add_strong(i, residue)
+        self._settle(j)
+        return True
+
+    def _add_strong(self, i: int, s: Images) -> None:
+        gens, trans, pending = self.gens[i], self.trans[i], self._pending[i]
+        k = len(gens)
+        gens.append(s)
+        points = list(trans)
+        old = len(points)
+        pending.extend((x, k) for x in points)
+        idx = 0
+        while idx < len(points):
+            x = points[idx]
+            u = trans[x][0]
+            for g in (s,) if idx < old else gens:
+                y = g[x]
+                if y not in trans:
+                    gu = _compose(g, u)
+                    trans[y] = (gu, _invert(gu))
+                    points.append(y)
+                    pending.extend((y, m) for m in range(len(gens)))
+            idx += 1
+
+    def _settle(self, i: int) -> None:
+        """Sift every pending Schreier generator at levels i, i-1, ..., 0;
+        a residue becomes a strong generator of the levels it fixes."""
+        while i >= 0:
+            pending = self._pending[i]
+            if not pending:
+                i -= 1
+                continue
+            x, k = pending.pop()
+            s = self.gens[i][k]
+            trans = self.trans[i]
+            h = _compose(trans[s[x]][1], _compose(s, trans[x][0]))
+            residue, j = self.sift(h, i + 1)
+            if j < len(self.order):
+                for m in range(i + 1, j + 1):
+                    self._add_strong(m, residue)
+                i = j
+
+    def nontrivial_levels(self) -> list[int]:
+        return [i for i, t in enumerate(self.trans) if len(t) > 1]
+
+
+def _lex_walk(chain: _Chain, skip=None):
+    """Members of the group of a chain over the order 0..n-1, in
+    lexicographic image order.  A node at depth d is the coset x * K, K the
+    group of the d-th nontrivial level (the trivial group at the bottom);
+    skip(d, x) prunes it."""
+    levels = chain.nontrivial_levels()
+
+    def walk(d: int, x: Images):
+        if skip is not None and skip(d, x):
+            return
+        if d == len(levels):
+            yield x
+            return
+        trans = chain.trans[levels[d]]
+        # below x * u_z every member sends the level's point to x[z]
+        for z in sorted(trans, key=x.__getitem__):
+            yield from walk(d + 1, _compose(x, trans[z][0]))
+
+    yield from walk(0, chain.identity)
+
+
+def _lex_least_outside(G: _Chain, H: _Chain) -> Images:
+    """The lex-least member of G outside H <= G (H a proper subgroup).
+
+    The coset x * K below depth d lies inside H iff x is in H and K <= H, so
+    only those subtrees are skipped.  Every subtree above the least depth D
+    with K <= H holds an answer, so the walk never backtracks above D."""
+    levels = G.nontrivial_levels()
+    D = len(levels)
+    while D > 0 and all(s in H for s in G.gens[levels[D - 1]]):
+        D -= 1
+    return next(_lex_walk(G, lambda d, x: d >= D and x in H))
 
 
 class PermGroup:
-    """A permutation group given by generators, with a lazily built
-    stabilizer chain.  The lazy build is lock-protected so concurrent first
-    access observes a single computation; everything else is immutable."""
+    """A permutation group given by generators, with a stabilizer chain
+    built on first use.  Values are immutable once built."""
 
     def __init__(self, generators: list[Permutation] | tuple[Permutation, ...], degree: int):
         for g in generators:
@@ -122,86 +245,37 @@ class PermGroup:
         self.generators = tuple(sorted(
             {g for g in generators if not g.is_identity()}, key=lambda g: g.images
         ))
-        self._chain: list[_ChainLevel] | None = None
-        self._lock = threading.Lock()
 
     @staticmethod
     def trivial(degree: int) -> "PermGroup":
         return PermGroup((), degree)
 
-    def _build_chain(self, base_prefix: tuple[int, ...] = ()) -> list[_ChainLevel]:
-        """Deterministic Schreier-Sims: rebuild levels from the strong set and
-        re-close until every Schreier generator sifts to the identity.  The
-        base is the forced prefix followed by ascending element ids (each new
-        point is the least one moved by a generator fixing the base so far,
-        which keeps serialized chains reproducible)."""
-        strong = list(self.generators)
-        while True:
-            base = list(dict.fromkeys(base_prefix))
-            while True:
-                unfixed = [g for g in strong if all(g(b) == b for b in base)]
-                if not unfixed:
-                    break
-                base.append(
-                    min(x for g in unfixed for x in range(self.degree) if g(x) != x)
-                )
-            levels = []
-            for i, b in enumerate(base):
-                gens_i = [g for g in strong if all(g(base[j]) == base[j] for j in range(i))]
-                levels.append(_ChainLevel(b, gens_i, _orbit_transversal(b, gens_i, self.degree)))
-            residue = self._first_schreier_residue(levels)
-            if residue is None:
-                return levels
-            strong.append(residue)
-
-    def _first_schreier_residue(self, levels: list[_ChainLevel]) -> Permutation | None:
-        for i, lvl in enumerate(levels):
-            for x in sorted(lvl.transversal):
-                ux = lvl.transversal[x]
-                for s in lvl.gens:
-                    sg = lvl.transversal[s(x)].inverse() * (s * ux)
-                    residue, _ = _sift(levels, sg, i + 1)
-                    if not residue.is_identity():
-                        return residue
-        return None
-
-    def _ensure_chain(self) -> list[_ChainLevel]:
-        if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    self._chain = self._build_chain()
-        return self._chain
+    @functools.cached_property
+    def _chain(self) -> _Chain:
+        chain = _Chain(self.degree)
+        for g in self.generators:
+            chain.add(g.images)
+        return chain
 
     def order(self) -> int:
-        result = 1
-        for lvl in self._ensure_chain():
-            result *= len(lvl.transversal)
-        return result
+        return self._chain.size()
 
     def __contains__(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        residue, _ = _sift(self._ensure_chain(), g)
-        return residue.is_identity()
+        return g.images in self._chain
 
     def elements(self) -> list[Permutation]:
         """All group members in lexicographic image order.  Meant for the
         small groups this library works with; cost is the group order."""
-        levels = self._ensure_chain()
-        members = [Permutation.identity(self.degree)]
-        for lvl in reversed(levels):
-            members = [
-                rep * m
-                for m in members
-                for rep in lvl.transversal.values()
-            ]
-        return sorted(set(members), key=lambda p: p.images)
+        return [Permutation(x) for x in _lex_walk(self._chain)]
 
     def base(self) -> tuple[int, ...]:
-        return tuple(lvl.point for lvl in self._ensure_chain())
+        return tuple(self._chain.nontrivial_levels())
 
     def fundamental_orbit_sizes(self) -> tuple[int, ...]:
-        return tuple(len(lvl.transversal) for lvl in self._ensure_chain())
+        trans = self._chain.trans
+        return tuple(len(trans[i]) for i in self._chain.nontrivial_levels())
 
     def to_json_dict(self) -> dict:
         return {
@@ -266,22 +340,21 @@ def orbits_on_tuples(G: PermGroup, tuples) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def pointwise_stabilizer(G: PermGroup, A) -> PermGroup:
-    """The subgroup fixing every point of A, via a stabilizer chain whose
-    base starts with A's points in ascending order."""
+    """The subgroup fixing every point of A: the level after A in a chain
+    whose base order starts with A's points in ascending order, grown from
+    G's strong generators."""
     A = tuple(sorted(set(A)))
     for x in A:
         if not (0 <= x < G.degree):
             raise GroupError(f"element {x} outside degree {G.degree}")
-    if not A:
+    if all(g(a) == a for g in G.generators for a in A):
         return G
-    chain = G._build_chain(base_prefix=A)
-    fixing = [
-        g
-        for lvl in chain
-        for g in lvl.gens
-        if all(g(a) == a for a in A)
-    ]
-    return PermGroup(fixing, G.degree)
+    fixed = set(A)
+    chain = _Chain(G.degree, A + tuple(x for x in range(G.degree) if x not in fixed))
+    for s in dict.fromkeys(s for level in G._chain.gens for s in level):
+        chain.add(s)
+    stabilizer_gens = chain.gens[len(A)] if len(A) < G.degree else []
+    return PermGroup([Permutation(s) for s in stabilizer_gens], G.degree)
 
 
 # -- automorphisms -----------------------------------------------------------
@@ -374,83 +447,182 @@ def _stable_coloring(M: Structure) -> list[int]:
     return _refine_colors(M, [palette[k] for k in raw])
 
 
-def _enumerate_automorphisms(M: Structure) -> list[Permutation]:
-    """All automorphisms, found by mapping elements 0,1,2,... in order with
-    color and constraint pruning.  Output is in lexicographic image order."""
+# An ordered partition is (lab, cell_of, size): lab lists the elements cell
+# by cell, a cell is named by its start position in lab, cell_of maps an
+# element to its cell and size maps a cell to its length.  Every step below
+# depends only on cells and counts, never on element labels, so it commutes
+# with automorphisms: that is what lets a leaf be read off as a permutation.
+
+
+def _adjacency(M: Structure) -> list[list[list[int]]]:
+    """Binary views of M for refinement, one table y -> [x, ...] per ordered
+    pair of positions of each relation and per direction of each function's
+    graph.  Unary facts and constants are already in the initial coloring."""
     n = M.size
-    colors = _stable_coloring(M)
-    by_color: dict[int, list[int]] = {}
-    for x in range(n):
-        by_color.setdefault(colors[x], []).append(x)
+    tables = []
+    for name, arity in M.sig.relations:
+        for p, q in itertools.permutations(range(arity), 2):
+            table: list[list[int]] = [[] for _ in range(n)]
+            for t in M.relations[name]:
+                table[t[p]].append(t[q])
+            tables.append(table)
+    for f in M.sig.functions:
+        images = M.functions[f]
+        preimages: list[list[int]] = [[] for _ in range(n)]
+        for x in range(n):
+            preimages[images[x]].append(x)
+        tables.append([[images[y]] for y in range(n)])
+        tables.append(preimages)
+    return [t for t in tables if any(t)]
 
-    # tuples of each relation indexed by participating element
-    rel_index: dict[str, dict[int, list[tuple[int, ...]]]] = {}
-    rel_sets = M.relation_sets
-    for name, _ in M.sig.relations:
-        idx: dict[int, list[tuple[int, ...]]] = {}
-        for t in M.relations[name]:
-            for x in set(t):
-                idx.setdefault(x, []).append(t)
-        rel_index[name] = idx
 
-    found: list[Permutation] = []
-    mapping = [-1] * n
-    used = [False] * n
-
-    def consistent(v: int, w: int) -> bool:
-        for f in M.sig.functions:
-            images = M.functions[f]
-            fv = images[v]
-            if mapping[fv] != -1 and mapping[fv] != images[w]:
-                return False
-            for u in range(n):
-                if mapping[u] != -1 and images[u] == v and images[mapping[u]] != w:
-                    return False
-        inv = {mapping[u]: u for u in range(n) if mapping[u] != -1}
-        for name, _ in M.sig.relations:
-            for t in rel_index[name].get(v, ()):
-                if all(mapping[x] != -1 for x in t):
-                    if tuple(mapping[x] for x in t) not in rel_sets[name]:
-                        return False
-            # same check from the image side: fully-imaged tuples must pull
-            # back into the relation
-            for t in rel_index[name].get(w, ()):
-                if all(x in inv for x in t):
-                    if tuple(inv[x] for x in t) not in rel_sets[name]:
-                        return False
-        return True
-
-    def search(v: int) -> None:
-        if v == n:
-            pi = Permutation(tuple(mapping))
-            if is_automorphism(M, pi):
-                found.append(pi)
-            return
-        for w in by_color[colors[v]]:
-            if used[w]:
+def _refine(adj, lab: list[int], cell_of: list[int], size: dict[int, int], queue: list[int]) -> None:
+    """Split cells by how often each element is hit from a splitter cell,
+    splitter by splitter, until no queued cell splits anything.  Only the
+    cells that a splitter touches are re-split; every fragment is queued."""
+    queued = set(queue)
+    head = 0
+    while head < len(queue) and len(size) < len(lab):
+        w = queue[head]
+        head += 1
+        queued.discard(w)
+        hits: dict[int, list[int]] = {}
+        splitter = lab[w:w + size[w]]
+        for e, table in enumerate(adj):
+            for y in splitter:
+                for x in table[y]:
+                    if x in hits:
+                        hits[x].append(e)
+                    else:
+                        hits[x] = [e]
+        for s in sorted({cell_of[x] for x in hits}):
+            k = size[s]
+            if k == 1:
                 continue
-            mapping[v] = w
-            used[w] = True
-            if consistent(v, w):
-                search(v + 1)
-            mapping[v] = -1
-            used[w] = False
+            fragments: dict[tuple[int, ...], list[int]] = {}
+            for x in lab[s:s + k]:
+                fragments.setdefault(tuple(hits.get(x, ())), []).append(x)
+            if len(fragments) == 1:
+                continue
+            pos = s
+            for key in sorted(fragments):
+                frag = fragments[key]
+                lab[pos:pos + len(frag)] = frag
+                size[pos] = len(frag)
+                for x in frag:
+                    cell_of[x] = pos
+                if pos not in queued:
+                    queued.add(pos)
+                    queue.append(pos)
+                pos += len(frag)
 
-    search(0)
-    return found
+
+def _individualize(adj, node, v: int):
+    """The child of a search node: v split off as a singleton at the front
+    of its cell, then refined with that singleton as the splitter."""
+    lab, cell_of, size = node[0][:], node[1][:], dict(node[2])
+    s = cell_of[v]
+    k = size[s]
+    i = lab.index(v, s, s + k)
+    lab[s], lab[i] = v, lab[s]
+    size[s] = 1
+    size[s + 1] = k - 1
+    for x in lab[s + 1:s + k]:
+        cell_of[x] = s + 1
+    _refine(adj, lab, cell_of, size, [s])
+    return lab, cell_of, size
+
+
+def _target_cell(node) -> list[int]:
+    lab, _, size = node
+    s = min(c for c, k in size.items() if k > 1)
+    return sorted(lab[s:s + size[s]])
+
+
+def _automorphism_generators(M: Structure) -> list[Images]:
+    """Generators of Aut(M) from an individualization-refinement search:
+    at most one automorphism per point of each fundamental orbit of the
+    search's base, each confirmed by is_automorphism at its leaf."""
+    n = M.size
+    adj = _adjacency(M)
+    colors = _stable_coloring(M)
+    lab = sorted(range(n), key=lambda x: (colors[x], x))
+    cell_of = [0] * n
+    size: dict[int, int] = {}
+    for pos, x in enumerate(lab):
+        s = pos if pos == 0 or colors[x] != colors[lab[pos - 1]] else cell_of[lab[pos - 1]]
+        cell_of[x] = s
+        size[s] = size.get(s, 0) + 1
+    _refine(adj, lab, cell_of, size, sorted(size))
+
+    # first path: individualize the least element of the first open cell
+    path = [(lab, cell_of, size)]
+    base: list[int] = []
+    while len(path[-1][2]) < n:
+        v = _target_cell(path[-1])[0]
+        base.append(v)
+        path.append(_individualize(adj, path[-1], v))
+    first_leaf = path[-1][0]
+
+    def leaf_below(node, d: int) -> Images | None:
+        if node[2] != path[d][2]:
+            return None
+        if d == len(base):
+            images = [0] * n
+            for x, y in zip(first_leaf, node[0]):
+                images[x] = y
+            pi = Permutation(tuple(images))
+            return pi.images if is_automorphism(M, pi) else None
+        for v in _target_cell(node):
+            found = leaf_below(_individualize(adj, node, v), d + 1)
+            if found is not None:
+                return found
+        return None
+
+    # orbits of the generators found so far, as a union-find forest; every
+    # generator found at a level fixes the base points above it
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    gens: list[Images] = []
+    for i in reversed(range(len(base))):
+        failed: list[int] = []
+        for w in _target_cell(path[i]):
+            rw = find(w)
+            if rw == find(base[i]) or any(find(f) == rw for f in failed):
+                continue
+            pi = leaf_below(_individualize(adj, path[i], w), i + 1)
+            if pi is None:
+                failed.append(w)
+                continue
+            gens.append(pi)
+            for x in range(n):
+                a, b = find(x), find(pi[x])
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    return gens
 
 
 def automorphism_group(M: Structure) -> PermGroup:
     """The full automorphism group as a PermGroup.
 
-    The deterministic generating set is obtained by sifting the automorphisms
-    in lexicographic order and keeping each one not already generated.
-    """
-    members = _enumerate_automorphisms(M)
+    The generating set is the greedy lexicographic one: each generator is
+    the lex-least automorphism outside the group the earlier ones generate
+    (what sifting every automorphism in lex order would keep)."""
+    G = _Chain(M.size)
+    for g in _automorphism_generators(M):
+        G.add(g)
+    H = _Chain(M.size)
     gens: list[Permutation] = []
-    group = PermGroup.trivial(M.size)
-    for pi in members:
-        if pi not in group:
-            gens.append(pi)
-            group = PermGroup(gens, M.size)
+    while H.size() < G.size():
+        g = _lex_least_outside(G, H)
+        gens.append(Permutation(g))
+        H.add(g)
+    group = PermGroup(gens, M.size)
+    group._chain = H  # the chain PermGroup would build from gens
     return group

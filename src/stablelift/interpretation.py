@@ -15,6 +15,7 @@ uses consecutive blocks of those widths.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 from .formulas import (
@@ -210,13 +211,33 @@ class _Quotient:
         for s in dom:
             for t in dom:
                 if (self.class_of[s] == self.class_of[t]) != (t in rows[s]):
-                    u = next(x for x in rows[s] if t in rows[x])
+                    s, u, v = _transitivity_witness(rows, s, t)
                     raise SchemeError(
                         "not an equivalence relation: not transitive at "
-                        f"({s}, {u}, {t})"
+                        f"({s}, {u}, {v})"
                     )
         self.domain = dom
         self.representatives = tuple(c[0] for c in self.classes)
+
+
+def _transitivity_witness(rows: dict[tuple, set[tuple]], s: tuple, t: tuple) -> tuple:
+    """A triple (s, u, v) with s~u, u~v and not s~v, given t in the class
+    of s but not related to it: the first steps of a shortest path s ... t,
+    found by breadth-first search with parent pointers inside the class."""
+    parent = {s: s}
+    queue = deque([s])
+    while t not in parent:
+        x = queue.popleft()
+        for y in sorted(rows[x]):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    path = [t]
+    while path[-1] != s:
+        path.append(parent[path[-1]])
+    path.reverse()
+    # on a shortest path, s and the vertex two steps on are unrelated
+    return path[0], path[1], path[2]
 
 
 # Quotients are pure functions of (structure, formulas); validation sweeps

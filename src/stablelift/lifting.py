@@ -242,23 +242,28 @@ class LiftedStructure:
 
     def fiber_copies(self, rel: str, coords: tuple[int, ...]) -> dict[int | float, int]:
         """Copy index -> element id for one fiber (empty dict if none)."""
-        out: dict[int | float, int] = {}
-        for e, p in enumerate(self.provenance):
-            if isinstance(p, FiberElem) and p.rel == rel and p.coords == coords:
-                out[p.copy] = e
-        return out
+        return dict(self._fiber_index().get((rel, coords), {}))
 
     def element_of(self, prov: Provenance) -> int:
-        try:
-            return self._element_index()[prov]
-        except KeyError:
-            raise LiftError(f"no element with provenance {prov}") from None
+        if isinstance(prov, Anchor):
+            return self.anchor_id
+        if isinstance(prov, BaseElem) and prov.source in self.source.domain:
+            return self.base_id(prov.source)
+        if isinstance(prov, FiberElem):
+            e = self._fiber_index().get((prov.rel, prov.coords), {}).get(prov.copy)
+            if e is not None:
+                return e
+        raise LiftError(f"no element with provenance {prov}")
 
-    def _element_index(self) -> dict[Provenance, int]:
-        idx = getattr(self, "_element_index_cache", None)
+    def _fiber_index(self) -> dict[tuple[str, tuple[int, ...]], dict[int | float, int]]:
+        """(relation, coords) -> {copy index: element id}, built once."""
+        idx = getattr(self, "_fiber_index_cache", None)
         if idx is None:
-            idx = {p: e for e, p in enumerate(self.provenance)}
-            object.__setattr__(self, "_element_index_cache", idx)
+            idx = {}
+            for e, p in enumerate(self.provenance):
+                if isinstance(p, FiberElem):
+                    idx.setdefault((p.rel, p.coords), {})[p.copy] = e
+            object.__setattr__(self, "_fiber_index_cache", idx)
         return idx
 
     def to_report_dict(self) -> dict:
@@ -423,22 +428,20 @@ def direct_induced(N: LiftedStructure, pi: Permutation) -> Permutation:
     M = N.source
     if pi.degree != M.size:
         raise LiftError(f"permutation degree {pi.degree} does not match |M| = {M.size}")
+    fibers = N._fiber_index()
+    source_images = pi.images
     images = [0] * N.structure.size
-    fiber_index: dict[str, dict[tuple[int, ...], dict[int | float, int]]] = {}
     for e, p in enumerate(N.provenance):
         if isinstance(p, FiberElem):
-            fiber_index.setdefault(p.rel, {}).setdefault(p.coords, {})[p.copy] = e
-    for e, p in enumerate(N.provenance):
-        if isinstance(p, Anchor):
-            images[e] = e
-        elif isinstance(p, BaseElem):
-            images[e] = 1 + pi(p.source)
-        else:
-            moved = pi.apply_tuple(p.coords)
-            target = fiber_index[p.rel].get(moved, {}).get(p.copy)
+            moved = tuple([source_images[x] for x in p.coords])
+            target = fibers.get((p.rel, moved), {}).get(p.copy)
             if target is None:
                 raise LiftMapError(p.rel, p.coords, moved)
             images[e] = target
+        elif isinstance(p, BaseElem):
+            images[e] = 1 + source_images[p.source]
+        else:
+            images[e] = e
     return Permutation(tuple(images))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -34,6 +35,20 @@ _VAR_RE = re.compile(r"x[0-9]+\Z")
 
 class StructureError(ValueError):
     """Raised when a signature or structure violates its invariants."""
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report a wrongly typed or missing field of a parsed document as a
+    StructureError instead of the Python error it triggers."""
+    try:
+        yield
+    except StructureError:
+        raise
+    except KeyError as e:
+        raise StructureError(f"malformed {what}: missing key {e}") from e
+    except (ValueError, TypeError, AttributeError) as e:
+        raise StructureError(f"malformed {what}: {e}") from e
 
 
 def _check_name(name: str) -> str:
@@ -187,14 +202,15 @@ def validate_structure(sig: Signature, raw: dict) -> Structure:
         raise StructureError(f"unknown keys {sorted(unknown)} in structure data")
     if "domain" not in raw or not isinstance(raw["domain"], int):
         raise StructureError("missing or non-integer 'domain'")
-    return Structure(
-        sig=sig,
-        size=raw["domain"],
-        relations={k: tuple(map(tuple, v)) for k, v in raw.get("relations", {}).items()},
-        functions={k: tuple(v) for k, v in raw.get("functions", {}).items()},
-        constants=dict(raw.get("constants", {})),
-        repetition_free=bool(raw.get("repetition_free", True)),
-    )
+    with _malformed("structure data"):
+        return Structure(
+            sig=sig,
+            size=raw["domain"],
+            relations={k: tuple(map(tuple, v)) for k, v in raw.get("relations", {}).items()},
+            functions={k: tuple(v) for k, v in raw.get("functions", {}).items()},
+            constants=dict(raw.get("constants", {})),
+            repetition_free=bool(raw.get("repetition_free", True)),
+        )
 
 
 def relational_companion(M: Structure) -> Structure:
@@ -263,14 +279,15 @@ def signature_from_dict(data: dict) -> Signature:
             out.append(e)
         return out
 
-    rels = names(data.get("relations", []), {"arity"})
-    fns = names(data.get("functions", []), set())
-    cons = names(data.get("constants", []), set())
-    return Signature(
-        relations=tuple((e["name"], int(e["arity"])) for e in rels),
-        functions=tuple(e["name"] for e in fns),
-        constants=tuple(e["name"] for e in cons),
-    )
+    with _malformed("signature"):
+        rels = names(data.get("relations", []), {"arity"})
+        fns = names(data.get("functions", []), set())
+        cons = names(data.get("constants", []), set())
+        return Signature(
+            relations=tuple((e["name"], int(e["arity"])) for e in rels),
+            functions=tuple(e["name"] for e in fns),
+            constants=tuple(e["name"] for e in cons),
+        )
 
 
 def structure_to_dict(M: Structure) -> dict:

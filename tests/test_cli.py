@@ -215,3 +215,36 @@ def test_report_with_parameter_sets(capsys, pair_file):
     entries = json.loads(out)["entries"]
     assert [e["A"] for e in entries] == [[], [0], [], [0]]
     assert all(e["growth_law"] == "pass" for e in entries)
+
+
+def _write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_report_bad_ks_exit_2(capsys, pair_file):
+    code, _, err = run(capsys, "report", "--in", pair_file, "--ks", "1,a")
+    assert code == 2 and "--ks" in err
+
+
+def test_structure_non_integer_arity_exit_2(capsys, tmp_path):
+    doc = {"signature": {"relations": [{"name": "edge", "arity": "two"}]}, "domain": 2}
+    code, _, err = run(capsys, "aut", "--in", _write_doc(tmp_path, doc))
+    assert code == 2 and "error" in err
+
+
+def test_structure_relation_without_name_exit_2(capsys, tmp_path):
+    doc = {"signature": {"relations": [{"arity": 2}]}, "domain": 2}
+    code, _, err = run(capsys, "aut", "--in", _write_doc(tmp_path, doc))
+    assert code == 2 and "name" in err
+
+
+def test_structure_relations_as_list_exit_2(capsys, tmp_path):
+    doc = {
+        "signature": {"relations": [{"name": "edge", "arity": 2}]},
+        "domain": 2,
+        "relations": [[0, 1]],
+    }
+    code, _, err = run(capsys, "aut", "--in", _write_doc(tmp_path, doc))
+    assert code == 2 and "error" in err

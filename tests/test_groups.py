@@ -263,3 +263,121 @@ def test_lazy_chain_safe_under_concurrent_first_access(m_triple):
         for t in threads:
             t.join()
         assert orders == [6] * 8
+
+
+# -- search vs oracle on random digraphs and their lifts -----------------------------
+
+
+def _random_digraphs(seed, count, max_size=6):
+    import random
+
+    from stablelift.corpus import random_digraph
+
+    rng = random.Random(seed)
+    return [
+        random_digraph(rng, rng.randint(1, max_size), rng.choice([0.2, 0.4, 0.6]))
+        for _ in range(count)
+    ]
+
+
+def _greedy_lex_sift(members):
+    """Reference generating set: walk the automorphisms in lex order and
+    keep each one the kept ones do not generate (membership by closure)."""
+    gens = []
+    generated = set()
+    for pi in members:
+        if pi not in generated:
+            gens.append(pi)
+            generated = _closure(gens, pi.degree)
+    return [g for g in gens if not g.is_identity()]
+
+
+def test_search_equals_oracle_on_random_digraphs_and_lifts():
+    from stablelift.lifting import direct_induced
+
+    for M in _random_digraphs(2024, 40):
+        assert automorphism_group(M).elements() == automorphism_group_brute(M)
+        members_M = automorphism_group_brute(M)
+        for k in (1, 2):
+            lift = build_lift(M, LiftConfig(k=k))
+            G = automorphism_group(lift.structure)
+            if lift.structure.size <= 8:
+                assert G.elements() == automorphism_group_brute(lift.structure)
+            # the transfer map is an oracle independent of the search on N
+            assert G.elements() == sorted(
+                (direct_induced(lift, pi) for pi in members_M), key=lambda p: p.images
+            )
+
+
+
+def test_search_equals_oracle_with_functions_constants_and_ternary_relations():
+    import random
+
+    from stablelift.structures import Signature, Structure
+
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        sig = Signature(
+            relations=(("R", 3), ("E", 2), ("U", 1)),
+            functions=("f",) if rng.random() < 0.5 else (),
+            constants=("c",) if rng.random() < 0.3 else (),
+        )
+        m = rng.choice([0, 1, 2, 4])
+        edges = {tuple(rng.randrange(n) for _ in range(2)) for _ in range(m)}
+        shift = rng.sample(range(n), n)
+        for _ in range(n):  # close E under a permutation, for symmetry
+            edges |= {(shift[a], shift[b]) for a, b in edges}
+        f = tuple(rng.sample(range(n), n) if rng.random() < 0.6 else
+                  [rng.randrange(n) for _ in range(n)])
+        M = Structure(
+            sig=sig,
+            size=n,
+            relations={
+                "R": [tuple(rng.randrange(n) for _ in range(3)) for _ in range(m)],
+                "E": sorted(edges),
+                "U": [(rng.randrange(n),) for _ in range(rng.randint(0, 2))],
+            },
+            functions={"f": f} if sig.functions else {},
+            constants={"c": rng.randrange(n)} if sig.constants else {},
+            repetition_free=False,
+        )
+        members = automorphism_group_brute(M)
+        G = automorphism_group(M)
+        assert G.elements() == members
+        assert list(G.generators) == _greedy_lex_sift(members)
+
+def test_generators_are_the_greedy_lex_sift_of_the_brute_list(corpus):
+    cases = [M for _, M in corpus[::4]] + _random_digraphs(7, 15, max_size=5)
+    for M in cases:
+        structures = [M] + [
+            N.structure
+            for N in (build_lift(M, LiftConfig(k=k)) for k in (1, 2))
+            if N.structure.size <= 8
+        ]
+        for X in structures:
+            expected = _greedy_lex_sift(automorphism_group_brute(X))
+            assert list(automorphism_group(X).generators) == expected
+
+
+def test_leaf_checks_grow_with_the_chain_not_the_group(monkeypatch):
+    import stablelift.groups as groups
+
+    calls = []
+    original = groups.is_automorphism
+
+    def counting(M, pi):
+        calls.append(pi)
+        return original(M, pi)
+
+    monkeypatch.setattr(groups, "is_automorphism", counting)
+    M = digraph(6, [])
+    for X in (M, build_lift(M, LiftConfig(k=1)).structure):
+        calls.clear()
+        G = automorphism_group(X)
+        assert G.order() == 720
+        bound = sum(G.fundamental_orbit_sizes()) + len(G.base())
+        assert 0 < len(calls) <= bound < 720
+        # every accepted leaf joins two orbits of the automorphisms found
+        # before it, and no leaf is rejected on these structures
+        assert len(calls) <= X.size - len(orbits(G, X.domain))

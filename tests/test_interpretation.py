@@ -68,6 +68,18 @@ def test_quotient_rejects_non_transitive():
         definable_quotient(M, r, E)
 
 
+def test_quotient_transitivity_witness_on_a_path_of_length_three():
+    from stablelift.corpus import digraph
+
+    # 0 ~ 2 ~ 3 ~ 1: the closure joins 0 and 1 only through a path of
+    # length 3, so no single middle point relates them
+    M = digraph(4, [(0, 2), (2, 3), (3, 1)])
+    r = parse_formula("x0 = x0", M.sig)
+    E = parse_formula("x0 = x1 | edge(x0, x1) | edge(x1, x0)", M.sig)
+    with pytest.raises(SchemeError, match=r"not transitive at \(\(0,\), \(2,\), \(3,\)\)"):
+        definable_quotient(M, r, E)
+
+
 # -- scheme validation -------------------------------------------------------------
 
 
