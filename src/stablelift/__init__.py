@@ -32,7 +32,6 @@ from .groups import (
     Permutation,
     PermGroup,
     GroupError,
-    group_order,
     orbits,
     pointwise_stabilizer,
     is_automorphism,

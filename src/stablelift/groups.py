@@ -32,7 +32,6 @@ __all__ = [
     "Permutation",
     "PermGroup",
     "GroupError",
-    "group_order",
     "orbits",
     "pointwise_stabilizer",
     "is_automorphism",
@@ -285,56 +284,46 @@ class PermGroup:
         }
 
 
-def group_order(G: PermGroup) -> int:
-    return G.order()
-
-
-def orbits(G: PermGroup, S) -> list[tuple[int, ...]]:
-    """Partition of S into G-orbits (blocks sorted, ordered by least member)."""
-    members = set(S)
-    S = sorted(members)
-    for x in S:
-        if not (0 <= x < G.degree):
-            raise GroupError(f"element {x} outside degree {G.degree}")
-    seen: set[int] = set()
-    blocks = []
-    for x in S:
-        if x in seen:
+def _orbit_search(G: PermGroup, points, act):
+    """Breadth-first orbits of G through ``points`` under ``act(g, x)``:
+    yields (seed, orbit) with each seed the least point outside the orbits
+    yielded before it."""
+    todo = set(points)
+    for x in sorted(todo):
+        if x not in todo:
             continue
         orbit = {x}
         queue = [x]
         while queue:
             y = queue.pop()
             for g in G.generators:
-                z = g(y)
+                z = act(g, y)
                 if z not in orbit:
                     orbit.add(z)
                     queue.append(z)
-        blocks.append(tuple(sorted(orbit & members)))
-        seen |= orbit
-    return blocks
+        todo -= orbit
+        yield x, orbit
+
+
+def orbits(G: PermGroup, S) -> list[tuple[int, ...]]:
+    """Partition of S into G-orbits (blocks sorted, ordered by least member)."""
+    members = set(S)
+    for x in sorted(members):
+        if not (0 <= x < G.degree):
+            raise GroupError(f"element {x} outside degree {G.degree}")
+    return [
+        tuple(sorted(orbit & members))
+        for _, orbit in _orbit_search(G, members, Permutation.__call__)
+    ]
 
 
 def orbits_on_tuples(G: PermGroup, tuples) -> list[tuple[tuple[int, ...], ...]]:
     """Orbits of the coordinatewise action on a G-invariant set of tuples."""
     members = set(tuples)
-    todo = set(members)
     blocks = []
-    for t in sorted(members):
-        if t not in todo:
-            continue
-        orbit = {t}
-        queue = [t]
-        while queue:
-            u = queue.pop()
-            for g in G.generators:
-                v = g.apply_tuple(u)
-                if v not in orbit:
-                    orbit.add(v)
-                    queue.append(v)
+    for t, orbit in _orbit_search(G, members, Permutation.apply_tuple):
         if not orbit <= members:
             raise GroupError(f"tuple set not invariant: orbit of {t} escapes")
-        todo -= orbit
         blocks.append(tuple(sorted(orbit)))
     return blocks
 

@@ -240,22 +240,6 @@ def _transitivity_witness(rows: dict[tuple, set[tuple]], s: tuple, t: tuple) -> 
     return path[0], path[1], path[2]
 
 
-# Quotients are pure functions of (structure, formulas); validation sweeps
-# and induced-automorphism transport hit the same ones repeatedly, so cache
-# them keyed by formula pair with identity comparison on the structure.
-_QUOTIENT_CACHE: dict[tuple[Formula, Formula], list[tuple[Structure, _Quotient]]] = {}
-
-
-def _quotient_for(M: Structure, r: Formula, E: Formula) -> _Quotient:
-    entries = _QUOTIENT_CACHE.setdefault((r, E), [])
-    for ref, q in entries:
-        if ref is M:
-            return q
-    q = _Quotient(M, r, E)
-    entries.append((M, q))
-    return q
-
-
 def definable_quotient(
     M: Structure, r: Formula, E: Formula
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -270,8 +254,25 @@ def definable_quotient(
 # -- scheme validation ---------------------------------------------------------
 
 
-def _realized_sorts(M2: Structure) -> dict[AtomicType, tuple[int, ...]]:
-    return sort_partition(M2)
+def _bijection_problem(
+    q: _Quotient, fmap: dict[int, tuple[int, ...]], elements
+) -> str | None:
+    """The first way fmap fails to be a bijection from ``elements`` onto the
+    classes of q (total, inside the definable set, injective on classes,
+    onto), or None if it is one."""
+    if set(fmap) != set(elements):
+        return "map not total on the sort's elements"
+    hit: set[int] = set()
+    for _, rep in sorted(fmap.items()):
+        cls = q.class_of.get(rep)
+        if cls is None:
+            return f"representative {rep} outside the definable set"
+        if cls in hit:
+            return f"not injective: class of {rep} hit twice"
+        hit.add(cls)
+    if len(hit) != len(q.classes):
+        return "not onto: some class has no preimage"
+    return None
 
 
 def _require_relational(M: Structure, label: str) -> None:
@@ -308,7 +309,7 @@ def validate_scheme(
         report.checks.append(CheckResult(condition, passed, witness))
         return early_exit and not passed
 
-    realized = _realized_sorts(M2)
+    realized = sort_partition(M2)
     scheme_keys = {s.key for s in scheme.sorts}
     if "cover" in include:
         missing = set(realized) - scheme_keys
@@ -322,10 +323,14 @@ def validate_scheme(
         ):
             return report
 
+    # one quotient per sort, and none when no requested check reads them
     quotients: dict[AtomicType, _Quotient | None] = {}
-    for idx, s in enumerate(scheme.sorts):
+    needs_quotients = (
+        "sorts" in include or "bijections" in include or representative_independence
+    )
+    for idx, s in enumerate(scheme.sorts if needs_quotients else ()):
         try:
-            quotients[s.key] = _quotient_for(M1, s.domain_formula, s.equiv_formula)
+            quotients[s.key] = _Quotient(M1, s.domain_formula, s.equiv_formula)
         except SchemeError as e:
             quotients[s.key] = None
             if "sorts" in include:
@@ -351,28 +356,10 @@ def validate_scheme(
             q = quotients.get(s.key)
             if q is None:
                 continue
-            block = realized.get(s.key, ())
-            fmap = bijections.maps.get(s.key, {})
-            problems: list[str] = []
-            if set(fmap) != set(block):
-                problems.append("map not total on the sort's elements")
-            assigned: dict[int, int] = {}
-            for b, rep in sorted(fmap.items()):
-                if rep not in q.class_of:
-                    problems.append(f"representative {rep} outside the definable set")
-                    break
-                cls = q.class_of[rep]
-                if cls in assigned.values():
-                    problems.append(f"not injective: class of {rep} hit twice")
-                    break
-                assigned[b] = cls
-            if not problems and set(assigned.values()) != set(range(len(q.classes))):
-                problems.append("not onto: some class has no preimage")
-            if record(
-                f"sort-bijection[{idx}]",
-                not problems,
-                problems[0] if problems else None,
-            ):
+            problem = _bijection_problem(
+                q, bijections.maps.get(s.key, {}), realized.get(s.key, ())
+            )
+            if record(f"sort-bijection[{idx}]", problem is None, problem):
                 return report
 
     if "cover" in include:
@@ -451,13 +438,13 @@ def induced_automorphism(
     """
     if not is_automorphism(M1, pi):
         raise SchemeError("the supplied permutation is not an automorphism of the host")
-    realized = _realized_sorts(M2)
+    realized = sort_partition(M2)
     images = [-1] * M2.size
     for s in scheme.sorts:
         block = realized.get(s.key, ())
         if not block:
             continue
-        q = _quotient_for(M1, s.domain_formula, s.equiv_formula)
+        q = _Quotient(M1, s.domain_formula, s.equiv_formula)
         fmap = bijections.maps.get(s.key, {})
         by_class = {}
         for b in block:
@@ -511,25 +498,9 @@ def check_classical_interpretation(
         return report
     report.checks.append(CheckResult("equivalence", True, None))
 
-    problems = []
-    if set(alpha) != set(N.domain):
-        problems.append("alpha not total on the target domain")
-    classes_hit = []
-    for b in sorted(alpha):
-        rep = alpha[b]
-        if rep not in q.class_of:
-            problems.append(f"alpha({b}) = {rep} outside the definable set")
-            break
-        classes_hit.append(q.class_of[rep])
-    if not problems:
-        if len(set(classes_hit)) != len(classes_hit):
-            problems.append("alpha not injective on classes")
-        elif set(classes_hit) != set(range(len(q.classes))):
-            problems.append("alpha not onto the quotient")
-    report.checks.append(
-        CheckResult("bijection", not problems, problems[0] if problems else None)
-    )
-    if problems:
+    problem = _bijection_problem(q, alpha, N.domain)
+    report.checks.append(CheckResult("bijection", problem is None, problem))
+    if problem is not None:
         return report
 
     cls_to_elem = {q.class_of[alpha[b]]: b for b in alpha}

@@ -51,6 +51,7 @@ __all__ = [
     "BaseElem",
     "FiberElem",
     "LiftedStructure",
+    "lift_sort",
     "ANCHOR_NAME",
     "BASE_NAME",
     "fiber_predicate",
@@ -203,13 +204,26 @@ class FiberElem:
 Provenance = Anchor | BaseElem | FiberElem
 
 
+def lift_sort(p: Provenance) -> str:
+    """The sort of a lift element, read off its provenance: "anchor",
+    "base", or fiber_R[i] for copy i of R's fibers (i is "limit" for the
+    limit copy).  Each sort of the lift's relational companion is exactly
+    one of these."""
+    if isinstance(p, Anchor):
+        return ANCHOR_NAME
+    if isinstance(p, BaseElem):
+        return BASE_NAME
+    return f"{fiber_predicate(p.rel)}[{_copy_label(p.copy)}]"
+
+
 @dataclass(frozen=True)
 class LiftedStructure:
     """The lift as a plain Structure plus per-element provenance.
 
     Element layout is canonical: the anchor is 0, base elements follow in
     source order, then fibers ordered by relation, tuple, copy index (limit
-    last).
+    last).  ``fibers`` indexes the fiber elements in that same order:
+    relation -> eligible tuple -> {copy index: element id}.
     """
 
     structure: Structure
@@ -217,6 +231,9 @@ class LiftedStructure:
     config: LiftConfig
     padding: PaddingAssignment
     provenance: tuple[Provenance, ...]
+    fibers: dict[str, dict[tuple[int, ...], dict[int | float, int]]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def anchor_id(self) -> int:
@@ -234,15 +251,11 @@ class LiftedStructure:
         return self.source.repetition_free and not self.config.include_repetition_tuples
 
     def eligible_tuples(self, rel: str) -> tuple[tuple[int, ...], ...]:
-        n = self.source.sig.relation_arity(rel)
-        tuples = itertools.product(self.source.domain, repeat=n)
-        if self.repetition_free_fibers:
-            tuples = (t for t in tuples if len(set(t)) == len(t))
-        return tuple(tuples)
+        return tuple(self.fibers[rel])
 
     def fiber_copies(self, rel: str, coords: tuple[int, ...]) -> dict[int | float, int]:
         """Copy index -> element id for one fiber (empty dict if none)."""
-        return dict(self._fiber_index().get((rel, coords), {}))
+        return dict(self.fibers.get(rel, {}).get(coords, {}))
 
     def element_of(self, prov: Provenance) -> int:
         if isinstance(prov, Anchor):
@@ -250,21 +263,10 @@ class LiftedStructure:
         if isinstance(prov, BaseElem) and prov.source in self.source.domain:
             return self.base_id(prov.source)
         if isinstance(prov, FiberElem):
-            e = self._fiber_index().get((prov.rel, prov.coords), {}).get(prov.copy)
+            e = self.fibers.get(prov.rel, {}).get(prov.coords, {}).get(prov.copy)
             if e is not None:
                 return e
         raise LiftError(f"no element with provenance {prov}")
-
-    def _fiber_index(self) -> dict[tuple[str, tuple[int, ...]], dict[int | float, int]]:
-        """(relation, coords) -> {copy index: element id}, built once."""
-        idx = getattr(self, "_fiber_index_cache", None)
-        if idx is None:
-            idx = {}
-            for e, p in enumerate(self.provenance):
-                if isinstance(p, FiberElem):
-                    idx.setdefault((p.rel, p.coords), {})[p.copy] = e
-            object.__setattr__(self, "_fiber_index_cache", idx)
-        return idx
 
     def to_report_dict(self) -> dict:
         """Element table with provenance tags, fiber-size histogram, and the
@@ -290,8 +292,8 @@ class LiftedStructure:
         histogram: dict[str, dict[str, int]] = {}
         for rel, _ in self.source.sig.relations:
             sizes: dict[str, int] = {}
-            for coords in self.eligible_tuples(rel):
-                size = len(self.fiber_copies(rel, coords))
+            for copies in self.fibers[rel].values():
+                size = len(copies)
                 sizes[str(size)] = sizes.get(str(size), 0) + 1
             histogram[rel] = dict(sorted(sizes.items()))
         return {
@@ -394,6 +396,7 @@ def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructu
         config=config,
         padding=padding,
         provenance=tuple(provenance),
+        fibers=fibers,
     )
 
 
@@ -406,11 +409,7 @@ def limit_elements(N: LiftedStructure, rel: str) -> tuple[int, ...]:
     for e in sorted(members):
         if all(S.functions[copy_function(rel, j)][e] != e for j in range(N.config.k)):
             out.append(e)
-    tagged = [
-        e
-        for e, p in enumerate(N.provenance)
-        if isinstance(p, FiberElem) and p.rel == rel and p.copy == LIMIT
-    ]
+    tagged = [copies[LIMIT] for copies in N.fibers[rel].values() if LIMIT in copies]
     if out != tagged:
         raise LiftError("limit elements disagree with provenance (internal error)")
     return tuple(out)
@@ -428,20 +427,18 @@ def direct_induced(N: LiftedStructure, pi: Permutation) -> Permutation:
     M = N.source
     if pi.degree != M.size:
         raise LiftError(f"permutation degree {pi.degree} does not match |M| = {M.size}")
-    fibers = N._fiber_index()
     source_images = pi.images
-    images = [0] * N.structure.size
-    for e, p in enumerate(N.provenance):
-        if isinstance(p, FiberElem):
-            moved = tuple([source_images[x] for x in p.coords])
-            target = fibers.get((p.rel, moved), {}).get(p.copy)
-            if target is None:
-                raise LiftMapError(p.rel, p.coords, moved)
-            images[e] = target
-        elif isinstance(p, BaseElem):
-            images[e] = 1 + source_images[p.source]
-        else:
-            images[e] = e
+    images = list(range(N.structure.size))
+    for a in M.domain:
+        images[N.base_id(a)] = N.base_id(source_images[a])
+    for rel, table in N.fibers.items():
+        for coords, copies in table.items():
+            moved = tuple([source_images[x] for x in coords])
+            target = table.get(moved, {})
+            for i, e in copies.items():
+                if i not in target:
+                    raise LiftMapError(rel, coords, moved)
+                images[e] = target[i]
     return Permutation(tuple(images))
 
 
@@ -483,28 +480,6 @@ def continuity_witness(N: LiftedStructure, B) -> frozenset[int]:
 # -- scheme generation ---------------------------------------------------------
 
 
-def _sort_kinds(
-    N: LiftedStructure, companion: Structure
-) -> dict[AtomicType, tuple]:
-    """Classify each realized sort of the companion by provenance:
-    ("anchor",), ("base",), or ("fiber", rel, copy)."""
-    kinds: dict[AtomicType, tuple] = {}
-    for key, block in sort_partition(companion).items():
-        tags = set()
-        for e in block:
-            p = N.provenance[e]
-            if isinstance(p, Anchor):
-                tags.add(("anchor",))
-            elif isinstance(p, BaseElem):
-                tags.add(("base",))
-            else:
-                tags.add(("fiber", p.rel, p.copy))
-        if len(tags) != 1:
-            raise LiftError("companion sorts mix provenance kinds (internal error)")
-        kinds[key] = tags.pop()
-    return kinds
-
-
 def _distinctness(n: int) -> list[Formula]:
     return [
         Not(Equal(Var(s), Var(t))) for s in range(n) for t in range(s + 1, n)
@@ -540,22 +515,23 @@ def _translation_formula(
     N: LiftedStructure,
     sym: str,
     arity: int,
-    kinds: tuple[tuple, ...],
+    kinds: tuple[str, ...],
     widths: tuple[int, ...],
 ) -> Formula:
-    """Truth of one companion relation at one tuple of sorts, expressed over
-    the source structure.  Most combinations are decided by the sorts alone;
-    the fiber-indexed symbols compare tuple coordinates across blocks."""
+    """Truth of one companion relation at one tuple of sorts (named by
+    lift_sort), expressed over the source structure.  Most combinations are
+    decided by the sorts alone; the fiber-indexed symbols compare tuple
+    coordinates across blocks."""
     total = sum(widths)
     M = N.source
 
-    def fiber_of(kind: tuple, rel: str) -> bool:
-        return kind[0] == "fiber" and kind[1] == rel
+    def fiber_of(kind: str, rel: str) -> bool:
+        return kind.startswith(f"{fiber_predicate(rel)}[")
 
     if sym == BASE_NAME:
-        return tautology(total) if kinds[0] == ("base",) else contradiction(total)
+        return tautology(total) if kinds[0] == BASE_NAME else contradiction(total)
     if sym == ANCHOR_NAME:
-        return tautology(total) if kinds[0] == ("anchor",) else contradiction(total)
+        return tautology(total) if kinds[0] == ANCHOR_NAME else contradiction(total)
 
     for rel, _ in M.sig.relations:
         n = M.sig.relation_arity(rel)
@@ -569,20 +545,20 @@ def _translation_formula(
         for t in range(n):
             if sym == projection_function(rel, t):
                 if fiber_of(kinds[0], rel):
-                    if kinds[1] == ("base",):
+                    if kinds[1] == BASE_NAME:
                         return _padded(total, [Equal(Var(t), Var(widths[0]))])
                     return contradiction(total)
-                if kinds[1] == ("anchor",):
+                if kinds[1] == ANCHOR_NAME:
                     return tautology(total)
                 return contradiction(total)
         for j in range(N.config.k):
             if sym == copy_function(rel, j):
                 if fiber_of(kinds[0], rel):
-                    if fiber_of(kinds[1], rel) and kinds[1][2] == j:
+                    if kinds[1] == lift_sort(FiberElem(rel, j, ())):
                         core = [Equal(Var(t), Var(widths[0] + t)) for t in range(n)]
                         return _padded(total, core)
                     return contradiction(total)
-                if kinds[1] == ("anchor",):
+                if kinds[1] == ANCHOR_NAME:
                     return tautology(total)
                 return contradiction(total)
     raise LiftError(f"unexpected companion symbol {sym!r}")
@@ -606,23 +582,26 @@ def generate_scheme(
     from .structures import relational_companion
 
     companion = relational_companion(N.structure)
-    kinds = _sort_kinds(N, companion)
     realized = sort_partition(companion)
 
     sorts: list[SchemeSort] = []
+    kinds: dict[AtomicType, str] = {}
     widths: dict[AtomicType, int] = {}
     bij: dict[AtomicType, dict[int, tuple[int, ...]]] = {}
     for key, block in realized.items():
-        kind = kinds[key]
-        if kind == ("anchor",):
+        labels = {lift_sort(N.provenance[e]) for e in block}
+        if len(labels) != 1:
+            raise LiftError("companion sorts mix provenance kinds (internal error)")
+        kind = kinds[key] = labels.pop()
+        if kind == ANCHOR_NAME:
             width, r, E = 2, tautology(2), tautology(4)
             bij[key] = {block[0]: (0,) * 2}
-        elif kind == ("base",):
+        elif kind == BASE_NAME:
             width, r, E = 1, tautology(1), Equal(Var(0), Var(1))
             bij[key] = {e: (N.provenance[e].source,) for e in block}
         else:
-            _, rel, i = kind
-            width, r, E = _fiber_sort_formulas(N, rel, i)
+            p = N.provenance[block[0]]
+            width, r, E = _fiber_sort_formulas(N, p.rel, p.copy)
             bij[key] = {
                 e: N.provenance[e].coords + (0,) * (width - len(N.provenance[e].coords))
                 for e in block

@@ -25,11 +25,12 @@ from .groups import (
 )
 from .lifting import (
     LIMIT,
-    Anchor,
     BaseElem,
+    FiberElem,
     LiftConfig,
     LiftedStructure,
     build_lift,
+    lift_sort,
 )
 from .structures import Structure
 
@@ -141,18 +142,11 @@ def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
 # -- orbit decomposition --------------------------------------------------------
 
 
-def _sort_label(p) -> str:
-    if isinstance(p, Anchor):
-        return "anchor"
-    if isinstance(p, BaseElem):
-        return "base"
-    return f"fiber_{p.rel}[{'limit' if p.copy == LIMIT else int(p.copy)}]"
-
-
 def _lift_sort_blocks(N: LiftedStructure) -> dict[str, tuple[int, ...]]:
+    """Elements of each realized sort, sorts in order of first element."""
     blocks: dict[str, list[int]] = {}
     for e, p in enumerate(N.provenance):
-        blocks.setdefault(_sort_label(p), []).append(e)
+        blocks.setdefault(lift_sort(p), []).append(e)
     return {label: tuple(b) for label, b in blocks.items()}
 
 
@@ -214,10 +208,10 @@ def orbit_decomposition_check(
     )
 
     left_blocks = orbits(GN, N.structure.domain)
-    sort_blocks = _lift_sort_blocks(N)
-    left_by_sort: dict[str, int] = {label: 0 for label in sort_blocks}
+    sort_of = [lift_sort(p) for p in N.provenance]
+    left_by_sort: dict[str, int] = dict.fromkeys(sort_of, 0)
     for block in left_blocks:
-        labels = {_sort_label(N.provenance[e]) for e in block}
+        labels = {sort_of[e] for e in block}
         if len(labels) != 1:
             raise StabilityError("an orbit crosses sorts (internal error)")
         left_by_sort[labels.pop()] += 1
@@ -237,7 +231,7 @@ def orbit_decomposition_check(
         o_fib = len(orbits_on_tuples(GM, eligible)) if eligible else 0
         o_rel = len(orbits_on_tuples(GM, held)) if held else 0
         for i in [*range(N.config.k), LIMIT]:
-            label = f"fiber_{rel}[{'limit' if i == LIMIT else i}]"
+            label = lift_sort(FiberElem(rel, i, ()))
             right = o_rel if i == LIMIT else o_fib
             per_sort.append(
                 {"sort": label, "left": left_by_sort.get(label, 0), "right": right}
@@ -283,6 +277,14 @@ def stability_report(
     where the o's are stabilizer orbit counts on the source domain, on
     eligible fiber tuples, and on relation tuples.  Parameter sets are given
     in source coordinates and land inside the base copy of each lift."""
+    As = [tuple(sorted(set(A_src))) for A_src in As]
+    for A_src in As:
+        for a in A_src:
+            if a not in M.domain:
+                raise StabilityError(
+                    f"parameter {a} is not an element of the source domain "
+                    f"(size {M.size})"
+                )
     report = CensusReport(structure_id=structure_id)
     group_M = automorphism_group(M)
     for k in ks:
@@ -293,39 +295,33 @@ def stability_report(
         )
         N = build_lift(M, config)
         group_N = automorphism_group(N.structure)
+        sort_blocks = _lift_sort_blocks(N)
         for A_src in As:
-            A_src = tuple(sorted(set(A_src)))
             A = tuple(N.base_id(a) for a in A_src)
-            GN = pointwise_stabilizer(group_N, A)
-            left_blocks = orbits(GN, N.structure.domain)
             decomposition = orbit_decomposition_check(
                 M, N, A, group_M=group_M, group_N=group_N
             )
+            orbit_counts = {row["sort"]: row["left"] for row in decomposition.per_sort}
             census = qf_type_census(N.structure, A, depth=1)
             type_of: dict[int, int] = {}
             for idx, block in enumerate(census.blocks):
                 for e in block:
                     type_of[e] = idx
 
-            per_sort = []
-            for label, block in _lift_sort_blocks(N).items():
-                orbit_count = sum(
-                    1 for ob in left_blocks if ob[0] in block
-                )
-                type_count = len({type_of[e] for e in block})
-                per_sort.append(
-                    {"sort": label, "orbits": orbit_count, "types": type_count}
-                )
-
-            predicted = decomposition.right_total
+            per_sort = [
+                {
+                    "sort": label,
+                    "orbits": orbit_counts[label],
+                    "types": len({type_of[e] for e in block}),
+                }
+                for label, block in sort_blocks.items()
+            ]
             entry = {
                 "k": k,
                 "A": list(A_src),
-                "total": len(left_blocks),
+                "total": decomposition.left_total,
                 "per_sort": per_sort,
-                "growth_law": "pass"
-                if decomposition.passed and len(left_blocks) == predicted
-                else "fail",
+                "growth_law": "pass" if decomposition.passed else "fail",
             }
             report.entries.append(entry)
     return report

@@ -51,6 +51,13 @@ def _malformed(what: str):
         raise StructureError(f"malformed {what}: {e}") from e
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; true and false are rejected, not read as 1 and 0."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructureError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_name(name: str) -> str:
     if not _NAME_RE.match(name):
         raise StructureError(f"invalid symbol name {name!r}")
@@ -200,16 +207,34 @@ def validate_structure(sig: Signature, raw: dict) -> Structure:
     unknown = set(raw) - allowed - {"signature"}
     if unknown:
         raise StructureError(f"unknown keys {sorted(unknown)} in structure data")
-    if "domain" not in raw or not isinstance(raw["domain"], int):
+    if "domain" not in raw:
         raise StructureError("missing or non-integer 'domain'")
+    size = _integer(raw["domain"], "'domain'")
+    repetition_free = raw.get("repetition_free", True)
+    if not isinstance(repetition_free, bool):
+        raise StructureError(
+            f"'repetition_free' must be true or false, got {repetition_free!r}"
+        )
     with _malformed("structure data"):
+        relations = {
+            k: tuple(tuple(_integer(x, f"entry of relation {k!r}") for x in t) for t in v)
+            for k, v in raw.get("relations", {}).items()
+        }
+        functions = {
+            k: tuple(_integer(x, f"image under function {k!r}") for x in v)
+            for k, v in raw.get("functions", {}).items()
+        }
+        constants = {
+            k: _integer(x, f"constant {k!r}")
+            for k, x in dict(raw.get("constants", {})).items()
+        }
         return Structure(
             sig=sig,
-            size=raw["domain"],
-            relations={k: tuple(map(tuple, v)) for k, v in raw.get("relations", {}).items()},
-            functions={k: tuple(v) for k, v in raw.get("functions", {}).items()},
-            constants=dict(raw.get("constants", {})),
-            repetition_free=bool(raw.get("repetition_free", True)),
+            size=size,
+            relations=relations,
+            functions=functions,
+            constants=constants,
+            repetition_free=repetition_free,
         )
 
 
@@ -284,7 +309,9 @@ def signature_from_dict(data: dict) -> Signature:
         fns = names(data.get("functions", []), set())
         cons = names(data.get("constants", []), set())
         return Signature(
-            relations=tuple((e["name"], int(e["arity"])) for e in rels),
+            relations=tuple(
+                (e["name"], _integer(e["arity"], f"arity of {e['name']!r}")) for e in rels
+            ),
             functions=tuple(e["name"] for e in fns),
             constants=tuple(e["name"] for e in cons),
         )

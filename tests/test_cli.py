@@ -248,3 +248,18 @@ def test_structure_relations_as_list_exit_2(capsys, tmp_path):
     }
     code, _, err = run(capsys, "aut", "--in", _write_doc(tmp_path, doc))
     assert code == 2 and "error" in err
+
+
+def test_structure_bool_domain_exit_2(capsys, tmp_path):
+    doc = {"signature": {"relations": [{"name": "edge", "arity": 2}]}, "domain": True}
+    code, out, err = run(capsys, "aut", "--in", _write_doc(tmp_path, doc))
+    assert code == 2 and "domain" in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["5", "-1"])
+def test_report_parameter_outside_source_domain_exit_2(capsys, tmp_path, value):
+    path = tmp_path / "triangle.json"
+    path.write_text(structure_to_json(digraph(3, [(0, 1), (1, 2)])), encoding="utf-8")
+    code, out, err = run(capsys, "report", "--in", str(path), "--A", value)
+    assert code == 2 and out == ""
+    assert f"parameter {value} " in err and "source domain" in err

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -158,3 +159,48 @@ def test_serialization_round_trip_random_digraphs(size, data):
     chosen = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
     M = digraph(size, chosen)
     assert structures_equal(structure_from_json(structure_to_json(M)), M)
+
+
+def _doc(**overrides):
+    doc = {
+        "signature": {
+            "relations": [{"name": "R", "arity": 2}],
+            "functions": [{"name": "f"}],
+            "constants": [{"name": "c"}],
+        },
+        "domain": 2,
+        "relations": {"R": [[0, 1]]},
+        "functions": {"f": [1, 0]},
+        "constants": {"c": 0},
+    }
+    doc.update(overrides)
+    return json.dumps(doc)
+
+
+def test_loader_accepts_the_reference_document():
+    M = structure_from_json(_doc(repetition_free=False))
+    assert M.size == 2 and M.repetition_free is False
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"domain": True},
+        {"domain": False},
+        {"relations": {"R": [[True, 0]]}},
+        {"relations": {"R": [[0, 1.0]]}},
+        {"functions": {"f": [True, 0]}},
+        {"constants": {"c": False}},
+        {"signature": {"relations": [{"name": "R", "arity": True}]}, "relations": {},
+         "functions": {}, "constants": {}},
+    ],
+)
+def test_loader_rejects_bool_where_an_int_is_expected(overrides):
+    with pytest.raises(StructureError, match="must be an integer"):
+        structure_from_json(_doc(**overrides))
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, []])
+def test_loader_requires_boolean_repetition_free(value):
+    with pytest.raises(StructureError, match="repetition_free"):
+        structure_from_json(_doc(repetition_free=value))
