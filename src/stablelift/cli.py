@@ -162,15 +162,17 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
     continuity = "pass"
     singletons = [()] + [(b,) for b in range(N.structure.size)]
     members_M = GM.elements()
+    fixers: dict = {}
     induced: dict = {}
     for B in singletons:
         A = continuity_witness(N, B)
-        for pi in members_M:
-            if all(pi(a) == a for a in A):
-                if pi not in induced:
-                    induced[pi] = direct_induced(N, pi)
-                if any(induced[pi](b) != b for b in B):
-                    continuity = "fail"
+        if A not in fixers:
+            fixers[A] = [pi for pi in members_M if all(pi(a) == a for a in A)]
+        for pi in fixers[A]:
+            if pi not in induced:
+                induced[pi] = direct_induced(N, pi)
+            if any(induced[pi](b) != b for b in B):
+                continuity = "fail"
     for a in range(M.size):
         stab_N = pointwise_stabilizer(GN, (N.base_id(a),))
         for g in stab_N.generators:

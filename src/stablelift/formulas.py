@@ -41,6 +41,8 @@ __all__ = [
     "parse_formula",
     "format_formula",
     "free_variables",
+    "inert_variables",
+    "free_width",
     "eval_formula",
     "definable_set",
     "conjunction",
@@ -152,6 +154,38 @@ def free_variables(phi: Formula) -> frozenset[int]:
     if isinstance(phi, Exists):
         return free_variables(phi.body) - {phi.var}
     raise FormulaError(f"not a formula: {phi!r}")
+
+
+def inert_variables(phi: Formula) -> frozenset[int]:
+    """Free variables whose value cannot change phi's truth: every occurrence
+    is in an atom xq = xq and no Exists binds the index."""
+
+    def live(psi: Formula) -> frozenset[int]:
+        # indices outside reflexive atoms, and every index an Exists binds
+        if isinstance(psi, Equal):
+            if isinstance(psi.left, Var) and psi.left == psi.right:
+                return frozenset()
+            return _term_vars(psi.left) | _term_vars(psi.right)
+        if isinstance(psi, Not):
+            return live(psi.body)
+        if isinstance(psi, (And, Or)):
+            return frozenset().union(*map(live, psi.parts))
+        if isinstance(psi, Exists):
+            return live(psi.body) | {psi.var}
+        return free_variables(psi)
+
+    return free_variables(phi) - live(phi)
+
+
+def free_width(phi: Formula) -> int:
+    """The n such that phi's free variables are exactly x0..x(n-1); a gap is
+    an error."""
+    fv = free_variables(phi)
+    n = max(fv) + 1 if fv else 0
+    if fv != frozenset(range(n)):
+        missing = sorted(set(range(n)) - fv)
+        raise FormulaError(f"free-variable gap: missing x{missing[0]}")
+    return n
 
 
 def conjunction(parts: list[Formula]) -> Formula:
@@ -393,11 +427,7 @@ def definable_set(M: Structure, phi: Formula) -> tuple[tuple[int, ...], ...]:
 
     The free variables must be exactly x0..x(n-1); a gap is an error.
     """
-    fv = free_variables(phi)
-    n = max(fv) + 1 if fv else 0
-    if fv != frozenset(range(n)):
-        missing = sorted(set(range(n)) - fv)
-        raise FormulaError(f"free-variable gap: missing x{missing[0]}")
+    n = free_width(phi)
     # set(M.relations[...]) lookups inside eval dominate; fine at desk scale.
     return tuple(
         tup
@@ -426,6 +456,15 @@ class AtomicType:
 
     def __lt__(self, other: "AtomicType") -> bool:
         return self.key < other.key
+
+    # types key sort partitions and translation tables; rehashing the
+    # formula trees on every lookup dominated scheme validation
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.formulas,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @functools.lru_cache(maxsize=None)

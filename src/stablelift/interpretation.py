@@ -18,6 +18,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
+# definable_set is no longer called here but stays importable at this site,
+# where perfbench/spans.py wraps it
 from .formulas import (
     AtomicType,
     Formula,
@@ -25,6 +27,8 @@ from .formulas import (
     eval_formula,
     format_formula,
     free_variables,
+    free_width,
+    inert_variables,
     sort_partition,
 )
 from .groups import Permutation, automorphism_group, is_automorphism
@@ -88,6 +92,11 @@ class SchemeRel:
 class InterpretationScheme:
     sorts: tuple[SchemeSort, ...]
     rels: tuple[SchemeRel, ...]
+    # translations: (rel, sort_keys) -> first matching SchemeRel, derived in
+    # __post_init__ so translation() is one dict lookup
+    translations: dict[tuple[str, tuple[AtomicType, ...]], SchemeRel] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         keys = [s.key for s in self.sorts]
@@ -103,6 +112,7 @@ class InterpretationScheme:
                 raise SchemeError(
                     f"translation formula for {sr.rel!r} must use exactly x0..x{total - 1}"
                 )
+            self.translations.setdefault((sr.rel, sr.sort_keys), sr)
 
     def sort(self, key: AtomicType) -> SchemeSort:
         for s in self.sorts:
@@ -111,10 +121,7 @@ class InterpretationScheme:
         raise SchemeError("unknown sort key")
 
     def translation(self, rel: str, sort_keys: tuple[AtomicType, ...]) -> SchemeRel | None:
-        for sr in self.rels:
-            if sr.rel == rel and sr.sort_keys == sort_keys:
-                return sr
-        return None
+        return self.translations.get((rel, sort_keys))
 
 
 @dataclass(frozen=True)
@@ -161,40 +168,61 @@ class ValidationReport:
 
 
 class _Quotient:
-    """r(M)/E with class lookup; verifies E is an equivalence on r(M)."""
+    """r(M)/E with class lookup; verifies E is an equivalence on r(M).
+
+    Position q is padding when x_q is inert in r and x_q, x_(width+q) are
+    inert in E: the truth of r and E never depends on it.  r and E are then
+    evaluated on the other (core) positions only, with padding set to
+    M.domain[0], and each core class is expanded by M^pad into full tuples.
+    A witness is its core witness with M.domain[0] in the padding positions.
+    """
 
     def __init__(self, M: Structure, r: Formula, E: Formula):
-        self.width = len(free_variables(r))
-        dom = definable_set(M, r)
-        if free_variables(E) != frozenset(range(2 * self.width)):
-            raise SchemeError(
-                f"equivalence formula must use exactly x0..x{2 * self.width - 1}"
-            )
+        self.width = n = free_width(r)
+        inert_r, inert_E = inert_variables(r), inert_variables(E)
+        # over an empty domain nothing is padding: M^width is empty anyway
+        pad = [q for q in range(n) if M.size and q in inert_r and {q, n + q} <= inert_E]
+        core = [q for q in range(n) if q not in pad]
+        low = tuple(M.domain[0] for _ in pad)
+        where = [(core + pad).index(q) for q in range(n)]
 
-        def related(s: tuple, t: tuple) -> bool:
-            v = dict(enumerate(s))
-            v.update({self.width + i: x for i, x in enumerate(t)})
-            return eval_formula(M, E, v)
+        def full(c: tuple, p: tuple = low) -> tuple:
+            cp = c + p
+            return tuple(cp[i] for i in where)
+
+        dom = [
+            c
+            for c in itertools.product(M.domain, repeat=len(core))
+            if eval_formula(M, r, dict(enumerate(full(c))))
+        ]
+        if free_variables(E) != frozenset(range(2 * n)):
+            raise SchemeError(
+                f"equivalence formula must use exactly x0..x{2 * n - 1}"
+            )
 
         rows: dict[tuple, set[tuple]] = {s: set() for s in dom}
         for s in dom:
+            fs = full(s)
             for t in dom:
-                if related(s, t):
+                if eval_formula(M, E, dict(enumerate(fs + full(t)))):
                     rows[s].add(t)
         for s in dom:
             if s not in rows[s]:
-                raise SchemeError(f"not an equivalence relation: not reflexive at {s}")
-            for t in rows[s]:
+                raise SchemeError(
+                    f"not an equivalence relation: not reflexive at {full(s)}"
+                )
+            for t in sorted(rows[s]):
                 if s not in rows[t]:
                     raise SchemeError(
-                        f"not an equivalence relation: not symmetric at ({s}, {t})"
+                        "not an equivalence relation: not symmetric at "
+                        f"({full(s)}, {full(t)})"
                     )
         # group into tentative classes, then confirm rows match the grouping;
         # a mismatch yields an explicit transitivity witness
-        self.class_of: dict[tuple, int] = {}
-        self.classes: list[tuple[tuple, ...]] = []
+        class_of: dict[tuple, int] = {}
+        core_classes: list[set[tuple]] = []
         for s in dom:
-            if s in self.class_of:
+            if s in class_of:
                 continue
             members = set()
             queue = [s]
@@ -204,19 +232,26 @@ class _Quotient:
                     continue
                 members.add(u)
                 queue.extend(rows[u] - members)
-            idx = len(self.classes)
-            self.classes.append(tuple(sorted(members)))
             for u in members:
-                self.class_of[u] = idx
+                class_of[u] = len(core_classes)
+            core_classes.append(members)
         for s in dom:
             for t in dom:
-                if (self.class_of[s] == self.class_of[t]) != (t in rows[s]):
-                    s, u, v = _transitivity_witness(rows, s, t)
+                if (class_of[s] == class_of[t]) != (t in rows[s]):
+                    triple = _transitivity_witness(rows, s, t)
                     raise SchemeError(
                         "not an equivalence relation: not transitive at "
-                        f"({s}, {u}, {v})"
+                        f"({', '.join(str(full(c)) for c in triple)})"
                     )
-        self.domain = dom
+        pads = list(itertools.product(M.domain, repeat=len(pad)))
+        self.classes: list[tuple[tuple, ...]] = [
+            tuple(sorted(full(c, p) for c in members for p in pads))
+            for members in core_classes
+        ]
+        self.class_of: dict[tuple, int] = {
+            t: idx for idx, cls in enumerate(self.classes) for t in cls
+        }
+        self.domain = tuple(sorted(self.class_of))
         self.representatives = tuple(c[0] for c in self.classes)
 
 

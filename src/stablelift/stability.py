@@ -89,6 +89,8 @@ def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
     variable with parameters from A and terms of bounded nesting depth."""
     if depth > QF_DEPTH_LIMIT:
         raise StabilityError(f"depth {depth} exceeds the guard ({QF_DEPTH_LIMIT})")
+    if depth < 0:
+        raise StabilityError(f"depth {depth} is negative")
     params = sorted(set(A))
     for a in params:
         if not (0 <= a < N.size):
@@ -117,19 +119,28 @@ def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
             return N.constants[desc[1]]
         return N.functions[desc[1]][value(desc[2], b)]
 
+    # the atoms that mention the free element, as term indices with labels
+    eq_atoms = [
+        (i, j, ("eq", d1, d2))
+        for i, (d1, v1) in enumerate(terms)
+        for j, (d2, v2) in enumerate(terms[i:], start=i)
+        if v1 or v2
+    ]
+    rel_atoms = [
+        (N.relation_sets[name], idx, ("rel", name) + tuple(terms[i][0] for i in idx))
+        for name, arity in N.sig.relations
+        for idx in itertools.product(range(len(terms)), repeat=arity)
+        if any(terms[i][1] for i in idx)
+    ]
+
     def tp(b: int) -> frozenset:
-        sat = set()
-        for i, (d1, v1) in enumerate(terms):
-            for d2, v2 in terms[i:]:
-                if (v1 or v2) and value(d1, b) == value(d2, b):
-                    sat.add(("eq", d1, d2))
-        for name, arity in N.sig.relations:
-            held = N.relation_sets[name]
-            for combo in itertools.product(terms, repeat=arity):
-                if not any(v for _, v in combo):
-                    continue
-                if tuple(value(d, b) for d, _ in combo) in held:
-                    sat.add(("rel", name) + tuple(d for d, _ in combo))
+        vals = [value(d, b) for d, _ in terms]
+        sat = {label for i, j, label in eq_atoms if vals[i] == vals[j]}
+        sat.update(
+            label
+            for held, idx, label in rel_atoms
+            if tuple(vals[i] for i in idx) in held
+        )
         return frozenset(sat)
 
     blocks: dict[frozenset, list[int]] = {}

@@ -198,6 +198,12 @@ def test_census_input_errors_exit_2(capsys, pair_file):
     assert code == 2
 
 
+def test_census_negative_depth_exit_2(capsys, pair_file):
+    code, out, err = run(capsys, "census", "--in", pair_file, "--depth", "-1")
+    assert code == 2 and out == ""
+    assert "depth -1" in err
+
+
 def test_limit_relation_filter(capsys, edge_file):
     code, out, _ = run(capsys, "limit", "--in", edge_file, "--k", "1",
                        "--relation", "edge")

@@ -1,6 +1,25 @@
+import random
+from collections import Counter
+
 import pytest
 
-from stablelift.formulas import parse_formula
+from stablelift import interpretation
+from stablelift.corpus import digraph, random_digraph
+from stablelift.formulas import (
+    And,
+    Equal,
+    Exists,
+    FormulaError,
+    Not,
+    Or,
+    Rel,
+    Var,
+    conjunction,
+    definable_set,
+    eval_formula,
+    free_variables,
+    parse_formula,
+)
 from stablelift.groups import (
     Permutation,
     automorphism_group_brute,
@@ -78,6 +97,179 @@ def test_quotient_transitivity_witness_on_a_path_of_length_three():
     E = parse_formula("x0 = x1 | edge(x0, x1) | edge(x1, x0)", M.sig)
     with pytest.raises(SchemeError, match=r"not transitive at \(\(0,\), \(2,\), \(3,\)\)"):
         definable_quotient(M, r, E)
+
+
+def _brute_quotient(M, r, E):
+    """The unfactored quotient: r over all of M^width and E over all pairs of
+    r(M), with the lex-least symmetry witness.  The reference for the
+    factored _Quotient."""
+    width = len(free_variables(r))
+    dom = definable_set(M, r)
+    if free_variables(E) != frozenset(range(2 * width)):
+        raise SchemeError(f"equivalence formula must use exactly x0..x{2 * width - 1}")
+    rows = {
+        s: {
+            t
+            for t in dom
+            if eval_formula(M, E, {**dict(enumerate(s)), **dict(enumerate(t, width))})
+        }
+        for s in dom
+    }
+    for s in dom:
+        if s not in rows[s]:
+            raise SchemeError(f"not an equivalence relation: not reflexive at {s}")
+        for t in sorted(rows[s]):
+            if s not in rows[t]:
+                raise SchemeError(f"not an equivalence relation: not symmetric at ({s}, {t})")
+    class_of, classes = {}, []
+    for s in dom:
+        if s not in class_of:
+            members, queue = set(), [s]
+            while queue:
+                u = queue.pop()
+                if u not in members:
+                    members.add(u)
+                    queue.extend(rows[u] - members)
+            for u in members:
+                class_of[u] = len(classes)
+            classes.append(tuple(sorted(members)))
+    for s in dom:
+        for t in dom:
+            if (class_of[s] == class_of[t]) != (t in rows[s]):
+                s, u, v = interpretation._transitivity_witness(rows, s, t)
+                raise SchemeError(f"not an equivalence relation: not transitive at ({s}, {u}, {v})")
+    return dom, classes, class_of, tuple(c[0] for c in classes)
+
+
+def _outcome(build, M, r, E):
+    try:
+        q = build(M, r, E)
+    except (SchemeError, FormulaError) as e:
+        return type(e).__name__, str(e)
+    if isinstance(q, tuple):
+        return q
+    return q.domain, q.classes, q.class_of, q.representatives
+
+
+def _random_core(rng, variables, depth=2):
+    """A random formula over ``variables`` built from edge, =, ~, & and |."""
+    if depth == 0 or rng.random() < 0.3:
+        a, b = rng.choice(variables), rng.choice(variables)
+        return Rel("edge", (Var(a), Var(b))) if rng.random() < 0.6 else Equal(Var(a), Var(b))
+    if rng.random() < 0.2:
+        return Not(_random_core(rng, variables, depth - 1))
+    parts = (_random_core(rng, variables, depth - 1), _random_core(rng, variables, depth - 1))
+    return And(parts) if rng.random() < 0.5 else Or(parts)
+
+
+def _random_quotient_case(rng):
+    """A random digraph with a width-1..3 sort: padding positions occur only
+    in reflexive atoms, core positions also in random core formulas."""
+    M = random_digraph(rng, rng.choice([0, 1, 2, 2, 3, 3, 3]), rng.random())
+    width = rng.randint(1, 3)
+    core = [q for q in range(width) if rng.random() < 0.6]
+    both = core + [width + q for q in core]
+    r_parts = [Equal(Var(q), Var(q)) for q in range(width)]
+    if width > 1 and rng.random() < 0.05:
+        del r_parts[rng.randrange(width)]  # a gap, or a width E disagrees with
+    if core and rng.random() < 0.6:
+        r_parts.append(_random_core(rng, core))
+    E_parts = [Equal(Var(q), Var(q)) for q in range(2 * width)]
+    if core:
+        identity = conjunction([Equal(Var(q), Var(width + q)) for q in core])
+        q = rng.choice(core)
+        template = rng.randrange(4)
+        if template == 0:
+            E_parts.append(_random_core(rng, both))
+        elif template == 1:
+            E_parts.append(Or((identity, _random_core(rng, both))))
+        elif template == 2:
+            s, t = Var(q), Var(width + q)
+            E_parts.append(Or((identity, Rel("edge", (s, t)), Rel("edge", (t, s)))))
+        else:
+            E_parts.append(identity)
+    return M, conjunction(r_parts), conjunction(E_parts)
+
+
+def _padded_path_repro(width, leading):
+    """The ROADMAP transitivity repro 0 ~ 2 ~ 3 ~ 1 with its one core position
+    first or last among ``width`` positions."""
+    M = digraph(4, [(0, 2), (2, 3), (3, 1)])
+    q = width - 1 if leading else 0
+    s, t = Var(q), Var(width + q)
+    core = Or((Equal(s, t), Rel("edge", (s, t)), Rel("edge", (t, s))))
+    r = conjunction([Equal(Var(i), Var(i)) for i in range(width)])
+    E = conjunction([Equal(Var(i), Var(i)) for i in range(2 * width)] + [core])
+    return M, r, E
+
+
+def test_factored_quotient_matches_brute_force():
+    rng = random.Random(20260418)
+    kinds = Counter()
+    for _ in range(1500):
+        M, r, E = _random_quotient_case(rng)
+        expected = _outcome(_brute_quotient, M, r, E)
+        assert _outcome(interpretation._Quotient, M, r, E) == expected, (M, r, E)
+        if isinstance(expected[0], str):
+            kinds[expected[1].split(" at ")[0].split(": ")[-1]] += 1
+    for width in (2, 3):
+        for leading in (False, True):
+            case = _padded_path_repro(width, leading)
+            expected = _outcome(_brute_quotient, *case)
+            assert _outcome(interpretation._Quotient, *case) == expected
+            kinds[expected[1].split(" at ")[0].split(": ")[-1]] += 1
+    assert {"not reflexive", "not symmetric", "not transitive"} <= set(kinds), kinds
+
+
+def test_padded_transitivity_witness():
+    with pytest.raises(
+        SchemeError, match=r"not transitive at \(\(0, 0\), \(2, 0\), \(3, 0\)\)"
+    ):
+        definable_quotient(*_padded_path_repro(2, leading=False))
+    with pytest.raises(
+        SchemeError, match=r"not transitive at \(\(0, 0, 0\), \(0, 0, 2\), \(0, 0, 3\)\)"
+    ):
+        definable_quotient(*_padded_path_repro(3, leading=True))
+
+
+def test_quotient_factors_padding_unless_an_exists_rebinds_it(monkeypatch):
+    # position 1 is padding in r; E relates x0 and x2 through a common
+    # out-neighbour, found once with a fresh bound index and once rebinding x1
+    M = digraph(3, [(0, 2), (1, 2)])
+    r = parse_formula("x0 = x0 & x1 = x1", M.sig)
+    pads = "x0 = x0 & x1 = x1 & x2 = x2 & x3 = x3"
+    calls = Counter()
+
+    def counting(M, phi, v=None):
+        calls[phi] += 1
+        return eval_formula(M, phi, v)
+
+    monkeypatch.setattr(interpretation, "eval_formula", counting)
+    for bound, factored in (("x4", True), ("x1", False)):
+        E = parse_formula(
+            f"{pads} & (x0 = x2 | exists {bound}. edge(x0, {bound}) & edge(x2, {bound}))",
+            M.sig,
+        )
+        calls.clear()
+        q = interpretation._Quotient(M, r, E)
+        core = 1 if factored else 2
+        assert calls == {r: 3**core, E: 3 ** (2 * core)}
+        assert (q.domain, q.classes, q.class_of, q.representatives) == _brute_quotient(M, r, E)
+        assert q.classes[0] == tuple((a, b) for a in (0, 1) for b in range(3))
+
+
+def test_quotient_on_empty_domain_is_empty():
+    M = digraph(0, [])
+    r = parse_formula("x0 = x0 & x1 = x1", M.sig)
+    E = parse_formula("x0 = x0 & x1 = x1 & x2 = x2 & x3 = x3", M.sig)
+    assert definable_quotient(M, r, E) == ()
+
+
+def test_quotient_keeps_the_free_variable_gap_error(m_edge):
+    r = parse_formula("x0 = x0 & x2 = x2", m_edge.sig)
+    E = parse_formula("x0 = x3", m_edge.sig)
+    with pytest.raises(FormulaError, match="free-variable gap: missing x1"):
+        definable_quotient(m_edge, r, E)
 
 
 # -- scheme validation -------------------------------------------------------------
