@@ -51,6 +51,7 @@ __all__ = [
     "AtomicType",
     "atomic_type",
     "atomic_formula_basis",
+    "group_by_columns",
     "sort_partition",
 ]
 
@@ -244,6 +245,13 @@ class _Parser:
             return "name", m.group("name")
         return "punct", m.group("punct")
 
+    def var_index(self, token: str, start: int) -> int:
+        try:
+            return int(token[1:])
+        except ValueError:  # past the interpreter's integer digit limit
+            self.pos = start
+            raise self.error("variable index too large") from None
+
     def expect(self, punct: str) -> None:
         self.skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != punct:
@@ -279,11 +287,14 @@ class _Parser:
         start = self.pos
         kind, value = self.take_token()
         if kind == "name" and value == "exists":
+            self.skip_ws()
+            vstart = self.pos
             vkind, vval = self.take_token()
             if vkind != "name" or not _VAR_TOKEN.match(vval):
                 raise self.error("expected a variable after 'exists'")
+            index = self.var_index(vval, vstart)
             self.expect(".")
-            return Exists(int(vval[1:]), self.parse_formula())
+            return Exists(index, self.parse_formula())
         self.pos = start
         return self.parse_atom()
 
@@ -320,7 +331,7 @@ class _Parser:
             self.pos = start
             raise self.error("expected a term")
         if _VAR_TOKEN.match(value):
-            return Var(int(value[1:]))
+            return Var(self.var_index(value, start))
         if self.sig.has_function(value):
             self.expect("(")
             arg = self.parse_term()
@@ -335,7 +346,10 @@ class _Parser:
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse a formula in the documented grammar over the given signature."""
     p = _Parser(text, sig)
-    phi = p.parse_formula()
+    try:
+        phi = p.parse_formula()
+    except RecursionError:
+        raise p.error("formula nested too deeply") from None
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input")
@@ -507,11 +521,44 @@ def atomic_type(M: Structure, a: int) -> AtomicType:
     return AtomicType(tuple(sat))
 
 
+def group_by_columns(size: int, columns) -> dict[tuple, list[int]]:
+    """Group the elements 0..size-1 by their row across the given columns
+    (one value per element each).  Blocks come in order of least element,
+    each in increasing order; with no columns every element shares the
+    empty row."""
+    rows = zip(*columns) if columns else itertools.repeat((), size)
+    blocks: dict[tuple, list[int]] = {}
+    for a, row in zip(range(size), rows):
+        blocks.setdefault(row, []).append(a)
+    return blocks
+
+
 def sort_partition(M: Structure) -> dict[AtomicType, tuple[int, ...]]:
     """Partition the domain by atomic type ("sorts").  Blocks are returned
-    ordered by least element; each block is sorted."""
-    blocks: dict[AtomicType, list[int]] = {}
-    for a in M.domain:
-        blocks.setdefault(atomic_type(M, a), []).append(a)
-    ordered = sorted(blocks.items(), key=lambda kv: kv[1][0])
-    return {t: tuple(sorted(b)) for t, b in ordered}
+    ordered by least element; each block is sorted.
+
+    Each term and each basis formula is evaluated once as a column over the
+    whole domain; ``atomic_type`` is the per-element reference."""
+    basis = atomic_formula_basis(M.sig)
+    columns: dict[Term, list[int]] = {Var(0): list(M.domain)}
+
+    def column(t: Term) -> list[int]:
+        if t not in columns:
+            if isinstance(t, Apply):
+                images = M.functions[t.func]
+                columns[t] = [images[x] for x in column(t.arg)]
+            else:
+                columns[t] = [M.constants[t.name]] * M.size
+        return columns[t]
+
+    truth = []
+    for phi in basis:
+        if isinstance(phi, Equal):
+            truth.append([a == b for a, b in zip(column(phi.left), column(phi.right))])
+        else:
+            held = M.relation_sets[phi.name]
+            truth.append([t in held for t in zip(*map(column, phi.args))])
+    return {
+        AtomicType(tuple(itertools.compress(basis, row))): tuple(block)
+        for row, block in group_by_columns(M.size, truth).items()
+    }

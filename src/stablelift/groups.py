@@ -393,15 +393,16 @@ def _initial_colors(M: Structure) -> list:
         for x in block:
             sort_of[x] = idx
     const_elems = {v: n for n, v in sorted(M.constants.items())}
-    degree_vec = []
-    for x in M.domain:
-        vec = []
-        for name, arity in M.sig.relations:
-            for pos in range(arity):
-                vec.append(sum(1 for t in M.relations[name] if t[pos] == x))
-        degree_vec.append(tuple(vec))
+    # degree_vec[x][offset + pos]: tuples of a relation with x at pos
+    degree_vec = [[0] * sum(k for _, k in M.sig.relations) for _ in M.domain]
+    offset = 0
+    for name, arity in M.sig.relations:
+        for t in M.relations[name]:
+            for pos, x in enumerate(t, start=offset):
+                degree_vec[x][pos] += 1
+        offset += arity
     return [
-        (const_elems.get(x, ""), sort_of[x], degree_vec[x])
+        (const_elems.get(x, ""), sort_of[x], tuple(degree_vec[x]))
         for x in M.domain
     ]
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .formulas import group_by_columns
 from .groups import (
     PermGroup,
     automorphism_group,
@@ -96,58 +97,37 @@ def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
         if not (0 <= a < N.size):
             raise StabilityError(f"parameter {a} outside the domain")
 
-    # terms as evaluator closures over the free element; descriptors keep
-    # types hashable and reports readable
-    terms: list[tuple[tuple, bool]] = [(("var",), True)]
-    terms += [(("param", a), False) for a in params]
-    terms += [(("const", c), False) for c in N.sig.constants]
+    # every term as a column of values over the domain; the terms that do
+    # not mention the free element give constant columns
+    size = N.size
+    terms = [list(N.domain)]
+    terms += [[a] * size for a in params]
+    terms += [[N.constants[c]] * size for c in N.sig.constants]
     frontier = terms
     for _ in range(depth):
-        frontier = [
-            (("app", f, desc), uses_var)
-            for f in N.sig.functions
-            for desc, uses_var in frontier
-        ]
+        frontier = [[N.functions[f][x] for x in col] for f in N.sig.functions for col in frontier]
         terms = terms + frontier
 
-    def value(desc: tuple, b: int) -> int:
-        if desc[0] == "var":
-            return b
-        if desc[0] == "param":
-            return desc[1]
-        if desc[0] == "const":
-            return N.constants[desc[1]]
-        return N.functions[desc[1]][value(desc[2], b)]
-
-    # the atoms that mention the free element, as term indices with labels
-    eq_atoms = [
-        (i, j, ("eq", d1, d2))
-        for i, (d1, v1) in enumerate(terms)
-        for j, (d2, v2) in enumerate(terms[i:], start=i)
-        if v1 or v2
+    # An atom over constant columns only has a constant truth column, and a
+    # repeated term column repeats truth columns, so neither splits a block:
+    # keeping each column once and only the atoms with a varying column
+    # gives the partition by the atoms that mention the free element.
+    cols = list(dict.fromkeys(map(tuple, terms)))
+    varies = [len(set(col)) > 1 for col in cols]
+    truth = [
+        [a == b for a, b in zip(cols[i], cols[j])]
+        for i, j in itertools.combinations(range(len(cols)), 2)
+        if varies[i] or varies[j]
     ]
-    rel_atoms = [
-        (N.relation_sets[name], idx, ("rel", name) + tuple(terms[i][0] for i in idx))
-        for name, arity in N.sig.relations
-        for idx in itertools.product(range(len(terms)), repeat=arity)
-        if any(terms[i][1] for i in idx)
-    ]
-
-    def tp(b: int) -> frozenset:
-        vals = [value(d, b) for d, _ in terms]
-        sat = {label for i, j, label in eq_atoms if vals[i] == vals[j]}
-        sat.update(
-            label
-            for held, idx, label in rel_atoms
-            if tuple(vals[i] for i in idx) in held
-        )
-        return frozenset(sat)
-
-    blocks: dict[frozenset, list[int]] = {}
-    for b in N.domain:
-        blocks.setdefault(tp(b), []).append(b)
-    ordered = sorted(blocks.values(), key=lambda blk: blk[0])
-    return TypeCensus(tuple(tuple(blk) for blk in ordered))
+    for name, arity in N.sig.relations:
+        held = N.relation_sets[name]
+        truth += [
+            [t in held for t in zip(*(cols[i] for i in idx))]
+            for idx in itertools.product(range(len(cols)), repeat=arity)
+            if any(varies[i] for i in idx)
+        ]
+    blocks = group_by_columns(size, truth).values()
+    return TypeCensus(tuple(tuple(blk) for blk in blocks))
 
 
 # -- orbit decomposition --------------------------------------------------------

@@ -74,6 +74,9 @@ class Signature:
     relations: tuple[tuple[str, int], ...] = ()
     functions: tuple[str, ...] = ()
     constants: tuple[str, ...] = ()
+    # arities: relation name -> arity, derived in __post_init__ so lookups
+    # during parsing and evaluation are one dict access
+    arities: dict[str, int] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         names = [n for n, _ in self.relations] + list(self.functions) + list(self.constants)
@@ -84,15 +87,16 @@ class Signature:
         for name, arity in self.relations:
             if arity < 1:
                 raise StructureError(f"relation {name!r} must have arity >= 1")
+        self.arities.update(self.relations)
 
     def relation_arity(self, name: str) -> int:
-        for n, k in self.relations:
-            if n == name:
-                return k
-        raise StructureError(f"unknown relation symbol {name!r}")
+        try:
+            return self.arities[name]
+        except KeyError:
+            raise StructureError(f"unknown relation symbol {name!r}") from None
 
     def has_relation(self, name: str) -> bool:
-        return any(n == name for n, _ in self.relations)
+        return name in self.arities
 
     def has_function(self, name: str) -> bool:
         return name in self.functions
@@ -342,6 +346,8 @@ def structure_to_json(M: Structure) -> str:
 def structure_from_json(text: str) -> Structure:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    # besides syntax errors: ValueError for an integer past the digit limit,
+    # RecursionError for arrays or objects nested too deeply
+    except (ValueError, RecursionError) as e:
         raise StructureError(f"not valid JSON: {e}") from e
     return structure_from_dict(data)

@@ -262,6 +262,18 @@ def test_structure_bool_domain_exit_2(capsys, tmp_path):
     assert code == 2 and "domain" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"domain": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+    ids=["digit-limit", "nesting-depth"],
+)
+def test_structure_json_past_the_parser_limits_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "limits.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "aut", "--in", str(path))
+    assert code == 2 and "not valid JSON" in err and out == ""
+
+
 @pytest.mark.parametrize("value", ["5", "-1"])
 def test_report_parameter_outside_source_domain_exit_2(capsys, tmp_path, value):
     path = tmp_path / "triangle.json"

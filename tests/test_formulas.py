@@ -22,6 +22,7 @@ from stablelift.formulas import (
     eval_formula,
     format_formula,
     free_variables,
+    group_by_columns,
     parse_formula,
     sort_partition,
 )
@@ -114,6 +115,36 @@ def test_parse_print_round_trip(phi):
     assert parse_formula(format_formula(phi), SIG) == phi
 
 
+_TOKENS = ["x0", "x1", "x12", "R", "U", "f", "c", "exists", "(", ")", "=", ",", ".", "&", "|", "~", " "]
+
+
+@given(st.text(max_size=30) | st.lists(st.sampled_from(_TOKENS), max_size=20).map("".join))
+@settings(max_examples=500)
+def test_parse_arbitrary_text_returns_a_formula_or_a_formula_error(text):
+    try:
+        phi = parse_formula(text, SIG)
+    except FormulaError:  # ParseError included
+        return
+    assert isinstance(phi, (Equal, Rel, Not, And, Or, Exists))
+    assert parse_formula(format_formula(phi), SIG) == phi
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(" * 3000 + "x0 = x0" + ")" * 3000, "nested too deeply"),
+        ("~" * 3000 + "U(x0)", "nested too deeply"),
+        ("U(" + "f(" * 3000 + "x0" + ")" * 3001, "nested too deeply"),
+        ("x" + "9" * 5000 + " = x0", "variable index too large"),
+        ("exists x" + "9" * 5000 + ". U(x0)", "variable index too large"),
+    ],
+    ids=["parentheses", "negations", "terms", "variable", "bound-variable"],
+)
+def test_parse_rejects_input_past_the_interpreter_limits(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_formula(text, SIG)
+
+
 def test_empty_connectives_rejected():
     with pytest.raises(FormulaError):
         And(())
@@ -197,6 +228,28 @@ def test_sort_partition_blocks_disjoint_and_cover(m_edge):
     flat = [e for b in blocks for e in b]
     assert sorted(flat) == list(N.domain)
     assert len(flat) == len(set(flat))
+
+
+def test_sort_partition_matches_per_element_atomic_types(type_structures):
+    # reference: one tree-walking atomic_type per element
+    for M in type_structures:
+        blocks: dict[AtomicType, list[int]] = {}
+        for a in M.domain:
+            blocks.setdefault(atomic_type(M, a), []).append(a)
+        expected = [(t, tuple(b)) for t, b in blocks.items()]
+        got = list(sort_partition(M).items())
+        assert got == expected
+        assert [t.formulas for t, _ in got] == [t.formulas for t, _ in expected]
+
+
+def test_group_by_columns_without_columns_keeps_every_element():
+    assert group_by_columns(3, []) == {(): [0, 1, 2]}
+    assert group_by_columns(0, []) == {}
+    assert group_by_columns(4, [[1, 0, 1, 0], [True, True, True, False]]) == {
+        (1, True): [0, 2],
+        (0, True): [1],
+        (0, False): [3],
+    }
 
 
 def test_atomic_type_ordering_is_canonical(m_edge):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from stablelift.corpus import digraph
@@ -10,6 +13,7 @@ from stablelift.stability import (
     stability_report,
     stabilizer_orbits,
 )
+from stablelift.structures import Signature, Structure
 
 
 def test_stabilizer_orbits_examples(m_pair):
@@ -18,6 +22,79 @@ def test_stabilizer_orbits_examples(m_pair):
     # fixing one base point kills the swap
     assert stabilizer_orbits(N, (1,)) == [(0,), (1,), (2,), (3,), (4,)]
     assert stabilizer_orbits(N, N.domain) == [(e,) for e in N.domain]
+
+
+def _qf_type_census_reference(N, A, depth):
+    """The label-set algorithm: per element, evaluate every term by
+    recursion and collect the labels of the satisfied atoms."""
+    params = sorted(set(A))
+    terms = [(("var",), True)]
+    terms += [(("param", a), False) for a in params]
+    terms += [(("const", c), False) for c in N.sig.constants]
+    frontier = terms
+    for _ in range(depth):
+        frontier = [
+            (("app", f, desc), uses_var)
+            for f in N.sig.functions
+            for desc, uses_var in frontier
+        ]
+        terms = terms + frontier
+
+    def value(desc, b):
+        if desc[0] == "var":
+            return b
+        if desc[0] == "param":
+            return desc[1]
+        if desc[0] == "const":
+            return N.constants[desc[1]]
+        return N.functions[desc[1]][value(desc[2], b)]
+
+    eq_atoms = [
+        (i, j, ("eq", d1, d2))
+        for i, (d1, v1) in enumerate(terms)
+        for j, (d2, v2) in enumerate(terms[i:], start=i)
+        if v1 or v2
+    ]
+    rel_atoms = [
+        (N.relation_sets[name], idx, ("rel", name) + tuple(terms[i][0] for i in idx))
+        for name, arity in N.sig.relations
+        for idx in itertools.product(range(len(terms)), repeat=arity)
+        if any(terms[i][1] for i in idx)
+    ]
+
+    def tp(b):
+        vals = [value(d, b) for d, _ in terms]
+        sat = {label for i, j, label in eq_atoms if vals[i] == vals[j]}
+        sat.update(
+            label
+            for held, idx, label in rel_atoms
+            if tuple(vals[i] for i in idx) in held
+        )
+        return frozenset(sat)
+
+    blocks = {}
+    for b in N.domain:
+        blocks.setdefault(tp(b), []).append(b)
+    ordered = sorted(blocks.values(), key=lambda blk: blk[0])
+    return tuple(tuple(blk) for blk in ordered)
+
+
+def test_qf_census_matches_label_set_reference(type_structures):
+    rng = random.Random(17)
+    for index, N in enumerate(type_structures):
+        # depth 2 multiplies the terms; the larger lifts would make it slow
+        for depth in (0, 1, 2) if N.size <= 12 else (0, 1):
+            A = rng.sample(range(N.size), rng.randint(0, min(3, N.size)))
+            got = qf_type_census(N, A, depth=depth).blocks
+            assert got == _qf_type_census_reference(N, A, depth), (index, depth, A)
+
+
+def test_qf_census_of_the_empty_domain():
+    sig = Signature(relations=(("R", 2), ("U", 1)), functions=("f",))
+    empty = Structure(sig=sig, size=0, functions={"f": ()})
+    for depth in (0, 1, 2):
+        assert qf_type_census(empty, (), depth=depth).blocks == ()
+        assert _qf_type_census_reference(empty, (), depth) == ()
 
 
 def test_qf_census_examples(m_pair, m_edge, m_triple):

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stablelift.corpus import digraph, edge_pairs
 from stablelift.groups import Permutation, is_automorphism
@@ -12,6 +12,7 @@ from stablelift.structures import (
     Structure,
     StructureError,
     relational_companion,
+    structure_from_dict,
     structure_from_json,
     structure_to_json,
     structures_equal,
@@ -204,3 +205,72 @@ def test_loader_rejects_bool_where_an_int_is_expected(overrides):
 def test_loader_requires_boolean_repetition_free(value):
     with pytest.raises(StructureError, match="repetition_free"):
         structure_from_json(_doc(repetition_free=value))
+
+
+# -- the loader on arbitrary JSON ----------------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+_small = st.integers(min_value=-1, max_value=3) | _json_values
+_keys = st.sampled_from(["R", "f", "c", "x0", "exists", ""]) | st.text(max_size=6)
+_names = _keys | _json_values
+
+
+def _entries(extra):
+    return st.lists(
+        st.fixed_dictionaries({"name": _names}, optional=extra) | _json_values, max_size=3
+    )
+
+
+# documents shaped like structure files, so the draws reach past the first check
+_documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "signature": st.fixed_dictionaries(
+            {},
+            optional={
+                "relations": _entries({"arity": _small}) | _json_values,
+                "functions": _entries({}) | _json_values,
+                "constants": _entries({}) | _json_values,
+            },
+        )
+        | _json_values,
+        "domain": _small,
+        "relations": st.dictionaries(
+            _keys, st.lists(st.lists(_small, max_size=3), max_size=3) | _json_values, max_size=2
+        )
+        | _json_values,
+        "functions": st.dictionaries(_keys, st.lists(_small, max_size=4) | _json_values, max_size=2)
+        | _json_values,
+        "constants": st.dictionaries(_keys, _small, max_size=2) | _json_values,
+        "repetition_free": st.booleans() | _json_values,
+    },
+)
+
+
+@given(_documents | _json_values)
+@settings(max_examples=400)
+def test_loader_on_arbitrary_json_returns_a_structure_or_a_structure_error(value):
+    for load in (structure_from_dict, lambda v: structure_from_json(json.dumps(v))):
+        try:
+            M = load(value)
+        except StructureError:
+            continue
+        assert isinstance(M, Structure)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"domain": ' + "1" * 5000 + "}",  # past the integer digit limit
+        "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
+    ],
+    ids=["digit-limit", "nesting-depth"],
+)
+def test_loader_rejects_unreadable_json_with_a_structure_error(text):
+    with pytest.raises(StructureError, match="not valid JSON"):
+        structure_from_json(text)
