@@ -6,9 +6,12 @@ Schreier-Sims: adding a generator extends the levels it touches in place
 instead of rebuilding them (Seress, Permutation Group Algorithms, chs. 4-5).
 
 The automorphism search is individualization-refinement with orbit pruning
-(McKay & Piperno, Practical graph isomorphism II).  The first path
-individualizes the least element of the first non-singleton cell of the
-refined coloring until it is discrete; those elements form a base.  Working
+(McKay & Piperno, Practical graph isomorphism II).  Its root is the ordered
+partition into sorts (atomic one-variable types, which already separate
+constants and unary facts), refined to the coarsest equitable partition by
+one splitter routine over binary views of the relations and functions.
+The first path individualizes the least element of the first non-singleton
+cell until the partition is discrete; those elements form a base.  Working
 from the deepest base point up, each level tries only the cell mates of its
 base point that the automorphisms found so far do not already reach, so the
 search finds one automorphism per new orbit point rather than visiting every
@@ -71,13 +74,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise GroupError("degree mismatch")
-        return Permutation(tuple(self.images[y] for y in other.images))
+        return Permutation(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(_invert(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -245,10 +245,6 @@ class PermGroup:
             {g for g in generators if not g.is_identity()}, key=lambda g: g.images
         ))
 
-    @staticmethod
-    def trivial(degree: int) -> "PermGroup":
-        return PermGroup((), degree)
-
     @functools.cached_property
     def _chain(self) -> _Chain:
         chain = _Chain(self.degree)
@@ -386,57 +382,6 @@ def automorphism_group_brute(M: Structure) -> list[Permutation]:
     return found
 
 
-def _initial_colors(M: Structure) -> list:
-    sorts = sort_partition(M)
-    sort_of = {}
-    for idx, block in enumerate(sorts.values()):
-        for x in block:
-            sort_of[x] = idx
-    const_elems = {v: n for n, v in sorted(M.constants.items())}
-    # degree_vec[x][offset + pos]: tuples of a relation with x at pos
-    degree_vec = [[0] * sum(k for _, k in M.sig.relations) for _ in M.domain]
-    offset = 0
-    for name, arity in M.sig.relations:
-        for t in M.relations[name]:
-            for pos, x in enumerate(t, start=offset):
-                degree_vec[x][pos] += 1
-        offset += arity
-    return [
-        (const_elems.get(x, ""), sort_of[x], tuple(degree_vec[x]))
-        for x in M.domain
-    ]
-
-
-def _refine_colors(M: Structure, colors: list[int]) -> list[int]:
-    """Iterated refinement: function-image colors first, then the multiset of
-    relation environments, until stable."""
-    n = M.size
-    while True:
-        func_sig = [
-            tuple(colors[M.functions[f][x]] for f in M.sig.functions) for x in range(n)
-        ]
-        rel_sig: list[list] = [[] for _ in range(n)]
-        for name, arity in M.sig.relations:
-            for t in M.relations[name]:
-                for pos in range(arity):
-                    others = tuple(colors[t[j]] for j in range(arity) if j != pos)
-                    rel_sig[t[pos]].append((name, pos, others))
-        keys = [
-            (colors[x], func_sig[x], tuple(sorted(rel_sig[x]))) for x in range(n)
-        ]
-        palette = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new_colors = [palette[k] for k in keys]
-        if len(set(new_colors)) == len(set(colors)):
-            return new_colors
-        colors = new_colors
-
-
-def _stable_coloring(M: Structure) -> list[int]:
-    raw = _initial_colors(M)
-    palette = {k: i for i, k in enumerate(sorted(set(raw)))}
-    return _refine_colors(M, [palette[k] for k in raw])
-
-
 # An ordered partition is (lab, cell_of, size): lab lists the elements cell
 # by cell, a cell is named by its start position in lab, cell_of maps an
 # element to its cell and size maps a cell to its length.  Every step below
@@ -447,7 +392,10 @@ def _stable_coloring(M: Structure) -> list[int]:
 def _adjacency(M: Structure) -> list[list[list[int]]]:
     """Binary views of M for refinement, one table y -> [x, ...] per ordered
     pair of positions of each relation and per direction of each function's
-    graph.  Unary facts and constants are already in the initial coloring."""
+    graph.  Unary facts and constants are already separated by the sorts of
+    the root partition.  A relation of arity three or more is seen only
+    through these pairs, so refinement can stay coarser than its tuples
+    allow; the leaf check keeps the search exact."""
     n = M.size
     tables = []
     for name, arity in M.sig.relations:
@@ -507,6 +455,23 @@ def _refine(adj, lab: list[int], cell_of: list[int], size: dict[int, int], queue
                 pos += len(frag)
 
 
+def _root_partition(M: Structure, adj):
+    """The root of the search: the sorts of M as cells, in sort_partition's
+    block order, refined until equitable.  Every automorphism preserves
+    each sort, so it fixes this ordered partition."""
+    lab: list[int] = []
+    cell_of = [0] * M.size
+    size: dict[int, int] = {}
+    for block in sort_partition(M).values():
+        s = len(lab)
+        size[s] = len(block)
+        for x in block:
+            cell_of[x] = s
+        lab += block
+    _refine(adj, lab, cell_of, size, sorted(size))
+    return lab, cell_of, size
+
+
 def _individualize(adj, node, v: int):
     """The child of a search node: v split off as a singleton at the front
     of its cell, then refined with that singleton as the splitter."""
@@ -535,18 +500,9 @@ def _automorphism_generators(M: Structure) -> list[Images]:
     search's base, each confirmed by is_automorphism at its leaf."""
     n = M.size
     adj = _adjacency(M)
-    colors = _stable_coloring(M)
-    lab = sorted(range(n), key=lambda x: (colors[x], x))
-    cell_of = [0] * n
-    size: dict[int, int] = {}
-    for pos, x in enumerate(lab):
-        s = pos if pos == 0 or colors[x] != colors[lab[pos - 1]] else cell_of[lab[pos - 1]]
-        cell_of[x] = s
-        size[s] = size.get(s, 0) + 1
-    _refine(adj, lab, cell_of, size, sorted(size))
 
     # first path: individualize the least element of the first open cell
-    path = [(lab, cell_of, size)]
+    path = [_root_partition(M, adj)]
     base: list[int] = []
     while len(path[-1][2]) < n:
         v = _target_cell(path[-1])[0]

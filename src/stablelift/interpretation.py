@@ -14,6 +14,7 @@ uses consecutive blocks of those widths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -87,6 +88,12 @@ class SchemeRel:
     sort_keys: tuple[AtomicType, ...]
     formula: Formula
 
+    # found once per instance: a scheme and its mutants share SchemeRels,
+    # and free_variables' cache lookup hashes the whole formula tree
+    @functools.cached_property
+    def _free_vars(self) -> frozenset[int]:
+        return free_variables(self.formula)
+
 
 @dataclass(frozen=True)
 class InterpretationScheme:
@@ -108,17 +115,11 @@ class InterpretationScheme:
                 if k not in widths:
                     raise SchemeError(f"unknown sort key in translation for {sr.rel!r}")
             total = sum(widths[k] for k in sr.sort_keys)
-            if free_variables(sr.formula) != frozenset(range(total)):
+            if sr._free_vars != frozenset(range(total)):
                 raise SchemeError(
                     f"translation formula for {sr.rel!r} must use exactly x0..x{total - 1}"
                 )
             self.translations.setdefault((sr.rel, sr.sort_keys), sr)
-
-    def sort(self, key: AtomicType) -> SchemeSort:
-        for s in self.sorts:
-            if s.key == key:
-                return s
-        raise SchemeError("unknown sort key")
 
     def translation(self, rel: str, sort_keys: tuple[AtomicType, ...]) -> SchemeRel | None:
         return self.translations.get((rel, sort_keys))
@@ -412,14 +413,17 @@ def validate_scheme(
 
     if "agreement" in include:
         rep_of: dict[int, tuple[int, ...]] = {}
-        for key, fmap in bijections.maps.items():
+        for fmap in bijections.maps.values():
             rep_of.update(fmap)
-        member_options: dict[int, tuple[tuple[int, ...], ...]] = {}
-        if representative_independence:
-            for b, rep in rep_of.items():
-                q = quotients.get(element_sort[b])
-                if q is not None and rep in q.class_of:
-                    member_options[b] = q.classes[q.class_of[rep]]
+        # the host tuples each element stands for: its representative, or
+        # its whole class; an element without a valid class has none
+        options: dict[int, tuple[tuple[int, ...], ...]] = {}
+        for b, rep in rep_of.items():
+            q = quotients.get(element_sort.get(b))
+            if not representative_independence:
+                options[b] = (rep,)
+            elif q is not None and rep in q.class_of:
+                options[b] = q.classes[q.class_of[rep]]
         for name, arity in M2.sig.relations:
             if relations is not None and name not in relations:
                 continue
@@ -427,21 +431,12 @@ def validate_scheme(
             for elems in itertools.product(M2.domain, repeat=arity):
                 keys = tuple(element_sort[e] for e in elems)
                 sr = scheme.translation(name, keys)
-                if sr is None or any(e not in rep_of for e in elems):
+                if sr is None or any(e not in options for e in elems):
                     witness = f"untranslatable tuple {elems}"
                     break
                 holds = elems in M2.relation_sets[name]
-                if representative_independence:
-                    combos = itertools.product(*(member_options[e] for e in elems))
-                else:
-                    combos = [tuple(rep_of[e] for e in elems)]
-                for blocks in combos:
-                    v: dict[int, int] = {}
-                    off = 0
-                    for block in blocks:
-                        for i, x in enumerate(block):
-                            v[off + i] = x
-                        off += len(block)
+                for blocks in itertools.product(*[options[e] for e in elems]):
+                    v = dict(enumerate(sum(blocks, ())))
                     if eval_formula(M1, sr.formula, v) != holds:
                         witness = f"tuple {elems} (target says {holds})"
                         break

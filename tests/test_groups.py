@@ -381,3 +381,40 @@ def test_leaf_checks_grow_with_the_chain_not_the_group(monkeypatch):
         # every accepted leaf joins two orbits of the automorphisms found
         # before it, and no leaf is rejected on these structures
         assert len(calls) <= X.size - len(orbits(G, X.domain))
+
+
+def _cells(node):
+    lab, _, size = node
+    return [lab[s:s + k] for s, k in sorted(size.items())]
+
+
+def test_root_partition_refines_the_sorts_and_is_equitable(type_structures):
+    from collections import Counter
+
+    from stablelift.formulas import sort_partition
+    from stablelift.groups import _adjacency, _root_partition
+
+    for M in type_structures:
+        adj = _adjacency(M)
+        lab, cell_of, size = node = _root_partition(M, adj)
+        cells = _cells(node)
+        assert sorted(lab) == list(M.domain)
+        assert all(cell_of[x] == s for s, k in size.items() for x in lab[s:s + k])
+        # every cell lies inside one sort
+        sort_of = {x: key for key, block in sort_partition(M).items() for x in block}
+        assert all(len({sort_of[x] for x in cell}) == 1 for cell in cells)
+        # equitable: within a cell, every element is hit equally often from
+        # each cell through each table
+        for table in adj:
+            for splitter in cells:
+                hits = Counter(x for y in splitter for x in table[y])
+                assert all(len({hits[x] for x in cell}) == 1 for cell in cells)
+
+
+def test_root_partition_splits_by_degree_within_a_sort():
+    from stablelift.groups import _adjacency, _root_partition
+
+    # a path 0 -> 1 -> 2 -> 3: one sort, but the ends differ in degree
+    M = digraph(4, [(0, 1), (1, 2), (2, 3)])
+    node = _root_partition(M, _adjacency(M))
+    assert sorted(map(sorted, _cells(node))) == [[0], [1], [2], [3]]

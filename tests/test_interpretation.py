@@ -25,7 +25,12 @@ from stablelift.groups import (
     automorphism_group_brute,
 )
 from stablelift.interpretation import (
+    CheckResult,
+    InterpretationScheme,
     SchemeError,
+    SchemeRel,
+    SchemeSort,
+    SortBijections,
     check_classical_interpretation,
     definable_quotient,
     induced_automorphism,
@@ -272,6 +277,66 @@ def test_quotient_keeps_the_free_variable_gap_error(m_edge):
         definable_quotient(m_edge, r, E)
 
 
+# -- scheme construction ----------------------------------------------------------
+
+
+def test_scheme_sort_construction_errors(m_edge):
+    _, _, scheme, _ = _scheme_setup(m_edge)
+    s = next(s for s in scheme.sorts if s.width == 1)
+    one = parse_formula("x0 = x0", m_edge.sig)
+    two = parse_formula("x0 = x1", m_edge.sig)
+    with pytest.raises(SchemeError, match=r"^sort width must be positive$"):
+        SchemeSort(s.key, 0, one, two)
+    with pytest.raises(SchemeError, match=r"^sort domain formula must use exactly x0\.\.x0$"):
+        SchemeSort(s.key, 1, two, two)
+    with pytest.raises(
+        SchemeError, match=r"^sort equivalence formula must use exactly x0\.\.x1$"
+    ):
+        SchemeSort(s.key, 1, one, one)
+
+
+def test_interpretation_scheme_construction_errors(m_edge, m_pair):
+    _, _, scheme, _ = _scheme_setup(m_edge)
+    with pytest.raises(SchemeError, match=r"^sort keys must be distinct$"):
+        InterpretationScheme(sorts=scheme.sorts + scheme.sorts[:1], rels=())
+    # a sort key the scheme does not list: one from another structure's lift
+    _, _, other, _ = _scheme_setup(m_pair, k=2)
+    known = {s.key for s in scheme.sorts}
+    stranger = next(s.key for s in other.sorts if s.key not in known)
+    sr = scheme.rels[0]
+    with pytest.raises(SchemeError, match=rf"^unknown sort key in translation for {sr.rel!r}$"):
+        InterpretationScheme(
+            sorts=scheme.sorts,
+            rels=(SchemeRel(sr.rel, (stranger,) + sr.sort_keys[1:], sr.formula),),
+        )
+    widths = {s.key: s.width for s in scheme.sorts}
+    total = sum(widths[k] for k in sr.sort_keys)
+    wide = parse_formula(" & ".join(f"x{q} = x{q}" for q in range(total + 1)), m_edge.sig)
+    with pytest.raises(
+        SchemeError,
+        match=rf"^translation formula for {sr.rel!r} must use exactly x0\.\.x{total - 1}$",
+    ):
+        InterpretationScheme(
+            sorts=scheme.sorts, rels=(SchemeRel(sr.rel, sr.sort_keys, wide),)
+        )
+
+
+def test_a_mutant_checks_only_the_translation_it_replaces(m_edge, monkeypatch):
+    _, _, scheme, _ = _scheme_setup(m_edge)
+    assert len(scheme.rels) > 1
+    calls = []
+    original = interpretation.free_variables
+
+    def counting(phi):
+        calls.append(phi)
+        return original(phi)
+
+    monkeypatch.setattr(interpretation, "free_variables", counting)
+    mutant = negate_translation(scheme, 0)
+    assert calls == [mutant.rels[0].formula]
+    assert mutant.rels[1:] == scheme.rels[1:]
+
+
 # -- scheme validation -------------------------------------------------------------
 
 
@@ -328,6 +393,46 @@ def test_representative_independence_fixture(m_pair):
         M, companion, scheme, bij, representative_independence=True
     )
     assert report.passed, report.failures()
+
+
+def test_representative_independence_reports_a_representative_outside_its_sort(m_edge):
+    _, companion, scheme, bij = _scheme_setup(m_edge)
+    idx, s = next((i, s) for i, s in enumerate(scheme.sorts) if s.width == 1)
+    fmap = dict(bij[s.key])
+    b = min(fmap)
+    fmap[b] = (0, 0)
+    bad = SortBijections(maps={**bij.maps, s.key: fmap})
+    default = validate_scheme(m_edge, companion, scheme, bad)
+    expected = CheckResult(
+        f"sort-bijection[{idx}]", False, "representative (0, 0) outside the definable set"
+    )
+    assert default.failures() == [expected]
+    report = validate_scheme(
+        m_edge, companion, scheme, bad, representative_independence=True
+    )
+    failing = report.failures()
+    assert failing[0] == expected
+    rest = failing[1:]
+    assert rest and all(c.condition.startswith("representative-independence[") for c in rest)
+    assert all(c.witness.startswith("untranslatable tuple") for c in rest)
+    assert any(f"({b},)" in c.witness for c in rest)
+
+
+def test_representative_independence_reports_a_sort_whose_quotient_failed(m_edge):
+    _, companion, scheme, bij = _scheme_setup(m_edge)
+    idx, s = next((i, s) for i, s in enumerate(scheme.sorts) if s.width == 1)
+    sorts = list(scheme.sorts)
+    # not reflexive, so the sort has no quotient
+    sorts[idx] = SchemeSort(s.key, 1, s.domain_formula, Not(Equal(Var(0), Var(1))))
+    broken = InterpretationScheme(sorts=tuple(sorts), rels=scheme.rels)
+    report = validate_scheme(
+        m_edge, companion, broken, bij, representative_independence=True
+    )
+    failing = report.failures()
+    assert failing[0].condition == f"sort-quotient[{idx}]"
+    assert "not reflexive" in failing[0].witness
+    rest = [c for c in failing if c.condition.startswith("representative-independence[")]
+    assert rest and all(c.witness.startswith("untranslatable tuple") for c in rest)
 
 
 def test_class_images_independent_of_member_choice(m_pair, m_edge):
