@@ -142,7 +142,6 @@ def _term_vars(t: Term) -> frozenset[int]:
     return frozenset()
 
 
-@functools.lru_cache(maxsize=None)
 def free_variables(phi: Formula) -> frozenset[int]:
     if isinstance(phi, Equal):
         return _term_vars(phi.left) | _term_vars(phi.right)

@@ -89,7 +89,7 @@ class SchemeRel:
     formula: Formula
 
     # found once per instance: a scheme and its mutants share SchemeRels,
-    # and free_variables' cache lookup hashes the whole formula tree
+    # so a mutant walks only the formula tree it replaces
     @functools.cached_property
     def _free_vars(self) -> frozenset[int]:
         return free_variables(self.formula)
@@ -418,10 +418,14 @@ def validate_scheme(
         # the host tuples each element stands for: its representative, or
         # its whole class; an element without a valid class has none
         options: dict[int, tuple[tuple[int, ...], ...]] = {}
+        widths = {s.key: s.width for s in scheme.sorts}
         for b, rep in rep_of.items():
-            q = quotients.get(element_sort.get(b))
+            key = element_sort.get(b)
+            q = quotients.get(key)
             if not representative_independence:
-                options[b] = (rep,)
+                # one of the wrong width would shift every variable block after it
+                if len(rep) == widths.get(key):
+                    options[b] = (rep,)
             elif q is not None and rep in q.class_of:
                 options[b] = q.classes[q.class_of[rep]]
         for name, arity in M2.sig.relations:
@@ -476,12 +480,10 @@ def induced_automorphism(
             continue
         q = _Quotient(M1, s.domain_formula, s.equiv_formula)
         fmap = bijections.maps.get(s.key, {})
-        by_class = {}
-        for b in block:
-            rep = fmap.get(b)
-            if rep is None or rep not in q.class_of:
-                raise SchemeError(f"element {b} has no valid representative")
-            by_class[q.class_of[rep]] = b
+        problem = _bijection_problem(q, fmap, block)
+        if problem is not None:
+            raise SchemeError(problem)
+        by_class = {q.class_of[rep]: b for b, rep in fmap.items()}
         for b in block:
             moved = pi.apply_tuple(fmap[b])
             cls = q.class_of.get(moved)

@@ -243,10 +243,6 @@ class LiftedStructure:
         return 1 + a
 
     @property
-    def base_ids(self) -> range:
-        return range(1, 1 + self.source.size)
-
-    @property
     def repetition_free_fibers(self) -> bool:
         return self.source.repetition_free and not self.config.include_repetition_tuples
 
@@ -486,6 +482,10 @@ def _distinctness(n: int) -> list[Formula]:
     ]
 
 
+def _padded(total: int, core: list[Formula]) -> Formula:
+    return conjunction([Equal(Var(q), Var(q)) for q in range(total)] + core)
+
+
 def _fiber_sort_formulas(
     N: LiftedStructure, rel: str, i
 ) -> tuple[int, Formula, Formula]:
@@ -495,73 +495,61 @@ def _fiber_sort_formulas(
     sig = N.source.sig
     n = sig.relation_arity(rel)
     m = N.padding.width(sig, rel, i)
-    parts: list[Formula] = [Equal(Var(q), Var(q)) for q in range(m)]
-    if N.repetition_free_fibers:
-        parts += _distinctness(n)
+    core: list[Formula] = _distinctness(n) if N.repetition_free_fibers else []
     if i == LIMIT:
-        parts.append(Rel(rel, tuple(Var(t) for t in range(n))))
-    r = conjunction(parts)
-    eq_parts: list[Formula] = [Equal(Var(q), Var(q)) for q in range(2 * m)]
-    eq_parts += [Equal(Var(t), Var(m + t)) for t in range(n)]
-    E = conjunction(eq_parts)
-    return m, r, E
+        core.append(Rel(rel, tuple(Var(t) for t in range(n))))
+    E = _padded(2 * m, [Equal(Var(t), Var(m + t)) for t in range(n)])
+    return m, _padded(m, core), E
 
 
-def _padded(total: int, core: list[Formula]) -> Formula:
-    return conjunction([Equal(Var(q), Var(q)) for q in range(total)] + core)
+# A companion symbol's role: "base", "anchor", "fiber", "samefiber", "proj"
+# or "copy", the source relation it belongs to ("" for base and anchor), and
+# its coordinate (proj) or copy index (copy), 0 otherwise.
+Role = tuple[str, str, int]
+
+
+def _companion_roles(M: Structure, k: int) -> dict[str, Role]:
+    roles: dict[str, Role] = {BASE_NAME: ("base", "", 0), ANCHOR_NAME: ("anchor", "", 0)}
+    for rel, arity in M.sig.relations:
+        roles[fiber_predicate(rel)] = ("fiber", rel, 0)
+        roles[samefiber_relation(rel)] = ("samefiber", rel, 0)
+        roles.update({projection_function(rel, t): ("proj", rel, t) for t in range(arity)})
+        roles.update({copy_function(rel, j): ("copy", rel, j) for j in range(k)})
+    return roles
 
 
 def _translation_formula(
-    N: LiftedStructure,
-    sym: str,
-    arity: int,
-    kinds: tuple[str, ...],
-    widths: tuple[int, ...],
+    role: Role, kinds: tuple[Provenance, ...], widths: tuple[int, ...]
 ) -> Formula:
-    """Truth of one companion relation at one tuple of sorts (named by
-    lift_sort), expressed over the source structure.  Most combinations are
-    decided by the sorts alone; the fiber-indexed symbols compare tuple
-    coordinates across blocks."""
+    """Truth of one companion relation at one tuple of sorts, each sort given
+    by the provenance of one of its elements, expressed over the source
+    structure.  Most combinations are decided by the sorts alone; the
+    fiber-indexed symbols compare tuple coordinates across blocks."""
+    what, rel, index = role
     total = sum(widths)
-    M = N.source
-
-    def fiber_of(kind: str, rel: str) -> bool:
-        return kind.startswith(f"{fiber_predicate(rel)}[")
-
-    if sym == BASE_NAME:
-        return tautology(total) if kinds[0] == BASE_NAME else contradiction(total)
-    if sym == ANCHOR_NAME:
-        return tautology(total) if kinds[0] == ANCHOR_NAME else contradiction(total)
-
-    for rel, _ in M.sig.relations:
-        n = M.sig.relation_arity(rel)
-        if sym == fiber_predicate(rel):
-            return tautology(total) if fiber_of(kinds[0], rel) else contradiction(total)
-        if sym == samefiber_relation(rel):
-            if fiber_of(kinds[0], rel) and fiber_of(kinds[1], rel):
-                core = [Equal(Var(t), Var(widths[0] + t)) for t in range(n)]
-                return _padded(total, core)
-            return contradiction(total)
-        for t in range(n):
-            if sym == projection_function(rel, t):
-                if fiber_of(kinds[0], rel):
-                    if kinds[1] == BASE_NAME:
-                        return _padded(total, [Equal(Var(t), Var(widths[0]))])
-                    return contradiction(total)
-                if kinds[1] == ANCHOR_NAME:
-                    return tautology(total)
-                return contradiction(total)
-        for j in range(N.config.k):
-            if sym == copy_function(rel, j):
-                if fiber_of(kinds[0], rel):
-                    if kinds[1] == lift_sort(FiberElem(rel, j, ())):
-                        core = [Equal(Var(t), Var(widths[0] + t)) for t in range(n)]
-                        return _padded(total, core)
-                    return contradiction(total)
-                if kinds[1] == ANCHOR_NAME:
-                    return tautology(total)
-                return contradiction(total)
-    raise LiftError(f"unexpected companion symbol {sym!r}")
+    first = kinds[0]
+    on_fiber = isinstance(first, FiberElem) and first.rel == rel
+    if what == "base":
+        holds = isinstance(first, BaseElem)
+    elif what == "anchor":
+        holds = isinstance(first, Anchor)
+    elif what == "fiber":
+        holds = on_fiber
+    elif not on_fiber:
+        # off its relation's fibers a function sends everything to the anchor
+        holds = what != "samefiber" and isinstance(kinds[1], Anchor)
+    elif what == "proj":
+        if isinstance(kinds[1], BaseElem):
+            return _padded(total, [Equal(Var(index), Var(widths[0]))])
+        holds = False
+    else:
+        second = kinds[1]
+        same = isinstance(second, FiberElem) and second.rel == rel
+        if same and (what == "samefiber" or second.copy == index):
+            core = [Equal(Var(t), Var(widths[0] + t)) for t in range(len(first.coords))]
+            return _padded(total, core)
+        holds = False
+    return tautology(total) if holds else contradiction(total)
 
 
 def generate_scheme(
@@ -585,23 +573,21 @@ def generate_scheme(
     realized = sort_partition(companion)
 
     sorts: list[SchemeSort] = []
-    kinds: dict[AtomicType, str] = {}
+    kinds: dict[AtomicType, Provenance] = {}
     widths: dict[AtomicType, int] = {}
     bij: dict[AtomicType, dict[int, tuple[int, ...]]] = {}
     for key, block in realized.items():
-        labels = {lift_sort(N.provenance[e]) for e in block}
-        if len(labels) != 1:
+        if len({lift_sort(N.provenance[e]) for e in block}) != 1:
             raise LiftError("companion sorts mix provenance kinds (internal error)")
-        kind = kinds[key] = labels.pop()
-        if kind == ANCHOR_NAME:
+        kind = kinds[key] = N.provenance[block[0]]
+        if isinstance(kind, Anchor):
             width, r, E = 2, tautology(2), tautology(4)
             bij[key] = {block[0]: (0,) * 2}
-        elif kind == BASE_NAME:
+        elif isinstance(kind, BaseElem):
             width, r, E = 1, tautology(1), Equal(Var(0), Var(1))
             bij[key] = {e: (N.provenance[e].source,) for e in block}
         else:
-            p = N.provenance[block[0]]
-            width, r, E = _fiber_sort_formulas(N, p.rel, p.copy)
+            width, r, E = _fiber_sort_formulas(N, kind.rel, kind.copy)
             bij[key] = {
                 e: N.provenance[e].coords + (0,) * (width - len(N.provenance[e].coords))
                 for e in block
@@ -611,12 +597,11 @@ def generate_scheme(
 
     rels: list[SchemeRel] = []
     keys_in_order = [s.key for s in sorts]
+    roles = _companion_roles(M, N.config.k)
     for name, arity in companion.sig.relations:
         for combo in itertools.product(keys_in_order, repeat=arity):
             formula = _translation_formula(
-                N,
-                name,
-                arity,
+                roles[name],
                 tuple(kinds[k] for k in combo),
                 tuple(widths[k] for k in combo),
             )

@@ -60,13 +60,10 @@ class StabilityError(ValueError):
     pass
 
 
-def stabilizer_orbits(
-    N: Structure, A, group: PermGroup | None = None
-) -> list[tuple[int, ...]]:
+def stabilizer_orbits(N: Structure, A) -> list[tuple[int, ...]]:
     """Orbits of the pointwise stabilizer of A on the whole domain: the
     classes of "related by an automorphism fixing A"."""
-    G = group if group is not None else automorphism_group(N)
-    return orbits(pointwise_stabilizer(G, A), N.domain)
+    return orbits(pointwise_stabilizer(automorphism_group(N), A), N.domain)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,14 @@ def test_verify_iso_passes(capsys, pair_file):
     }
 
 
+def test_verify_iso_reports_a_continuity_failure(capsys, pair_file, monkeypatch):
+    # an empty support forces nothing, and the swap moves the base elements
+    monkeypatch.setattr("stablelift.cli.continuity_witness", lambda N, B: frozenset())
+    code, out, _ = run(capsys, "verify-iso", "--in", pair_file, "--k", "1")
+    assert code == 1
+    assert json.loads(out)["continuity_witnesses"] == "fail"
+
+
 def test_scheme_check_clean_and_mutated(capsys, edge_file):
     code, out, _ = run(capsys, "scheme-check", "--in", edge_file, "--k", "1")
     assert code == 0

@@ -402,20 +402,24 @@ def test_representative_independence_reports_a_representative_outside_its_sort(m
     b = min(fmap)
     fmap[b] = (0, 0)
     bad = SortBijections(maps={**bij.maps, s.key: fmap})
-    default = validate_scheme(m_edge, companion, scheme, bad)
     expected = CheckResult(
         f"sort-bijection[{idx}]", False, "representative (0, 0) outside the definable set"
     )
-    assert default.failures() == [expected]
-    report = validate_scheme(
-        m_edge, companion, scheme, bad, representative_independence=True
-    )
-    failing = report.failures()
-    assert failing[0] == expected
-    rest = failing[1:]
-    assert rest and all(c.condition.startswith("representative-independence[") for c in rest)
-    assert all(c.witness.startswith("untranslatable tuple") for c in rest)
-    assert any(f"({b},)" in c.witness for c in rest)
+    # the default mode too: a representative of the wrong width has no
+    # variable block to stand in
+    modes = ((False, "relation-agreement"), (True, "representative-independence"))
+    for independence, label in modes:
+        report = validate_scheme(
+            m_edge, companion, scheme, bad, representative_independence=independence
+        )
+        failing = report.failures()
+        assert failing[0] == expected
+        rest = failing[1:]
+        assert [c.condition for c in rest] == [
+            f"{label}[{name}]" for name, _ in companion.sig.relations
+        ]
+        assert all(c.witness.startswith("untranslatable tuple") for c in rest)
+        assert any(f"({b},)" in c.witness for c in rest)
 
 
 def test_representative_independence_reports_a_sort_whose_quotient_failed(m_edge):
@@ -471,6 +475,14 @@ def test_induced_rejects_non_automorphism(m_edge):
     N, companion, scheme, bij = _scheme_setup(m_edge)
     with pytest.raises(SchemeError, match="not an automorphism"):
         induced_automorphism(m_edge, companion, scheme, bij, Permutation((1, 0)))
+
+
+def test_induced_rejects_a_redirected_bijection(m_pair):
+    _, companion, scheme, bij = _scheme_setup(m_pair)
+    key = next(k for k, fmap in sorted(bij.maps.items()) if len(fmap) >= 2)
+    redirected = redirect_bijection(bij, key)
+    with pytest.raises(SchemeError, match="not injective"):
+        induced_automorphism(m_pair, companion, scheme, redirected, Permutation.identity(2))
 
 
 def test_induced_is_homomorphism(corpus):

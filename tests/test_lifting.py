@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -9,7 +11,7 @@ from stablelift.groups import (
     automorphism_group_brute,
     is_automorphism,
 )
-from stablelift.interpretation import definable_quotient, validate_scheme
+from stablelift.interpretation import definable_quotient, scheme_to_json_dict, validate_scheme
 from stablelift.lifting import (
     LIMIT,
     Anchor,
@@ -354,6 +356,49 @@ def test_scheme_rejects_foreign_source(m_edge, m_pair):
     N = build_lift(m_edge, LiftConfig(k=1))
     with pytest.raises(LiftError, match="not generated"):
         generate_scheme(m_pair, N)
+
+
+_TUE = Signature(relations=(("T", 3), ("E", 2), ("U", 1)))
+_PINNED_STRUCTURES = {
+    "repeating-2": Structure(
+        sig=_TUE,
+        size=2,
+        relations={"T": [(0, 1, 0)], "E": [(0, 1)], "U": [(1,)]},
+        repetition_free=False,
+    ),
+    "free-3": Structure(
+        sig=_TUE,
+        size=3,
+        relations={"T": [(0, 1, 2)], "E": [(0, 1), (1, 2)], "U": [(0,)]},
+        repetition_free=True,
+    ),
+}
+
+# sha256 of the sorted-key JSON of each generated scheme; these reach
+# proj_T_2, and copy_T_j for j >= 1, which no CLI digest covers
+_PINNED_SCHEMES = {
+    ("repeating-2", 1, False): "3c4727117ed37c22c05e1ed2cbfa2f216ca65a027134eae7d79099f21a1e2a23",
+    ("repeating-2", 1, True): "3c4727117ed37c22c05e1ed2cbfa2f216ca65a027134eae7d79099f21a1e2a23",
+    ("repeating-2", 2, False): "70664ee241ded150fd14a0b5d74e12ff8897304e78159bf1003ba135ef0a8ed2",
+    ("repeating-2", 2, True): "70664ee241ded150fd14a0b5d74e12ff8897304e78159bf1003ba135ef0a8ed2",
+    ("repeating-2", 3, False): "4b09b8a93a908c8a7b0c700d9e63d9a5514f2f8b9015c9f31802b6536f947ef4",
+    ("repeating-2", 3, True): "4b09b8a93a908c8a7b0c700d9e63d9a5514f2f8b9015c9f31802b6536f947ef4",
+    ("free-3", 1, False): "b86dee60f6e208b9420b56d3840983ca1de61ac54f03571e78fbd4e5f3bb3bf6",
+    ("free-3", 1, True): "fc4ebd12fbf952c43cb6e7d6e82afd1a3bc2512d694caca4d0a5d4fcd35e7fdd",
+    ("free-3", 2, False): "a41f4c8ac7fd47981619905aeb0f6e6967eb15c151da38b4ae9ce2a37b13af76",
+    ("free-3", 2, True): "589c89a531aead4963f2a15efbba435a7d5274012619ab69618652ab7ccde3d6",
+    ("free-3", 3, False): "e59b221cfa39b0373c5d53cf0abb1a92b521a49d1e07d1a3cc353de6f70ac86f",
+    ("free-3", 3, True): "895f52f1f42fdeee30d2b74a44f35b8ceb494cf8a0542c60e569083532ba8c79",
+}
+
+
+@pytest.mark.parametrize("name,k,repetitions", sorted(_PINNED_SCHEMES))
+def test_generated_scheme_is_pinned(name, k, repetitions):
+    M = _PINNED_STRUCTURES[name]
+    N = build_lift(M, LiftConfig(k=k, include_repetition_tuples=repetitions))
+    blob = json.dumps(scheme_to_json_dict(*generate_scheme(M, N)), sort_keys=True)
+    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    assert digest == _PINNED_SCHEMES[(name, k, repetitions)]
 
 
 # -- continuity witnesses ---------------------------------------------------------------------
