@@ -23,7 +23,11 @@ from dataclasses import dataclass, field
 # where perfbench/spans.py wraps it
 from .formulas import (
     AtomicType,
+    Equal,
     Formula,
+    Not,
+    Var,
+    conjunction,
     definable_set,
     eval_formula,
     format_formula,
@@ -318,6 +322,47 @@ def _require_relational(M: Structure, label: str) -> None:
         )
 
 
+def _sort_cover(
+    realized: dict[AtomicType, tuple[int, ...]], scheme: InterpretationScheme
+) -> CheckResult:
+    """The scheme lists exactly the sorts the target realizes."""
+    scheme_keys = {s.key for s in scheme.sorts}
+    missing = set(realized) - scheme_keys
+    extra = scheme_keys - set(realized)
+    passed = not missing and not extra
+    witness = None if passed else f"missing={len(missing)} extra={len(extra)} sort keys"
+    return CheckResult("sort-cover", passed, witness)
+
+
+def _sort_pass(
+    M1: Structure,
+    scheme: InterpretationScheme,
+    bijections: SortBijections,
+    realized: dict[AtomicType, tuple[int, ...]],
+) -> tuple[dict[AtomicType, _Quotient | None], list[CheckResult], list[CheckResult]]:
+    """Each scheme sort's quotient over M1 (None where its equivalence
+    fails), with the sort-quotient and sort-bijection checks, in scheme
+    order; a sort whose quotient failed gets no bijection check."""
+    quotients: dict[AtomicType, _Quotient | None] = {}
+    sort_checks, bijection_checks = [], []
+    for idx, s in enumerate(scheme.sorts):
+        try:
+            q = _Quotient(M1, s.domain_formula, s.equiv_formula)
+        except SchemeError as e:
+            quotients[s.key] = None
+            sort_checks.append(CheckResult(f"sort-quotient[{idx}]", False, str(e)))
+            continue
+        quotients[s.key] = q
+        nonempty = bool(q.domain) or s.key not in realized
+        witness = None if nonempty else "definable set empty for a realized sort"
+        sort_checks.append(CheckResult(f"sort-quotient[{idx}]", nonempty, witness))
+        problem = _bijection_problem(
+            q, bijections.maps.get(s.key, {}), realized.get(s.key, ())
+        )
+        bijection_checks.append(CheckResult(f"sort-bijection[{idx}]", problem is None, problem))
+    return quotients, sort_checks, bijection_checks
+
+
 def validate_scheme(
     M1: Structure,
     M2: Structure,
@@ -327,7 +372,6 @@ def validate_scheme(
     include: tuple[str, ...] = ("sorts", "bijections", "cover", "agreement"),
     relations: set[str] | None = None,
     representative_independence: bool = False,
-    early_exit: bool = False,
 ) -> ValidationReport:
     """Check every scheme condition, reporting pass/fail with witnesses.
 
@@ -340,63 +384,23 @@ def validate_scheme(
     _require_relational(M1, "host structure")
     _require_relational(M2, "target structure")
     report = ValidationReport()
-
-    def record(condition: str, passed: bool, witness: str | None = None) -> bool:
-        report.checks.append(CheckResult(condition, passed, witness))
-        return early_exit and not passed
-
     realized = sort_partition(M2)
-    scheme_keys = {s.key for s in scheme.sorts}
     if "cover" in include:
-        missing = set(realized) - scheme_keys
-        extra = scheme_keys - set(realized)
-        if record(
-            "sort-cover",
-            not missing and not extra,
-            None
-            if not missing and not extra
-            else f"missing={len(missing)} extra={len(extra)} sort keys",
-        ):
-            return report
+        report.checks.append(_sort_cover(realized, scheme))
 
     # one quotient per sort, and none when no requested check reads them
     quotients: dict[AtomicType, _Quotient | None] = {}
-    needs_quotients = (
-        "sorts" in include or "bijections" in include or representative_independence
-    )
-    for idx, s in enumerate(scheme.sorts if needs_quotients else ()):
-        try:
-            quotients[s.key] = _Quotient(M1, s.domain_formula, s.equiv_formula)
-        except SchemeError as e:
-            quotients[s.key] = None
-            if "sorts" in include:
-                if record(f"sort-quotient[{idx}]", False, str(e)):
-                    return report
-            continue
+    if "sorts" in include or "bijections" in include or representative_independence:
+        quotients, sort_checks, bijection_checks = _sort_pass(M1, scheme, bijections, realized)
         if "sorts" in include:
-            nonempty = bool(quotients[s.key].domain) or s.key not in realized
-            if record(
-                f"sort-quotient[{idx}]",
-                nonempty,
-                None if nonempty else "definable set empty for a realized sort",
-            ):
-                return report
+            report.checks += sort_checks
+        if "bijections" in include:
+            report.checks += bijection_checks
 
     element_sort: dict[int, AtomicType] = {}
     for key, block in realized.items():
         for b in block:
             element_sort[b] = key
-
-    if "bijections" in include:
-        for idx, s in enumerate(scheme.sorts):
-            q = quotients.get(s.key)
-            if q is None:
-                continue
-            problem = _bijection_problem(
-                q, bijections.maps.get(s.key, {}), realized.get(s.key, ())
-            )
-            if record(f"sort-bijection[{idx}]", problem is None, problem):
-                return report
 
     if "cover" in include:
         missing_pairs = []
@@ -404,12 +408,8 @@ def validate_scheme(
             for keys in itertools.product(sorted(realized), repeat=arity):
                 if scheme.translation(name, keys) is None:
                     missing_pairs.append(name)
-        if record(
-            "translation-cover",
-            not missing_pairs,
-            None if not missing_pairs else f"no translation formula for {missing_pairs[0]!r}",
-        ):
-            return report
+        witness = f"no translation formula for {missing_pairs[0]!r}" if missing_pairs else None
+        report.checks.append(CheckResult("translation-cover", not missing_pairs, witness))
 
     if "agreement" in include:
         rep_of: dict[int, tuple[int, ...]] = {}
@@ -447,8 +447,7 @@ def validate_scheme(
                 if witness:
                     break
             label = "relation-agreement" if not representative_independence else "representative-independence"
-            if record(f"{label}[{name}]", witness is None, witness):
-                return report
+            report.checks.append(CheckResult(f"{label}[{name}]", witness is None, witness))
 
     return report
 
@@ -467,24 +466,22 @@ def induced_automorphism(
 
     A target element maps to the element whose class is the coordinatewise
     image of its representative's class.  Identity goes to identity and
-    composition is preserved; the map fails with a diagnostic if the scheme's
-    definable sets are not closed under the automorphism.
+    composition is preserved.  The map fails with the witness of the first
+    failing sort check of validation (cover, quotients, bijections), or with
+    a diagnostic if the definable sets are not closed under the automorphism.
     """
     if not is_automorphism(M1, pi):
         raise SchemeError("the supplied permutation is not an automorphism of the host")
     realized = sort_partition(M2)
+    quotients, sort_checks, bijection_checks = _sort_pass(M1, scheme, bijections, realized)
+    for check in [_sort_cover(realized, scheme), *sort_checks, *bijection_checks]:
+        if not check.passed:
+            raise SchemeError(check.witness)
     images = [-1] * M2.size
     for s in scheme.sorts:
-        block = realized.get(s.key, ())
-        if not block:
-            continue
-        q = _Quotient(M1, s.domain_formula, s.equiv_formula)
-        fmap = bijections.maps.get(s.key, {})
-        problem = _bijection_problem(q, fmap, block)
-        if problem is not None:
-            raise SchemeError(problem)
+        q, fmap = quotients[s.key], bijections.maps[s.key]
         by_class = {q.class_of[rep]: b for b, rep in fmap.items()}
-        for b in block:
+        for b in realized[s.key]:
             moved = pi.apply_tuple(fmap[b])
             cls = q.class_of.get(moved)
             if cls is None or cls not in by_class:
@@ -577,8 +574,6 @@ def check_classical_interpretation(
 
 def negate_translation(scheme: InterpretationScheme, index: int) -> InterpretationScheme:
     """Flip one translation formula; a validated scheme must stop validating."""
-    from .formulas import Not
-
     rels = list(scheme.rels)
     sr = rels[index]
     rels[index] = SchemeRel(rel=sr.rel, sort_keys=sr.sort_keys, formula=Not(sr.formula))
@@ -589,8 +584,6 @@ def weaken_equivalence(scheme: InterpretationScheme, sort_index: int) -> Interpr
     """Replace a sort's equivalence by tuple identity, splitting every class
     into singletons; the sort bijection stops being onto whenever some class
     had more than one member."""
-    from .formulas import Equal, Var, conjunction
-
     sorts = list(scheme.sorts)
     s = sorts[sort_index]
     m = s.width

@@ -565,7 +565,7 @@ def generate_scheme(
     Translation formulas for every companion relation are emitted
     mechanically from the fiber semantics.
     """
-    if N.source is not M and not (M.sig == N.source.sig and M == N.source):
+    if N.source is not M and M != N.source:
         raise LiftError("the lift was not generated from this structure")
     from .structures import relational_companion
 

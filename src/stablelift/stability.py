@@ -255,7 +255,7 @@ def stability_report(
     ks,
     As,
     structure_id: str = "",
-    config_base: LiftConfig = LiftConfig(),
+    include_repetition_tuples: bool = False,
 ) -> CensusReport:
     """Tabulate orbit and type counts for lifts of M across copy bounds and
     parameter sets, checking the exact growth law
@@ -276,12 +276,9 @@ def stability_report(
     report = CensusReport(structure_id=structure_id)
     group_M = automorphism_group(M)
     for k in ks:
-        config = LiftConfig(
-            k=k,
-            include_repetition_tuples=config_base.include_repetition_tuples,
-            padding=None,
+        N = build_lift(
+            M, LiftConfig(k=k, include_repetition_tuples=include_repetition_tuples)
         )
-        N = build_lift(M, config)
         group_N = automorphism_group(N.structure)
         sort_blocks = _lift_sort_blocks(N)
         for A_src in As:

@@ -181,7 +181,7 @@ def test_criterion_3_scheme_suite():
             mutant = negate_translation(scheme, i)
             report = validate_scheme(
                 M, companion, mutant, bijections,
-                include=("agreement",), relations={sr.rel}, early_exit=True,
+                include=("agreement",), relations={sr.rel},
             )
             assert not report.passed, (name, sr.rel)
             assert report.failures()[0].witness, (name, sr.rel)
@@ -192,7 +192,7 @@ def test_criterion_3_scheme_suite():
                 mutant = weaken_equivalence(scheme, i)
                 report = validate_scheme(
                     M, companion, mutant, bijections,
-                    include=("sorts", "bijections"), early_exit=True,
+                    include=("sorts", "bijections"),
                 )
                 assert not report.passed, (name, i)
                 broken_eq += 1
@@ -200,7 +200,7 @@ def test_criterion_3_scheme_suite():
                 mutant_b = redirect_bijection(bijections, s.key)
                 report = validate_scheme(
                     M, companion, scheme, mutant_b,
-                    include=("bijections",), early_exit=True,
+                    include=("bijections",),
                 )
                 assert not report.passed, (name, i)
                 broken_map += 1

@@ -34,6 +34,10 @@ SUBCOMMANDS = {
     "report": ["report", "--ks", "1,2", "--A", "", "--A", "0"],
     "scheme-check": ["scheme-check", "--k", "1"],
     "scheme-check-break-fp": ["scheme-check", "--k", "1", "--mutate", "break-fp"],
+    "scheme-check-break-ep": ["scheme-check", "--k", "1", "--mutate", "break-ep"],
+    "scheme-check-negate-relformula": [
+        "scheme-check", "--k", "1", "--mutate", "negate-relformula"
+    ],
 }
 
 

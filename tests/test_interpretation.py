@@ -508,6 +508,112 @@ def test_induced_injective_when_every_element_appears(m_pair):
     assert len(images) == len(members)
 
 
+def test_induced_rejects_a_scheme_missing_a_realized_sort(m_pair):
+    # transport walks the scheme's sorts, so the elements of an unlisted
+    # realized sort would be left without images
+    _, companion, scheme, bij = _scheme_setup(m_pair)
+    dropped = scheme.sorts[0].key
+    partial = InterpretationScheme(
+        sorts=scheme.sorts[1:],
+        rels=tuple(sr for sr in scheme.rels if dropped not in sr.sort_keys),
+    )
+    with pytest.raises(SchemeError, match=r"^missing=1 extra=0 sort keys$"):
+        induced_automorphism(m_pair, companion, partial, bij, Permutation.identity(2))
+
+
+def _sort_mutants(scheme, bij):
+    """Every weakened sort equivalence and every redirected sort bijection."""
+    for i in range(len(scheme.sorts)):
+        yield weaken_equivalence(scheme, i), bij
+    for key, fmap in bij.maps.items():
+        if len(fmap) >= 2:
+            yield scheme, redirect_bijection(bij, key)
+
+
+def _first_sort_failure(report):
+    return next(
+        (c for c in report.failures()
+         if c.condition.startswith(("sort-cover", "sort-quotient", "sort-bijection"))),
+        None,
+    )
+
+
+def test_induced_raises_the_first_failing_sort_check(corpus):
+    raised = 0
+    for _, M in corpus[1:12]:
+        _, companion, scheme, bij = _scheme_setup(M)
+        ident = Permutation.identity(M.size)
+        for mutant, mutant_bij in _sort_mutants(scheme, bij):
+            failure = _first_sort_failure(validate_scheme(M, companion, mutant, mutant_bij))
+            if failure is None:
+                # weakening a sort whose classes are singletons changes nothing
+                assert induced_automorphism(M, companion, mutant, mutant_bij, ident).is_identity()
+                continue
+            with pytest.raises(SchemeError) as err:
+                induced_automorphism(M, companion, mutant, mutant_bij, ident)
+            assert str(err.value) == failure.witness
+            raised += 1
+    assert raised
+
+
+# -- focused validation ----------------------------------------------------------------
+
+
+FAMILY = {
+    "sort-cover": "cover",
+    "translation-cover": "cover",
+    "sort-quotient": "sorts",
+    "sort-bijection": "bijections",
+    "relation-agreement": "agreement",
+    "representative-independence": "agreement",
+}
+
+
+def _one_of_each_mutant(M, scheme, bij):
+    """The clean scheme and one negated, one weakened and one redirected mutant."""
+    yield scheme, bij
+    yield negate_translation(scheme, 0), bij
+    weakened = next(
+        (i for i, s in enumerate(scheme.sorts)
+         if any(len(c) > 1 for c in definable_quotient(M, s.domain_formula, s.equiv_formula))),
+        None,
+    )
+    if weakened is not None:
+        yield weaken_equivalence(scheme, weakened), bij
+    key = next((key for key, fmap in bij.maps.items() if len(fmap) >= 2), None)
+    if key is not None:
+        yield scheme, redirect_bijection(bij, key)
+
+
+def test_focused_validation_matches_the_full_report(corpus):
+    # mutation tests validate one family and one relation at a time; that
+    # must be exactly the full report's checks of the family and relation
+    # (``relations`` restricts the agreement scan only)
+    # every digraph on at most two vertices and five on three
+    for _, M in corpus[:6] + corpus[6::16]:
+        for k in (1, 2):
+            _, companion, scheme, bij = _scheme_setup(M, k)
+            names = [name for name, _ in companion.sig.relations]
+            for mutant, mutant_bij in _one_of_each_mutant(M, scheme, bij):
+                for independence in (False, True):
+                    full = validate_scheme(
+                        M, companion, mutant, mutant_bij,
+                        representative_independence=independence,
+                    ).checks
+                    focus = [(f, names[0]) for f in ("sorts", "bijections", "cover")]
+                    for family, name in focus + [("agreement", n) for n in names]:
+                        focused = validate_scheme(
+                            M, companion, mutant, mutant_bij,
+                            include=(family,), relations={name},
+                            representative_independence=independence,
+                        ).checks
+                        assert focused == [
+                            c for c in full
+                            if FAMILY[c.condition.split("[")[0]] == family
+                            and (family != "agreement" or c.condition.endswith(f"[{name}]"))
+                        ]
+
+
 # -- classical interpretation proxy ----------------------------------------------------
 
 

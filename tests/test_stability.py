@@ -190,12 +190,7 @@ def test_growth_law_with_parameters(m_triple):
 
 
 def test_growth_law_with_repetition_tuples(m_pair):
-    from stablelift.lifting import LiftConfig
-
-    r = stability_report(
-        m_pair, [1, 2], [()],
-        config_base=LiftConfig(k=1, include_repetition_tuples=True),
-    )
+    r = stability_report(m_pair, [1, 2], [()], include_repetition_tuples=True)
     # four fiber tuples split into two swap-orbits, so the slope is 2
     assert [e["total"] for e in r.entries] == [4, 6]
     assert r.all_pass
