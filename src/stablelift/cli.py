@@ -69,6 +69,8 @@ def _load_structure(path: str, max_size: int) -> Structure:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text: {e}") from e
     try:
         M = structure_from_json(text)
     except StructureError as e:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 # definable_set is no longer called here but stays importable at this site,
@@ -25,8 +26,10 @@ from .formulas import (
     AtomicType,
     Equal,
     Formula,
+    FormulaError,
     Not,
     Var,
+    compile_formula,
     conjunction,
     definable_set,
     eval_formula,
@@ -428,28 +431,88 @@ def validate_scheme(
                     options[b] = (rep,)
             elif q is not None and rep in q.class_of:
                 options[b] = q.classes[q.class_of[rep]]
+        label = "representative-independence" if representative_independence else "relation-agreement"
         for name, arity in M2.sig.relations:
             if relations is not None and name not in relations:
                 continue
-            witness = None
-            for elems in itertools.product(M2.domain, repeat=arity):
-                keys = tuple(element_sort[e] for e in elems)
-                sr = scheme.translation(name, keys)
-                if sr is None or any(e not in options for e in elems):
-                    witness = f"untranslatable tuple {elems}"
-                    break
-                holds = elems in M2.relation_sets[name]
-                for blocks in itertools.product(*[options[e] for e in elems]):
-                    v = dict(enumerate(sum(blocks, ())))
-                    if eval_formula(M1, sr.formula, v) != holds:
-                        witness = f"tuple {elems} (target says {holds})"
-                        break
-                if witness:
-                    break
-            label = "relation-agreement" if not representative_independence else "representative-independence"
+            witness = _agreement_witness(M1, M2, scheme, name, arity, realized, element_sort, options)
             report.checks.append(CheckResult(f"{label}[{name}]", witness is None, witness))
 
     return report
+
+
+def _agreement_witness(
+    M1: Structure,
+    M2: Structure,
+    scheme: InterpretationScheme,
+    name: str,
+    arity: int,
+    realized: dict[AtomicType, tuple[int, ...]],
+    element_sort: dict[int, AtomicType],
+    options: dict[int, tuple[tuple[int, ...], ...]],
+) -> str | None:
+    """The witness of the first tuple of M2^arity, in product order, whose
+    translation is missing, cannot be evaluated, or disagrees with M2.
+
+    The tuples split into blocks, one per tuple of sorts, and each block
+    gives its least failing tuple; the first failure is the least of those.
+    Each translation is compiled once.  A block whose elements all have
+    options and whose translation is a constant is decided from the held
+    tuples alone; any other block is scanned tuple by tuple.  A FormulaError
+    at the first failure is raised, as evaluating the tuples in order would.
+    """
+    held = M2.relation_sets[name]
+    held_in: dict[tuple[AtomicType, ...], list[tuple[int, ...]]] = {}
+    for t in held:
+        held_in.setdefault(tuple(element_sort[e] for e in t), []).append(t)
+    covered = {key: all(e in options for e in block) for key, block in realized.items()}
+    failures = []  # per block: (least failing tuple, witness or FormulaError)
+    for keys in itertools.product(realized, repeat=arity):
+        blocks = [realized[key] for key in keys]
+        sr = scheme.translation(name, keys)
+        if sr is None:
+            least = tuple(block[0] for block in blocks)
+            failures.append((least, f"untranslatable tuple {least}"))
+            continue
+        form = compile_formula(M1, sr.formula)
+        if isinstance(form, bool) and all(covered[key] for key in keys):
+            if form:
+                elems = next((t for t in itertools.product(*blocks) if t not in held), None)
+            else:
+                elems = min(held_in.get(keys, ()), default=None)
+            if elems is not None:
+                failures.append((elems, f"tuple {elems} (target says {not form})"))
+        elif found := _first_failure(form, held, blocks, options):
+            failures.append(found)
+    if not failures:
+        return None
+    _, outcome = min(failures, key=lambda failure: failure[0])
+    if isinstance(outcome, FormulaError):
+        raise outcome
+    return outcome
+
+
+def _first_failure(
+    form: bool | Callable[[tuple[int, ...]], bool],
+    held: frozenset,
+    blocks: list[tuple[int, ...]],
+    options: dict[int, tuple[tuple[int, ...], ...]],
+) -> tuple[tuple[int, ...], str | FormulaError] | None:
+    """The first tuple of the block's product that has an element without
+    options or whose translation, under some choice of options, disagrees
+    with ``held``; with its witness, or the FormulaError its evaluation
+    raised."""
+    for elems in itertools.product(*blocks):
+        if any(e not in options for e in elems):
+            return elems, f"untranslatable tuple {elems}"
+        holds = elems in held
+        try:
+            for reps in itertools.product(*[options[e] for e in elems]):
+                if (form if isinstance(form, bool) else form(sum(reps, ()))) != holds:
+                    return elems, f"tuple {elems} (target says {holds})"
+        except FormulaError as e:
+            return elems, e
+    return None
 
 
 # -- induced automorphisms -----------------------------------------------------

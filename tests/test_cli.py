@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablelift.cli import main
 from stablelift.corpus import digraph
@@ -282,6 +285,14 @@ def test_structure_json_past_the_parser_limits_exit_2(capsys, tmp_path, text):
     assert code == 2 and "not valid JSON" in err and out == ""
 
 
+def test_structure_file_not_utf8_exit_2(capsys, tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\x80")
+    code, out, err = run(capsys, "aut", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text:")
+
+
 @pytest.mark.parametrize("value", ["5", "-1"])
 def test_report_parameter_outside_source_domain_exit_2(capsys, tmp_path, value):
     path = tmp_path / "triangle.json"
@@ -289,3 +300,113 @@ def test_report_parameter_outside_source_domain_exit_2(capsys, tmp_path, value):
     code, out, err = run(capsys, "report", "--in", str(path), "--A", value)
     assert code == 2 and out == ""
     assert f"parameter {value} " in err and "source domain" in err
+
+
+# -- the error contract over arbitrary argv ------------------------------------------
+
+ELEMENT_LISTS = ("", "0", "0,1", "1,0,1", "2", "5", "-1", "a", "0,,1")
+LIFT_FLAGS = ("--k", "--include-repetitions", "--padding")
+COMMON_FLAGS = ("--in", "--max-size", "--format")
+ACCEPTS = {
+    "lift": COMMON_FLAGS + LIFT_FLAGS,
+    "aut": COMMON_FLAGS,
+    "verify-iso": COMMON_FLAGS + LIFT_FLAGS,
+    "scheme-check": COMMON_FLAGS + LIFT_FLAGS + ("--mutate",),
+    "limit": COMMON_FLAGS + LIFT_FLAGS + ("--relation",),
+    "census": COMMON_FLAGS + ("--A", "--depth"),
+    "report": COMMON_FLAGS + ("--ks", "--A"),
+    "corpus": ("--out", "--exhaustive", "--random", "--size", "--seed", "--format"),
+}
+
+
+def _flag_values(files, out_dir):
+    """Values for each flag, valid and invalid; --k, --ks and --depth stay
+    small to bound the work."""
+    small = st.integers(-1, 3).map(str)
+    return {
+        "--in": st.sampled_from(files),
+        "--max-size": st.integers(-1, 7).map(str),
+        "--format": st.sampled_from(("json", "summary", "json", "summary", "xml")),
+        "--k": small | st.just("x"),
+        "--include-repetitions": st.none(),
+        "--padding": st.sampled_from(
+            ("auto", "explicit:", "explicit:2", "explicit:3,3", "explicit:a", "bogus")
+        ),
+        "--mutate": st.sampled_from(("negate-relformula", "break-ep", "break-fp", "other")),
+        "--relation": st.sampled_from(("edge", "nosuch")),
+        "--A": st.sampled_from(ELEMENT_LISTS),
+        "--depth": st.integers(-1, 2).map(str) | st.just("x"),
+        "--ks": st.lists(small, max_size=3).map(",".join) | st.sampled_from(("x", "1,,2")),
+        "--out": st.just(out_dir),
+        "--exhaustive": st.integers(-1, 4).map(str),
+        "--random": st.integers(-1, 3).map(str),
+        "--size": st.integers(-1, 7).map(str),
+        "--seed": st.integers(0, 3).map(str),
+    }
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Input files for the argv property: small digraphs, a file whose bytes
+    each example draws, and a path that does not exist."""
+    root = tmp_path_factory.mktemp("cli_argv")
+    files = []
+    for name, M in (
+        ("empty", digraph(0, [])),
+        ("edge", digraph(2, [(0, 1)])),
+        ("pair", digraph(2, [])),
+        ("path", digraph(3, [(0, 1), (1, 2)])),
+    ):
+        path = root / f"{name}.json"
+        path.write_text(structure_to_json(M), encoding="utf-8")
+        files.append(str(path))
+    drawn = root / "drawn.json"
+    return files + [str(drawn), str(root / "missing.json")], drawn, str(root / "out")
+
+
+def _witnessed(command, report) -> bool:
+    """Whether a failed check's report names what failed."""
+    if command == "scheme-check":
+        return any(c["witness"] for c in report["validation"]["checks"] if not c["passed"])
+    if command == "verify-iso":
+        return not report["bijective"] or report["continuity_witnesses"] == "fail"
+    if command == "report":
+        return any(e["growth_law"] != "pass" for e in report["entries"])
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_argv_keeps_the_exit_code_contract(cli_files, data):
+    # 0 = pass, 1 = check failed with a witness in the report, 2 = input
+    # error; never an escaping exception
+    files, drawn, out_dir = cli_files
+    drawn.write_bytes(data.draw(st.binary(max_size=40) | st.just(b'{"domain": 2}'), label="bytes"))
+    command = data.draw(st.sampled_from(sorted(ACCEPTS)), label="command")
+    values = _flag_values(files, out_dir)
+    # mostly the subcommand's own flags, sometimes any flag
+    names = st.sampled_from(ACCEPTS[command] * 8 + tuple(sorted(values)))
+    flags = []
+    for name in data.draw(st.lists(names, max_size=5), label="flags"):
+        value = data.draw(values[name], label=name)
+        flags.append((name,) if value is None else (name, value))
+    if not data.draw(st.booleans(), label="without a valid --in or --out"):
+        if command == "corpus":
+            flags.insert(0, ("--out", out_dir))
+        else:
+            flags.insert(0, ("--in", data.draw(st.sampled_from(files[:4]), label="file")))
+    argv = [command] + [token for flag in flags for token in flag]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the argv
+            code = e.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        formats = [flag[1] for flag in flags if flag[0] == "--format"]
+        if formats[-1:] == ["summary"]:
+            assert "check failed" in out.getvalue(), argv
+        else:
+            assert _witnessed(command, json.loads(out.getvalue())), argv

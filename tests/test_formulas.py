@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from stablelift.formulas import (
     Rel,
     Var,
     atomic_type,
+    compile_formula,
     definable_set,
     eval_formula,
     format_formula,
@@ -184,6 +187,122 @@ def test_definable_set_gap_rejected(m_edge):
     phi = parse_formula("edge(x0,x2)", m_edge.sig)
     with pytest.raises(FormulaError, match="free-variable gap"):
         definable_set(m_edge, phi)
+
+
+# -- compiled formulas --------------------------------------------------------
+
+WIDTH = 3  # random formulas use free variables among x0..x2
+
+
+def _random_term(rng, sig, depth):
+    if sig.constants and rng.random() < 0.15:
+        return Const(rng.choice(sig.constants))
+    if sig.functions and depth and rng.random() < 0.25:
+        return Apply(rng.choice(sig.functions), _random_term(rng, sig, depth - 1))
+    return Var(rng.randrange(WIDTH + 1))  # x3 is bound or left free
+
+
+def _random_atom(rng, sig):
+    roll = rng.random()
+    if roll < 0.03:
+        return Rel("nosuch", (Var(0),))
+    if roll < 0.05 and sig.relations:
+        name, arity = rng.choice(sig.relations)
+        return Rel(name, (Var(0),) * (arity + 1))
+    if roll < 0.07:
+        return Equal(Var(0), Apply("nosuch", Var(1)))
+    if roll < 0.35:
+        q = rng.randrange(WIDTH + 1)
+        return Equal(Var(q), Var(q))
+    if roll < 0.55 or not sig.relations:
+        return Equal(_random_term(rng, sig, 1), _random_term(rng, sig, 1))
+    name, arity = rng.choice(sig.relations)
+    return Rel(name, tuple(_random_term(rng, sig, 1) for _ in range(arity)))
+
+
+def _random_formula(rng, sig, depth=3):
+    if depth == 0 or rng.random() < 0.25:
+        return _random_atom(rng, sig)
+    roll = rng.random()
+    if roll < 0.2:
+        return Not(_random_formula(rng, sig, depth - 1))
+    if roll < 0.4:
+        # binds a fresh index or rebinds a free one
+        return Exists(rng.randrange(WIDTH + 1), _random_formula(rng, sig, depth - 1))
+    parts = tuple(_random_formula(rng, sig, depth - 1) for _ in range(rng.randint(1, 3)))
+    return And(parts) if roll < 0.7 else Or(parts)
+
+
+def _kinds(phi):
+    """Node kinds in phi, with "rebinding" for an Exists that binds one of
+    phi's free variables."""
+    found, free = Counter(), free_variables(phi)
+
+    def walk(psi):
+        found[type(psi).__name__] += 1
+        if isinstance(psi, Exists):
+            found["rebinding"] += psi.var in free
+            walk(psi.body)
+        elif isinstance(psi, Not):
+            walk(psi.body)
+        elif isinstance(psi, (And, Or)):
+            for part in psi.parts:
+                walk(part)
+
+    walk(phi)
+    return found
+
+
+def _eval_outcome(evaluate):
+    try:
+        return evaluate()
+    except FormulaError as e:
+        return str(e)
+
+
+def test_compiled_formulas_match_eval_formula(type_structures):
+    # the compiled form is a bool only when no assignment changes the value,
+    # and otherwise answers, or raises, exactly as eval_formula does
+    rng = random.Random(20261018)
+    seen = Counter()
+    structures = type_structures + [digraph(0, [])]
+    for M in structures:
+        for _ in range(4):
+            phi = _random_formula(rng, M.sig)
+            compiled = compile_formula(M, phi)
+            seen.update(_kinds(phi))
+            seen["bool" if isinstance(compiled, bool) else "closure"] += 1
+            assignments = [
+                tuple(rng.randrange(M.size) for _ in range(WIDTH + 1)) for _ in range(6)
+            ] if M.size else [(0,) * (WIDTH + 1)]
+            for v in assignments:
+                expected = _eval_outcome(lambda: eval_formula(M, phi, dict(enumerate(v))))
+                if isinstance(compiled, bool):
+                    assert compiled == expected, (phi, v)
+                    continue
+                assert _eval_outcome(lambda: compiled(v)) == expected, (phi, v)
+                if isinstance(expected, str):
+                    seen["error"] += 1
+    kinds = {"Equal", "Rel", "Not", "And", "Or", "Exists", "rebinding"}
+    assert kinds | {"bool", "closure", "error"} <= set(seen), seen
+
+
+def test_compiled_formula_raises_at_the_atom_eval_formula_reaches(m_edge):
+    sig = m_edge.sig
+    late = And((Rel("edge", (Var(0), Var(1))), Rel("nosuch", (Var(0),))))
+    # compiling never raises; evaluating raises only once the atom is reached
+    compiled = compile_formula(m_edge, late)
+    assert compiled((1, 0)) is False
+    with pytest.raises(FormulaError, match=r"^unknown relation symbol 'nosuch'$"):
+        compiled((0, 1))
+    # a formula that reads nothing still raises when evaluated, not compiled
+    closed = compile_formula(m_edge, Or((Not(Equal(Var(0), Var(0))), Rel("edge", (Var(0),)))))
+    with pytest.raises(FormulaError, match=r"^arity mismatch for 'edge'$"):
+        closed((0,))
+    # constant parts fold away, keeping a part eval_formula reaches first
+    assert compile_formula(m_edge, parse_formula("x0 = x0 & ~(x1 = x1)", sig)) is False
+    assert compile_formula(m_edge, parse_formula("exists x0. edge(x0, x0)", sig)) is False
+    assert compile_formula(m_edge, parse_formula("exists x1. edge(x0, x1)", sig))((0,)) is True
 
 
 # -- atomic types and sorts ---------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -19,6 +20,7 @@ from stablelift.formulas import (
     eval_formula,
     free_variables,
     parse_formula,
+    tautology,
 )
 from stablelift.groups import (
     Permutation,
@@ -41,7 +43,7 @@ from stablelift.interpretation import (
     weaken_equivalence,
 )
 from stablelift.lifting import LiftConfig, build_lift, direct_induced, generate_scheme
-from stablelift.structures import relational_companion
+from stablelift.structures import Signature, Structure, relational_companion
 
 
 def _scheme_setup(M, k=1):
@@ -612,6 +614,178 @@ def test_focused_validation_matches_the_full_report(corpus):
                             if FAMILY[c.condition.split("[")[0]] == family
                             and (family != "agreement" or c.condition.endswith(f"[{name}]"))
                         ]
+
+
+# -- the per-block agreement scan against the product scan ------------------------------
+
+
+def _product_scan_report(M1, M2, scheme, bijections, representative_independence=False):
+    """validate_scheme as it was before the per-block agreement scan: every
+    tuple of M2^arity in product order, each translation looked up and
+    walked with eval_formula per tuple.  The reference for the block scan."""
+    report = validate_scheme(
+        M1, M2, scheme, bijections,
+        include=("sorts", "bijections", "cover"),
+        representative_independence=representative_independence,
+    )
+    realized = interpretation.sort_partition(M2)
+    quotients = {}
+    if representative_independence:
+        quotients, _, _ = interpretation._sort_pass(M1, scheme, bijections, realized)
+    element_sort = {b: key for key, block in realized.items() for b in block}
+    rep_of = {}
+    for fmap in bijections.maps.values():
+        rep_of.update(fmap)
+    options = {}
+    widths = {s.key: s.width for s in scheme.sorts}
+    for b, rep in rep_of.items():
+        key = element_sort.get(b)
+        q = quotients.get(key)
+        if not representative_independence:
+            if len(rep) == widths.get(key):
+                options[b] = (rep,)
+        elif q is not None and rep in q.class_of:
+            options[b] = q.classes[q.class_of[rep]]
+    for name, arity in M2.sig.relations:
+        witness = None
+        for elems in itertools.product(M2.domain, repeat=arity):
+            keys = tuple(element_sort[e] for e in elems)
+            sr = scheme.translation(name, keys)
+            if sr is None or any(e not in options for e in elems):
+                witness = f"untranslatable tuple {elems}"
+                break
+            holds = elems in M2.relation_sets[name]
+            for blocks in itertools.product(*[options[e] for e in elems]):
+                v = dict(enumerate(sum(blocks, ())))
+                if eval_formula(M1, sr.formula, v) != holds:
+                    witness = f"tuple {elems} (target says {holds})"
+                    break
+            if witness:
+                break
+        label = "representative-independence" if representative_independence else "relation-agreement"
+        report.checks.append(CheckResult(f"{label}[{name}]", witness is None, witness))
+    return report
+
+
+def _scan_mutants(M, scheme, bij, rng):
+    """The clean scheme and its mutants: negated translations at several
+    indices, a weakened and a coarsened equivalence (one class, which the
+    translations need not respect), a redirected bijection, a dropped
+    translation, a representative of the wrong width, a later translation
+    that names an unknown relation (alone and after a negated one)."""
+    n = len(scheme.rels)
+    yield "clean", scheme, bij
+    for i in sorted({0, n // 2, n - 1, *rng.sample(range(n), min(n, 3))}):
+        yield f"negate {i}", negate_translation(scheme, i), bij
+    for mutant, mutant_bij in _one_of_each_mutant(M, scheme, bij):
+        if mutant_bij is not bij:
+            yield "redirect", scheme, mutant_bij
+        elif mutant.sorts != scheme.sorts:
+            yield "weaken", mutant, bij
+    sorts = list(scheme.sorts)
+    i = max(range(len(sorts)), key=lambda i: (len(bij[sorts[i].key]), rng.random()))
+    s = sorts[i]
+    sorts[i] = SchemeSort(s.key, s.width, s.domain_formula, tautology(2 * s.width))
+    yield f"coarsen {i}", InterpretationScheme(tuple(sorts), scheme.rels), bij
+    i = rng.randrange(n)
+    yield f"drop {i}", InterpretationScheme(scheme.sorts, scheme.rels[:i] + scheme.rels[i + 1:]), bij
+    key = rng.choice(sorted(bij.maps))
+    b = rng.choice(sorted(bij[key]))
+    wide = SortBijections(maps={**bij.maps, key: {**bij[key], b: bij[key][b] + (0,)}})
+    yield f"wide {b}", scheme, wide
+    j = rng.randrange(n // 2, n)
+    rels = list(scheme.rels)
+    sr = rels[j]
+    rels[j] = SchemeRel(sr.rel, sr.sort_keys, And((sr.formula, Rel("nosuch", (Var(0),)))))
+    unknown = InterpretationScheme(scheme.sorts, tuple(rels))
+    yield f"unknown {j}", unknown, bij
+    yield f"negate {j // 2}, unknown {j}", negate_translation(unknown, j // 2), bij
+
+
+def _scan_outcome(validate, *args, **kwargs):
+    try:
+        return validate(*args, **kwargs).checks
+    except FormulaError as e:
+        return str(e)
+
+
+def _relabelled(M2, bijections, rng):
+    """M2 and the bijections under a random relabelling of M2's elements, so
+    that the sorts interleave."""
+    image = list(M2.domain)
+    rng.shuffle(image)
+    relations = {
+        name: [tuple(image[e] for e in t) for t in tuples]
+        for name, tuples in M2.relations.items()
+    }
+    maps = {
+        key: {image[b]: rep for b, rep in fmap.items()}
+        for key, fmap in bijections.maps.items()
+    }
+    target = Structure(M2.sig, M2.size, relations, repetition_free=M2.repetition_free)
+    return target, SortBijections(maps=maps)
+
+
+def test_block_scan_matches_the_product_scan(corpus):
+    # whole reports, witnesses and raised FormulaErrors included, on the
+    # companion or, every other time, a relabelled copy of it; the product
+    # scan takes seconds per scheme on three vertices at k = 3, so k = 2, 3
+    # cover the digraphs on at most two vertices and a few more
+    rng = random.Random(99)
+    outcomes = Counter()
+    for k, sample in ((1, corpus[::5]), (2, corpus[:5] + corpus[5::32]), (3, corpus[:3])):
+        for index, (name, M) in enumerate(sample):
+            _, companion, scheme, bij = _scheme_setup(M, k)
+            target, target_bij = (companion, bij) if index % 2 else _relabelled(companion, bij, rng)
+            for label, mutant, mutant_bij in _scan_mutants(M, scheme, target_bij, rng):
+                for independence in (False, True):
+                    args = (M, target, mutant, mutant_bij)
+                    expected = _scan_outcome(
+                        _product_scan_report, *args, representative_independence=independence
+                    )
+                    got = _scan_outcome(
+                        validate_scheme, *args, representative_independence=independence
+                    )
+                    assert got == expected, (name, k, label, independence)
+                    if isinstance(expected, str):
+                        outcomes["raised"] += 1
+                        continue
+                    outcomes.update(
+                        c.witness.split()[0]
+                        for c in expected
+                        if c.condition.startswith(("relation-agreement", "representative-"))
+                        and not c.passed
+                    )
+    assert outcomes["raised"] and outcomes["tuple"] and outcomes["untranslatable"], outcomes
+
+
+def test_block_scan_takes_the_least_failure_over_interleaved_sorts():
+    # the even elements form one sort and the odd ones another; R's
+    # translation fails at (0, 4) in the block of two even sorts, which is
+    # scanned first, and at (0, 3) in the next block, whose first row starts
+    # at the same element
+    sig = Signature(relations=(("P", 1), ("Q", 2)))
+    M1 = Structure(sig, 6, {"P": [(0,), (2,), (4,)], "Q": [(0, 4), (0, 3)]})
+    M2 = Structure(
+        Signature(relations=(("P", 1), ("R", 2))), 6, {"P": [(0,), (2,), (4,)]}
+    )
+    even, odd = interpretation.sort_partition(M2)
+    sorts = tuple(
+        SchemeSort(key, 1, parse_formula(r, sig), parse_formula("x0 = x1", sig))
+        for key, r in ((even, "P(x0)"), (odd, "~P(x0)"))
+    )
+    rels = tuple(SchemeRel("P", (key,), parse_formula("P(x0)", sig)) for key in (even, odd))
+    rels += tuple(
+        SchemeRel("R", keys, parse_formula("Q(x0, x1)", sig))
+        for keys in itertools.product((even, odd), repeat=2)
+    )
+    scheme = InterpretationScheme(sorts, rels)
+    bij = SortBijections(maps={key: {b: (b,) for b in block} for key, block in ((even, (0, 2, 4)), (odd, (1, 3, 5)))})
+    report = validate_scheme(M1, M2, scheme, bij)
+    assert report.failures() == [
+        CheckResult("relation-agreement[R]", False, "tuple (0, 3) (target says False)")
+    ]
+    assert report == _product_scan_report(M1, M2, scheme, bij)
 
 
 # -- classical interpretation proxy ----------------------------------------------------
