@@ -46,7 +46,6 @@ __all__ = [
     "inert_variables",
     "free_width",
     "eval_formula",
-    "compile_formula",
     "definable_set",
     "conjunction",
     "tautology",
@@ -438,17 +437,21 @@ def eval_formula(M: Structure, phi: Formula, v: dict[int, int] | None = None) ->
     raise FormulaError(f"not a formula: {phi!r}")
 
 
-def compile_formula(M: Structure, phi: Formula) -> bool | Callable[[Sequence[int]], bool]:
+def _compile_formula(M: Structure, phi: Formula) -> bool | Callable[[Sequence[int]], bool]:
     """phi over M, compiled once for repeated evaluation.
 
     A formula that reads no position of the assignment once its constant
     parts are folded (as when every free variable is inert) is decided by
     one call and returned as a bool, unless that call raises.  Otherwise
     the result is a closure over the flat assignment tuple v, with x_q at
-    v[q]; v must cover phi's free variables.  The closure returns what
+    v[q].  For a v that covers phi's free variables the closure returns what
     ``eval_formula(M, phi, dict(enumerate(v)))`` returns and raises the same
     FormulaError (unknown symbol, arity mismatch) when it reaches the same
-    atom.  Atoms xq = xq fold to True, And/Or/Not fold their constant parts
+    atom.  Coverage is the caller's duty and is not checked: with a shorter
+    v the result is undefined (a free position past the end may read an
+    Exists witness), not eval_formula's "uncovered free variable".  Private
+    to the package; validate_scheme calls it only on translations whose
+    free variables are exactly the scheme's x0..x(total-1).  Atoms xq = xq fold to True, And/Or/Not fold their constant parts
     (keeping every part eval_formula would reach before them), and each
     Exists writes its witness into a scratch slot at the end of a copy of v.
     """

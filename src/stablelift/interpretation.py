@@ -29,7 +29,7 @@ from .formulas import (
     FormulaError,
     Not,
     Var,
-    compile_formula,
+    _compile_formula,
     conjunction,
     definable_set,
     eval_formula,
@@ -457,9 +457,9 @@ def _agreement_witness(
     The tuples split into blocks, one per tuple of sorts, and each block
     gives its least failing tuple; the first failure is the least of those.
     Each translation is compiled once.  A block whose elements all have
-    options and whose translation is a constant is decided from the held
-    tuples alone; any other block is scanned tuple by tuple.  A FormulaError
-    at the first failure is raised, as evaluating the tuples in order would.
+    options and whose translation is constant False fails first at its least
+    held tuple; any other block is scanned tuple by tuple.  A FormulaError at
+    the first failure is raised, as evaluating the tuples in order would.
     """
     held = M2.relation_sets[name]
     held_in: dict[tuple[AtomicType, ...], list[tuple[int, ...]]] = {}
@@ -474,14 +474,11 @@ def _agreement_witness(
             least = tuple(block[0] for block in blocks)
             failures.append((least, f"untranslatable tuple {least}"))
             continue
-        form = compile_formula(M1, sr.formula)
-        if isinstance(form, bool) and all(covered[key] for key in keys):
-            if form:
-                elems = next((t for t in itertools.product(*blocks) if t not in held), None)
-            else:
-                elems = min(held_in.get(keys, ()), default=None)
+        form = _compile_formula(M1, sr.formula)
+        if form is False and all(covered[key] for key in keys):
+            elems = min(held_in.get(keys, ()), default=None)
             if elems is not None:
-                failures.append((elems, f"tuple {elems} (target says {not form})"))
+                failures.append((elems, f"tuple {elems} (target says True)"))
         elif found := _first_failure(form, held, blocks, options):
             failures.append(found)
     if not failures:
@@ -506,9 +503,14 @@ def _first_failure(
         if any(e not in options for e in elems):
             return elems, f"untranslatable tuple {elems}"
         holds = elems in held
+        if isinstance(form, bool):
+            # every choice of options gives the same answer
+            if form != holds:
+                return elems, f"tuple {elems} (target says {holds})"
+            continue
         try:
             for reps in itertools.product(*[options[e] for e in elems]):
-                if (form if isinstance(form, bool) else form(sum(reps, ()))) != holds:
+                if form(sum(reps, ())) != holds:
                     return elems, f"tuple {elems} (target says {holds})"
         except FormulaError as e:
             return elems, e

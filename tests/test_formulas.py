@@ -19,8 +19,8 @@ from stablelift.formulas import (
     ParseError,
     Rel,
     Var,
+    _compile_formula,
     atomic_type,
-    compile_formula,
     definable_set,
     eval_formula,
     format_formula,
@@ -269,7 +269,7 @@ def test_compiled_formulas_match_eval_formula(type_structures):
     for M in structures:
         for _ in range(4):
             phi = _random_formula(rng, M.sig)
-            compiled = compile_formula(M, phi)
+            compiled = _compile_formula(M, phi)
             seen.update(_kinds(phi))
             seen["bool" if isinstance(compiled, bool) else "closure"] += 1
             assignments = [
@@ -291,18 +291,18 @@ def test_compiled_formula_raises_at_the_atom_eval_formula_reaches(m_edge):
     sig = m_edge.sig
     late = And((Rel("edge", (Var(0), Var(1))), Rel("nosuch", (Var(0),))))
     # compiling never raises; evaluating raises only once the atom is reached
-    compiled = compile_formula(m_edge, late)
+    compiled = _compile_formula(m_edge, late)
     assert compiled((1, 0)) is False
     with pytest.raises(FormulaError, match=r"^unknown relation symbol 'nosuch'$"):
         compiled((0, 1))
     # a formula that reads nothing still raises when evaluated, not compiled
-    closed = compile_formula(m_edge, Or((Not(Equal(Var(0), Var(0))), Rel("edge", (Var(0),)))))
+    closed = _compile_formula(m_edge, Or((Not(Equal(Var(0), Var(0))), Rel("edge", (Var(0),)))))
     with pytest.raises(FormulaError, match=r"^arity mismatch for 'edge'$"):
         closed((0,))
     # constant parts fold away, keeping a part eval_formula reaches first
-    assert compile_formula(m_edge, parse_formula("x0 = x0 & ~(x1 = x1)", sig)) is False
-    assert compile_formula(m_edge, parse_formula("exists x0. edge(x0, x0)", sig)) is False
-    assert compile_formula(m_edge, parse_formula("exists x1. edge(x0, x1)", sig))((0,)) is True
+    assert _compile_formula(m_edge, parse_formula("x0 = x0 & ~(x1 = x1)", sig)) is False
+    assert _compile_formula(m_edge, parse_formula("exists x0. edge(x0, x0)", sig)) is False
+    assert _compile_formula(m_edge, parse_formula("exists x1. edge(x0, x1)", sig))((0,)) is True
 
 
 # -- atomic types and sorts ---------------------------------------------------

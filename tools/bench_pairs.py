@@ -1,11 +1,12 @@
 """Alternating parent/change pairs of benchmark runs, summarised per metric.
 
-    python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_<n>.json --pairs 10 --seed 9101
+    python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_<n>.json --seed 9101
 
 Extracts the base revision with ``git archive`` into a temporary directory,
-then runs ``perfbench/run.py`` (``--trace 0``) on each workload of
-BENCHMARK.json once in the base checkout and once in this working tree per
-pair, alternating which side goes first, with one fresh seed per pair.  The
+then runs ``perfbench/run.py`` (``--trace 0``, for BENCHMARK.json's
+``run_seconds``) on every workload of BENCHMARK.json once in the base
+checkout and once in this working tree per pair, for ten pairs, alternating
+which side goes first, with one fresh seed per pair.  The
 output file holds, per workload and end-to-end metric, each side's values,
 median and quartiles, the ratio of the medians, and how many pairs the
 change won (by the metric's ``better`` direction; ties count for neither).
@@ -25,6 +26,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the fewest pairs on which a gain can be claimed
+PAIRS = 10
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -61,36 +64,33 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the parent")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--workload", action="append", help="default: every workload")
     args = parser.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     base_commit = subprocess.run(
         ["git", "rev-parse", args.base], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
     report: dict = {
         "base": base_commit,
-        "pairs": args.pairs,
-        "seeds": [args.seed + i for i in range(args.pairs)],
-        "seconds": args.seconds,
+        "pairs": PAIRS,
+        "seeds": [args.seed + i for i in range(PAIRS)],
+        "seconds": seconds,
         "python": sys.version.split()[0],
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         extract(base_commit, base)
-        for workload in workloads:
+        for workload in [w["name"] for w in bench["workloads"]]:
             runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
             for i, seed in enumerate(report["seeds"]):
                 order = [("parent", base), ("change", ROOT)]
                 for side, checkout in order if i % 2 == 0 else order[::-1]:
-                    runs[side].append(run_once(checkout, workload, seed, args.seconds))
-                print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
+                    runs[side].append(run_once(checkout, workload, seed, seconds))
+                print(f"{workload} pair {i + 1}/{PAIRS} done", file=sys.stderr)
             metrics = {}
             for name in better:
                 parent = [r[name] for r in runs["parent"]]
