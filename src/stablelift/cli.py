@@ -389,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, summary: list[str], fmt: str) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
     if fmt == "json":
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         for line in summary:
             sys.stderr.write(line + "\n")
     else:

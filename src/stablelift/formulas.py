@@ -599,7 +599,9 @@ class AtomicType:
 
     formulas: tuple[Formula, ...]
 
-    @property
+    # formatted once per instance: keys order sorts and label every
+    # translation of a serialized scheme
+    @functools.cached_property
     def key(self) -> tuple[str, ...]:
         return tuple(format_formula(f) for f in self.formulas)
 

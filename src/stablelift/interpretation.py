@@ -20,8 +20,8 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-# definable_set is no longer called here but stays importable at this site,
-# where perfbench/spans.py wraps it
+# definable_set and eval_formula are no longer called here but stay
+# importable at this site, where perfbench/spans.py wraps them
 from .formulas import (
     AtomicType,
     Equal,
@@ -117,12 +117,24 @@ class InterpretationScheme:
         if len(set(keys)) != len(keys):
             raise SchemeError("sort keys must be distinct")
         widths = {s.key: s.width for s in self.sorts}
+        # id(formula) -> its free variables and n when they are exactly
+        # x0..x(n-1), else -1: found once per distinct formula object
+        exact: dict[int, tuple[frozenset[int], int]] = {}
         for sr in self.rels:
-            for k in sr.sort_keys:
-                if k not in widths:
-                    raise SchemeError(f"unknown sort key in translation for {sr.rel!r}")
-            total = sum(widths[k] for k in sr.sort_keys)
-            if sr._free_vars != frozenset(range(total)):
+            try:
+                total = sum(map(widths.__getitem__, sr.sort_keys))
+            except KeyError:
+                raise SchemeError(f"unknown sort key in translation for {sr.rel!r}") from None
+            found = exact.get(id(sr.formula))
+            if found is None:
+                fv = sr._free_vars
+                n = len(fv) if fv == frozenset(range(len(fv))) else -1
+                found = exact[id(sr.formula)] = fv, n
+            else:
+                # fill the cached property, so that a mutant which keeps this
+                # SchemeRel but replaces the one that found fv needs no walk
+                vars(sr).setdefault("_free_vars", found[0])
+            if found[1] != total:
                 raise SchemeError(
                     f"translation formula for {sr.rel!r} must use exactly x0..x{total - 1}"
                 )
@@ -183,6 +195,7 @@ class _Quotient:
     evaluated on the other (core) positions only, with padding set to
     M.domain[0], and each core class is expanded by M^pad into full tuples.
     A witness is its core witness with M.domain[0] in the padding positions.
+    r and E are compiled once; a constant one decides every tuple at once.
     """
 
     def __init__(self, M: Structure, r: Formula, E: Formula):
@@ -198,22 +211,29 @@ class _Quotient:
             cp = c + p
             return tuple(cp[i] for i in where)
 
-        dom = [
-            c
-            for c in itertools.product(M.domain, repeat=len(core))
-            if eval_formula(M, r, dict(enumerate(full(c))))
-        ]
+        cores = itertools.product(M.domain, repeat=len(core))
+        in_r = _compile_formula(M, r)
+        if isinstance(in_r, bool):
+            dom = list(cores) if in_r else []
+        else:
+            dom = [c for c in cores if in_r(full(c))]
         if free_variables(E) != frozenset(range(2 * n)):
             raise SchemeError(
                 f"equivalence formula must use exactly x0..x{2 * n - 1}"
             )
 
-        rows: dict[tuple, set[tuple]] = {s: set() for s in dom}
-        for s in dom:
-            fs = full(s)
-            for t in dom:
-                if eval_formula(M, E, dict(enumerate(fs + full(t)))):
-                    rows[s].add(t)
+        related = _compile_formula(M, E)
+        rows: dict[tuple, set[tuple]]
+        if isinstance(related, bool):
+            # never mutated: every row may be the same set
+            shared = set(dom) if related else set()
+            rows = {s: shared for s in dom}
+        else:
+            fulls = [full(t) for t in dom]
+            rows = {
+                s: {t for t, ft in zip(dom, fulls) if related(fs + ft)}
+                for s, fs in zip(dom, fulls)
+            }
         for s in dom:
             if s not in rows[s]:
                 raise SchemeError(
@@ -432,10 +452,14 @@ def validate_scheme(
             elif q is not None and rep in q.class_of:
                 options[b] = q.classes[q.class_of[rep]]
         label = "representative-independence" if representative_independence else "relation-agreement"
+        # id(formula) -> its compiled form, shared by every relation's scan
+        compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]] = {}
         for name, arity in M2.sig.relations:
             if relations is not None and name not in relations:
                 continue
-            witness = _agreement_witness(M1, M2, scheme, name, arity, realized, element_sort, options)
+            witness = _agreement_witness(
+                M1, M2, scheme, name, arity, realized, element_sort, options, compiled
+            )
             report.checks.append(CheckResult(f"{label}[{name}]", witness is None, witness))
 
     return report
@@ -450,16 +474,19 @@ def _agreement_witness(
     realized: dict[AtomicType, tuple[int, ...]],
     element_sort: dict[int, AtomicType],
     options: dict[int, tuple[tuple[int, ...], ...]],
+    compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]],
 ) -> str | None:
     """The witness of the first tuple of M2^arity, in product order, whose
     translation is missing, cannot be evaluated, or disagrees with M2.
 
     The tuples split into blocks, one per tuple of sorts, and each block
     gives its least failing tuple; the first failure is the least of those.
-    Each translation is compiled once.  A block whose elements all have
-    options and whose translation is constant False fails first at its least
-    held tuple; any other block is scanned tuple by tuple.  A FormulaError at
-    the first failure is raised, as evaluating the tuples in order would.
+    Each distinct formula object is compiled once into ``compiled``, keyed
+    by its id, which the caller shares between relations.  A block whose
+    elements all have options and whose translation is constant False fails
+    first at its least held tuple; any other block is scanned tuple by
+    tuple.  A FormulaError at the first failure is raised, as evaluating the
+    tuples in order would.
     """
     held = M2.relation_sets[name]
     held_in: dict[tuple[AtomicType, ...], list[tuple[int, ...]]] = {}
@@ -474,7 +501,9 @@ def _agreement_witness(
             least = tuple(block[0] for block in blocks)
             failures.append((least, f"untranslatable tuple {least}"))
             continue
-        form = _compile_formula(M1, sr.formula)
+        form = compiled.get(id(sr.formula))
+        if form is None:
+            form = compiled[id(sr.formula)] = _compile_formula(M1, sr.formula)
         if form is False and all(covered[key] for key in keys):
             elems = min(held_in.get(keys, ()), default=None)
             if elems is not None:
@@ -681,13 +710,20 @@ def redirect_bijection(bijections: SortBijections, key: AtomicType) -> SortBijec
 def scheme_to_json_dict(
     scheme: InterpretationScheme, bijections: SortBijections
 ) -> dict:
+    texts: dict[int, str] = {}  # id(formula) -> text, once per distinct formula object
+
+    def text(phi: Formula) -> str:
+        if id(phi) not in texts:
+            texts[id(phi)] = format_formula(phi)
+        return texts[id(phi)]
+
     return {
         "sorts": [
             {
                 "key": list(s.key.key),
                 "width": s.width,
-                "domain": format_formula(s.domain_formula),
-                "equivalence": format_formula(s.equiv_formula),
+                "domain": text(s.domain_formula),
+                "equivalence": text(s.equiv_formula),
             }
             for s in scheme.sorts
         ],
@@ -695,7 +731,7 @@ def scheme_to_json_dict(
             {
                 "relation": sr.rel,
                 "sorts": [list(k.key) for k in sr.sort_keys],
-                "formula": format_formula(sr.formula),
+                "formula": text(sr.formula),
             }
             for sr in scheme.rels
         ],

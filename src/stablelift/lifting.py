@@ -518,13 +518,19 @@ def _companion_roles(M: Structure, k: int) -> dict[str, Role]:
     return roles
 
 
-def _translation_formula(
+# What decides a translation formula: its width and either its truth or the
+# index pairs (s, t) of its atoms xs = xt besides the padding.
+Recipe = tuple[int, bool | tuple[tuple[int, int], ...]]
+
+
+def _translation_recipe(
     role: Role, kinds: tuple[Provenance, ...], widths: tuple[int, ...]
-) -> Formula:
-    """Truth of one companion relation at one tuple of sorts, each sort given
-    by the provenance of one of its elements, expressed over the source
-    structure.  Most combinations are decided by the sorts alone; the
-    fiber-indexed symbols compare tuple coordinates across blocks."""
+) -> Recipe:
+    """What decides one companion relation at one tuple of sorts, each sort
+    given by the provenance of one of its elements, over the source
+    structure.  Most combinations are decided by the sorts alone (a truth);
+    the fiber-indexed symbols compare tuple coordinates across blocks (the
+    index pairs)."""
     what, rel, index = role
     total = sum(widths)
     first = kinds[0]
@@ -540,16 +546,24 @@ def _translation_formula(
         holds = what != "samefiber" and isinstance(kinds[1], Anchor)
     elif what == "proj":
         if isinstance(kinds[1], BaseElem):
-            return _padded(total, [Equal(Var(index), Var(widths[0]))])
+            return total, ((index, widths[0]),)
         holds = False
     else:
         second = kinds[1]
         same = isinstance(second, FiberElem) and second.rel == rel
         if same and (what == "samefiber" or second.copy == index):
-            core = [Equal(Var(t), Var(widths[0] + t)) for t in range(len(first.coords))]
-            return _padded(total, core)
+            return total, tuple((t, widths[0] + t) for t in range(len(first.coords)))
         holds = False
-    return tautology(total) if holds else contradiction(total)
+    return total, holds
+
+
+def _recipe_formula(recipe: Recipe) -> Formula:
+    """The formula of a recipe: xq = xq for every position, followed by
+    ~x0 = x0 for a False truth or by the equalities of its index pairs."""
+    total, core = recipe
+    if isinstance(core, bool):
+        return tautology(total) if core else contradiction(total)
+    return _padded(total, [Equal(Var(s), Var(t)) for s, t in core])
 
 
 def generate_scheme(
@@ -563,10 +577,17 @@ def generate_scheme(
     width m(rel, i) consists of padded tuples keyed by their leading
     coordinates, with the limit sorts further cut down to relation members.
     Translation formulas for every companion relation are emitted
-    mechanically from the fiber semantics.
+    mechanically from the fiber semantics, one formula object per distinct
+    formula.  An empty source raises LiftError: the anchor sort needs a host
+    tuple to present it.
     """
     if N.source is not M and M != N.source:
         raise LiftError("the lift was not generated from this structure")
+    if not M.size:
+        raise LiftError(
+            "the source structure is empty: no scheme presents its lift, "
+            "whose anchor needs a host tuple"
+        )
     from .structures import relational_companion
 
     companion = relational_companion(N.structure)
@@ -598,14 +619,17 @@ def generate_scheme(
     rels: list[SchemeRel] = []
     keys_in_order = [s.key for s in sorts]
     roles = _companion_roles(M, N.config.k)
+    formulas: dict[Recipe, Formula] = {}
     for name, arity in companion.sig.relations:
         for combo in itertools.product(keys_in_order, repeat=arity):
-            formula = _translation_formula(
+            recipe = _translation_recipe(
                 roles[name],
                 tuple(kinds[k] for k in combo),
                 tuple(widths[k] for k in combo),
             )
-            rels.append(SchemeRel(rel=name, sort_keys=combo, formula=formula))
+            if recipe not in formulas:
+                formulas[recipe] = _recipe_formula(recipe)
+            rels.append(SchemeRel(rel=name, sort_keys=combo, formula=formulas[recipe]))
 
     scheme = InterpretationScheme(sorts=tuple(sorts), rels=tuple(rels))
     return scheme, SortBijections(maps=bij)

@@ -91,6 +91,43 @@ def test_scheme_check_other_mutations(capsys, edge_file):
         assert code == 1, mutation
 
 
+def test_scheme_check_on_an_empty_source_is_an_input_error(capsys, tmp_path):
+    # no scheme presents the lift's anchor over an empty host
+    path = tmp_path / "empty.json"
+    path.write_text(structure_to_json(digraph(0, [])), encoding="utf-8")
+    code, out, err = run(capsys, "scheme-check", "--in", str(path), "--k", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the source structure is empty: ")
+    for command, *flags in (("lift",), ("verify-iso",), ("report", "--ks", "1,2")):
+        code, out, _ = run(capsys, command, "--in", str(path), *flags)
+        assert code == 0, command
+        json.loads(out)
+
+
+def test_summary_format_writes_only_the_summary(capsys, monkeypatch, edge_file):
+    dumped = []
+    original = json.dumps
+
+    def counting(*args, **kwargs):
+        dumped.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    cases = [
+        (("scheme-check", "--k", "1"), 0, "scheme over 2-element structure: all conditions pass\n"),
+        (("scheme-check", "--k", "1", "--mutate", "negate-relformula"), 1, "check failed\n"),
+        (("report", "--ks", "1,2"), 0, "k=1 A=[]: total 6 (pass)\nk=2 A=[]: total 8 (pass)\n"),
+        (("verify-iso", "--k", "1"), 0, "|Aut(M)| = 1, |Aut(lift)| = 1\n"),
+    ]
+    for (command, *flags), expected_code, expected_out in cases:
+        code, out, err = run(capsys, command, "--in", edge_file, *flags, "--format", "summary")
+        assert (code, out, err) == (expected_code, expected_out, ""), command
+    # the JSON report is built only for --format json
+    assert dumped == []
+    run(capsys, "verify-iso", "--in", edge_file, "--k", "1")
+    assert len(dumped) == 1
+
+
 def test_limit_report(capsys, edge_file):
     code, out, _ = run(capsys, "limit", "--in", edge_file, "--k", "1")
     assert code == 0

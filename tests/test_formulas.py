@@ -361,6 +361,13 @@ def test_sort_partition_matches_per_element_atomic_types(type_structures):
         assert [t.formulas for t, _ in got] == [t.formulas for t, _ in expected]
 
 
+def test_atomic_type_key_is_formatted_once(type_structures):
+    for M in type_structures:
+        for t in sort_partition(M):
+            assert t.key == tuple(format_formula(f) for f in t.formulas)
+            assert t.key is t.key
+
+
 def test_group_by_columns_without_columns_keeps_every_element():
     assert group_by_columns(3, []) == {(): [0, 1, 2]}
     assert group_by_columns(0, []) == {}

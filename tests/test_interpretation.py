@@ -241,26 +241,40 @@ def test_padded_transitivity_witness():
 
 def test_quotient_factors_padding_unless_an_exists_rebinds_it(monkeypatch):
     # position 1 is padding in r; E relates x0 and x2 through a common
-    # out-neighbour, found once with a fresh bound index and once rebinding x1
+    # out-neighbour, found once with a fresh bound index and once rebinding x1.
+    # _Quotient compiles r and E: count the calls of each compiled closure
     M = digraph(3, [(0, 2), (1, 2)])
     r = parse_formula("x0 = x0 & x1 = x1", M.sig)
     pads = "x0 = x0 & x1 = x1 & x2 = x2 & x3 = x3"
-    calls = Counter()
+    forms, calls = {}, Counter()
+    original = interpretation._compile_formula
 
-    def counting(M, phi, v=None):
-        calls[phi] += 1
-        return eval_formula(M, phi, v)
+    def compiling(M, phi):
+        form = forms[phi] = original(M, phi)
+        if isinstance(form, bool):
+            return form
 
-    monkeypatch.setattr(interpretation, "eval_formula", counting)
+        def counting(v):
+            # a full tuple, padding included
+            assert len(v) == len(free_variables(phi))
+            calls[phi] += 1
+            return form(v)
+
+        return counting
+
+    monkeypatch.setattr(interpretation, "_compile_formula", compiling)
     for bound, factored in (("x4", True), ("x1", False)):
         E = parse_formula(
             f"{pads} & (x0 = x2 | exists {bound}. edge(x0, {bound}) & edge(x2, {bound}))",
             M.sig,
         )
+        forms.clear()
         calls.clear()
         q = interpretation._Quotient(M, r, E)
         core = 1 if factored else 2
-        assert calls == {r: 3**core, E: 3 ** (2 * core)}
+        # r reads no position once x0 = x0 and x1 = x1 fold: decided once
+        assert forms.keys() == {r, E} and forms[r] is True
+        assert calls == {E: 3 ** (2 * core)}
         assert (q.domain, q.classes, q.class_of, q.representatives) == _brute_quotient(M, r, E)
         assert q.classes[0] == tuple((a, b) for a in (0, 1) for b in range(3))
 
@@ -337,6 +351,29 @@ def test_a_mutant_checks_only_the_translation_it_replaces(m_edge, monkeypatch):
     mutant = negate_translation(scheme, 0)
     assert calls == [mutant.rels[0].formula]
     assert mutant.rels[1:] == scheme.rels[1:]
+
+
+def test_validation_compiles_each_distinct_formula_once(corpus, monkeypatch):
+    compiled = Counter()
+    original = interpretation._compile_formula
+
+    def counting(M, phi):
+        compiled[id(phi)] += 1
+        return original(M, phi)
+
+    monkeypatch.setattr(interpretation, "_compile_formula", counting)
+    for _, M in corpus[::7]:
+        for k in (1, 2, 3):
+            _, companion, scheme, bij = _scheme_setup(M, k)
+            for mutant in (scheme, negate_translation(scheme, 0)):
+                compiled.clear()
+                validate_scheme(M, companion, mutant, bij)
+                # each sort's r and E in its quotient, each translation in the scan
+                reached = {id(s.domain_formula) for s in mutant.sorts}
+                reached |= {id(s.equiv_formula) for s in mutant.sorts}
+                reached |= {id(sr.formula) for sr in mutant.rels}
+                assert compiled.keys() == reached
+                assert set(compiled.values()) == {1}
 
 
 # -- scheme validation -------------------------------------------------------------
