@@ -104,7 +104,7 @@ def test_scheme_check_on_an_empty_source_is_an_input_error(capsys, tmp_path):
         json.loads(out)
 
 
-def test_summary_format_writes_only_the_summary(capsys, monkeypatch, edge_file):
+def test_summary_format(capsys, monkeypatch, edge_file):
     dumped = []
     original = json.dumps
 
@@ -216,14 +216,6 @@ def test_size_guard_exit_2(capsys, tmp_path):
     code, out, _ = run(capsys, "aut", "--in", str(big), "--max-size", "7")
     assert code == 0
     assert json.loads(out)["order"] == "5040"
-
-
-def test_summary_format(capsys, pair_file):
-    code, out, err = run(capsys, "verify-iso", "--in", pair_file, "--k", "1",
-                         "--format", "summary")
-    assert code == 0
-    assert "Aut" in out
-    assert not out.startswith("{")
 
 
 def test_explicit_padding(capsys, edge_file):

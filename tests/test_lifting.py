@@ -358,13 +358,6 @@ def test_scheme_rejects_foreign_source(m_edge, m_pair):
         generate_scheme(m_pair, N)
 
 
-def test_scheme_rejects_an_empty_source():
-    M = digraph(0, [])
-    N = build_lift(M, LiftConfig(k=1))
-    with pytest.raises(LiftError, match="^the source structure is empty: "):
-        generate_scheme(M, N)
-
-
 def test_equal_translations_are_one_object(corpus):
     for _, M in corpus:
         for k in (1, 2, 3):
