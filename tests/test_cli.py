@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablelift.cli import main
-from stablelift.corpus import digraph
+from stablelift import cli
+from stablelift.cli import build_parser, main
+from stablelift.corpus import digraph, exhaustive_digraphs
 from stablelift.structures import structure_to_json
 
 
@@ -105,14 +110,18 @@ def test_scheme_check_on_an_empty_source_is_an_input_error(capsys, tmp_path):
 
 
 def test_summary_format(capsys, monkeypatch, edge_file):
+    # reports are written by cli._dump, which leaves to json.dumps only what
+    # its own writer does not handle
     dumped = []
-    original = json.dumps
 
-    def counting(*args, **kwargs):
-        dumped.append(args)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            dumped.append(name)
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(json, "dumps", counting)
+    monkeypatch.setattr(cli, "_dump", counting("_dump", cli._dump))
+    monkeypatch.setattr(json, "dumps", counting("json.dumps", json.dumps))
     cases = [
         (("scheme-check", "--k", "1"), 0, "scheme over 2-element structure: all conditions pass\n"),
         (("scheme-check", "--k", "1", "--mutate", "negate-relformula"), 1, "check failed\n"),
@@ -125,7 +134,7 @@ def test_summary_format(capsys, monkeypatch, edge_file):
     # the JSON report is built only for --format json
     assert dumped == []
     run(capsys, "verify-iso", "--in", edge_file, "--k", "1")
-    assert len(dumped) == 1
+    assert dumped == ["_dump"]
 
 
 def test_limit_report(capsys, edge_file):
@@ -159,6 +168,47 @@ def test_reports_are_byte_identical(capsys, edge_file):
     assert third == fourth
 
 
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the argv
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv, env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablelift.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_does_not_depend_on_earlier_calls(monkeypatch, edge_file, pair_file):
+    # main reuses one parser; each call in one process must still give what
+    # the same argv gives alone in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    sequence = [
+        ["report", "--in", pair_file, "--ks", "1,2", "--A", "0"],
+        ["report", "--in", pair_file, "--ks", "1,2"],  # no --A carried over
+        ["scheme-check", "--in", edge_file, "--k", "x"],  # argparse exits 2
+        ["verify-iso", "--in", pair_file, "--k", "1", "--format", "summary"],
+        ["verify-iso", "--in", pair_file, "--k", "1", "--format", "json"],
+        ["scheme-check", "--in", edge_file, "--k", "1", "--mutate", "negate-relformula"],
+        ["scheme-check", "--in", edge_file, "--k", "1"],
+        ["report", "--in", pair_file, "--ks", "1,2", "--A", "0"],  # after a default run
+    ]
+    results = [_in_process(argv) for argv in sequence]
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0, 1, 0, 0]
+    for argv, result in zip(sequence, results):
+        assert result == _fresh_process(argv, env), argv
+    assert build_parser() is not build_parser()
+
+
 def test_corpus_generation(capsys, tmp_path):
     out_dir = tmp_path / "corpus"
     code, out, _ = run(capsys, "corpus", "--out", str(out_dir), "--exhaustive", "2")
@@ -173,6 +223,15 @@ def test_corpus_generation(capsys, tmp_path):
     run(capsys, "corpus", "--out", str(out_dir), "--exhaustive", "2")
     for f in sorted(out_dir.iterdir()):
         assert contents[f.name] == f.read_bytes()
+
+
+def test_corpus_file_is_structure_to_json(capsys, tmp_path):
+    # one way to write a structure file
+    code, _, _ = run(capsys, "corpus", "--out", str(tmp_path), "--exhaustive", "2")
+    assert code == 0
+    name, M = exhaustive_digraphs(2)[1]
+    expected = (structure_to_json(M) + "\n").encode("utf-8")
+    assert (tmp_path / f"{name}.json").read_bytes() == expected
 
 
 def test_corpus_exhaustive_size_three(capsys, tmp_path):
@@ -425,17 +484,12 @@ def test_any_argv_keeps_the_exit_code_contract(cli_files, data):
         else:
             flags.insert(0, ("--in", data.draw(st.sampled_from(files[:4]), label="file")))
     argv = [command] + [token for flag in flags for token in flag]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as e:  # argparse rejects the argv
-            code = e.code
+    code, out, err = _in_process(argv)
     assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
     if code == 1:
         formats = [flag[1] for flag in flags if flag[0] == "--format"]
         if formats[-1:] == ["summary"]:
-            assert "check failed" in out.getvalue(), argv
+            assert "check failed" in out, argv
         else:
-            assert _witnessed(command, json.loads(out.getvalue())), argv
+            assert _witnessed(command, json.loads(out)), argv
