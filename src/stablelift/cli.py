@@ -308,7 +308,10 @@ def _cmd_corpus(args) -> tuple[dict, list[str]]:
     files = []
     for name, M in structures:
         path = out_dir / f"{name}.json"
-        path.write_text(structure_to_json(M) + "\n", encoding="utf-8")
+        try:
+            path.write_text(structure_to_json(M) + "\n", encoding="utf-8")
+        except OSError as e:
+            raise InputError(f"cannot write {path}: {e}") from e
         files.append(path.name)
     report = {"count": len(files), "files": files}
     return report, [f"wrote {len(files)} structures to {out_dir}"]

@@ -440,106 +440,63 @@ def eval_formula(M: Structure, phi: Formula, v: dict[int, int] | None = None) ->
 def _compile_formula(M: Structure, phi: Formula) -> bool | Callable[[Sequence[int]], bool]:
     """phi over M, compiled once for repeated evaluation.
 
-    A formula that reads no position of the assignment once its constant
-    parts are folded (as when every free variable is inert) is decided by
-    one call and returned as a bool, unless that call raises.  Otherwise
-    the result is a closure over the flat assignment tuple v, with x_q at
-    v[q].  For a v that covers phi's free variables the closure returns what
-    ``eval_formula(M, phi, dict(enumerate(v)))`` returns and raises the same
-    FormulaError (unknown symbol, arity mismatch) when it reaches the same
-    atom.  Coverage is the caller's duty and is not checked: with a shorter
-    v the result is undefined (a free position past the end may read an
-    Exists witness), not eval_formula's "uncovered free variable".  Private
-    to the package; validate_scheme calls it only on translations whose
-    free variables are exactly the scheme's x0..x(total-1).  Atoms xq = xq fold to True, And/Or/Not fold their constant parts
-    (keeping every part eval_formula would reach before them), and each
-    Exists writes its witness into a scratch slot at the end of a copy of v.
+    The result is a bool when phi folds to a constant, otherwise a closure
+    over the flat assignment tuple v, with x_q at v[q].  For a v that covers
+    phi's free variables it returns what ``eval_formula(M, phi,
+    dict(enumerate(v)))`` returns and raises the same FormulaError when it
+    reaches the same node; coverage is the caller's duty.  Private to the
+    package; validate_scheme calls it only on formulas whose free variables
+    are exactly x0..x(total-1).
+
+    Only the fragment generated schemes use is compiled: xs = xt (True when
+    s = t), R(xs, ...) over a relation of M with the right arity, and Not,
+    And and Or, which fold their constant parts and keep every part
+    eval_formula would reach before them.  Every other node (Exists,
+    function and constant terms, unknown symbols, arity mismatches) is
+    evaluated by eval_formula; one with no free variables is decided here
+    once, unless that raises.
     """
-    scratch = 0  # Exists nodes so far; the k-th uses slot -(k + 1)
+    sig = M.sig
 
-    def raiser(message: str):
-        def fail(v):
-            raise FormulaError(message)
-
-        return fail
-
-    def term(t: Term, slots: dict[int, int]):
-        """(getter, slots read) for a term."""
-        if isinstance(t, Var):
-            slot = slots.get(t.index, t.index)
-            return operator.itemgetter(slot), {slot}
-        if isinstance(t, Apply):
-            if not M.sig.has_function(t.func):
-                return raiser(f"unknown function symbol {t.func!r}"), set()
-            images = M.functions[t.func]
-            arg, reads = term(t.arg, slots)
-            return (lambda v: images[arg(v)]), reads
-        if not M.sig.has_constant(t.name):
-            return raiser(f"unknown constant symbol {t.name!r}"), set()
-        value = M.constants[t.name]
-        return (lambda v: value), set()
-
-    def formula(psi: Formula, slots: dict[int, int]):
-        """(bool or closure, slots read); a closure that reads no slot is
-        run once here, unless it raises."""
-        f, reads = node(psi, slots)
-        if callable(f) and not reads:
-            try:
-                f = f([0] * scratch)
-            except FormulaError:
-                pass
-        return f, reads
-
-    def node(psi: Formula, slots: dict[int, int]):
-        nonlocal scratch
-        if isinstance(psi, Equal):
-            left, right = psi.left, psi.right
-            if isinstance(left, Var) and isinstance(right, Var):
-                a, b = slots.get(left.index, left.index), slots.get(right.index, right.index)
-                if a == b:
-                    return True, set()
-                return (lambda v: v[a] == v[b]), {a, b}
-            (lf, lr), (rf, rr) = term(left, slots), term(right, slots)
-            return (lambda v: lf(v) == rf(v)), lr | rr
-        if isinstance(psi, Rel):
-            if not M.sig.has_relation(psi.name):
-                return raiser(f"unknown relation symbol {psi.name!r}"), set()
-            if len(psi.args) != M.sig.relation_arity(psi.name):
-                return raiser(f"arity mismatch for {psi.name!r}"), set()
+    def node(psi: Formula):
+        if isinstance(psi, Equal) and isinstance(psi.left, Var) and isinstance(psi.right, Var):
+            a, b = psi.left.index, psi.right.index
+            return True if a == b else (lambda v: v[a] == v[b])
+        if (
+            isinstance(psi, Rel)
+            and psi.args
+            and all(isinstance(t, Var) for t in psi.args)
+            and sig.has_relation(psi.name)
+            and len(psi.args) == sig.relation_arity(psi.name)
+        ):
             held = M.relation_sets[psi.name]
-            if all(isinstance(t, Var) for t in psi.args):
-                at = [slots.get(t.index, t.index) for t in psi.args]
-                if len(at) == 1:
-                    (a,) = at
-                    return (lambda v: (v[a],) in held), set(at)
-                row = operator.itemgetter(*at) if at else (lambda v: ())
-                return (lambda v: row(v) in held), set(at)
-            compiled = [term(t, slots) for t in psi.args]
-            getters = [g for g, _ in compiled]
-            reads = set().union(*(r for _, r in compiled))
-            return (lambda v: tuple(g(v) for g in getters) in held), reads
+            at = [t.index for t in psi.args]
+            if len(at) == 1:
+                (a,) = at
+                return lambda v: (v[a],) in held
+            row = operator.itemgetter(*at)
+            return lambda v: row(v) in held
         if isinstance(psi, Not):
-            body, reads = formula(psi.body, slots)
+            body = node(psi.body)
             if isinstance(body, bool):
-                return not body, reads
-            return (lambda v: not body(v)), reads
+                return not body
+            return lambda v: not body(v)
         if isinstance(psi, (And, Or)):
             # eval_formula stops at the first part equal to `stop`
             stop = isinstance(psi, Or)
-            parts, reads, stopped = [], set(), False
+            parts, stopped = [], False
             for part in psi.parts:
-                f, r = formula(part, slots)
+                f = node(part)
                 if isinstance(f, bool):
                     if f == stop:
                         stopped = True
                         break
                     continue
                 parts.append(f)
-                reads |= r
             if not parts:
-                return stopped == stop, set()
+                return stopped == stop
             if len(parts) == 1 and not stopped:
-                return parts[0], reads
+                return parts[0]
 
             def junction(v):
                 for p in parts:
@@ -547,31 +504,15 @@ def _compile_formula(M: Structure, phi: Formula) -> bool | Callable[[Sequence[in
                         return stop
                 return stopped == stop
 
-            return junction, reads
-        if isinstance(psi, Exists):
-            slot = -(scratch + 1)
-            scratch += 1
-            body, reads = formula(psi.body, {**slots, psi.var: slot})
-            reads.discard(slot)
-            if isinstance(body, bool):
-                return body and M.size > 0, reads
-            domain = M.domain
+            return junction
+        try:
+            if not free_variables(psi):
+                return eval_formula(M, psi)
+        except FormulaError:
+            pass
+        return lambda v: eval_formula(M, psi, dict(enumerate(v)))
 
-            def exists(v):
-                for a in domain:
-                    v[slot] = a
-                    if body(v):
-                        return True
-                return False
-
-            return exists, reads
-        return raiser(f"not a formula: {psi!r}"), set()
-
-    f, _ = formula(phi, {})
-    if callable(f) and scratch:
-        inner, pad = f, [0] * scratch
-        return lambda v: inner([*v, *pad])
-    return f
+    return node(phi)
 
 
 def definable_set(M: Structure, phi: Formula) -> tuple[tuple[int, ...], ...]:

@@ -199,7 +199,7 @@ class _Quotient:
     """
 
     def __init__(self, M: Structure, r: Formula, E: Formula):
-        self.width = n = free_width(r)
+        n = free_width(r)
         inert_r, inert_E = inert_variables(r), inert_variables(E)
         # over an empty domain nothing is padding: M^width is empty anyway
         pad = [q for q in range(n) if M.size and q in inert_r and {q, n + q} <= inert_E]
@@ -628,7 +628,6 @@ def check_classical_interpretation(
 
     cls_to_elem = {q.class_of[alpha[b]]: b for b in alpha}
     G = automorphism_group(M)
-    n = q.width
 
     todo: dict[str, frozenset] = {name: N.relation_sets[name] for name, _ in N.sig.relations}
     for name, tuples in (extra_relations or {}).items():

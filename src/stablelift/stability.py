@@ -25,6 +25,8 @@ from .groups import (
     pointwise_stabilizer,
 )
 from .lifting import (
+    ANCHOR_NAME,
+    BASE_NAME,
     LIMIT,
     BaseElem,
     FiberElem,
@@ -205,13 +207,12 @@ def orbit_decomposition_check(
         left_by_sort[labels.pop()] += 1
 
     per_sort: list[dict] = []
-    per_sort.append(
-        {"sort": "anchor", "left": left_by_sort.get("anchor", 0), "right": 1}
-    )
-    right_base = len(orbits(GM, M.domain)) if M.size else 0
-    per_sort.append(
-        {"sort": "base", "left": left_by_sort.get("base", 0), "right": right_base}
-    )
+
+    def row(label: str, right: int) -> None:
+        per_sort.append({"sort": label, "left": left_by_sort.get(label, 0), "right": right})
+
+    row(ANCHOR_NAME, 1)
+    row(BASE_NAME, len(orbits(GM, M.domain)) if M.size else 0)
     rels = sorted((n for n, _ in M.sig.relations), key=M.sig.arity_index)
     for rel in rels:
         eligible = N.eligible_tuples(rel)
@@ -219,11 +220,7 @@ def orbit_decomposition_check(
         o_fib = len(orbits_on_tuples(GM, eligible)) if eligible else 0
         o_rel = len(orbits_on_tuples(GM, held)) if held else 0
         for i in [*range(N.config.k), LIMIT]:
-            label = lift_sort(FiberElem(rel, i, ()))
-            right = o_rel if i == LIMIT else o_fib
-            per_sort.append(
-                {"sort": label, "left": left_by_sort.get(label, 0), "right": right}
-            )
+            row(lift_sort(FiberElem(rel, i, ())), o_rel if i == LIMIT else o_fib)
     left_total = len(left_blocks)
     right_total = sum(row["right"] for row in per_sort)
     return DecompositionReport(per_sort=per_sort, left_total=left_total, right_total=right_total)

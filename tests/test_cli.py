@@ -251,6 +251,16 @@ def test_corpus_random_seeded(capsys, tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
+def test_corpus_unwritable_file_exit_2(capsys, tmp_path):
+    # a directory where a corpus file should go
+    blocked = tmp_path / "digraph_n1_m0.json"
+    blocked.mkdir()
+    code, out, err = run(capsys, "corpus", "--out", str(tmp_path), "--exhaustive", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {blocked}: ")
+    assert "Traceback" not in err
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "aut", "--in", str(tmp_path / "missing.json"))
     assert code == 2 and "error" in err

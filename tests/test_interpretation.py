@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from stablelift import interpretation
+from stablelift import formulas, interpretation
 from stablelift.corpus import digraph, random_digraph
 from stablelift.formulas import (
     And,
@@ -24,6 +24,7 @@ from stablelift.formulas import (
 )
 from stablelift.groups import (
     Permutation,
+    automorphism_group,
     automorphism_group_brute,
 )
 from stablelift.interpretation import (
@@ -374,6 +375,41 @@ def test_validation_compiles_each_distinct_formula_once(corpus, monkeypatch):
                 reached |= {id(sr.formula) for sr in mutant.rels}
                 assert compiled.keys() == reached
                 assert set(compiled.values()) == {1}
+
+
+def test_generated_schemes_never_reach_eval_formula(corpus, monkeypatch):
+    # generated schemes stay inside the compiled fragment, so validating
+    # them, their mutants and transport never fall back to eval_formula
+    calls = Counter()
+    original = formulas.eval_formula
+
+    def counting(M, phi, v=None):
+        calls[phi] += 1
+        return original(M, phi, v)
+
+    monkeypatch.setattr(formulas, "eval_formula", counting)
+    monkeypatch.setattr(interpretation, "eval_formula", counting)
+    # the guard sees a formula outside the fragment
+    M = digraph(2, [(0, 1)])
+    outside = parse_formula("exists x1. edge(x0, x1)", M.sig)
+    assert interpretation._compile_formula(M, outside)((0,)) is True
+    assert calls[outside] == 1
+    calls.clear()
+
+    validations = 0
+    for _, M in corpus[::3]:
+        for k in (1, 2):
+            _, companion, scheme, bij = _scheme_setup(M, k)
+            for mutant in (scheme, negate_translation(scheme, 0), weaken_equivalence(scheme, 0)):
+                for independence in (False, True):
+                    validate_scheme(
+                        M, companion, mutant, bij, representative_independence=independence
+                    )
+                    validations += 1
+            for g in automorphism_group(M).generators:
+                induced_automorphism(M, companion, scheme, bij, g)
+    assert validations == 276
+    assert calls == {}
 
 
 # -- scheme validation -------------------------------------------------------------
