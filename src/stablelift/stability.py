@@ -208,11 +208,11 @@ def orbit_decomposition_check(
 
     per_sort: list[dict] = []
 
-    def row(label: str, right: int) -> None:
+    def add_row(label: str, right: int) -> None:
         per_sort.append({"sort": label, "left": left_by_sort.get(label, 0), "right": right})
 
-    row(ANCHOR_NAME, 1)
-    row(BASE_NAME, len(orbits(GM, M.domain)) if M.size else 0)
+    add_row(ANCHOR_NAME, 1)
+    add_row(BASE_NAME, len(orbits(GM, M.domain)) if M.size else 0)
     rels = sorted((n for n, _ in M.sig.relations), key=M.sig.arity_index)
     for rel in rels:
         eligible = N.eligible_tuples(rel)
@@ -220,7 +220,7 @@ def orbit_decomposition_check(
         o_fib = len(orbits_on_tuples(GM, eligible)) if eligible else 0
         o_rel = len(orbits_on_tuples(GM, held)) if held else 0
         for i in [*range(N.config.k), LIMIT]:
-            row(lift_sort(FiberElem(rel, i, ())), o_rel if i == LIMIT else o_fib)
+            add_row(lift_sort(FiberElem(rel, i, ())), o_rel if i == LIMIT else o_fib)
     left_total = len(left_blocks)
     right_total = sum(row["right"] for row in per_sort)
     return DecompositionReport(per_sort=per_sort, left_total=left_total, right_total=right_total)
