@@ -327,7 +327,7 @@ def orbits_on_tuples(G: PermGroup, tuples) -> list[tuple[tuple[int, ...], ...]]:
 def pointwise_stabilizer(G: PermGroup, A) -> PermGroup:
     """The subgroup fixing every point of A: the level after A in a chain
     whose base order starts with A's points in ascending order, grown from
-    G's strong generators."""
+    G's generators."""
     A = tuple(sorted(set(A)))
     for x in A:
         if not (0 <= x < G.degree):
@@ -336,8 +336,8 @@ def pointwise_stabilizer(G: PermGroup, A) -> PermGroup:
         return G
     fixed = set(A)
     chain = _Chain(G.degree, A + tuple(x for x in range(G.degree) if x not in fixed))
-    for s in dict.fromkeys(s for level in G._chain.gens for s in level):
-        chain.add(s)
+    for g in G.generators:
+        chain.add(g.images)
     stabilizer_gens = chain.gens[len(A)] if len(A) < G.degree else []
     return PermGroup([Permutation(s) for s in stabilizer_gens], G.degree)
 

@@ -17,6 +17,7 @@ the two groups are isomorphic, witnessed by explicit mutually inverse maps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -51,10 +52,10 @@ __all__ = [
     "BaseElem",
     "FiberElem",
     "LiftedStructure",
-    "lift_sort",
     "ANCHOR_NAME",
     "BASE_NAME",
     "fiber_predicate",
+    "fiber_sort",
     "samefiber_relation",
     "projection_function",
     "copy_function",
@@ -77,6 +78,11 @@ BASE_NAME = "base"
 
 def fiber_predicate(rel: str) -> str:
     return f"fiber_{rel}"
+
+
+def fiber_sort(rel: str, i) -> str:
+    """fiber_R[i], the sort label of copy i of R's fibers ("limit" for the limit copy)."""
+    return f"{fiber_predicate(rel)}[{_copy_label(i)}]"
 
 
 def samefiber_relation(rel: str) -> str:
@@ -204,18 +210,6 @@ class FiberElem:
 Provenance = Anchor | BaseElem | FiberElem
 
 
-def lift_sort(p: Provenance) -> str:
-    """The sort of a lift element, read off its provenance: "anchor",
-    "base", or fiber_R[i] for copy i of R's fibers (i is "limit" for the
-    limit copy).  Each sort of the lift's relational companion is exactly
-    one of these."""
-    if isinstance(p, Anchor):
-        return ANCHOR_NAME
-    if isinstance(p, BaseElem):
-        return BASE_NAME
-    return f"{fiber_predicate(p.rel)}[{_copy_label(p.copy)}]"
-
-
 @dataclass(frozen=True)
 class LiftedStructure:
     """The lift as a plain Structure plus per-element provenance.
@@ -245,6 +239,18 @@ class LiftedStructure:
     @property
     def repetition_free_fibers(self) -> bool:
         return self.source.repetition_free and not self.config.include_repetition_tuples
+
+    @functools.cached_property
+    def sorts(self) -> dict[str, tuple[int, ...]]:
+        """The sort table: label -> elements of each realized sort (the
+        anchor, the base copy, then fiber_sort(rel, i) per relation in
+        ``fibers`` order, limit last), each block sorted and the sorts in
+        order of least element, as sort_partition lists the companion's."""
+        table = {ANCHOR_NAME: (0,), BASE_NAME: tuple(map(self.base_id, self.source.domain))}
+        for rel, fibers in self.fibers.items():
+            for i in [*range(self.config.k), LIMIT]:
+                table[fiber_sort(rel, i)] = tuple(c[i] for c in fibers.values() if i in c)
+        return {label: block for label, block in table.items() if block}
 
     def eligible_tuples(self, rel: str) -> tuple[tuple[int, ...], ...]:
         return tuple(self.fibers[rel])
@@ -592,14 +598,14 @@ def generate_scheme(
 
     companion = relational_companion(N.structure)
     realized = sort_partition(companion)
+    if list(realized.values()) != list(N.sorts.values()):
+        raise LiftError("companion sorts differ from the lift's sorts (internal error)")
 
     sorts: list[SchemeSort] = []
     kinds: dict[AtomicType, Provenance] = {}
     widths: dict[AtomicType, int] = {}
     bij: dict[AtomicType, dict[int, tuple[int, ...]]] = {}
     for key, block in realized.items():
-        if len({lift_sort(N.provenance[e]) for e in block}) != 1:
-            raise LiftError("companion sorts mix provenance kinds (internal error)")
         kind = kinds[key] = N.provenance[block[0]]
         if isinstance(kind, Anchor):
             width, r, E = 2, tautology(2), tautology(4)

@@ -29,11 +29,10 @@ from .lifting import (
     BASE_NAME,
     LIMIT,
     BaseElem,
-    FiberElem,
     LiftConfig,
     LiftedStructure,
     build_lift,
-    lift_sort,
+    fiber_sort,
 )
 from .structures import Structure
 
@@ -132,14 +131,6 @@ def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
 # -- orbit decomposition --------------------------------------------------------
 
 
-def _lift_sort_blocks(N: LiftedStructure) -> dict[str, tuple[int, ...]]:
-    """Elements of each realized sort, sorts in order of first element."""
-    blocks: dict[str, list[int]] = {}
-    for e, p in enumerate(N.provenance):
-        blocks.setdefault(lift_sort(p), []).append(e)
-    return {label: tuple(b) for label, b in blocks.items()}
-
-
 def _translate_parameters(N: LiftedStructure, A) -> tuple[int, ...]:
     A = tuple(sorted(set(A)))
     for b in A:
@@ -187,7 +178,12 @@ def orbit_decomposition_check(
     with the counts predicted from the source structure alone (right): one
     anchor orbit, the stabilizer orbits on the source domain, and for each
     copy index the stabilizer orbits on eligible fiber tuples (relation
-    members for the limit copy).  Both sides are computed independently."""
+    members for the limit copy).  Both sides are computed independently: the
+    left side counts the orbits meeting each sort of the lift's sort table
+    ``N.sorts``, and the rows follow the relation order of ``N.fibers``.  A
+    lift built from another structure than M raises StabilityError."""
+    if N.source is not M and M != N.source:
+        raise StabilityError("the lift was not generated from this structure")
     A = tuple(sorted(set(A)))
     A_src = _translate_parameters(N, A)
     GN = pointwise_stabilizer(
@@ -198,13 +194,14 @@ def orbit_decomposition_check(
     )
 
     left_blocks = orbits(GN, N.structure.domain)
-    sort_of = [lift_sort(p) for p in N.provenance]
-    left_by_sort: dict[str, int] = dict.fromkeys(sort_of, 0)
-    for block in left_blocks:
-        labels = {sort_of[e] for e in block}
-        if len(labels) != 1:
-            raise StabilityError("an orbit crosses sorts (internal error)")
-        left_by_sort[labels.pop()] += 1
+    orbit_of = {e: idx for idx, block in enumerate(left_blocks) for e in block}
+    left_by_sort = {
+        label: len({orbit_of[e] for e in block}) for label, block in N.sorts.items()
+    }
+    # each orbit meets at least one sort, so the counts sum past the orbit
+    # count exactly when some orbit meets two
+    if sum(left_by_sort.values()) != len(left_blocks):
+        raise StabilityError("an orbit crosses sorts (internal error)")
 
     per_sort: list[dict] = []
 
@@ -213,14 +210,12 @@ def orbit_decomposition_check(
 
     add_row(ANCHOR_NAME, 1)
     add_row(BASE_NAME, len(orbits(GM, M.domain)) if M.size else 0)
-    rels = sorted((n for n, _ in M.sig.relations), key=M.sig.arity_index)
-    for rel in rels:
-        eligible = N.eligible_tuples(rel)
-        held = [t for t in eligible if t in M.relation_sets[rel]]
-        o_fib = len(orbits_on_tuples(GM, eligible)) if eligible else 0
+    for rel, fibers in N.fibers.items():
+        held = [t for t in fibers if t in M.relation_sets[rel]]
+        o_fib = len(orbits_on_tuples(GM, fibers)) if fibers else 0
         o_rel = len(orbits_on_tuples(GM, held)) if held else 0
         for i in [*range(N.config.k), LIMIT]:
-            add_row(lift_sort(FiberElem(rel, i, ())), o_rel if i == LIMIT else o_fib)
+            add_row(fiber_sort(rel, i), o_rel if i == LIMIT else o_fib)
     left_total = len(left_blocks)
     right_total = sum(row["right"] for row in per_sort)
     return DecompositionReport(per_sort=per_sort, left_total=left_total, right_total=right_total)
@@ -261,8 +256,13 @@ def stability_report(
 
     where the o's are stabilizer orbit counts on the source domain, on
     eligible fiber tuples, and on relation tuples.  Parameter sets are given
-    in source coordinates and land inside the base copy of each lift."""
+    in source coordinates and land inside the base copy of each lift.  An
+    empty list of copy bounds or of parameter sets raises StabilityError:
+    such a census would pass with nothing checked."""
+    ks = list(ks)
     As = [tuple(sorted(set(A_src))) for A_src in As]
+    if not ks or not As:
+        raise StabilityError("the census needs at least one copy bound and one parameter set")
     for A_src in As:
         for a in A_src:
             if a not in M.domain:
@@ -277,7 +277,6 @@ def stability_report(
             M, LiftConfig(k=k, include_repetition_tuples=include_repetition_tuples)
         )
         group_N = automorphism_group(N.structure)
-        sort_blocks = _lift_sort_blocks(N)
         for A_src in As:
             A = tuple(N.base_id(a) for a in A_src)
             decomposition = orbit_decomposition_check(
@@ -296,7 +295,7 @@ def stability_report(
                     "orbits": orbit_counts[label],
                     "types": len({type_of[e] for e in block}),
                 }
-                for label, block in sort_blocks.items()
+                for label, block in N.sorts.items()
             ]
             entry = {
                 "k": k,

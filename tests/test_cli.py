@@ -152,6 +152,14 @@ def test_census_report(capsys, pair_file):
     assert report["qf_types"]["count"] == 1
 
 
+@pytest.mark.parametrize("ks", [",", ""])
+def test_report_with_no_copy_bounds_exits_2(capsys, pair_file, ks):
+    code, out, err = run(capsys, "report", "--in", pair_file, "--ks", ks)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "copy bound" in err
+    assert "Traceback" not in err
+
+
 def test_report_growth(capsys, pair_file):
     code, out, _ = run(capsys, "report", "--in", pair_file, "--ks", "1,2,3")
     assert code == 0

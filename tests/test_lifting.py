@@ -5,6 +5,7 @@ import json
 import pytest
 
 from stablelift.corpus import digraph, edge_pairs
+from stablelift.formulas import sort_partition
 from stablelift.groups import (
     Permutation,
     automorphism_group,
@@ -24,6 +25,7 @@ from stablelift.lifting import (
     canonical_padding,
     continuity_witness,
     direct_induced,
+    fiber_sort,
     generate_scheme,
     limit_elements,
     project_automorphism,
@@ -328,6 +330,46 @@ def test_unary_relation_lift_shape():
     scheme, bij = generate_scheme(M, N)
     report = validate_scheme(M, relational_companion(N.structure), scheme, bij)
     assert report.passed, report.failures()
+
+
+# -- sort table ------------------------------------------------------------------
+
+
+def _sorts_from_provenance(N):
+    """The sort table read element by element off the provenance: anchor,
+    base, or fiber_R[i] for copy i of R's fibers ("limit" for the limit
+    copy), sorts in order of first element."""
+    blocks = {}
+    for e, p in enumerate(N.provenance):
+        if isinstance(p, Anchor):
+            label = "anchor"
+        elif isinstance(p, BaseElem):
+            label = "base"
+        else:
+            label = f"fiber_{p.rel}[{'limit' if p.copy == LIMIT else p.copy}]"
+        blocks.setdefault(label, []).append(e)
+    return {label: tuple(b) for label, b in blocks.items()}
+
+
+def test_sort_table_matches_provenance_and_companion(corpus):
+    lifts = [build_lift(M, LiftConfig(k=k)) for _, M in corpus for k in (1, 2, 3)]
+    lifts += [
+        build_lift(M, LiftConfig(k=k, include_repetition_tuples=True))
+        for _, M in corpus[::12]
+        for k in (1, 2)
+    ]
+    mixed = [_mixed_structure(), _ternary_structure(), _two_binary_structure()]
+    lifts += [build_lift(M, LiftConfig(k=2)) for M in mixed]
+    lifts += [build_lift(digraph(0, []), LiftConfig(k=k)) for k in (1, 2)]
+    for N in lifts:
+        expected = _sorts_from_provenance(N)
+        # same labels, same blocks, same order
+        assert list(N.sorts.items()) == list(expected.items())
+        companion_blocks = sort_partition(relational_companion(N.structure)).values()
+        assert sorted(N.sorts.values()) == sorted(companion_blocks)
+    assert fiber_sort("edge", 0) == "fiber_edge[0]"
+    assert fiber_sort("edge", LIMIT) == "fiber_edge[limit]"
+    assert build_lift(digraph(0, []), LiftConfig(k=1)).sorts == {"anchor": (0,)}
 
 
 def test_explicit_padding_scheme_still_validates(m_edge):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from stablelift.corpus import digraph
+from stablelift.groups import Permutation, PermGroup
 from stablelift.lifting import LiftConfig, build_lift
 from stablelift.stability import (
     SUBSTITUTION_NOTE,
@@ -160,6 +161,27 @@ def test_decomposition_rejects_fiber_parameters(m_pair):
         orbit_decomposition_check(m_pair, N, (3,))
 
 
+def test_decomposition_rejects_a_lift_of_another_structure():
+    # the lift of the one-edge digraph against the two-cycle: comparing them
+    # would report a false growth-law failure (base 2 against 1)
+    M = digraph(2, [(0, 1), (1, 0)])
+    N = build_lift(digraph(2, [(0, 1)]))
+    with pytest.raises(StabilityError, match="not generated from this structure"):
+        orbit_decomposition_check(M, N, ())
+    # an equal source built separately is the same structure
+    assert orbit_decomposition_check(digraph(2, [(0, 1)]), N, ()).passed
+
+
+def test_decomposition_reports_an_orbit_crossing_sorts(m_edge):
+    N = build_lift(m_edge, LiftConfig(k=1))
+    # not an automorphism: swaps the anchor 0 with the base element 1
+    images = list(N.structure.domain)
+    images[0], images[1] = 1, 0
+    swap = PermGroup([Permutation(tuple(images))], N.structure.size)
+    with pytest.raises(StabilityError, match="crosses sorts"):
+        orbit_decomposition_check(m_edge, N, (), group_N=swap)
+
+
 def test_decomposition_on_corpus_sample(corpus):
     for _, M in corpus[40:60]:
         N = build_lift(M, LiftConfig(k=2))
@@ -194,6 +216,15 @@ def test_growth_law_with_repetition_tuples(m_pair):
     # four fiber tuples split into two swap-orbits, so the slope is 2
     assert [e["total"] for e in r.entries] == [4, 6]
     assert r.all_pass
+
+
+def test_census_needs_copy_bounds_and_parameter_sets(m_pair):
+    with pytest.raises(StabilityError, match="at least one copy bound"):
+        stability_report(m_pair, [], [()])
+    with pytest.raises(StabilityError, match="one parameter set"):
+        stability_report(m_pair, [1, 2], [])
+    with pytest.raises(StabilityError, match="at least one copy bound"):
+        stability_report(m_pair, iter(()), [()])
 
 
 def test_census_report_schema(m_pair):
