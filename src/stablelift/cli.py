@@ -30,6 +30,7 @@ from .lifting import (
     LiftError,
     PaddingAssignment,
     build_lift,
+    canonical_padding,
     continuity_witness,
     direct_induced,
     generate_scheme,
@@ -54,6 +55,12 @@ from .structures import (
 import random
 
 DEFAULT_SIZE_GUARD = 6
+# The lift has k copy functions over its ~k * |M|^arity elements, so it grows
+# like k**2; this bounds k wherever a lift is built.
+COPY_BOUND_GUARD = 32
+# A quotient expands each padded sort of width w to |M|**w host tuples; this
+# bounds that count for the widest sort scheme-check would present.
+HOST_TUPLE_GUARD = 2_000_000
 
 
 class InputError(Exception):
@@ -110,7 +117,15 @@ def _parse_padding(text: str, M: Structure, k: int) -> PaddingAssignment | None:
     raise InputError("--padding must be 'auto' or 'explicit:<m1,m2,...>'")
 
 
+def _check_copy_bound(k: int) -> None:
+    if k > COPY_BOUND_GUARD:
+        raise InputError(
+            f"copy bound {k} exceeds the guard {COPY_BOUND_GUARD}: the lift grows like k**2"
+        )
+
+
 def _lift_config(args, M: Structure) -> LiftConfig:
+    _check_copy_bound(args.k)
     padding = _parse_padding(args.padding, M, args.k)
     return LiftConfig(
         k=args.k,
@@ -193,7 +208,17 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
 
 def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
     M = _load_structure(args.infile, args.max_size)
-    N = build_lift(M, _lift_config(args, M))
+    config = _lift_config(args, M)
+    padding = config.padding or canonical_padding(M.sig, config.k)
+    # the anchor sort has width 2
+    width = max([2, *(padding.width(M.sig, rel, i) for rel, i in padding.pads)])
+    host_tuples = M.size**width
+    if host_tuples > HOST_TUPLE_GUARD:
+        raise InputError(
+            f"a sort of width {width} over {M.size} elements needs {host_tuples} "
+            f"host tuples, above the guard {HOST_TUPLE_GUARD}"
+        )
+    N = build_lift(M, config)
     scheme, bijections = generate_scheme(M, N)
     if args.mutate == "negate-relformula":
         scheme = negate_translation(scheme, 0)
@@ -274,6 +299,8 @@ def _cmd_report(args) -> tuple[dict, list[str]]:
         ks = [int(x) for x in args.ks.split(",") if x]
     except ValueError as e:
         raise InputError(f"bad --ks list {args.ks!r}: {e}") from e
+    for k in ks:
+        _check_copy_bound(k)
     As = [_parse_elements(a) for a in (args.parameters or [""])]
     census = stability_report(M, ks, As, structure_id=args.infile)
     report = census.to_json_dict()
@@ -287,11 +314,6 @@ def _cmd_report(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_corpus(args) -> tuple[dict, list[str]]:
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise InputError(f"cannot create {out_dir}: {e}") from e
     structures: list[tuple[str, Structure]] = []
     if args.exhaustive is not None:
         if args.exhaustive > 3:
@@ -305,6 +327,11 @@ def _cmd_corpus(args) -> tuple[dict, list[str]]:
             structures.append((f"random_s{args.seed}_{i}", random_digraph(rng, args.size)))
     if not structures:
         raise InputError("nothing to generate: pass --exhaustive N and/or --random COUNT")
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InputError(f"cannot create {out_dir}: {e}") from e
     files = []
     for name, M in structures:
         path = out_dir / f"{name}.json"

@@ -127,9 +127,6 @@ class PaddingAssignment:
 
     pads: dict[tuple[str, int | float], int] = field(default_factory=dict)
 
-    def pad(self, rel: str, i) -> int:
-        return self.pads[(rel, i)]
-
     def width(self, sig: Signature, rel: str, i) -> int:
         return sig.relation_arity(rel) + self.pads[(rel, i)]
 
@@ -217,7 +214,8 @@ class LiftedStructure:
     Element layout is canonical: the anchor is 0, base elements follow in
     source order, then fibers ordered by relation, tuple, copy index (limit
     last).  ``fibers`` indexes the fiber elements in that same order:
-    relation -> eligible tuple -> {copy index: element id}.
+    relation -> eligible tuple -> {copy index: element id}; it and ``sorts``
+    are the lift's only indexes.
     """
 
     structure: Structure
@@ -228,10 +226,6 @@ class LiftedStructure:
     fibers: dict[str, dict[tuple[int, ...], dict[int | float, int]]] = field(
         default_factory=dict, compare=False, repr=False
     )
-
-    @property
-    def anchor_id(self) -> int:
-        return 0
 
     def base_id(self, a: int) -> int:
         return 1 + a
@@ -251,24 +245,6 @@ class LiftedStructure:
             for i in [*range(self.config.k), LIMIT]:
                 table[fiber_sort(rel, i)] = tuple(c[i] for c in fibers.values() if i in c)
         return {label: block for label, block in table.items() if block}
-
-    def eligible_tuples(self, rel: str) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.fibers[rel])
-
-    def fiber_copies(self, rel: str, coords: tuple[int, ...]) -> dict[int | float, int]:
-        """Copy index -> element id for one fiber (empty dict if none)."""
-        return dict(self.fibers.get(rel, {}).get(coords, {}))
-
-    def element_of(self, prov: Provenance) -> int:
-        if isinstance(prov, Anchor):
-            return self.anchor_id
-        if isinstance(prov, BaseElem) and prov.source in self.source.domain:
-            return self.base_id(prov.source)
-        if isinstance(prov, FiberElem):
-            e = self.fibers.get(prov.rel, {}).get(prov.coords, {}).get(prov.copy)
-            if e is not None:
-                return e
-        raise LiftError(f"no element with provenance {prov}")
 
     def to_report_dict(self) -> dict:
         """Element table with provenance tags, fiber-size histogram, and the
@@ -404,17 +380,14 @@ def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructu
 
 def limit_elements(N: LiftedStructure, rel: str) -> tuple[int, ...]:
     """Fiber elements of the relation fixed by no copy selector, computed
-    from the structure itself (and cross-checked against provenance)."""
+    from the structure itself (and cross-checked against the sort table)."""
     S = N.structure
-    members = {e for (e,) in S.relations[fiber_predicate(rel)]}
-    out = []
-    for e in sorted(members):
-        if all(S.functions[copy_function(rel, j)][e] != e for j in range(N.config.k)):
-            out.append(e)
-    tagged = [copies[LIMIT] for copies in N.fibers[rel].values() if LIMIT in copies]
-    if out != tagged:
-        raise LiftError("limit elements disagree with provenance (internal error)")
-    return tuple(out)
+    selectors = [S.functions[copy_function(rel, j)] for j in range(N.config.k)]
+    members = sorted(e for (e,) in S.relations[fiber_predicate(rel)])
+    out = tuple(e for e in members if all(f[e] != e for f in selectors))
+    if out != N.sorts.get(fiber_sort(rel, LIMIT), ()):
+        raise LiftError("limit elements disagree with the sort table (internal error)")
+    return out
 
 
 def direct_induced(N: LiftedStructure, pi: Permutation) -> Permutation:

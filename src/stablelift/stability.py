@@ -209,11 +209,11 @@ def orbit_decomposition_check(
         per_sort.append({"sort": label, "left": left_by_sort.get(label, 0), "right": right})
 
     add_row(ANCHOR_NAME, 1)
-    add_row(BASE_NAME, len(orbits(GM, M.domain)) if M.size else 0)
+    add_row(BASE_NAME, len(orbits(GM, M.domain)))
     for rel, fibers in N.fibers.items():
         held = [t for t in fibers if t in M.relation_sets[rel]]
-        o_fib = len(orbits_on_tuples(GM, fibers)) if fibers else 0
-        o_rel = len(orbits_on_tuples(GM, held)) if held else 0
+        o_fib = len(orbits_on_tuples(GM, fibers))
+        o_rel = len(orbits_on_tuples(GM, held))
         for i in [*range(N.config.k), LIMIT]:
             add_row(fiber_sort(rel, i), o_rel if i == LIMIT else o_fib)
     left_total = len(left_blocks)

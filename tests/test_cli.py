@@ -259,6 +259,14 @@ def test_corpus_random_seeded(capsys, tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
+@pytest.mark.parametrize("request_args", [("--exhaustive", "4"), ()])
+def test_rejected_corpus_request_creates_no_directory(capsys, tmp_path, request_args):
+    out_dir = tmp_path / "a" / "b"
+    code, out, err = run(capsys, "corpus", "--out", str(out_dir), *request_args)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not (tmp_path / "a").exists()
+
+
 def test_corpus_unwritable_file_exit_2(capsys, tmp_path):
     # a directory where a corpus file should go
     blocked = tmp_path / "digraph_n1_m0.json"
@@ -351,6 +359,25 @@ def test_report_bad_ks_exit_2(capsys, pair_file):
     assert code == 2 and "--ks" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("scheme-check", "--padding", "explicit:2,26"),
+            "a sort of width 26 over 2 elements needs 67108864 host tuples, "
+            f"above the guard {cli.HOST_TUPLE_GUARD}",
+        ),
+        (("lift", "--k", "100000"), f"copy bound 100000 exceeds the guard {cli.COPY_BOUND_GUARD}"),
+        (("report", "--ks", "1,100000"), f"copy bound 100000 exceeds the guard {cli.COPY_BOUND_GUARD}"),
+    ],
+)
+def test_work_guards_exit_2_before_building(capsys, edge_file, argv, message):
+    # each would exhaust memory or run for minutes if the lift were built
+    code, out, err = run(capsys, *argv, "--in", edge_file)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_structure_non_integer_arity_exit_2(capsys, tmp_path):
     doc = {"signature": {"relations": [{"name": "edge", "arity": "two"}]}, "domain": 2}
     code, _, err = run(capsys, "aut", "--in", _write_doc(tmp_path, doc))
@@ -427,22 +454,31 @@ ACCEPTS = {
 
 def _flag_values(files, out_dir):
     """Values for each flag, valid and invalid; --k, --ks and --depth stay
-    small to bound the work."""
+    small to bound the work, apart from copy bounds and a padding width past
+    the CLI's work guards, which must be rejected before any lift is built."""
     small = st.integers(-1, 3).map(str)
     return {
         "--in": st.sampled_from(files),
         "--max-size": st.integers(-1, 7).map(str),
         "--format": st.sampled_from(("json", "summary", "json", "summary", "xml")),
-        "--k": small | st.just("x"),
+        "--k": small | st.sampled_from(("x", "100000")),
         "--include-repetitions": st.none(),
         "--padding": st.sampled_from(
-            ("auto", "explicit:", "explicit:2", "explicit:3,3", "explicit:a", "bogus")
+            (
+                "auto",
+                "explicit:",
+                "explicit:2",
+                "explicit:3,3",
+                "explicit:a",
+                "explicit:2,40",
+                "bogus",
+            )
         ),
         "--mutate": st.sampled_from(("negate-relformula", "break-ep", "break-fp", "other")),
         "--relation": st.sampled_from(("edge", "nosuch")),
         "--A": st.sampled_from(ELEMENT_LISTS),
         "--depth": st.integers(-1, 2).map(str) | st.just("x"),
-        "--ks": st.lists(small, max_size=3).map(",".join) | st.sampled_from(("x", "1,,2")),
+        "--ks": st.lists(small, max_size=3).map(",".join) | st.sampled_from(("x", "1,,2", "1,100000")),
         "--out": st.just(out_dir),
         "--exhaustive": st.integers(-1, 4).map(str),
         "--random": st.integers(-1, 3).map(str),

@@ -23,6 +23,9 @@ from stablelift.cli import main
 from stablelift.corpus import standard_corpus
 from stablelift.structures import structure_to_json
 
+# every test here also runs under two hash seeds
+pytestmark = pytest.mark.hashseed
+
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
 
 SUBCOMMANDS = {

@@ -310,23 +310,23 @@ def test_compiled_formula_raises_at_the_atom_eval_formula_reaches(m_edge):
 
 def test_anchor_type_contains_constant_equation(m_edge):
     N = build_lift(m_edge, LiftConfig(k=1))
-    t = atomic_type(N.structure, N.anchor_id)
+    t = atomic_type(N.structure, N.structure.constants["anchor"])
     assert Equal(Var(0), Const("anchor")) in t
     base_t = atomic_type(N.structure, N.base_id(0))
     assert Equal(Var(0), Const("anchor")) not in base_t
 
 
 def test_limit_type_has_no_copy_fixpoint(m_edge):
-    from stablelift.lifting import LIMIT, FiberElem
+    from stablelift.lifting import LIMIT
 
     N = build_lift(m_edge, LiftConfig(k=1))
     fixpoint = Equal(Var(0), Apply("copy_edge_0", Var(0)))
-    limit = N.element_of(FiberElem("edge", LIMIT, (0, 1)))
+    limit = N.fibers["edge"][(0, 1)][LIMIT]
     t = atomic_type(N.structure, limit)
     assert Rel("fiber_edge", (Var(0),)) in t
     assert Rel("samefiber_edge", (Var(0), Var(0))) in t
     assert fixpoint not in t
-    copy0 = N.element_of(FiberElem("edge", 0, (0, 1)))
+    copy0 = N.fibers["edge"][(0, 1)][0]
     assert fixpoint in atomic_type(N.structure, copy0)
 
 
@@ -361,6 +361,7 @@ def test_sort_partition_matches_per_element_atomic_types(type_structures):
         assert [t.formulas for t, _ in got] == [t.formulas for t, _ in expected]
 
 
+@pytest.mark.hashseed
 def test_atomic_type_key_is_formatted_once(type_structures):
     for M in type_structures:
         for t in sort_partition(M):

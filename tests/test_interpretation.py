@@ -211,6 +211,7 @@ def _padded_path_repro(width, leading):
     return M, r, E
 
 
+@pytest.mark.hashseed
 def test_factored_quotient_matches_brute_force():
     rng = random.Random(20260418)
     kinds = Counter()
@@ -354,6 +355,7 @@ def test_a_mutant_checks_only_the_translation_it_replaces(m_edge, monkeypatch):
     assert mutant.rels[1:] == scheme.rels[1:]
 
 
+@pytest.mark.hashseed
 def test_validation_compiles_each_distinct_formula_once(corpus, monkeypatch):
     compiled = Counter()
     original = interpretation._compile_formula
@@ -799,6 +801,7 @@ def _relabelled(M2, bijections, rng):
     return target, SortBijections(maps=maps)
 
 
+@pytest.mark.hashseed
 def test_block_scan_matches_the_product_scan(corpus):
     # whole reports, witnesses and raised FormulaErrors included, on the
     # companion or, every other time, a relabelled copy of it; the product
@@ -832,6 +835,7 @@ def test_block_scan_matches_the_product_scan(corpus):
     assert outcomes["raised"] and outcomes["tuple"] and outcomes["untranslatable"], outcomes
 
 
+@pytest.mark.hashseed
 def test_block_scan_takes_the_least_failure_over_interleaved_sorts():
     # the even elements form one sort and the odd ones another; R's
     # translation fails at (0, 4) in the block of two even sorts, which is

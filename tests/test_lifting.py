@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -43,7 +44,7 @@ def test_canonical_padding_one_binary_relation_k2():
     assert p.width(sig, "R", 0) == 2
     assert p.width(sig, "R", 1) == 3
     assert p.width(sig, "R", LIMIT) == 4
-    assert [p.pad("R", i) for i in (0, 1, LIMIT)] == [0, 1, 2]
+    assert [p.pads[("R", i)] for i in (0, 1, LIMIT)] == [0, 1, 2]
 
 
 def test_canonical_padding_unary_skips_width_one():
@@ -125,21 +126,22 @@ def test_fiber_sizes(corpus):
     for _, M in corpus[:20]:
         for k in (1, 2):
             N = build_lift(M, LiftConfig(k=k))
-            for coords in N.eligible_tuples("edge"):
+            for coords in N.fibers["edge"]:
                 expected = k + 1 if coords in M.relation_sets["edge"] else k
-                assert len(N.fiber_copies("edge", coords)) == expected
+                assert len(N.fibers["edge"][coords]) == expected
 
 
 def test_function_semantics(m_edge):
     N = build_lift(m_edge, LiftConfig(k=1))
     S = N.structure
-    copy0 = N.element_of(FiberElem("edge", 0, (0, 1)))
-    limit = N.element_of(FiberElem("edge", LIMIT, (0, 1)))
+    copy0 = N.fibers["edge"][(0, 1)][0]
+    limit = N.fibers["edge"][(0, 1)][LIMIT]
+    anchor = S.constants["anchor"]
     # projections recover coordinates (as base ids); anchor elsewhere
     assert S.functions["proj_edge_0"][copy0] == N.base_id(0)
     assert S.functions["proj_edge_1"][copy0] == N.base_id(1)
-    assert S.functions["proj_edge_0"][N.anchor_id] == N.anchor_id
-    assert S.functions["proj_edge_0"][N.base_id(0)] == N.anchor_id
+    assert S.functions["proj_edge_0"][anchor] == anchor
+    assert S.functions["proj_edge_0"][N.base_id(0)] == anchor
     # copy selectors move within the fiber; the limit element is no fixpoint
     assert S.functions["copy_edge_0"][limit] == copy0
     assert S.functions["copy_edge_0"][copy0] == copy0
@@ -166,6 +168,14 @@ def test_limit_elements_encode_relation_membership(corpus):
         N = build_lift(M, LiftConfig(k=1))
         limit_coords = {N.provenance[e].coords for e in limit_elements(N, "edge")}
         assert limit_coords == set(M.relation_sets["edge"])
+
+
+def test_limit_elements_reject_a_fiber_index_missing_a_limit_copy(m_edge):
+    N = build_lift(m_edge, LiftConfig(k=2))
+    copies = {i: e for i, e in N.fibers["edge"][(0, 1)].items() if i != LIMIT}
+    fibers = {"edge": {**N.fibers["edge"], (0, 1): copies}}
+    with pytest.raises(LiftError, match="limit elements disagree"):
+        limit_elements(dataclasses.replace(N, fibers=fibers), "edge")
 
 
 # -- automorphism transfer ---------------------------------------------------------------
@@ -326,7 +336,7 @@ def test_unary_relation_lift_shape():
     N = build_lift(M, LiftConfig(k=1))
     # anchor + 2 base + fibers over (0) [marked: 2 copies] and (1) [1 copy]
     assert N.structure.size == 6
-    assert limit_elements(N, "mark") == (N.element_of(FiberElem("mark", LIMIT, (0,))),)
+    assert limit_elements(N, "mark") == (N.fibers["mark"][(0,)][LIMIT],)
     scheme, bij = generate_scheme(M, N)
     report = validate_scheme(M, relational_companion(N.structure), scheme, bij)
     assert report.passed, report.failures()
@@ -351,6 +361,7 @@ def _sorts_from_provenance(N):
     return {label: tuple(b) for label, b in blocks.items()}
 
 
+@pytest.mark.hashseed
 def test_sort_table_matches_provenance_and_companion(corpus):
     lifts = [build_lift(M, LiftConfig(k=k)) for _, M in corpus for k in (1, 2, 3)]
     lifts += [
@@ -370,6 +381,36 @@ def test_sort_table_matches_provenance_and_companion(corpus):
     assert fiber_sort("edge", 0) == "fiber_edge[0]"
     assert fiber_sort("edge", LIMIT) == "fiber_edge[limit]"
     assert build_lift(digraph(0, []), LiftConfig(k=1)).sorts == {"anchor": (0,)}
+
+
+def test_fiber_index_matches_provenance_and_limit_sorts(corpus):
+    # N.fibers is the lift's one fiber index: flattened, it is exactly the
+    # fiber provenance, and its limit copies are the limit block of N.sorts
+    lifts = [build_lift(M, LiftConfig(k=k)) for _, M in corpus for k in (1, 2, 3)]
+    lifts += [
+        build_lift(M, LiftConfig(k=k, include_repetition_tuples=True))
+        for _, M in corpus[::12]
+        for k in (1, 2)
+    ]
+    mixed = [_mixed_structure(), _ternary_structure(), _two_binary_structure()]
+    lifts += [build_lift(M, LiftConfig(k=2)) for M in mixed]
+    lifts += [build_lift(digraph(0, []), LiftConfig(k=k)) for k in (1, 2)]
+    for N in lifts:
+        from_provenance = {
+            (p.rel, p.copy, p.coords): e
+            for e, p in enumerate(N.provenance)
+            if isinstance(p, FiberElem)
+        }
+        from_fibers = {
+            (rel, i, coords): e
+            for rel, table in N.fibers.items()
+            for coords, copies in table.items()
+            for i, e in copies.items()
+        }
+        assert from_fibers == from_provenance
+        for rel, _ in N.source.sig.relations:
+            expected = N.sorts.get(fiber_sort(rel, LIMIT), ())
+            assert limit_elements(N, rel) == expected
 
 
 def test_explicit_padding_scheme_still_validates(m_edge):
@@ -400,6 +441,7 @@ def test_scheme_rejects_foreign_source(m_edge, m_pair):
         generate_scheme(m_pair, N)
 
 
+@pytest.mark.hashseed
 def test_equal_translations_are_one_object(corpus):
     for _, M in corpus:
         for k in (1, 2, 3):
@@ -444,6 +486,7 @@ _PINNED_SCHEMES = {
 }
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("name,k,repetitions", sorted(_PINNED_SCHEMES))
 def test_generated_scheme_is_pinned(name, k, repetitions):
     M = _PINNED_STRUCTURES[name]
@@ -458,9 +501,9 @@ def test_generated_scheme_is_pinned(name, k, repetitions):
 
 def test_continuity_witness_examples(m_pair):
     N = build_lift(m_pair, LiftConfig(k=1))
-    assert continuity_witness(N, [N.anchor_id]) == frozenset()
+    assert continuity_witness(N, [N.structure.constants["anchor"]]) == frozenset()
     assert continuity_witness(N, [N.base_id(1)]) == frozenset({1})
-    copy0 = N.element_of(FiberElem("edge", 0, (0, 1)))
+    copy0 = N.fibers["edge"][(0, 1)][0]
     assert continuity_witness(N, [copy0]) == frozenset({0, 1})
 
 
@@ -497,9 +540,8 @@ def test_truncation_embedding_preserves_atomic_facts(corpus):
         k = 1
         N1 = build_lift(M, LiftConfig(k=k))
         N2 = build_lift(M, LiftConfig(k=k + 1))
-        embed = {
-            e: N2.element_of(p) for e, p in enumerate(N1.provenance)
-        }
+        element = {p: e for e, p in enumerate(N2.provenance)}
+        embed = {e: element[p] for e, p in enumerate(N1.provenance)}
         S1, S2 = N1.structure, N2.structure
         for name, _ in S1.sig.relations:
             for t in S1.relations[name]:

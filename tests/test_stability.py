@@ -199,10 +199,12 @@ def test_growth_law_examples(m_pair, m_edge):
 
 
 def test_growth_slope_zero_without_fibers():
-    M = digraph(1, [])  # no eligible pairs, so no fibers at all
-    r = stability_report(M, [1, 2, 3], [()])
-    assert [e["total"] for e in r.entries] == [2, 2, 2]
-    assert r.all_pass
+    # no eligible pairs, so no fibers at all; the empty source has no base
+    # orbit either, only the anchor
+    for M, totals in ((digraph(1, []), [2, 2, 2]), (digraph(0, []), [1, 1, 1])):
+        r = stability_report(M, [1, 2, 3], [()])
+        assert [e["total"] for e in r.entries] == totals
+        assert r.all_pass
 
 
 def test_growth_law_with_parameters(m_triple):
