@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -59,8 +60,16 @@ DEFAULT_SIZE_GUARD = 6
 # like k**2; this bounds k wherever a lift is built.
 COPY_BOUND_GUARD = 32
 # A quotient expands each padded sort of width w to |M|**w host tuples; this
-# bounds that count for the widest sort scheme-check would present.
+# bounds that count for the widest sort scheme-check would present, and the
+# T**2 pairs of tuples on which a fiber sort over T tuples checks its
+# equivalence.
 HOST_TUPLE_GUARD = 2_000_000
+# The lift has 1 + |M| + sum over relations R of (k * T_R + |R|) elements,
+# T_R the tuples its fibers range over; this bounds that count wherever a
+# lift is built.
+LIFT_ELEMENT_GUARD = 10_000
+# corpus builds every random structure before it writes the first one.
+RANDOM_CORPUS_GUARD = 10_000
 
 
 class InputError(Exception):
@@ -124,8 +133,37 @@ def _check_copy_bound(k: int) -> None:
         )
 
 
+def _fiber_tuples(M: Structure, include_repetitions: bool) -> dict[str, int]:
+    """T_R per relation R: how many tuples the lift's fibers of R range
+    over, all of M^arity or only the repetition-free ones, as build_lift
+    chooses them."""
+    if M.repetition_free and not include_repetitions:
+        return {name: math.perm(M.size, arity) for name, arity in M.sig.relations}
+    return {name: M.size**arity for name, arity in M.sig.relations}
+
+
+def _count(n: int) -> str:
+    """n in decimal, or a power of two below it where n has more digits
+    than str() writes."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2**{n.bit_length() - 1}"
+
+
+def _check_lift_size(M: Structure, k: int, include_repetitions: bool) -> None:
+    fibers = _fiber_tuples(M, include_repetitions)
+    size = 1 + M.size + sum(k * t + len(M.relations[name]) for name, t in fibers.items())
+    if size > LIFT_ELEMENT_GUARD:
+        raise InputError(
+            f"the lift at copy bound {k} would have {_count(size)} elements, "
+            f"above the guard {LIFT_ELEMENT_GUARD}"
+        )
+
+
 def _lift_config(args, M: Structure) -> LiftConfig:
     _check_copy_bound(args.k)
+    _check_lift_size(M, args.k, args.include_repetitions)
     padding = _parse_padding(args.padding, M, args.k)
     return LiftConfig(
         k=args.k,
@@ -218,6 +256,12 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
             f"a sort of width {width} over {M.size} elements needs {host_tuples} "
             f"host tuples, above the guard {HOST_TUPLE_GUARD}"
         )
+    for rel, tuples in _fiber_tuples(M, config.include_repetition_tuples).items():
+        if tuples**2 > HOST_TUPLE_GUARD:
+            raise InputError(
+                f"the fiber sorts of {rel!r} check their equivalence on {_count(tuples**2)} "
+                f"pairs of tuples, above the guard {HOST_TUPLE_GUARD}"
+            )
     N = build_lift(M, config)
     scheme, bijections = generate_scheme(M, N)
     if args.mutate == "negate-relformula":
@@ -301,6 +345,7 @@ def _cmd_report(args) -> tuple[dict, list[str]]:
         raise InputError(f"bad --ks list {args.ks!r}: {e}") from e
     for k in ks:
         _check_copy_bound(k)
+        _check_lift_size(M, k, include_repetitions=False)
     As = [_parse_elements(a) for a in (args.parameters or [""])]
     census = stability_report(M, ks, As, structure_id=args.infile)
     report = census.to_json_dict()
@@ -314,6 +359,10 @@ def _cmd_report(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_corpus(args) -> tuple[dict, list[str]]:
+    if args.random > RANDOM_CORPUS_GUARD:
+        raise InputError(
+            f"random corpus count {args.random} exceeds the guard {RANDOM_CORPUS_GUARD}"
+        )
     structures: list[tuple[str, Structure]] = []
     if args.exhaustive is not None:
         if args.exhaustive > 3:

@@ -362,10 +362,11 @@ def _sort_pass(
     scheme: InterpretationScheme,
     bijections: SortBijections,
     realized: dict[AtomicType, tuple[int, ...]],
-) -> tuple[dict[AtomicType, _Quotient | None], list[CheckResult], list[CheckResult]]:
+) -> tuple[dict[AtomicType, _Quotient | None], list[CheckResult]]:
     """Each scheme sort's quotient over M1 (None where its equivalence
-    fails), with the sort-quotient and sort-bijection checks, in scheme
-    order; a sort whose quotient failed gets no bijection check."""
+    fails), with the sort-quotient checks and then the sort-bijection
+    checks, each in scheme order; a sort whose quotient failed gets no
+    bijection check."""
     quotients: dict[AtomicType, _Quotient | None] = {}
     sort_checks, bijection_checks = [], []
     for idx, s in enumerate(scheme.sorts):
@@ -383,7 +384,7 @@ def _sort_pass(
             q, bijections.maps.get(s.key, {}), realized.get(s.key, ())
         )
         bijection_checks.append(CheckResult(f"sort-bijection[{idx}]", problem is None, problem))
-    return quotients, sort_checks, bijection_checks
+    return quotients, sort_checks + bijection_checks
 
 
 def validate_scheme(
@@ -392,76 +393,61 @@ def validate_scheme(
     scheme: InterpretationScheme,
     bijections: SortBijections,
     *,
-    include: tuple[str, ...] = ("sorts", "bijections", "cover", "agreement"),
-    relations: set[str] | None = None,
     representative_independence: bool = False,
 ) -> ValidationReport:
-    """Check every scheme condition, reporting pass/fail with witnesses.
+    """Check every scheme condition, reporting pass/fail with witnesses: the
+    sort cover, each sort's quotient, each sort's bijection, the translation
+    cover, then agreement of each target relation with its translations.
 
-    ``include`` selects condition families (used to focus mutation tests);
-    ``relations`` restricts the agreement scan to the named target relations.
-    ``representative_independence`` additionally re-checks relation agreement
-    over every class member rather than just the stored representative
-    (quadratic in class sizes; meant for small hosts).
+    Agreement evaluates the translations at the stored representatives.
+    ``representative_independence`` evaluates them at every member of each
+    element's class instead, which also checks that the translations respect
+    the equivalences.  It is not the default because it is quadratic in
+    class sizes, and a padded class has |M1|**pad members.
     """
     _require_relational(M1, "host structure")
     _require_relational(M2, "target structure")
-    report = ValidationReport()
     realized = sort_partition(M2)
-    if "cover" in include:
-        report.checks.append(_sort_cover(realized, scheme))
-
-    # one quotient per sort, and none when no requested check reads them
-    quotients: dict[AtomicType, _Quotient | None] = {}
-    if "sorts" in include or "bijections" in include or representative_independence:
-        quotients, sort_checks, bijection_checks = _sort_pass(M1, scheme, bijections, realized)
-        if "sorts" in include:
-            report.checks += sort_checks
-        if "bijections" in include:
-            report.checks += bijection_checks
+    quotients, sort_checks = _sort_pass(M1, scheme, bijections, realized)
+    report = ValidationReport([_sort_cover(realized, scheme), *sort_checks])
 
     element_sort: dict[int, AtomicType] = {}
     for key, block in realized.items():
         for b in block:
             element_sort[b] = key
 
-    if "cover" in include:
-        missing_pairs = []
-        for name, arity in M2.sig.relations:
-            for keys in itertools.product(sorted(realized), repeat=arity):
-                if scheme.translation(name, keys) is None:
-                    missing_pairs.append(name)
-        witness = f"no translation formula for {missing_pairs[0]!r}" if missing_pairs else None
-        report.checks.append(CheckResult("translation-cover", not missing_pairs, witness))
+    missing_pairs = []
+    for name, arity in M2.sig.relations:
+        for keys in itertools.product(sorted(realized), repeat=arity):
+            if scheme.translation(name, keys) is None:
+                missing_pairs.append(name)
+    witness = f"no translation formula for {missing_pairs[0]!r}" if missing_pairs else None
+    report.checks.append(CheckResult("translation-cover", not missing_pairs, witness))
 
-    if "agreement" in include:
-        rep_of: dict[int, tuple[int, ...]] = {}
-        for fmap in bijections.maps.values():
-            rep_of.update(fmap)
-        # the host tuples each element stands for: its representative, or
-        # its whole class; an element without a valid class has none
-        options: dict[int, tuple[tuple[int, ...], ...]] = {}
-        widths = {s.key: s.width for s in scheme.sorts}
-        for b, rep in rep_of.items():
-            key = element_sort.get(b)
-            q = quotients.get(key)
-            if not representative_independence:
-                # one of the wrong width would shift every variable block after it
-                if len(rep) == widths.get(key):
-                    options[b] = (rep,)
-            elif q is not None and rep in q.class_of:
-                options[b] = q.classes[q.class_of[rep]]
-        label = "representative-independence" if representative_independence else "relation-agreement"
-        # id(formula) -> its compiled form, shared by every relation's scan
-        compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]] = {}
-        for name, arity in M2.sig.relations:
-            if relations is not None and name not in relations:
-                continue
-            witness = _agreement_witness(
-                M1, M2, scheme, name, arity, realized, element_sort, options, compiled
-            )
-            report.checks.append(CheckResult(f"{label}[{name}]", witness is None, witness))
-
+    rep_of: dict[int, tuple[int, ...]] = {}
+    for fmap in bijections.maps.values():
+        rep_of.update(fmap)
+    # the host tuples each element stands for: its representative, or
+    # its whole class; an element without a valid class has none
+    options: dict[int, tuple[tuple[int, ...], ...]] = {}
+    widths = {s.key: s.width for s in scheme.sorts}
+    for b, rep in rep_of.items():
+        key = element_sort.get(b)
+        q = quotients.get(key)
+        if not representative_independence:
+            # one of the wrong width would shift every variable block after it
+            if len(rep) == widths.get(key):
+                options[b] = (rep,)
+        elif q is not None and rep in q.class_of:
+            options[b] = q.classes[q.class_of[rep]]
+    label = "representative-independence" if representative_independence else "relation-agreement"
+    # id(formula) -> its compiled form, shared by every relation's scan
+    compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]] = {}
+    for name, arity in M2.sig.relations:
+        witness = _agreement_witness(
+            M1, M2, scheme, name, arity, realized, element_sort, options, compiled
+        )
+        report.checks.append(CheckResult(f"{label}[{name}]", witness is None, witness))
     return report
 
 
@@ -567,8 +553,8 @@ def induced_automorphism(
     if not is_automorphism(M1, pi):
         raise SchemeError("the supplied permutation is not an automorphism of the host")
     realized = sort_partition(M2)
-    quotients, sort_checks, bijection_checks = _sort_pass(M1, scheme, bijections, realized)
-    for check in [_sort_cover(realized, scheme), *sort_checks, *bijection_checks]:
+    quotients, sort_checks = _sort_pass(M1, scheme, bijections, realized)
+    for check in [_sort_cover(realized, scheme), *sort_checks]:
         if not check.passed:
             raise SchemeError(check.witness)
     images = [-1] * M2.size
@@ -599,7 +585,6 @@ def check_classical_interpretation(
     D: Formula,
     E: Formula,
     alpha: dict[int, tuple[int, ...]],
-    extra_relations: dict[str, set[tuple[int, ...]]] | None = None,
 ) -> ValidationReport:
     """Check the single-sorted interpretation data (definable set D with
     equivalence E, bijection alpha from N's domain onto D/E).
@@ -607,8 +592,7 @@ def check_classical_interpretation(
     Because every automorphism-invariant relation on a single finite
     structure is definable without parameters, definability of the pulled
     back relations is checked as closure under the automorphism group acting
-    coordinatewise.  ``extra_relations`` lets callers plant additional
-    relation interpretations over N to test.
+    coordinatewise, for every relation of N in name order.
     """
     report = ValidationReport()
     report.checks.append(
@@ -629,11 +613,7 @@ def check_classical_interpretation(
     cls_to_elem = {q.class_of[alpha[b]]: b for b in alpha}
     G = automorphism_group(M)
 
-    todo: dict[str, frozenset] = {name: N.relation_sets[name] for name, _ in N.sig.relations}
-    for name, tuples in (extra_relations or {}).items():
-        todo[name] = frozenset(tuples)
-
-    for name, tuples in sorted(todo.items()):
+    for name, tuples in sorted(N.relation_sets.items()):
         arity = len(next(iter(tuples))) if tuples else 0
         witness = None
         if tuples:

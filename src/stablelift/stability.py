@@ -247,7 +247,6 @@ def stability_report(
     ks,
     As,
     structure_id: str = "",
-    include_repetition_tuples: bool = False,
 ) -> CensusReport:
     """Tabulate orbit and type counts for lifts of M across copy bounds and
     parameter sets, checking the exact growth law
@@ -256,9 +255,10 @@ def stability_report(
 
     where the o's are stabilizer orbit counts on the source domain, on
     eligible fiber tuples, and on relation tuples.  Parameter sets are given
-    in source coordinates and land inside the base copy of each lift.  An
-    empty list of copy bounds or of parameter sets raises StabilityError:
-    such a census would pass with nothing checked."""
+    in source coordinates and land inside the base copy of each lift, built
+    with ``LiftConfig(k=k)``.  An empty list of copy bounds or of parameter
+    sets raises StabilityError: such a census would pass with nothing
+    checked."""
     ks = list(ks)
     As = [tuple(sorted(set(A_src))) for A_src in As]
     if not ks or not As:
@@ -273,9 +273,7 @@ def stability_report(
     report = CensusReport(structure_id=structure_id)
     group_M = automorphism_group(M)
     for k in ks:
-        N = build_lift(
-            M, LiftConfig(k=k, include_repetition_tuples=include_repetition_tuples)
-        )
+        N = build_lift(M, LiftConfig(k=k))
         group_N = automorphism_group(N.structure)
         for A_src in As:
             A = tuple(N.base_id(a) for a in A_src)

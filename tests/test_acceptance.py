@@ -56,6 +56,7 @@ from stablelift.lifting import (
 from stablelift.stability import orbit_decomposition_check, stability_report
 from stablelift.structures import (
     Signature,
+    Structure,
     relational_companion,
     structure_from_json,
     structure_to_json,
@@ -174,35 +175,31 @@ def test_criterion_3_scheme_suite():
                     M, companion, scheme, bijections, g
                 ) == direct_induced(N, g), (name, k)
 
+    # each mutant is validated in full and fails exactly the check its
+    # defect breaks: a negated translation only its relation's agreement,
+    # a weakened equivalence only its sort's bijection (classes split into
+    # singletons, so the map is no longer onto), and a redirected bijection
+    # its sort's bijection first
     negated = broken_eq = broken_map = 0
     for idx, (name, M) in enumerate(CORPUS):
         scheme, bijections, companion = scheme_of(idx, 1)
         for i, sr in enumerate(scheme.rels):
             mutant = negate_translation(scheme, i)
-            report = validate_scheme(
-                M, companion, mutant, bijections,
-                include=("agreement",), relations={sr.rel},
-            )
-            assert not report.passed, (name, sr.rel)
-            assert report.failures()[0].witness, (name, sr.rel)
+            failures = validate_scheme(M, companion, mutant, bijections).failures()
+            assert [c.condition for c in failures] == [f"relation-agreement[{sr.rel}]"], (name, i)
+            assert failures[0].witness, (name, sr.rel)
             negated += 1
         for i, s in enumerate(scheme.sorts):
             classes = definable_quotient(M, s.domain_formula, s.equiv_formula)
             if any(len(c) > 1 for c in classes):
                 mutant = weaken_equivalence(scheme, i)
-                report = validate_scheme(
-                    M, companion, mutant, bijections,
-                    include=("sorts", "bijections"),
-                )
-                assert not report.passed, (name, i)
+                failures = validate_scheme(M, companion, mutant, bijections).failures()
+                assert [c.condition for c in failures] == [f"sort-bijection[{i}]"], (name, i)
                 broken_eq += 1
             if len(bijections[s.key]) >= 2:
                 mutant_b = redirect_bijection(bijections, s.key)
-                report = validate_scheme(
-                    M, companion, scheme, mutant_b,
-                    include=("bijections",),
-                )
-                assert not report.passed, (name, i)
+                failures = validate_scheme(M, companion, scheme, mutant_b).failures()
+                assert failures and failures[0].condition == f"sort-bijection[{i}]", (name, i)
                 broken_map += 1
     assert negated and broken_eq and broken_map
     _passline(
@@ -381,9 +378,10 @@ def test_criterion_8_definability_proxy():
             moved = next(
                 x for g in GM.generators for x in M.domain if g(x) != x
             )
-            bad = check_classical_interpretation(
-                M, M, D, E, alpha, extra_relations={"planted": {(moved,)}}
-            )
+            # M with one more unary relation, which an automorphism moves
+            planted_sig = Signature(relations=M.sig.relations + (("planted", 1),))
+            target = Structure(planted_sig, M.size, {**M.relations, "planted": [(moved,)]})
+            bad = check_classical_interpretation(M, target, D, E, alpha)
             failing = [
                 c for c in bad.failures() if c.condition == "invariance[planted]"
             ]

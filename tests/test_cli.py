@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from stablelift import cli
 from stablelift.cli import build_parser, main
 from stablelift.corpus import digraph, exhaustive_digraphs
-from stablelift.structures import structure_to_json
+from stablelift.lifting import LiftConfig, build_lift
+from stablelift.structures import Signature, Structure, structure_to_json
 
 
 @pytest.fixture
@@ -259,7 +261,10 @@ def test_corpus_random_seeded(capsys, tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
-@pytest.mark.parametrize("request_args", [("--exhaustive", "4"), ()])
+@pytest.mark.parametrize(
+    "request_args",
+    [("--exhaustive", "4"), (), ("--random", str(cli.RANDOM_CORPUS_GUARD + 1))],
+)
 def test_rejected_corpus_request_creates_no_directory(capsys, tmp_path, request_args):
     out_dir = tmp_path / "a" / "b"
     code, out, err = run(capsys, "corpus", "--out", str(out_dir), *request_args)
@@ -378,6 +383,95 @@ def test_work_guards_exit_2_before_building(capsys, edge_file, argv, message):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.fixture
+def wide_file(tmp_path):
+    """Six points and one empty 5-ary relation whose tuples may repeat
+    entries, so each copy of the lift has 6**5 = 7776 fiber elements."""
+    doc = {
+        "signature": {"relations": [{"name": "W", "arity": 5}]},
+        "domain": 6,
+        "relations": {"W": []},
+        "repetition_free": False,
+    }
+    return _write_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("scheme-check",),
+            "the fiber sorts of 'W' check their equivalence on 60466176 pairs of tuples, "
+            f"above the guard {cli.HOST_TUPLE_GUARD}",
+        ),
+        (
+            ("lift", "--k", "32", "--include-repetitions"),
+            f"the lift at copy bound 32 would have 248839 elements, above the guard {cli.LIFT_ELEMENT_GUARD}",
+        ),
+        (
+            ("lift", "--k", "2"),
+            f"the lift at copy bound 2 would have 15559 elements, above the guard {cli.LIFT_ELEMENT_GUARD}",
+        ),
+        (
+            ("report", "--ks", "1,32"),
+            f"the lift at copy bound 32 would have 248839 elements, above the guard {cli.LIFT_ELEMENT_GUARD}",
+        ),
+    ],
+)
+def test_arity_guards_exit_2_before_building(capsys, wide_file, argv, message):
+    # unguarded, scheme-check runs for minutes and the k = 32 lift takes
+    # half a minute and 1.5 GB
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv, "--in", wide_file)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize("command", ["lift", "report", "scheme-check"])
+def test_guard_names_a_count_too_long_to_print(capsys, tmp_path, command):
+    # 2**20000 has more digits than str() writes
+    doc = {
+        "signature": {"relations": [{"name": "W", "arity": 20000}]},
+        "domain": 2,
+        "relations": {"W": []},
+        "repetition_free": False,
+    }
+    code, out, err = run(capsys, command, "--in", _write_doc(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error: the lift at copy bound ")
+    assert " would have at least 2**" in err
+
+
+def test_lift_element_guard_counts_the_lift_exactly(capsys, monkeypatch, tmp_path):
+    # a lift of exactly the guard's size is built, one element more is not
+    sig = Signature(relations=(("T", 3), ("E", 2)))
+    loose = Structure(
+        sig, 3, {"T": [(0, 0, 1), (2, 1, 0)], "E": [(1, 1)]}, repetition_free=False
+    )
+    for M in (digraph(3, [(0, 1), (1, 2)]), loose):
+        path = tmp_path / "structure.json"
+        path.write_text(structure_to_json(M), encoding="utf-8")
+        for k, flags in ((1, ()), (2, ()), (2, ("--include-repetitions",))):
+            config = LiftConfig(k=k, include_repetition_tuples=bool(flags))
+            size = build_lift(M, config).structure.size
+            for guard, expected in ((size, 0), (size - 1, 2)):
+                monkeypatch.setattr(cli, "LIFT_ELEMENT_GUARD", guard)
+                code, _, _ = run(capsys, "lift", "--in", str(path), "--k", str(k), *flags)
+                assert code == expected, (M, k, flags, guard)
+                if not flags:
+                    code, _, _ = run(capsys, "report", "--in", str(path), "--ks", str(k))
+                    assert code == expected, (M, k, guard)
+
+
+def test_complete_digraph_at_the_copy_bound_is_within_the_element_guard(capsys, tmp_path):
+    path = tmp_path / "complete.json"
+    edges = [(a, b) for a in range(6) for b in range(6) if a != b]
+    path.write_text(structure_to_json(digraph(6, edges)), encoding="utf-8")
+    code, out, _ = run(capsys, "lift", "--in", str(path), "--k", str(cli.COPY_BOUND_GUARD))
+    assert code == 0 and json.loads(out)["domain"] == 997
+
+
 def test_structure_non_integer_arity_exit_2(capsys, tmp_path):
     doc = {"signature": {"relations": [{"name": "edge", "arity": "two"}]}, "domain": 2}
     code, _, err = run(capsys, "aut", "--in", _write_doc(tmp_path, doc))
@@ -454,8 +548,9 @@ ACCEPTS = {
 
 def _flag_values(files, out_dir):
     """Values for each flag, valid and invalid; --k, --ks and --depth stay
-    small to bound the work, apart from copy bounds and a padding width past
-    the CLI's work guards, which must be rejected before any lift is built."""
+    small to bound the work, apart from copy bounds, a padding width and a
+    random corpus count past the CLI's work guards, which must be rejected
+    before any lift or corpus is built."""
     small = st.integers(-1, 3).map(str)
     return {
         "--in": st.sampled_from(files),
@@ -481,7 +576,7 @@ def _flag_values(files, out_dir):
         "--ks": st.lists(small, max_size=3).map(",".join) | st.sampled_from(("x", "1,,2", "1,100000")),
         "--out": st.just(out_dir),
         "--exhaustive": st.integers(-1, 4).map(str),
-        "--random": st.integers(-1, 3).map(str),
+        "--random": st.integers(-1, 3).map(str) | st.just("100000000"),
         "--size": st.integers(-1, 7).map(str),
         "--seed": st.integers(0, 3).map(str),
     }

@@ -34,6 +34,7 @@ from stablelift.interpretation import (
     SchemeRel,
     SchemeSort,
     SortBijections,
+    ValidationReport,
     check_classical_interpretation,
     definable_quotient,
     induced_automorphism,
@@ -633,17 +634,7 @@ def test_induced_raises_the_first_failing_sort_check(corpus):
     assert raised
 
 
-# -- focused validation ----------------------------------------------------------------
-
-
-FAMILY = {
-    "sort-cover": "cover",
-    "translation-cover": "cover",
-    "sort-quotient": "sorts",
-    "sort-bijection": "bijections",
-    "relation-agreement": "agreement",
-    "representative-independence": "agreement",
-}
+# -- the per-block agreement scan against the product scan ------------------------------
 
 
 def _one_of_each_mutant(M, scheme, bij):
@@ -662,51 +653,23 @@ def _one_of_each_mutant(M, scheme, bij):
         yield scheme, redirect_bijection(bij, key)
 
 
-def test_focused_validation_matches_the_full_report(corpus):
-    # mutation tests validate one family and one relation at a time; that
-    # must be exactly the full report's checks of the family and relation
-    # (``relations`` restricts the agreement scan only)
-    # every digraph on at most two vertices and five on three
-    for _, M in corpus[:6] + corpus[6::16]:
-        for k in (1, 2):
-            _, companion, scheme, bij = _scheme_setup(M, k)
-            names = [name for name, _ in companion.sig.relations]
-            for mutant, mutant_bij in _one_of_each_mutant(M, scheme, bij):
-                for independence in (False, True):
-                    full = validate_scheme(
-                        M, companion, mutant, mutant_bij,
-                        representative_independence=independence,
-                    ).checks
-                    focus = [(f, names[0]) for f in ("sorts", "bijections", "cover")]
-                    for family, name in focus + [("agreement", n) for n in names]:
-                        focused = validate_scheme(
-                            M, companion, mutant, mutant_bij,
-                            include=(family,), relations={name},
-                            representative_independence=independence,
-                        ).checks
-                        assert focused == [
-                            c for c in full
-                            if FAMILY[c.condition.split("[")[0]] == family
-                            and (family != "agreement" or c.condition.endswith(f"[{name}]"))
-                        ]
-
-
-# -- the per-block agreement scan against the product scan ------------------------------
-
-
 def _product_scan_report(M1, M2, scheme, bijections, representative_independence=False):
     """validate_scheme as it was before the per-block agreement scan: every
     tuple of M2^arity in product order, each translation looked up and
-    walked with eval_formula per tuple.  The reference for the block scan."""
-    report = validate_scheme(
-        M1, M2, scheme, bijections,
-        include=("sorts", "bijections", "cover"),
-        representative_independence=representative_independence,
-    )
+    walked with eval_formula per tuple.  The reference for the block scan;
+    its other checks come from the sort helpers and its own cover loop, so
+    it runs no agreement scan of validate_scheme."""
     realized = interpretation.sort_partition(M2)
-    quotients = {}
-    if representative_independence:
-        quotients, _, _ = interpretation._sort_pass(M1, scheme, bijections, realized)
+    quotients, sort_checks = interpretation._sort_pass(M1, scheme, bijections, realized)
+    missing = [
+        name
+        for name, arity in M2.sig.relations
+        for keys in itertools.product(sorted(realized), repeat=arity)
+        if scheme.translation(name, keys) is None
+    ]
+    witness = f"no translation formula for {missing[0]!r}" if missing else None
+    cover = CheckResult("translation-cover", not missing, witness)
+    report = ValidationReport([interpretation._sort_cover(realized, scheme), *sort_checks, cover])
     element_sort = {b: key for key, block in realized.items() for b in block}
     rep_of = {}
     for fmap in bijections.maps.values():
@@ -892,9 +855,10 @@ def test_alpha_collapse_rejected(m_pair):
 
 def test_planted_non_invariant_relation_rejected(m_pair):
     D, E, alpha = _self_interpretation(m_pair)
-    report = check_classical_interpretation(
-        m_pair, m_pair, D, E, alpha, extra_relations={"planted": {(0,)}}
-    )
+    # m_pair with one more unary relation, which the swap moves
+    sig = Signature(relations=m_pair.sig.relations + (("planted", 1),))
+    planted = Structure(sig, m_pair.size, {**m_pair.relations, "planted": [(0,)]})
+    report = check_classical_interpretation(m_pair, planted, D, E, alpha)
     assert not report.passed
     failing = [c for c in report.failures() if c.condition == "invariance[planted]"]
     assert failing and "automorphism" in failing[0].witness

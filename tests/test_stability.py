@@ -214,10 +214,15 @@ def test_growth_law_with_parameters(m_triple):
 
 
 def test_growth_law_with_repetition_tuples(m_pair):
-    r = stability_report(m_pair, [1, 2], [()], include_repetition_tuples=True)
+    reports = [
+        orbit_decomposition_check(
+            m_pair, build_lift(m_pair, LiftConfig(k, include_repetition_tuples=True)), ()
+        )
+        for k in (1, 2)
+    ]
     # four fiber tuples split into two swap-orbits, so the slope is 2
-    assert [e["total"] for e in r.entries] == [4, 6]
-    assert r.all_pass
+    assert [r.left_total for r in reports] == [4, 6]
+    assert all(r.passed for r in reports)
 
 
 def test_census_needs_copy_bounds_and_parameter_sets(m_pair):
