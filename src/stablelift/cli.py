@@ -31,7 +31,6 @@ from .lifting import (
     LiftError,
     PaddingAssignment,
     build_lift,
-    canonical_padding,
     continuity_witness,
     direct_induced,
     generate_scheme,
@@ -59,15 +58,16 @@ DEFAULT_SIZE_GUARD = 6
 # The lift has k copy functions over its ~k * |M|^arity elements, so it grows
 # like k**2; this bounds k wherever a lift is built.
 COPY_BOUND_GUARD = 32
-# A quotient expands each padded sort of width w to |M|**w host tuples; this
-# bounds that count for the widest sort scheme-check would present, and the
-# T**2 pairs of tuples on which a fiber sort over T tuples checks its
-# equivalence.
+# A fiber sort over T tuples checks its equivalence on T**2 pairs of tuples;
+# this bounds that count in scheme-check, and nothing else.
 HOST_TUPLE_GUARD = 2_000_000
 # The lift has 1 + |M| + sum over relations R of (k * T_R + |R|) elements,
 # T_R the tuples its fibers range over; this bounds that count wherever a
 # lift is built.
 LIFT_ELEMENT_GUARD = 10_000
+# scheme-check writes one translation per companion relation and tuple of
+# sorts, S**arity of them over S sorts; this bounds their count.
+TRANSLATION_GUARD = 50_000
 # corpus builds every random structure before it writes the first one.
 RANDOM_CORPUS_GUARD = 10_000
 
@@ -161,6 +161,17 @@ def _check_lift_size(M: Structure, k: int, include_repetitions: bool) -> None:
         )
 
 
+def _translation_count(M: Structure, k: int, include_repetitions: bool) -> int:
+    """How many translations generate_scheme writes: the lift realizes S
+    sorts (the anchor, the base if M is not empty, per relation k copy sorts
+    if it has fiber tuples and a limit sort if it holds a tuple), and its
+    companion has 2 + #R unary relations and 1 + arity + k binary ones per
+    relation."""
+    fibers = _fiber_tuples(M, include_repetitions)
+    S = 1 + (M.size > 0) + sum(k * (t > 0) + (len(M.relations[r]) > 0) for r, t in fibers.items())
+    return (2 + len(fibers)) * S + sum((1 + arity + k) * S**2 for _, arity in M.sig.relations)
+
+
 def _lift_config(args, M: Structure) -> LiftConfig:
     _check_copy_bound(args.k)
     _check_lift_size(M, args.k, args.include_repetitions)
@@ -247,14 +258,11 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
 def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
     M = _load_structure(args.infile, args.max_size)
     config = _lift_config(args, M)
-    padding = config.padding or canonical_padding(M.sig, config.k)
-    # the anchor sort has width 2
-    width = max([2, *(padding.width(M.sig, rel, i) for rel, i in padding.pads)])
-    host_tuples = M.size**width
-    if host_tuples > HOST_TUPLE_GUARD:
+    translations = _translation_count(M, config.k, config.include_repetition_tuples)
+    if translations > TRANSLATION_GUARD:
         raise InputError(
-            f"a sort of width {width} over {M.size} elements needs {host_tuples} "
-            f"host tuples, above the guard {HOST_TUPLE_GUARD}"
+            f"the scheme at copy bound {config.k} would have {translations} translations, "
+            f"above the guard {TRANSLATION_GUARD}"
         )
     for rel, tuples in _fiber_tuples(M, config.include_repetition_tuples).items():
         if tuples**2 > HOST_TUPLE_GUARD:

@@ -391,14 +391,16 @@ def automorphism_group_brute(M: Structure) -> list[Permutation]:
 
 def _adjacency(M: Structure) -> list[list[list[int]]]:
     """Binary views of M for refinement, one table y -> [x, ...] per ordered
-    pair of positions of each relation and per direction of each function's
-    graph.  Unary facts and constants are already separated by the sorts of
-    the root partition.  A relation of arity three or more is seen only
+    pair of positions of each non-empty relation and per direction of each
+    function's graph.  Unary facts and constants are already separated by
+    the sorts of the root partition.  A relation of arity three or more is seen only
     through these pairs, so refinement can stay coarser than its tuples
     allow; the leaf check keeps the search exact."""
     n = M.size
     tables = []
     for name, arity in M.sig.relations:
+        if not M.relations[name]:
+            continue
         for p, q in itertools.permutations(range(arity), 2):
             table: list[list[int]] = [[] for _ in range(n)]
             for t in M.relations[name]:

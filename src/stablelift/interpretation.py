@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from dataclasses import dataclass, field
 
 # definable_set and eval_formula are no longer called here but stay
@@ -188,14 +188,15 @@ class ValidationReport:
 
 
 class _Quotient:
-    """r(M)/E with class lookup; verifies E is an equivalence on r(M).
+    """r(M)/E by class index; verifies E is an equivalence on r(M).
 
     Position q is padding when x_q is inert in r and x_q, x_(width+q) are
     inert in E: the truth of r and E never depends on it.  r and E are then
     evaluated on the other (core) positions only, with padding set to
-    M.domain[0], and each core class is expanded by M^pad into full tuples.
-    A witness is its core witness with M.domain[0] in the padding positions.
-    r and E are compiled once; a constant one decides every tuple at once.
+    M.domain[0], and each class is kept as its sorted core tuples; its full
+    members are any values in the padding positions.  A witness is its core
+    witness with M.domain[0] in the padding positions.  r and E are
+    compiled once; a constant one decides every tuple at once.
     """
 
     def __init__(self, M: Structure, r: Formula, E: Formula):
@@ -211,6 +212,7 @@ class _Quotient:
             cp = c + p
             return tuple(cp[i] for i in where)
 
+        self.M, self.width, self.core, self.pad, self.full = M, n, core, pad, full
         cores = itertools.product(M.domain, repeat=len(core))
         in_r = _compile_formula(M, r)
         if isinstance(in_r, bool):
@@ -248,7 +250,7 @@ class _Quotient:
         # group into tentative classes, then confirm rows match the grouping;
         # a mismatch yields an explicit transitivity witness
         class_of: dict[tuple, int] = {}
-        core_classes: list[set[tuple]] = []
+        self.cores: list[tuple[tuple, ...]] = []
         for s in dom:
             if s in class_of:
                 continue
@@ -261,8 +263,8 @@ class _Quotient:
                 members.add(u)
                 queue.extend(rows[u] - members)
             for u in members:
-                class_of[u] = len(core_classes)
-            core_classes.append(members)
+                class_of[u] = len(self.cores)
+            self.cores.append(tuple(sorted(members)))
         for s in dom:
             for t in dom:
                 if (class_of[s] == class_of[t]) != (t in rows[s]):
@@ -271,16 +273,22 @@ class _Quotient:
                         "not an equivalence relation: not transitive at "
                         f"({', '.join(str(full(c)) for c in triple)})"
                     )
-        pads = list(itertools.product(M.domain, repeat=len(pad)))
-        self.classes: list[tuple[tuple, ...]] = [
-            tuple(sorted(full(c, p) for c in members for p in pads))
-            for members in core_classes
-        ]
-        self.class_of: dict[tuple, int] = {
-            t: idx for idx, cls in enumerate(self.classes) for t in cls
-        }
-        self.domain = tuple(sorted(self.class_of))
-        self.representatives = tuple(c[0] for c in self.classes)
+        self._class_of = class_of
+
+    def index(self, t: tuple) -> int | None:
+        """The class of host tuple t, or None if t has the wrong width, a
+        padding entry outside the domain, or lies outside r(M)."""
+        if len(t) != self.width or any(t[q] not in self.M.domain for q in self.pad):
+            return None
+        return self._class_of.get(tuple(t[q] for q in self.core))
+
+    def members(self, idx: int, read: Container[int] | None = None) -> tuple[tuple, ...]:
+        """Class idx's full tuples in lexicographic order.  With ``read``,
+        each padding position outside it stays at M.domain[0]."""
+        pads = itertools.product(
+            *(self.M.domain if read is None or q in read else self.M.domain[:1] for q in self.pad)
+        )
+        return tuple(sorted(self.full(c, p) for p in pads for c in self.cores[idx]))
 
 
 def _transitivity_witness(rows: dict[tuple, set[tuple]], s: tuple, t: tuple) -> tuple:
@@ -311,7 +319,7 @@ def definable_quotient(
     Raises SchemeError with a witness if E is not an equivalence on r(M).
     """
     q = _Quotient(M, r, E)
-    return tuple(sorted(q.classes, key=lambda c: c[0]))
+    return tuple(q.members(idx) for idx in range(len(q.cores)))
 
 
 # -- scheme validation ---------------------------------------------------------
@@ -327,13 +335,13 @@ def _bijection_problem(
         return "map not total on the sort's elements"
     hit: set[int] = set()
     for _, rep in sorted(fmap.items()):
-        cls = q.class_of.get(rep)
+        cls = q.index(rep)
         if cls is None:
             return f"representative {rep} outside the definable set"
         if cls in hit:
             return f"not injective: class of {rep} hit twice"
         hit.add(cls)
-    if len(hit) != len(q.classes):
+    if len(hit) != len(q.cores):
         return "not onto: some class has no preimage"
     return None
 
@@ -377,7 +385,7 @@ def _sort_pass(
             sort_checks.append(CheckResult(f"sort-quotient[{idx}]", False, str(e)))
             continue
         quotients[s.key] = q
-        nonempty = bool(q.domain) or s.key not in realized
+        nonempty = bool(q.cores) or s.key not in realized
         witness = None if nonempty else "definable set empty for a realized sort"
         sort_checks.append(CheckResult(f"sort-quotient[{idx}]", nonempty, witness))
         problem = _bijection_problem(
@@ -392,18 +400,15 @@ def validate_scheme(
     M2: Structure,
     scheme: InterpretationScheme,
     bijections: SortBijections,
-    *,
-    representative_independence: bool = False,
 ) -> ValidationReport:
     """Check every scheme condition, reporting pass/fail with witnesses: the
     sort cover, each sort's quotient, each sort's bijection, the translation
     cover, then agreement of each target relation with its translations.
 
-    Agreement evaluates the translations at the stored representatives.
-    ``representative_independence`` evaluates them at every member of each
-    element's class instead, which also checks that the translations respect
-    the equivalences.  It is not the default because it is quadratic in
-    class sizes, and a padded class has |M1|**pad members.
+    Agreement evaluates the translations at every member of each element's
+    class, which also checks that they respect the equivalences.  A padding
+    position that no translation reads stays at M1.domain[0]; an element
+    whose representative has no class is untranslatable.
     """
     _require_relational(M1, "host structure")
     _require_relational(M2, "target structure")
@@ -411,10 +416,7 @@ def validate_scheme(
     quotients, sort_checks = _sort_pass(M1, scheme, bijections, realized)
     report = ValidationReport([_sort_cover(realized, scheme), *sort_checks])
 
-    element_sort: dict[int, AtomicType] = {}
-    for key, block in realized.items():
-        for b in block:
-            element_sort[b] = key
+    element_sort = {b: key for key, block in realized.items() for b in block}
 
     missing_pairs = []
     for name, arity in M2.sig.relations:
@@ -427,27 +429,36 @@ def validate_scheme(
     rep_of: dict[int, tuple[int, ...]] = {}
     for fmap in bijections.maps.values():
         rep_of.update(fmap)
-    # the host tuples each element stands for: its representative, or
-    # its whole class; an element without a valid class has none
-    options: dict[int, tuple[tuple[int, ...], ...]] = {}
+    # per sort, the block positions some translation reads: the free
+    # variables that are not inert, found once per distinct formula
+    read: dict[AtomicType, set[int]] = {s.key: set() for s in scheme.sorts}
     widths = {s.key: s.width for s in scheme.sorts}
+    reads: dict[int, frozenset[int]] = {}
+    for sr in scheme.rels:
+        live = reads.get(id(sr.formula))
+        if live is None:
+            live = reads[id(sr.formula)] = sr._free_vars - inert_variables(sr.formula)
+        if live:
+            start = 0
+            for key in sr.sort_keys:
+                read[key].update(q - start for q in live if start <= q < start + widths[key])
+                start += widths[key]
+    # the host tuples each element stands for: the members of its class;
+    # an element without a valid class has none
+    options: dict[int, tuple[tuple[int, ...], ...]] = {}
     for b, rep in rep_of.items():
         key = element_sort.get(b)
         q = quotients.get(key)
-        if not representative_independence:
-            # one of the wrong width would shift every variable block after it
-            if len(rep) == widths.get(key):
-                options[b] = (rep,)
-        elif q is not None and rep in q.class_of:
-            options[b] = q.classes[q.class_of[rep]]
-    label = "representative-independence" if representative_independence else "relation-agreement"
+        idx = None if q is None else q.index(rep)
+        if idx is not None:
+            options[b] = q.members(idx, read[key])
     # id(formula) -> its compiled form, shared by every relation's scan
     compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]] = {}
     for name, arity in M2.sig.relations:
         witness = _agreement_witness(
             M1, M2, scheme, name, arity, realized, element_sort, options, compiled
         )
-        report.checks.append(CheckResult(f"{label}[{name}]", witness is None, witness))
+        report.checks.append(CheckResult(f"relation-agreement[{name}]", witness is None, witness))
     return report
 
 
@@ -560,10 +571,10 @@ def induced_automorphism(
     images = [-1] * M2.size
     for s in scheme.sorts:
         q, fmap = quotients[s.key], bijections.maps[s.key]
-        by_class = {q.class_of[rep]: b for b, rep in fmap.items()}
+        by_class = {q.index(rep): b for b, rep in fmap.items()}
         for b in realized[s.key]:
             moved = pi.apply_tuple(fmap[b])
-            cls = q.class_of.get(moved)
+            cls = q.index(moved)
             if cls is None or cls not in by_class:
                 raise SchemeError(
                     f"scheme not automorphism-invariant: image of {fmap[b]} "
@@ -610,7 +621,8 @@ def check_classical_interpretation(
     if problem is not None:
         return report
 
-    cls_to_elem = {q.class_of[alpha[b]]: b for b in alpha}
+    cls_to_elem = {q.index(alpha[b]): b for b in alpha}
+    domain = sorted(t for idx in range(len(q.cores)) for t in q.members(idx))
     G = automorphism_group(M)
 
     for name, tuples in sorted(N.relation_sets.items()):
@@ -619,15 +631,15 @@ def check_classical_interpretation(
         if tuples:
             # pull back to the host: concatenations of class members
             def pulled_membership(blocks: tuple[tuple[int, ...], ...]) -> bool:
-                elems = tuple(cls_to_elem[q.class_of[b]] for b in blocks)
+                elems = tuple(cls_to_elem[q.index(b)] for b in blocks)
                 return elems in tuples
 
-            for blocks in itertools.product(q.domain, repeat=arity):
+            for blocks in itertools.product(domain, repeat=arity):
                 if not pulled_membership(blocks):
                     continue
                 for g in G.generators:
                     moved = tuple(g.apply_tuple(b) for b in blocks)
-                    if any(b not in q.class_of for b in moved) or not pulled_membership(moved):
+                    if any(q.index(b) is None for b in moved) or not pulled_membership(moved):
                         flat = tuple(x for b in blocks for x in b)
                         witness = (
                             f"tuple {flat} maps outside the relation under "

@@ -317,11 +317,13 @@ def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructu
     for rel in rels_in_order:
         arity = M.sig.relation_arity(rel)
         fibers[rel] = {}
-        tuples = itertools.product(M.domain, repeat=arity)
+        # both yield their tuples in lexicographic order
         if repetition_free_fibers:
-            tuples = (t for t in tuples if len(set(t)) == len(t))
+            tuples = itertools.permutations(M.domain, arity)
+        else:
+            tuples = itertools.product(M.domain, repeat=arity)
         held = M.relation_sets[rel]
-        for coords in sorted(tuples):
+        for coords in tuples:
             copies: dict[int | float, int] = {}
             indices: list[int | float] = list(range(config.k))
             if coords in held:

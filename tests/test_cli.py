@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from stablelift import cli
 from stablelift.cli import build_parser, main
 from stablelift.corpus import digraph, exhaustive_digraphs
-from stablelift.lifting import LiftConfig, build_lift
+from stablelift.lifting import LiftConfig, build_lift, generate_scheme
 from stablelift.structures import Signature, Structure, structure_to_json
 
 
@@ -367,11 +368,7 @@ def test_report_bad_ks_exit_2(capsys, pair_file):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (
-            ("scheme-check", "--padding", "explicit:2,26"),
-            "a sort of width 26 over 2 elements needs 67108864 host tuples, "
-            f"above the guard {cli.HOST_TUPLE_GUARD}",
-        ),
+        (("scheme-check", "--k", "100000"), f"copy bound 100000 exceeds the guard {cli.COPY_BOUND_GUARD}"),
         (("lift", "--k", "100000"), f"copy bound 100000 exceeds the guard {cli.COPY_BOUND_GUARD}"),
         (("report", "--ks", "1,100000"), f"copy bound 100000 exceeds the guard {cli.COPY_BOUND_GUARD}"),
     ],
@@ -381,6 +378,89 @@ def test_work_guards_exit_2_before_building(capsys, edge_file, argv, message):
     code, out, err = run(capsys, *argv, "--in", edge_file)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("mutate, expected", [((), 0), (("--mutate", "break-ep"), 1)])
+def test_a_wide_padded_sort_is_checked_without_writing_out_its_padding(
+    capsys, edge_file, mutate, expected
+):
+    # 24 padding positions: 2**24 members per class of the width-26 sort
+    started = time.monotonic()
+    code, out, _ = run(capsys, "scheme-check", "--in", edge_file, "--padding", "explicit:2,26", *mutate)
+    assert time.monotonic() - started < 1
+    report = json.loads(out)
+    assert code == expected and 26 in {s["width"] for s in report["scheme"]["sorts"]}
+    failed = [c for c in report["validation"]["checks"] if not c["passed"]]
+    assert all(c["witness"] for c in failed) and bool(failed) == bool(mutate)
+
+
+def test_complete_digraph_scheme_check_at_k_6_is_quick(capsys, tmp_path):
+    # sorts of width 8: 6**8 host tuples each, were their padding written out
+    path = tmp_path / "complete.json"
+    edges = [(a, b) for a in range(6) for b in range(6) if a != b]
+    path.write_text(structure_to_json(digraph(6, edges)), encoding="utf-8")
+    started = time.monotonic()
+    code, _, _ = run(capsys, "scheme-check", "--in", str(path), "--k", "6")
+    assert code == 0 and time.monotonic() - started < 3
+
+
+def _random_relational(rng):
+    """A structure of 1-3 elements with 0-3 relations of arity 1-4, each
+    holding random tuples or none, repetition-free or not."""
+    n = rng.randint(1, 3)
+    arities = [rng.randint(1, 4) for _ in range(rng.randint(0, 3))]
+    sig = Signature(relations=tuple((f"R{i}", a) for i, a in enumerate(arities)))
+    free = rng.random() < 0.5
+    relations = {}
+    for i, a in enumerate(arities):
+        tuples = [tuple(rng.randrange(n) for _ in range(a)) for _ in range(rng.choice([0, 0, 1, 3]))]
+        relations[f"R{i}"] = [t for t in tuples if not free or len(set(t)) == a]
+    return Structure(sig, n, relations, repetition_free=free)
+
+
+def test_translation_count_is_the_generated_scheme_length():
+    rng = random.Random(1606)
+    for _ in range(120):
+        M = _random_relational(rng)
+        k, repetitions = rng.randint(1, 3), rng.random() < 0.3
+        N = build_lift(M, LiftConfig(k=k, include_repetition_tuples=repetitions))
+        scheme, _ = generate_scheme(M, N)
+        assert cli._translation_count(M, k, repetitions) == len(scheme.rels), (M, k, repetitions)
+
+
+def test_translation_guard_boundary_is_exact(capsys, monkeypatch, tmp_path):
+    sig = Signature(relations=(("U", 1), ("T", 3), ("E", 2)))
+    loose = Structure(sig, 2, {"U": [(1,)], "E": [(0, 0)]}, repetition_free=False)
+    path = tmp_path / "structure.json"
+    for M in (digraph(2, [(0, 1)]), loose):
+        path.write_text(structure_to_json(M), encoding="utf-8")
+        for k, flags in ((1, ()), (2, ("--include-repetitions",))):
+            config = LiftConfig(k=k, include_repetition_tuples=bool(flags))
+            count = len(generate_scheme(M, build_lift(M, config))[0].rels)
+            for guard, expected in ((count, 0), (count - 1, 2)):
+                monkeypatch.setattr(cli, "TRANSLATION_GUARD", guard)
+                code, _, err = run(capsys, "scheme-check", "--in", str(path), "--k", str(k), *flags)
+                assert code == expected, (M, k, flags, guard)
+            assert err == (
+                f"error: the scheme at copy bound {k} would have {count} translations, "
+                f"above the guard {count - 1}\n"
+            )
+
+
+def test_translation_guard_refuses_many_sorts_over_one_element(capsys, tmp_path):
+    # 56 sorts and 60 binary relations, so 188,608 translations; every
+    # other guard lets it through
+    sig = Signature(relations=tuple((f"U{i}", 1) for i in range(6)))
+    M = Structure(sig, 1, {f"U{i}": [(0,)] for i in range(6)})
+    path = tmp_path / "unary.json"
+    path.write_text(structure_to_json(M), encoding="utf-8")
+    started = time.monotonic()
+    code, out, err = run(capsys, "scheme-check", "--in", str(path), "--k", "8")
+    assert code == 2 and out == "" and time.monotonic() - started < 1
+    assert err == (
+        "error: the scheme at copy bound 8 would have 188608 translations, "
+        f"above the guard {cli.TRANSLATION_GUARD}\n"
+    )
 
 
 @pytest.fixture
@@ -548,9 +628,10 @@ ACCEPTS = {
 
 def _flag_values(files, out_dir):
     """Values for each flag, valid and invalid; --k, --ks and --depth stay
-    small to bound the work, apart from copy bounds, a padding width and a
-    random corpus count past the CLI's work guards, which must be rejected
-    before any lift or corpus is built."""
+    small to bound the work, apart from copy bounds and a random corpus
+    count past the CLI's work guards, which must be rejected before any lift
+    or corpus is built.  The padding width explicit:2,40 is accepted: quotients
+    never write out its padding."""
     small = st.integers(-1, 3).map(str)
     return {
         "--in": st.sampled_from(files),

@@ -157,7 +157,16 @@ def _outcome(build, M, r, E):
         return type(e).__name__, str(e)
     if isinstance(q, tuple):
         return q
-    return q.domain, q.classes, q.class_of, q.representatives
+    return _expanded(q)
+
+
+def _expanded(q):
+    """A _Quotient written out as _brute_quotient gives it: every member of
+    every class, and the class index() finds for each tuple of M^width."""
+    classes = [q.members(idx) for idx in range(len(q.cores))]
+    hosts = itertools.product(q.M.domain, repeat=q.width)
+    class_of = {t: idx for t in hosts if (idx := q.index(t)) is not None}
+    return tuple(sorted(class_of)), classes, class_of, tuple(c[0] for c in classes)
 
 
 def _random_core(rng, variables, depth=2):
@@ -278,8 +287,8 @@ def test_quotient_factors_padding_unless_an_exists_rebinds_it(monkeypatch):
         # r reads no position once x0 = x0 and x1 = x1 fold: decided once
         assert forms.keys() == {r, E} and forms[r] is True
         assert calls == {E: 3 ** (2 * core)}
-        assert (q.domain, q.classes, q.class_of, q.representatives) == _brute_quotient(M, r, E)
-        assert q.classes[0] == tuple((a, b) for a in (0, 1) for b in range(3))
+        assert _expanded(q) == _brute_quotient(M, r, E)
+        assert q.members(0) == tuple((a, b) for a in (0, 1) for b in range(3))
 
 
 def test_quotient_on_empty_domain_is_empty():
@@ -404,14 +413,11 @@ def test_generated_schemes_never_reach_eval_formula(corpus, monkeypatch):
         for k in (1, 2):
             _, companion, scheme, bij = _scheme_setup(M, k)
             for mutant in (scheme, negate_translation(scheme, 0), weaken_equivalence(scheme, 0)):
-                for independence in (False, True):
-                    validate_scheme(
-                        M, companion, mutant, bij, representative_independence=independence
-                    )
-                    validations += 1
+                validate_scheme(M, companion, mutant, bij)
+                validations += 1
             for g in automorphism_group(M).generators:
                 induced_automorphism(M, companion, scheme, bij, g)
-    assert validations == 276
+    assert validations == 138
     assert calls == {}
 
 
@@ -464,16 +470,14 @@ def test_redirected_bijection_is_caught(m_edge):
                for c in report.failures())
 
 
-def test_representative_independence_fixture(m_pair):
+def test_generated_scheme_of_the_pair_validates(m_pair):
     M = m_pair
     _, companion, scheme, bij = _scheme_setup(M)
-    report = validate_scheme(
-        M, companion, scheme, bij, representative_independence=True
-    )
+    report = validate_scheme(M, companion, scheme, bij)
     assert report.passed, report.failures()
 
 
-def test_representative_independence_reports_a_representative_outside_its_sort(m_edge):
+def test_validation_reports_a_representative_outside_its_sort(m_edge):
     _, companion, scheme, bij = _scheme_setup(m_edge)
     idx, s = next((i, s) for i, s in enumerate(scheme.sorts) if s.width == 1)
     fmap = dict(bij[s.key])
@@ -483,37 +487,29 @@ def test_representative_independence_reports_a_representative_outside_its_sort(m
     expected = CheckResult(
         f"sort-bijection[{idx}]", False, "representative (0, 0) outside the definable set"
     )
-    # the default mode too: a representative of the wrong width has no
-    # variable block to stand in
-    modes = ((False, "relation-agreement"), (True, "representative-independence"))
-    for independence, label in modes:
-        report = validate_scheme(
-            m_edge, companion, scheme, bad, representative_independence=independence
-        )
-        failing = report.failures()
-        assert failing[0] == expected
-        rest = failing[1:]
-        assert [c.condition for c in rest] == [
-            f"{label}[{name}]" for name, _ in companion.sig.relations
-        ]
-        assert all(c.witness.startswith("untranslatable tuple") for c in rest)
-        assert any(f"({b},)" in c.witness for c in rest)
+    # a representative of the wrong width has no class, so its element
+    # has no variable block to stand in
+    failing = validate_scheme(m_edge, companion, scheme, bad).failures()
+    assert failing[0] == expected
+    rest = failing[1:]
+    assert [c.condition for c in rest] == [
+        f"relation-agreement[{name}]" for name, _ in companion.sig.relations
+    ]
+    assert all(c.witness.startswith("untranslatable tuple") for c in rest)
+    assert any(f"({b},)" in c.witness for c in rest)
 
 
-def test_representative_independence_reports_a_sort_whose_quotient_failed(m_edge):
+def test_validation_reports_a_sort_whose_quotient_failed(m_edge):
     _, companion, scheme, bij = _scheme_setup(m_edge)
     idx, s = next((i, s) for i, s in enumerate(scheme.sorts) if s.width == 1)
     sorts = list(scheme.sorts)
     # not reflexive, so the sort has no quotient
     sorts[idx] = SchemeSort(s.key, 1, s.domain_formula, Not(Equal(Var(0), Var(1))))
     broken = InterpretationScheme(sorts=tuple(sorts), rels=scheme.rels)
-    report = validate_scheme(
-        m_edge, companion, broken, bij, representative_independence=True
-    )
-    failing = report.failures()
+    failing = validate_scheme(m_edge, companion, broken, bij).failures()
     assert failing[0].condition == f"sort-quotient[{idx}]"
     assert "not reflexive" in failing[0].witness
-    rest = [c for c in failing if c.condition.startswith("representative-independence[")]
+    rest = [c for c in failing if c.condition.startswith("relation-agreement[")]
     assert rest and all(c.witness.startswith("untranslatable tuple") for c in rest)
 
 
@@ -653,10 +649,12 @@ def _one_of_each_mutant(M, scheme, bij):
         yield scheme, redirect_bijection(bij, key)
 
 
-def _product_scan_report(M1, M2, scheme, bijections, representative_independence=False):
+def _product_scan_report(M1, M2, scheme, bijections):
     """validate_scheme as it was before the per-block agreement scan: every
     tuple of M2^arity in product order, each translation looked up and
-    walked with eval_formula per tuple.  The reference for the block scan;
+    walked with eval_formula per tuple, at every choice of members of the
+    elements' classes, which come from _brute_quotient.  The reference for
+    the block scan and for reading only the padding that translations read;
     its other checks come from the sort helpers and its own cover loop, so
     it runs no agreement scan of validate_scheme."""
     realized = interpretation.sort_partition(M2)
@@ -674,16 +672,16 @@ def _product_scan_report(M1, M2, scheme, bijections, representative_independence
     rep_of = {}
     for fmap in bijections.maps.values():
         rep_of.update(fmap)
+    brute = {}
+    for s in scheme.sorts:
+        if quotients[s.key] is not None:
+            _, classes, class_of, _ = _brute_quotient(M1, s.domain_formula, s.equiv_formula)
+            brute[s.key] = classes, class_of
     options = {}
-    widths = {s.key: s.width for s in scheme.sorts}
     for b, rep in rep_of.items():
-        key = element_sort.get(b)
-        q = quotients.get(key)
-        if not representative_independence:
-            if len(rep) == widths.get(key):
-                options[b] = (rep,)
-        elif q is not None and rep in q.class_of:
-            options[b] = q.classes[q.class_of[rep]]
+        classes, class_of = brute.get(element_sort.get(b), ((), {}))
+        if rep in class_of:
+            options[b] = classes[class_of[rep]]
     for name, arity in M2.sig.relations:
         witness = None
         for elems in itertools.product(M2.domain, repeat=arity):
@@ -700,8 +698,7 @@ def _product_scan_report(M1, M2, scheme, bijections, representative_independence
                     break
             if witness:
                 break
-        label = "representative-independence" if representative_independence else "relation-agreement"
-        report.checks.append(CheckResult(f"{label}[{name}]", witness is None, witness))
+        report.checks.append(CheckResult(f"relation-agreement[{name}]", witness is None, witness))
     return report
 
 
@@ -740,9 +737,9 @@ def _scan_mutants(M, scheme, bij, rng):
     yield f"negate {j // 2}, unknown {j}", negate_translation(unknown, j // 2), bij
 
 
-def _scan_outcome(validate, *args, **kwargs):
+def _scan_outcome(validate, *args):
     try:
-        return validate(*args, **kwargs).checks
+        return validate(*args).checks
     except FormulaError as e:
         return str(e)
 
@@ -777,24 +774,17 @@ def test_block_scan_matches_the_product_scan(corpus):
             _, companion, scheme, bij = _scheme_setup(M, k)
             target, target_bij = (companion, bij) if index % 2 else _relabelled(companion, bij, rng)
             for label, mutant, mutant_bij in _scan_mutants(M, scheme, target_bij, rng):
-                for independence in (False, True):
-                    args = (M, target, mutant, mutant_bij)
-                    expected = _scan_outcome(
-                        _product_scan_report, *args, representative_independence=independence
-                    )
-                    got = _scan_outcome(
-                        validate_scheme, *args, representative_independence=independence
-                    )
-                    assert got == expected, (name, k, label, independence)
-                    if isinstance(expected, str):
-                        outcomes["raised"] += 1
-                        continue
-                    outcomes.update(
-                        c.witness.split()[0]
-                        for c in expected
-                        if c.condition.startswith(("relation-agreement", "representative-"))
-                        and not c.passed
-                    )
+                args = (M, target, mutant, mutant_bij)
+                expected = _scan_outcome(_product_scan_report, *args)
+                assert _scan_outcome(validate_scheme, *args) == expected, (name, k, label)
+                if isinstance(expected, str):
+                    outcomes["raised"] += 1
+                    continue
+                outcomes.update(
+                    c.witness.split()[0]
+                    for c in expected
+                    if c.condition.startswith("relation-agreement") and not c.passed
+                )
     assert outcomes["raised"] and outcomes["tuple"] and outcomes["untranslatable"], outcomes
 
 
@@ -826,6 +816,79 @@ def test_block_scan_takes_the_least_failure_over_interleaved_sorts():
         CheckResult("relation-agreement[R]", False, "tuple (0, 3) (target says False)")
     ]
     assert report == _product_scan_report(M1, M2, scheme, bij)
+
+
+def _padding_readers(M, scheme, pads, rng):
+    """scheme with one to three translations over padded sorts each joined
+    with a random formula over a padding position of their blocks and two
+    other positions: by &, by |, or as (xp = xp | phi) & formula, which reads
+    padding but keeps the truth."""
+    widths = {s.key: s.width for s in scheme.sorts}
+    rels = list(scheme.rels)
+    touched = [i for i, sr in enumerate(rels) if any(pads[key] for key in sr.sort_keys)]
+    for i in rng.sample(touched, min(len(touched), rng.randint(1, 3))):
+        sr, start, padded = rels[i], 0, []
+        for key in sr.sort_keys:
+            padded += [start + q for q in pads[key]]
+            start += widths[key]
+        p = rng.choice(padded)
+        extra = _random_core(rng, [p, *rng.sample(range(start), min(start, 2))])
+        template = rng.randrange(3)
+        if template == 0:
+            formula = And((sr.formula, extra))
+        elif template == 1:
+            formula = Or((sr.formula, extra))
+        else:
+            formula = And((sr.formula, Or((Equal(Var(p), Var(p)), extra))))
+        rels[i] = SchemeRel(sr.rel, sr.sort_keys, formula)
+    return InterpretationScheme(scheme.sorts, tuple(rels))
+
+
+@pytest.mark.hashseed
+def test_validation_matches_member_enumeration_where_translations_read_padding(corpus):
+    # validation evaluates each element's class members with only the
+    # padding that some translation reads; the product scan evaluates every
+    # member of every class from _brute_quotient
+    rng = random.Random(1604)
+    outcomes = Counter()
+    for k, sample in ((1, corpus[1::10]), (2, corpus[1:4])):
+        for name, M in sample:
+            _, companion, scheme, bij = _scheme_setup(M, k)
+            pads = {
+                s.key: interpretation._Quotient(M, s.domain_formula, s.equiv_formula).pad
+                for s in scheme.sorts
+            }
+            for _ in range(16):
+                mutant = _padding_readers(M, scheme, pads, rng)
+                expected = _scan_outcome(_product_scan_report, M, companion, mutant, bij)
+                assert _scan_outcome(validate_scheme, M, companion, mutant, bij) == expected, (
+                    name, k, mutant.rels
+                )
+                outcomes[all(c.passed for c in expected)] += 1
+    assert outcomes[True] > 30 and outcomes[False] > 30, outcomes
+
+
+def test_validation_catches_a_translation_that_tells_class_members_apart(m_edge):
+    # the copy sort of edge has padding position 2; "no edge enters x2"
+    # holds at every representative, whose padding is 0, but not at the
+    # members whose padding is 1, so the translation does not respect the
+    # sort's equivalence
+    _, companion, scheme, bij = _scheme_setup(m_edge)
+    key = next(s.key for s in scheme.sorts if s.width == 3)
+    at = next(
+        i for i, sr in enumerate(scheme.rels) if sr.rel == "fiber_edge" and sr.sort_keys == (key,)
+    )
+    sr = scheme.rels[at]
+    entered = Exists(3, Rel("edge", (Var(3), Var(2))))
+    rels = list(scheme.rels)
+    rels[at] = SchemeRel(sr.rel, sr.sort_keys, And((sr.formula, Not(entered))))
+    planted = InterpretationScheme(scheme.sorts, tuple(rels))
+    (element,) = bij[key]
+    report = validate_scheme(m_edge, companion, planted, bij)
+    assert report.failures() == [
+        CheckResult("relation-agreement[fiber_edge]", False, f"tuple ({element},) (target says True)")
+    ]
+    assert report == _product_scan_report(m_edge, companion, planted, bij)
 
 
 # -- classical interpretation proxy ----------------------------------------------------
