@@ -34,6 +34,7 @@ from .groups import (
     GroupError,
     orbits,
     pointwise_stabilizer,
+    pointwise_stabilizers,
     is_automorphism,
     automorphism_group,
     automorphism_group_brute,

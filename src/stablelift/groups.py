@@ -4,12 +4,17 @@ PermGroup keeps a generating set and a stabilizer chain over the base order
 0, 1, ..., n-1, built on first use.  The chain grows by incremental
 Schreier-Sims: adding a generator extends the levels it touches in place
 instead of rebuilding them (Seress, Permutation Group Algorithms, chs. 4-5).
+pointwise_stabilizer grows one chain whose base starts with the support;
+pointwise_stabilizers serves many supports with one such chain per G-orbit
+of supports, since the stabilizer of a moved support is a conjugate,
+G_{g(A)} = g G_A g^-1.
 
 The automorphism search is individualization-refinement with orbit pruning
 (McKay & Piperno, Practical graph isomorphism II).  Its root is the ordered
 partition into sorts (atomic one-variable types, which already separate
 constants and unary facts), refined to the coarsest equitable partition by
-one splitter routine over binary views of the relations and functions.
+one splitter routine over binary views of the relations and functions;
+positions of a relation with equal columns share their views.
 The first path individualizes the least element of the first non-singleton
 cell until the partition is discrete; those elements form a base.  Working
 from the deepest base point up, each level tries only the cell mates of its
@@ -37,6 +42,7 @@ __all__ = [
     "GroupError",
     "orbits",
     "pointwise_stabilizer",
+    "pointwise_stabilizers",
     "is_automorphism",
     "automorphism_group",
     "automorphism_group_brute",
@@ -283,21 +289,22 @@ class PermGroup:
 def _orbit_search(G: PermGroup, points, act):
     """Breadth-first orbits of G through ``points`` under ``act(g, x)``:
     yields (seed, orbit) with each seed the least point outside the orbits
-    yielded before it."""
+    yielded before it.  The orbit maps the seed to None and every other
+    point z to (g, y), y a point found before z with act(g, y) = z."""
     todo = set(points)
     for x in sorted(todo):
         if x not in todo:
             continue
-        orbit = {x}
+        orbit = {x: None}
         queue = [x]
         while queue:
             y = queue.pop()
             for g in G.generators:
                 z = act(g, y)
                 if z not in orbit:
-                    orbit.add(z)
+                    orbit[z] = (g, y)
                     queue.append(z)
-        todo -= orbit
+        todo.difference_update(orbit)
         yield x, orbit
 
 
@@ -308,7 +315,7 @@ def orbits(G: PermGroup, S) -> list[tuple[int, ...]]:
         if not (0 <= x < G.degree):
             raise GroupError(f"element {x} outside degree {G.degree}")
     return [
-        tuple(sorted(orbit & members))
+        tuple(sorted(orbit.keys() & members))
         for _, orbit in _orbit_search(G, members, Permutation.__call__)
     ]
 
@@ -318,20 +325,26 @@ def orbits_on_tuples(G: PermGroup, tuples) -> list[tuple[tuple[int, ...], ...]]:
     members = set(tuples)
     blocks = []
     for t, orbit in _orbit_search(G, members, Permutation.apply_tuple):
-        if not orbit <= members:
+        if not orbit.keys() <= members:
             raise GroupError(f"tuple set not invariant: orbit of {t} escapes")
         blocks.append(tuple(sorted(orbit)))
     return blocks
+
+
+def _check_points(G: PermGroup, A) -> tuple[int, ...]:
+    """A as a sorted tuple of distinct points of G's domain."""
+    A = tuple(sorted(set(A)))
+    for x in A:
+        if not (0 <= x < G.degree):
+            raise GroupError(f"element {x} outside degree {G.degree}")
+    return A
 
 
 def pointwise_stabilizer(G: PermGroup, A) -> PermGroup:
     """The subgroup fixing every point of A: the level after A in a chain
     whose base order starts with A's points in ascending order, grown from
     G's generators."""
-    A = tuple(sorted(set(A)))
-    for x in A:
-        if not (0 <= x < G.degree):
-            raise GroupError(f"element {x} outside degree {G.degree}")
+    A = _check_points(G, A)
     if all(g(a) == a for g in G.generators for a in A):
         return G
     fixed = set(A)
@@ -340,6 +353,36 @@ def pointwise_stabilizer(G: PermGroup, A) -> PermGroup:
         chain.add(g.images)
     stabilizer_gens = chain.gens[len(A)] if len(A) < G.degree else []
     return PermGroup([Permutation(s) for s in stabilizer_gens], G.degree)
+
+
+def pointwise_stabilizers(G: PermGroup, supports) -> dict[frozenset[int], tuple[Permutation, ...]]:
+    """Generators of the pointwise stabilizer of each support, keyed by the
+    support as a frozenset.  A stabilizer of a moved support is a conjugate,
+    G_{u(A)} = u G_A u^-1, so pointwise_stabilizer runs once per G-orbit of
+    supports, on its least member A, and every other support u(A) of the
+    orbit gets the conjugates u h u^-1 of that stabilizer's generators h,
+    with u read off the orbit search."""
+    wanted = {_check_points(G, A) for A in supports}
+    stabilizers: dict[frozenset[int], tuple[Permutation, ...]] = {}
+    for rep, orbit in _orbit_search(
+        G, wanted, lambda g, t: tuple(sorted(g.apply_tuple(t)))
+    ):
+        gens = pointwise_stabilizer(G, rep).generators
+        # a transporter u per support, u(rep) = support; dicts keep insertion
+        # order, so each step's source y is reached before the step
+        transporter = {rep: tuple(range(G.degree))}
+        stabilizers[frozenset(rep)] = gens
+        for B, step in orbit.items():
+            if step is None:
+                continue
+            g, y = step
+            transporter[B] = u = _compose(g.images, transporter[y])
+            if B in wanted:
+                u_inv = _invert(u)
+                stabilizers[frozenset(B)] = tuple(
+                    Permutation(_compose(u, _compose(h.images, u_inv))) for h in gens
+                )
+    return stabilizers
 
 
 # -- automorphisms -----------------------------------------------------------
@@ -392,19 +435,29 @@ def automorphism_group_brute(M: Structure) -> list[Permutation]:
 def _adjacency(M: Structure) -> list[list[list[int]]]:
     """Binary views of M for refinement, one table y -> [x, ...] per ordered
     pair of positions of each non-empty relation and per direction of each
-    function's graph.  Unary facts and constants are already separated by
-    the sorts of the root partition.  A relation of arity three or more is seen only
-    through these pairs, so refinement can stay coarser than its tuples
-    allow; the leaf check keeps the search exact."""
+    function's graph.  Positions whose columns (t[p] over the relation's
+    tuples) are equal give equal tables, so a relation gets one table per
+    ordered pair of column classes, a class paired with itself only when it
+    has two positions.  Unary facts and constants are already separated by
+    the sorts of the root partition.  A relation of arity three or more is
+    seen only through these pairs, so refinement can stay coarser than its
+    tuples allow; the leaf check keeps the search exact."""
     n = M.size
     tables = []
     for name, arity in M.sig.relations:
-        if not M.relations[name]:
+        tuples = M.relations[name]
+        if not tuples:
             continue
-        for p, q in itertools.permutations(range(arity), 2):
+        classes: dict[tuple[int, ...], int] = {}
+        for p in range(arity):
+            column = tuple([t[p] for t in tuples])
+            classes[column] = classes.get(column, 0) + 1
+        for (ys, positions), (xs, _) in itertools.product(classes.items(), repeat=2):
+            if ys is xs and positions < 2:
+                continue
             table: list[list[int]] = [[] for _ in range(n)]
-            for t in M.relations[name]:
-                table[t[p]].append(t[q])
+            for y, x in zip(ys, xs):
+                table[y].append(x)
             tables.append(table)
     for f in M.sig.functions:
         images = M.functions[f]

@@ -429,20 +429,32 @@ def validate_scheme(
     rep_of: dict[int, tuple[int, ...]] = {}
     for fmap in bijections.maps.values():
         rep_of.update(fmap)
-    # per sort, the block positions some translation reads: the free
-    # variables that are not inert, found once per distinct formula
-    read: dict[AtomicType, set[int]] = {s.key: set() for s in scheme.sorts}
+    # id(formula) -> its compiled form, shared by the padding walk below and
+    # every relation's scan
+    compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]] = {}
+    # per sort, the padding positions some translation reads: its free
+    # variables that are not inert, found once per distinct formula; a
+    # formula that compiles to a constant reads nothing
+    pad = {key: q.pad for key, q in quotients.items() if q is not None and q.pad}
+    read: dict[AtomicType, set[int]] = {key: set() for key in pad}
     widths = {s.key: s.width for s in scheme.sorts}
     reads: dict[int, frozenset[int]] = {}
     for sr in scheme.rels:
+        if not any(key in pad for key in sr.sort_keys):
+            continue
+        form = compiled.get(id(sr.formula))
+        if form is None:
+            form = compiled[id(sr.formula)] = _compile_formula(M1, sr.formula)
+        if isinstance(form, bool):
+            continue
         live = reads.get(id(sr.formula))
         if live is None:
             live = reads[id(sr.formula)] = sr._free_vars - inert_variables(sr.formula)
-        if live:
-            start = 0
-            for key in sr.sort_keys:
-                read[key].update(q - start for q in live if start <= q < start + widths[key])
-                start += widths[key]
+        start = 0
+        for key in sr.sort_keys:
+            if key in pad:
+                read[key].update(q for q in pad[key] if start + q in live)
+            start += widths[key]
     # the host tuples each element stands for: the members of its class;
     # an element without a valid class has none
     options: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -451,9 +463,7 @@ def validate_scheme(
         q = quotients.get(key)
         idx = None if q is None else q.index(rep)
         if idx is not None:
-            options[b] = q.members(idx, read[key])
-    # id(formula) -> its compiled form, shared by every relation's scan
-    compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]] = {}
+            options[b] = q.members(idx, read.get(key, ()))
     for name, arity in M2.sig.relations:
         witness = _agreement_witness(
             M1, M2, scheme, name, arity, realized, element_sort, options, compiled

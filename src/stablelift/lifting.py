@@ -422,9 +422,17 @@ def direct_induced(N: LiftedStructure, pi: Permutation) -> Permutation:
 def project_automorphism(N: LiftedStructure, pihat: Permutation) -> Permutation:
     """Restrict a lift automorphism to the base copy, re-indexed to the
     source domain.  Together with direct_induced this is a bijection between
-    the two automorphism groups."""
+    the two automorphism groups.  pihat is checked to be an automorphism of
+    the lift first; callers holding known members of Aut(N), such as the
+    search's generators, may use _restrict_automorphism, which skips only
+    that check."""
     if not is_automorphism(N.structure, pihat):
         raise LiftError("not an automorphism of the lift")
+    return _restrict_automorphism(N, pihat)
+
+
+def _restrict_automorphism(N: LiftedStructure, pihat: Permutation) -> Permutation:
+    """project_automorphism for a pihat already known to be in Aut(N)."""
     M = N.source
     images = []
     for a in M.domain:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from stablelift import cli
 from stablelift.cli import build_parser, main
 from stablelift.corpus import digraph, exhaustive_digraphs
+from stablelift.groups import Permutation
 from stablelift.lifting import LiftConfig, build_lift, generate_scheme
 from stablelift.structures import Signature, Structure, structure_to_json
 
@@ -73,6 +74,41 @@ def test_verify_iso_reports_a_continuity_failure(capsys, pair_file, monkeypatch)
     code, out, _ = run(capsys, "verify-iso", "--in", pair_file, "--k", "1")
     assert code == 1
     assert json.loads(out)["continuity_witnesses"] == "fail"
+
+
+def test_verify_iso_reports_a_broken_projection(capsys, pair_file, monkeypatch):
+    # projecting every member of Aut(N) to the identity breaks the round trip
+    # of the lift's swap, and fixes every source point
+    monkeypatch.setattr(cli, "_restrict_automorphism",
+                        lambda N, g: Permutation.identity(N.source.size))
+    code, out, _ = run(capsys, "verify-iso", "--in", pair_file, "--k", "1")
+    assert code == 1
+    assert json.loads(out) == {
+        "order_M": 2,
+        "order_N": 2,
+        "bijective": False,
+        "continuity_witnesses": "pass",
+    }
+
+
+def test_verify_iso_reports_a_lift_side_continuity_failure(capsys, pair_file, monkeypatch):
+    # all of Aut(N) in place of a base point's stabilizer, the source side
+    # (degree 2) left alone: the lift's swap moves the base point
+    stabilizers = cli.pointwise_stabilizers
+
+    def unfixed_on_the_lift(G, supports):
+        derived = stabilizers(G, supports)
+        return derived if G.degree == 2 else {A: G.generators for A in derived}
+
+    monkeypatch.setattr(cli, "pointwise_stabilizers", unfixed_on_the_lift)
+    code, out, _ = run(capsys, "verify-iso", "--in", pair_file, "--k", "1")
+    assert code == 1
+    assert json.loads(out) == {
+        "order_M": 2,
+        "order_N": 2,
+        "bijective": True,
+        "continuity_witnesses": "fail",
+    }
 
 
 def test_scheme_check_clean_and_mutated(capsys, edge_file):
@@ -392,6 +428,18 @@ def test_a_wide_padded_sort_is_checked_without_writing_out_its_padding(
     assert code == expected and 26 in {s["width"] for s in report["scheme"]["sorts"]}
     failed = [c for c in report["validation"]["checks"] if not c["passed"]]
     assert all(c["witness"] for c in failed) and bool(failed) == bool(mutate)
+
+
+def test_aut_with_a_400_ary_relation_is_quick(capsys, tmp_path):
+    # one table per pair of equal-column classes: 4 here, not 400 * 399
+    path = tmp_path / "wide.json"
+    sig = Signature(relations=(("W", 400),))
+    M = Structure(sig=sig, size=2, relations={"W": [(0, 1) * 200]}, repetition_free=False)
+    path.write_text(structure_to_json(M), encoding="utf-8")
+    started = time.monotonic()
+    code, out, _ = run(capsys, "aut", "--in", str(path))
+    assert time.monotonic() - started < 1
+    assert code == 0 and json.loads(out)["order"] == "1"
 
 
 def test_complete_digraph_scheme_check_at_k_6_is_quick(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from stablelift.groups import (
     orbits,
     orbits_on_tuples,
     pointwise_stabilizer,
+    pointwise_stabilizers,
 )
 from stablelift.lifting import LiftConfig, build_lift
 
@@ -124,8 +126,6 @@ def test_order_is_product_of_fundamental_orbits(m_triple):
 
 
 def test_membership_matches_enumeration(m_triple):
-    import itertools
-
     G = automorphism_group(m_triple)
     members = set(G.elements())
     for images in itertools.permutations(range(3)):
@@ -171,6 +171,42 @@ def test_stabilizer_members_match_brute_filter(corpus):
         for A in ([0], [1], [0, 2]):
             expected = [p for p in automorphism_group_brute(M) if all(p(a) == a for a in A)]
             assert pointwise_stabilizer(G, A).elements() == expected
+
+
+def _assert_stabilizers_match(G, supports):
+    derived = pointwise_stabilizers(G, supports)
+    assert set(derived) == {frozenset(A) for A in supports}
+    for A in supports:
+        gens = derived[frozenset(A)]
+        assert all(g(a) == a for g in gens for a in A)
+        assert all(g in G for g in gens)
+        H, reference = PermGroup(gens, G.degree), pointwise_stabilizer(G, A)
+        assert H.order() == reference.order(), A
+        if G.degree <= 8:
+            assert H.elements() == reference.elements(), A
+
+
+def test_stabilizers_by_orbit_match_one_chain_per_support(corpus):
+    """Conjugated generators against a fresh chain per support: on Aut(M)
+    for every support of at most two points, and on Aut(N) for every base
+    point, over the corpus at k = 1, 2."""
+    for _, M in corpus:
+        supports = [A for r in range(3) for A in itertools.combinations(M.domain, r)]
+        _assert_stabilizers_match(automorphism_group(M), supports)
+        for k in (1, 2):
+            N = build_lift(M, LiftConfig(k=k))
+            base_points = [(N.base_id(a),) for a in M.domain]
+            _assert_stabilizers_match(automorphism_group(N.structure), base_points)
+
+
+def test_stabilizers_by_orbit_conjugate_within_an_orbit(m_triple):
+    G = automorphism_group(m_triple)
+    derived = pointwise_stabilizers(G, [(0,), (1,), (2,), (0, 1), (1, 2)])
+    assert [len(derived[frozenset({x})]) for x in range(3)] == [1, 1, 1]
+    assert derived[frozenset({1})][0].images == (2, 1, 0)
+    assert derived[frozenset({0, 1})] == ()
+    with pytest.raises(GroupError, match="outside degree"):
+        pointwise_stabilizers(G, [(0,), (3,)])
 
 
 def test_group_serialization(m_triple):
@@ -346,6 +382,58 @@ def test_search_equals_oracle_with_functions_constants_and_ternary_relations():
         G = automorphism_group(M)
         assert G.elements() == members
         assert list(G.generators) == _greedy_lex_sift(members)
+
+def test_search_equals_oracle_where_relations_repeat_a_column():
+    """Ternary and 4-ary relations whose tuples repeat positions by a fixed
+    pattern, so equal columns share one adjacency table: the search still
+    matches the brute oracle, and refinement, root and children alike,
+    yields the cells that a table per ordered pair of positions yields."""
+    import random
+
+    from stablelift.groups import _adjacency, _individualize, _root_partition
+    from stablelift.structures import Signature, Structure
+
+    def table_per_position_pair(M):
+        tables = []
+        for name, arity in M.sig.relations:
+            for p, q in itertools.permutations(range(arity), 2):
+                table = [[] for _ in range(M.size)]
+                for t in M.relations[name]:
+                    table[t[p]].append(t[q])
+                tables.append(table)
+        return [t for t in tables if any(t)]
+
+    rng = random.Random(17)
+    sig = Signature(relations=(("T", 3), ("Q", 4)))
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        shift = rng.sample(range(n), n)
+        relations = {}
+        for name, arity in sig.relations:
+            # arity positions read arity - 1 entries, so some column repeats
+            pattern = [rng.randrange(arity - 1) for _ in range(arity)]
+            cores = {tuple(rng.randrange(n) for _ in range(arity - 1)) for _ in range(3)}
+            for _ in range(n):  # close under a permutation, for symmetry
+                cores |= {tuple(shift[x] for x in c) for c in cores}
+            relations[name] = sorted({tuple(c[i] for i in pattern) for c in cores})
+        M = Structure(sig=sig, size=n, relations=relations, repetition_free=False)
+        members = automorphism_group_brute(M)
+        G = automorphism_group(M)
+        assert G.elements() == members
+        assert list(G.generators) == _greedy_lex_sift(members)
+        fast, slow = _adjacency(M), table_per_position_pair(M)
+        assert len(fast) < len(slow)
+        # the same cells, though equal keys may order them differently
+        def cell_set(node):
+            return set(map(frozenset, _cells(node)))
+
+        roots = _root_partition(M, fast), _root_partition(M, slow)
+        assert cell_set(roots[0]) == cell_set(roots[1])
+        for v in (v for cell in _cells(roots[0]) if len(cell) > 1 for v in cell):
+            assert cell_set(_individualize(fast, roots[0], v)) == cell_set(
+                _individualize(slow, roots[1], v)
+            )
+
 
 def test_generators_are_the_greedy_lex_sift_of_the_brute_list(corpus):
     cases = [M for _, M in corpus[::4]] + _random_digraphs(7, 15, max_size=5)

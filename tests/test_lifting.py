@@ -31,7 +31,7 @@ from stablelift.lifting import (
     limit_elements,
     project_automorphism,
 )
-from stablelift.lifting import LiftMapError
+from stablelift.lifting import LiftMapError, _restrict_automorphism
 from stablelift.structures import Signature, Structure, relational_companion
 
 
@@ -207,6 +207,14 @@ def test_projection_inverts_induction(corpus):
         N = build_lift(M, LiftConfig(k=1))
         for pi in automorphism_group_brute(M):
             assert project_automorphism(N, direct_induced(N, pi)) == pi
+
+
+def test_unchecked_projection_equals_the_checked_one(corpus):
+    for _, M in corpus:
+        for k in (1, 2):
+            N = build_lift(M, LiftConfig(k=k))
+            for g in automorphism_group(N.structure).elements():
+                assert _restrict_automorphism(N, g) == project_automorphism(N, g)
 
 
 def test_all_lift_automorphisms_are_induced(m_pair, m_edge):
