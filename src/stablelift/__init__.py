@@ -43,7 +43,6 @@ from .interpretation import (
     SchemeSort,
     SchemeRel,
     InterpretationScheme,
-    SortBijections,
     ValidationReport,
     SchemeError,
     definable_quotient,

@@ -276,7 +276,7 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
                 f"pairs of tuples, above the guard {HOST_TUPLE_GUARD}"
             )
     N = build_lift(M, config)
-    scheme, bijections = generate_scheme(M, N)
+    scheme = generate_scheme(M, N)
     if args.mutate == "negate-relformula":
         scheme = negate_translation(scheme, 0)
     elif args.mutate == "break-ep":
@@ -287,18 +287,18 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
     elif args.mutate == "break-fp":
         key = next(
             (k for k, fmap in sorted(
-                bijections.maps.items(), key=lambda kv: kv[0].key
+                scheme.bijections.items(), key=lambda kv: kv[0].key
             ) if len(fmap) >= 2),
             None,
         )
         if key is None:
             raise InputError("no sort with two elements; cannot break the bijection")
-        bijections = redirect_bijection(bijections, key)
+        scheme = redirect_bijection(scheme, key)
     companion = relational_companion(N.structure)
-    validation = validate_scheme(M, companion, scheme, bijections)
+    validation = validate_scheme(M, companion, scheme)
     report = {
         "validation": validation.to_json_dict(),
-        "scheme": scheme_to_json_dict(scheme, bijections),
+        "scheme": scheme_to_json_dict(scheme),
         "mutation": args.mutate,
     }
     summary = [

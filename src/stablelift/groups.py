@@ -310,10 +310,7 @@ def _orbit_search(G: PermGroup, points, act):
 
 def orbits(G: PermGroup, S) -> list[tuple[int, ...]]:
     """Partition of S into G-orbits (blocks sorted, ordered by least member)."""
-    members = set(S)
-    for x in sorted(members):
-        if not (0 <= x < G.degree):
-            raise GroupError(f"element {x} outside degree {G.degree}")
+    members = set(_check_points(G, S))
     return [
         tuple(sorted(orbit.keys() & members))
         for _, orbit in _orbit_search(G, members, Permutation.__call__)
@@ -434,12 +431,13 @@ def automorphism_group_brute(M: Structure) -> list[Permutation]:
 
 def _adjacency(M: Structure) -> list[list[list[int]]]:
     """Binary views of M for refinement, one table y -> [x, ...] per ordered
-    pair of positions of each non-empty relation and per direction of each
-    function's graph.  Positions whose columns (t[p] over the relation's
-    tuples) are equal give equal tables, so a relation gets one table per
-    ordered pair of column classes, a class paired with itself only when it
-    has two positions.  Unary facts and constants are already separated by
-    the sorts of the root partition.  A relation of arity three or more is
+    pair of distinct columns (t[p] over the tuples) of each non-empty
+    relation and per direction of each function's graph.  Equal columns give
+    equal tables.  A column paired with itself (y -> [y] once per tuple with
+    y there) never splits a cell: its count at y is the sum, over all cells,
+    of y's hits through a table to another column, and with no other column
+    every tuple is R(x, ..., x), which the root sorts already separate, as
+    they do unary facts and constants.  A relation of arity three or more is
     seen only through these pairs, so refinement can stay coarser than its
     tuples allow; the leaf check keeps the search exact."""
     n = M.size
@@ -448,13 +446,8 @@ def _adjacency(M: Structure) -> list[list[list[int]]]:
         tuples = M.relations[name]
         if not tuples:
             continue
-        classes: dict[tuple[int, ...], int] = {}
-        for p in range(arity):
-            column = tuple([t[p] for t in tuples])
-            classes[column] = classes.get(column, 0) + 1
-        for (ys, positions), (xs, _) in itertools.product(classes.items(), repeat=2):
-            if ys is xs and positions < 2:
-                continue
+        columns = dict.fromkeys(tuple([t[p] for t in tuples]) for p in range(arity))
+        for ys, xs in itertools.permutations(columns, 2):
             table: list[list[int]] = [[] for _ in range(n)]
             for y, x in zip(ys, xs):
                 table[y].append(x)

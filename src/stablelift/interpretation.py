@@ -2,9 +2,10 @@
 
 A scheme presents one structure sort-by-sort inside another: each sort (an
 atomic one-variable type of the target) gets a definable set with an
-equivalence relation over the host, a bijection onto the quotient, and each
-target relation gets a translation formula.  A validated scheme transports
-every host automorphism to a target automorphism.
+equivalence relation over the host and a bijection onto the quotient, and
+each target relation gets a translation formula; the scheme holds all of
+them, bijections included.  A validated scheme transports every host
+automorphism to a target automorphism.
 
 Variable blocks: a sort of width m uses host variables x0..x(m-1); its
 equivalence formula uses x0..x(2m-1) with the second block as the partner
@@ -18,7 +19,7 @@ import functools
 import itertools
 from collections import deque
 from collections.abc import Callable, Container
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # definable_set and eval_formula are no longer called here but stay
 # importable at this site, where perfbench/spans.py wraps them
@@ -47,7 +48,6 @@ __all__ = [
     "SchemeSort",
     "SchemeRel",
     "InterpretationScheme",
-    "SortBijections",
     "ValidationReport",
     "CheckResult",
     "definable_quotient",
@@ -106,6 +106,10 @@ class SchemeRel:
 class InterpretationScheme:
     sorts: tuple[SchemeSort, ...]
     rels: tuple[SchemeRel, ...]
+    # per sort, the map from target elements of that sort to representative
+    # host tuples (each names its class; the generated choice is the
+    # lexicographically least member)
+    bijections: dict[AtomicType, dict[int, tuple[int, ...]]] = field(default_factory=dict)
     # translations: (rel, sort_keys) -> first matching SchemeRel, derived in
     # __post_init__ so translation() is one dict lookup
     translations: dict[tuple[str, tuple[AtomicType, ...]], SchemeRel] = field(
@@ -142,18 +146,6 @@ class InterpretationScheme:
 
     def translation(self, rel: str, sort_keys: tuple[AtomicType, ...]) -> SchemeRel | None:
         return self.translations.get((rel, sort_keys))
-
-
-@dataclass(frozen=True)
-class SortBijections:
-    """Per sort, the map from target elements of that sort to representative
-    host tuples (each representative names its equivalence class; the
-    canonical choice is the lexicographically least class member)."""
-
-    maps: dict[AtomicType, dict[int, tuple[int, ...]]] = field(default_factory=dict)
-
-    def __getitem__(self, key: AtomicType) -> dict[int, tuple[int, ...]]:
-        return self.maps[key]
 
 
 @dataclass(frozen=True)
@@ -204,9 +196,11 @@ class _Quotient:
         inert_r, inert_E = inert_variables(r), inert_variables(E)
         # over an empty domain nothing is padding: M^width is empty anyway
         pad = [q for q in range(n) if M.size and q in inert_r and {q, n + q} <= inert_E]
-        core = [q for q in range(n) if q not in pad]
+        padded = set(pad)
+        core = [q for q in range(n) if q not in padded]
         low = tuple(M.domain[0] for _ in pad)
-        where = [(core + pad).index(q) for q in range(n)]
+        # the inverse permutation: x_q sits at where[q] in core + pad
+        where = sorted(range(n), key=(core + pad).__getitem__)
 
         def full(c: tuple, p: tuple = low) -> tuple:
             cp = c + p
@@ -368,7 +362,6 @@ def _sort_cover(
 def _sort_pass(
     M1: Structure,
     scheme: InterpretationScheme,
-    bijections: SortBijections,
     realized: dict[AtomicType, tuple[int, ...]],
 ) -> tuple[dict[AtomicType, _Quotient | None], list[CheckResult]]:
     """Each scheme sort's quotient over M1 (None where its equivalence
@@ -389,21 +382,19 @@ def _sort_pass(
         witness = None if nonempty else "definable set empty for a realized sort"
         sort_checks.append(CheckResult(f"sort-quotient[{idx}]", nonempty, witness))
         problem = _bijection_problem(
-            q, bijections.maps.get(s.key, {}), realized.get(s.key, ())
+            q, scheme.bijections.get(s.key, {}), realized.get(s.key, ())
         )
         bijection_checks.append(CheckResult(f"sort-bijection[{idx}]", problem is None, problem))
     return quotients, sort_checks + bijection_checks
 
 
 def validate_scheme(
-    M1: Structure,
-    M2: Structure,
-    scheme: InterpretationScheme,
-    bijections: SortBijections,
+    M1: Structure, M2: Structure, scheme: InterpretationScheme
 ) -> ValidationReport:
-    """Check every scheme condition, reporting pass/fail with witnesses: the
-    sort cover, each sort's quotient, each sort's bijection, the translation
-    cover, then agreement of each target relation with its translations.
+    """Check every condition of the scheme, its sort bijections included,
+    reporting pass/fail with witnesses: the sort cover, each sort's
+    quotient, each sort's bijection, the translation cover, then agreement
+    of each target relation with its translations.
 
     Agreement evaluates the translations at every member of each element's
     class, which also checks that they respect the equivalences.  A padding
@@ -413,7 +404,7 @@ def validate_scheme(
     _require_relational(M1, "host structure")
     _require_relational(M2, "target structure")
     realized = sort_partition(M2)
-    quotients, sort_checks = _sort_pass(M1, scheme, bijections, realized)
+    quotients, sort_checks = _sort_pass(M1, scheme, realized)
     report = ValidationReport([_sort_cover(realized, scheme), *sort_checks])
 
     element_sort = {b: key for key, block in realized.items() for b in block}
@@ -427,7 +418,7 @@ def validate_scheme(
     report.checks.append(CheckResult("translation-cover", not missing_pairs, witness))
 
     rep_of: dict[int, tuple[int, ...]] = {}
-    for fmap in bijections.maps.values():
+    for fmap in scheme.bijections.values():
         rep_of.update(fmap)
     # id(formula) -> its compiled form, shared by the padding walk below and
     # every relation's scan
@@ -560,27 +551,27 @@ def induced_automorphism(
     M1: Structure,
     M2: Structure,
     scheme: InterpretationScheme,
-    bijections: SortBijections,
     pi: Permutation,
 ) -> Permutation:
     """Transport a host automorphism through a validated scheme.
 
     A target element maps to the element whose class is the coordinatewise
-    image of its representative's class.  Identity goes to identity and
-    composition is preserved.  The map fails with the witness of the first
-    failing sort check of validation (cover, quotients, bijections), or with
-    a diagnostic if the definable sets are not closed under the automorphism.
+    image of the class of its representative under the scheme's bijections.
+    Identity goes to identity and composition is preserved.  The map fails
+    with the witness of the first failing sort check of validation (cover,
+    quotients, bijections), or with a diagnostic if the definable sets are
+    not closed under the automorphism.
     """
     if not is_automorphism(M1, pi):
         raise SchemeError("the supplied permutation is not an automorphism of the host")
     realized = sort_partition(M2)
-    quotients, sort_checks = _sort_pass(M1, scheme, bijections, realized)
+    quotients, sort_checks = _sort_pass(M1, scheme, realized)
     for check in [_sort_cover(realized, scheme), *sort_checks]:
         if not check.passed:
             raise SchemeError(check.witness)
     images = [-1] * M2.size
     for s in scheme.sorts:
-        q, fmap = quotients[s.key], bijections.maps[s.key]
+        q, fmap = quotients[s.key], scheme.bijections[s.key]
         by_class = {q.index(rep): b for b, rep in fmap.items()}
         for b in realized[s.key]:
             moved = pi.apply_tuple(fmap[b])
@@ -672,7 +663,7 @@ def negate_translation(scheme: InterpretationScheme, index: int) -> Interpretati
     rels = list(scheme.rels)
     sr = rels[index]
     rels[index] = SchemeRel(rel=sr.rel, sort_keys=sr.sort_keys, formula=Not(sr.formula))
-    return InterpretationScheme(sorts=scheme.sorts, rels=tuple(rels))
+    return replace(scheme, rels=tuple(rels))
 
 
 def weaken_equivalence(scheme: InterpretationScheme, sort_index: int) -> InterpretationScheme:
@@ -689,28 +680,25 @@ def weaken_equivalence(scheme: InterpretationScheme, sort_index: int) -> Interpr
     sorts[sort_index] = SchemeSort(
         key=s.key, width=s.width, domain_formula=s.domain_formula, equiv_formula=identity
     )
-    return InterpretationScheme(sorts=tuple(sorts), rels=scheme.rels)
+    return replace(scheme, sorts=tuple(sorts))
 
 
-def redirect_bijection(bijections: SortBijections, key: AtomicType) -> SortBijections:
+def redirect_bijection(scheme: InterpretationScheme, key: AtomicType) -> InterpretationScheme:
     """Send the sort's least element to the class of its second element,
-    making the map neither injective nor onto (needs two elements)."""
-    fmap = dict(bijections.maps[key])
+    making the sort's bijection neither injective nor onto (needs two
+    elements); the other sorts keep their maps."""
+    fmap = dict(scheme.bijections[key])
     elems = sorted(fmap)
     if len(elems) < 2:
         raise SchemeError("sort has fewer than two elements; cannot redirect")
     fmap[elems[0]] = fmap[elems[1]]
-    maps = dict(bijections.maps)
-    maps[key] = fmap
-    return SortBijections(maps=maps)
+    return replace(scheme, bijections={**scheme.bijections, key: fmap})
 
 
 # -- serialization --------------------------------------------------------------
 
 
-def scheme_to_json_dict(
-    scheme: InterpretationScheme, bijections: SortBijections
-) -> dict:
+def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
     texts: dict[int, str] = {}  # id(formula) -> text, once per distinct formula object
 
     def text(phi: Formula) -> str:
@@ -741,6 +729,6 @@ def scheme_to_json_dict(
                 "key": list(key.key),
                 "map": [[b, list(rep)] for b, rep in sorted(fmap.items())],
             }
-            for key, fmap in sorted(bijections.maps.items(), key=lambda kv: kv[0].key)
+            for key, fmap in sorted(scheme.bijections.items(), key=lambda kv: kv[0].key)
         ],
     }

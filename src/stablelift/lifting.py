@@ -34,12 +34,7 @@ from .formulas import (
     tautology,
 )
 from .groups import Permutation, is_automorphism
-from .interpretation import (
-    InterpretationScheme,
-    SchemeRel,
-    SchemeSort,
-    SortBijections,
-)
+from .interpretation import InterpretationScheme, SchemeRel, SchemeSort
 from .structures import Signature, Structure, StructureError
 
 __all__ = [
@@ -555,11 +550,9 @@ def _recipe_formula(recipe: Recipe) -> Formula:
     return _padded(total, [Equal(Var(s), Var(t)) for s, t in core])
 
 
-def generate_scheme(
-    M: Structure, N: LiftedStructure
-) -> tuple[InterpretationScheme, SortBijections]:
+def generate_scheme(M: Structure, N: LiftedStructure) -> InterpretationScheme:
     """Produce the interpretation scheme presenting the lift's relational
-    companion inside M, together with the sort bijections.
+    companion inside M, its sort bijections included.
 
     Sorts: the anchor gets a width-2 presentation with the total equivalence
     (one class); the base sort is M itself under equality; each copy sort of
@@ -567,7 +560,9 @@ def generate_scheme(
     coordinates, with the limit sorts further cut down to relation members.
     Translation formulas for every companion relation are emitted
     mechanically from the fiber semantics, one formula object per distinct
-    formula.  An empty source raises LiftError: the anchor sort needs a host
+    formula.  The bijections send the anchor to (0, 0), a base element to
+    its source point, and a fiber element to its coordinates padded with 0
+    to the sort's width.  An empty source raises LiftError: the anchor sort needs a host
     tuple to present it.
     """
     if N.source is not M and M != N.source:
@@ -620,5 +615,4 @@ def generate_scheme(
                 formulas[recipe] = _recipe_formula(recipe)
             rels.append(SchemeRel(rel=name, sort_keys=combo, formula=formulas[recipe]))
 
-    scheme = InterpretationScheme(sorts=tuple(sorts), rels=tuple(rels))
-    return scheme, SortBijections(maps=bij)
+    return InterpretationScheme(sorts=tuple(sorts), rels=tuple(rels), bijections=bij)

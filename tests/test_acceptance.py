@@ -91,9 +91,9 @@ def members_M(idx: int):
 def scheme_of(idx: int, k: int):
     M = CORPUS[idx][1]
     N = lift_of(idx, k)
-    scheme, bijections = generate_scheme(M, N)
+    scheme = generate_scheme(M, N)
     companion = relational_companion(N.structure)
-    return scheme, bijections, companion
+    return scheme, companion
 
 
 def _passline(number: int, label: str, started: float) -> None:
@@ -166,13 +166,13 @@ def test_criterion_3_scheme_suite():
     started = time.monotonic()
     for idx, (name, M) in enumerate(CORPUS):
         for k in KS:
-            scheme, bijections, companion = scheme_of(idx, k)
-            report = validate_scheme(M, companion, scheme, bijections)
+            scheme, companion = scheme_of(idx, k)
+            report = validate_scheme(M, companion, scheme)
             assert report.passed, (name, k, report.failures())
             N = lift_of(idx, k)
             for g in aut_M(idx).generators:
                 assert induced_automorphism(
-                    M, companion, scheme, bijections, g
+                    M, companion, scheme, g
                 ) == direct_induced(N, g), (name, k)
 
     # each mutant is validated in full and fails exactly the check its
@@ -182,10 +182,10 @@ def test_criterion_3_scheme_suite():
     # its sort's bijection first
     negated = broken_eq = broken_map = 0
     for idx, (name, M) in enumerate(CORPUS):
-        scheme, bijections, companion = scheme_of(idx, 1)
+        scheme, companion = scheme_of(idx, 1)
         for i, sr in enumerate(scheme.rels):
             mutant = negate_translation(scheme, i)
-            failures = validate_scheme(M, companion, mutant, bijections).failures()
+            failures = validate_scheme(M, companion, mutant).failures()
             assert [c.condition for c in failures] == [f"relation-agreement[{sr.rel}]"], (name, i)
             assert failures[0].witness, (name, sr.rel)
             negated += 1
@@ -193,12 +193,12 @@ def test_criterion_3_scheme_suite():
             classes = definable_quotient(M, s.domain_formula, s.equiv_formula)
             if any(len(c) > 1 for c in classes):
                 mutant = weaken_equivalence(scheme, i)
-                failures = validate_scheme(M, companion, mutant, bijections).failures()
+                failures = validate_scheme(M, companion, mutant).failures()
                 assert [c.condition for c in failures] == [f"sort-bijection[{i}]"], (name, i)
                 broken_eq += 1
-            if len(bijections[s.key]) >= 2:
-                mutant_b = redirect_bijection(bijections, s.key)
-                failures = validate_scheme(M, companion, scheme, mutant_b).failures()
+            if len(scheme.bijections[s.key]) >= 2:
+                mutant_b = redirect_bijection(scheme, s.key)
+                failures = validate_scheme(M, companion, mutant_b).failures()
                 assert failures and failures[0].condition == f"sort-bijection[{i}]", (name, i)
                 broken_map += 1
     assert negated and broken_eq and broken_map

@@ -472,7 +472,7 @@ def test_translation_count_is_the_generated_scheme_length():
         M = _random_relational(rng)
         k, repetitions = rng.randint(1, 3), rng.random() < 0.3
         N = build_lift(M, LiftConfig(k=k, include_repetition_tuples=repetitions))
-        scheme, _ = generate_scheme(M, N)
+        scheme = generate_scheme(M, N)
         assert cli._translation_count(M, k, repetitions) == len(scheme.rels), (M, k, repetitions)
 
 
@@ -484,7 +484,7 @@ def test_translation_guard_boundary_is_exact(capsys, monkeypatch, tmp_path):
         path.write_text(structure_to_json(M), encoding="utf-8")
         for k, flags in ((1, ()), (2, ("--include-repetitions",))):
             config = LiftConfig(k=k, include_repetition_tuples=bool(flags))
-            count = len(generate_scheme(M, build_lift(M, config))[0].rels)
+            count = len(generate_scheme(M, build_lift(M, config)).rels)
             for guard, expected in ((count, 0), (count - 1, 2)):
                 monkeypatch.setattr(cli, "TRANSLATION_GUARD", guard)
                 code, _, err = run(capsys, "scheme-check", "--in", str(path), "--k", str(k), *flags)

@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -33,7 +35,6 @@ from stablelift.interpretation import (
     SchemeError,
     SchemeRel,
     SchemeSort,
-    SortBijections,
     ValidationReport,
     check_classical_interpretation,
     definable_quotient,
@@ -50,9 +51,9 @@ from stablelift.structures import Signature, Structure, relational_companion
 
 def _scheme_setup(M, k=1):
     N = build_lift(M, LiftConfig(k=k))
-    scheme, bij = generate_scheme(M, N)
+    scheme = generate_scheme(M, N)
     companion = relational_companion(N.structure)
-    return N, companion, scheme, bij
+    return N, companion, scheme
 
 
 # -- quotients ------------------------------------------------------------------
@@ -305,11 +306,29 @@ def test_quotient_keeps_the_free_variable_gap_error(m_edge):
         definable_quotient(m_edge, r, E)
 
 
+def test_a_wide_quotient_is_built_quickly(m_edge):
+    # one core position among 10,000: splitting core from padding and
+    # putting full tuples back together take time linear in the width
+    n, mid = 10_000, 5_000
+    r = tautology(n)
+    E = conjunction(
+        [Equal(Var(q), Var(q)) for q in range(2 * n)] + [Equal(Var(mid), Var(n + mid))]
+    )
+    started = time.monotonic()
+    q = interpretation._Quotient(m_edge, r, E)
+    assert time.monotonic() - started < 1
+    assert q.core == [mid] and len(q.pad) == n - 1
+    assert q.cores == [((0,),), ((1,),)]
+    t = q.full((1,))
+    assert t[mid] == 1 and t.count(0) == n - 1
+    assert q.index(t) == 1
+
+
 # -- scheme construction ----------------------------------------------------------
 
 
 def test_scheme_sort_construction_errors(m_edge):
-    _, _, scheme, _ = _scheme_setup(m_edge)
+    _, _, scheme = _scheme_setup(m_edge)
     s = next(s for s in scheme.sorts if s.width == 1)
     one = parse_formula("x0 = x0", m_edge.sig)
     two = parse_formula("x0 = x1", m_edge.sig)
@@ -324,11 +343,11 @@ def test_scheme_sort_construction_errors(m_edge):
 
 
 def test_interpretation_scheme_construction_errors(m_edge, m_pair):
-    _, _, scheme, _ = _scheme_setup(m_edge)
+    _, _, scheme = _scheme_setup(m_edge)
     with pytest.raises(SchemeError, match=r"^sort keys must be distinct$"):
         InterpretationScheme(sorts=scheme.sorts + scheme.sorts[:1], rels=())
     # a sort key the scheme does not list: one from another structure's lift
-    _, _, other, _ = _scheme_setup(m_pair, k=2)
+    _, _, other = _scheme_setup(m_pair, k=2)
     known = {s.key for s in scheme.sorts}
     stranger = next(s.key for s in other.sorts if s.key not in known)
     sr = scheme.rels[0]
@@ -350,7 +369,7 @@ def test_interpretation_scheme_construction_errors(m_edge, m_pair):
 
 
 def test_a_mutant_checks_only_the_translation_it_replaces(m_edge, monkeypatch):
-    _, _, scheme, _ = _scheme_setup(m_edge)
+    _, _, scheme = _scheme_setup(m_edge)
     assert len(scheme.rels) > 1
     calls = []
     original = interpretation.free_variables
@@ -365,6 +384,58 @@ def test_a_mutant_checks_only_the_translation_it_replaces(m_edge, monkeypatch):
     assert mutant.rels[1:] == scheme.rels[1:]
 
 
+def _bijection_entries(data):
+    return {tuple(entry["key"]): entry["map"] for entry in data["bijections"]}
+
+
+def test_a_mutant_shares_what_it_keeps_with_its_parent(corpus):
+    # each mutant is its parent with one part replaced: the other parts are
+    # the parent's own objects, and a redirected bijection changes the
+    # scheme, and its serialization, at that sort's map alone
+    redirected = 0
+    for _, M in corpus:
+        for k in (1, 2):
+            _, _, scheme = _scheme_setup(M, k)
+            data = scheme_to_json_dict(scheme)
+            for i in (0, len(scheme.rels) - 1):
+                mutant = negate_translation(scheme, i)
+                assert mutant.sorts is scheme.sorts and mutant.bijections is scheme.bijections
+                assert all(
+                    a is b for j, (a, b) in enumerate(zip(mutant.rels, scheme.rels)) if j != i
+                )
+                assert mutant.rels[i] is not scheme.rels[i]
+            for i in range(len(scheme.sorts)):
+                mutant = weaken_equivalence(scheme, i)
+                assert mutant.rels is scheme.rels and mutant.bijections is scheme.bijections
+                assert all(
+                    a is b for j, (a, b) in enumerate(zip(mutant.sorts, scheme.sorts)) if j != i
+                )
+            for key, fmap in scheme.bijections.items():
+                copy = replace(scheme, bijections={**scheme.bijections, key: dict(fmap)})
+                assert copy == scheme
+                if len(fmap) < 2:
+                    continue
+                mutant = redirect_bijection(scheme, key)
+                assert mutant.sorts is scheme.sorts and mutant.rels is scheme.rels
+                assert mutant.bijections.keys() == scheme.bijections.keys()
+                assert all(
+                    mutant.bijections[other] is scheme.bijections[other]
+                    for other in scheme.bijections
+                    if other != key
+                )
+                assert mutant != scheme
+                assert mutant.bijections[key] != fmap
+                changed = scheme_to_json_dict(mutant)
+                assert {name: changed[name] for name in ("sorts", "relations")} == {
+                    name: data[name] for name in ("sorts", "relations")
+                }
+                before, after = _bijection_entries(data), _bijection_entries(changed)
+                assert list(before) == list(after)
+                assert {sort for sort in before if before[sort] != after[sort]} == {key.key}
+                redirected += 1
+    assert redirected
+
+
 @pytest.mark.hashseed
 def test_validation_compiles_each_distinct_formula_once(corpus, monkeypatch):
     compiled = Counter()
@@ -377,10 +448,10 @@ def test_validation_compiles_each_distinct_formula_once(corpus, monkeypatch):
     monkeypatch.setattr(interpretation, "_compile_formula", counting)
     for _, M in corpus[::7]:
         for k in (1, 2, 3):
-            _, companion, scheme, bij = _scheme_setup(M, k)
+            _, companion, scheme = _scheme_setup(M, k)
             for mutant in (scheme, negate_translation(scheme, 0)):
                 compiled.clear()
-                validate_scheme(M, companion, mutant, bij)
+                validate_scheme(M, companion, mutant)
                 # each sort's r and E in its quotient, each translation in the scan
                 reached = {id(s.domain_formula) for s in mutant.sorts}
                 reached |= {id(s.equiv_formula) for s in mutant.sorts}
@@ -411,12 +482,12 @@ def test_generated_schemes_never_reach_eval_formula(corpus, monkeypatch):
     validations = 0
     for _, M in corpus[::3]:
         for k in (1, 2):
-            _, companion, scheme, bij = _scheme_setup(M, k)
+            _, companion, scheme = _scheme_setup(M, k)
             for mutant in (scheme, negate_translation(scheme, 0), weaken_equivalence(scheme, 0)):
-                validate_scheme(M, companion, mutant, bij)
+                validate_scheme(M, companion, mutant)
                 validations += 1
             for g in automorphism_group(M).generators:
-                induced_automorphism(M, companion, scheme, bij, g)
+                induced_automorphism(M, companion, scheme, g)
     assert validations == 138
     assert calls == {}
 
@@ -426,22 +497,22 @@ def test_generated_schemes_never_reach_eval_formula(corpus, monkeypatch):
 
 def test_generated_scheme_validates(m_edge):
     M = m_edge
-    _, companion, scheme, bij = _scheme_setup(M)
-    report = validate_scheme(M, companion, scheme, bij)
+    _, companion, scheme = _scheme_setup(M)
+    report = validate_scheme(M, companion, scheme)
     assert report.passed, report.failures()
 
 
 def test_validate_requires_relational(m_edge):
-    N, companion, scheme, bij = _scheme_setup(m_edge)
+    N, companion, scheme = _scheme_setup(m_edge)
     with pytest.raises(SchemeError, match="relational"):
-        validate_scheme(m_edge, N.structure, scheme, bij)
+        validate_scheme(m_edge, N.structure, scheme)
 
 
 def test_negated_translation_is_caught(m_edge):
     M = m_edge
-    _, companion, scheme, bij = _scheme_setup(M)
+    _, companion, scheme = _scheme_setup(M)
     mutant = negate_translation(scheme, 0)
-    report = validate_scheme(M, companion, mutant, bij)
+    report = validate_scheme(M, companion, mutant)
     assert not report.passed
     failing = report.failures()
     assert any(c.condition.startswith("relation-agreement") for c in failing)
@@ -450,21 +521,23 @@ def test_negated_translation_is_caught(m_edge):
 
 def test_weakened_equivalence_is_caught(m_edge):
     M = m_edge
-    _, companion, scheme, bij = _scheme_setup(M)
+    _, companion, scheme = _scheme_setup(M)
     # the anchor sort has one class of size 4; identity splits it
-    idx = next(i for i, s in enumerate(scheme.sorts) if s.width == 2 and len(bij[s.key]) == 1)
+    idx = next(
+        i for i, s in enumerate(scheme.sorts) if s.width == 2 and len(scheme.bijections[s.key]) == 1
+    )
     mutant = weaken_equivalence(scheme, idx)
-    report = validate_scheme(M, companion, mutant, bij)
+    report = validate_scheme(M, companion, mutant)
     assert not report.passed
     assert any(c.condition.startswith("sort-bijection") for c in report.failures())
 
 
 def test_redirected_bijection_is_caught(m_edge):
     M = m_edge
-    _, companion, scheme, bij = _scheme_setup(M)
-    key = next(k for k, fmap in bij.maps.items() if len(fmap) >= 2)
-    mutant = redirect_bijection(bij, key)
-    report = validate_scheme(M, companion, scheme, mutant)
+    _, companion, scheme = _scheme_setup(M)
+    key = next(k for k, fmap in scheme.bijections.items() if len(fmap) >= 2)
+    mutant = redirect_bijection(scheme, key)
+    report = validate_scheme(M, companion, mutant)
     assert not report.passed
     assert any("injective" in (c.witness or "") or "onto" in (c.witness or "")
                for c in report.failures())
@@ -472,24 +545,24 @@ def test_redirected_bijection_is_caught(m_edge):
 
 def test_generated_scheme_of_the_pair_validates(m_pair):
     M = m_pair
-    _, companion, scheme, bij = _scheme_setup(M)
-    report = validate_scheme(M, companion, scheme, bij)
+    _, companion, scheme = _scheme_setup(M)
+    report = validate_scheme(M, companion, scheme)
     assert report.passed, report.failures()
 
 
 def test_validation_reports_a_representative_outside_its_sort(m_edge):
-    _, companion, scheme, bij = _scheme_setup(m_edge)
+    _, companion, scheme = _scheme_setup(m_edge)
     idx, s = next((i, s) for i, s in enumerate(scheme.sorts) if s.width == 1)
-    fmap = dict(bij[s.key])
+    fmap = dict(scheme.bijections[s.key])
     b = min(fmap)
     fmap[b] = (0, 0)
-    bad = SortBijections(maps={**bij.maps, s.key: fmap})
+    bad = replace(scheme, bijections={**scheme.bijections, s.key: fmap})
     expected = CheckResult(
         f"sort-bijection[{idx}]", False, "representative (0, 0) outside the definable set"
     )
     # a representative of the wrong width has no class, so its element
     # has no variable block to stand in
-    failing = validate_scheme(m_edge, companion, scheme, bad).failures()
+    failing = validate_scheme(m_edge, companion, bad).failures()
     assert failing[0] == expected
     rest = failing[1:]
     assert [c.condition for c in rest] == [
@@ -500,13 +573,13 @@ def test_validation_reports_a_representative_outside_its_sort(m_edge):
 
 
 def test_validation_reports_a_sort_whose_quotient_failed(m_edge):
-    _, companion, scheme, bij = _scheme_setup(m_edge)
+    _, companion, scheme = _scheme_setup(m_edge)
     idx, s = next((i, s) for i, s in enumerate(scheme.sorts) if s.width == 1)
     sorts = list(scheme.sorts)
     # not reflexive, so the sort has no quotient
     sorts[idx] = SchemeSort(s.key, 1, s.domain_formula, Not(Equal(Var(0), Var(1))))
-    broken = InterpretationScheme(sorts=tuple(sorts), rels=scheme.rels)
-    failing = validate_scheme(m_edge, companion, broken, bij).failures()
+    broken = replace(scheme, sorts=tuple(sorts))
+    failing = validate_scheme(m_edge, companion, broken).failures()
     assert failing[0].condition == f"sort-quotient[{idx}]"
     assert "not reflexive" in failing[0].witness
     rest = [c for c in failing if c.condition.startswith("relation-agreement[")]
@@ -517,12 +590,12 @@ def test_class_images_independent_of_member_choice(m_pair, m_edge):
     # transporting any member of an element's class lands in the same class
     # as transporting the stored representative
     for M in (m_pair, m_edge):
-        _, companion, scheme, bij = _scheme_setup(M)
+        _, companion, scheme = _scheme_setup(M)
         for pi in automorphism_group_brute(M):
             for s in scheme.sorts:
                 classes = definable_quotient(M, s.domain_formula, s.equiv_formula)
                 class_of = {t: i for i, c in enumerate(classes) for t in c}
-                for b, rep in bij[s.key].items():
+                for b, rep in scheme.bijections[s.key].items():
                     target = class_of[pi.apply_tuple(rep)]
                     for member in classes[class_of[rep]]:
                         assert class_of[pi.apply_tuple(member)] == target
@@ -532,39 +605,39 @@ def test_class_images_independent_of_member_choice(m_pair, m_edge):
 
 
 def test_identity_induces_identity(m_pair):
-    N, companion, scheme, bij = _scheme_setup(m_pair)
+    N, companion, scheme = _scheme_setup(m_pair)
     ident = Permutation.identity(2)
-    assert induced_automorphism(m_pair, companion, scheme, bij, ident).is_identity()
+    assert induced_automorphism(m_pair, companion, scheme, ident).is_identity()
 
 
 def test_induced_matches_direct_on_swap(m_pair):
-    N, companion, scheme, bij = _scheme_setup(m_pair)
+    N, companion, scheme = _scheme_setup(m_pair)
     swap = Permutation((1, 0))
-    assert induced_automorphism(m_pair, companion, scheme, bij, swap) == direct_induced(
+    assert induced_automorphism(m_pair, companion, scheme, swap) == direct_induced(
         N, swap
     )
 
 
 def test_induced_rejects_non_automorphism(m_edge):
-    N, companion, scheme, bij = _scheme_setup(m_edge)
+    N, companion, scheme = _scheme_setup(m_edge)
     with pytest.raises(SchemeError, match="not an automorphism"):
-        induced_automorphism(m_edge, companion, scheme, bij, Permutation((1, 0)))
+        induced_automorphism(m_edge, companion, scheme, Permutation((1, 0)))
 
 
 def test_induced_rejects_a_redirected_bijection(m_pair):
-    _, companion, scheme, bij = _scheme_setup(m_pair)
-    key = next(k for k, fmap in sorted(bij.maps.items()) if len(fmap) >= 2)
-    redirected = redirect_bijection(bij, key)
+    _, companion, scheme = _scheme_setup(m_pair)
+    key = next(k for k, fmap in sorted(scheme.bijections.items()) if len(fmap) >= 2)
+    redirected = redirect_bijection(scheme, key)
     with pytest.raises(SchemeError, match="not injective"):
-        induced_automorphism(m_pair, companion, scheme, redirected, Permutation.identity(2))
+        induced_automorphism(m_pair, companion, redirected, Permutation.identity(2))
 
 
 def test_induced_is_homomorphism(corpus):
     for _, M in corpus[1:6]:
-        N, companion, scheme, bij = _scheme_setup(M)
+        N, companion, scheme = _scheme_setup(M)
         members = automorphism_group_brute(M)
         table = {
-            pi.images: induced_automorphism(M, companion, scheme, bij, pi)
+            pi.images: induced_automorphism(M, companion, scheme, pi)
             for pi in members
         }
         for a in members:
@@ -575,9 +648,9 @@ def test_induced_is_homomorphism(corpus):
 def test_induced_injective_when_every_element_appears(m_pair):
     # both source points occur as representative coordinates, so distinct
     # automorphisms induce distinct maps
-    N, companion, scheme, bij = _scheme_setup(m_pair)
+    N, companion, scheme = _scheme_setup(m_pair)
     members = automorphism_group_brute(m_pair)
-    images = {induced_automorphism(m_pair, companion, scheme, bij, pi).images
+    images = {induced_automorphism(m_pair, companion, scheme, pi).images
               for pi in members}
     assert len(images) == len(members)
 
@@ -585,23 +658,24 @@ def test_induced_injective_when_every_element_appears(m_pair):
 def test_induced_rejects_a_scheme_missing_a_realized_sort(m_pair):
     # transport walks the scheme's sorts, so the elements of an unlisted
     # realized sort would be left without images
-    _, companion, scheme, bij = _scheme_setup(m_pair)
+    _, companion, scheme = _scheme_setup(m_pair)
     dropped = scheme.sorts[0].key
-    partial = InterpretationScheme(
+    partial = replace(
+        scheme,
         sorts=scheme.sorts[1:],
         rels=tuple(sr for sr in scheme.rels if dropped not in sr.sort_keys),
     )
     with pytest.raises(SchemeError, match=r"^missing=1 extra=0 sort keys$"):
-        induced_automorphism(m_pair, companion, partial, bij, Permutation.identity(2))
+        induced_automorphism(m_pair, companion, partial, Permutation.identity(2))
 
 
-def _sort_mutants(scheme, bij):
+def _sort_mutants(scheme):
     """Every weakened sort equivalence and every redirected sort bijection."""
     for i in range(len(scheme.sorts)):
-        yield weaken_equivalence(scheme, i), bij
-    for key, fmap in bij.maps.items():
+        yield weaken_equivalence(scheme, i)
+    for key, fmap in scheme.bijections.items():
         if len(fmap) >= 2:
-            yield scheme, redirect_bijection(bij, key)
+            yield redirect_bijection(scheme, key)
 
 
 def _first_sort_failure(report):
@@ -615,16 +689,16 @@ def _first_sort_failure(report):
 def test_induced_raises_the_first_failing_sort_check(corpus):
     raised = 0
     for _, M in corpus[1:12]:
-        _, companion, scheme, bij = _scheme_setup(M)
+        _, companion, scheme = _scheme_setup(M)
         ident = Permutation.identity(M.size)
-        for mutant, mutant_bij in _sort_mutants(scheme, bij):
-            failure = _first_sort_failure(validate_scheme(M, companion, mutant, mutant_bij))
+        for mutant in _sort_mutants(scheme):
+            failure = _first_sort_failure(validate_scheme(M, companion, mutant))
             if failure is None:
                 # weakening a sort whose classes are singletons changes nothing
-                assert induced_automorphism(M, companion, mutant, mutant_bij, ident).is_identity()
+                assert induced_automorphism(M, companion, mutant, ident).is_identity()
                 continue
             with pytest.raises(SchemeError) as err:
-                induced_automorphism(M, companion, mutant, mutant_bij, ident)
+                induced_automorphism(M, companion, mutant, ident)
             assert str(err.value) == failure.witness
             raised += 1
     assert raised
@@ -633,23 +707,23 @@ def test_induced_raises_the_first_failing_sort_check(corpus):
 # -- the per-block agreement scan against the product scan ------------------------------
 
 
-def _one_of_each_mutant(M, scheme, bij):
+def _one_of_each_mutant(M, scheme):
     """The clean scheme and one negated, one weakened and one redirected mutant."""
-    yield scheme, bij
-    yield negate_translation(scheme, 0), bij
+    yield scheme
+    yield negate_translation(scheme, 0)
     weakened = next(
         (i for i, s in enumerate(scheme.sorts)
          if any(len(c) > 1 for c in definable_quotient(M, s.domain_formula, s.equiv_formula))),
         None,
     )
     if weakened is not None:
-        yield weaken_equivalence(scheme, weakened), bij
-    key = next((key for key, fmap in bij.maps.items() if len(fmap) >= 2), None)
+        yield weaken_equivalence(scheme, weakened)
+    key = next((key for key, fmap in scheme.bijections.items() if len(fmap) >= 2), None)
     if key is not None:
-        yield scheme, redirect_bijection(bij, key)
+        yield redirect_bijection(scheme, key)
 
 
-def _product_scan_report(M1, M2, scheme, bijections):
+def _product_scan_report(M1, M2, scheme):
     """validate_scheme as it was before the per-block agreement scan: every
     tuple of M2^arity in product order, each translation looked up and
     walked with eval_formula per tuple, at every choice of members of the
@@ -658,7 +732,7 @@ def _product_scan_report(M1, M2, scheme, bijections):
     its other checks come from the sort helpers and its own cover loop, so
     it runs no agreement scan of validate_scheme."""
     realized = interpretation.sort_partition(M2)
-    quotients, sort_checks = interpretation._sort_pass(M1, scheme, bijections, realized)
+    quotients, sort_checks = interpretation._sort_pass(M1, scheme, realized)
     missing = [
         name
         for name, arity in M2.sig.relations
@@ -670,7 +744,7 @@ def _product_scan_report(M1, M2, scheme, bijections):
     report = ValidationReport([interpretation._sort_cover(realized, scheme), *sort_checks, cover])
     element_sort = {b: key for key, block in realized.items() for b in block}
     rep_of = {}
-    for fmap in bijections.maps.values():
+    for fmap in scheme.bijections.values():
         rep_of.update(fmap)
     brute = {}
     for s in scheme.sorts:
@@ -702,39 +776,39 @@ def _product_scan_report(M1, M2, scheme, bijections):
     return report
 
 
-def _scan_mutants(M, scheme, bij, rng):
+def _scan_mutants(M, scheme, rng):
     """The clean scheme and its mutants: negated translations at several
     indices, a weakened and a coarsened equivalence (one class, which the
     translations need not respect), a redirected bijection, a dropped
     translation, a representative of the wrong width, a later translation
     that names an unknown relation (alone and after a negated one)."""
     n = len(scheme.rels)
-    yield "clean", scheme, bij
+    bij = scheme.bijections
+    yield "clean", scheme
     for i in sorted({0, n // 2, n - 1, *rng.sample(range(n), min(n, 3))}):
-        yield f"negate {i}", negate_translation(scheme, i), bij
-    for mutant, mutant_bij in _one_of_each_mutant(M, scheme, bij):
-        if mutant_bij is not bij:
-            yield "redirect", scheme, mutant_bij
+        yield f"negate {i}", negate_translation(scheme, i)
+    for mutant in _one_of_each_mutant(M, scheme):
+        if mutant.bijections is not bij:
+            yield "redirect", mutant
         elif mutant.sorts != scheme.sorts:
-            yield "weaken", mutant, bij
+            yield "weaken", mutant
     sorts = list(scheme.sorts)
     i = max(range(len(sorts)), key=lambda i: (len(bij[sorts[i].key]), rng.random()))
     s = sorts[i]
     sorts[i] = SchemeSort(s.key, s.width, s.domain_formula, tautology(2 * s.width))
-    yield f"coarsen {i}", InterpretationScheme(tuple(sorts), scheme.rels), bij
+    yield f"coarsen {i}", replace(scheme, sorts=tuple(sorts))
     i = rng.randrange(n)
-    yield f"drop {i}", InterpretationScheme(scheme.sorts, scheme.rels[:i] + scheme.rels[i + 1:]), bij
-    key = rng.choice(sorted(bij.maps))
+    yield f"drop {i}", replace(scheme, rels=scheme.rels[:i] + scheme.rels[i + 1:])
+    key = rng.choice(sorted(bij))
     b = rng.choice(sorted(bij[key]))
-    wide = SortBijections(maps={**bij.maps, key: {**bij[key], b: bij[key][b] + (0,)}})
-    yield f"wide {b}", scheme, wide
+    yield f"wide {b}", replace(scheme, bijections={**bij, key: {**bij[key], b: bij[key][b] + (0,)}})
     j = rng.randrange(n // 2, n)
     rels = list(scheme.rels)
     sr = rels[j]
     rels[j] = SchemeRel(sr.rel, sr.sort_keys, And((sr.formula, Rel("nosuch", (Var(0),)))))
-    unknown = InterpretationScheme(scheme.sorts, tuple(rels))
-    yield f"unknown {j}", unknown, bij
-    yield f"negate {j // 2}, unknown {j}", negate_translation(unknown, j // 2), bij
+    unknown = replace(scheme, rels=tuple(rels))
+    yield f"unknown {j}", unknown
+    yield f"negate {j // 2}, unknown {j}", negate_translation(unknown, j // 2)
 
 
 def _scan_outcome(validate, *args):
@@ -744,9 +818,9 @@ def _scan_outcome(validate, *args):
         return str(e)
 
 
-def _relabelled(M2, bijections, rng):
-    """M2 and the bijections under a random relabelling of M2's elements, so
-    that the sorts interleave."""
+def _relabelled(M2, scheme, rng):
+    """M2 under a random relabelling of its elements, so that the sorts
+    interleave, and the scheme with its bijections relabelled to match."""
     image = list(M2.domain)
     rng.shuffle(image)
     relations = {
@@ -755,10 +829,10 @@ def _relabelled(M2, bijections, rng):
     }
     maps = {
         key: {image[b]: rep for b, rep in fmap.items()}
-        for key, fmap in bijections.maps.items()
+        for key, fmap in scheme.bijections.items()
     }
     target = Structure(M2.sig, M2.size, relations, repetition_free=M2.repetition_free)
-    return target, SortBijections(maps=maps)
+    return target, replace(scheme, bijections=maps)
 
 
 @pytest.mark.hashseed
@@ -771,10 +845,10 @@ def test_block_scan_matches_the_product_scan(corpus):
     outcomes = Counter()
     for k, sample in ((1, corpus[::5]), (2, corpus[:5] + corpus[5::32]), (3, corpus[:3])):
         for index, (name, M) in enumerate(sample):
-            _, companion, scheme, bij = _scheme_setup(M, k)
-            target, target_bij = (companion, bij) if index % 2 else _relabelled(companion, bij, rng)
-            for label, mutant, mutant_bij in _scan_mutants(M, scheme, target_bij, rng):
-                args = (M, target, mutant, mutant_bij)
+            _, companion, scheme = _scheme_setup(M, k)
+            target, scheme = (companion, scheme) if index % 2 else _relabelled(companion, scheme, rng)
+            for label, mutant in _scan_mutants(M, scheme, rng):
+                args = (M, target, mutant)
                 expected = _scan_outcome(_product_scan_report, *args)
                 assert _scan_outcome(validate_scheme, *args) == expected, (name, k, label)
                 if isinstance(expected, str):
@@ -809,13 +883,13 @@ def test_block_scan_takes_the_least_failure_over_interleaved_sorts():
         SchemeRel("R", keys, parse_formula("Q(x0, x1)", sig))
         for keys in itertools.product((even, odd), repeat=2)
     )
-    scheme = InterpretationScheme(sorts, rels)
-    bij = SortBijections(maps={key: {b: (b,) for b in block} for key, block in ((even, (0, 2, 4)), (odd, (1, 3, 5)))})
-    report = validate_scheme(M1, M2, scheme, bij)
+    bij = {key: {b: (b,) for b in block} for key, block in ((even, (0, 2, 4)), (odd, (1, 3, 5)))}
+    scheme = InterpretationScheme(sorts, rels, bij)
+    report = validate_scheme(M1, M2, scheme)
     assert report.failures() == [
         CheckResult("relation-agreement[R]", False, "tuple (0, 3) (target says False)")
     ]
-    assert report == _product_scan_report(M1, M2, scheme, bij)
+    assert report == _product_scan_report(M1, M2, scheme)
 
 
 def _padding_readers(M, scheme, pads, rng):
@@ -841,7 +915,7 @@ def _padding_readers(M, scheme, pads, rng):
         else:
             formula = And((sr.formula, Or((Equal(Var(p), Var(p)), extra))))
         rels[i] = SchemeRel(sr.rel, sr.sort_keys, formula)
-    return InterpretationScheme(scheme.sorts, tuple(rels))
+    return replace(scheme, rels=tuple(rels))
 
 
 @pytest.mark.hashseed
@@ -853,15 +927,15 @@ def test_validation_matches_member_enumeration_where_translations_read_padding(c
     outcomes = Counter()
     for k, sample in ((1, corpus[1::10]), (2, corpus[1:4])):
         for name, M in sample:
-            _, companion, scheme, bij = _scheme_setup(M, k)
+            _, companion, scheme = _scheme_setup(M, k)
             pads = {
                 s.key: interpretation._Quotient(M, s.domain_formula, s.equiv_formula).pad
                 for s in scheme.sorts
             }
             for _ in range(16):
                 mutant = _padding_readers(M, scheme, pads, rng)
-                expected = _scan_outcome(_product_scan_report, M, companion, mutant, bij)
-                assert _scan_outcome(validate_scheme, M, companion, mutant, bij) == expected, (
+                expected = _scan_outcome(_product_scan_report, M, companion, mutant)
+                assert _scan_outcome(validate_scheme, M, companion, mutant) == expected, (
                     name, k, mutant.rels
                 )
                 outcomes[all(c.passed for c in expected)] += 1
@@ -873,7 +947,7 @@ def test_validation_catches_a_translation_that_tells_class_members_apart(m_edge)
     # holds at every representative, whose padding is 0, but not at the
     # members whose padding is 1, so the translation does not respect the
     # sort's equivalence
-    _, companion, scheme, bij = _scheme_setup(m_edge)
+    _, companion, scheme = _scheme_setup(m_edge)
     key = next(s.key for s in scheme.sorts if s.width == 3)
     at = next(
         i for i, sr in enumerate(scheme.rels) if sr.rel == "fiber_edge" and sr.sort_keys == (key,)
@@ -882,13 +956,13 @@ def test_validation_catches_a_translation_that_tells_class_members_apart(m_edge)
     entered = Exists(3, Rel("edge", (Var(3), Var(2))))
     rels = list(scheme.rels)
     rels[at] = SchemeRel(sr.rel, sr.sort_keys, And((sr.formula, Not(entered))))
-    planted = InterpretationScheme(scheme.sorts, tuple(rels))
-    (element,) = bij[key]
-    report = validate_scheme(m_edge, companion, planted, bij)
+    planted = replace(scheme, rels=tuple(rels))
+    (element,) = scheme.bijections[key]
+    report = validate_scheme(m_edge, companion, planted)
     assert report.failures() == [
         CheckResult("relation-agreement[fiber_edge]", False, f"tuple ({element},) (target says True)")
     ]
-    assert report == _product_scan_report(m_edge, companion, planted, bij)
+    assert report == _product_scan_report(m_edge, companion, planted)
 
 
 # -- classical interpretation proxy ----------------------------------------------------
@@ -931,8 +1005,8 @@ def test_planted_non_invariant_relation_rejected(m_pair):
 
 
 def test_scheme_serialization_shape(m_edge):
-    _, companion, scheme, bij = _scheme_setup(m_edge)
-    data = scheme_to_json_dict(scheme, bij)
+    _, companion, scheme = _scheme_setup(m_edge)
+    data = scheme_to_json_dict(scheme)
     assert {"sorts", "relations", "bijections"} <= set(data)
     assert all("formula" in r for r in data["relations"])
     # sort keys are sorted formula lists
