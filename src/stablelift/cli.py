@@ -356,10 +356,25 @@ def _cmd_report(args) -> tuple[dict, list[str]]:
         ks = [int(x) for x in args.ks.split(",") if x]
     except ValueError as e:
         raise InputError(f"bad --ks list {args.ks!r}: {e}") from e
+    # a repeated copy bound or parameter set would only repeat its entries
+    seen = set()
+    for k in ks:
+        if k in seen:
+            raise InputError(f"--ks lists the copy bound {k} twice")
+        seen.add(k)
     for k in ks:
         _check_copy_bound(k)
         _check_lift_size(M, k, include_repetitions=False)
-    As = [_parse_elements(a) for a in (args.parameters or [""])]
+    texts = args.parameters or [""]
+    As = [_parse_elements(a) for a in texts]
+    given = {}
+    for text, A in zip(texts, As):
+        key = tuple(sorted(set(A)))
+        if key in given:
+            raise InputError(
+                f"--A {text!r} repeats the parameter set {list(key)} of --A {given[key]!r}"
+            )
+        given[key] = text
     census = stability_report(M, ks, As, structure_id=args.infile)
     report = census.to_json_dict()
     summary = [

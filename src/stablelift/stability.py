@@ -83,23 +83,27 @@ class TypeCensus:
         return tuple(b[0] for b in self.blocks)
 
 
-def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
-    """Partition the domain by satisfied atomic formulas in one free
-    variable with parameters from A and terms of bounded nesting depth."""
+@dataclass(frozen=True)
+class _CensusTable:
+    """The parameter-free part of a census: the term columns that vary, the
+    values of the constant ones, and the partition by the parameter-free
+    atoms as a block index per element."""
+
+    varying: tuple[tuple[int, ...], ...]
+    fixed: frozenset[int]
+    block_of: tuple[int, ...]
+
+
+def _census_table(N: Structure, depth: int) -> _CensusTable:
     if depth > QF_DEPTH_LIMIT:
         raise StabilityError(f"depth {depth} exceeds the guard ({QF_DEPTH_LIMIT})")
     if depth < 0:
         raise StabilityError(f"depth {depth} is negative")
-    params = sorted(set(A))
-    for a in params:
-        if not (0 <= a < N.size):
-            raise StabilityError(f"parameter {a} outside the domain")
 
     # every term as a column of values over the domain; the terms that do
     # not mention the free element give constant columns
     size = N.size
     terms = [list(N.domain)]
-    terms += [[a] * size for a in params]
     terms += [[N.constants[c]] * size for c in N.sig.constants]
     frontier = terms
     for _ in range(depth):
@@ -124,8 +128,60 @@ def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
             for idx in itertools.product(range(len(cols)), repeat=arity)
             if any(varies[i] for i in idx)
         ]
-    blocks = group_by_columns(size, truth).values()
+    block_of = [0] * size
+    for idx, blk in enumerate(group_by_columns(size, truth).values()):
+        for e in blk:
+            block_of[e] = idx
+    return _CensusTable(
+        varying=tuple(col for col, v in zip(cols, varies) if v),
+        fixed=frozenset(col[0] for col, v in zip(cols, varies) if not v and col),
+        block_of=tuple(block_of),
+    )
+
+
+def _census_over(table: _CensusTable, N: Structure, A, depth: int) -> TypeCensus:
+    params = sorted(set(A))
+    for a in params:
+        if not (0 <= a < N.size):
+            raise StabilityError(f"parameter {a} outside the domain")
+
+    # Every parameter term is a constant column.  One equal to a constant
+    # column of the table only repeats the table's atoms; the others are
+    # new, and only their atoms with a varying column can split a block.
+    values = set(params)
+    frontier = values
+    for _ in range(depth):
+        frontier = {N.functions[f][v] for f in N.sig.functions for v in frontier}
+        values |= frontier
+    new = values - table.fixed
+    size = N.size
+    truth = [[x == v for x in col] for v in new for col in table.varying]
+    kinds = (
+        table.varying,
+        [[v] * size for v in table.fixed],
+        [[v] * size for v in new],
+    )
+    for name, arity in N.sig.relations:
+        held = N.relation_sets[name]
+        # each position draws from one kind of column; the tuples that use
+        # a varying column and a new constant are exactly the new atoms
+        for pattern in itertools.product(range(3), repeat=arity):
+            if 0 in pattern and 2 in pattern:
+                truth += [
+                    [t in held for t in zip(*picked)]
+                    for picked in itertools.product(*(kinds[k] for k in pattern))
+                ]
+    blocks = group_by_columns(size, [table.block_of, *truth]).values()
     return TypeCensus(tuple(tuple(blk) for blk in blocks))
+
+
+def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
+    """Partition the domain by satisfied atomic formulas in one free
+    variable with parameters from A and terms of bounded nesting depth.
+
+    The parameter-free census is built first; the parameters then refine
+    its blocks by only the atoms that mention a parameter term."""
+    return _census_over(_census_table(N, depth), N, A, depth)
 
 
 # -- orbit decomposition --------------------------------------------------------
@@ -256,9 +312,11 @@ def stability_report(
     where the o's are stabilizer orbit counts on the source domain, on
     eligible fiber tuples, and on relation tuples.  Parameter sets are given
     in source coordinates and land inside the base copy of each lift, built
-    with ``LiftConfig(k=k)``.  An empty list of copy bounds or of parameter
-    sets raises StabilityError: such a census would pass with nothing
-    checked."""
+    with ``LiftConfig(k=k)``.  Type counts are ``qf_type_census`` at depth
+    1: the parameter-free census is built once per lift, and each parameter
+    set adds only the atoms that mention a parameter.  An empty list of copy
+    bounds or of parameter sets raises StabilityError: such a census would
+    pass with nothing checked."""
     ks = list(ks)
     As = [tuple(sorted(set(A_src))) for A_src in As]
     if not ks or not As:
@@ -275,13 +333,14 @@ def stability_report(
     for k in ks:
         N = build_lift(M, LiftConfig(k=k))
         group_N = automorphism_group(N.structure)
+        table = _census_table(N.structure, 1)
         for A_src in As:
             A = tuple(N.base_id(a) for a in A_src)
             decomposition = orbit_decomposition_check(
                 M, N, A, group_M=group_M, group_N=group_N
             )
             orbit_counts = {row["sort"]: row["left"] for row in decomposition.per_sort}
-            census = qf_type_census(N.structure, A, depth=1)
+            census = _census_over(table, N.structure, A, 1)
             type_of: dict[int, int] = {}
             for idx, block in enumerate(census.blocks):
                 for e in block:

@@ -771,3 +771,26 @@ def test_any_argv_keeps_the_exit_code_contract(cli_files, data):
             assert "check failed" in out, argv
         else:
             assert _witnessed(command, json.loads(out)), argv
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--ks", "32,32,32,32"), "--ks lists the copy bound 32 twice"),
+        (("--ks", "1,2,1"), "--ks lists the copy bound 1 twice"),
+        (("--A", "0,1", "--A", "1,0"), "--A '1,0' repeats the parameter set [0, 1] of --A '0,1'"),
+        (("--A", "0", "--A", "0,0"), "--A '0,0' repeats the parameter set [0] of --A '0'"),
+        (("--A", "", "--A", ""), "--A '' repeats the parameter set [] of --A ''"),
+    ],
+)
+def test_report_rejects_a_repeated_copy_bound_or_parameter_set(capsys, tmp_path, flags, message):
+    # on the complete 6-vertex digraph each k = 32 entry takes about 2 s
+    path = tmp_path / "complete.json"
+    edges = [(a, b) for a in range(6) for b in range(6) if a != b]
+    path.write_text(structure_to_json(digraph(6, edges)), encoding="utf-8")
+    started = time.monotonic()
+    code, out, err = run(capsys, "report", "--in", str(path), *flags)
+    assert time.monotonic() - started < 1
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+

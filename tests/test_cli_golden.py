@@ -35,6 +35,7 @@ SUBCOMMANDS = {
     "limit": ["limit", "--k", "2"],
     "census": ["census", "--A", "0"],
     "report": ["report", "--ks", "1,2", "--A", "", "--A", "0"],
+    "report-ladder": ["report", "--ks", "1,2,3", "--A", "", "--A", "0", "--A", "0,1"],
     "scheme-check": ["scheme-check", "--k", "1"],
     "scheme-check-break-fp": ["scheme-check", "--k", "1", "--mutate", "break-fp"],
     "scheme-check-break-ep": ["scheme-check", "--k", "1", "--mutate", "break-ep"],

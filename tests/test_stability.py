@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from stablelift import stability
 from stablelift.corpus import digraph
 from stablelift.groups import Permutation, PermGroup
 from stablelift.lifting import LiftConfig, build_lift
@@ -88,6 +89,24 @@ def test_qf_census_matches_label_set_reference(type_structures):
             A = rng.sample(range(N.size), rng.randint(0, min(3, N.size)))
             got = qf_type_census(N, A, depth=depth).blocks
             assert got == _qf_type_census_reference(N, A, depth), (index, depth, A)
+
+
+def test_one_census_table_serves_every_parameter_set(type_structures):
+    # On a lift, element 1 lies in the base copy and the last element in a
+    # fiber (anchor, base copy, then fibers).  On the random structures (a
+    # unary function f) the last set holds an element whose images are not
+    # the value of any parameter-free constant term, so they add atoms.
+    for index, N in enumerate(type_structures):
+        for depth in (0, 1, 2) if N.size <= 12 else (0, 1):
+            table = stability._census_table(N, depth)
+            As = [(), (min(1, N.size - 1),), (N.size - 1,), (min(1, N.size - 1), N.size - 1)]
+            if "f" in N.functions:
+                fresh = [a for a in N.domain if not {a, N.functions["f"][a]} & table.fixed]
+                As.append(fresh[:1])
+            # the reference is slow: each table meets every other set
+            for A in As[index % 2 :: 2]:
+                got = stability._census_over(table, N, A, depth).blocks
+                assert got == _qf_type_census_reference(N, A, depth), (index, depth, A)
 
 
 def test_qf_census_of_the_empty_domain():
@@ -252,3 +271,24 @@ def test_type_count_bounded_by_orbit_count(corpus):
         for entry in r.entries:
             for row in entry["per_sort"]:
                 assert row["types"] <= row["orbits"]
+
+
+def test_report_builds_one_census_table_per_copy_bound(corpus, monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        stability,
+        "_census_table",
+        lambda N, depth, inner=stability._census_table: built.append(depth) or inner(N, depth),
+    )
+    ks, As = [1, 2, 3], [(), (0,), (0, 1)]
+    for _, M in [c for c in corpus if c[1].size >= 2][::6]:
+        built.clear()
+        report = stability_report(M, ks, As)
+        assert built == [1] * len(ks)
+        for entry in report.entries:
+            N = build_lift(M, LiftConfig(k=entry["k"]))
+            census = qf_type_census(N.structure, [N.base_id(a) for a in entry["A"]])
+            type_of = {e: i for i, blk in enumerate(census.blocks) for e in blk}
+            assert [row["types"] for row in entry["per_sort"]] == [
+                len({type_of[e] for e in N.sorts[row["sort"]]}) for row in entry["per_sort"]
+            ]
