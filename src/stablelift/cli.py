@@ -59,9 +59,6 @@ DEFAULT_SIZE_GUARD = 6
 # The lift has k copy functions over its ~k * |M|^arity elements, so it grows
 # like k**2; this bounds k wherever a lift is built.
 COPY_BOUND_GUARD = 32
-# A fiber sort over T tuples checks its equivalence on T**2 pairs of tuples;
-# this bounds that count in scheme-check, and nothing else.
-HOST_TUPLE_GUARD = 2_000_000
 # The lift has 1 + |M| + sum over relations R of (k * T_R + |R|) elements,
 # T_R the tuples its fibers range over; this bounds that count wherever a
 # lift is built.
@@ -269,12 +266,6 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
             f"the scheme at copy bound {config.k} would have {translations} translations, "
             f"above the guard {TRANSLATION_GUARD}"
         )
-    for rel, tuples in _fiber_tuples(M, config.include_repetition_tuples).items():
-        if tuples**2 > HOST_TUPLE_GUARD:
-            raise InputError(
-                f"the fiber sorts of {rel!r} check their equivalence on {_count(tuples**2)} "
-                f"pairs of tuples, above the guard {HOST_TUPLE_GUARD}"
-            )
     N = build_lift(M, config)
     scheme = generate_scheme(M, N)
     if args.mutate == "negate-relformula":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import deque
 from collections.abc import Callable, Container
 from dataclasses import dataclass, field, replace
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field, replace
 # definable_set and eval_formula are no longer called here but stay
 # importable at this site, where perfbench/spans.py wraps them
 from .formulas import (
+    And,
     AtomicType,
     Equal,
     Formula,
@@ -176,6 +178,39 @@ class ValidationReport:
         }
 
 
+# -- equality patterns ---------------------------------------------------------
+
+
+Pattern = tuple[bool, tuple[tuple[int, int], ...]]
+
+
+def _equality_pattern(phi: Formula) -> Pattern | None:
+    """phi as (negated, pairs) when it is a conjunction of atoms xs = xt, or
+    the negation of one: the conjunction of xs = xt over the sorted pairs
+    (s, t), s < t, negated or not.  An atom xq = xq is true and adds no
+    pair; a conjunction that reaches a false part is false, the negation of
+    the empty one, as evaluation stops there.  None for any other formula.
+    Such a formula reads only the positions in its pairs and never raises.
+    """
+    negated = False
+    while isinstance(phi, Not):
+        negated, phi = not negated, phi.body
+    pairs: set[tuple[int, int]] = set()
+    for part in phi.parts if isinstance(phi, And) else (phi,):
+        if isinstance(part, Equal) and isinstance(part.left, Var) and isinstance(part.right, Var):
+            s, t = part.left.index, part.right.index
+            if s != t:
+                pairs.add((s, t) if s < t else (t, s))
+            continue
+        inner = _equality_pattern(part) if isinstance(part, (Not, And)) else None
+        if inner is None or inner[0] and inner[1]:
+            return None
+        if inner[0]:
+            return not negated, ()
+        pairs.update(inner[1])
+    return negated, tuple(sorted(pairs))
+
+
 # -- quotients ----------------------------------------------------------------
 
 
@@ -187,13 +222,24 @@ class _Quotient:
     evaluated on the other (core) positions only, with padding set to
     M.domain[0], and each class is kept as its sorted core tuples; its full
     members are any values in the padding positions.  A witness is its core
-    witness with M.domain[0] in the padding positions.  r and E are
-    compiled once; a constant one decides every tuple at once.
+    witness with M.domain[0] in the padding positions.  r is compiled once;
+    a constant r decides every tuple at once.
+
+    An E that is a conjunction of atoms x_q = x_(width+q) and padding atoms
+    xq = xq is the kernel of the projection onto those q, which are core
+    since E reads them: the classes are r(M) grouped by those positions,
+    and E is never compiled, since a kernel cannot fail to be an
+    equivalence.  Any other E is compiled once and checked on every pair of
+    core tuples, with a witness for the first failure.
     """
 
     def __init__(self, M: Structure, r: Formula, E: Formula):
         n = free_width(r)
-        inert_r, inert_E = inert_variables(r), inert_variables(E)
+        fv_E, pattern = free_variables(E), _equality_pattern(E)
+        kernel = pattern is not None and not pattern[0] and all(t == n + s for s, t in pattern[1])
+        # a kernel reads exactly the positions in its pairs
+        inert_r = inert_variables(r)
+        inert_E = fv_E.difference(*pattern[1]) if kernel else inert_variables(E)
         # over an empty domain nothing is padding: M^width is empty anyway
         pad = [q for q in range(n) if M.size and q in inert_r and {q, n + q} <= inert_E]
         padded = set(pad)
@@ -213,11 +259,22 @@ class _Quotient:
             dom = list(cores) if in_r else []
         else:
             dom = [c for c in cores if in_r(full(c))]
-        if free_variables(E) != frozenset(range(2 * n)):
+        if fv_E != frozenset(range(2 * n)):
             raise SchemeError(
                 f"equivalence formula must use exactly x0..x{2 * n - 1}"
             )
 
+        self.cores: list[tuple[tuple, ...]]
+        if kernel:
+            key = [core.index(s) for s, _ in pattern[1]]
+            classes: dict[tuple, list[tuple]] = {}
+            for c in dom:
+                classes.setdefault(tuple(c[i] for i in key), []).append(c)
+            # dom is in lexicographic order, so each class is sorted and the
+            # classes come ordered by least member
+            self.cores = [tuple(members) for members in classes.values()]
+            self._class_of = {c: idx for idx, members in enumerate(self.cores) for c in members}
+            return
         related = _compile_formula(M, E)
         rows: dict[tuple, set[tuple]]
         if isinstance(related, bool):
@@ -244,7 +301,7 @@ class _Quotient:
         # group into tentative classes, then confirm rows match the grouping;
         # a mismatch yields an explicit transitivity witness
         class_of: dict[tuple, int] = {}
-        self.cores: list[tuple[tuple, ...]] = []
+        self.cores = []
         for s in dom:
             if s in class_of:
                 continue
@@ -399,7 +456,12 @@ def validate_scheme(
     Agreement evaluates the translations at every member of each element's
     class, which also checks that they respect the equivalences.  A padding
     position that no translation reads stays at M1.domain[0]; an element
-    whose representative has no class is untranslatable.
+    whose representative has no class is untranslatable.  A sort whose
+    equivalence is a kernel is grouped by key, not checked pair by pair;
+    a block of target tuples whose translation is a constant or an
+    equality pattern is decided whole from its held tuples (see
+    _agreement_witness).  Every generated scheme and CLI mutant is decided
+    that way throughout.
     """
     _require_relational(M1, "host structure")
     _require_relational(M2, "target structure")
@@ -409,38 +471,48 @@ def validate_scheme(
 
     element_sort = {b: key for key, block in realized.items() for b in block}
 
-    missing_pairs = []
-    for name, arity in M2.sig.relations:
-        for keys in itertools.product(sorted(realized), repeat=arity):
-            if scheme.translation(name, keys) is None:
-                missing_pairs.append(name)
-    witness = f"no translation formula for {missing_pairs[0]!r}" if missing_pairs else None
-    report.checks.append(CheckResult("translation-cover", not missing_pairs, witness))
+    # per relation, its translation at each tuple of realized sorts in
+    # product order, None where there is none
+    table = {
+        name: [
+            (keys, scheme.translation(name, keys))
+            for keys in itertools.product(realized, repeat=arity)
+        ]
+        for name, arity in M2.sig.relations
+    }
+    missing = next((name for name, row in table.items() if any(sr is None for _, sr in row)), None)
+    witness = None if missing is None else f"no translation formula for {missing!r}"
+    report.checks.append(CheckResult("translation-cover", missing is None, witness))
 
     rep_of: dict[int, tuple[int, ...]] = {}
     for fmap in scheme.bijections.values():
         rep_of.update(fmap)
-    # id(formula) -> its compiled form, shared by the padding walk below and
-    # every relation's scan
+    # id(formula) -> its equality pattern or None, and the compiled form of
+    # each formula that is not a pattern, shared by the padding walk below
+    # and every relation's scan
+    patterns: dict[int, Pattern | None] = {}
     compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]] = {}
     # per sort, the padding positions some translation reads: its free
     # variables that are not inert, found once per distinct formula; a
-    # formula that compiles to a constant reads nothing
+    # pattern reads the positions in its pairs, a formula that compiles to
+    # a constant reads nothing
     pad = {key: q.pad for key, q in quotients.items() if q is not None and q.pad}
     read: dict[AtomicType, set[int]] = {key: set() for key in pad}
     widths = {s.key: s.width for s in scheme.sorts}
-    reads: dict[int, frozenset[int]] = {}
+    reads: dict[int, Container[int]] = {}
     for sr in scheme.rels:
         if not any(key in pad for key in sr.sort_keys):
             continue
-        form = compiled.get(id(sr.formula))
-        if form is None:
-            form = compiled[id(sr.formula)] = _compile_formula(M1, sr.formula)
-        if isinstance(form, bool):
-            continue
         live = reads.get(id(sr.formula))
         if live is None:
-            live = reads[id(sr.formula)] = sr._free_vars - inert_variables(sr.formula)
+            pattern = _pattern_of(sr.formula, patterns)
+            if pattern is not None:
+                live = {q for pair in pattern[1] for q in pair}
+            elif isinstance(_compiled(M1, sr.formula, compiled), bool):
+                live = ()
+            else:
+                live = sr._free_vars - inert_variables(sr.formula)
+            reads[id(sr.formula)] = live
         start = 0
         for key in sr.sort_keys:
             if key in pad:
@@ -455,58 +527,89 @@ def validate_scheme(
         idx = None if q is None else q.index(rep)
         if idx is not None:
             options[b] = q.members(idx, read.get(key, ()))
-    for name, arity in M2.sig.relations:
+    # per sort, how many options its elements have
+    counts = {key: {len(options.get(e, ())) for e in block} for key, block in realized.items()}
+    for name, row in table.items():
         witness = _agreement_witness(
-            M1, M2, scheme, name, arity, realized, element_sort, options, compiled
+            M1, M2.relation_sets[name], row, realized, element_sort, options, counts, widths,
+            patterns, compiled,
         )
         report.checks.append(CheckResult(f"relation-agreement[{name}]", witness is None, witness))
     return report
 
 
+def _pattern_of(phi: Formula, patterns: dict[int, Pattern | None]) -> Pattern | None:
+    if id(phi) not in patterns:
+        patterns[id(phi)] = _equality_pattern(phi)
+    return patterns[id(phi)]
+
+
+def _compiled(
+    M: Structure, phi: Formula, compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]]
+) -> bool | Callable[[tuple[int, ...]], bool]:
+    if id(phi) not in compiled:
+        compiled[id(phi)] = _compile_formula(M, phi)
+    return compiled[id(phi)]
+
+
 def _agreement_witness(
     M1: Structure,
-    M2: Structure,
-    scheme: InterpretationScheme,
-    name: str,
-    arity: int,
+    held: frozenset,
+    row: list[tuple[tuple[AtomicType, ...], SchemeRel | None]],
     realized: dict[AtomicType, tuple[int, ...]],
     element_sort: dict[int, AtomicType],
     options: dict[int, tuple[tuple[int, ...], ...]],
+    counts: dict[AtomicType, set[int]],
+    widths: dict[AtomicType, int],
+    patterns: dict[int, Pattern | None],
     compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]],
 ) -> str | None:
     """The witness of the first tuple of M2^arity, in product order, whose
-    translation is missing, cannot be evaluated, or disagrees with M2.
+    translation is missing, cannot be evaluated, or disagrees with ``held``,
+    the relation's tuples in M2.
 
-    The tuples split into blocks, one per tuple of sorts, and each block
-    gives its least failing tuple; the first failure is the least of those.
-    Each distinct formula object is compiled once into ``compiled``, keyed
-    by its id, which the caller shares between relations.  A block whose
-    elements all have options and whose translation is constant False fails
-    first at its least held tuple; any other block is scanned tuple by
-    tuple.  A FormulaError at the first failure is raised, as evaluating the
-    tuples in order would.
+    The tuples split into blocks, one per tuple of sorts, each with its
+    translation in ``row``, and each block gives its least failing tuple;
+    the first failure is the least of those.  Each distinct formula
+    object's equality pattern is found once into ``patterns``, and each
+    other one is compiled once into ``compiled``, both keyed by id and
+    shared between relations by the caller, as is ``counts``, each sort's
+    set of option counts.  A block is decided whole by _block_failure when
+    its translation is a constant and all its elements have options, or an
+    equality pattern whose pairs all link the first sort with the second
+    and all its elements have one option each; any other block is scanned
+    tuple by tuple by _first_failure.  A FormulaError at the first failure
+    is raised, as evaluating the tuples in order would.
     """
-    held = M2.relation_sets[name]
     held_in: dict[tuple[AtomicType, ...], list[tuple[int, ...]]] = {}
+    sort_of = element_sort.__getitem__
     for t in held:
-        held_in.setdefault(tuple(element_sort[e] for e in t), []).append(t)
-    covered = {key: all(e in options for e in block) for key, block in realized.items()}
+        held_in.setdefault(tuple(map(sort_of, t)), []).append(t)
     failures = []  # per block: (least failing tuple, witness or FormulaError)
-    for keys in itertools.product(realized, repeat=arity):
+    for keys, sr in row:
         blocks = [realized[key] for key in keys]
-        sr = scheme.translation(name, keys)
         if sr is None:
             least = tuple(block[0] for block in blocks)
             failures.append((least, f"untranslatable tuple {least}"))
             continue
-        form = compiled.get(id(sr.formula))
-        if form is None:
-            form = compiled[id(sr.formula)] = _compile_formula(M1, sr.formula)
-        if form is False and all(covered[key] for key in keys):
-            elems = min(held_in.get(keys, ()), default=None)
-            if elems is not None:
-                failures.append((elems, f"tuple {elems} (target says True)"))
-        elif found := _first_failure(form, held, blocks, options):
+        pattern = _pattern_of(sr.formula, patterns)
+        if pattern is None:
+            whole = False
+        elif not pattern[1]:
+            whole = all(0 not in counts[key] for key in keys)
+        else:
+            # a pair inside the first sort stops the chain before keys[1]
+            split = widths[keys[0]]
+            whole = all(
+                s < split <= t < split + widths[keys[1]] for s, t in pattern[1]
+            ) and all(counts[key] == {1} for key in keys)
+        if whole:
+            found = _block_failure(
+                pattern, widths[keys[0]], blocks, held, held_in.get(keys, ()), options
+            )
+        else:
+            found = _first_failure(_compiled(M1, sr.formula, compiled), held, blocks, options)
+        if found:
             failures.append(found)
     if not failures:
         return None
@@ -514,6 +617,58 @@ def _agreement_witness(
     if isinstance(outcome, FormulaError):
         raise outcome
     return outcome
+
+
+def _block_failure(
+    pattern: Pattern,
+    split: int,
+    blocks: list[tuple[int, ...]],
+    held: frozenset,
+    held_here: list[tuple[int, ...]],
+    options: dict[int, tuple[tuple[int, ...], ...]],
+) -> tuple[tuple[int, ...], str] | None:
+    """What _first_failure returns for a block whose translation is a
+    constant, or an equality pattern whose pairs link block 0 (of width
+    ``split``) with block 1 at elements with one option each, decided from
+    the block's held tuples ``held_here`` with no per-tuple evaluation.
+
+    A constant True fails at the least product tuple not held, a constant
+    False at the least held tuple.  Otherwise block 1's elements are
+    indexed by their linked coordinates and block 0 is joined against that
+    index, which gives the set of tuples that satisfy the pattern.  The
+    pattern fails at the least tuple of the symmetric difference of that
+    set and the held tuples; its negation at the least tuple in both, or
+    the least product tuple in neither, found by a walk that passes only
+    tuples in one of them.
+    """
+    negated, pairs = pattern
+    if not pairs:
+        # constant False is wrong at every held tuple, True at every other
+        if negated:
+            found = [min(held_here, default=None)]
+        else:
+            found = [next((t for t in itertools.product(*blocks) if t not in held), None)]
+    else:
+        left = operator.itemgetter(*[s for s, _ in pairs])
+        right = operator.itemgetter(*[t - split for _, t in pairs])
+        index: dict = {}
+        for b in blocks[1]:
+            index.setdefault(right(options[b][0]), []).append(b)
+        satisfying = {
+            (a, b, *rest)
+            for a in blocks[0]
+            for b in index.get(left(options[a][0]), ())
+            for rest in itertools.product(*blocks[2:])
+        }
+        if negated:
+            neither = (
+                t for t in itertools.product(*blocks) if t not in satisfying and t not in held
+            )
+            found = [min(satisfying.intersection(held_here), default=None), next(neither, None)]
+        else:
+            found = [min(satisfying.symmetric_difference(held_here), default=None)]
+    least = min((t for t in found if t is not None), default=None)
+    return None if least is None else (least, f"tuple {least} (target says {least in held})")
 
 
 def _first_failure(

@@ -42,6 +42,12 @@ SUBCOMMANDS = {
     "scheme-check-negate-relformula": [
         "scheme-check", "--k", "1", "--mutate", "negate-relformula"
     ],
+    "scheme-check-k2": ["scheme-check", "--k", "2"],
+    "scheme-check-k2-break-fp": ["scheme-check", "--k", "2", "--mutate", "break-fp"],
+    "scheme-check-k2-break-ep": ["scheme-check", "--k", "2", "--mutate", "break-ep"],
+    "scheme-check-k2-negate-relformula": [
+        "scheme-check", "--k", "2", "--mutate", "negate-relformula"
+    ],
 }
 
 

@@ -241,6 +241,102 @@ def test_factored_quotient_matches_brute_force():
     assert {"not reflexive", "not symmetric", "not transitive"} <= set(kinds), kinds
 
 
+def _compile_spy(monkeypatch):
+    """The formulas _Quotient compiles, as recorded."""
+    compiled = []
+    original = interpretation._compile_formula
+
+    def recording(M, phi):
+        compiled.append(phi)
+        return original(M, phi)
+
+    monkeypatch.setattr(interpretation, "_compile_formula", recording)
+    return compiled
+
+
+def _random_kernel_case(rng):
+    """A random digraph with a width-1..3 sort whose E is the kernel of the
+    projection onto some positions (all, some or none), its atoms in either
+    orientation, shuffled and partly nested; positions outside the key
+    that r does not read are padding."""
+    M = random_digraph(rng, rng.choice([0, 1, 2, 3, 3]), rng.random())
+    width = rng.randint(1, 3)
+    key = [q for q in range(width) if rng.random() < 0.7]
+    read = [q for q in range(width) if rng.random() < 0.4]
+    r_parts = [Equal(Var(q), Var(q)) for q in range(width)]
+    if read:
+        r_parts.append(_random_core(rng, read))
+    parts = [Equal(Var(q), Var(q)) for q in range(2 * width)]
+    parts += [
+        Equal(Var(width + q), Var(q)) if rng.random() < 0.5 else Equal(Var(q), Var(width + q))
+        for q in key
+    ]
+    rng.shuffle(parts)
+    if len(parts) > 2 and rng.random() < 0.3:
+        parts = [And(tuple(parts[:2])), *parts[2:]]
+    return M, conjunction(r_parts), conjunction(parts)
+
+
+@pytest.mark.hashseed
+def test_kernel_quotients_match_brute_force(corpus, monkeypatch):
+    # kernels are grouped by key and never compiled; the classes, their
+    # order and index() equal the brute quotient's
+    compiled = _compile_spy(monkeypatch)
+    rng = random.Random(2011)
+    for _ in range(300):
+        M, r, E = _random_kernel_case(rng)
+        compiled.clear()
+        assert _outcome(interpretation._Quotient, M, r, E) == _outcome(_brute_quotient, M, r, E)
+        assert compiled == [r]
+    weakened = 0
+    for _, M in corpus[:20:3]:
+        _, _, scheme = _scheme_setup(M, 2)
+        for i, s in enumerate(scheme.sorts):
+            E = weaken_equivalence(scheme, i).sorts[i].equiv_formula
+            compiled.clear()
+            q = interpretation._Quotient(M, s.domain_formula, E)
+            assert compiled == [s.domain_formula]
+            assert _expanded(q) == _brute_quotient(M, s.domain_formula, E)
+            weakened += len(q.cores) > len(definable_quotient(M, s.domain_formula, s.equiv_formula))
+    assert weakened
+
+
+@pytest.mark.hashseed
+def test_equalities_that_are_not_kernels_are_checked_pair_by_pair(monkeypatch):
+    # a pair inside one block, or across blocks at different positions,
+    # is an equality pattern but no kernel, and a kernel widened by an edge
+    # is no pattern: E is compiled and any failure has the brute quotient's
+    # witness
+    compiled = _compile_spy(monkeypatch)
+    M = digraph(3, [(0, 1)])
+    r = parse_formula("x0 = x0 & x1 = x1", M.sig)
+    witnesses = Counter()
+    for text in (
+        "x0 = x1 & x2 = x3",
+        "x0 = x3 & x1 = x2",
+        "x0 = x2 & x1 = x1 & x3 = x3 & x0 = x3",
+        "x0 = x2 & x1 = x3 | edge(x0, x2)",
+    ):
+        E = parse_formula(text, M.sig)
+        compiled.clear()
+        expected = _outcome(_brute_quotient, M, r, E)
+        assert _outcome(interpretation._Quotient, M, r, E) == expected, text
+        assert compiled == [r, E]
+        witnesses[expected[1].split(" at ")[0]] += 1
+    for width in (2, 3):
+        M, r, E = _padded_path_repro(width, leading=False)
+        compiled.clear()
+        expected = _outcome(_brute_quotient, M, r, E)
+        assert _outcome(interpretation._Quotient, M, r, E) == expected
+        assert compiled == [r, E]
+        witnesses[expected[1].split(" at ")[0]] += 1
+    assert set(witnesses) == {
+        "not an equivalence relation: not reflexive",
+        "not an equivalence relation: not symmetric",
+        "not an equivalence relation: not transitive",
+    }, witnesses
+
+
 def test_padded_transitivity_witness():
     with pytest.raises(
         SchemeError, match=r"not transitive at \(\(0, 0\), \(2, 0\), \(3, 0\)\)"
@@ -436,8 +532,23 @@ def test_a_mutant_shares_what_it_keeps_with_its_parent(corpus):
     assert redirected
 
 
+def _rewrapped(scheme):
+    """scheme with its first translation and its first sort's equivalence
+    each replaced by phi | phi, the same truth but neither an equality
+    pattern nor a kernel."""
+    sr, s = scheme.rels[0], scheme.sorts[0]
+    rels = (SchemeRel(sr.rel, sr.sort_keys, Or((sr.formula, sr.formula))), *scheme.rels[1:])
+    E = Or((s.equiv_formula, s.equiv_formula))
+    sorts = (SchemeSort(s.key, s.width, s.domain_formula, E), *scheme.sorts[1:])
+    return replace(scheme, rels=rels, sorts=sorts)
+
+
 @pytest.mark.hashseed
 def test_validation_compiles_each_distinct_formula_once(corpus, monkeypatch):
+    # every formula that is neither an equality pattern nor a kernel is
+    # compiled once; patterns are decided by joins and kernels grouped by
+    # key, uncompiled.  Generated translations are all patterns, generated
+    # and weakened equivalences all kernels
     compiled = Counter()
     original = interpretation._compile_formula
 
@@ -449,13 +560,17 @@ def test_validation_compiles_each_distinct_formula_once(corpus, monkeypatch):
     for _, M in corpus[::7]:
         for k in (1, 2, 3):
             _, companion, scheme = _scheme_setup(M, k)
-            for mutant in (scheme, negate_translation(scheme, 0)):
+            assert all(interpretation._equality_pattern(sr.formula) for sr in scheme.rels)
+            mutants = (
+                scheme, negate_translation(scheme, 0), weaken_equivalence(scheme, 0), _rewrapped(scheme)
+            )
+            for mutant in mutants:
                 compiled.clear()
                 validate_scheme(M, companion, mutant)
-                # each sort's r and E in its quotient, each translation in the scan
+                # each sort's r in its quotient, and what was rewrapped
                 reached = {id(s.domain_formula) for s in mutant.sorts}
-                reached |= {id(s.equiv_formula) for s in mutant.sorts}
-                reached |= {id(sr.formula) for sr in mutant.rels}
+                reached |= {id(s.equiv_formula) for s in mutant.sorts if isinstance(s.equiv_formula, Or)}
+                reached |= {id(sr.formula) for sr in mutant.rels if isinstance(sr.formula, Or)}
                 assert compiled.keys() == reached
                 assert set(compiled.values()) == {1}
 
@@ -890,6 +1005,169 @@ def test_block_scan_takes_the_least_failure_over_interleaved_sorts():
         CheckResult("relation-agreement[R]", False, "tuple (0, 3) (target says False)")
     ]
     assert report == _product_scan_report(M1, M2, scheme)
+
+
+def _random_block_case(rng):
+    """A random block of one to three sorts of width 1-3 over a 3-element
+    host, each element with one random host tuple as its option, random
+    held tuples (one more outside the block), and the formula of a
+    constant or of an equality pattern linking the first two sorts, negated
+    or not, with the pattern it should have."""
+    n, nsorts = rng.randint(1, 6), rng.randint(1, 2)
+    sort_of = [rng.randrange(nsorts) for _ in range(n)]
+    sorts = [tuple(e for e in range(n) if sort_of[e] == i) for i in range(nsorts)]
+    sorts = [block for block in sorts if block]
+    widths = [rng.randint(1, 3) for _ in sorts]
+    keys = [rng.randrange(len(sorts)) for _ in range(rng.randint(1, 3))]
+    blocks, block_widths = [sorts[i] for i in keys], [widths[i] for i in keys]
+    options = {
+        e: (tuple(rng.randrange(3) for _ in range(widths[i])),)
+        for i, block in enumerate(sorts)
+        for e in block
+    }
+    total, split = sum(block_widths), block_widths[0]
+    pairs = []
+    if len(keys) > 1 and rng.random() < 0.8:
+        links = [(s, t) for s in range(split) for t in range(split, split + block_widths[1])]
+        pairs = sorted(rng.sample(links, rng.randint(1, min(2, len(links)))))
+    parts = [Equal(Var(q), Var(q)) for q in range(total)]
+    parts += [Equal(Var(t), Var(s)) if rng.random() < 0.5 else Equal(Var(s), Var(t)) for s, t in pairs]
+    false = not pairs and rng.random() < 0.5
+    if false:
+        parts.append(Not(Equal(Var(0), Var(0))))
+    rng.shuffle(parts)
+    negated = rng.random() < 0.5
+    formula = conjunction(parts)
+    formula = Not(formula) if negated else formula
+    product = list(itertools.product(*blocks))
+    density = rng.choice([0, 0.1, 0.5, 1, "exact"])
+    if density == "exact":
+        # exactly where the formula holds, with one tuple flipped at times
+        holds = interpretation._compile_formula(digraph(3, []), formula)
+        held = {t for t in product if holds is True or holds and holds(sum((options[e][0] for e in t), ()))}
+        if rng.random() < 0.5:
+            held ^= {rng.choice(product)}
+    else:
+        held = {t for t in product if rng.random() < density}
+    held_here = list(held)
+    held.add((n,) * len(keys))
+    pattern = (negated != false, tuple(pairs))
+    return formula, pattern, split, blocks, frozenset(held), held_here, options
+
+
+@pytest.mark.hashseed
+def test_block_decision_matches_the_tuple_scan():
+    # constants and equality patterns, negated or not, decided from the held
+    # tuples give _first_failure's least tuple and witness text
+    rng = random.Random(2010)
+    M = digraph(3, [])
+    outcomes = Counter()
+    for _ in range(3000):
+        formula, pattern, split, blocks, held, held_here, options = _random_block_case(rng)
+        assert interpretation._equality_pattern(formula) == pattern, formula
+        expected = interpretation._first_failure(
+            interpretation._compile_formula(M, formula), held, blocks, options
+        )
+        found = interpretation._block_failure(pattern, split, blocks, held, held_here, options)
+        assert found == expected, (formula, blocks, held, options)
+        kind = "pattern" if pattern[1] else "constant"
+        outcomes[kind, pattern[0], expected and expected[1].split()[-1]] += 1
+    # a constant True fails only where the target says False, and False
+    # only where it says True
+    impossible = {("constant", False, "True)"), ("constant", True, "False)")}
+    for case in itertools.product(("pattern", "constant"), (False, True), (None, "True)", "False)")):
+        assert (outcomes[case] > 0) == (case not in impossible), outcomes
+
+
+def test_equality_patterns_are_read_off_the_formula(m_edge):
+    sig = m_edge.sig
+    for text, pattern in (
+        ("x0 = x0 & x1 = x1", (False, ())),
+        ("x0 = x0 & ~x0 = x0 & x1 = x1", (True, ())),
+        ("~(x0 = x0 & ~x0 = x0)", (False, ())),
+        ("x0 = x0 & ~x0 = x0 & edge(x0, x1)", (True, ())),
+        ("x2 = x0 & (x1 = x1 & x0 = x2) & x1 = x3", (False, ((0, 2), (1, 3)))),
+        ("~(x0 = x1)", (True, ((0, 1),))),
+        ("~~(x0 = x1)", (False, ((0, 1),))),
+    ):
+        assert interpretation._equality_pattern(parse_formula(text, sig)) == pattern, text
+    for text in ("x0 = x1 | x1 = x1", "x0 = x0 & ~x0 = x1", "edge(x0, x1)", "x0 = x0 & edge(x0, x1)"):
+        assert interpretation._equality_pattern(parse_formula(text, sig)) is None, text
+
+
+def _scan_spy(monkeypatch):
+    """The blocks that validation hands to _first_failure, as recorded."""
+    scanned = []
+    original = interpretation._first_failure
+
+    def recording(form, held, blocks, options):
+        scanned.append(tuple(blocks))
+        return original(form, held, blocks, options)
+
+    monkeypatch.setattr(interpretation, "_first_failure", recording)
+    return scanned
+
+
+def _blocks_with(scheme, companion, wanted):
+    """The blocks of target tuples, in scan order, whose sort keys and
+    translation satisfy ``wanted``."""
+    realized = interpretation.sort_partition(companion)
+    return [
+        tuple(realized[key] for key in keys)
+        for name, arity in companion.sig.relations
+        for keys in itertools.product(realized, repeat=arity)
+        if wanted(keys, scheme.translation(name, keys).formula)
+    ]
+
+
+@pytest.mark.hashseed
+def test_blocks_outside_the_join_fall_back_to_the_tuple_scan(corpus, monkeypatch):
+    # an element without options, an element with two, a formula that is
+    # not a pattern, and a pattern with a pair inside one sort are scanned
+    # tuple by tuple; reports equal the product scan's
+    scanned = _scan_spy(monkeypatch)
+    falls_back = Counter()
+    for name, M in corpus[1:12:2]:
+        _, companion, scheme = _scheme_setup(M)
+        widths = {s.key: s.width for s in scheme.sorts}
+        bij = scheme.bijections
+        wide = max(scheme.sorts, key=lambda s: (s.width, len(bij[s.key]))).key
+        b = min(bij[wide])
+        coarse = max(range(len(scheme.sorts)), key=lambda i: len(bij[scheme.sorts[i].key]))
+        s = scheme.sorts[coarse]
+        sorts = list(scheme.sorts)
+        sorts[coarse] = SchemeSort(s.key, s.width, s.domain_formula, tautology(2 * s.width))
+        inside = [
+            i for i, sr in enumerate(scheme.rels)
+            if widths[sr.sort_keys[0]] > 1 and interpretation._equality_pattern(sr.formula)[1]
+        ]
+        rels = list(scheme.rels)
+        for i in inside[:1] + inside[-1:]:
+            sr = rels[i]
+            rels[i] = SchemeRel(sr.rel, sr.sort_keys, And((sr.formula, Equal(Var(0), Var(1)))))
+        changed = {id(sr.formula) for sr in rels} - {id(sr.formula) for sr in scheme.rels}
+        cases = [
+            ("clean", scheme, lambda keys, phi: False),
+            (
+                "untranslatable",
+                replace(scheme, bijections={**bij, wide: {**bij[wide], b: bij[wide][b] + (0,)}}),
+                lambda keys, phi: wide in keys,
+            ),
+            (
+                "two options",
+                replace(scheme, sorts=tuple(sorts)),
+                lambda keys, phi: s.key in keys and interpretation._equality_pattern(phi)[1],
+            ),
+            ("not a pattern", _rewrapped(scheme), lambda keys, phi: isinstance(phi, Or)),
+            ("pair inside a sort", replace(scheme, rels=tuple(rels)), lambda keys, phi: id(phi) in changed),
+        ]
+        for label, mutant, wanted in cases:
+            scanned.clear()
+            report = validate_scheme(M, companion, mutant)
+            assert scanned == _blocks_with(mutant, companion, wanted), (name, label)
+            assert report == _product_scan_report(M, companion, mutant), (name, label)
+            falls_back.update([label] if scanned else [])
+    assert set(falls_back) == {"untranslatable", "two options", "not a pattern", "pair inside a sort"}
 
 
 def _padding_readers(M, scheme, pads, rng):
