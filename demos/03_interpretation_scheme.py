@@ -29,7 +29,7 @@ from stablelift.interpretation import negate_translation, redirect_bijection
 
 M = digraph(2, [(0, 1)])
 N = build_lift(M, LiftConfig(k=1))
-scheme = generate_scheme(M, N)
+scheme = generate_scheme(N)  # presents N inside its own source, N.source = M
 companion = relational_companion(N.structure)
 
 print("sorts of the companion and their presentations over the source:")
@@ -52,7 +52,7 @@ print(f"  ({len(report.checks)} conditions checked)")
 # transport source automorphisms through the scheme
 pair = digraph(2, [])
 N2 = build_lift(pair, LiftConfig(k=1))
-scheme2 = generate_scheme(pair, N2)
+scheme2 = generate_scheme(N2)
 companion2 = relational_companion(N2.structure)
 for g in automorphism_group(pair).elements():
     through_scheme = induced_automorphism(pair, companion2, scheme2, g)

@@ -30,7 +30,8 @@ print("quantifier-free 1-types at depth 1:",
 print("\norbit decomposition for the one-edge digraph at k=1:")
 edge = digraph(2, [(0, 1)])
 N_edge = build_lift(edge, LiftConfig(k=1))
-report = orbit_decomposition_check(edge, N_edge, ())
+# the right side is predicted from the lift's own source, N_edge.source
+report = orbit_decomposition_check(N_edge, ())
 for row in report.per_sort:
     print(f"  {row['sort']:<18} lift says {row['left']}, source predicts {row['right']}")
 print(f"  totals: {report.left_total} = {report.right_total} "

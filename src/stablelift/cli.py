@@ -267,10 +267,12 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
             f"above the guard {TRANSLATION_GUARD}"
         )
     N = build_lift(M, config)
-    scheme = generate_scheme(M, N)
+    scheme = generate_scheme(N)
     if args.mutate == "negate-relformula":
         scheme = negate_translation(scheme, 0)
     elif args.mutate == "break-ep":
+        if M.size < 2:
+            raise InputError("no class with two members; cannot break an equivalence")
         idx = next(
             (i for i, s in enumerate(scheme.sorts) if s.width > 1), 0
         )
@@ -530,13 +532,10 @@ def _indented(value, nl: str) -> str:
 
 
 def _dump(report) -> str:
-    """Exactly ``json.dumps(report, sort_keys=True, indent=2)``.  With an
-    indent, json never uses its C encoder, and ``_indented`` writes the same
-    text in less time; json.dumps writes what ``_indented`` does not handle."""
-    try:
-        return _indented(report, "\n")
-    except (TypeError, RecursionError):
-        return json.dumps(report, sort_keys=True, indent=2)
+    """Exactly ``json.dumps(report, sort_keys=True, indent=2)`` for every
+    report: with an indent, json never uses its C encoder, and ``_indented``
+    writes the same text in less time."""
+    return _indented(report, "\n")
 
 
 def _emit(report: dict, summary: list[str], fmt: str) -> None:

@@ -23,8 +23,8 @@ search finds one automorphism per new orbit point rather than visiting every
 group element.  Each leaf is confirmed with is_automorphism.  The reported
 generating set is the greedy lexicographic one: each generator is the
 lex-least group element outside the subgroup the earlier ones generate,
-read off the chain directly.  A brute-force oracle double-checks the search
-on small degrees.
+all read off one lex walk of the chain.  A brute-force oracle double-checks
+the search on small degrees.
 """
 
 from __future__ import annotations
@@ -223,19 +223,6 @@ def _lex_walk(chain: _Chain, skip=None):
             yield from walk(d + 1, _compose(x, trans[z][0]))
 
     yield from walk(0, chain.identity)
-
-
-def _lex_least_outside(G: _Chain, H: _Chain) -> Images:
-    """The lex-least member of G outside H <= G (H a proper subgroup).
-
-    The coset x * K below depth d lies inside H iff x is in H and K <= H, so
-    only those subtrees are skipped.  Every subtree above the least depth D
-    with K <= H holds an answer, so the walk never backtracks above D."""
-    levels = G.nontrivial_levels()
-    D = len(levels)
-    while D > 0 and all(s in H for s in G.gens[levels[D - 1]]):
-        D -= 1
-    return next(_lex_walk(G, lambda d, x: d >= D and x in H))
 
 
 class PermGroup:
@@ -611,12 +598,19 @@ def automorphism_group(M: Structure) -> PermGroup:
     G = _Chain(M.size)
     for g in _automorphism_generators(M):
         G.add(g)
+    # one lex walk of G yields the greedy generators: it skips a coset x * K
+    # inside the group H generated so far (x in H and K <= H, true from depth
+    # D on; the skip reads D and H as they grow), and once H = G it skips
+    # everything
+    levels = G.nontrivial_levels()
+    D = len(levels)
     H = _Chain(M.size)
     gens: list[Permutation] = []
-    while H.size() < G.size():
-        g = _lex_least_outside(G, H)
+    for g in _lex_walk(G, lambda d, x: d >= D and x in H):
         gens.append(Permutation(g))
         H.add(g)
+        while D > 0 and all(s in H for s in G.gens[levels[D - 1]]):
+            D -= 1
     group = PermGroup(gens, M.size)
     group._chain = H  # the chain PermGroup would build from gens
     return group

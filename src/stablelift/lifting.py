@@ -550,9 +550,9 @@ def _recipe_formula(recipe: Recipe) -> Formula:
     return _padded(total, [Equal(Var(s), Var(t)) for s, t in core])
 
 
-def generate_scheme(M: Structure, N: LiftedStructure) -> InterpretationScheme:
+def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
     """Produce the interpretation scheme presenting the lift's relational
-    companion inside M, its sort bijections included.
+    companion inside its source M = N.source, its sort bijections included.
 
     Sorts: the anchor gets a width-2 presentation with the total equivalence
     (one class); the base sort is M itself under equality; each copy sort of
@@ -565,8 +565,7 @@ def generate_scheme(M: Structure, N: LiftedStructure) -> InterpretationScheme:
     to the sort's width.  An empty source raises LiftError: the anchor sort needs a host
     tuple to present it.
     """
-    if N.source is not M and M != N.source:
-        raise LiftError("the lift was not generated from this structure")
+    M = N.source
     if not M.size:
         raise LiftError(
             "the source structure is empty: no scheme presents its lift, "

@@ -135,6 +135,21 @@ def test_scheme_check_other_mutations(capsys, edge_file):
         assert code == 1, mutation
 
 
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_mutations_that_need_two_elements_on_a_point_are_input_errors(capsys, tmp_path, k):
+    # the anchor's one class has |M|^2 = 1 member and every other sort is
+    # one element: neither mutation can plant a defect
+    path = tmp_path / "point.json"
+    path.write_text(structure_to_json(digraph(1, [])), encoding="utf-8")
+    for mutation, message in (
+        ("break-ep", "no class with two members"),
+        ("break-fp", "no sort with two elements"),
+    ):
+        code, out, err = run(capsys, "scheme-check", "--in", str(path), "--k", k, "--mutate", mutation)
+        assert (code, out) == (2, ""), mutation
+        assert err.startswith(f"error: {message}"), mutation
+
+
 def test_scheme_check_on_an_empty_source_is_an_input_error(capsys, tmp_path):
     # no scheme presents the lift's anchor over an empty host
     path = tmp_path / "empty.json"
@@ -149,8 +164,7 @@ def test_scheme_check_on_an_empty_source_is_an_input_error(capsys, tmp_path):
 
 
 def test_summary_format(capsys, monkeypatch, edge_file):
-    # reports are written by cli._dump, which leaves to json.dumps only what
-    # its own writer does not handle
+    # reports are written by cli._dump, never by json.dumps
     dumped = []
 
     def counting(name, original):
@@ -472,7 +486,7 @@ def test_translation_count_is_the_generated_scheme_length():
         M = _random_relational(rng)
         k, repetitions = rng.randint(1, 3), rng.random() < 0.3
         N = build_lift(M, LiftConfig(k=k, include_repetition_tuples=repetitions))
-        scheme = generate_scheme(M, N)
+        scheme = generate_scheme(N)
         assert cli._translation_count(M, k, repetitions) == len(scheme.rels), (M, k, repetitions)
 
 
@@ -484,7 +498,7 @@ def test_translation_guard_boundary_is_exact(capsys, monkeypatch, tmp_path):
         path.write_text(structure_to_json(M), encoding="utf-8")
         for k, flags in ((1, ()), (2, ("--include-repetitions",))):
             config = LiftConfig(k=k, include_repetition_tuples=bool(flags))
-            count = len(generate_scheme(M, build_lift(M, config)).rels)
+            count = len(generate_scheme(build_lift(M, config)).rels)
             for guard, expected in ((count, 0), (count - 1, 2)):
                 monkeypatch.setattr(cli, "TRANSLATION_GUARD", guard)
                 code, _, err = run(capsys, "scheme-check", "--in", str(path), "--k", str(k), *flags)

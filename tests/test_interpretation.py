@@ -51,7 +51,7 @@ from stablelift.structures import Signature, Structure, relational_companion
 
 def _scheme_setup(M, k=1):
     N = build_lift(M, LiftConfig(k=k))
-    scheme = generate_scheme(M, N)
+    scheme = generate_scheme(N)
     companion = relational_companion(N.structure)
     return N, companion, scheme
 

@@ -245,7 +245,7 @@ def test_order_transfer_under_both_fiber_flags(corpus):
 
 def test_generated_sort_widths(m_edge):
     N = build_lift(m_edge, LiftConfig(k=1))
-    scheme = generate_scheme(m_edge, N)
+    scheme = generate_scheme(N)
     widths = sorted(s.width for s in scheme.sorts)
     # anchor 2, base 1, copy-0 sort 2, limit sort 3 under canonical padding
     assert widths == [1, 2, 2, 3]
@@ -253,7 +253,7 @@ def test_generated_sort_widths(m_edge):
 
 def test_base_sort_quotient_matches_domain(m_edge):
     N = build_lift(m_edge, LiftConfig(k=1))
-    scheme = generate_scheme(m_edge, N)
+    scheme = generate_scheme(N)
     base_sort = next(s for s in scheme.sorts if s.width == 1)
     classes = definable_quotient(m_edge, base_sort.domain_formula, base_sort.equiv_formula)
     assert len(classes) == m_edge.size
@@ -261,7 +261,7 @@ def test_base_sort_quotient_matches_domain(m_edge):
 
 def test_limit_sort_quotient_matches_relation(m_edge):
     N = build_lift(m_edge, LiftConfig(k=1))
-    scheme = generate_scheme(m_edge, N)
+    scheme = generate_scheme(N)
     limit_sort = next(s for s in scheme.sorts if s.width == 3)
     classes = definable_quotient(m_edge, limit_sort.domain_formula, limit_sort.equiv_formula)
     assert len(classes) == 1  # one relation tuple
@@ -270,7 +270,7 @@ def test_limit_sort_quotient_matches_relation(m_edge):
 def test_scheme_validates_on_corpus_sample(corpus):
     for _, M in corpus[60:69]:
         N = build_lift(M, LiftConfig(k=1))
-        scheme = generate_scheme(M, N)
+        scheme = generate_scheme(N)
         companion = relational_companion(N.structure)
         report = validate_scheme(M, companion, scheme)
         assert report.passed, (M, report.failures())
@@ -278,7 +278,7 @@ def test_scheme_validates_on_corpus_sample(corpus):
 
 def test_scheme_validates_with_repetition_tuples(m_edge):
     N = build_lift(m_edge, LiftConfig(k=1, include_repetition_tuples=True))
-    scheme = generate_scheme(m_edge, N)
+    scheme = generate_scheme(N)
     companion = relational_companion(N.structure)
     report = validate_scheme(m_edge, companion, scheme)
     assert report.passed, report.failures()
@@ -287,7 +287,7 @@ def test_scheme_validates_with_repetition_tuples(m_edge):
 def test_scheme_validates_with_repetition_tuples_size_three():
     M = digraph(3, [(0, 1), (1, 0), (1, 2)])
     N = build_lift(M, LiftConfig(k=1, include_repetition_tuples=True))
-    scheme = generate_scheme(M, N)
+    scheme = generate_scheme(N)
     report = validate_scheme(M, relational_companion(N.structure), scheme)
     assert report.passed, report.failures()
 
@@ -330,12 +330,12 @@ def test_mixed_signatures_full_pipeline(make):
         for rel, _ in M.sig.relations:
             coords = {N.provenance[e].coords for e in limit_elements(N, rel)}
             assert coords == set(M.relation_sets[rel])
-        scheme = generate_scheme(M, N)
+        scheme = generate_scheme(N)
         report = validate_scheme(M, relational_companion(N.structure), scheme)
         assert report.passed, (k, report.failures())
         from stablelift.stability import orbit_decomposition_check
 
-        assert orbit_decomposition_check(M, N, (), group_M=GM, group_N=GN).passed
+        assert orbit_decomposition_check(N, (), group_M=GM, group_N=GN).passed
 
 
 def test_unary_relation_lift_shape():
@@ -345,7 +345,7 @@ def test_unary_relation_lift_shape():
     # anchor + 2 base + fibers over (0) [marked: 2 copies] and (1) [1 copy]
     assert N.structure.size == 6
     assert limit_elements(N, "mark") == (N.fibers["mark"][(0,)][LIMIT],)
-    scheme = generate_scheme(M, N)
+    scheme = generate_scheme(N)
     report = validate_scheme(M, relational_companion(N.structure), scheme)
     assert report.passed, report.failures()
 
@@ -425,7 +425,7 @@ def test_explicit_padding_scheme_still_validates(m_edge):
     padding = PaddingAssignment({("edge", 0): 3, ("edge", LIMIT): 4})
     N = build_lift(m_edge, LiftConfig(k=1, padding=padding))
     assert N.padding.width(m_edge.sig, "edge", 0) == 5
-    scheme = generate_scheme(m_edge, N)
+    scheme = generate_scheme(N)
     report = validate_scheme(m_edge, relational_companion(N.structure), scheme)
     assert report.passed, report.failures()
 
@@ -438,22 +438,16 @@ def test_scheme_and_transfer_on_size_four():
     ):
         N = build_lift(M, LiftConfig(k=1))
         assert automorphism_group(N.structure).order() == automorphism_group(M).order()
-        scheme = generate_scheme(M, N)
+        scheme = generate_scheme(N)
         report = validate_scheme(M, relational_companion(N.structure), scheme)
         assert report.passed, report.failures()
-
-
-def test_scheme_rejects_foreign_source(m_edge, m_pair):
-    N = build_lift(m_edge, LiftConfig(k=1))
-    with pytest.raises(LiftError, match="not generated"):
-        generate_scheme(m_pair, N)
 
 
 @pytest.mark.hashseed
 def test_equal_translations_are_one_object(corpus):
     for _, M in corpus:
         for k in (1, 2, 3):
-            scheme = generate_scheme(M, build_lift(M, LiftConfig(k=k)))
+            scheme = generate_scheme(build_lift(M, LiftConfig(k=k)))
             first = {}
             for sr in scheme.rels:
                 assert first.setdefault(sr.formula, sr.formula) is sr.formula
@@ -499,7 +493,7 @@ _PINNED_SCHEMES = {
 def test_generated_scheme_is_pinned(name, k, repetitions):
     M = _PINNED_STRUCTURES[name]
     N = build_lift(M, LiftConfig(k=k, include_repetition_tuples=repetitions))
-    blob = json.dumps(scheme_to_json_dict(generate_scheme(M, N)), sort_keys=True)
+    blob = json.dumps(scheme_to_json_dict(generate_scheme(N)), sort_keys=True)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     assert digest == _PINNED_SCHEMES[(name, k, repetitions)]
 
