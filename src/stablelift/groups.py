@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .formulas import sort_partition
@@ -490,14 +491,15 @@ def _refine(adj, lab: list[int], cell_of: list[int], size: dict[int, int], queue
                 pos += len(frag)
 
 
-def _root_partition(M: Structure, adj):
-    """The root of the search: the sorts of M as cells, in sort_partition's
-    block order, refined until equitable.  Every automorphism preserves
-    each sort, so it fixes this ordered partition."""
+def _root_partition(M: Structure, adj, sorts=None):
+    """The root of the search: the blocks of ``sorts`` as cells in their
+    order, by default the sorts of M in sort_partition's block order,
+    refined until equitable.  Every automorphism preserves each block, so
+    it fixes this ordered partition."""
     lab: list[int] = []
     cell_of = [0] * M.size
     size: dict[int, int] = {}
-    for block in sort_partition(M).values():
+    for block in sort_partition(M).values() if sorts is None else sorts:
         s = len(lab)
         size[s] = len(block)
         for x in block:
@@ -529,7 +531,7 @@ def _target_cell(node) -> list[int]:
     return sorted(lab[s:s + size[s]])
 
 
-def _automorphism_generators(M: Structure) -> list[Images]:
+def _automorphism_generators(M: Structure, sorts=None) -> list[Images]:
     """Generators of Aut(M) from an individualization-refinement search:
     at most one automorphism per point of each fundamental orbit of the
     search's base, each confirmed by is_automorphism at its leaf."""
@@ -537,7 +539,7 @@ def _automorphism_generators(M: Structure) -> list[Images]:
     adj = _adjacency(M)
 
     # first path: individualize the least element of the first open cell
-    path = [_root_partition(M, adj)]
+    path = [_root_partition(M, adj, sorts)]
     base: list[int] = []
     while len(path[-1][2]) < n:
         v = _target_cell(path[-1])[0]
@@ -589,14 +591,28 @@ def _automorphism_generators(M: Structure) -> list[Images]:
     return gens
 
 
-def automorphism_group(M: Structure) -> PermGroup:
+def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:
     """The full automorphism group as a PermGroup.
+
+    The search starts from ``sorts`` if given (blocks partitioning M's
+    domain, each mapped onto itself by every automorphism), else from
+    sort_partition's blocks.  Leaves are still confirmed by is_automorphism,
+    so a wrong partition can only lose automorphisms, never add one.  A
+    ``sorts`` that is not a partition raises GroupError naming an element.
 
     The generating set is the greedy lexicographic one: each generator is
     the lex-least automorphism outside the group the earlier ones generate
     (what sifting every automorphism in lex order would keep)."""
+    if sorts is not None:
+        sorts = [block for block in sorts if len(block)]
+        count = Counter(x for block in sorts for x in block)
+        for x in itertools.chain(count, range(M.size)):
+            if count[x] != 1 or x not in range(M.size):
+                raise GroupError(
+                    f"sorts is not a partition of 0..{M.size - 1}: {x!r} occurs {count[x]} times"
+                )
     G = _Chain(M.size)
-    for g in _automorphism_generators(M):
+    for g in _automorphism_generators(M, sorts):
         G.add(g)
     # one lex walk of G yields the greedy generators: it skips a coset x * K
     # inside the group H generated so far (x in H and K <= H, true from depth

@@ -87,10 +87,11 @@ class TypeCensus:
 class _CensusTable:
     """The parameter-free part of a census: the term columns that vary, the
     values of the constant ones, and the partition by the parameter-free
-    atoms as a block index per element."""
+    atoms as blocks (by least element) and as a block index per element."""
 
     varying: tuple[tuple[int, ...], ...]
     fixed: frozenset[int]
+    blocks: tuple[tuple[int, ...], ...]
     block_of: tuple[int, ...]
 
 
@@ -128,13 +129,15 @@ def _census_table(N: Structure, depth: int) -> _CensusTable:
             for idx in itertools.product(range(len(cols)), repeat=arity)
             if any(varies[i] for i in idx)
         ]
+    blocks = tuple(map(tuple, group_by_columns(size, truth).values()))
     block_of = [0] * size
-    for idx, blk in enumerate(group_by_columns(size, truth).values()):
+    for idx, blk in enumerate(blocks):
         for e in blk:
             block_of[e] = idx
     return _CensusTable(
         varying=tuple(col for col, v in zip(cols, varies) if v),
         fixed=frozenset(col[0] for col, v in zip(cols, varies) if not v and col),
+        blocks=blocks,
         block_of=tuple(block_of),
     )
 
@@ -302,9 +305,11 @@ def stability_report(
     in source coordinates and land inside the base copy of each lift, built
     with ``LiftConfig(k=k)``.  Type counts are ``qf_type_census`` at depth
     1: the parameter-free census is built once per lift, and each parameter
-    set adds only the atoms that mention a parameter.  An empty list of copy
-    bounds or of parameter sets raises StabilityError: such a census would
-    pass with nothing checked."""
+    set adds only the atoms that mention a parameter.  Each lift's
+    automorphism search starts from that census's blocks (parameter-free,
+    and finer than the sorts).  An empty list of copy bounds or of
+    parameter sets raises StabilityError: such a census would pass with
+    nothing checked."""
     ks = list(ks)
     As = [tuple(sorted(set(A_src))) for A_src in As]
     if not ks or not As:
@@ -320,8 +325,8 @@ def stability_report(
     group_M = automorphism_group(M)
     for k in ks:
         N = build_lift(M, LiftConfig(k=k))
-        group_N = automorphism_group(N.structure)
         table = _census_table(N.structure, 1)
+        group_N = automorphism_group(N.structure, sorts=table.blocks)
         for A_src in As:
             A = tuple(N.base_id(a) for a in A_src)
             decomposition = orbit_decomposition_check(

@@ -3,7 +3,9 @@
 For every digraph of ``standard_corpus(3)`` and every subcommand below, the
 sha256 of (exit code, stdout, stderr) must match ``data/cli_golden.json``.
 Refactors that keep reports byte-identical pass; any change in a report, a
-diagnostic or an exit code names the (subcommand, structure) pair.
+diagnostic or an exit code names the (subcommand, structure) pair.  Each
+run's stdout is also json's own text of the report it holds, and a run that
+exits 2 writes none.
 
 Regenerate the fixture, after a deliberate output change only, with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -55,7 +57,13 @@ def _digest(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    # the report writer gives json.dumps's text; an input error writes none
+    stdout = out.getvalue()
+    if code == 2:
+        assert stdout == "", argv
+    else:
+        assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n", argv
+    blob = json.dumps([code, stdout, err.getvalue()])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -481,22 +481,29 @@ def test_root_partition_refines_the_sorts_and_is_equitable(type_structures):
 
     from stablelift.formulas import sort_partition
     from stablelift.groups import _adjacency, _root_partition
+    from stablelift.stability import _census_table
 
     for M in type_structures:
         adj = _adjacency(M)
-        lab, cell_of, size = node = _root_partition(M, adj)
-        cells = _cells(node)
-        assert sorted(lab) == list(M.domain)
-        assert all(cell_of[x] == s for s, k in size.items() for x in lab[s:s + k])
-        # every cell lies inside one sort
-        sort_of = {x: key for key, block in sort_partition(M).items() for x in block}
-        assert all(len({sort_of[x] for x in cell}) == 1 for cell in cells)
-        # equitable: within a cell, every element is hit equally often from
-        # each cell through each table
-        for table in adj:
-            for splitter in cells:
-                hits = Counter(x for y in splitter for x in table[y])
-                assert all(len({hits[x] for x in cell}) == 1 for cell in cells)
+        # from the sorts, and from the depth-1 census blocks the report uses
+        for sorts in (None, _census_table(M, 1).blocks):
+            lab, cell_of, size = node = _root_partition(M, adj, sorts)
+            cells = _cells(node)
+            assert sorted(lab) == list(M.domain)
+            assert all(cell_of[x] == s for s, k in size.items() for x in lab[s:s + k])
+            # every cell lies inside one sort
+            sort_of = {x: key for key, block in sort_partition(M).items() for x in block}
+            assert all(len({sort_of[x] for x in cell}) == 1 for cell in cells)
+            # and inside one of the given blocks
+            if sorts is not None:
+                block_of = {x: i for i, block in enumerate(sorts) for x in block}
+                assert all(len({block_of[x] for x in cell}) == 1 for cell in cells)
+            # equitable: within a cell, every element is hit equally often
+            # from each cell through each table
+            for table in adj:
+                for splitter in cells:
+                    hits = Counter(x for y in splitter for x in table[y])
+                    assert all(len({hits[x] for x in cell}) == 1 for cell in cells)
 
 
 def test_root_partition_splits_by_degree_within_a_sort():
@@ -506,3 +513,37 @@ def test_root_partition_splits_by_degree_within_a_sort():
     M = digraph(4, [(0, 1), (1, 2), (2, 3)])
     node = _root_partition(M, _adjacency(M))
     assert sorted(map(sorted, _cells(node))) == [[0], [1], [2], [3]]
+
+
+@pytest.mark.hashseed
+def test_search_from_given_sorts_matches_the_default(corpus, type_structures):
+    """Started from any partition that every automorphism preserves, the
+    search finds the group it finds from the sorts, with the same greedy
+    lex generators: the depth-1 census blocks that stability_report passes
+    for a lift, the group's own orbits, and the whole domain as one block."""
+    from stablelift.stability import _census_table
+
+    cases = [
+        (N, _census_table(N, 1).blocks)
+        for N in (build_lift(M, LiftConfig(k=k)).structure for _, M in corpus for k in (1, 2, 3))
+    ]
+    for M in type_structures:
+        cases += [
+            (M, _census_table(M, 1).blocks),
+            (M, orbits(automorphism_group(M), M.domain)),
+            (M, [list(M.domain)]),
+        ]
+    for M, sorts in cases:
+        default, seeded = automorphism_group(M), automorphism_group(M, sorts=sorts)
+        assert seeded.generators == default.generators
+        assert seeded.order() == default.order()
+
+
+@pytest.mark.parametrize(
+    "sorts, element",
+    [([(0, 1)], 2), ([(0, 1), (1, 2)], 1), ([(0, 1, 2), (3,)], 3)],
+    ids=["missing", "repeated", "outside"],
+)
+def test_sorts_that_are_not_a_partition_are_refused(m_triple, sorts, element):
+    with pytest.raises(GroupError, match=rf": {element} occurs"):
+        automorphism_group(m_triple, sorts=sorts)

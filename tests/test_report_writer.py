@@ -3,11 +3,10 @@
 Every JSON report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
 newline.  ``cli._dump`` writes that text through its own writer,
 ``cli._indented`` alone, which raises TypeError on what no report holds.
+The golden CLI runs check the written reports themselves (test_cli_golden).
 """
 
-import contextlib
 import enum
-import io
 import json
 import math
 from collections import OrderedDict
@@ -16,10 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablelift import cli
-from stablelift.corpus import standard_corpus
-from stablelift.structures import structure_to_json
-
-from test_cli_golden import SUBCOMMANDS
 
 
 def reference(value) -> str:
@@ -137,31 +132,3 @@ def test_writer_fails_where_json_fails(value):
     with pytest.raises(type(expected.value)):
         cli._dump(value)
 
-
-def test_every_golden_report_is_written_like_json(tmp_path, monkeypatch):
-    # the report object itself, as _emit receives it
-    seen = []
-    dump = cli._dump
-
-    def recording(report):
-        seen.append(report)
-        return dump(report)
-
-    monkeypatch.setattr(cli, "_dump", recording)
-    written = 0
-    for name, M in standard_corpus(3):
-        path = tmp_path / f"{name}.json"
-        path.write_text(structure_to_json(M), encoding="utf-8")
-        for label, (command, *flags) in sorted(SUBCOMMANDS.items()):
-            seen.clear()
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([command, "--in", str(path), *flags])
-            if code == 2:
-                assert (seen, out.getvalue()) == ([], ""), (label, name)
-                continue
-            [report] = seen
-            assert out.getvalue() == reference(report) + "\n", (label, name)
-            assert cli._indented(report, "\n") == reference(report), (label, name)
-            written += 1
-    assert written > 0

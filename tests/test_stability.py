@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from stablelift import stability
+from stablelift import groups, stability
 from stablelift.corpus import digraph
 from stablelift.groups import Permutation, PermGroup
 from stablelift.lifting import LiftConfig, build_lift
@@ -269,11 +269,21 @@ def test_report_builds_one_census_table_per_copy_bound(corpus, monkeypatch):
         "_census_table",
         lambda N, depth, inner=stability._census_table: built.append(depth) or inner(N, depth),
     )
+    # each lift's search starts from its census blocks, so only the source's
+    # search partitions by sort
+    searched = []
+    monkeypatch.setattr(
+        groups,
+        "sort_partition",
+        lambda M, inner=groups.sort_partition: searched.append(M) or inner(M),
+    )
     ks, As = [1, 2, 3], [(), (0,), (0, 1)]
     for _, M in [c for c in corpus if c[1].size >= 2][::6]:
         built.clear()
+        searched.clear()
         report = stability_report(M, ks, As)
         assert built == [1] * len(ks)
+        assert len(searched) == 1 and searched[0] is M
         for entry in report.entries:
             N = build_lift(M, LiftConfig(k=entry["k"]))
             census = qf_type_census(N.structure, [N.base_id(a) for a in entry["A"]])
