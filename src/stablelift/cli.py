@@ -325,8 +325,9 @@ def _cmd_limit(args) -> tuple[dict, list[str]]:
 def _cmd_census(args) -> tuple[dict, list[str]]:
     M = _load_structure(args.infile, args.max_size)
     A = _parse_elements(args.parameters)
-    classes = stabilizer_orbits(M, A)
+    # the census rejects a bad depth or parameter before any group work
     census = qf_type_census(M, A, depth=args.depth)
+    classes = stabilizer_orbits(M, A)
     report = {
         "A": sorted(set(A)),
         "classes": [list(c) for c in classes],

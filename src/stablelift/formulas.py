@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import re
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .structures import Signature, Structure
@@ -435,84 +433,6 @@ def eval_formula(M: Structure, phi: Formula, v: dict[int, int] | None = None) ->
     if isinstance(phi, Exists):
         return any(eval_formula(M, phi.body, {**v, phi.var: a}) for a in M.domain)
     raise FormulaError(f"not a formula: {phi!r}")
-
-
-def _compile_formula(M: Structure, phi: Formula) -> bool | Callable[[Sequence[int]], bool]:
-    """phi over M, compiled once for repeated evaluation.
-
-    The result is a bool when phi folds to a constant, otherwise a closure
-    over the flat assignment tuple v, with x_q at v[q].  For a v that covers
-    phi's free variables it returns what ``eval_formula(M, phi,
-    dict(enumerate(v)))`` returns and raises the same FormulaError when it
-    reaches the same node; coverage is the caller's duty.  Private to the
-    package; validate_scheme calls it only on formulas whose free variables
-    are exactly x0..x(total-1).
-
-    Only the fragment generated schemes use is compiled: xs = xt (True when
-    s = t), R(xs, ...) over a relation of M with the right arity, and Not,
-    And and Or, which fold their constant parts and keep every part
-    eval_formula would reach before them.  Every other node (Exists,
-    function and constant terms, unknown symbols, arity mismatches) is
-    evaluated by eval_formula; one with no free variables is decided here
-    once, unless that raises.
-    """
-    sig = M.sig
-
-    def node(psi: Formula):
-        if isinstance(psi, Equal) and isinstance(psi.left, Var) and isinstance(psi.right, Var):
-            a, b = psi.left.index, psi.right.index
-            return True if a == b else (lambda v: v[a] == v[b])
-        if (
-            isinstance(psi, Rel)
-            and psi.args
-            and all(isinstance(t, Var) for t in psi.args)
-            and sig.has_relation(psi.name)
-            and len(psi.args) == sig.relation_arity(psi.name)
-        ):
-            held = M.relation_sets[psi.name]
-            at = [t.index for t in psi.args]
-            if len(at) == 1:
-                (a,) = at
-                return lambda v: (v[a],) in held
-            row = operator.itemgetter(*at)
-            return lambda v: row(v) in held
-        if isinstance(psi, Not):
-            body = node(psi.body)
-            if isinstance(body, bool):
-                return not body
-            return lambda v: not body(v)
-        if isinstance(psi, (And, Or)):
-            # eval_formula stops at the first part equal to `stop`
-            stop = isinstance(psi, Or)
-            parts, stopped = [], False
-            for part in psi.parts:
-                f = node(part)
-                if isinstance(f, bool):
-                    if f == stop:
-                        stopped = True
-                        break
-                    continue
-                parts.append(f)
-            if not parts:
-                return stopped == stop
-            if len(parts) == 1 and not stopped:
-                return parts[0]
-
-            def junction(v):
-                for p in parts:
-                    if p(v) == stop:
-                        return stop
-                return stopped == stop
-
-            return junction
-        try:
-            if not free_variables(psi):
-                return eval_formula(M, psi)
-        except FormulaError:
-            pass
-        return lambda v: eval_formula(M, psi, dict(enumerate(v)))
-
-    return node(phi)
 
 
 def definable_set(M: Structure, phi: Formula) -> tuple[tuple[int, ...], ...]:

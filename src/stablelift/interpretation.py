@@ -19,11 +19,12 @@ import functools
 import itertools
 import operator
 from collections import deque
-from collections.abc import Callable, Container
+from collections.abc import Container
 from dataclasses import dataclass, field, replace
 
-# definable_set and eval_formula are no longer called here but stay
-# importable at this site, where perfbench/spans.py wraps them
+# perfbench/spans.py wraps eval_formula at this import site, where the
+# quotients and the row-by-row agreement scan call it; definable_set is not
+# called here but stays importable at the same site
 from .formulas import (
     And,
     AtomicType,
@@ -32,7 +33,6 @@ from .formulas import (
     FormulaError,
     Not,
     Var,
-    _compile_formula,
     conjunction,
     definable_set,
     eval_formula,
@@ -222,15 +222,14 @@ class _Quotient:
     evaluated on the other (core) positions only, with padding set to
     M.domain[0], and each class is kept as its sorted core tuples; its full
     members are any values in the padding positions.  A witness is its core
-    witness with M.domain[0] in the padding positions.  r is compiled once;
-    a constant r decides every tuple at once.
+    witness with M.domain[0] in the padding positions.
 
     An E that is a conjunction of atoms x_q = x_(width+q) and padding atoms
     xq = xq is the kernel of the projection onto those q, which are core
     since E reads them: the classes are r(M) grouped by those positions,
-    and E is never compiled, since a kernel cannot fail to be an
-    equivalence.  Any other E is compiled once and checked on every pair of
-    core tuples, with a witness for the first failure.
+    and E is never evaluated, since a kernel cannot fail to be an
+    equivalence.  Any other E is evaluated on every pair of core tuples,
+    with a witness for the first failure.
     """
 
     def __init__(self, M: Structure, r: Formula, E: Formula):
@@ -254,11 +253,7 @@ class _Quotient:
 
         self.M, self.width, self.core, self.pad, self.full = M, n, core, pad, full
         cores = itertools.product(M.domain, repeat=len(core))
-        in_r = _compile_formula(M, r)
-        if isinstance(in_r, bool):
-            dom = list(cores) if in_r else []
-        else:
-            dom = [c for c in cores if in_r(full(c))]
+        dom = [c for c in cores if eval_formula(M, r, dict(enumerate(full(c))))]
         if fv_E != frozenset(range(2 * n)):
             raise SchemeError(
                 f"equivalence formula must use exactly x0..x{2 * n - 1}"
@@ -275,18 +270,11 @@ class _Quotient:
             self.cores = [tuple(members) for members in classes.values()]
             self._class_of = {c: idx for idx, members in enumerate(self.cores) for c in members}
             return
-        related = _compile_formula(M, E)
-        rows: dict[tuple, set[tuple]]
-        if isinstance(related, bool):
-            # never mutated: every row may be the same set
-            shared = set(dom) if related else set()
-            rows = {s: shared for s in dom}
-        else:
-            fulls = [full(t) for t in dom]
-            rows = {
-                s: {t for t, ft in zip(dom, fulls) if related(fs + ft)}
-                for s, fs in zip(dom, fulls)
-            }
+        fulls = [full(t) for t in dom]
+        rows = {
+            s: {t for t, ft in zip(dom, fulls) if eval_formula(M, E, dict(enumerate(fs + ft)))}
+            for s, fs in zip(dom, fulls)
+        }
         for s in dom:
             if s not in rows[s]:
                 raise SchemeError(
@@ -487,15 +475,12 @@ def validate_scheme(
     rep_of: dict[int, tuple[int, ...]] = {}
     for fmap in scheme.bijections.values():
         rep_of.update(fmap)
-    # id(formula) -> its equality pattern or None, and the compiled form of
-    # each formula that is not a pattern, shared by the padding walk below
-    # and every relation's scan
+    # id(formula) -> its equality pattern or None, shared by the padding
+    # walk below and every relation's scan
     patterns: dict[int, Pattern | None] = {}
-    compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]] = {}
     # per sort, the padding positions some translation reads: its free
     # variables that are not inert, found once per distinct formula; a
-    # pattern reads the positions in its pairs, a formula that compiles to
-    # a constant reads nothing
+    # pattern reads the positions in its pairs
     pad = {key: q.pad for key, q in quotients.items() if q is not None and q.pad}
     read: dict[AtomicType, set[int]] = {key: set() for key in pad}
     widths = {s.key: s.width for s in scheme.sorts}
@@ -508,8 +493,6 @@ def validate_scheme(
             pattern = _pattern_of(sr.formula, patterns)
             if pattern is not None:
                 live = {q for pair in pattern[1] for q in pair}
-            elif isinstance(_compiled(M1, sr.formula, compiled), bool):
-                live = ()
             else:
                 live = sr._free_vars - inert_variables(sr.formula)
             reads[id(sr.formula)] = live
@@ -532,7 +515,7 @@ def validate_scheme(
     for name, row in table.items():
         witness = _agreement_witness(
             M1, M2.relation_sets[name], row, realized, element_sort, options, counts, widths,
-            patterns, compiled,
+            patterns,
         )
         report.checks.append(CheckResult(f"relation-agreement[{name}]", witness is None, witness))
     return report
@@ -542,14 +525,6 @@ def _pattern_of(phi: Formula, patterns: dict[int, Pattern | None]) -> Pattern | 
     if id(phi) not in patterns:
         patterns[id(phi)] = _equality_pattern(phi)
     return patterns[id(phi)]
-
-
-def _compiled(
-    M: Structure, phi: Formula, compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]]
-) -> bool | Callable[[tuple[int, ...]], bool]:
-    if id(phi) not in compiled:
-        compiled[id(phi)] = _compile_formula(M, phi)
-    return compiled[id(phi)]
 
 
 def _agreement_witness(
@@ -562,7 +537,6 @@ def _agreement_witness(
     counts: dict[AtomicType, set[int]],
     widths: dict[AtomicType, int],
     patterns: dict[int, Pattern | None],
-    compiled: dict[int, bool | Callable[[tuple[int, ...]], bool]],
 ) -> str | None:
     """The witness of the first tuple of M2^arity, in product order, whose
     translation is missing, cannot be evaluated, or disagrees with ``held``,
@@ -571,14 +545,13 @@ def _agreement_witness(
     The tuples split into blocks, one per tuple of sorts, each with its
     translation in ``row``, and each block gives its least failing tuple;
     the first failure is the least of those.  Each distinct formula
-    object's equality pattern is found once into ``patterns``, and each
-    other one is compiled once into ``compiled``, both keyed by id and
-    shared between relations by the caller, as is ``counts``, each sort's
-    set of option counts.  A block is decided whole by _block_failure when
-    its translation is a constant and all its elements have options, or an
-    equality pattern whose pairs all link the first sort with the second
-    and all its elements have one option each; any other block is scanned
-    tuple by tuple by _first_failure.  A FormulaError at the first failure
+    object's equality pattern is found once into ``patterns``, keyed by id
+    and shared between relations by the caller, as is ``counts``, each
+    sort's set of option counts.  A block is decided whole by
+    _block_failure when its translation is a constant and all its elements
+    have options, or an equality pattern whose pairs all link the first
+    sort with the second and all its elements have one option each; any
+    other block is scanned tuple by tuple by _first_failure.  A FormulaError at the first failure
     is raised, as evaluating the tuples in order would.
     """
     held_in: dict[tuple[AtomicType, ...], list[tuple[int, ...]]] = {}
@@ -608,7 +581,7 @@ def _agreement_witness(
                 pattern, widths[keys[0]], blocks, held, held_in.get(keys, ()), options
             )
         else:
-            found = _first_failure(_compiled(M1, sr.formula, compiled), held, blocks, options)
+            found = _first_failure(M1, sr.formula, held, blocks, options)
         if found:
             failures.append(found)
     if not failures:
@@ -672,27 +645,23 @@ def _block_failure(
 
 
 def _first_failure(
-    form: bool | Callable[[tuple[int, ...]], bool],
+    M1: Structure,
+    phi: Formula,
     held: frozenset,
     blocks: list[tuple[int, ...]],
     options: dict[int, tuple[tuple[int, ...], ...]],
 ) -> tuple[tuple[int, ...], str | FormulaError] | None:
     """The first tuple of the block's product that has an element without
-    options or whose translation, under some choice of options, disagrees
-    with ``held``; with its witness, or the FormulaError its evaluation
-    raised."""
+    options or whose translation ``phi`` over M1, under some choice of
+    options, disagrees with ``held``; with its witness, or the FormulaError
+    its evaluation raised."""
     for elems in itertools.product(*blocks):
         if any(e not in options for e in elems):
             return elems, f"untranslatable tuple {elems}"
         holds = elems in held
-        if isinstance(form, bool):
-            # every choice of options gives the same answer
-            if form != holds:
-                return elems, f"tuple {elems} (target says {holds})"
-            continue
         try:
             for reps in itertools.product(*[options[e] for e in elems]):
-                if form(sum(reps, ())) != holds:
+                if eval_formula(M1, phi, dict(enumerate(sum(reps, ())))) != holds:
                     return elems, f"tuple {elems} (target says {holds})"
         except FormulaError as e:
             return elems, e

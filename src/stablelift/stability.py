@@ -230,42 +230,54 @@ def orbit_decomposition_check(
     members for the limit copy).  Both sides are computed independently: the
     left side counts the orbits meeting each sort of the lift's sort table
     ``N.sorts``, and the rows follow the relation order of ``N.fibers``."""
-    M = N.source
     A = tuple(sorted(set(A)))
     A_src = _translate_parameters(N, A)
     GN = pointwise_stabilizer(
         group_N if group_N is not None else automorphism_group(N.structure), A
     )
     GM = pointwise_stabilizer(
-        group_M if group_M is not None else automorphism_group(M), A_src
+        group_M if group_M is not None else automorphism_group(N.source), A_src
     )
+    return _decomposition(N, GN, _source_counts(N.source, N.fibers, GM))
 
-    left_blocks = orbits(GN, N.structure.domain)
-    orbit_of = {e: idx for idx, block in enumerate(left_blocks) for e in block}
-    left_by_sort = {
-        label: len({orbit_of[e] for e in block}) for label, block in N.sorts.items()
+
+def _per_sort(sorts: dict[str, tuple[int, ...]], blocks) -> dict[str, int]:
+    """Per sort, how many of ``blocks`` (a partition of the domain) meet it."""
+    block_of = {e: idx for idx, block in enumerate(blocks) for e in block}
+    return {label: len({block_of[e] for e in block}) for label, block in sorts.items()}
+
+
+def _source_counts(M: Structure, fibers: dict, GM: PermGroup) -> tuple[int, dict]:
+    """The source side of the growth law under GM: the orbit count on M's
+    domain and, per relation, on its fiber tuples and on the held ones."""
+    return len(orbits(GM, M.domain)), {
+        rel: tuple(
+            len(orbits_on_tuples(GM, ts))
+            for ts in (tuples, [t for t in tuples if t in M.relation_sets[rel]])
+        )
+        for rel, tuples in fibers.items()
     }
+
+
+def _decomposition(N: LiftedStructure, GN: PermGroup, source) -> DecompositionReport:
+    """orbit_decomposition_check's rows from the lift's stabilizer GN and
+    the source side from _source_counts."""
+    left_blocks = orbits(GN, N.structure.domain)
+    left_by_sort = _per_sort(N.sorts, left_blocks)
     # each orbit meets at least one sort, so the counts sum past the orbit
     # count exactly when some orbit meets two
     if sum(left_by_sort.values()) != len(left_blocks):
         raise StabilityError("an orbit crosses sorts (internal error)")
-
-    per_sort: list[dict] = []
-
-    def add_row(label: str, right: int) -> None:
-        per_sort.append({"sort": label, "left": left_by_sort.get(label, 0), "right": right})
-
-    add_row(ANCHOR_NAME, 1)
-    add_row(BASE_NAME, len(orbits(GM, M.domain)))
-    for rel, fibers in N.fibers.items():
-        held = [t for t in fibers if t in M.relation_sets[rel]]
-        o_fib = len(orbits_on_tuples(GM, fibers))
-        o_rel = len(orbits_on_tuples(GM, held))
-        for i in [*range(N.config.k), LIMIT]:
-            add_row(fiber_sort(rel, i), o_rel if i == LIMIT else o_fib)
-    left_total = len(left_blocks)
-    right_total = sum(row["right"] for row in per_sort)
-    return DecompositionReport(per_sort=per_sort, left_total=left_total, right_total=right_total)
+    o_M, per_rel = source
+    rows = [(ANCHOR_NAME, 1), (BASE_NAME, o_M)]
+    for rel, (o_fib, o_rel) in per_rel.items():
+        rows += [(fiber_sort(rel, i), o_fib) for i in range(N.config.k)]
+        rows.append((fiber_sort(rel, LIMIT), o_rel))
+    per_sort = [
+        {"sort": label, "left": left_by_sort.get(label, 0), "right": right}
+        for label, right in rows
+    ]
+    return DecompositionReport(per_sort, len(left_blocks), sum(right for _, right in rows))
 
 
 # -- census reports -------------------------------------------------------------
@@ -314,45 +326,33 @@ def stability_report(
     As = [tuple(sorted(set(A_src))) for A_src in As]
     if not ks or not As:
         raise StabilityError("the census needs at least one copy bound and one parameter set")
-    for A_src in As:
-        for a in A_src:
-            if a not in M.domain:
-                raise StabilityError(
-                    f"parameter {a} is not an element of the source domain "
-                    f"(size {M.size})"
-                )
+    bad = next((a for A_src in As for a in A_src if a not in M.domain), None)
+    if bad is not None:
+        raise StabilityError(
+            f"parameter {bad} is not an element of the source domain (size {M.size})"
+        )
     report = CensusReport(structure_id=structure_id)
     group_M = automorphism_group(M)
+    # per parameter set, the source side of the growth law: every lift is
+    # built with the default config, so its fibers range over the same tuples
+    sources: dict[tuple[int, ...], tuple[int, dict]] = {}
     for k in ks:
         N = build_lift(M, LiftConfig(k=k))
         table = _census_table(N.structure, 1)
         group_N = automorphism_group(N.structure, sorts=table.blocks)
         for A_src in As:
             A = tuple(N.base_id(a) for a in A_src)
-            decomposition = orbit_decomposition_check(
-                N, A, group_M=group_M, group_N=group_N
-            )
+            if A_src not in sources:
+                sources[A_src] = _source_counts(M, N.fibers, pointwise_stabilizer(group_M, A_src))
+            decomposition = _decomposition(N, pointwise_stabilizer(group_N, A), sources[A_src])
             orbit_counts = {row["sort"]: row["left"] for row in decomposition.per_sort}
-            census = _census_over(table, N.structure, A, 1)
-            type_of: dict[int, int] = {}
-            for idx, block in enumerate(census.blocks):
-                for e in block:
-                    type_of[e] = idx
-
-            per_sort = [
-                {
-                    "sort": label,
-                    "orbits": orbit_counts[label],
-                    "types": len({type_of[e] for e in block}),
-                }
-                for label, block in N.sorts.items()
-            ]
-            entry = {
+            types = _per_sort(N.sorts, _census_over(table, N.structure, A, 1).blocks)
+            per_sort = [{"sort": s, "orbits": orbit_counts[s], "types": types[s]} for s in N.sorts]
+            report.entries.append({
                 "k": k,
                 "A": list(A_src),
                 "total": decomposition.left_total,
                 "per_sort": per_sort,
                 "growth_law": "pass" if decomposition.passed else "fail",
-            }
-            report.entries.append(entry)
+            })
     return report

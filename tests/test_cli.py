@@ -372,11 +372,19 @@ def test_explicit_padding(capsys, edge_file):
     assert code == 2 and "distinct" in err
 
 
-def test_census_input_errors_exit_2(capsys, pair_file):
+def test_census_input_errors_exit_2(capsys, pair_file, monkeypatch):
     code, _, err = run(capsys, "census", "--in", pair_file, "--depth", "3")
     assert code == 2 and "depth" in err
-    code, _, err = run(capsys, "census", "--in", pair_file, "--A", "99")
-    assert code == 2
+
+    def no_group_work(M, A):
+        raise AssertionError("stabilizer orbits computed for a bad parameter")
+
+    monkeypatch.setattr(cli, "stabilizer_orbits", no_group_work)
+    # a parameter outside the domain is named as one, before any group work
+    for bad in ("99", "-1", "0,99"):
+        code, out, err = run(capsys, "census", "--in", pair_file, "--A", bad)
+        assert code == 2 and out == ""
+        assert f"parameter {bad.split(',')[-1]} outside the domain" in err
 
 
 def test_census_negative_depth_exit_2(capsys, pair_file):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from stablelift import formulas, interpretation
+from stablelift import interpretation
 from stablelift.corpus import digraph, random_digraph
 from stablelift.formulas import (
     And,
@@ -241,17 +241,18 @@ def test_factored_quotient_matches_brute_force():
     assert {"not reflexive", "not symmetric", "not transitive"} <= set(kinds), kinds
 
 
-def _compile_spy(monkeypatch):
-    """The formulas _Quotient compiles, as recorded."""
-    compiled = []
-    original = interpretation._compile_formula
+def _eval_spy(monkeypatch):
+    """The formulas interpretation evaluates, one entry per top-level call,
+    as recorded."""
+    evaluated = []
+    original = interpretation.eval_formula
 
-    def recording(M, phi):
-        compiled.append(phi)
-        return original(M, phi)
+    def recording(M, phi, v=None):
+        evaluated.append(phi)
+        return original(M, phi, v)
 
-    monkeypatch.setattr(interpretation, "_compile_formula", recording)
-    return compiled
+    monkeypatch.setattr(interpretation, "eval_formula", recording)
+    return evaluated
 
 
 def _random_kernel_case(rng):
@@ -279,23 +280,24 @@ def _random_kernel_case(rng):
 
 @pytest.mark.hashseed
 def test_kernel_quotients_match_brute_force(corpus, monkeypatch):
-    # kernels are grouped by key and never compiled; the classes, their
+    # kernels are grouped by key and never evaluated; the classes, their
     # order and index() equal the brute quotient's
-    compiled = _compile_spy(monkeypatch)
+    evaluated = _eval_spy(monkeypatch)
     rng = random.Random(2011)
     for _ in range(300):
         M, r, E = _random_kernel_case(rng)
-        compiled.clear()
+        evaluated.clear()
         assert _outcome(interpretation._Quotient, M, r, E) == _outcome(_brute_quotient, M, r, E)
-        assert compiled == [r]
+        # over an empty domain there is no core tuple to evaluate r at
+        assert set(evaluated) == ({r} if M.size else set())
     weakened = 0
     for _, M in corpus[:20:3]:
         _, _, scheme = _scheme_setup(M, 2)
         for i, s in enumerate(scheme.sorts):
             E = weaken_equivalence(scheme, i).sorts[i].equiv_formula
-            compiled.clear()
+            evaluated.clear()
             q = interpretation._Quotient(M, s.domain_formula, E)
-            assert compiled == [s.domain_formula]
+            assert set(evaluated) == {s.domain_formula}
             assert _expanded(q) == _brute_quotient(M, s.domain_formula, E)
             weakened += len(q.cores) > len(definable_quotient(M, s.domain_formula, s.equiv_formula))
     assert weakened
@@ -305,9 +307,9 @@ def test_kernel_quotients_match_brute_force(corpus, monkeypatch):
 def test_equalities_that_are_not_kernels_are_checked_pair_by_pair(monkeypatch):
     # a pair inside one block, or across blocks at different positions,
     # is an equality pattern but no kernel, and a kernel widened by an edge
-    # is no pattern: E is compiled and any failure has the brute quotient's
+    # is no pattern: E is evaluated and any failure has the brute quotient's
     # witness
-    compiled = _compile_spy(monkeypatch)
+    evaluated = _eval_spy(monkeypatch)
     M = digraph(3, [(0, 1)])
     r = parse_formula("x0 = x0 & x1 = x1", M.sig)
     witnesses = Counter()
@@ -318,17 +320,17 @@ def test_equalities_that_are_not_kernels_are_checked_pair_by_pair(monkeypatch):
         "x0 = x2 & x1 = x3 | edge(x0, x2)",
     ):
         E = parse_formula(text, M.sig)
-        compiled.clear()
+        evaluated.clear()
         expected = _outcome(_brute_quotient, M, r, E)
         assert _outcome(interpretation._Quotient, M, r, E) == expected, text
-        assert compiled == [r, E]
+        assert set(evaluated) == {r, E}
         witnesses[expected[1].split(" at ")[0]] += 1
     for width in (2, 3):
         M, r, E = _padded_path_repro(width, leading=False)
-        compiled.clear()
+        evaluated.clear()
         expected = _outcome(_brute_quotient, M, r, E)
         assert _outcome(interpretation._Quotient, M, r, E) == expected
-        assert compiled == [r, E]
+        assert set(evaluated) == {r, E}
         witnesses[expected[1].split(" at ")[0]] += 1
     assert set(witnesses) == {
         "not an equivalence relation: not reflexive",
@@ -351,39 +353,30 @@ def test_padded_transitivity_witness():
 def test_quotient_factors_padding_unless_an_exists_rebinds_it(monkeypatch):
     # position 1 is padding in r; E relates x0 and x2 through a common
     # out-neighbour, found once with a fresh bound index and once rebinding x1.
-    # _Quotient compiles r and E: count the calls of each compiled closure
+    # _Quotient evaluates r and E: count the calls on each
     M = digraph(3, [(0, 2), (1, 2)])
     r = parse_formula("x0 = x0 & x1 = x1", M.sig)
     pads = "x0 = x0 & x1 = x1 & x2 = x2 & x3 = x3"
-    forms, calls = {}, Counter()
-    original = interpretation._compile_formula
+    calls = Counter()
+    original = interpretation.eval_formula
 
-    def compiling(M, phi):
-        form = forms[phi] = original(M, phi)
-        if isinstance(form, bool):
-            return form
+    def counting(M, phi, v=None):
+        # a full tuple, padding included
+        assert v.keys() == free_variables(phi)
+        calls[phi] += 1
+        return original(M, phi, v)
 
-        def counting(v):
-            # a full tuple, padding included
-            assert len(v) == len(free_variables(phi))
-            calls[phi] += 1
-            return form(v)
-
-        return counting
-
-    monkeypatch.setattr(interpretation, "_compile_formula", compiling)
+    monkeypatch.setattr(interpretation, "eval_formula", counting)
     for bound, factored in (("x4", True), ("x1", False)):
         E = parse_formula(
             f"{pads} & (x0 = x2 | exists {bound}. edge(x0, {bound}) & edge(x2, {bound}))",
             M.sig,
         )
-        forms.clear()
         calls.clear()
         q = interpretation._Quotient(M, r, E)
         core = 1 if factored else 2
-        # r reads no position once x0 = x0 and x1 = x1 fold: decided once
-        assert forms.keys() == {r, E} and forms[r] is True
-        assert calls == {E: 3 ** (2 * core)}
+        # r at each core tuple, E at each pair of them
+        assert calls == {r: 3 ** core, E: 3 ** (2 * core)}
         assert _expanded(q) == _brute_quotient(M, r, E)
         assert q.members(0) == tuple((a, b) for a in (0, 1) for b in range(3))
 
@@ -544,19 +537,12 @@ def _rewrapped(scheme):
 
 
 @pytest.mark.hashseed
-def test_validation_compiles_each_distinct_formula_once(corpus, monkeypatch):
-    # every formula that is neither an equality pattern nor a kernel is
-    # compiled once; patterns are decided by joins and kernels grouped by
-    # key, uncompiled.  Generated translations are all patterns, generated
-    # and weakened equivalences all kernels
-    compiled = Counter()
-    original = interpretation._compile_formula
-
-    def counting(M, phi):
-        compiled[id(phi)] += 1
-        return original(M, phi)
-
-    monkeypatch.setattr(interpretation, "_compile_formula", counting)
+def test_validation_evaluates_only_formulas_outside_patterns_and_kernels(corpus, monkeypatch):
+    # sort domain formulas and every formula that is neither an equality
+    # pattern nor a kernel are evaluated; patterns are decided by joins and
+    # kernels grouped by key, unevaluated.  Generated translations are all
+    # patterns, generated and weakened equivalences all kernels
+    evaluated = _eval_spy(monkeypatch)
     for _, M in corpus[::7]:
         for k in (1, 2, 3):
             _, companion, scheme = _scheme_setup(M, k)
@@ -565,46 +551,34 @@ def test_validation_compiles_each_distinct_formula_once(corpus, monkeypatch):
                 scheme, negate_translation(scheme, 0), weaken_equivalence(scheme, 0), _rewrapped(scheme)
             )
             for mutant in mutants:
-                compiled.clear()
+                evaluated.clear()
                 validate_scheme(M, companion, mutant)
                 # each sort's r in its quotient, and what was rewrapped
                 reached = {id(s.domain_formula) for s in mutant.sorts}
                 reached |= {id(s.equiv_formula) for s in mutant.sorts if isinstance(s.equiv_formula, Or)}
                 reached |= {id(sr.formula) for sr in mutant.rels if isinstance(sr.formula, Or)}
-                assert compiled.keys() == reached
-                assert set(compiled.values()) == {1}
+                assert set(map(id, evaluated)) == reached
 
 
 def test_generated_schemes_never_reach_eval_formula(corpus, monkeypatch):
-    # generated schemes stay inside the compiled fragment, so validating
-    # them, their mutants and transport never fall back to eval_formula
-    calls = Counter()
-    original = formulas.eval_formula
-
-    def counting(M, phi, v=None):
-        calls[phi] += 1
-        return original(M, phi, v)
-
-    monkeypatch.setattr(formulas, "eval_formula", counting)
-    monkeypatch.setattr(interpretation, "eval_formula", counting)
-    # the guard sees a formula outside the fragment
-    M = digraph(2, [(0, 1)])
-    outside = parse_formula("exists x1. edge(x0, x1)", M.sig)
-    assert interpretation._compile_formula(M, outside)((0,)) is True
-    assert calls[outside] == 1
-    calls.clear()
-
+    # generated translations are decided from their equality patterns and
+    # generated equivalences grouped as kernels, so validating the schemes
+    # and their CLI mutants, and transport, never evaluate a translation or
+    # an equivalence: every eval_formula call is on a sort's domain formula
+    evaluated = _eval_spy(monkeypatch)
     validations = 0
     for _, M in corpus[::3]:
         for k in (1, 2):
             _, companion, scheme = _scheme_setup(M, k)
-            for mutant in (scheme, negate_translation(scheme, 0), weaken_equivalence(scheme, 0)):
+            evaluated.clear()
+            for mutant in _one_of_each_mutant(M, scheme):
                 validate_scheme(M, companion, mutant)
                 validations += 1
             for g in automorphism_group(M).generators:
                 induced_automorphism(M, companion, scheme, g)
-    assert validations == 138
-    assert calls == {}
+            assert evaluated
+            assert set(map(id, evaluated)) <= {id(s.domain_formula) for s in scheme.sorts}
+    assert validations == 180
 
 
 # -- scheme validation -------------------------------------------------------------
@@ -1043,8 +1017,11 @@ def _random_block_case(rng):
     density = rng.choice([0, 0.1, 0.5, 1, "exact"])
     if density == "exact":
         # exactly where the formula holds, with one tuple flipped at times
-        holds = interpretation._compile_formula(digraph(3, []), formula)
-        held = {t for t in product if holds is True or holds and holds(sum((options[e][0] for e in t), ()))}
+        H = digraph(3, [])
+        held = {
+            t for t in product
+            if eval_formula(H, formula, dict(enumerate(sum((options[e][0] for e in t), ()))))
+        }
         if rng.random() < 0.5:
             held ^= {rng.choice(product)}
     else:
@@ -1065,9 +1042,7 @@ def test_block_decision_matches_the_tuple_scan():
     for _ in range(3000):
         formula, pattern, split, blocks, held, held_here, options = _random_block_case(rng)
         assert interpretation._equality_pattern(formula) == pattern, formula
-        expected = interpretation._first_failure(
-            interpretation._compile_formula(M, formula), held, blocks, options
-        )
+        expected = interpretation._first_failure(M, formula, held, blocks, options)
         found = interpretation._block_failure(pattern, split, blocks, held, held_here, options)
         assert found == expected, (formula, blocks, held, options)
         kind = "pattern" if pattern[1] else "constant"
@@ -1100,9 +1075,9 @@ def _scan_spy(monkeypatch):
     scanned = []
     original = interpretation._first_failure
 
-    def recording(form, held, blocks, options):
+    def recording(M1, phi, held, blocks, options):
         scanned.append(tuple(blocks))
-        return original(form, held, blocks, options)
+        return original(M1, phi, held, blocks, options)
 
     monkeypatch.setattr(interpretation, "_first_failure", recording)
     return scanned

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
+from automorphism_oracle import automorphisms
 
 from stablelift.corpus import digraph, edge_pairs
 from stablelift.formulas import sort_partition
@@ -316,7 +319,39 @@ def _two_binary_structure():
     )
 
 
-@pytest.mark.parametrize("make", [_mixed_structure, _ternary_structure, _two_binary_structure])
+def _random_relational_structure(seed):
+    """A seeded random structure on three elements with one to three
+    relations, one of arity seed % 3 + 1 and the others of arity 1-3,
+    repetition-free for even seeds.  Each relation holds a random share of
+    the tuples it may hold, closed under one random permutation, so that
+    Aut(M) is often nontrivial."""
+    rng = random.Random(seed)
+    repetition_free = seed % 2 == 0
+    sym = rng.choice([(0, 1, 2), (1, 0, 2), (1, 2, 0)])
+    arities = [seed % 3 + 1] + [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+    relations = {}
+    for i, arity in enumerate(arities):
+        density = rng.uniform(0.2, 0.6)
+        held = {
+            t
+            for t in itertools.product(range(3), repeat=arity)
+            if (len(set(t)) == arity or not repetition_free) and rng.random() < density
+        }
+        for _ in range(2):
+            held |= {tuple(sym[x] for x in t) for t in held}
+        relations[f"r{i}"] = sorted(held)
+    sig = Signature(relations=tuple((f"r{i}", arity) for i, arity in enumerate(arities)))
+    return Structure(sig=sig, size=3, relations=relations, repetition_free=repetition_free)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_mixed_structure, _ternary_structure, _two_binary_structure]
+    + [
+        pytest.param(functools.partial(_random_relational_structure, seed), id=f"random{seed}")
+        for seed in range(8)
+    ],
+)
 def test_mixed_signatures_full_pipeline(make):
     M = make()
     GM = automorphism_group(M)
@@ -324,6 +359,9 @@ def test_mixed_signatures_full_pipeline(make):
     for k in (1, 2):
         N = build_lift(M, LiftConfig(k=k))
         GN = automorphism_group(N.structure)
+        # element by element against the oracle, which shares no code with
+        # the search
+        assert [g.images for g in GN.elements()] == automorphisms(N.structure)
         assert GN.order() == GM.order()
         for g in GM.generators:
             assert project_automorphism(N, direct_induced(N, g)) == g
