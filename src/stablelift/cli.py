@@ -279,9 +279,7 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
         scheme = weaken_equivalence(scheme, idx)
     elif args.mutate == "break-fp":
         key = next(
-            (k for k, fmap in sorted(
-                scheme.bijections.items(), key=lambda kv: kv[0].key
-            ) if len(fmap) >= 2),
+            (k for k, fmap in sorted(scheme.bijections.items()) if len(fmap) >= 2),
             None,
         )
         if key is None:

@@ -441,7 +441,8 @@ def definable_set(M: Structure, phi: Formula) -> tuple[tuple[int, ...], ...]:
     The free variables must be exactly x0..x(n-1); a gap is an error.
     """
     n = free_width(phi)
-    # set(M.relations[...]) lookups inside eval dominate; fine at desk scale.
+    # one tree walk per tuple, over frozensets built once per structure
+    # (M.relation_sets); fine at desk scale.
     return tuple(
         tup
         for tup in itertools.product(M.domain, repeat=n)
@@ -452,41 +453,19 @@ def definable_set(M: Structure, phi: Formula) -> tuple[tuple[int, ...], ...]:
 # -- atomic one-variable types -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtomicType:
-    """The canonically ordered set of atomic one-free-variable formulas (term
-    depth at most one) satisfied by an element.  Hashable and totally ordered
-    so types can key partitions and serialized sort tables."""
-
-    formulas: tuple[Formula, ...]
-
-    # formatted once per instance: keys order sorts and label every
-    # translation of a serialized scheme
-    @functools.cached_property
-    def key(self) -> tuple[str, ...]:
-        return tuple(format_formula(f) for f in self.formulas)
-
-    def __contains__(self, phi: Formula) -> bool:
-        return phi in set(self.formulas)
-
-    def __lt__(self, other: "AtomicType") -> bool:
-        return self.key < other.key
-
-    # types key sort partitions and translation tables; rehashing the
-    # formula trees on every lookup dominated scheme validation
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.formulas,))
-
-    def __hash__(self) -> int:
-        return self._hash
+# The atomic one-variable type of an element, and the key of its sort: the
+# printed basis atoms it satisfies, in basis order.  Basis atoms print
+# distinctly, so two types are equal exactly when their keys are; tuples of
+# str hash in C and order sorts and serialized tables canonically.
+AtomicType = tuple[str, ...]
 
 
 @functools.lru_cache(maxsize=None)
-def atomic_formula_basis(sig: Signature) -> tuple[Formula, ...]:
+def atomic_formula_basis(sig: Signature) -> tuple[tuple[str, Formula], ...]:
     """All atomic formulas in the single free variable x0, with terms of
     function-nesting depth at most 1: the variable itself, one function
-    application to it, and bare constants.  Canonically ordered.
+    application to it, and bare constants.  Each comes with its printed
+    form, which orders the basis canonically.
 
     Term depth one is enough to separate every sort a lift construction
     needs while keeping the basis size signature-bounded.
@@ -507,8 +486,8 @@ def atomic_formula_basis(sig: Signature) -> tuple[Formula, ...]:
         for args in itertools.product(terms, repeat=arity):
             if any(mentions_var(a) for a in args):
                 basis.append(Rel(name, args))
-    basis.sort(key=format_formula)
-    return tuple(basis)
+    printed = sorted(((format_formula(phi), phi) for phi in basis), key=lambda p: p[0])
+    return tuple(printed)
 
 
 def atomic_type(M: Structure, a: int) -> AtomicType:
@@ -516,10 +495,9 @@ def atomic_type(M: Structure, a: int) -> AtomicType:
     of it."""
     if not (0 <= a < M.size):
         raise FormulaError(f"element {a} outside domain of size {M.size}")
-    sat = [
-        phi for phi in atomic_formula_basis(M.sig) if eval_formula(M, phi, {0: a})
-    ]
-    return AtomicType(tuple(sat))
+    return tuple(
+        text for text, phi in atomic_formula_basis(M.sig) if eval_formula(M, phi, {0: a})
+    )
 
 
 def group_by_columns(size: int, columns) -> dict[tuple, list[int]]:
@@ -553,13 +531,14 @@ def sort_partition(M: Structure) -> dict[AtomicType, tuple[int, ...]]:
         return columns[t]
 
     truth = []
-    for phi in basis:
+    for _, phi in basis:
         if isinstance(phi, Equal):
             truth.append([a == b for a, b in zip(column(phi.left), column(phi.right))])
         else:
             held = M.relation_sets[phi.name]
             truth.append([t in held for t in zip(*map(column, phi.args))])
+    texts = [text for text, _ in basis]
     return {
-        AtomicType(tuple(itertools.compress(basis, row))): tuple(block)
+        tuple(itertools.compress(texts, row)): tuple(block)
         for row, block in group_by_columns(M.size, truth).items()
     }

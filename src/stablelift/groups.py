@@ -64,8 +64,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise GroupError(f"not a permutation: {self.images}")
+        # 1.0 and True sort and compare as 1: only int images are permutations
+        images = self.images
+        if not {*map(type, images)} <= {int} or sorted(images) != list(range(len(images))):
+            raise GroupError(f"not a permutation: {images}")
 
     @staticmethod
     def identity(degree: int) -> "Permutation":

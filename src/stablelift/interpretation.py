@@ -833,7 +833,7 @@ def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
     return {
         "sorts": [
             {
-                "key": list(s.key.key),
+                "key": list(s.key),
                 "width": s.width,
                 "domain": text(s.domain_formula),
                 "equivalence": text(s.equiv_formula),
@@ -843,16 +843,16 @@ def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
         "relations": [
             {
                 "relation": sr.rel,
-                "sorts": [list(k.key) for k in sr.sort_keys],
+                "sorts": [list(k) for k in sr.sort_keys],
                 "formula": text(sr.formula),
             }
             for sr in scheme.rels
         ],
         "bijections": [
             {
-                "key": list(key.key),
+                "key": list(key),
                 "map": [[b, list(rep)] for b, rep in sorted(fmap.items())],
             }
-            for key, fmap in sorted(scheme.bijections.items(), key=lambda kv: kv[0].key)
+            for key, fmap in sorted(scheme.bijections.items())
         ],
     }

@@ -17,6 +17,7 @@ from stablelift.formulas import (
     ParseError,
     Rel,
     Var,
+    atomic_formula_basis,
     atomic_type,
     definable_set,
     eval_formula,
@@ -199,9 +200,9 @@ def test_definable_set_gap_rejected(m_edge):
 def test_anchor_type_contains_constant_equation(m_edge):
     N = build_lift(m_edge, LiftConfig(k=1))
     t = atomic_type(N.structure, N.structure.constants["anchor"])
-    assert Equal(Var(0), Const("anchor")) in t
+    assert format_formula(Equal(Var(0), Const("anchor"))) in t
     base_t = atomic_type(N.structure, N.base_id(0))
-    assert Equal(Var(0), Const("anchor")) not in base_t
+    assert format_formula(Equal(Var(0), Const("anchor"))) not in base_t
 
 
 def test_limit_type_has_no_copy_fixpoint(m_edge):
@@ -211,11 +212,11 @@ def test_limit_type_has_no_copy_fixpoint(m_edge):
     fixpoint = Equal(Var(0), Apply("copy_edge_0", Var(0)))
     limit = N.fibers["edge"][(0, 1)][LIMIT]
     t = atomic_type(N.structure, limit)
-    assert Rel("fiber_edge", (Var(0),)) in t
-    assert Rel("samefiber_edge", (Var(0), Var(0))) in t
-    assert fixpoint not in t
+    assert format_formula(Rel("fiber_edge", (Var(0),))) in t
+    assert format_formula(Rel("samefiber_edge", (Var(0), Var(0)))) in t
+    assert format_formula(fixpoint) not in t
     copy0 = N.fibers["edge"][(0, 1)][0]
-    assert fixpoint in atomic_type(N.structure, copy0)
+    assert format_formula(fixpoint) in atomic_type(N.structure, copy0)
 
 
 def test_sort_counts(m_edge, m_pair):
@@ -246,15 +247,23 @@ def test_sort_partition_matches_per_element_atomic_types(type_structures):
         expected = [(t, tuple(b)) for t, b in blocks.items()]
         got = list(sort_partition(M).items())
         assert got == expected
-        assert [t.formulas for t, _ in got] == [t.formulas for t, _ in expected]
 
 
 @pytest.mark.hashseed
-def test_atomic_type_key_is_formatted_once(type_structures):
-    for M in type_structures:
+def test_sort_keys_are_ascending_distinct_printed_atoms(type_structures, corpus):
+    # a key names a type by the printed atoms it satisfies, so two types
+    # differ exactly when their keys do only if no two basis atoms print alike
+    lifts = [build_lift(M, LiftConfig(k=3)).structure for _, M in corpus]
+    structures = type_structures + lifts
+    for sig in {M.sig for M in structures}:
+        basis = atomic_formula_basis(sig)
+        texts = [text for text, _ in basis]
+        assert texts == [format_formula(phi) for _, phi in basis]
+        assert len(set(texts)) == len(texts)
+    for M in structures:
         for t in sort_partition(M):
-            assert t.key == tuple(format_formula(f) for f in t.formulas)
-            assert t.key is t.key
+            assert isinstance(t, tuple) and all(isinstance(atom, str) for atom in t)
+            assert list(t) == sorted(t)
 
 
 def test_group_by_columns_without_columns_keeps_every_element():
@@ -269,8 +278,8 @@ def test_group_by_columns_without_columns_keeps_every_element():
 
 def test_atomic_type_ordering_is_canonical(m_edge):
     t = atomic_type(m_edge, 0)
-    assert list(t.key) == sorted(t.key)
-    assert isinstance(t, AtomicType)
+    assert isinstance(t, tuple) and all(isinstance(atom, str) for atom in t)
+    assert list(t) == sorted(t)
 
 
 # -- automorphism invariance properties ----------------------------------------

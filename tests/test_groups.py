@@ -29,6 +29,14 @@ def test_permutation_rejects_non_bijection():
         Permutation((0, 0))
 
 
+@pytest.mark.parametrize("images", [(0, 1.0), (1.0, 0), (True, False), (1, False)])
+def test_permutation_rejects_images_that_are_not_int(images):
+    # each compares equal to a permutation of (0, 1), and would escape as
+    # a bare TypeError from the first composition or group order
+    with pytest.raises(GroupError, match="not a permutation"):
+        Permutation(images)
+
+
 def test_swap_squares_to_identity():
     swap = Permutation((1, 0))
     assert (swap * swap).is_identity()

@@ -520,7 +520,7 @@ def test_a_mutant_shares_what_it_keeps_with_its_parent(corpus):
                 }
                 before, after = _bijection_entries(data), _bijection_entries(changed)
                 assert list(before) == list(after)
-                assert {sort for sort in before if before[sort] != after[sort]} == {key.key}
+                assert {sort for sort in before if before[sort] != after[sort]} == {key}
                 redirected += 1
     assert redirected
 
