@@ -81,6 +81,8 @@ class CheckFailure(Exception):
 
 
 def _load_structure(path: str, max_size: int) -> Structure:
+    if max_size < 0:
+        raise InputError(f"--max-size {max_size} is negative")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -385,6 +387,8 @@ def _cmd_corpus(args) -> tuple[dict, list[str]]:
         )
     structures: list[tuple[str, Structure]] = []
     if args.exhaustive is not None:
+        if args.exhaustive < 0:
+            raise InputError(f"--exhaustive {args.exhaustive} is negative")
         if args.exhaustive > 3:
             raise InputError("exhaustive corpus is guarded to size <= 3")
         structures.extend(exhaustive_digraphs(args.exhaustive))

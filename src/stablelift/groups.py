@@ -13,8 +13,10 @@ The automorphism search is individualization-refinement with orbit pruning
 (McKay & Piperno, Practical graph isomorphism II).  Its root is the ordered
 partition into sorts (atomic one-variable types, which already separate
 constants and unary facts), refined to the coarsest equitable partition by
-one splitter routine over binary views of the relations and functions;
-positions of a relation with equal columns share their views.
+one splitter routine.  It reads the binary views of the relations and
+functions merged into one list per element, each view weighted so that a
+sum of weights still tells the views apart, and re-queues all but one
+largest fragment of a split cell (McKay, Practical graph isomorphism, 1981).
 The first path individualizes the least element of the first non-singleton
 cell until the partition is discrete; those elements form a base.  Working
 from the deepest base point up, each level tries only the cell mates of its
@@ -380,19 +382,16 @@ def is_automorphism(M: Structure, pi: Permutation) -> bool:
     function, and fixes every constant."""
     if pi.degree != M.size:
         raise GroupError(f"permutation degree {pi.degree} != domain size {M.size}")
-    for c in M.sig.constants:
-        if pi(M.constants[c]) != M.constants[c]:
-            return False
-    for f in M.sig.functions:
-        images = M.functions[f]
-        for x in M.domain:
-            if pi(images[x]) != images[pi(x)]:
-                return False
-    for name, _ in M.sig.relations:
+    p = pi.images
+    if any(p[c] != c for c in M.constants.values()):
+        return False
+    if any(_compose(p, f) != _compose(f, p) for f in M.functions.values()):
+        return False
+    for name, tuples in M.relations.items():
         # pi is a bijection on a finite tuple set, so image-containment
-        # already forces image equality (both directions of preservation)
-        tuples = M.relation_sets[name]
-        if any(pi.apply_tuple(t) not in tuples for t in tuples):
+        # forces image equality; tuples are mapped column by column
+        columns = [map(p.__getitem__, column) for column in zip(*tuples)]
+        if not M.relation_sets[name].issuperset(zip(*columns)):
             return False
     return True
 
@@ -419,75 +418,70 @@ def automorphism_group_brute(M: Structure) -> list[Permutation]:
 # with automorphisms: that is what lets a leaf be read off as a permutation.
 
 
-def _adjacency(M: Structure) -> list[list[list[int]]]:
-    """Binary views of M for refinement, one table y -> [x, ...] per ordered
-    pair of distinct columns (t[p] over the tuples) of each non-empty
-    relation and per direction of each function's graph.  Equal columns give
-    equal tables.  A column paired with itself (y -> [y] once per tuple with
-    y there) never splits a cell: its count at y is the sum, over all cells,
-    of y's hits through a table to another column, and with no other column
-    every tuple is R(x, ..., x), which the root sorts already separate, as
-    they do unary facts and constants.  A relation of arity three or more is
-    seen only through these pairs, so refinement can stay coarser than its
-    tuples allow; the leaf check keeps the search exact."""
+def _adjacency(M: Structure) -> list[list[tuple[int, int]]]:
+    """Binary views of M for refinement, merged into one list of pairs
+    (x, w) per element y, one pair per x.  A view is an ordered pair of
+    distinct columns (t[p] over the tuples) of a relation, equal columns
+    counted once, or the image or preimage of a function.  View e weighs
+    B**e, B above any count one view can add up at an element, so a sum of
+    weights spells out the hits per view.  A column paired with itself
+    (y -> y once per tuple with y there) never splits a cell: its count at
+    y is the sum, over all cells, of y's hits through a view to another
+    column, and with no other column every tuple is R(x, ..., x), which the
+    root sorts already separate, as they do unary facts and constants.  A
+    relation of arity three or more is seen only through these pairs, so
+    refinement can stay coarser than its tuples allow; the leaf check keeps
+    the search exact."""
     n = M.size
-    tables = []
-    for name, arity in M.sig.relations:
-        tuples = M.relations[name]
-        if not tuples:
-            continue
-        columns = dict.fromkeys(tuple([t[p] for t in tuples]) for p in range(arity))
-        for ys, xs in itertools.permutations(columns, 2):
-            table: list[list[int]] = [[] for _ in range(n)]
-            for y, x in zip(ys, xs):
-                table[y].append(x)
-            tables.append(table)
+    views = []
+    for name, _ in M.sig.relations:
+        views += itertools.permutations(dict.fromkeys(zip(*M.relations[name])), 2)
     for f in M.sig.functions:
-        images = M.functions[f]
-        preimages: list[list[int]] = [[] for _ in range(n)]
-        for x in range(n):
-            preimages[images[x]].append(x)
-        tables.append([[images[y]] for y in range(n)])
-        tables.append(preimages)
-    return [t for t in tables if any(t)]
+        views += [(range(n), M.functions[f]), (M.functions[f], range(n))]
+    base = 1 + max([n, *map(len, M.relations.values())])
+    merged: list[dict[int, int]] = [{} for _ in range(n)]
+    for e, (ys, xs) in enumerate(views):
+        w = base**e
+        for y, x in zip(ys, xs):
+            merged[y][x] = merged[y].get(x, 0) + w
+    return [list(row.items()) for row in merged]
 
 
 def _refine(adj, lab: list[int], cell_of: list[int], size: dict[int, int], queue: list[int]) -> None:
-    """Split cells by how often each element is hit from a splitter cell,
-    splitter by splitter, until no queued cell splits anything.  Only the
-    cells that a splitter touches are re-split; every fragment is queued."""
+    """Split cells by the summed weights with which a splitter cell hits
+    each element, splitter by splitter, until no queued cell splits
+    anything.  Only cells that a splitter touches are re-split, into
+    fragments by ascending key.  A split cell still queued queues every
+    fragment, any other all but its first largest (McKay 1981)."""
     queued = set(queue)
     head = 0
     while head < len(queue) and len(size) < len(lab):
         w = queue[head]
         head += 1
         queued.discard(w)
-        hits: dict[int, list[int]] = {}
-        splitter = lab[w:w + size[w]]
-        for e, table in enumerate(adj):
-            for y in splitter:
-                for x in table[y]:
-                    if x in hits:
-                        hits[x].append(e)
-                    else:
-                        hits[x] = [e]
+        hits: dict[int, int] = {}
+        for y in lab[w:w + size[w]]:
+            for x, weight in adj[y]:
+                hits[x] = hits.get(x, 0) + weight
         for s in sorted({cell_of[x] for x in hits}):
             k = size[s]
             if k == 1:
                 continue
-            fragments: dict[tuple[int, ...], list[int]] = {}
+            fragments: dict[int, list[int]] = {}
             for x in lab[s:s + k]:
-                fragments.setdefault(tuple(hits.get(x, ())), []).append(x)
+                fragments.setdefault(hits.get(x, 0), []).append(x)
             if len(fragments) == 1:
                 continue
+            keys = sorted(fragments)
+            skip = None if s in queued else max(keys, key=lambda key: len(fragments[key]))
             pos = s
-            for key in sorted(fragments):
+            for key in keys:
                 frag = fragments[key]
                 lab[pos:pos + len(frag)] = frag
                 size[pos] = len(frag)
                 for x in frag:
                     cell_of[x] = pos
-                if pos not in queued:
+                if key != skip and pos not in queued:
                     queued.add(pos)
                     queue.append(pos)
                 pos += len(frag)

@@ -72,3 +72,13 @@ def type_structures(corpus):
     sources = [M for _, M in corpus]
     lifts = [build_lift(M, LiftConfig(k=k)).structure for M in sources for k in (1, 2)]
     return sources + lifts + [_random_structure(rng) for _ in range(120)]
+
+
+@pytest.fixture(scope="session")
+def random_structures():
+    """200 more seeded random structures of the kind type_structures draws,
+    from another seed."""
+    import random
+
+    rng = random.Random(47)
+    return [_random_structure(rng) for _ in range(200)]

@@ -393,6 +393,20 @@ def test_census_negative_depth_exit_2(capsys, pair_file):
     assert "depth -1" in err
 
 
+def test_negative_max_size_exit_2_naming_the_flag(capsys, pair_file):
+    code, out, err = run(capsys, "aut", "--in", pair_file, "--max-size", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --max-size -1 is negative\n"
+
+
+def test_negative_exhaustive_exit_2_naming_the_flag(capsys, tmp_path):
+    out_dir = tmp_path / "corpus"
+    code, out, err = run(capsys, "corpus", "--out", str(out_dir), "--exhaustive", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --exhaustive -1 is negative\n"
+    assert not out_dir.exists()
+
+
 def test_limit_relation_filter(capsys, edge_file):
     code, out, _ = run(capsys, "limit", "--in", edge_file, "--k", "1",
                        "--relation", "edge")

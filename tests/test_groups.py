@@ -391,25 +391,37 @@ def test_search_equals_oracle_with_functions_constants_and_ternary_relations():
         assert G.elements() == members
         assert list(G.generators) == _greedy_lex_sift(members)
 
+
+def _views_per_position_pair(M):
+    """One table y -> [x, ...] per ordered pair of distinct positions of
+    each relation, equal columns or not, and per direction of each
+    function's graph; empty tables dropped."""
+    tables = []
+    for name, arity in M.sig.relations:
+        for p, q in itertools.permutations(range(arity), 2):
+            table = [[] for _ in range(M.size)]
+            for t in M.relations[name]:
+                table[t[p]].append(t[q])
+            tables.append(table)
+    for f in M.sig.functions:
+        images = M.functions[f]
+        tables.append([[images[y]] for y in M.domain])
+        tables.append([[x for x in M.domain if images[x] == y] for y in M.domain])
+    return [t for t in tables if any(t)]
+
+
 def test_search_equals_oracle_where_relations_repeat_a_column():
     """Ternary and 4-ary relations whose tuples repeat positions by a fixed
-    pattern, so equal columns share one adjacency table: the search still
-    matches the brute oracle, and refinement, root and children alike,
-    yields the cells that a table per ordered pair of positions yields."""
+    pattern, so equal columns share one view: the search still matches the
+    brute oracle, the merged views hold fewer entries than a table per
+    ordered pair of positions, and refinement, root and children alike,
+    yields the cells that the reference refinement over those tables
+    yields."""
     import random
 
+    import refinement_oracle as reference
     from stablelift.groups import _adjacency, _individualize, _root_partition
     from stablelift.structures import Signature, Structure
-
-    def table_per_position_pair(M):
-        tables = []
-        for name, arity in M.sig.relations:
-            for p, q in itertools.permutations(range(arity), 2):
-                table = [[] for _ in range(M.size)]
-                for t in M.relations[name]:
-                    table[t[p]].append(t[q])
-                tables.append(table)
-        return [t for t in tables if any(t)]
 
     rng = random.Random(17)
     sig = Signature(relations=(("T", 3), ("Q", 4)))
@@ -429,17 +441,14 @@ def test_search_equals_oracle_where_relations_repeat_a_column():
         G = automorphism_group(M)
         assert G.elements() == members
         assert list(G.generators) == _greedy_lex_sift(members)
-        fast, slow = _adjacency(M), table_per_position_pair(M)
-        assert len(fast) < len(slow)
-        # the same cells, though equal keys may order them differently
-        def cell_set(node):
-            return set(map(frozenset, _cells(node)))
-
-        roots = _root_partition(M, fast), _root_partition(M, slow)
-        assert cell_set(roots[0]) == cell_set(roots[1])
+        fast, slow = _adjacency(M), _views_per_position_pair(M)
+        assert sum(map(len, fast)) < sum(len(row) for table in slow for row in table)
+        # the same cells, though keys of another kind may order them otherwise
+        roots = _root_partition(M, fast), reference.root_partition(M, slow)
+        assert reference.cell_set(roots[0]) == reference.cell_set(roots[1])
         for v in (v for cell in _cells(roots[0]) if len(cell) > 1 for v in cell):
-            assert cell_set(_individualize(fast, roots[0], v)) == cell_set(
-                _individualize(slow, roots[1], v)
+            assert reference.cell_set(_individualize(fast, roots[0], v)) == reference.cell_set(
+                reference.individualize(slow, roots[1], v)
             )
 
 
@@ -493,6 +502,7 @@ def test_root_partition_refines_the_sorts_and_is_equitable(type_structures):
 
     for M in type_structures:
         adj = _adjacency(M)
+        views = _views_per_position_pair(M)
         # from the sorts, and from the depth-1 census blocks the report uses
         for sorts in (None, _census_table(M, 1).blocks):
             lab, cell_of, size = node = _root_partition(M, adj, sorts)
@@ -507,8 +517,8 @@ def test_root_partition_refines_the_sorts_and_is_equitable(type_structures):
                 block_of = {x: i for i, block in enumerate(sorts) for x in block}
                 assert all(len({block_of[x] for x in cell}) == 1 for cell in cells)
             # equitable: within a cell, every element is hit equally often
-            # from each cell through each table
-            for table in adj:
+            # from each cell through each view
+            for table in views:
                 for splitter in cells:
                     hits = Counter(x for y in splitter for x in table[y])
                     assert all(len({hits[x] for x in cell}) == 1 for cell in cells)
