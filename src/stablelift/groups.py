@@ -4,8 +4,13 @@ PermGroup keeps a generating set and a stabilizer chain over the base order
 0, 1, ..., n-1, built on first use.  The chain grows by incremental
 Schreier-Sims: adding a generator extends the levels it touches in place
 instead of rebuilding them (Seress, Permutation Group Algorithms, chs. 4-5).
-pointwise_stabilizer grows one chain whose base starts with the support;
-pointwise_stabilizers serves many supports with one such chain per G-orbit
+A chain sifts only through the levels above its trivial tail, and one
+that is told the group order stops sifting Schreier generators once its
+orbit lengths multiply to it; the search knows |Aut| from its own orbits.
+pointwise_stabilizer reads a support's stabilizer off G's chain when the
+support covers every point below its largest that G's chain moves, and
+grows one chain whose base starts with the support otherwise;
+pointwise_stabilizers serves many supports with one stabilizer per G-orbit
 of supports, since the stabilizer of a moved support is a conjugate,
 G_{g(A)} = g G_A g^-1.
 
@@ -122,9 +127,15 @@ class _Chain:
     fix order[:i] and generate the level's group, the pointwise stabilizer
     of order[:i], and a transversal mapping each point x of the fundamental
     orbit to (u, u^-1) with u(order[i]) = x.  Levels with a trivial orbit are
-    kept, so a residue never needs a base change."""
+    kept, so a residue never needs a base change; every level from ``depth``
+    on has one, and sift strips only the levels above it.
 
-    def __init__(self, degree: int, order=None):
+    ``size`` is the group order when the caller knows it.  The product of
+    the orbit lengths never exceeds the order of the group generated, and
+    reaching it proves every level complete, so the chain then drops its
+    Schreier generators unsifted: each would sift to the identity."""
+
+    def __init__(self, degree: int, order=None, size: int | None = None):
         self.order = tuple(range(degree)) if order is None else tuple(order)
         self.identity = tuple(range(degree))
         self.gens: list[list[Images]] = [[] for _ in self.order]
@@ -133,12 +144,15 @@ class _Chain:
         ]
         # Schreier pairs (orbit point, generator index) not yet sifted
         self._pending: list[list[tuple[int, int]]] = [[] for _ in self.order]
+        self.depth = 0
+        self._size = 1
+        self._known_size = size
 
     def sift(self, g: Images, start: int = 0) -> tuple[Images, int]:
         """Strip g through levels start..; returns (residue, level at which
         it got stuck), the level being len(order) iff g is a member."""
         order, trans = self.order, self.trans
-        for i in range(start, len(order)):
+        for i in range(start, self.depth):
             b = order[i]
             x = g[b]
             if x != b:
@@ -146,16 +160,18 @@ class _Chain:
                 if rep is None:
                     return g, i
                 g = _compose(rep[1], g)
+        if g != self.identity:
+            # a trivial level gets stuck exactly where g moves its point
+            for i in range(max(start, self.depth), len(order)):
+                if g[order[i]] != order[i]:
+                    return g, i
         return g, len(order)
 
     def __contains__(self, g: Images) -> bool:
         return self.sift(g)[1] == len(self.order)
 
     def size(self) -> int:
-        result = 1
-        for t in self.trans:
-            result *= len(t)
-        return result
+        return self._size
 
     def add(self, g: Images) -> bool:
         """Extend the chain by one generator; False if g is already a member."""
@@ -186,11 +202,18 @@ class _Chain:
                     points.append(y)
                     pending.extend((y, m) for m in range(len(gens)))
             idx += 1
+        if len(points) > old:
+            self._size = self._size // old * len(points)
+            self.depth = max(self.depth, i + 1)
 
     def _settle(self, i: int) -> None:
         """Sift every pending Schreier generator at levels i, i-1, ..., 0;
         a residue becomes a strong generator of the levels it fixes."""
         while i >= 0:
+            if self._size == self._known_size:
+                for pending in self._pending:
+                    pending.clear()
+                return
             pending = self._pending[i]
             if not pending:
                 i -= 1
@@ -206,7 +229,7 @@ class _Chain:
                 i = j
 
     def nontrivial_levels(self) -> list[int]:
-        return [i for i, t in enumerate(self.trans) if len(t) > 1]
+        return [i for i in range(self.depth) if len(self.trans[i]) > 1]
 
 
 def _lex_walk(chain: _Chain, skip=None):
@@ -322,25 +345,36 @@ def orbits_on_tuples(G: PermGroup, tuples) -> list[tuple[tuple[int, ...], ...]]:
 
 def _check_points(G: PermGroup, A) -> tuple[int, ...]:
     """A as a sorted tuple of distinct points of G's domain."""
-    A = tuple(sorted(set(A)))
+    A = tuple(A)
     for x in A:
+        # as for Permutation images: 1.0 and True compare as 1, yet are no point
+        if type(x) is not int:
+            raise GroupError(f"element {x!r} is not an int")
         if not (0 <= x < G.degree):
             raise GroupError(f"element {x} outside degree {G.degree}")
-    return A
+    return tuple(sorted(set(A)))
 
 
 def pointwise_stabilizer(G: PermGroup, A) -> PermGroup:
-    """The subgroup fixing every point of A: the level after A in a chain
-    whose base order starts with A's points in ascending order, grown from
-    G's generators."""
+    """The subgroup fixing every point of A.
+
+    When each point below a = max(A) is in A or has a trivial level in G's
+    chain (the stabilizer of the points before it fixes it), the subgroup
+    is G_{0..a}, by induction on those points, and G's own chain holds its
+    generators at level a + 1.  Any other A gets the level after A in a
+    chain whose base order starts with A's points in ascending order, grown
+    from G's generators and stopped at G's order."""
     A = _check_points(G, A)
     if all(g(a) == a for g in G.generators for a in A):
         return G
     fixed = set(A)
-    chain = _Chain(G.degree, A + tuple(x for x in range(G.degree) if x not in fixed))
-    for g in G.generators:
-        chain.add(g.images)
-    stabilizer_gens = chain.gens[len(A)] if len(A) < G.degree else []
+    chain, level = G._chain, A[-1] + 1
+    if any(x not in fixed and len(chain.trans[x]) > 1 for x in range(A[-1])):
+        rest = tuple(x for x in range(G.degree) if x not in fixed)
+        chain, level = _Chain(G.degree, A + rest, G.order()), len(A)
+        for g in G.generators:
+            chain.add(g.images)
+    stabilizer_gens = chain.gens[level] if level < G.degree else []
     return PermGroup([Permutation(s) for s in stabilizer_gens], G.degree)
 
 
@@ -527,10 +561,12 @@ def _target_cell(node) -> list[int]:
     return sorted(lab[s:s + size[s]])
 
 
-def _automorphism_generators(M: Structure, sorts=None) -> list[Images]:
-    """Generators of Aut(M) from an individualization-refinement search:
-    at most one automorphism per point of each fundamental orbit of the
-    search's base, each confirmed by is_automorphism at its leaf."""
+def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], int]:
+    """Generators of Aut(M) from an individualization-refinement search,
+    and |Aut(M)|: at most one automorphism per point of each fundamental
+    orbit of the search's base, each confirmed by is_automorphism at its
+    leaf.  They form a strong generating set for that base, so the order is
+    the product of the orbits they give each base point at its level."""
     n = M.size
     adj = _adjacency(M)
 
@@ -569,9 +605,11 @@ def _automorphism_generators(M: Structure, sorts=None) -> list[Images]:
         return x
 
     gens: list[Images] = []
+    order = 1
     for i in reversed(range(len(base))):
         failed: list[int] = []
-        for w in _target_cell(path[i]):
+        cell = _target_cell(path[i])
+        for w in cell:
             rw = find(w)
             if rw == find(base[i]) or any(find(f) == rw for f in failed):
                 continue
@@ -584,7 +622,9 @@ def _automorphism_generators(M: Structure, sorts=None) -> list[Images]:
                 a, b = find(x), find(pi[x])
                 if a != b:
                     root[max(a, b)] = min(a, b)
-    return gens
+        r = find(base[i])
+        order *= sum(find(w) == r for w in cell)
+    return gens, order
 
 
 def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:
@@ -607,8 +647,9 @@ def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:
                 raise GroupError(
                     f"sorts is not a partition of 0..{M.size - 1}: {x!r} occurs {count[x]} times"
                 )
-    G = _Chain(M.size)
-    for g in _automorphism_generators(M, sorts):
+    found, order = _automorphism_generators(M, sorts)
+    G = _Chain(M.size, size=order)
+    for g in found:
         G.add(g)
     # one lex walk of G yields the greedy generators: it skips a coset x * K
     # inside the group H generated so far (x in H and K <= H, true from depth
@@ -616,7 +657,7 @@ def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:
     # everything
     levels = G.nontrivial_levels()
     D = len(levels)
-    H = _Chain(M.size)
+    H = _Chain(M.size, size=order)
     gens: list[Permutation] = []
     for g in _lex_walk(G, lambda d, x: d >= D and x in H):
         gens.append(Permutation(g))

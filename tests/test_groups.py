@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import stabilizer_oracle
 from stablelift.corpus import digraph
 from stablelift.groups import (
     GroupError,
@@ -188,7 +189,7 @@ def _assert_stabilizers_match(G, supports):
         gens = derived[frozenset(A)]
         assert all(g(a) == a for g in gens for a in A)
         assert all(g in G for g in gens)
-        H, reference = PermGroup(gens, G.degree), pointwise_stabilizer(G, A)
+        H, reference = PermGroup(gens, G.degree), stabilizer_oracle.pointwise_stabilizer(G, A)
         assert H.order() == reference.order(), A
         if G.degree <= 8:
             assert H.elements() == reference.elements(), A
@@ -215,6 +216,25 @@ def test_stabilizers_by_orbit_conjugate_within_an_orbit(m_triple):
     assert derived[frozenset({0, 1})] == ()
     with pytest.raises(GroupError, match="outside degree"):
         pointwise_stabilizers(G, [(0,), (3,)])
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        # 1.0 would escape as a bare TypeError from a tuple index
+        (lambda G: orbits(G, [1.0]), "1.0"),
+        (lambda G: pointwise_stabilizer(G, [1.0]), "1.0"),
+        (lambda G: pointwise_stabilizers(G, [(1.0,)]), "1.0"),
+        # a string would escape from the degree comparison
+        (lambda G: orbits(G, ["a"]), "'a'"),
+        # True would be taken for the point 1
+        (lambda G: pointwise_stabilizer(G, [True]), "True"),
+    ],
+    ids=["orbits-float", "stabilizer-float", "stabilizers-float", "orbits-str", "stabilizer-bool"],
+)
+def test_points_that_are_not_int_are_refused(m_triple, call, shown):
+    with pytest.raises(GroupError, match=f"element {shown} is not an int"):
+        call(automorphism_group(m_triple))
 
 
 def test_group_serialization(m_triple):
