@@ -216,18 +216,23 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
     M = _load_structure(args.infile, args.max_size)
     N = build_lift(M, _lift_config(args, M))
     GM = automorphism_group(M)
-    GN = automorphism_group(N.structure)
-    order_M, order_N = GM.order(), GN.order()
+    # each permutation of M is induced once per call
+    lift = functools.cache(lambda g: direct_induced(N, g))
 
     # Members of GN, and the stabilizer generators below, which are words
     # in them, were confirmed by the search and are projected unchecked; a
     # direct_induced image is checked, as only that shows it is in Aut(N).
-    bijective = order_M == order_N
+    # The checked images seed the search on the lift, which starts from the
+    # lift's own sort table.
+    bijective = True
     for g in GM.generators:
-        if project_automorphism(N, direct_induced(N, g)) != g:
+        if project_automorphism(N, lift(g)) != g:
             bijective = False
+    GN = automorphism_group(N.structure, sorts=N.sorts.values(), known=map(lift, GM.generators))
+    order_M, order_N = GM.order(), GN.order()
+    bijective = bijective and order_M == order_N
     for g in GN.generators:
-        if direct_induced(N, _restrict_automorphism(N, g)) != g:
+        if lift(_restrict_automorphism(N, g)) != g:
             bijective = False
 
     # the members fixing A fix b exactly when the stabilizer's generators do:
@@ -235,7 +240,7 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
     continuity = "pass"
     witnesses = [continuity_witness(N, (b,)) for b in range(N.structure.size)]
     fixers = {
-        A: [direct_induced(N, g) for g in gens]
+        A: [lift(g) for g in gens]
         for A, gens in pointwise_stabilizers(GM, witnesses).items()
     }
     for b, A in enumerate(witnesses):

@@ -561,12 +561,14 @@ def _target_cell(node) -> list[int]:
     return sorted(lab[s:s + size[s]])
 
 
-def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], int]:
+def _automorphism_generators(M: Structure, sorts=None, known=()) -> tuple[list[Images], int]:
     """Generators of Aut(M) from an individualization-refinement search,
     and |Aut(M)|: at most one automorphism per point of each fundamental
     orbit of the search's base, each confirmed by is_automorphism at its
-    leaf.  They form a strong generating set for that base, so the order is
-    the product of the orbits they give each base point at its level."""
+    leaf, then the strong generators of a chain of ``known`` over the base
+    order, which each level merges first.  They form a strong generating
+    set for that base, so the order is the product of the orbits they give
+    each base point at its level."""
     n = M.size
     adj = _adjacency(M)
 
@@ -594,8 +596,8 @@ def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], in
                 return found
         return None
 
-    # orbits of the generators found so far, as a union-find forest; every
-    # generator found at a level fixes the base points above it
+    # orbits of the generators found or merged so far, as a union-find
+    # forest; each fixes the base points above its level
     root = list(range(n))
 
     def find(x: int) -> int:
@@ -604,9 +606,25 @@ def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], in
             x = root[x]
         return x
 
+    def merge(pi: Images) -> None:
+        for x in range(n):
+            a, b = find(x), find(pi[x])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+
+    # the known chain's strong generators per level, which fix the base
+    # points above it: the level tries only cell mates outside their orbits
+    strong: list[list[Images]] = [[] for _ in base]
+    if known:
+        chain = _Chain(n, base + [x for x in range(n) if x not in base])
+        for g in known:
+            chain.add(g)
+        strong = chain.gens
     gens: list[Images] = []
     order = 1
     for i in reversed(range(len(base))):
+        for g in strong[i]:
+            merge(g)
         failed: list[int] = []
         cell = _target_cell(path[i])
         for w in cell:
@@ -618,16 +636,14 @@ def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], in
                 failed.append(w)
                 continue
             gens.append(pi)
-            for x in range(n):
-                a, b = find(x), find(pi[x])
-                if a != b:
-                    root[max(a, b)] = min(a, b)
+            merge(pi)
         r = find(base[i])
         order *= sum(find(w) == r for w in cell)
+    gens += dict.fromkeys(itertools.chain.from_iterable(strong))
     return gens, order
 
 
-def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:
+def automorphism_group(M: Structure, *, sorts=None, known=()) -> PermGroup:
     """The full automorphism group as a PermGroup.
 
     The search starts from ``sorts`` if given (blocks partitioning M's
@@ -635,6 +651,8 @@ def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:
     sort_partition's blocks.  Leaves are still confirmed by is_automorphism,
     so a wrong partition can only lose automorphisms, never add one.  A
     ``sorts`` that is not a partition raises GroupError naming an element.
+    ``known`` automorphisms prune the search, never change its result; one
+    that fails is_automorphism raises GroupError naming it.
 
     The generating set is the greedy lexicographic one: each generator is
     the lex-least automorphism outside the group the earlier ones generate
@@ -647,7 +665,11 @@ def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:
                 raise GroupError(
                     f"sorts is not a partition of 0..{M.size - 1}: {x!r} occurs {count[x]} times"
                 )
-    found, order = _automorphism_generators(M, sorts)
+    known = tuple(known)
+    for g in known:
+        if not isinstance(g, Permutation) or g.degree != M.size or not is_automorphism(M, g):
+            raise GroupError(f"known member {g!r} is not an automorphism of degree {M.size}")
+    found, order = _automorphism_generators(M, sorts, [g.images for g in known])
     G = _Chain(M.size, size=order)
     for g in found:
         G.add(g)

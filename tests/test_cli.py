@@ -111,6 +111,51 @@ def test_verify_iso_reports_a_lift_side_continuity_failure(capsys, pair_file, mo
     }
 
 
+def test_verify_iso_refuses_an_induced_map_that_is_no_automorphism(capsys, tmp_path, monkeypatch):
+    # the image of the generator (0 2 1) of Sym(3) with the anchor and the
+    # first base element swapped: re-checked before it is projected or seeds
+    # the search on the lift, it is an input error naming the lift
+    path = tmp_path / "triple.json"
+    path.write_text(structure_to_json(digraph(3, [])), encoding="utf-8")
+    induced = cli.direct_induced
+
+    def broken(N, g):
+        pihat = induced(N, g)
+        if g.images != (0, 2, 1):
+            return pihat
+        images = list(pihat.images)
+        images[0], images[1] = images[1], images[0]
+        return Permutation(tuple(images))
+
+    monkeypatch.setattr(cli, "direct_induced", broken)
+    code, out, err = run(capsys, "verify-iso", "--in", str(path), "--k", "1")
+    assert (code, out, err) == (2, "", "error: not an automorphism of the lift\n")
+
+
+def test_verify_iso_induces_each_permutation_once(capsys, tmp_path, monkeypatch):
+    # the generators of Aut(M), the projections of Aut(N)'s generators and
+    # the stabilizer generators repeat one another; each is induced once
+    path = tmp_path / "complete.json"
+    path.write_text(
+        structure_to_json(digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])),
+        encoding="utf-8",
+    )
+    induced = cli.direct_induced
+    calls = []
+
+    def counting(N, g):
+        calls.append(g)
+        return induced(N, g)
+
+    monkeypatch.setattr(cli, "direct_induced", counting)
+    for k in ("1", "2"):
+        calls.clear()
+        code, out, _ = run(capsys, "verify-iso", "--in", str(path), "--k", k)
+        assert code == 0
+        assert json.loads(out)["order_N"] == 6
+        assert calls and len(set(calls)) == len(calls)
+
+
 def test_scheme_check_clean_and_mutated(capsys, edge_file):
     code, out, _ = run(capsys, "scheme-check", "--in", edge_file, "--k", "1")
     assert code == 0

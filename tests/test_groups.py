@@ -585,3 +585,60 @@ def test_search_from_given_sorts_matches_the_default(corpus, type_structures):
 def test_sorts_that_are_not_a_partition_are_refused(m_triple, sorts, element):
     with pytest.raises(GroupError, match=rf": {element} occurs"):
         automorphism_group(m_triple, sorts=sorts)
+
+
+# -- the search seeded with known automorphisms -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "member",
+    [Permutation((1, 0)), Permutation((0, 1, 2)), (1, 0), None],
+    ids=["not-an-automorphism", "wrong-degree", "tuple", "none"],
+)
+def test_known_members_that_are_not_automorphisms_are_refused(m_edge, member):
+    import re
+
+    with pytest.raises(GroupError, match=re.escape(repr(member))):
+        automorphism_group(m_edge, known=[Permutation.identity(2), member])
+
+
+def test_seeded_search_matches_the_unseeded_one_on_corpus_lifts(corpus):
+    """Seeded as verify-iso seeds it, with the induced generators of Aut(M)
+    and the lift's sort table, the search finds the generators and the order
+    of the unseeded search, and the order of the backtracking oracle."""
+    from automorphism_oracle import automorphisms
+    from stablelift.lifting import direct_induced
+
+    for name, M in corpus:
+        GM = automorphism_group(M)
+        for k in (1, 2):
+            N = build_lift(M, LiftConfig(k=k))
+            seeded = automorphism_group(
+                N.structure,
+                sorts=N.sorts.values(),
+                known=[direct_induced(N, g) for g in GM.generators],
+            )
+            unseeded = automorphism_group(N.structure)
+            assert seeded.generators == unseeded.generators, (name, k)
+            assert seeded.order() == unseeded.order() == len(automorphisms(N.structure)), (name, k)
+
+
+def test_seeded_search_matches_the_unseeded_one_on_random_structures(random_structures):
+    """Seeded with no member, all of its group, or a random subset of it,
+    the search finds the unseeded search's generators and order."""
+    import random
+
+    rng = random.Random(53)
+    symmetric = [digraph(n, edges) for n in (3, 4, 5) for edges in (
+        [], [(i, (i + 1) % n) for i in range(n)], [(i, j) for i in range(n) for j in range(n) if i != j]
+    )]
+    digraphs = symmetric + _random_digraphs(61, 30)
+    lifts = [build_lift(M, LiftConfig(k=k)).structure for M in digraphs for k in (1, 2)]
+    cases = digraphs + lifts + random_structures[::4]
+    for M in cases:
+        unseeded = automorphism_group(M)
+        members = unseeded.elements()
+        for known in ([], members, rng.sample(members, rng.randint(1, len(members)))):
+            seeded = automorphism_group(M, known=known)
+            assert seeded.generators == unseeded.generators
+            assert seeded.order() == unseeded.order()
