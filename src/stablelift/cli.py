@@ -48,7 +48,6 @@ from .stability import (
 from .structures import (
     StructureError,
     Structure,
-    relational_companion,
     structure_from_json,
     structure_to_json,
 )
@@ -292,8 +291,7 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
         if key is None:
             raise InputError("no sort with two elements; cannot break the bijection")
         scheme = redirect_bijection(scheme, key)
-    companion = relational_companion(N.structure)
-    validation = validate_scheme(M, companion, scheme)
+    validation = validate_scheme(M, N.companion, scheme)
     report = {
         "validation": validation.to_json_dict(),
         "scheme": scheme_to_json_dict(scheme),
@@ -502,11 +500,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _indented(value, nl: str) -> str:
+def _indented(value, nl: str, memo: dict | None = None) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
     where ``nl`` is the line break and indent before it.  Handles dicts with
     str keys, lists, tuples, str, int, bool, None and float; raises TypeError
-    on anything else."""
+    on anything else.  A list or tuple object met again at the same indent
+    within one top-level call is written once: ``memo`` maps
+    ``(id(value), nl)`` to its text, and the objects it names stay alive
+    inside the top-level value."""
+    if memo is None:
+        memo = {}
     t = type(value)
     if t is str:
         return encode_basestring_ascii(value)
@@ -518,14 +521,20 @@ def _indented(value, nl: str) -> str:
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"key {key!r} is not a str")
-            parts.append(encode_basestring_ascii(key) + ": " + _indented(value[key], inner))
+            parts.append(encode_basestring_ascii(key) + ": " + _indented(value[key], inner, memo))
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
     if t is list or t is tuple:
         if not value:
             return "[]"
-        inner = nl + "  "
-        parts = [_indented(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+        seen = (id(value), nl)
+        if seen not in memo:
+            inner = nl + "  "
+            if all(type(item) is str for item in value):
+                parts = map(encode_basestring_ascii, value)
+            else:
+                parts = [_indented(item, inner, memo) for item in value]
+            memo[seen] = "[" + inner + ("," + inner).join(parts) + nl + "]"
+        return memo[seen]
     if t is int:
         return repr(value)
     if value is True:

@@ -449,7 +449,11 @@ def validate_scheme(
     a block of target tuples whose translation is a constant or an
     equality pattern is decided whole from its held tuples (see
     _agreement_witness).  Every generated scheme and CLI mutant is decided
-    that way throughout.
+    that way throughout, except that a constant False block that holds no
+    target tuple, whose elements all have class members, is skipped: it
+    can neither fail nor raise.  The translation cover is read off
+    ``scheme.translations``, listing missing tuples of sorts only when a
+    relation has fewer translations than tuples of realized sorts.
     """
     _require_relational(M1, "host structure")
     _require_relational(M2, "target structure")
@@ -459,15 +463,19 @@ def validate_scheme(
 
     element_sort = {b: key for key, block in realized.items() for b in block}
 
-    # per relation, its translation at each tuple of realized sorts in
-    # product order, None where there is none
-    table = {
-        name: [
-            (keys, scheme.translation(name, keys))
-            for keys in itertools.product(realized, repeat=arity)
-        ]
-        for name, arity in M2.sig.relations
-    }
+    # per relation, its translation at each tuple of realized sorts, read
+    # off the scheme's index in its order, then None at each tuple of sorts
+    # it has no translation for, which only a short count can leave
+    arity_of = dict(M2.sig.relations)
+    table: dict[str, list] = {name: [] for name in arity_of}
+    for (name, keys), sr in scheme.translations.items():
+        if len(keys) == arity_of.get(name) and all(map(realized.__contains__, keys)):
+            table[name].append((keys, sr))
+    for name, row in table.items():
+        if len(row) < len(realized) ** arity_of[name]:
+            found = {keys for keys, _ in row}
+            combos = itertools.product(realized, repeat=arity_of[name])
+            row += [(keys, None) for keys in combos if keys not in found]
     missing = next((name for name, row in table.items() if any(sr is None for _, sr in row)), None)
     witness = None if missing is None else f"no translation formula for {missing!r}"
     report.checks.append(CheckResult("translation-cover", missing is None, witness))
@@ -543,15 +551,17 @@ def _agreement_witness(
     the relation's tuples in M2.
 
     The tuples split into blocks, one per tuple of sorts, each with its
-    translation in ``row``, and each block gives its least failing tuple;
-    the first failure is the least of those.  Each distinct formula
-    object's equality pattern is found once into ``patterns``, keyed by id
-    and shared between relations by the caller, as is ``counts``, each
-    sort's set of option counts.  A block is decided whole by
-    _block_failure when its translation is a constant and all its elements
-    have options, or an equality pattern whose pairs all link the first
-    sort with the second and all its elements have one option each; any
-    other block is scanned tuple by tuple by _first_failure.  A FormulaError at the first failure
+    translation in ``row`` in any order, and each block gives its least
+    failing tuple; the first failure is the least of those.  Each distinct
+    formula object's equality pattern is found once into ``patterns``,
+    keyed by id and shared between relations by the caller, as is
+    ``counts``, each sort's set of option counts.  A constant False block
+    that holds no tuple, whose elements all have options, cannot fail and
+    is skipped.  Any other block is decided whole by _block_failure when
+    its translation is a constant and all its elements have options, or an
+    equality pattern whose pairs all link the first sort with the second
+    and all its elements have one option each; any other block is scanned
+    tuple by tuple by _first_failure.  A FormulaError at the first failure
     is raised, as evaluating the tuples in order would.
     """
     held_in: dict[tuple[AtomicType, ...], list[tuple[int, ...]]] = {}
@@ -560,9 +570,8 @@ def _agreement_witness(
         held_in.setdefault(tuple(map(sort_of, t)), []).append(t)
     failures = []  # per block: (least failing tuple, witness or FormulaError)
     for keys, sr in row:
-        blocks = [realized[key] for key in keys]
         if sr is None:
-            least = tuple(block[0] for block in blocks)
+            least = tuple(realized[key][0] for key in keys)
             failures.append((least, f"untranslatable tuple {least}"))
             continue
         pattern = _pattern_of(sr.formula, patterns)
@@ -570,12 +579,16 @@ def _agreement_witness(
             whole = False
         elif not pattern[1]:
             whole = all(0 not in counts[key] for key in keys)
+            # constant False with no held tuple cannot fail, nor raise
+            if whole and pattern[0] and keys not in held_in:
+                continue
         else:
             # a pair inside the first sort stops the chain before keys[1]
             split = widths[keys[0]]
             whole = all(
                 s < split <= t < split + widths[keys[1]] for s, t in pattern[1]
             ) and all(counts[key] == {1} for key in keys)
+        blocks = [realized[key] for key in keys]
         if whole:
             found = _block_failure(
                 pattern, widths[keys[0]], blocks, held, held_in.get(keys, ()), options
@@ -823,6 +836,10 @@ def redirect_bijection(scheme: InterpretationScheme, key: AtomicType) -> Interpr
 
 
 def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
+    """The scheme as JSON data.  Each distinct formula object is formatted
+    once.  Equal sort keys share one list object, and so do equal tuples
+    of sort keys, so a writer can write each once; callers must not
+    mutate these lists."""
     texts: dict[int, str] = {}  # id(formula) -> text, once per distinct formula object
 
     def text(phi: Formula) -> str:
@@ -830,10 +847,14 @@ def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
             texts[id(phi)] = format_formula(phi)
         return texts[id(phi)]
 
+    key_list = {key: list(key) for key in [*(s.key for s in scheme.sorts), *scheme.bijections]}
+    used = {keys for _, keys in scheme.translations}
+    sort_list = {keys: [key_list[k] for k in keys] for keys in used}
+
     return {
         "sorts": [
             {
-                "key": list(s.key),
+                "key": key_list[s.key],
                 "width": s.width,
                 "domain": text(s.domain_formula),
                 "equivalence": text(s.equiv_formula),
@@ -843,14 +864,14 @@ def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
         "relations": [
             {
                 "relation": sr.rel,
-                "sorts": [list(k) for k in sr.sort_keys],
+                "sorts": sort_list[sr.sort_keys],
                 "formula": text(sr.formula),
             }
             for sr in scheme.rels
         ],
         "bijections": [
             {
-                "key": list(key),
+                "key": key_list[key],
                 "map": [[b, list(rep)] for b, rep in sorted(fmap.items())],
             }
             for key, fmap in sorted(scheme.bijections.items())

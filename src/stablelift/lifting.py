@@ -241,6 +241,15 @@ class LiftedStructure:
                 table[fiber_sort(rel, i)] = tuple(c[i] for c in fibers.values() if i in c)
         return {label: block for label, block in table.items() if block}
 
+    @functools.cached_property
+    def companion(self) -> Structure:
+        """The lift's relational companion, built once per instance."""
+        # looked up at call time, so perfbench/spans.py's wrap of
+        # structures.relational_companion sees the call
+        from .structures import relational_companion
+
+        return relational_companion(self.structure)
+
     def to_report_dict(self) -> dict:
         """Element table with provenance tags, fiber-size histogram, and the
         lift signature."""
@@ -571,9 +580,7 @@ def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
             "the source structure is empty: no scheme presents its lift, "
             "whose anchor needs a host tuple"
         )
-    from .structures import relational_companion
-
-    companion = relational_companion(N.structure)
+    companion = N.companion
     realized = sort_partition(companion)
     if list(realized.values()) != list(N.sorts.values()):
         raise LiftError("companion sorts differ from the lift's sorts (internal error)")

@@ -1145,6 +1145,93 @@ def test_blocks_outside_the_join_fall_back_to_the_tuple_scan(corpus, monkeypatch
     assert set(falls_back) == {"untranslatable", "two options", "not a pattern", "pair inside a sort"}
 
 
+def _cover_mutants(scheme, rng):
+    """Schemes whose translations of some relation over realized sorts fall
+    short, each beside a translation that must not count: one dropped, one
+    dropped beside an extra one of the wrong arity, one dropped beside one
+    for a relation outside the target's signature, and one realized sort
+    renamed to a key the target does not realize, in its translations too."""
+    widths = {s.key: s.width for s in scheme.sorts}
+    i = rng.randrange(len(scheme.rels))
+    sr = scheme.rels[i]
+    dropped = scheme.rels[:i] + scheme.rels[i + 1:]
+    yield "drop", replace(scheme, rels=dropped)
+    keys = sr.sort_keys[1:] if len(sr.sort_keys) > 1 else sr.sort_keys * 2
+    wrong = SchemeRel(sr.rel, keys, tautology(sum(map(widths.__getitem__, keys))))
+    yield "wrong arity", replace(scheme, rels=dropped + (wrong,))
+    yield "outside", replace(scheme, rels=dropped + (SchemeRel("nosuch", sr.sort_keys, sr.formula),))
+    old = rng.choice(scheme.sorts).key
+    new = ("renamed",) + old
+
+    def rename(key):
+        return new if key == old else key
+
+    yield "sort left out", InterpretationScheme(
+        tuple(replace(s, key=rename(s.key)) for s in scheme.sorts),
+        tuple(SchemeRel(r.rel, tuple(map(rename, r.sort_keys)), r.formula) for r in scheme.rels),
+        {rename(key): fmap for key, fmap in scheme.bijections.items()},
+    )
+
+
+@pytest.mark.hashseed
+def test_translation_cover_completion_matches_the_product_scan(corpus):
+    # the cover is read off the scheme's index; the tuples of sorts a short
+    # count leaves out become untranslatable blocks, and translations of
+    # the wrong arity, outside the signature or over an unrealized sort
+    # count for nothing
+    rng = random.Random(2802)
+    seen = Counter()
+    for k, sample in ((1, corpus[1::7]), (2, corpus[1:4])):
+        for index, (name, M) in enumerate(sample):
+            _, companion, scheme = _scheme_setup(M, k)
+            target, scheme = (companion, scheme) if index % 2 else _relabelled(companion, scheme, rng)
+            for label, mutant in _cover_mutants(scheme, rng):
+                expected = _scan_outcome(_product_scan_report, M, target, mutant)
+                assert _scan_outcome(validate_scheme, M, target, mutant) == expected, (name, k, label)
+                failed = {c.condition for c in expected if not c.passed}
+                assert "translation-cover" in failed, (name, k, label)
+                seen[label, "sort-cover" in failed] += 1
+    assert set(seen) == {
+        ("drop", False), ("wrong arity", False), ("outside", False), ("sort left out", True)
+    }, seen
+
+
+def test_agreement_skips_constant_false_blocks_and_reads_the_index(monkeypatch):
+    # the heaviest scheme-rigid class: a rigid digraph on four vertices at
+    # k = 3; its many constant False blocks that hold no tuple never reach
+    # _block_failure, and a covered scheme needs no translation lookup
+    M = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (3, 1)])
+    assert automorphism_group(M).order() == 1
+    _, companion, scheme = _scheme_setup(M, 3)
+    realized = interpretation.sort_partition(companion)
+    sort_of = {b: key for key, block in realized.items() for b in block}
+    held = {
+        (name, tuple(map(sort_of.__getitem__, t)))
+        for name, tuples in companion.relation_sets.items()
+        for t in tuples
+    }
+    dead = sum(
+        interpretation._equality_pattern(sr.formula) == (True, ()) and index not in held
+        for index, sr in scheme.translations.items()
+    )
+    decided = []
+    original = interpretation._block_failure
+
+    def recording(pattern, split, blocks, held, held_here, options):
+        decided.append((pattern, held_here))
+        return original(pattern, split, blocks, held, held_here, options)
+
+    def lookup(self, rel, sort_keys):
+        raise AssertionError(f"translation({rel!r}, ...) looked up")
+
+    monkeypatch.setattr(interpretation, "_block_failure", recording)
+    monkeypatch.setattr(InterpretationScheme, "translation", lookup)
+    report = validate_scheme(M, companion, scheme)
+    assert report.passed, report.failures()
+    assert dead and decided, (dead, len(decided))
+    assert not [here for pattern, here in decided if pattern == (True, ()) and not here]
+
+
 def _padding_readers(M, scheme, pads, rng):
     """scheme with one to three translations over padded sorts each joined
     with a random formula over a padding position of their blocks and two

@@ -132,3 +132,33 @@ def test_writer_fails_where_json_fails(value):
     with pytest.raises(type(expected.value)):
         cli._dump(value)
 
+
+
+def _shared():
+    """One list object placed where json writes it more than once."""
+    key = ["a", "café", "\x00"]
+    pair = [key, key]
+    return [
+        [key, key],
+        {"top": key, "deeper": {"down": [key, {"again": key}]}, "pair": pair, "pairs": [pair, pair]},
+        ("tuple", (key, [key, ("inner", key)])),
+    ]
+
+
+@pytest.mark.parametrize("value", _shared(), ids=["same-indent", "two-indents", "in-a-tuple"])
+def test_a_shared_list_is_written_like_json(value):
+    assert_written_like_json(value)
+
+
+def test_a_k3_scheme_report_is_written_like_json():
+    from stablelift.corpus import digraph
+    from stablelift.interpretation import scheme_to_json_dict
+    from stablelift.lifting import LiftConfig, build_lift, generate_scheme
+
+    M = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (3, 1)])
+    report = scheme_to_json_dict(generate_scheme(build_lift(M, LiftConfig(k=3))))
+    # equal sort keys, and equal tuples of them, share one list object
+    first = report["relations"][0]["sorts"]
+    assert any(r["sorts"] is first for r in report["relations"][1:])
+    assert any(first[0] is s["key"] for s in report["sorts"])
+    assert_written_like_json(report)
