@@ -12,7 +12,6 @@ from .structures import (
     StructureError,
     validate_structure,
     relational_companion,
-    structures_equal,
     structure_to_json,
     structure_from_json,
 )
@@ -25,7 +24,6 @@ from .formulas import (
     format_formula,
     eval_formula,
     definable_set,
-    atomic_type,
     sort_partition,
 )
 from .groups import (
@@ -37,7 +35,6 @@ from .groups import (
     pointwise_stabilizers,
     is_automorphism,
     automorphism_group,
-    automorphism_group_brute,
 )
 from .interpretation import (
     SchemeSort,
@@ -45,10 +42,8 @@ from .interpretation import (
     InterpretationScheme,
     ValidationReport,
     SchemeError,
-    definable_quotient,
     validate_scheme,
     induced_automorphism,
-    check_classical_interpretation,
 )
 from .lifting import (
     LIMIT,

@@ -65,6 +65,10 @@ LIFT_ELEMENT_GUARD = 10_000
 # scheme-check writes one translation per companion relation and tuple of
 # sorts, S**arity of them over S sorts; this bounds their count.
 TRANSLATION_GUARD = 50_000
+# An explicit padding width m puts m atoms into a sort's domain formula and
+# 2m into its equivalence, and each translation is as wide as its sorts
+# together; this bounds each width.
+PADDING_WIDTH_GUARD = 2048
 # corpus builds every random structure before it writes the first one.
 RANDOM_CORPUS_GUARD = 10_000
 
@@ -108,6 +112,10 @@ def _parse_padding(text: str, M: Structure, k: int) -> PaddingAssignment | None:
             widths = [int(x) for x in text[len("explicit:"):].split(",") if x]
         except ValueError as e:
             raise InputError(f"bad padding list: {e}") from e
+        if max(widths, default=0) > PADDING_WIDTH_GUARD:
+            raise InputError(
+                f"--padding width {max(widths)} exceeds the guard {PADDING_WIDTH_GUARD}"
+            )
         triples = padding_triples(M.sig, k)
         if len(widths) != len(triples):
             raise InputError(

@@ -1,10 +1,10 @@
 """Deterministic test corpora: exhaustive small digraphs and seeded random
 structures.
 
-The workhorse corpus is every repetition-free digraph on at most three
-vertices (1 + 4 + 64 structures); small enough that every claim can be
-checked against brute force, rich enough to hit trivial, cyclic, and
-symmetric automorphism groups.
+The tests' corpus (tests/references.py) is every repetition-free digraph
+on at most three vertices (1 + 4 + 64 structures); small enough that every
+claim can be checked against brute force, rich enough to hit trivial,
+cyclic, and symmetric automorphism groups.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "digraph",
     "edge_pairs",
     "exhaustive_digraphs",
-    "standard_corpus",
     "random_digraph",
 ]
 
@@ -47,13 +46,6 @@ def exhaustive_digraphs(size: int) -> list[tuple[str, Structure]]:
     for mask in range(2 ** len(pairs)):
         edges = [p for bit, p in enumerate(pairs) if mask >> bit & 1]
         out.append((f"digraph_n{size}_m{mask}", digraph(size, edges)))
-    return out
-
-
-def standard_corpus(max_size: int = 3) -> list[tuple[str, Structure]]:
-    out: list[tuple[str, Structure]] = []
-    for size in range(1, max_size + 1):
-        out.extend(exhaustive_digraphs(size))
     return out
 
 

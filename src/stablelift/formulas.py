@@ -49,7 +49,6 @@ __all__ = [
     "tautology",
     "contradiction",
     "AtomicType",
-    "atomic_type",
     "atomic_formula_basis",
     "group_by_columns",
     "sort_partition",
@@ -490,16 +489,6 @@ def atomic_formula_basis(sig: Signature) -> tuple[tuple[str, Formula], ...]:
     return tuple(printed)
 
 
-def atomic_type(M: Structure, a: int) -> AtomicType:
-    """The atomic one-variable type of an element: which basis formulas hold
-    of it."""
-    if not (0 <= a < M.size):
-        raise FormulaError(f"element {a} outside domain of size {M.size}")
-    return tuple(
-        text for text, phi in atomic_formula_basis(M.sig) if eval_formula(M, phi, {0: a})
-    )
-
-
 def group_by_columns(size: int, columns) -> dict[tuple, list[int]]:
     """Group the elements 0..size-1 by their row across the given columns
     (one value per element each).  Blocks come in order of least element,
@@ -517,7 +506,8 @@ def sort_partition(M: Structure) -> dict[AtomicType, tuple[int, ...]]:
     ordered by least element; each block is sorted.
 
     Each term and each basis formula is evaluated once as a column over the
-    whole domain; ``atomic_type`` is the per-element reference."""
+    whole domain; tests/references.py keeps the per-element tree walk as the
+    reference."""
     basis = atomic_formula_basis(M.sig)
     columns: dict[Term, list[int]] = {Var(0): list(M.domain)}
 

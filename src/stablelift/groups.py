@@ -30,8 +30,8 @@ search finds one automorphism per new orbit point rather than visiting every
 group element.  Each leaf is confirmed with is_automorphism.  The reported
 generating set is the greedy lexicographic one: each generator is the
 lex-least group element outside the subgroup the earlier ones generate,
-all read off one lex walk of the chain.  A brute-force oracle double-checks
-the search on small degrees.
+all read off one lex walk of the chain.  Tests check the search against a
+brute-force oracle on small degrees (tests/references.py).
 """
 
 from __future__ import annotations
@@ -53,10 +53,7 @@ __all__ = [
     "pointwise_stabilizers",
     "is_automorphism",
     "automorphism_group",
-    "automorphism_group_brute",
 ]
-
-BRUTE_DEGREE_LIMIT = 8
 
 
 class GroupError(ValueError):
@@ -286,13 +283,6 @@ class PermGroup:
         small groups this library works with; cost is the group order."""
         return [Permutation(x) for x in _lex_walk(self._chain)]
 
-    def base(self) -> tuple[int, ...]:
-        return tuple(self._chain.nontrivial_levels())
-
-    def fundamental_orbit_sizes(self) -> tuple[int, ...]:
-        trans = self._chain.trans
-        return tuple(len(trans[i]) for i in self._chain.nontrivial_levels())
-
     def to_json_dict(self) -> dict:
         return {
             "degree": self.degree,
@@ -428,21 +418,6 @@ def is_automorphism(M: Structure, pi: Permutation) -> bool:
         if not M.relation_sets[name].issuperset(zip(*columns)):
             return False
     return True
-
-
-def automorphism_group_brute(M: Structure) -> list[Permutation]:
-    """Oracle: every permutation of the domain passing is_automorphism, in
-    lexicographic order.  Guarded to small degrees."""
-    if M.size > BRUTE_DEGREE_LIMIT:
-        raise GroupError(
-            f"domain of size {M.size} too large for the brute oracle (limit {BRUTE_DEGREE_LIMIT})"
-        )
-    found = []
-    for images in itertools.permutations(range(M.size)):
-        pi = Permutation(images)
-        if is_automorphism(M, pi):
-            found.append(pi)
-    return found
 
 
 # An ordered partition is (lab, cell_of, size): lab lists the elements cell

@@ -42,7 +42,7 @@ from .formulas import (
     inert_variables,
     sort_partition,
 )
-from .groups import Permutation, automorphism_group, is_automorphism
+from .groups import Permutation, is_automorphism
 from .structures import Structure
 
 __all__ = [
@@ -52,10 +52,8 @@ __all__ = [
     "InterpretationScheme",
     "ValidationReport",
     "CheckResult",
-    "definable_quotient",
     "validate_scheme",
     "induced_automorphism",
-    "check_classical_interpretation",
     "negate_translation",
     "weaken_equivalence",
     "redirect_bijection",
@@ -321,11 +319,11 @@ class _Quotient:
             return None
         return self._class_of.get(tuple(t[q] for q in self.core))
 
-    def members(self, idx: int, read: Container[int] | None = None) -> tuple[tuple, ...]:
-        """Class idx's full tuples in lexicographic order.  With ``read``,
-        each padding position outside it stays at M.domain[0]."""
+    def members(self, idx: int, read: Container[int]) -> tuple[tuple, ...]:
+        """Class idx's full tuples in lexicographic order, each padding
+        position outside ``read`` kept at M.domain[0]."""
         pads = itertools.product(
-            *(self.M.domain if read is None or q in read else self.M.domain[:1] for q in self.pad)
+            *(self.M.domain if q in read else self.M.domain[:1] for q in self.pad)
         )
         return tuple(sorted(self.full(c, p) for p in pads for c in self.cores[idx]))
 
@@ -348,17 +346,6 @@ def _transitivity_witness(rows: dict[tuple, set[tuple]], s: tuple, t: tuple) -> 
     path.reverse()
     # on a shortest path, s and the vertex two steps on are unrelated
     return path[0], path[1], path[2]
-
-
-def definable_quotient(
-    M: Structure, r: Formula, E: Formula
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The classes of r(M) under E, each sorted, ordered by least member.
-
-    Raises SchemeError with a witness if E is not an equivalence on r(M).
-    """
-    q = _Quotient(M, r, E)
-    return tuple(q.members(idx) for idx in range(len(q.cores)))
 
 
 # -- scheme validation ---------------------------------------------------------
@@ -723,73 +710,6 @@ def induced_automorphism(
     if not is_automorphism(M2, pihat):
         raise SchemeError("induced map is not an automorphism of the target")
     return pihat
-
-
-# -- classical interpretability (finite-scale proxy) ---------------------------
-
-
-def check_classical_interpretation(
-    M: Structure,
-    N: Structure,
-    D: Formula,
-    E: Formula,
-    alpha: dict[int, tuple[int, ...]],
-) -> ValidationReport:
-    """Check the single-sorted interpretation data (definable set D with
-    equivalence E, bijection alpha from N's domain onto D/E).
-
-    Because every automorphism-invariant relation on a single finite
-    structure is definable without parameters, definability of the pulled
-    back relations is checked as closure under the automorphism group acting
-    coordinatewise, for every relation of N in name order.
-    """
-    report = ValidationReport()
-    report.checks.append(
-        CheckResult("domain-definable", True, None)  # D is given by a formula
-    )
-    try:
-        q = _Quotient(M, D, E)
-    except SchemeError as e:
-        report.checks.append(CheckResult("equivalence", False, str(e)))
-        return report
-    report.checks.append(CheckResult("equivalence", True, None))
-
-    problem = _bijection_problem(q, alpha, N.domain)
-    report.checks.append(CheckResult("bijection", problem is None, problem))
-    if problem is not None:
-        return report
-
-    cls_to_elem = {q.index(alpha[b]): b for b in alpha}
-    domain = sorted(t for idx in range(len(q.cores)) for t in q.members(idx))
-    G = automorphism_group(M)
-
-    for name, tuples in sorted(N.relation_sets.items()):
-        arity = len(next(iter(tuples))) if tuples else 0
-        witness = None
-        if tuples:
-            # pull back to the host: concatenations of class members
-            def pulled_membership(blocks: tuple[tuple[int, ...], ...]) -> bool:
-                elems = tuple(cls_to_elem[q.index(b)] for b in blocks)
-                return elems in tuples
-
-            for blocks in itertools.product(domain, repeat=arity):
-                if not pulled_membership(blocks):
-                    continue
-                for g in G.generators:
-                    moved = tuple(g.apply_tuple(b) for b in blocks)
-                    if any(q.index(b) is None for b in moved) or not pulled_membership(moved):
-                        flat = tuple(x for b in blocks for x in b)
-                        witness = (
-                            f"tuple {flat} maps outside the relation under "
-                            f"automorphism {list(g.images)}"
-                        )
-                        break
-                if witness:
-                    break
-        report.checks.append(
-            CheckResult(f"invariance[{name}]", witness is None, witness)
-        )
-    return report
 
 
 # -- mutations (for negative testing) -------------------------------------------

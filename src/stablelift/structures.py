@@ -18,7 +18,6 @@ __all__ = [
     "StructureError",
     "validate_structure",
     "relational_companion",
-    "structures_equal",
     "signature_to_dict",
     "signature_from_dict",
     "structure_to_dict",
@@ -261,18 +260,6 @@ def relational_companion(M: Structure) -> Structure:
     for c in M.sig.constants:
         rels[c] = ((M.constants[c],),)
     return Structure(sig=sig, size=M.size, relations=rels, repetition_free=False)
-
-
-def structures_equal(M1: Structure, M2: Structure) -> bool:
-    """Equality of interpretations over a shared signature (not isomorphism)."""
-    if M1.sig != M2.sig:
-        raise StructureError("structures_equal requires a shared signature")
-    return (
-        M1.size == M2.size
-        and M1.relations == M2.relations
-        and M1.functions == M2.functions
-        and M1.constants == M2.constants
-    )
 
 
 # -- serialization ----------------------------------------------------------

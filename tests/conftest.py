@@ -2,7 +2,8 @@ import re
 
 import pytest
 
-from stablelift.corpus import digraph, standard_corpus
+from references import standard_corpus
+from stablelift.corpus import digraph
 
 
 def pytest_runtest_logreport(report):

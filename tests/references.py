@@ -1,0 +1,143 @@
+"""Reference forms that the library itself never calls.
+
+Each one computes, the slow and plain way, what ``stablelift`` computes
+faster or checks another way, and tests compare the two:
+
+- ``automorphism_group_brute`` tries every permutation of the domain, the
+  reference for the automorphism search on small degrees;
+- ``atomic_type`` walks the formula trees for one element, the reference
+  for the column-wise ``formulas.sort_partition``;
+- ``definable_quotient`` writes out every member of every class of a
+  quotient, which validation never asks for;
+- ``check_classical_interpretation`` checks a single-sorted interpretation
+  by brute-force invariance under the host's automorphism group;
+- ``standard_corpus`` is every digraph on at most a few vertices, the
+  corpus of the acceptance criteria and the golden CLI reports.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from stablelift.corpus import exhaustive_digraphs
+from stablelift.formulas import AtomicType, Formula, FormulaError, atomic_formula_basis, eval_formula
+from stablelift.groups import GroupError, Permutation, automorphism_group, is_automorphism
+from stablelift.interpretation import (
+    CheckResult,
+    SchemeError,
+    ValidationReport,
+    _bijection_problem,
+    _Quotient,
+)
+from stablelift.structures import Structure
+
+BRUTE_DEGREE_LIMIT = 8
+
+
+def automorphism_group_brute(M: Structure) -> list[Permutation]:
+    """Every permutation of the domain passing is_automorphism, in
+    lexicographic order.  Guarded to small degrees."""
+    if M.size > BRUTE_DEGREE_LIMIT:
+        raise GroupError(
+            f"domain of size {M.size} too large for the brute oracle (limit {BRUTE_DEGREE_LIMIT})"
+        )
+    found = []
+    for images in itertools.permutations(range(M.size)):
+        pi = Permutation(images)
+        if is_automorphism(M, pi):
+            found.append(pi)
+    return found
+
+
+def atomic_type(M: Structure, a: int) -> AtomicType:
+    """The atomic one-variable type of an element: which basis formulas hold
+    of it."""
+    if not (0 <= a < M.size):
+        raise FormulaError(f"element {a} outside domain of size {M.size}")
+    return tuple(
+        text for text, phi in atomic_formula_basis(M.sig) if eval_formula(M, phi, {0: a})
+    )
+
+
+def definable_quotient(
+    M: Structure, r: Formula, E: Formula
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The classes of r(M) under E, each sorted, ordered by least member.
+
+    Raises SchemeError with a witness if E is not an equivalence on r(M).
+    """
+    q = _Quotient(M, r, E)
+    return tuple(q.members(idx, q.pad) for idx in range(len(q.cores)))
+
+
+def check_classical_interpretation(
+    M: Structure,
+    N: Structure,
+    D: Formula,
+    E: Formula,
+    alpha: dict[int, tuple[int, ...]],
+) -> ValidationReport:
+    """Check the single-sorted interpretation data (definable set D with
+    equivalence E, bijection alpha from N's domain onto D/E).
+
+    Because every automorphism-invariant relation on a single finite
+    structure is definable without parameters, definability of the pulled
+    back relations is checked as closure under the automorphism group acting
+    coordinatewise, for every relation of N in name order.
+    """
+    report = ValidationReport()
+    report.checks.append(
+        CheckResult("domain-definable", True, None)  # D is given by a formula
+    )
+    try:
+        q = _Quotient(M, D, E)
+    except SchemeError as e:
+        report.checks.append(CheckResult("equivalence", False, str(e)))
+        return report
+    report.checks.append(CheckResult("equivalence", True, None))
+
+    problem = _bijection_problem(q, alpha, N.domain)
+    report.checks.append(CheckResult("bijection", problem is None, problem))
+    if problem is not None:
+        return report
+
+    cls_to_elem = {q.index(alpha[b]): b for b in alpha}
+    domain = sorted(t for idx in range(len(q.cores)) for t in q.members(idx, q.pad))
+    G = automorphism_group(M)
+
+    for name, tuples in sorted(N.relation_sets.items()):
+        arity = len(next(iter(tuples))) if tuples else 0
+        witness = None
+        if tuples:
+            # pull back to the host: concatenations of class members
+            def pulled_membership(blocks: tuple[tuple[int, ...], ...]) -> bool:
+                elems = tuple(cls_to_elem[q.index(b)] for b in blocks)
+                return elems in tuples
+
+            for blocks in itertools.product(domain, repeat=arity):
+                if not pulled_membership(blocks):
+                    continue
+                for g in G.generators:
+                    moved = tuple(g.apply_tuple(b) for b in blocks)
+                    if any(q.index(b) is None for b in moved) or not pulled_membership(moved):
+                        flat = tuple(x for b in blocks for x in b)
+                        witness = (
+                            f"tuple {flat} maps outside the relation under "
+                            f"automorphism {list(g.images)}"
+                        )
+                        break
+                if witness:
+                    break
+        report.checks.append(
+            CheckResult(f"invariance[{name}]", witness is None, witness)
+        )
+    return report
+
+
+def standard_corpus(max_size: int = 3) -> list[tuple[str, Structure]]:
+    """Every repetition-free digraph on 1..max_size vertices, as (name,
+    structure) pairs in order of size, then of edge bitmask."""
+    out: list[tuple[str, Structure]] = []
+    for size in range(1, max_size + 1):
+        out.extend(exhaustive_digraphs(size))
+    return out

@@ -3,8 +3,8 @@
 import pytest
 
 from automorphism_oracle import OracleBudgetExceeded, automorphisms
+from references import BRUTE_DEGREE_LIMIT, automorphism_group_brute
 from stablelift.corpus import digraph
-from stablelift.groups import BRUTE_DEGREE_LIMIT, automorphism_group_brute
 
 
 def test_backtracking_oracle_equals_brute_oracle_up_to_degree_8(type_structures):

@@ -488,10 +488,25 @@ def test_report_bad_ks_exit_2(capsys, pair_file):
         (("scheme-check", "--k", "100000"), f"copy bound 100000 exceeds the guard {cli.COPY_BOUND_GUARD}"),
         (("lift", "--k", "100000"), f"copy bound 100000 exceeds the guard {cli.COPY_BOUND_GUARD}"),
         (("report", "--ks", "1,100000"), f"copy bound 100000 exceeds the guard {cli.COPY_BOUND_GUARD}"),
+        *(
+            ((command, "--padding", f"explicit:2,{width}"),
+             f"--padding width {width} exceeds the guard {cli.PADDING_WIDTH_GUARD}")
+            for command, width in (
+                ("scheme-check", cli.PADDING_WIDTH_GUARD + 1),
+                ("scheme-check", 100_000_000),
+                ("lift", 3_000_000),
+                ("verify-iso", 10**20 - 1),
+                ("limit", 10**20 - 1),
+            )
+        ),
     ],
 )
-def test_work_guards_exit_2_before_building(capsys, edge_file, argv, message):
+def test_work_guards_exit_2_before_building(capsys, edge_file, monkeypatch, argv, message):
     # each would exhaust memory or run for minutes if the lift were built
+    def no_lift(*args, **kwargs):
+        raise AssertionError("a lift was built past a work guard")
+
+    monkeypatch.setattr(cli, "build_lift", no_lift)
     code, out, err = run(capsys, *argv, "--in", edge_file)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from references import standard_corpus
 from stablelift.cli import main
-from stablelift.corpus import standard_corpus
 from stablelift.structures import structure_to_json
 
 # every test here also runs under two hash seeds

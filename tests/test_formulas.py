@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablelift.corpus import digraph, standard_corpus
+from references import atomic_type, automorphism_group_brute, standard_corpus
+from stablelift.corpus import digraph
 from stablelift.formulas import (
     And,
     Apply,
@@ -18,7 +19,6 @@ from stablelift.formulas import (
     Rel,
     Var,
     atomic_formula_basis,
-    atomic_type,
     definable_set,
     eval_formula,
     format_formula,
@@ -27,7 +27,6 @@ from stablelift.formulas import (
     parse_formula,
     sort_partition,
 )
-from stablelift.groups import automorphism_group_brute
 from stablelift.lifting import LiftConfig, build_lift
 from stablelift.structures import Signature
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import stabilizer_oracle
+from references import automorphism_group_brute
 from stablelift.corpus import digraph
 from stablelift.groups import (
     GroupError,
     PermGroup,
     Permutation,
     automorphism_group,
-    automorphism_group_brute,
     is_automorphism,
     orbits,
     orbits_on_tuples,
@@ -130,7 +130,8 @@ def test_search_equals_oracle_on_some_size_five():
 
 def test_order_is_product_of_fundamental_orbits(m_triple):
     G = automorphism_group(m_triple)
-    assert G.order() == math.prod(G.fundamental_orbit_sizes())
+    chain = G._chain
+    assert G.order() == math.prod(len(chain.trans[i]) for i in chain.nontrivial_levels())
     assert G.order() == 6
 
 
@@ -307,7 +308,7 @@ def test_stabilizer_matches_closure_filter():
 
 def test_base_points_ascend(m_triple):
     G = automorphism_group(m_triple)
-    base = G.base()
+    base = G._chain.nontrivial_levels()
     assert list(base) == sorted(base)
 
 
@@ -501,7 +502,8 @@ def test_leaf_checks_grow_with_the_chain_not_the_group(monkeypatch):
         calls.clear()
         G = automorphism_group(X)
         assert G.order() == 720
-        bound = sum(G.fundamental_orbit_sizes()) + len(G.base())
+        levels = G._chain.nontrivial_levels()
+        bound = sum(len(G._chain.trans[i]) for i in levels) + len(levels)
         assert 0 < len(calls) <= bound < 720
         # every accepted leaf joins two orbits of the automorphisms found
         # before it, and no leaf is rejected on these structures

@@ -6,6 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+from references import (
+    automorphism_group_brute,
+    check_classical_interpretation,
+    definable_quotient,
+)
 from stablelift import interpretation
 from stablelift.corpus import digraph, random_digraph
 from stablelift.formulas import (
@@ -24,11 +29,7 @@ from stablelift.formulas import (
     parse_formula,
     tautology,
 )
-from stablelift.groups import (
-    Permutation,
-    automorphism_group,
-    automorphism_group_brute,
-)
+from stablelift.groups import Permutation, automorphism_group
 from stablelift.interpretation import (
     CheckResult,
     InterpretationScheme,
@@ -36,8 +37,6 @@ from stablelift.interpretation import (
     SchemeRel,
     SchemeSort,
     ValidationReport,
-    check_classical_interpretation,
-    definable_quotient,
     induced_automorphism,
     negate_translation,
     redirect_bijection,
@@ -164,7 +163,7 @@ def _outcome(build, M, r, E):
 def _expanded(q):
     """A _Quotient written out as _brute_quotient gives it: every member of
     every class, and the class index() finds for each tuple of M^width."""
-    classes = [q.members(idx) for idx in range(len(q.cores))]
+    classes = [q.members(idx, q.pad) for idx in range(len(q.cores))]
     hosts = itertools.product(q.M.domain, repeat=q.width)
     class_of = {t: idx for t in hosts if (idx := q.index(t)) is not None}
     return tuple(sorted(class_of)), classes, class_of, tuple(c[0] for c in classes)
@@ -378,7 +377,7 @@ def test_quotient_factors_padding_unless_an_exists_rebinds_it(monkeypatch):
         # r at each core tuple, E at each pair of them
         assert calls == {r: 3 ** core, E: 3 ** (2 * core)}
         assert _expanded(q) == _brute_quotient(M, r, E)
-        assert q.members(0) == tuple((a, b) for a in (0, 1) for b in range(3))
+        assert q.members(0, q.pad) == tuple((a, b) for a in (0, 1) for b in range(3))
 
 
 def test_quotient_on_empty_domain_is_empty():

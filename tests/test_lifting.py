@@ -7,16 +7,16 @@ import random
 
 import pytest
 from automorphism_oracle import automorphisms
+from references import automorphism_group_brute, definable_quotient
 
 from stablelift.corpus import digraph, edge_pairs
 from stablelift.formulas import sort_partition
 from stablelift.groups import (
     Permutation,
     automorphism_group,
-    automorphism_group_brute,
     is_automorphism,
 )
-from stablelift.interpretation import definable_quotient, scheme_to_json_dict, validate_scheme
+from stablelift.interpretation import scheme_to_json_dict, validate_scheme
 from stablelift.lifting import (
     LIMIT,
     Anchor,

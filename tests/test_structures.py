@@ -15,7 +15,6 @@ from stablelift.structures import (
     structure_from_dict,
     structure_from_json,
     structure_to_json,
-    structures_equal,
     validate_structure,
 )
 
@@ -73,10 +72,8 @@ def test_symbol_names_must_be_unique_and_grammar_safe():
 def test_structures_equal_ignores_tuple_order():
     a = digraph(2, [(0, 1), (1, 0)])
     b = digraph(2, [(1, 0), (0, 1)])
-    assert structures_equal(a, b)
-    assert not structures_equal(a, digraph(2, []))
-    with pytest.raises(StructureError, match="shared signature"):
-        structures_equal(a, Structure(sig=Signature(), size=2))
+    assert a == b
+    assert a != digraph(2, [])
 
 
 def test_companion_of_identity_function():
@@ -134,7 +131,7 @@ def test_companion_preserves_automorphisms_brute(size):
 
 
 def test_serialization_round_trip_fixture(m_edge):
-    assert structures_equal(structure_from_json(structure_to_json(m_edge)), m_edge)
+    assert structure_from_json(structure_to_json(m_edge)) == m_edge
 
 
 def test_serialization_round_trip_functional():
@@ -147,7 +144,7 @@ def test_serialization_round_trip_functional():
         constants={"c": 1},
     )
     M2 = structure_from_json(structure_to_json(M))
-    assert structures_equal(M, M2)
+    assert M == M2
     assert M2.sig == sig
 
 
@@ -159,7 +156,7 @@ def test_serialization_round_trip_random_digraphs(size, data):
     pairs = edge_pairs(size)
     chosen = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
     M = digraph(size, chosen)
-    assert structures_equal(structure_from_json(structure_to_json(M)), M)
+    assert structure_from_json(structure_to_json(M)) == M
 
 
 def _doc(**overrides):
