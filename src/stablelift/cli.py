@@ -36,7 +36,6 @@ from .lifting import (
     generate_scheme,
     limit_elements,
     padding_triples,
-    project_automorphism,
     _restrict_automorphism,
 )
 from .stability import (
@@ -226,18 +225,20 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
     # each permutation of M is induced once per call
     lift = functools.cache(lambda g: direct_induced(N, g))
 
-    # Members of GN, and the stabilizer generators below, which are words
-    # in them, were confirmed by the search and are projected unchecked; a
-    # direct_induced image is checked, as only that shows it is in Aut(N).
-    # The checked images seed the search on the lift, which starts from the
-    # lift's own sort table.
-    bijective = True
-    for g in GM.generators:
-        if project_automorphism(N, lift(g)) != g:
-            bijective = False
-    GN = automorphism_group(N.structure, sorts=N.sorts.values(), known=map(lift, GM.generators))
+    # The direct_induced images seed the search on the lift, which starts
+    # from the lift's own sort table and checks each seed once: only that
+    # check shows an image is in Aut(N).  Checked seeds, members of GN and
+    # the stabilizer generators below, which are words in them, are then
+    # projected unchecked.
+    try:
+        GN = automorphism_group(N.structure, sorts=N.sorts.values(), known=map(lift, GM.generators))
+    except GroupError as e:
+        raise LiftError("not an automorphism of the lift") from e
     order_M, order_N = GM.order(), GN.order()
-    bijective = bijective and order_M == order_N
+    bijective = order_M == order_N
+    for g in GM.generators:
+        if _restrict_automorphism(N, lift(g)) != g:
+            bijective = False
     for g in GN.generators:
         if lift(_restrict_automorphism(N, g)) != g:
             bijective = False

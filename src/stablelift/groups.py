@@ -29,9 +29,14 @@ base point that the automorphisms found so far do not already reach, so the
 search finds one automorphism per new orbit point rather than visiting every
 group element.  Each leaf is confirmed with is_automorphism.  The reported
 generating set is the greedy lexicographic one: each generator is the
-lex-least group element outside the subgroup the earlier ones generate,
-all read off one lex walk of the chain.  Tests check the search against a
-brute-force oracle on small degrees (tests/references.py).
+lex-least group element outside the subgroup the earlier ones generate.
+They are read off the search's own chain level by level, from the deepest
+nontrivial one: once the generators so far hold the stabilizer of 0..i,
+the next is the lex-least member of u_z * G_{0..i}, z the least point of
+level i's orbit outside their orbit of i, until the two orbits are equal.
+The group keeps that chain.  Tests check the search against a brute-force
+oracle on small degrees, and the read-off against a lex walk that grows a
+second chain (tests/references.py).
 """
 
 from __future__ import annotations
@@ -229,16 +234,13 @@ class _Chain:
         return [i for i in range(self.depth) if len(self.trans[i]) > 1]
 
 
-def _lex_walk(chain: _Chain, skip=None):
+def _lex_walk(chain: _Chain):
     """Members of the group of a chain over the order 0..n-1, in
     lexicographic image order.  A node at depth d is the coset x * K, K the
-    group of the d-th nontrivial level (the trivial group at the bottom);
-    skip(d, x) prunes it."""
+    group of the d-th nontrivial level (the trivial group at the bottom)."""
     levels = chain.nontrivial_levels()
 
     def walk(d: int, x: Images):
-        if skip is not None and skip(d, x):
-            return
         if d == len(levels):
             yield x
             return
@@ -648,19 +650,24 @@ def automorphism_group(M: Structure, *, sorts=None, known=()) -> PermGroup:
     G = _Chain(M.size, size=order)
     for g in found:
         G.add(g)
-    # one lex walk of G yields the greedy generators: it skips a coset x * K
-    # inside the group H generated so far (x in H and K <= H, true from depth
-    # D on; the skip reads D and H as they grow), and once H = G it skips
-    # everything
+    # the greedy generators, level by level from the deepest nontrivial one:
+    # while the group generated so far holds G_{0..i}, a level-i member x is
+    # in it iff x(i) is in its orbit of i, so the next generator is the
+    # lex-least member of u_z * G_{0..i}, z the least point of the level's
+    # orbit outside that orbit (the first child at each deeper level of a
+    # lex walk), and the level is done once the two orbits are equal
     levels = G.nontrivial_levels()
-    D = len(levels)
-    H = _Chain(M.size, size=order)
     gens: list[Permutation] = []
-    for g in _lex_walk(G, lambda d, x: d >= D and x in H):
-        gens.append(Permutation(g))
-        H.add(g)
-        while D > 0 and all(s in H for s in G.gens[levels[D - 1]]):
-            D -= 1
+    for d, i in reversed(list(enumerate(levels))):
+        trans = G.trans[i]
+        reached = {i: None}
+        while len(reached) < len(trans):
+            x = trans[min(trans.keys() - reached)][0]
+            for j in levels[d + 1:]:
+                x = _compose(x, G.trans[j][min(G.trans[j], key=x.__getitem__)][0])
+            gens.append(Permutation(x))
+            _, reached = next(_orbit_search(PermGroup(gens, M.size), [i], Permutation.__call__))
     group = PermGroup(gens, M.size)
-    group._chain = H  # the chain PermGroup would build from gens
+    # the search's chain, complete, over the base order PermGroup's would have
+    group._chain = G
     return group

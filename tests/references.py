@@ -5,6 +5,9 @@ faster or checks another way, and tests compare the two:
 
 - ``automorphism_group_brute`` tries every permutation of the domain, the
   reference for the automorphism search on small degrees;
+- ``greedy_lex_generators`` reads the greedy generators off one pruned lex
+  walk of a chain while it grows a second chain of the group they
+  generate, the reference for the level-by-level read-off;
 - ``atomic_type`` walks the formula trees for one element, the reference
   for the column-wise ``formulas.sort_partition``;
 - ``definable_quotient`` writes out every member of every class of a
@@ -21,7 +24,14 @@ import itertools
 
 from stablelift.corpus import exhaustive_digraphs
 from stablelift.formulas import AtomicType, Formula, FormulaError, atomic_formula_basis, eval_formula
-from stablelift.groups import GroupError, Permutation, automorphism_group, is_automorphism
+from stablelift.groups import (
+    GroupError,
+    Permutation,
+    _Chain,
+    _compose,
+    automorphism_group,
+    is_automorphism,
+)
 from stablelift.interpretation import (
     CheckResult,
     SchemeError,
@@ -47,6 +57,35 @@ def automorphism_group_brute(M: Structure) -> list[Permutation]:
         if is_automorphism(M, pi):
             found.append(pi)
     return found
+
+
+def greedy_lex_generators(chain: _Chain) -> tuple[list[Permutation], _Chain]:
+    """The greedy lexicographic generators of the group of a complete chain
+    over the order 0..n-1, and a second chain H of the group they generate.
+    A lex walk of the chain yields them: it skips a coset x * K inside H
+    (x in H and K <= H, true from depth D on; the skip reads D and H as
+    they grow), and once H is the whole group it skips everything."""
+    levels = chain.nontrivial_levels()
+    D = len(levels)
+    H = _Chain(len(chain.order), size=chain.size())
+    gens: list[Permutation] = []
+
+    def walk(d: int, x: tuple[int, ...]):
+        if d >= D and x in H:
+            return
+        if d == len(levels):
+            yield x
+            return
+        trans = chain.trans[levels[d]]
+        for z in sorted(trans, key=x.__getitem__):
+            yield from walk(d + 1, _compose(x, trans[z][0]))
+
+    for g in walk(0, chain.identity):
+        gens.append(Permutation(g))
+        H.add(g)
+        while D > 0 and all(s in H for s in chain.gens[levels[D - 1]]):
+            D -= 1
+    return gens, H
 
 
 def atomic_type(M: Structure, a: int) -> AtomicType:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import stabilizer_oracle
-from references import automorphism_group_brute
+from references import automorphism_group_brute, greedy_lex_generators
 from stablelift.corpus import digraph
 from stablelift.groups import (
     GroupError,
@@ -484,6 +484,59 @@ def test_generators_are_the_greedy_lex_sift_of_the_brute_list(corpus):
         for X in structures:
             expected = _greedy_lex_sift(automorphism_group_brute(X))
             assert list(automorphism_group(X).generators) == expected
+
+
+def _greedy_cases(corpus, random_structures):
+    """(structure, automorphism group) pairs: the corpus and the
+    iso-symmetric families with their lifts at k = 1, 2, each lift searched
+    from the induced generators as verify-iso seeds it, and seeded random
+    structures with a function and a constant."""
+    from stablelift.lifting import direct_induced
+
+    families = [digraph(n, edges) for n in (4, 5, 6) for edges in (
+        [], [(i, j) for i in range(n) for j in range(n) if i != j]
+    )] + [digraph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (5, 6)]
+    families.append(digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+    for M in [M for _, M in corpus] + families:
+        GM = automorphism_group(M)
+        yield M, GM
+        for k in (1, 2):
+            N = build_lift(M, LiftConfig(k=k))
+            known = [direct_induced(N, g) for g in GM.generators]
+            yield N.structure, automorphism_group(N.structure, sorts=N.sorts.values(), known=known)
+    for M in random_structures:
+        yield M, automorphism_group(M)
+
+
+def test_generators_equal_the_walk_with_a_second_chain(corpus, random_structures):
+    # the level-by-level read-off against a pruned lex walk with a second chain
+    for M, G in _greedy_cases(corpus, random_structures):
+        expected, H = greedy_lex_generators(G._chain)
+        assert list(G.generators) == expected
+        assert H.size() == G.order()
+
+
+def test_the_search_chain_is_the_chain_of_its_generators(corpus, random_structures):
+    # the chain a group keeps is the search's; PermGroup would build another
+    # from the generators, of the same group over the same base
+    import random
+
+    rng = random.Random(17)
+    for M, G in _greedy_cases(corpus, random_structures):
+        lazy = PermGroup(G.generators, M.size)
+        assert lazy.order() == G.order()
+        assert [t.keys() for t in lazy._chain.trans] == [t.keys() for t in G._chain.trans]
+        members = lazy.elements()
+        others = [Permutation(tuple(rng.sample(range(M.size), M.size))) for _ in range(20)]
+        for g in members + others:
+            assert (g in G) == (g in lazy)
+        assert all(g in G for g in members)
+        supports = [range(j) for j in range(1, M.size)] + [[a] for a in M.domain]
+        supports += [rng.sample(M.domain, min(M.size, 3)) for _ in range(10)]
+        for A in supports:
+            assert orbits(pointwise_stabilizer(G, A), M.domain) == orbits(
+                pointwise_stabilizer(lazy, A), M.domain
+            )
 
 
 def test_leaf_checks_grow_with_the_chain_not_the_group(monkeypatch):
