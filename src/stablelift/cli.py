@@ -35,6 +35,7 @@ from .lifting import (
     direct_induced,
     generate_scheme,
     limit_elements,
+    lift_automorphism_group,
     padding_triples,
     _restrict_automorphism,
 )
@@ -225,15 +226,10 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
     # each permutation of M is induced once per call
     lift = functools.cache(lambda g: direct_induced(N, g))
 
-    # The direct_induced images seed the search on the lift, which starts
-    # from the lift's own sort table and checks each seed once: only that
-    # check shows an image is in Aut(N).  Checked seeds, members of GN and
-    # the stabilizer generators below, which are words in them, are then
-    # projected unchecked.
-    try:
-        GN = automorphism_group(N.structure, sorts=N.sorts.values(), known=map(lift, GM.generators))
-    except GroupError as e:
-        raise LiftError("not an automorphism of the lift") from e
+    # Aut(N) from the direct_induced images, each checked once by
+    # is_automorphism; its generators and the stabilizer generators below,
+    # words in them or in the search's, are then projected unchecked.
+    GN = lift_automorphism_group(N, [lift(g) for g in GM.generators], GM.order(), N.sorts.values())
     order_M, order_N = GM.order(), GN.order()
     bijective = order_M == order_N
     for g in GM.generators:

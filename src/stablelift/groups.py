@@ -58,6 +58,7 @@ __all__ = [
     "pointwise_stabilizers",
     "is_automorphism",
     "automorphism_group",
+    "rigid_over",
 ]
 
 
@@ -132,10 +133,10 @@ class _Chain:
     kept, so a residue never needs a base change; every level from ``depth``
     on has one, and sift strips only the levels above it.
 
-    ``size`` is the group order when the caller knows it.  The product of
-    the orbit lengths never exceeds the order of the group generated, and
-    reaching it proves every level complete, so the chain then drops its
-    Schreier generators unsifted: each would sift to the identity."""
+    ``size`` is the group order, or a bound above it, when the caller knows
+    one.  The product of the orbit lengths never exceeds the group order,
+    and reaching ``size`` proves every level complete, so the chain then
+    drops its Schreier generators unsifted: each would sift to the identity."""
 
     def __init__(self, degree: int, order=None, size: int | None = None):
         self.order = tuple(range(degree)) if order is None else tuple(order)
@@ -254,9 +255,13 @@ def _lex_walk(chain: _Chain):
 
 class PermGroup:
     """A permutation group given by generators, with a stabilizer chain
-    built on first use.  Values are immutable once built."""
+    built on first use, which stops at ``order_bound`` if told a bound at or
+    above the group order.  Values are immutable once built."""
 
-    def __init__(self, generators: list[Permutation] | tuple[Permutation, ...], degree: int):
+    def __init__(
+        self, generators: list[Permutation] | tuple[Permutation, ...], degree: int,
+        *, order_bound: int | None = None,
+    ):
         for g in generators:
             if g.degree != degree:
                 raise GroupError("all generators must share the group's degree")
@@ -264,10 +269,11 @@ class PermGroup:
         self.generators = tuple(sorted(
             {g for g in generators if not g.is_identity()}, key=lambda g: g.images
         ))
+        self._order_bound = order_bound
 
     @functools.cached_property
     def _chain(self) -> _Chain:
-        chain = _Chain(self.degree)
+        chain = _Chain(self.degree, size=self._order_bound)
         for g in self.generators:
             chain.add(g.images)
         return chain
@@ -538,14 +544,12 @@ def _target_cell(node) -> list[int]:
     return sorted(lab[s:s + size[s]])
 
 
-def _automorphism_generators(M: Structure, sorts=None, known=()) -> tuple[list[Images], int]:
+def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], int]:
     """Generators of Aut(M) from an individualization-refinement search,
     and |Aut(M)|: at most one automorphism per point of each fundamental
     orbit of the search's base, each confirmed by is_automorphism at its
-    leaf, then the strong generators of a chain of ``known`` over the base
-    order, which each level merges first.  They form a strong generating
-    set for that base, so the order is the product of the orbits they give
-    each base point at its level."""
+    leaf.  They form a strong generating set for that base, so the order is
+    the product of the orbits they give each base point at its level."""
     n = M.size
     adj = _adjacency(M)
 
@@ -573,8 +577,8 @@ def _automorphism_generators(M: Structure, sorts=None, known=()) -> tuple[list[I
                 return found
         return None
 
-    # orbits of the generators found or merged so far, as a union-find
-    # forest; each fixes the base points above its level
+    # orbits of the generators found so far, as a union-find forest; each
+    # fixes the base points above its level
     root = list(range(n))
 
     def find(x: int) -> int:
@@ -589,19 +593,9 @@ def _automorphism_generators(M: Structure, sorts=None, known=()) -> tuple[list[I
             if a != b:
                 root[max(a, b)] = min(a, b)
 
-    # the known chain's strong generators per level, which fix the base
-    # points above it: the level tries only cell mates outside their orbits
-    strong: list[list[Images]] = [[] for _ in base]
-    if known:
-        chain = _Chain(n, base + [x for x in range(n) if x not in base])
-        for g in known:
-            chain.add(g)
-        strong = chain.gens
     gens: list[Images] = []
     order = 1
     for i in reversed(range(len(base))):
-        for g in strong[i]:
-            merge(g)
         failed: list[int] = []
         cell = _target_cell(path[i])
         for w in cell:
@@ -616,11 +610,10 @@ def _automorphism_generators(M: Structure, sorts=None, known=()) -> tuple[list[I
             merge(pi)
         r = find(base[i])
         order *= sum(find(w) == r for w in cell)
-    gens += dict.fromkeys(itertools.chain.from_iterable(strong))
     return gens, order
 
 
-def automorphism_group(M: Structure, *, sorts=None, known=()) -> PermGroup:
+def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:
     """The full automorphism group as a PermGroup.
 
     The search starts from ``sorts`` if given (blocks partitioning M's
@@ -628,8 +621,6 @@ def automorphism_group(M: Structure, *, sorts=None, known=()) -> PermGroup:
     sort_partition's blocks.  Leaves are still confirmed by is_automorphism,
     so a wrong partition can only lose automorphisms, never add one.  A
     ``sorts`` that is not a partition raises GroupError naming an element.
-    ``known`` automorphisms prune the search, never change its result; one
-    that fails is_automorphism raises GroupError naming it.
 
     The generating set is the greedy lexicographic one: each generator is
     the lex-least automorphism outside the group the earlier ones generate
@@ -642,11 +633,7 @@ def automorphism_group(M: Structure, *, sorts=None, known=()) -> PermGroup:
                 raise GroupError(
                     f"sorts is not a partition of 0..{M.size - 1}: {x!r} occurs {count[x]} times"
                 )
-    known = tuple(known)
-    for g in known:
-        if not isinstance(g, Permutation) or g.degree != M.size or not is_automorphism(M, g):
-            raise GroupError(f"known member {g!r} is not an automorphism of degree {M.size}")
-    found, order = _automorphism_generators(M, sorts, [g.images for g in known])
+    found, order = _automorphism_generators(M, sorts)
     G = _Chain(M.size, size=order)
     for g in found:
         G.add(g)
@@ -671,3 +658,14 @@ def automorphism_group(M: Structure, *, sorts=None, known=()) -> PermGroup:
     # the search's chain, complete, over the base order PermGroup's would have
     group._chain = G
     return group
+
+
+def rigid_over(M: Structure, sorts, points) -> bool:
+    """Whether refining the blocks of ``sorts``, each of ``points`` split off
+    first as a singleton, is discrete: refinement commutes with
+    automorphisms, so then only the identity keeps every block and fixes
+    every point (McKay 1981; McKay & Piperno 2014)."""
+    fixed = set(points)
+    rest = [[x for x in block if x not in fixed] for block in sorts]
+    blocks = [(x,) for x in sorted(fixed)] + [block for block in rest if block]
+    return len(_root_partition(M, _adjacency(M), blocks)[2]) == M.size

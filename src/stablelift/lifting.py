@@ -33,7 +33,7 @@ from .formulas import (
     sort_partition,
     tautology,
 )
-from .groups import Permutation, is_automorphism
+from .groups import PermGroup, Permutation, automorphism_group, is_automorphism, rigid_over
 from .interpretation import InterpretationScheme, SchemeRel, SchemeSort
 from .structures import Signature, Structure, StructureError
 
@@ -60,6 +60,7 @@ __all__ = [
     "limit_elements",
     "direct_induced",
     "project_automorphism",
+    "lift_automorphism_group",
     "generate_scheme",
     "continuity_witness",
 ]
@@ -428,8 +429,8 @@ def project_automorphism(N: LiftedStructure, pihat: Permutation) -> Permutation:
     source domain.  Together with direct_induced this is a bijection between
     the two automorphism groups.  pihat is checked to be an automorphism of
     the lift first; callers holding known members of Aut(N), such as the
-    search's generators, may use _restrict_automorphism, which skips only
-    that check."""
+    generators of lift_automorphism_group, may use _restrict_automorphism,
+    which skips only that check."""
     if not is_automorphism(N.structure, pihat):
         raise LiftError("not an automorphism of the lift")
     return _restrict_automorphism(N, pihat)
@@ -448,6 +449,27 @@ def _restrict_automorphism(N: LiftedStructure, pihat: Permutation) -> Permutatio
     if not is_automorphism(M, pi):
         raise LiftError("projection is not an automorphism of the source (internal error)")
     return pi
+
+
+def lift_automorphism_group(N: LiftedStructure, induced, order: int, sorts) -> PermGroup:
+    """Aut(N) from the direct_induced images ``induced`` of generators of
+    Aut(M), ``order`` = |Aut(M)|, and blocks ``sorts`` that Aut(N) keeps; an
+    image failing is_automorphism raises LiftError.  If N encodes M on its
+    base copy (each relation is the projection of its limit elements) and is
+    rigid over it, restriction is an injective homomorphism Aut(N) -> Aut(M)
+    with direct_induced as a section, so Aut(N) is the images' group; else
+    the search runs from ``sorts``."""
+    S, M = N.structure, N.source
+    if not all(is_automorphism(S, g) for g in induced):
+        raise LiftError("not an automorphism of the lift")
+    encoded = S.relation_sets[BASE_NAME] == {(N.base_id(a),) for a in M.domain} and all(
+        {tuple(S.functions[projection_function(rel, t)][e] - 1 for t in range(arity))
+         for e in limit_elements(N, rel)} == M.relation_sets[rel]
+        for rel, arity in M.sig.relations
+    )
+    if encoded and rigid_over(S, sorts, [N.base_id(a) for a in M.domain]):
+        return PermGroup(induced, S.size, order_bound=order)
+    return automorphism_group(S, sorts=sorts)
 
 
 def continuity_witness(N: LiftedStructure, B) -> frozenset[int]:

@@ -32,7 +32,9 @@ from .lifting import (
     LiftConfig,
     LiftedStructure,
     build_lift,
+    direct_induced,
     fiber_sort,
+    lift_automorphism_group,
 )
 from .structures import Structure
 
@@ -317,9 +319,9 @@ def stability_report(
     in source coordinates and land inside the base copy of each lift, built
     with ``LiftConfig(k=k)``.  Type counts are ``qf_type_census`` at depth
     1: the parameter-free census is built once per lift, and each parameter
-    set adds only the atoms that mention a parameter.  Each lift's
-    automorphism search starts from that census's blocks (parameter-free,
-    and finer than the sorts).  An empty list of copy bounds or of
+    set adds only the atoms that mention a parameter.  lift_automorphism_group
+    gives each lift's group from that census's blocks (parameter-free, and
+    finer than the sorts).  An empty list of copy bounds or of
     parameter sets raises StabilityError: such a census would pass with
     nothing checked."""
     ks = list(ks)
@@ -339,7 +341,8 @@ def stability_report(
     for k in ks:
         N = build_lift(M, LiftConfig(k=k))
         table = _census_table(N.structure, 1)
-        group_N = automorphism_group(N.structure, sorts=table.blocks)
+        induced = [direct_induced(N, g) for g in group_M.generators]
+        group_N = lift_automorphism_group(N, induced, group_M.order(), table.blocks)
         for A_src in As:
             A = tuple(N.base_id(a) for a in A_src)
             if A_src not in sources:

@@ -17,6 +17,7 @@ from stablelift.groups import (
     orbits_on_tuples,
     pointwise_stabilizer,
     pointwise_stabilizers,
+    rigid_over,
 )
 from stablelift.lifting import LiftConfig, build_lift
 
@@ -486,24 +487,26 @@ def test_generators_are_the_greedy_lex_sift_of_the_brute_list(corpus):
             assert list(automorphism_group(X).generators) == expected
 
 
-def _greedy_cases(corpus, random_structures):
-    """(structure, automorphism group) pairs: the corpus and the
-    iso-symmetric families with their lifts at k = 1, 2, each lift searched
-    from the induced generators as verify-iso seeds it, and seeded random
-    structures with a function and a constant."""
-    from stablelift.lifting import direct_induced
-
+def _iso_symmetric_families():
+    """The digraphs of the iso-symmetric workload: empty and complete on 4-6
+    vertices, the 5- and 6-cycles, and two disjoint 3-cycles."""
     families = [digraph(n, edges) for n in (4, 5, 6) for edges in (
         [], [(i, j) for i in range(n) for j in range(n) if i != j]
     )] + [digraph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (5, 6)]
     families.append(digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
-    for M in [M for _, M in corpus] + families:
-        GM = automorphism_group(M)
-        yield M, GM
+    return families
+
+
+def _greedy_cases(corpus, random_structures):
+    """(structure, automorphism group) pairs: the corpus and the
+    iso-symmetric families with their lifts at k = 1, 2, each lift searched
+    from its sort table, and seeded random structures with a function and a
+    constant."""
+    for M in [M for _, M in corpus] + _iso_symmetric_families():
+        yield M, automorphism_group(M)
         for k in (1, 2):
             N = build_lift(M, LiftConfig(k=k))
-            known = [direct_induced(N, g) for g in GM.generators]
-            yield N.structure, automorphism_group(N.structure, sorts=N.sorts.values(), known=known)
+            yield N.structure, automorphism_group(N.structure, sorts=N.sorts.values())
     for M in random_structures:
         yield M, automorphism_group(M)
 
@@ -642,58 +645,101 @@ def test_sorts_that_are_not_a_partition_are_refused(m_triple, sorts, element):
         automorphism_group(m_triple, sorts=sorts)
 
 
-# -- the search seeded with known automorphisms -------------------------------------
+# -- Aut(N) from the lift's rigidity over its base copy --------------------------
 
 
-@pytest.mark.parametrize(
-    "member",
-    [Permutation((1, 0)), Permutation((0, 1, 2)), (1, 0), None],
-    ids=["not-an-automorphism", "wrong-degree", "tuple", "none"],
-)
-def test_known_members_that_are_not_automorphisms_are_refused(m_edge, member):
-    import re
+def _lift_cases(corpus):
+    """(case, lift) pairs: the corpus and the iso-symmetric families at
+    k = 1, 2, and the seeded random structures of test_lifting that have a
+    ternary relation (repetition-free for even seeds), lifted at k = 1, 2
+    with and without repetition tuples."""
+    from test_lifting import _random_relational_structure
 
-    with pytest.raises(GroupError, match=re.escape(repr(member))):
-        automorphism_group(m_edge, known=[Permutation.identity(2), member])
-
-
-def test_seeded_search_matches_the_unseeded_one_on_corpus_lifts(corpus):
-    """Seeded as verify-iso seeds it, with the induced generators of Aut(M)
-    and the lift's sort table, the search finds the generators and the order
-    of the unseeded search, and the order of the backtracking oracle."""
-    from automorphism_oracle import automorphisms
-    from stablelift.lifting import direct_induced
-
-    for name, M in corpus:
-        GM = automorphism_group(M)
+    sources = list(corpus) + [(f"family {i}", M) for i, M in enumerate(_iso_symmetric_families())]
+    for name, M in sources:
         for k in (1, 2):
-            N = build_lift(M, LiftConfig(k=k))
-            seeded = automorphism_group(
-                N.structure,
-                sorts=N.sorts.values(),
-                known=[direct_induced(N, g) for g in GM.generators],
-            )
-            unseeded = automorphism_group(N.structure)
-            assert seeded.generators == unseeded.generators, (name, k)
-            assert seeded.order() == unseeded.order() == len(automorphisms(N.structure)), (name, k)
+            yield (name, k), build_lift(M, LiftConfig(k=k))
+    for seed in range(40):
+        M = _random_relational_structure(seed)
+        if 3 not in dict(M.sig.relations).values():
+            continue
+        for k, repeats in itertools.product((1, 2), (False, True)):
+            config = LiftConfig(k=k, include_repetition_tuples=repeats)
+            yield (f"random {seed}", k, repeats), build_lift(M, config)
 
 
-def test_seeded_search_matches_the_unseeded_one_on_random_structures(random_structures):
-    """Seeded with no member, all of its group, or a random subset of it,
-    the search finds the unseeded search's generators and order."""
-    import random
+def test_certified_group_equals_the_search_on_lifts(corpus):
+    """Every lift is rigid over its base copy, and the group of the induced
+    generators, which lift_automorphism_group then returns, is the plain
+    search's: the same order, each holding the other's generators, and, on
+    sources of at most five elements, the order of the backtracking oracle
+    (the lifts of the 6-vertex families take it seconds each)."""
+    from automorphism_oracle import automorphisms
+    from stablelift.lifting import direct_induced, lift_automorphism_group
 
-    rng = random.Random(53)
-    symmetric = [digraph(n, edges) for n in (3, 4, 5) for edges in (
-        [], [(i, (i + 1) % n) for i in range(n)], [(i, j) for i in range(n) for j in range(n) if i != j]
-    )]
-    digraphs = symmetric + _random_digraphs(61, 30)
-    lifts = [build_lift(M, LiftConfig(k=k)).structure for M in digraphs for k in (1, 2)]
-    cases = digraphs + lifts + random_structures[::4]
-    for M in cases:
-        unseeded = automorphism_group(M)
-        members = unseeded.elements()
-        for known in ([], members, rng.sample(members, rng.randint(1, len(members)))):
-            seeded = automorphism_group(M, known=known)
-            assert seeded.generators == unseeded.generators
-            assert seeded.order() == unseeded.order()
+    for case, N in _lift_cases(corpus):
+        S, M = N.structure, N.source
+        assert rigid_over(S, N.sorts.values(), [N.base_id(a) for a in M.domain]), case
+        GM = automorphism_group(M)
+        induced = [direct_induced(N, g) for g in GM.generators]
+        certified = lift_automorphism_group(N, induced, GM.order(), N.sorts.values())
+        assert certified.generators == PermGroup(induced, S.size).generators, case
+        searched = automorphism_group(S)
+        assert certified.order() == searched.order() == GM.order(), case
+        assert all(g in searched for g in certified.generators), case
+        assert all(g in certified for g in searched.generators), case
+        if M.size <= 5:
+            assert certified.order() == len(automorphisms(S, budget=2_000_000)), case
+
+
+def test_rigidity_needs_the_base_points():
+    # the lift of the empty 3-vertex digraph, Aut = Sym(3): with no point or
+    # one base point fixed, a transposition of two base points survives;
+    # with two fixed the third is alone in its cell, as good as all three
+    for k in (1, 2):
+        N = build_lift(digraph(3, []), LiftConfig(k=k))
+        S, sorts = N.structure, list(N.sorts.values())
+        base = [N.base_id(a) for a in range(3)]
+        assert not rigid_over(S, sorts, [])
+        for a in base:
+            assert not rigid_over(S, sorts, [a])
+            assert rigid_over(S, sorts, [b for b in base if b != a])
+        assert rigid_over(S, sorts, base)
+
+
+@pytest.mark.parametrize("doctor", ["drop", "add"])
+def test_a_lift_that_does_not_encode_its_source_falls_back_to_the_search(monkeypatch, doctor):
+    # the lift of the directed 3-cycle given a source that lost an edge or
+    # gained one: its limit elements project onto the 3-cycle, not onto the
+    # source, so the certificate is not consulted and the search runs
+    from dataclasses import replace
+
+    import stablelift.lifting as lifting
+
+    cycle = [(0, 1), (1, 2), (2, 0)]
+    N = build_lift(digraph(3, cycle), LiftConfig(k=1))
+    GM = automorphism_group(N.source)
+    induced = [lifting.direct_induced(N, g) for g in GM.generators]
+    calls = []
+    monkeypatch.setattr(lifting, "rigid_over", lambda *a: calls.append("rigid_over") or True)
+    monkeypatch.setattr(
+        lifting, "automorphism_group",
+        lambda *a, **kw: calls.append("search") or automorphism_group(*a, **kw),
+    )
+    assert lifting.lift_automorphism_group(N, induced, 3, N.sorts.values()).order() == 3
+    assert calls == ["rigid_over"]
+    calls.clear()
+    edges = cycle[:2] if doctor == "drop" else cycle + [(1, 0)]
+    doctored = replace(N, source=digraph(3, edges))
+    assert lifting.lift_automorphism_group(doctored, induced, 3, N.sorts.values()).order() == 3
+    assert calls == ["search"]
+
+
+def test_an_induced_image_that_is_no_automorphism_is_refused():
+    from stablelift.lifting import LiftError, lift_automorphism_group
+
+    N = build_lift(digraph(3, []), LiftConfig(k=1))
+    swap = list(range(N.structure.size))
+    swap[0], swap[1] = 1, 0
+    with pytest.raises(LiftError, match="^not an automorphism of the lift$"):
+        lift_automorphism_group(N, [Permutation(tuple(swap))], 6, N.sorts.values())
