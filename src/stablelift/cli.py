@@ -226,18 +226,11 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
     # each permutation of M is induced once per call
     lift = functools.cache(lambda g: direct_induced(N, g))
 
-    # Aut(N) from the direct_induced images, each checked once by
-    # is_automorphism; its generators and the stabilizer generators below,
-    # words in them or in the search's, are then projected unchecked.
-    GN = lift_automorphism_group(N, [lift(g) for g in GM.generators], GM.order(), N.sorts.values())
+    # GN is the group of the checked images, of GM's order: they and the
+    # stabilizer generators below, words in them, are projected unchecked
+    GN = lift_automorphism_group(N, [lift(g) for g in GM.generators], GM.order())
     order_M, order_N = GM.order(), GN.order()
-    bijective = order_M == order_N
-    for g in GM.generators:
-        if _restrict_automorphism(N, lift(g)) != g:
-            bijective = False
-    for g in GN.generators:
-        if lift(_restrict_automorphism(N, g)) != g:
-            bijective = False
+    bijective = all(_restrict_automorphism(N, lift(g)) == g for g in GM.generators)
 
     # the members fixing A fix b exactly when the stabilizer's generators do:
     # direct_induced is a homomorphism and the maps fixing b form a subgroup

@@ -133,10 +133,10 @@ class _Chain:
     kept, so a residue never needs a base change; every level from ``depth``
     on has one, and sift strips only the levels above it.
 
-    ``size`` is the group order, or a bound above it, when the caller knows
-    one.  The product of the orbit lengths never exceeds the group order,
-    and reaching ``size`` proves every level complete, so the chain then
-    drops its Schreier generators unsifted: each would sift to the identity."""
+    ``size`` is the group order when the caller knows it.  The product of
+    the orbit lengths never exceeds the order of the group generated, and
+    reaching it proves every level complete, so the chain then drops its
+    Schreier generators unsifted: each would sift to the identity."""
 
     def __init__(self, degree: int, order=None, size: int | None = None):
         self.order = tuple(range(degree)) if order is None else tuple(order)
@@ -255,13 +255,9 @@ def _lex_walk(chain: _Chain):
 
 class PermGroup:
     """A permutation group given by generators, with a stabilizer chain
-    built on first use, which stops at ``order_bound`` if told a bound at or
-    above the group order.  Values are immutable once built."""
+    built on first use.  Values are immutable once built."""
 
-    def __init__(
-        self, generators: list[Permutation] | tuple[Permutation, ...], degree: int,
-        *, order_bound: int | None = None,
-    ):
+    def __init__(self, generators: list[Permutation] | tuple[Permutation, ...], degree: int):
         for g in generators:
             if g.degree != degree:
                 raise GroupError("all generators must share the group's degree")
@@ -269,11 +265,10 @@ class PermGroup:
         self.generators = tuple(sorted(
             {g for g in generators if not g.is_identity()}, key=lambda g: g.images
         ))
-        self._order_bound = order_bound
 
     @functools.cached_property
     def _chain(self) -> _Chain:
-        chain = _Chain(self.degree, size=self._order_bound)
+        chain = _Chain(self.degree)
         for g in self.generators:
             chain.add(g.images)
         return chain
@@ -587,12 +582,6 @@ def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], in
             x = root[x]
         return x
 
-    def merge(pi: Images) -> None:
-        for x in range(n):
-            a, b = find(x), find(pi[x])
-            if a != b:
-                root[max(a, b)] = min(a, b)
-
     gens: list[Images] = []
     order = 1
     for i in reversed(range(len(base))):
@@ -607,10 +596,24 @@ def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], in
                 failed.append(w)
                 continue
             gens.append(pi)
-            merge(pi)
+            for x in range(n):
+                a, b = find(x), find(pi[x])
+                if a != b:
+                    root[max(a, b)] = min(a, b)
         r = find(base[i])
         order *= sum(find(w) == r for w in cell)
     return gens, order
+
+
+def _bounded_group(generators, degree: int, bound: int) -> PermGroup:
+    """PermGroup(generators, degree) with its chain told ``bound``: it stops
+    sifting once its orbits multiply to the bound, so its order is exact
+    only when the group's order is at most the bound."""
+    group = PermGroup(generators, degree)
+    group._chain = _Chain(degree, size=bound)
+    for g in group.generators:
+        group._chain.add(g.images)
+    return group
 
 
 def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:

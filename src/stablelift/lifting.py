@@ -33,7 +33,7 @@ from .formulas import (
     sort_partition,
     tautology,
 )
-from .groups import PermGroup, Permutation, automorphism_group, is_automorphism, rigid_over
+from .groups import PermGroup, Permutation, _bounded_group, is_automorphism, rigid_over
 from .interpretation import InterpretationScheme, SchemeRel, SchemeSort
 from .structures import Signature, Structure, StructureError
 
@@ -451,14 +451,12 @@ def _restrict_automorphism(N: LiftedStructure, pihat: Permutation) -> Permutatio
     return pi
 
 
-def lift_automorphism_group(N: LiftedStructure, induced, order: int, sorts) -> PermGroup:
-    """Aut(N) from the direct_induced images ``induced`` of generators of
-    Aut(M), ``order`` = |Aut(M)|, and blocks ``sorts`` that Aut(N) keeps; an
-    image failing is_automorphism raises LiftError.  If N encodes M on its
-    base copy (each relation is the projection of its limit elements) and is
-    rigid over it, restriction is an injective homomorphism Aut(N) -> Aut(M)
-    with direct_induced as a section, so Aut(N) is the images' group; else
-    the search runs from ``sorts``."""
+def lift_automorphism_group(N: LiftedStructure, induced, order: int) -> PermGroup:
+    """Aut(N) as the group of ``induced``, the direct_induced images of
+    generators of Aut(M), ``order`` = |Aut(M)|; an image that is no
+    automorphism raises LiftError.  N encodes M on its base copy and is rigid
+    over it, so restriction embeds Aut(N) in Aut(M) and images of that order
+    give all of Aut(N); a lift failing any of this is an internal error."""
     S, M = N.structure, N.source
     if not all(is_automorphism(S, g) for g in induced):
         raise LiftError("not an automorphism of the lift")
@@ -467,9 +465,12 @@ def lift_automorphism_group(N: LiftedStructure, induced, order: int, sorts) -> P
          for e in limit_elements(N, rel)} == M.relation_sets[rel]
         for rel, arity in M.sig.relations
     )
-    if encoded and rigid_over(S, sorts, [N.base_id(a) for a in M.domain]):
-        return PermGroup(induced, S.size, order_bound=order)
-    return automorphism_group(S, sorts=sorts)
+    # the bound holds once the checks do: |<induced>| <= |Aut(N)| <= order
+    G = _bounded_group(induced, S.size, order)
+    if not (encoded and rigid_over(S, N.sorts.values(), map(N.base_id, M.domain))
+            and G.order() == order):
+        raise LiftError("the induced images are not certified to be Aut(N) (internal error)")
+    return G
 
 
 def continuity_witness(N: LiftedStructure, B) -> frozenset[int]:

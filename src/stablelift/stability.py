@@ -319,11 +319,10 @@ def stability_report(
     in source coordinates and land inside the base copy of each lift, built
     with ``LiftConfig(k=k)``.  Type counts are ``qf_type_census`` at depth
     1: the parameter-free census is built once per lift, and each parameter
-    set adds only the atoms that mention a parameter.  lift_automorphism_group
-    gives each lift's group from that census's blocks (parameter-free, and
-    finer than the sorts).  An empty list of copy bounds or of
-    parameter sets raises StabilityError: such a census would pass with
-    nothing checked."""
+    set adds only the atoms that mention a parameter.  Each lift's group is
+    lift_automorphism_group's, from the images of Aut(M)'s generators.  An
+    empty list of copy bounds or of parameter sets raises StabilityError:
+    such a census would pass with nothing checked."""
     ks = list(ks)
     As = [tuple(sorted(set(A_src))) for A_src in As]
     if not ks or not As:
@@ -342,7 +341,7 @@ def stability_report(
         N = build_lift(M, LiftConfig(k=k))
         table = _census_table(N.structure, 1)
         induced = [direct_induced(N, g) for g in group_M.generators]
-        group_N = lift_automorphism_group(N, induced, group_M.order(), table.blocks)
+        group_N = lift_automorphism_group(N, induced, group_M.order())
         for A_src in As:
             A = tuple(N.base_id(a) for a in A_src)
             if A_src not in sources:

@@ -132,6 +132,18 @@ def test_verify_iso_refuses_an_induced_map_that_is_no_automorphism(capsys, tmp_p
     assert (code, out, err) == (2, "", "error: not an automorphism of the lift\n")
 
 
+@pytest.mark.parametrize("argv", [("verify-iso",), ("report", "--ks", "1,2")])
+def test_a_lift_failing_its_rigidity_certificate_exits_2(capsys, edge_file, monkeypatch, argv):
+    # neither subcommand searches the lift, so a lift the certificate does
+    # not cover is an internal error, not a second way to the group
+    import stablelift.lifting as lifting
+
+    monkeypatch.setattr(lifting, "rigid_over", lambda *a: False)
+    code, out, err = run(capsys, argv[0], "--in", edge_file, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" (internal error)\n")
+
+
 def test_verify_iso_induces_each_permutation_once(capsys, tmp_path, monkeypatch):
     # the generators of Aut(M), the projections of Aut(N)'s generators and
     # the stabilizer generators repeat one another; each is induced once

@@ -682,7 +682,7 @@ def test_certified_group_equals_the_search_on_lifts(corpus):
         assert rigid_over(S, N.sorts.values(), [N.base_id(a) for a in M.domain]), case
         GM = automorphism_group(M)
         induced = [direct_induced(N, g) for g in GM.generators]
-        certified = lift_automorphism_group(N, induced, GM.order(), N.sorts.values())
+        certified = lift_automorphism_group(N, induced, GM.order())
         assert certified.generators == PermGroup(induced, S.size).generators, case
         searched = automorphism_group(S)
         assert certified.order() == searched.order() == GM.order(), case
@@ -708,10 +708,10 @@ def test_rigidity_needs_the_base_points():
 
 
 @pytest.mark.parametrize("doctor", ["drop", "add"])
-def test_a_lift_that_does_not_encode_its_source_falls_back_to_the_search(monkeypatch, doctor):
+def test_a_lift_that_does_not_encode_its_source_is_an_internal_error(doctor):
     # the lift of the directed 3-cycle given a source that lost an edge or
     # gained one: its limit elements project onto the 3-cycle, not onto the
-    # source, so the certificate is not consulted and the search runs
+    # source, so it is refused, rigid over its base as it is
     from dataclasses import replace
 
     import stablelift.lifting as lifting
@@ -720,19 +720,22 @@ def test_a_lift_that_does_not_encode_its_source_falls_back_to_the_search(monkeyp
     N = build_lift(digraph(3, cycle), LiftConfig(k=1))
     GM = automorphism_group(N.source)
     induced = [lifting.direct_induced(N, g) for g in GM.generators]
-    calls = []
-    monkeypatch.setattr(lifting, "rigid_over", lambda *a: calls.append("rigid_over") or True)
-    monkeypatch.setattr(
-        lifting, "automorphism_group",
-        lambda *a, **kw: calls.append("search") or automorphism_group(*a, **kw),
-    )
-    assert lifting.lift_automorphism_group(N, induced, 3, N.sorts.values()).order() == 3
-    assert calls == ["rigid_over"]
-    calls.clear()
+    assert lifting.lift_automorphism_group(N, induced, 3).order() == 3
     edges = cycle[:2] if doctor == "drop" else cycle + [(1, 0)]
     doctored = replace(N, source=digraph(3, edges))
-    assert lifting.lift_automorphism_group(doctored, induced, 3, N.sorts.values()).order() == 3
-    assert calls == ["search"]
+    with pytest.raises(lifting.LiftError, match=r"\(internal error\)$"):
+        lifting.lift_automorphism_group(doctored, induced, 3)
+
+
+def test_images_generating_a_proper_subgroup_are_an_internal_error():
+    # the images of one transposition of Sym(3) are automorphisms of the
+    # lift, but they generate a group of order 2, not |Aut(M)| = 6
+    from stablelift.lifting import LiftError, direct_induced, lift_automorphism_group
+
+    N = build_lift(digraph(3, []), LiftConfig(k=1))
+    induced = [direct_induced(N, Permutation((1, 0, 2)))]
+    with pytest.raises(LiftError, match=r"\(internal error\)$"):
+        lift_automorphism_group(N, induced, 6)
 
 
 def test_an_induced_image_that_is_no_automorphism_is_refused():
@@ -742,4 +745,4 @@ def test_an_induced_image_that_is_no_automorphism_is_refused():
     swap = list(range(N.structure.size))
     swap[0], swap[1] = 1, 0
     with pytest.raises(LiftError, match="^not an automorphism of the lift$"):
-        lift_automorphism_group(N, [Permutation(tuple(swap))], 6, N.sorts.values())
+        lift_automorphism_group(N, [Permutation(tuple(swap))], 6)
