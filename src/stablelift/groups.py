@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .formulas import sort_partition
@@ -58,7 +57,6 @@ __all__ = [
     "pointwise_stabilizers",
     "is_automorphism",
     "automorphism_group",
-    "rigid_over",
 ]
 
 
@@ -499,15 +497,14 @@ def _refine(adj, lab: list[int], cell_of: list[int], size: dict[int, int], queue
                 pos += len(frag)
 
 
-def _root_partition(M: Structure, adj, sorts=None):
-    """The root of the search: the blocks of ``sorts`` as cells in their
-    order, by default the sorts of M in sort_partition's block order,
-    refined until equitable.  Every automorphism preserves each block, so
-    it fixes this ordered partition."""
+def _root_partition(M: Structure, adj):
+    """The root of the search: the sorts of M as cells in sort_partition's
+    block order, refined until equitable.  Every automorphism preserves
+    each sort, so it fixes this ordered partition."""
     lab: list[int] = []
     cell_of = [0] * M.size
     size: dict[int, int] = {}
-    for block in sort_partition(M).values() if sorts is None else sorts:
+    for block in sort_partition(M).values():
         s = len(lab)
         size[s] = len(block)
         for x in block:
@@ -539,7 +536,7 @@ def _target_cell(node) -> list[int]:
     return sorted(lab[s:s + size[s]])
 
 
-def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], int]:
+def _automorphism_generators(M: Structure) -> tuple[list[Images], int]:
     """Generators of Aut(M) from an individualization-refinement search,
     and |Aut(M)|: at most one automorphism per point of each fundamental
     orbit of the search's base, each confirmed by is_automorphism at its
@@ -549,7 +546,7 @@ def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], in
     adj = _adjacency(M)
 
     # first path: individualize the least element of the first open cell
-    path = [_root_partition(M, adj, sorts)]
+    path = [_root_partition(M, adj)]
     base: list[int] = []
     while len(path[-1][2]) < n:
         v = _target_cell(path[-1])[0]
@@ -605,38 +602,13 @@ def _automorphism_generators(M: Structure, sorts=None) -> tuple[list[Images], in
     return gens, order
 
 
-def _bounded_group(generators, degree: int, bound: int) -> PermGroup:
-    """PermGroup(generators, degree) with its chain told ``bound``: it stops
-    sifting once its orbits multiply to the bound, so its order is exact
-    only when the group's order is at most the bound."""
-    group = PermGroup(generators, degree)
-    group._chain = _Chain(degree, size=bound)
-    for g in group.generators:
-        group._chain.add(g.images)
-    return group
-
-
-def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:
+def automorphism_group(M: Structure) -> PermGroup:
     """The full automorphism group as a PermGroup.
-
-    The search starts from ``sorts`` if given (blocks partitioning M's
-    domain, each mapped onto itself by every automorphism), else from
-    sort_partition's blocks.  Leaves are still confirmed by is_automorphism,
-    so a wrong partition can only lose automorphisms, never add one.  A
-    ``sorts`` that is not a partition raises GroupError naming an element.
 
     The generating set is the greedy lexicographic one: each generator is
     the lex-least automorphism outside the group the earlier ones generate
     (what sifting every automorphism in lex order would keep)."""
-    if sorts is not None:
-        sorts = [block for block in sorts if len(block)]
-        count = Counter(x for block in sorts for x in block)
-        for x in itertools.chain(count, range(M.size)):
-            if count[x] != 1 or x not in range(M.size):
-                raise GroupError(
-                    f"sorts is not a partition of 0..{M.size - 1}: {x!r} occurs {count[x]} times"
-                )
-    found, order = _automorphism_generators(M, sorts)
+    found, order = _automorphism_generators(M)
     G = _Chain(M.size, size=order)
     for g in found:
         G.add(g)
@@ -662,13 +634,3 @@ def automorphism_group(M: Structure, *, sorts=None) -> PermGroup:
     group._chain = G
     return group
 
-
-def rigid_over(M: Structure, sorts, points) -> bool:
-    """Whether refining the blocks of ``sorts``, each of ``points`` split off
-    first as a singleton, is discrete: refinement commutes with
-    automorphisms, so then only the identity keeps every block and fixes
-    every point (McKay 1981; McKay & Piperno 2014)."""
-    fixed = set(points)
-    rest = [[x for x in block if x not in fixed] for block in sorts]
-    blocks = [(x,) for x in sorted(fixed)] + [block for block in rest if block]
-    return len(_root_partition(M, _adjacency(M), blocks)[2]) == M.size

@@ -33,7 +33,7 @@ from .formulas import (
     sort_partition,
     tautology,
 )
-from .groups import PermGroup, Permutation, _bounded_group, is_automorphism, rigid_over
+from .groups import PermGroup, Permutation, is_automorphism
 from .interpretation import InterpretationScheme, SchemeRel, SchemeSort
 from .structures import Signature, Structure, StructureError
 
@@ -426,11 +426,10 @@ def direct_induced(N: LiftedStructure, pi: Permutation) -> Permutation:
 
 def project_automorphism(N: LiftedStructure, pihat: Permutation) -> Permutation:
     """Restrict a lift automorphism to the base copy, re-indexed to the
-    source domain.  Together with direct_induced this is a bijection between
-    the two automorphism groups.  pihat is checked to be an automorphism of
-    the lift first; callers holding known members of Aut(N), such as the
-    generators of lift_automorphism_group, may use _restrict_automorphism,
-    which skips only that check."""
+    source domain: pihat's image of a is pihat(1 + a) - 1.  Together with
+    direct_induced this is a bijection between the two automorphism groups.
+    pihat is checked to be an automorphism of the lift first;
+    _restrict_automorphism skips only that check."""
     if not is_automorphism(N.structure, pihat):
         raise LiftError("not an automorphism of the lift")
     return _restrict_automorphism(N, pihat)
@@ -451,26 +450,52 @@ def _restrict_automorphism(N: LiftedStructure, pihat: Permutation) -> Permutatio
     return pi
 
 
-def lift_automorphism_group(N: LiftedStructure, induced, order: int) -> PermGroup:
-    """Aut(N) as the group of ``induced``, the direct_induced images of
-    generators of Aut(M), ``order`` = |Aut(M)|; an image that is no
-    automorphism raises LiftError.  N encodes M on its base copy and is rigid
-    over it, so restriction embeds Aut(N) in Aut(M) and images of that order
-    give all of Aut(N); a lift failing any of this is an internal error."""
+def _rigid_over_base(N: LiftedStructure) -> bool:
+    """Whether only the identity of Aut(N) fixes the base copy pointwise,
+    read off the lift's own coordinates.  Such an automorphism fixes the
+    anchor too, and carries every other element e to one with the same
+    fiber predicates, fixed by the same copy selectors and, since it
+    commutes with the projections, with e's projection values wherever
+    those lie in the anchor or the base copy.  So it is the identity when
+    each such element has its projection values there and no two share
+    all three."""
+    S, rels = N.structure, N.source.sig.relations
+    fixed = {S.constants[ANCHOR_NAME], *(e for (e,) in S.relation_sets[BASE_NAME])}
+    predicates = [S.relation_sets[fiber_predicate(rel)] for rel, _ in rels]
+    selectors = [S.functions[copy_function(rel, j)] for rel, _ in rels for j in range(N.config.k)]
+    projections = [S.functions[projection_function(rel, t)] for rel, n in rels for t in range(n)]
+    rest = [e for e in S.domain if e not in fixed]
+    names = set()
+    for e in rest:
+        values = tuple(p[e] for p in projections)
+        if not fixed.issuperset(values):
+            return False
+        names.add((tuple((e,) in P for P in predicates), tuple(f[e] == e for f in selectors),
+                   values))
+    return len(names) == len(rest)
+
+
+def lift_automorphism_group(N: LiftedStructure, generators, images) -> PermGroup:
+    """Aut(N) as the group of ``images``, the direct_induced images of
+    ``generators``, which generate Aut(M); an image that is no automorphism
+    raises LiftError.  N encodes M on its base copy and only the identity
+    fixes that copy, so restriction embeds Aut(N) in Aut(M); each image
+    restricts to its generator, so the images' group maps onto Aut(M) and
+    is all of Aut(N).  A lift failing any of this is an internal error.
+    The group's chain is built on first use."""
     S, M = N.structure, N.source
-    if not all(is_automorphism(S, g) for g in induced):
+    if not all(is_automorphism(S, g) for g in images):
         raise LiftError("not an automorphism of the lift")
     encoded = S.relation_sets[BASE_NAME] == {(N.base_id(a),) for a in M.domain} and all(
         {tuple(S.functions[projection_function(rel, t)][e] - 1 for t in range(arity))
          for e in limit_elements(N, rel)} == M.relation_sets[rel]
         for rel, arity in M.sig.relations
     )
-    # the bound holds once the checks do: |<induced>| <= |Aut(N)| <= order
-    G = _bounded_group(induced, S.size, order)
-    if not (encoded and rigid_over(S, N.sorts.values(), map(N.base_id, M.domain))
-            and G.order() == order):
+    if not (encoded and _rigid_over_base(N) and all(
+        _restrict_automorphism(N, h) == g for g, h in zip(generators, images, strict=True)
+    )):
         raise LiftError("the induced images are not certified to be Aut(N) (internal error)")
-    return G
+    return PermGroup(images, S.size)
 
 
 def continuity_witness(N: LiftedStructure, B) -> frozenset[int]:

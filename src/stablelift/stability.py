@@ -320,9 +320,9 @@ def stability_report(
     with ``LiftConfig(k=k)``.  Type counts are ``qf_type_census`` at depth
     1: the parameter-free census is built once per lift, and each parameter
     set adds only the atoms that mention a parameter.  Each lift's group is
-    lift_automorphism_group's, from the images of Aut(M)'s generators.  An
-    empty list of copy bounds or of parameter sets raises StabilityError:
-    such a census would pass with nothing checked."""
+    lift_automorphism_group's, the images of Aut(M)'s generators certified
+    to generate Aut(N).  An empty list of copy bounds or of parameter sets
+    raises StabilityError: such a census would pass with nothing checked."""
     ks = list(ks)
     As = [tuple(sorted(set(A_src))) for A_src in As]
     if not ks or not As:
@@ -341,7 +341,7 @@ def stability_report(
         N = build_lift(M, LiftConfig(k=k))
         table = _census_table(N.structure, 1)
         induced = [direct_induced(N, g) for g in group_M.generators]
-        group_N = lift_automorphism_group(N, induced, group_M.order())
+        group_N = lift_automorphism_group(N, group_M.generators, induced)
         for A_src in As:
             A = tuple(N.base_id(a) for a in A_src)
             if A_src not in sources:

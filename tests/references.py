@@ -15,13 +15,17 @@ faster or checks another way, and tests compare the two:
 - ``check_classical_interpretation`` checks a single-sorted interpretation
   by brute-force invariance under the host's automorphism group;
 - ``standard_corpus`` is every digraph on at most a few vertices, the
-  corpus of the acceptance criteria and the golden CLI reports.
+  corpus of the acceptance criteria and the golden CLI reports;
+- ``rigid_over`` certifies that only the identity fixes given points by
+  refining from them, the reference for the lift's coordinate certificate
+  ``lifting._rigid_over_base``.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from refinement_oracle import root_partition, view_tables
 from stablelift.corpus import exhaustive_digraphs
 from stablelift.formulas import AtomicType, Formula, FormulaError, atomic_formula_basis, eval_formula
 from stablelift.groups import (
@@ -180,3 +184,15 @@ def standard_corpus(max_size: int = 3) -> list[tuple[str, Structure]]:
     for size in range(1, max_size + 1):
         out.extend(exhaustive_digraphs(size))
     return out
+
+
+def rigid_over(M: Structure, sorts, points) -> bool:
+    """Whether refining the blocks of ``sorts``, each of ``points`` split off
+    first as a singleton, is discrete: refinement commutes with
+    automorphisms, so then only the identity keeps every block and fixes
+    every point (McKay 1981; McKay & Piperno 2014).  Built on the plain
+    refinement of refinement_oracle, it shares no code with the library."""
+    fixed = set(points)
+    rest = [[x for x in block if x not in fixed] for block in sorts]
+    blocks = [[x] for x in sorted(fixed)] + [block for block in rest if block]
+    return len(root_partition(M, view_tables(M), blocks)[2]) == M.size

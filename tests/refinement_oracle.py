@@ -83,17 +83,24 @@ def refine(tables, lab, cell_of, size, queue) -> None:
                 pos += len(frag)
 
 
-def root_partition(M, tables, sorts=None):
-    """The blocks of ``sorts`` (by default M's sorts) as cells in their
-    order, refined with every cell queued."""
+def partition(n: int, blocks):
+    """The unrefined node with ``blocks``, a partition of 0..n-1, as cells
+    in their order."""
     lab: list[int] = []
-    cell_of = [0] * M.size
+    cell_of = [0] * n
     size: dict[int, int] = {}
-    for block in sort_partition(M).values() if sorts is None else sorts:
+    for block in blocks:
         size[len(lab)] = len(block)
         for x in block:
             cell_of[x] = len(lab)
         lab += block
+    return lab, cell_of, size
+
+
+def root_partition(M, tables, sorts=None):
+    """The blocks of ``sorts`` (by default M's sorts) as cells in their
+    order, refined with every cell queued."""
+    lab, cell_of, size = partition(M.size, sort_partition(M).values() if sorts is None else sorts)
     refine(tables, lab, cell_of, size, sorted(size))
     return lab, cell_of, size
 

@@ -78,43 +78,44 @@ def test_verify_iso_reports_a_continuity_failure(capsys, pair_file, monkeypatch)
 
 def test_verify_iso_reports_a_broken_projection(capsys, pair_file, monkeypatch):
     # projecting every member of Aut(N) to the identity breaks the round trip
-    # of the lift's swap, and fixes every source point
-    monkeypatch.setattr(cli, "_restrict_automorphism",
+    # of the lift's swap: the section check fails, an internal error
+    import stablelift.lifting as lifting
+
+    monkeypatch.setattr(lifting, "_restrict_automorphism",
                         lambda N, g: Permutation.identity(N.source.size))
-    code, out, _ = run(capsys, "verify-iso", "--in", pair_file, "--k", "1")
-    assert code == 1
-    assert json.loads(out) == {
-        "order_M": 2,
-        "order_N": 2,
-        "bijective": False,
-        "continuity_witnesses": "pass",
-    }
+    code, out, err = run(capsys, "verify-iso", "--in", pair_file, "--k", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" (internal error)\n")
 
 
-def test_verify_iso_reports_a_lift_side_continuity_failure(capsys, pair_file, monkeypatch):
-    # all of Aut(N) in place of a base point's stabilizer, the source side
-    # (degree 2) left alone: the lift's swap moves the base point
-    stabilizers = cli.pointwise_stabilizers
+def test_verify_iso_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
+    # the certificate stands for Aut(N): every stabilizer chain verify-iso
+    # builds is on the source's degree
+    import stablelift.groups as groups
 
-    def unfixed_on_the_lift(G, supports):
-        derived = stabilizers(G, supports)
-        return derived if G.degree == 2 else {A: G.generators for A in derived}
+    path = tmp_path / "complete.json"
+    path.write_text(
+        structure_to_json(digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])),
+        encoding="utf-8",
+    )
+    chain = groups._Chain
+    degrees = []
 
-    monkeypatch.setattr(cli, "pointwise_stabilizers", unfixed_on_the_lift)
-    code, out, _ = run(capsys, "verify-iso", "--in", pair_file, "--k", "1")
-    assert code == 1
-    assert json.loads(out) == {
-        "order_M": 2,
-        "order_N": 2,
-        "bijective": True,
-        "continuity_witnesses": "fail",
-    }
+    def spying(n, *args, **kwargs):
+        degrees.append(n)
+        return chain(n, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "_Chain", spying)
+    code, out, _ = run(capsys, "verify-iso", "--in", str(path), "--k", "2")
+    assert code == 0
+    assert json.loads(out)["order_N"] == 6
+    assert degrees and set(degrees) == {3}
 
 
 def test_verify_iso_refuses_an_induced_map_that_is_no_automorphism(capsys, tmp_path, monkeypatch):
     # the image of the generator (0 2 1) of Sym(3) with the anchor and the
-    # first base element swapped: re-checked before it is projected or seeds
-    # the search on the lift, it is an input error naming the lift
+    # first base element swapped: re-checked before it is projected or
+    # certified, it is an input error naming the lift
     path = tmp_path / "triple.json"
     path.write_text(structure_to_json(digraph(3, [])), encoding="utf-8")
     induced = cli.direct_induced
@@ -138,15 +139,15 @@ def test_a_lift_failing_its_rigidity_certificate_exits_2(capsys, edge_file, monk
     # not cover is an internal error, not a second way to the group
     import stablelift.lifting as lifting
 
-    monkeypatch.setattr(lifting, "rigid_over", lambda *a: False)
+    monkeypatch.setattr(lifting, "_rigid_over_base", lambda N: False)
     code, out, err = run(capsys, argv[0], "--in", edge_file, *argv[1:])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(" (internal error)\n")
 
 
 def test_verify_iso_induces_each_permutation_once(capsys, tmp_path, monkeypatch):
-    # the generators of Aut(M), the projections of Aut(N)'s generators and
-    # the stabilizer generators repeat one another; each is induced once
+    # the generators of Aut(M) and the stabilizer generators repeat one
+    # another; each is induced once
     path = tmp_path / "complete.json"
     path.write_text(
         structure_to_json(digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])),

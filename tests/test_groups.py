@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import stabilizer_oracle
-from references import automorphism_group_brute, greedy_lex_generators
+from references import automorphism_group_brute, greedy_lex_generators, rigid_over
 from stablelift.corpus import digraph
 from stablelift.groups import (
     GroupError,
@@ -17,7 +17,6 @@ from stablelift.groups import (
     orbits_on_tuples,
     pointwise_stabilizer,
     pointwise_stabilizers,
-    rigid_over,
 )
 from stablelift.lifting import LiftConfig, build_lift
 
@@ -499,14 +498,13 @@ def _iso_symmetric_families():
 
 def _greedy_cases(corpus, random_structures):
     """(structure, automorphism group) pairs: the corpus and the
-    iso-symmetric families with their lifts at k = 1, 2, each lift searched
-    from its sort table, and seeded random structures with a function and a
-    constant."""
+    iso-symmetric families with their lifts at k = 1, 2, and seeded random
+    structures with a function and a constant."""
     for M in [M for _, M in corpus] + _iso_symmetric_families():
         yield M, automorphism_group(M)
         for k in (1, 2):
-            N = build_lift(M, LiftConfig(k=k))
-            yield N.structure, automorphism_group(N.structure, sorts=N.sorts.values())
+            S = build_lift(M, LiftConfig(k=k)).structure
+            yield S, automorphism_group(S)
     for M in random_structures:
         yield M, automorphism_group(M)
 
@@ -574,16 +572,22 @@ def _cells(node):
 def test_root_partition_refines_the_sorts_and_is_equitable(type_structures):
     from collections import Counter
 
+    import refinement_oracle
     from stablelift.formulas import sort_partition
-    from stablelift.groups import _adjacency, _root_partition
+    from stablelift.groups import _adjacency, _refine, _root_partition
     from stablelift.stability import _census_table
 
     for M in type_structures:
         adj = _adjacency(M)
         views = _views_per_position_pair(M)
-        # from the sorts, and from the depth-1 census blocks the report uses
+        # from the sorts, and refined from the depth-1 census blocks
         for sorts in (None, _census_table(M, 1).blocks):
-            lab, cell_of, size = node = _root_partition(M, adj, sorts)
+            if sorts is None:
+                node = _root_partition(M, adj)
+            else:
+                node = refinement_oracle.partition(M.size, sorts)
+                _refine(adj, *node, sorted(node[2]))
+            lab, cell_of, size = node
             cells = _cells(node)
             assert sorted(lab) == list(M.domain)
             assert all(cell_of[x] == s for s, k in size.items() for x in lab[s:s + k])
@@ -611,41 +615,7 @@ def test_root_partition_splits_by_degree_within_a_sort():
     assert sorted(map(sorted, _cells(node))) == [[0], [1], [2], [3]]
 
 
-@pytest.mark.hashseed
-def test_search_from_given_sorts_matches_the_default(corpus, type_structures):
-    """Started from any partition that every automorphism preserves, the
-    search finds the group it finds from the sorts, with the same greedy
-    lex generators: the depth-1 census blocks that stability_report passes
-    for a lift, the group's own orbits, and the whole domain as one block."""
-    from stablelift.stability import _census_table
-
-    cases = [
-        (N, _census_table(N, 1).blocks)
-        for N in (build_lift(M, LiftConfig(k=k)).structure for _, M in corpus for k in (1, 2, 3))
-    ]
-    for M in type_structures:
-        cases += [
-            (M, _census_table(M, 1).blocks),
-            (M, orbits(automorphism_group(M), M.domain)),
-            (M, [list(M.domain)]),
-        ]
-    for M, sorts in cases:
-        default, seeded = automorphism_group(M), automorphism_group(M, sorts=sorts)
-        assert seeded.generators == default.generators
-        assert seeded.order() == default.order()
-
-
-@pytest.mark.parametrize(
-    "sorts, element",
-    [([(0, 1)], 2), ([(0, 1), (1, 2)], 1), ([(0, 1, 2), (3,)], 3)],
-    ids=["missing", "repeated", "outside"],
-)
-def test_sorts_that_are_not_a_partition_are_refused(m_triple, sorts, element):
-    with pytest.raises(GroupError, match=rf": {element} occurs"):
-        automorphism_group(m_triple, sorts=sorts)
-
-
-# -- Aut(N) from the lift's rigidity over its base copy --------------------------
+# -- Aut(N) from the lift's coordinates over its base copy -----------------------
 
 
 def _lift_cases(corpus):
@@ -669,20 +639,23 @@ def _lift_cases(corpus):
 
 
 def test_certified_group_equals_the_search_on_lifts(corpus):
-    """Every lift is rigid over its base copy, and the group of the induced
-    generators, which lift_automorphism_group then returns, is the plain
-    search's: the same order, each holding the other's generators, and, on
-    sources of at most five elements, the order of the backtracking oracle
-    (the lifts of the 6-vertex families take it seconds each)."""
+    """On every lift both certificates hold: the coordinate names and the
+    reference refinement from the sort table with the base points split
+    off.  The group of the induced generators, which
+    lift_automorphism_group returns, is the plain search's: the same order,
+    each holding the other's generators, and, on sources of at most five
+    elements, the order of the backtracking oracle (the lifts of the
+    6-vertex families take it seconds each)."""
     from automorphism_oracle import automorphisms
-    from stablelift.lifting import direct_induced, lift_automorphism_group
+    from stablelift.lifting import _rigid_over_base, direct_induced, lift_automorphism_group
 
     for case, N in _lift_cases(corpus):
         S, M = N.structure, N.source
+        assert _rigid_over_base(N), case
         assert rigid_over(S, N.sorts.values(), [N.base_id(a) for a in M.domain]), case
         GM = automorphism_group(M)
         induced = [direct_induced(N, g) for g in GM.generators]
-        certified = lift_automorphism_group(N, induced, GM.order())
+        certified = lift_automorphism_group(N, GM.generators, induced)
         assert certified.generators == PermGroup(induced, S.size).generators, case
         searched = automorphism_group(S)
         assert certified.order() == searched.order() == GM.order(), case
@@ -693,9 +666,10 @@ def test_certified_group_equals_the_search_on_lifts(corpus):
 
 
 def test_rigidity_needs_the_base_points():
-    # the lift of the empty 3-vertex digraph, Aut = Sym(3): with no point or
-    # one base point fixed, a transposition of two base points survives;
-    # with two fixed the third is alone in its cell, as good as all three
+    # the reference certificate on the lift of the empty 3-vertex digraph,
+    # Aut = Sym(3): with no point or one base point fixed, a transposition
+    # of two base points survives; with two fixed the third is alone in its
+    # cell, as good as all three
     for k in (1, 2):
         N = build_lift(digraph(3, []), LiftConfig(k=k))
         S, sorts = N.structure, list(N.sorts.values())
@@ -705,6 +679,51 @@ def test_rigidity_needs_the_base_points():
             assert not rigid_over(S, sorts, [a])
             assert rigid_over(S, sorts, [b for b in base if b != a])
         assert rigid_over(S, sorts, base)
+
+
+def _with_projections(N, doctor):
+    """N with each projection function's images replaced by doctor(images)."""
+    from dataclasses import replace
+
+    from stablelift.lifting import projection_function
+
+    S = N.structure
+    functions = dict(S.functions)
+    for rel, arity in N.source.sig.relations:
+        for t in range(arity):
+            name = projection_function(rel, t)
+            functions[name] = doctor(functions[name])
+    return replace(N, structure=replace(S, functions=functions))
+
+
+def test_a_lift_with_flattened_projections_fails_both_certificates():
+    # every projection sent to the anchor: fibers over different tuples of
+    # the empty 3-vertex digraph's lift are then alike, and swapping two
+    # whole fibers is an automorphism that fixes the base copy
+    from stablelift.lifting import _rigid_over_base
+
+    for k in (1, 2):
+        N = _with_projections(build_lift(digraph(3, []), LiftConfig(k=k)), lambda f: (0,) * len(f))
+        S, M = N.structure, N.source
+        base = [N.base_id(a) for a in M.domain]
+        assert not _rigid_over_base(N)
+        assert not rigid_over(S, N.sorts.values(), base)
+        assert pointwise_stabilizer(automorphism_group(S), base).order() > 1
+
+
+def test_a_projection_onto_a_fiber_element_is_refused():
+    # one fiber element of the 3-cycle's lift projects to another fiber
+    # element, which an automorphism fixing the base copy might move
+    from stablelift.lifting import _rigid_over_base, fiber_predicate
+
+    N = build_lift(digraph(3, [(0, 1), (1, 2), (2, 0)]), LiftConfig(k=1))
+    first, second = sorted(e for (e,) in N.structure.relation_sets[fiber_predicate("edge")])[:2]
+
+    def onto_a_fiber(images):
+        return images[:first] + (second,) + images[first + 1:]
+
+    assert _rigid_over_base(N)
+    assert not _rigid_over_base(_with_projections(N, onto_a_fiber))
 
 
 @pytest.mark.parametrize("doctor", ["drop", "add"])
@@ -720,22 +739,36 @@ def test_a_lift_that_does_not_encode_its_source_is_an_internal_error(doctor):
     N = build_lift(digraph(3, cycle), LiftConfig(k=1))
     GM = automorphism_group(N.source)
     induced = [lifting.direct_induced(N, g) for g in GM.generators]
-    assert lifting.lift_automorphism_group(N, induced, 3).order() == 3
+    assert lifting.lift_automorphism_group(N, GM.generators, induced).order() == 3
     edges = cycle[:2] if doctor == "drop" else cycle + [(1, 0)]
     doctored = replace(N, source=digraph(3, edges))
     with pytest.raises(lifting.LiftError, match=r"\(internal error\)$"):
-        lifting.lift_automorphism_group(doctored, induced, 3)
+        lifting.lift_automorphism_group(doctored, GM.generators, induced)
 
 
 def test_images_generating_a_proper_subgroup_are_an_internal_error():
-    # the images of one transposition of Sym(3) are automorphisms of the
-    # lift, but they generate a group of order 2, not |Aut(M)| = 6
+    # the images of Sym(3)'s generators with the first image repeated in
+    # place of the others: automorphisms of the lift, but they generate a
+    # group of order 2, not |Aut(M)| = 6, since they do not restrict to
+    # their generators
     from stablelift.lifting import LiftError, direct_induced, lift_automorphism_group
 
     N = build_lift(digraph(3, []), LiftConfig(k=1))
-    induced = [direct_induced(N, Permutation((1, 0, 2)))]
+    generators = automorphism_group(N.source).generators
+    assert len(generators) == 2
+    induced = [direct_induced(N, generators[0])] * len(generators)
     with pytest.raises(LiftError, match=r"\(internal error\)$"):
-        lift_automorphism_group(N, induced, 6)
+        lift_automorphism_group(N, generators, induced)
+
+
+def test_images_and_generators_are_paired_one_to_one():
+    from stablelift.lifting import direct_induced, lift_automorphism_group
+
+    N = build_lift(digraph(3, []), LiftConfig(k=1))
+    generators = automorphism_group(N.source).generators
+    induced = [direct_induced(N, g) for g in generators]
+    with pytest.raises(ValueError, match="zip"):
+        lift_automorphism_group(N, generators, induced[:1])
 
 
 def test_an_induced_image_that_is_no_automorphism_is_refused():
@@ -745,4 +778,4 @@ def test_an_induced_image_that_is_no_automorphism_is_refused():
     swap = list(range(N.structure.size))
     swap[0], swap[1] = 1, 0
     with pytest.raises(LiftError, match="^not an automorphism of the lift$"):
-        lift_automorphism_group(N, [Permutation(tuple(swap))], 6)
+        lift_automorphism_group(N, [Permutation((1, 0, 2))], [Permutation(tuple(swap))])

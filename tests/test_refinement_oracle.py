@@ -15,6 +15,7 @@ from stablelift.groups import (
     Permutation,
     _adjacency,
     _individualize,
+    _refine,
     _root_partition,
     automorphism_group,
     is_automorphism,
@@ -33,9 +34,13 @@ def test_refinement_gives_the_reference_cells_at_the_root_and_its_children(
     children = 0
     for M in type_structures + random_structures:
         adj, tables = _adjacency(M), reference.view_tables(M)
-        # from the sorts, and from the depth-1 census blocks the report uses
+        # from the sorts, and from the depth-1 census blocks
         for sorts in (None, _census_table(M, 1).blocks):
-            root = _root_partition(M, adj, sorts)
+            if sorts is None:
+                root = _root_partition(M, adj)
+            else:
+                root = reference.partition(M.size, sorts)
+                _refine(adj, *root, sorted(root[2]))
             expected = reference.root_partition(M, tables, sorts)
             assert reference.cell_set(root) == reference.cell_set(expected)
             lab, _, size = root
