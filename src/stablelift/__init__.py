@@ -32,7 +32,6 @@ from .groups import (
     GroupError,
     orbits,
     pointwise_stabilizer,
-    pointwise_stabilizers,
     is_automorphism,
     automorphism_group,
 )

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .corpus import exhaustive_digraphs, random_digraph
-from .groups import GroupError, automorphism_group, pointwise_stabilizers
+from .groups import GroupError, automorphism_group, pointwise_stabilizer
 from .interpretation import (
     SchemeError,
     negate_translation,
@@ -31,11 +31,11 @@ from .lifting import (
     LiftError,
     PaddingAssignment,
     build_lift,
+    certify_induced_group,
     continuity_witness,
     direct_induced,
     generate_scheme,
     limit_elements,
-    lift_automorphism_group,
     padding_triples,
 )
 from .stability import (
@@ -222,25 +222,11 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
     M = _load_structure(args.infile, args.max_size)
     N = build_lift(M, _lift_config(args, M))
     GM = automorphism_group(M)
-    # each permutation of M is induced once per call
-    lift = functools.cache(lambda g: direct_induced(N, g))
-
-    # certified: restriction is a bijection Aut(N) -> Aut(M) and the images
-    # of GM's generators generate Aut(N), so no group is built on the lift
-    lift_automorphism_group(N, GM.generators, [lift(g) for g in GM.generators])
+    # certified: direct_induced is an isomorphism Aut(M) -> Aut(N), so no
+    # group is built on the lift, and each lift element has naming points
+    names = certify_induced_group(N, GM.generators, [direct_induced(N, g) for g in GM.generators])
     order_M = GM.order()
-
-    # the members fixing A fix b exactly when the stabilizer's generators do:
-    # direct_induced is a homomorphism and the maps fixing b form a subgroup
-    continuity = "pass"
-    witnesses = [continuity_witness(N, (b,)) for b in range(N.structure.size)]
-    fixers = {
-        A: [lift(g) for g in gens]
-        for A, gens in pointwise_stabilizers(GM, witnesses).items()
-    }
-    for b, A in enumerate(witnesses):
-        if any(pihat(b) != b for pihat in fixers[A]):
-            continuity = "fail"
+    continuity = "fail" if any(_escapes_witness(N, GM, names)) else "pass"
 
     report = {
         "order_M": order_M,
@@ -252,6 +238,17 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
     if continuity != "pass":
         raise CheckFailure(report)
     return report, summary
+
+
+def _escapes_witness(N, GM, names):
+    """Per lift element b, whether a member of Aut(N) fixing the base points
+    of A = continuity_witness(N, (b,)) moves b; as it fixes b iff it fixes
+    b's naming points, Aut(M)_A is needed only for a naming point outside A."""
+    for b, points in enumerate(names):
+        A = continuity_witness(N, (b,))
+        outside = [a for a in points if a not in A]
+        stabilizer = pointwise_stabilizer(GM, A).generators if outside else ()
+        yield any(g(a) != a for g in stabilizer for a in outside)
 
 
 def _cmd_scheme_check(args) -> tuple[dict, list[str]]:

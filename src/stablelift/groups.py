@@ -9,10 +9,9 @@ that is told the group order stops sifting Schreier generators once its
 orbit lengths multiply to it; the search knows |Aut| from its own orbits.
 pointwise_stabilizer reads a support's stabilizer off G's chain when the
 support covers every point below its largest that G's chain moves, and
-grows one chain whose base starts with the support otherwise;
-pointwise_stabilizers serves many supports with one stabilizer per G-orbit
-of supports, since the stabilizer of a moved support is a conjugate,
-G_{g(A)} = g G_A g^-1.
+grows one chain whose base starts with the support otherwise.  verify-iso
+and report take stabilizers only in the source's group: a lift's are the
+direct_induced images of the source's (lifting.certify_induced_group).
 
 The automorphism search is individualization-refinement with orbit pruning
 (McKay & Piperno, Practical graph isomorphism II).  Its root is the ordered
@@ -54,7 +53,6 @@ __all__ = [
     "GroupError",
     "orbits",
     "pointwise_stabilizer",
-    "pointwise_stabilizers",
     "is_automorphism",
     "automorphism_group",
 ]
@@ -367,36 +365,6 @@ def pointwise_stabilizer(G: PermGroup, A) -> PermGroup:
             chain.add(g.images)
     stabilizer_gens = chain.gens[level] if level < G.degree else []
     return PermGroup([Permutation(s) for s in stabilizer_gens], G.degree)
-
-
-def pointwise_stabilizers(G: PermGroup, supports) -> dict[frozenset[int], tuple[Permutation, ...]]:
-    """Generators of the pointwise stabilizer of each support, keyed by the
-    support as a frozenset.  A stabilizer of a moved support is a conjugate,
-    G_{u(A)} = u G_A u^-1, so pointwise_stabilizer runs once per G-orbit of
-    supports, on its least member A, and every other support u(A) of the
-    orbit gets the conjugates u h u^-1 of that stabilizer's generators h,
-    with u read off the orbit search."""
-    wanted = {_check_points(G, A) for A in supports}
-    stabilizers: dict[frozenset[int], tuple[Permutation, ...]] = {}
-    for rep, orbit in _orbit_search(
-        G, wanted, lambda g, t: tuple(sorted(g.apply_tuple(t)))
-    ):
-        gens = pointwise_stabilizer(G, rep).generators
-        # a transporter u per support, u(rep) = support; dicts keep insertion
-        # order, so each step's source y is reached before the step
-        transporter = {rep: tuple(range(G.degree))}
-        stabilizers[frozenset(rep)] = gens
-        for B, step in orbit.items():
-            if step is None:
-                continue
-            g, y = step
-            transporter[B] = u = _compose(g.images, transporter[y])
-            if B in wanted:
-                u_inv = _invert(u)
-                stabilizers[frozenset(B)] = tuple(
-                    Permutation(_compose(u, _compose(h.images, u_inv))) for h in gens
-                )
-    return stabilizers
 
 
 # -- automorphisms -----------------------------------------------------------

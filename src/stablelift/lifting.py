@@ -33,7 +33,7 @@ from .formulas import (
     sort_partition,
     tautology,
 )
-from .groups import PermGroup, Permutation, is_automorphism
+from .groups import Permutation, is_automorphism
 from .interpretation import InterpretationScheme, SchemeRel, SchemeSort
 from .structures import Signature, Structure, StructureError
 
@@ -60,7 +60,7 @@ __all__ = [
     "limit_elements",
     "direct_induced",
     "project_automorphism",
-    "lift_automorphism_group",
+    "certify_induced_group",
     "generate_scheme",
     "continuity_witness",
 ]
@@ -450,39 +450,44 @@ def _restrict_automorphism(N: LiftedStructure, pihat: Permutation) -> Permutatio
     return pi
 
 
-def _rigid_over_base(N: LiftedStructure) -> bool:
-    """Whether only the identity of Aut(N) fixes the base copy pointwise,
-    read off the lift's own coordinates.  Such an automorphism fixes the
-    anchor too, and carries every other element e to one with the same
-    fiber predicates, fixed by the same copy selectors and, since it
-    commutes with the projections, with e's projection values wherever
-    those lie in the anchor or the base copy.  So it is the identity when
-    each such element has its projection values there and no two share
-    all three."""
+def _rigid_over_base(N: LiftedStructure) -> tuple[tuple[int, ...], ...] | None:
+    """Each lift element's naming points if only the identity of Aut(N)
+    fixes the base copy pointwise, else None, read off N.structure.  Such a
+    map fixes the anchor and carries every other element e to one with e's
+    fiber predicates, fixed by the same copy selectors and, as it commutes
+    with the projections, with e's projection values where they lie in the
+    anchor or base copy; so it is the identity if all of them lie there and
+    no two elements share all three.  The naming points, source points a for
+    base elements 1 + a, are none for the anchor, a for 1 + a, and for e its
+    projection values in the base copy, in projection order."""
     S, rels = N.structure, N.source.sig.relations
-    fixed = {S.constants[ANCHOR_NAME], *(e for (e,) in S.relation_sets[BASE_NAME])}
+    base = {e for (e,) in S.relation_sets[BASE_NAME]}
+    fixed = {S.constants[ANCHOR_NAME], *base}
     predicates = [S.relation_sets[fiber_predicate(rel)] for rel, _ in rels]
     selectors = [S.functions[copy_function(rel, j)] for rel, _ in rels for j in range(N.config.k)]
     projections = [S.functions[projection_function(rel, t)] for rel, n in rels for t in range(n)]
-    rest = [e for e in S.domain if e not in fixed]
-    names = set()
-    for e in rest:
-        values = tuple(p[e] for p in projections)
+    points, names = [], set()
+    for e in S.domain:
+        values = (e,) if e in fixed else tuple(p[e] for p in projections)
         if not fixed.issuperset(values):
-            return False
-        names.add((tuple((e,) in P for P in predicates), tuple(f[e] == e for f in selectors),
-                   values))
-    return len(names) == len(rest)
+            return None
+        if e not in fixed:
+            names.add((tuple((e,) in P for P in predicates), tuple(f[e] == e for f in selectors),
+                       values))
+        points.append(tuple([v - 1 for v in values if v in base]))
+    return tuple(points) if len(names) == S.size - len(fixed) else None
 
 
-def lift_automorphism_group(N: LiftedStructure, generators, images) -> PermGroup:
-    """Aut(N) as the group of ``images``, the direct_induced images of
-    ``generators``, which generate Aut(M); an image that is no automorphism
-    raises LiftError.  N encodes M on its base copy and only the identity
-    fixes that copy, so restriction embeds Aut(N) in Aut(M); each image
-    restricts to its generator, so the images' group maps onto Aut(M) and
-    is all of Aut(N).  A lift failing any of this is an internal error.
-    The group's chain is built on first use."""
+def certify_induced_group(N: LiftedStructure, generators, images) -> tuple[tuple[int, ...], ...]:
+    """Certify that ``images``, the direct_induced images of ``generators``,
+    which generate Aut(M), generate Aut(N), and return the naming points of
+    _rigid_over_base; an image that is no automorphism raises LiftError.
+    N encodes M on its base copy and only the identity fixes that copy, so
+    restriction embeds Aut(N) in Aut(M); each image restricts to its
+    generator, so direct_induced is an isomorphism onto Aut(N).  A member of
+    Aut(N) fixes an element iff it fixes its naming points: it commutes with
+    the projections, and the names are injective.  A lift failing any of
+    this is an internal error."""
     S, M = N.structure, N.source
     if not all(is_automorphism(S, g) for g in images):
         raise LiftError("not an automorphism of the lift")
@@ -491,11 +496,11 @@ def lift_automorphism_group(N: LiftedStructure, generators, images) -> PermGroup
          for e in limit_elements(N, rel)} == M.relation_sets[rel]
         for rel, arity in M.sig.relations
     )
-    if not (encoded and _rigid_over_base(N) and all(
+    if not (encoded and (points := _rigid_over_base(N)) and all(
         _restrict_automorphism(N, h) == g for g, h in zip(generators, images, strict=True)
     )):
         raise LiftError("the induced images are not certified to be Aut(N) (internal error)")
-    return PermGroup(images, S.size)
+    return points
 
 
 def continuity_witness(N: LiftedStructure, B) -> frozenset[int]:

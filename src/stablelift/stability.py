@@ -32,9 +32,9 @@ from .lifting import (
     LiftConfig,
     LiftedStructure,
     build_lift,
+    certify_induced_group,
     direct_induced,
     fiber_sort,
-    lift_automorphism_group,
 )
 from .structures import Structure
 
@@ -319,9 +319,10 @@ def stability_report(
     in source coordinates and land inside the base copy of each lift, built
     with ``LiftConfig(k=k)``.  Type counts are ``qf_type_census`` at depth
     1: the parameter-free census is built once per lift, and each parameter
-    set adds only the atoms that mention a parameter.  Each lift's group is
-    lift_automorphism_group's, the images of Aut(M)'s generators certified
-    to generate Aut(N).  An empty list of copy bounds or of parameter sets
+    set adds only the atoms that mention a parameter.  A lift's stabilizer
+    is the group of the direct_induced images of the generators of Aut(M)'s,
+    which certify_induced_group proves to be Aut(N)'s; no group is built on
+    the lift.  An empty list of copy bounds or of parameter sets
     raises StabilityError: such a census would pass with nothing checked."""
     ks = list(ks)
     As = [tuple(sorted(set(A_src))) for A_src in As]
@@ -334,19 +335,22 @@ def stability_report(
         )
     report = CensusReport(structure_id=structure_id)
     group_M = automorphism_group(M)
-    # per parameter set, the source side of the growth law: every lift is
-    # built with the default config, so its fibers range over the same tuples
-    sources: dict[tuple[int, ...], tuple[int, dict]] = {}
+    # per parameter set, Aut(M)'s stabilizer and the source counts: every
+    # lift has the default config, so its fibers range over the same tuples
+    sources: dict[tuple[int, ...], tuple[PermGroup, tuple[int, dict]]] = {}
     for k in ks:
         N = build_lift(M, LiftConfig(k=k))
         table = _census_table(N.structure, 1)
         induced = [direct_induced(N, g) for g in group_M.generators]
-        group_N = lift_automorphism_group(N, group_M.generators, induced)
+        certify_induced_group(N, group_M.generators, induced)
         for A_src in As:
             A = tuple(N.base_id(a) for a in A_src)
             if A_src not in sources:
-                sources[A_src] = _source_counts(M, N.fibers, pointwise_stabilizer(group_M, A_src))
-            decomposition = _decomposition(N, pointwise_stabilizer(group_N, A), sources[A_src])
+                stabilizer = pointwise_stabilizer(group_M, A_src)
+                sources[A_src] = stabilizer, _source_counts(M, N.fibers, stabilizer)
+            stabilizer, counts = sources[A_src]
+            lift_generators = [direct_induced(N, g) for g in stabilizer.generators]
+            decomposition = _decomposition(N, PermGroup(lift_generators, N.structure.size), counts)
             orbit_counts = {row["sort"]: row["left"] for row in decomposition.per_sort}
             types = _per_sort(N.sorts, _census_over(table, N.structure, A, 1).blocks)
             per_sort = [{"sort": s, "orbits": orbit_counts[s], "types": types[s]} for s in N.sorts]

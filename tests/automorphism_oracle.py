@@ -1,15 +1,22 @@
 """A backtracking automorphism oracle that shares no code with the search.
 
-It maps the elements 0, 1, 2, ... in order and tries every unused image.
-Each fact is checked as soon as all of its elements are mapped: a relation
-tuple, a function's graph pair (x, f(x)) and a constant c as the tuple (c,)
-of a one-tuple relation.  A bijection that carries every fact of a finite
-set to a fact maps the set onto itself, so a partial map that breaks a fully
+It maps one element at a time and tries every unused image.  Each fact is
+checked as soon as all of its elements are mapped: a relation tuple, a
+function's graph pair (x, f(x)) and a constant c as the tuple (c,) of a
+one-tuple relation.  A bijection that carries every fact of a finite set to
+a fact maps the set onto itself, so a partial map that breaks a fully
 mapped fact extends to no automorphism, and the pruning is exact.  There is
 no refinement, no orbit pruning and no sort partition.
 
-The automorphisms come out in lexicographic image order.  A node budget,
-not a degree guard, bounds the work.
+The elements are mapped in a fixed order read off the facts alone: next
+the unmapped element with the most facts on itself and mapped elements,
+ties to the least.  On a lift that is each base point, then the fiber
+elements over the base points mapped so far, so a partial map of the base
+copy that breaks a relation is cut at the limit element over the tuple,
+not after every permutation of the base copy has been tried.
+
+The automorphisms come out sorted, in lexicographic image order.  A node
+budget, not a degree guard, bounds the work.
 """
 
 from __future__ import annotations
@@ -28,23 +35,40 @@ def automorphisms(M, budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
     fact_sets = [M.relation_sets[name] for name, _ in M.sig.relations]
     fact_sets += [set(enumerate(M.functions[f])) for f in M.sig.functions]
     fact_sets += [{(M.constants[c],)} for c in M.sig.constants]
-    # the facts to check once their largest element is mapped
-    due: list[list[tuple[tuple[int, ...], set]]] = [[] for _ in range(n)]
-    for facts in fact_sets:
-        for t in facts:
-            if t:
-                due[max(t)].append((t, facts))
+    facts = [(t, fs) for fs in fact_sets for t in fs if t]
+    facts_at: list[list[int]] = [[] for _ in range(n)]
+    for i, (t, _) in enumerate(facts):
+        for x in set(t):
+            facts_at[x].append(i)
+
+    # the mapping order, and per step the facts it completes; score[x]
+    # counts the facts whose only unmapped element is x
+    unmapped = set(range(n))
+    left = [len(set(t)) for t, _ in facts]
+    score = [sum(left[i] == 1 for i in facts_at[x]) for x in range(n)]
+    order: list[int] = []
+    due: list[list[tuple[tuple[int, ...], set]]] = []
+    for _ in range(n):
+        x = max(unmapped, key=lambda x: (score[x], -x))
+        unmapped.remove(x)
+        order.append(x)
+        due.append([facts[i] for i in facts_at[x] if left[i] == 1])
+        for i in facts_at[x]:
+            left[i] -= 1
+            if left[i] == 1:
+                score[next(z for z in facts[i][0] if z in unmapped)] += 1
 
     images = [0] * n
     used = [False] * n
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def extend(x: int) -> None:
+    def extend(i: int) -> None:
         nonlocal nodes
-        if x == n:
+        if i == n:
             found.append(tuple(images))
             return
+        x = order[i]
         for y in range(n):
             if used[y]:
                 continue
@@ -52,10 +76,10 @@ def automorphisms(M, budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
             if nodes > budget:
                 raise OracleBudgetExceeded(f"more than {budget} nodes on a structure of size {n}")
             images[x] = y
-            if all(tuple([images[z] for z in t]) in facts for t, facts in due[x]):
+            if all(tuple([images[z] for z in t]) in facts for t, facts in due[i]):
                 used[y] = True
-                extend(x + 1)
+                extend(i + 1)
                 used[y] = False
 
     extend(0)
-    return found
+    return sorted(found)

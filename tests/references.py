@@ -18,7 +18,10 @@ faster or checks another way, and tests compare the two:
   corpus of the acceptance criteria and the golden CLI reports;
 - ``rigid_over`` certifies that only the identity fixes given points by
   refining from them, the reference for the lift's coordinate certificate
-  ``lifting._rigid_over_base``.
+  ``lifting._rigid_over_base``;
+- ``continuity_escapes`` induces the generators of every witness's
+  stabilizer and applies them to the lift element, the reference for
+  ``verify-iso``'s continuity check through naming points.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from stablelift.groups import (
     _compose,
     automorphism_group,
     is_automorphism,
+    pointwise_stabilizer,
 )
 from stablelift.interpretation import (
     CheckResult,
@@ -43,6 +47,7 @@ from stablelift.interpretation import (
     _bijection_problem,
     _Quotient,
 )
+from stablelift.lifting import direct_induced
 from stablelift.structures import Structure
 
 BRUTE_DEGREE_LIMIT = 8
@@ -196,3 +201,16 @@ def rigid_over(M: Structure, sorts, points) -> bool:
     rest = [[x for x in block if x not in fixed] for block in sorts]
     blocks = [[x] for x in sorted(fixed)] + [block for block in rest if block]
     return len(root_partition(M, view_tables(M), blocks)[2]) == M.size
+
+
+def continuity_escapes(N, GM, witness) -> list[bool]:
+    """Per lift element b, whether a member of GM = Aut(N.source) that fixes
+    A = witness(N, (b,)) pointwise induces a map moving b: one
+    pointwise_stabilizer per support, its generators induced and applied to
+    b.  The maps fixing b form a subgroup and direct_induced is a
+    homomorphism, so the generators decide it."""
+    escapes = []
+    for b in range(N.structure.size):
+        stabilizer = pointwise_stabilizer(GM, witness(N, (b,)))
+        escapes.append(any(direct_induced(N, g)(b) != b for g in stabilizer.generators))
+    return escapes

@@ -14,8 +14,16 @@ from hypothesis import given, settings, strategies as st
 from stablelift import cli
 from stablelift.cli import build_parser, main
 from stablelift.corpus import digraph, exhaustive_digraphs
-from stablelift.groups import Permutation
-from stablelift.lifting import LiftConfig, build_lift, generate_scheme
+from stablelift.groups import Permutation, automorphism_group
+from stablelift.lifting import (
+    BaseElem,
+    LiftConfig,
+    build_lift,
+    certify_induced_group,
+    continuity_witness,
+    direct_induced,
+    generate_scheme,
+)
 from stablelift.structures import Signature, Structure, structure_to_json
 
 
@@ -88,28 +96,37 @@ def test_verify_iso_reports_a_broken_projection(capsys, pair_file, monkeypatch):
     assert err.startswith("error: ") and err.endswith(" (internal error)\n")
 
 
-def test_verify_iso_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
-    # the certificate stands for Aut(N): every stabilizer chain verify-iso
-    # builds is on the source's degree
-    import stablelift.groups as groups
-
+def _complete3_file(tmp_path):
     path = tmp_path / "complete.json"
     path.write_text(
         structure_to_json(digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])),
         encoding="utf-8",
     )
-    chain = groups._Chain
-    degrees = []
+    return str(path)
 
-    def spying(n, *args, **kwargs):
-        degrees.append(n)
-        return chain(n, *args, **kwargs)
 
-    monkeypatch.setattr(groups, "_Chain", spying)
-    code, out, _ = run(capsys, "verify-iso", "--in", str(path), "--k", "2")
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls, original = [], getattr(owner, name)
+
+    def spying(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spying)
+    return calls
+
+
+def test_verify_iso_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
+    # the certificate stands for Aut(N): every stabilizer chain verify-iso
+    # builds is on the source's degree
+    import stablelift.groups as groups
+
+    calls = _spy(monkeypatch, groups, "_Chain")
+    code, out, _ = run(capsys, "verify-iso", "--in", _complete3_file(tmp_path), "--k", "2")
     assert code == 0
     assert json.loads(out)["order_N"] == 6
-    assert degrees and set(degrees) == {3}
+    assert calls and {args[0] for args in calls} == {3}
 
 
 def test_verify_iso_refuses_an_induced_map_that_is_no_automorphism(capsys, tmp_path, monkeypatch):
@@ -146,27 +163,93 @@ def test_a_lift_failing_its_rigidity_certificate_exits_2(capsys, edge_file, monk
 
 
 def test_verify_iso_induces_each_permutation_once(capsys, tmp_path, monkeypatch):
-    # the generators of Aut(M) and the stabilizer generators repeat one
-    # another; each is induced once
-    path = tmp_path / "complete.json"
-    path.write_text(
-        structure_to_json(digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])),
-        encoding="utf-8",
-    )
-    induced = cli.direct_induced
-    calls = []
-
-    def counting(N, g):
-        calls.append(g)
-        return induced(N, g)
-
-    monkeypatch.setattr(cli, "direct_induced", counting)
+    # only the generators of Aut(M) are induced, for the certificate, each
+    # once: continuity reads the naming points and induces nothing
+    path = _complete3_file(tmp_path)
+    calls = _spy(monkeypatch, cli, "direct_induced")
     for k in ("1", "2"):
         calls.clear()
-        code, out, _ = run(capsys, "verify-iso", "--in", str(path), "--k", k)
+        code, out, _ = run(capsys, "verify-iso", "--in", path, "--k", k)
         assert code == 0
         assert json.loads(out)["order_N"] == 6
-        assert calls and len(set(calls)) == len(calls)
+        induced = [g for _, g in calls]
+        assert len(set(induced)) == len(induced)
+        assert set(induced) == set(automorphism_group(digraph(3, [])).generators)
+
+
+def test_report_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
+    # each lift's stabilizer is the group of induced generators of a source
+    # stabilizer, so the only chains report builds are on the source's degree
+    import stablelift.groups as groups
+
+    calls = _spy(monkeypatch, groups, "_Chain")
+    code, out, _ = run(capsys, "report", "--in", _complete3_file(tmp_path), "--ks", "1,2",
+                       "--A", "0", "--A", "0,1")
+    assert code == 0
+    assert [e["growth_law"] for e in json.loads(out)["entries"]] == ["pass"] * 4
+    assert calls and {args[0] for args in calls} == {3}
+
+
+def test_verify_iso_takes_a_stabilizer_only_for_a_naming_point_outside_the_witness(
+    capsys, tmp_path, monkeypatch
+):
+    # every real witness holds its element's naming points, so a normal run
+    # takes no stabilizer; an empty witness takes one and fails
+    calls = _spy(monkeypatch, cli, "pointwise_stabilizer")
+    path = _complete3_file(tmp_path)
+    code, out, _ = run(capsys, "verify-iso", "--in", path, "--k", "2")
+    assert (code, calls) == (0, [])
+    monkeypatch.setattr(cli, "continuity_witness", lambda N, B: frozenset())
+    code, out, _ = run(capsys, "verify-iso", "--in", path, "--k", "2")
+    assert code == 1 and calls
+
+
+def _dropping(t):
+    """A continuity witness with coordinate t of the element left out: the
+    source point of a base element for t = 0, entry t of a fiber tuple."""
+    def witness(N, B):
+        (p,) = [N.provenance[b] for b in B]
+        coords = (p.source,) if isinstance(p, BaseElem) else getattr(p, "coords", ())
+        return frozenset(c for i, c in enumerate(coords) if i != t)
+
+    return witness
+
+
+def test_a_witness_missing_a_naming_point_passes_on_a_rigid_source(capsys, tmp_path, monkeypatch):
+    # the path 0 -> 1 -> 2 is rigid, so only the identity fixes any support:
+    # the check takes the stabilizer of each short witness, and it passes
+    path = tmp_path / "path.json"
+    path.write_text(structure_to_json(digraph(3, [(0, 1), (1, 2)])), encoding="utf-8")
+    calls = _spy(monkeypatch, cli, "pointwise_stabilizer")
+    monkeypatch.setattr(cli, "continuity_witness", _dropping(0))
+    code, out, _ = run(capsys, "verify-iso", "--in", str(path), "--k", "1")
+    assert code == 0 and json.loads(out)["continuity_witnesses"] == "pass"
+    assert calls
+
+
+def test_continuity_by_naming_points_equals_inducing_each_stabilizer(corpus, monkeypatch):
+    """verify-iso's continuity verdict per lift element against the
+    reference that induces each witness stabilizer's generators, on the
+    corpus lifts, the iso-symmetric families and the seeded structures with
+    a ternary relation, under the real witness, one dropping each
+    coordinate in turn and the empty one."""
+    from references import continuity_escapes
+    from test_groups import _lift_cases
+
+    witnesses = {"real": continuity_witness, "empty": lambda N, B: frozenset()}
+    witnesses.update({f"drop {t}": _dropping(t) for t in range(3)})
+    failed = {label: 0 for label in witnesses}
+    for case, N in _lift_cases(corpus):
+        GM = automorphism_group(N.source)
+        induced = [direct_induced(N, g) for g in GM.generators]
+        names = certify_induced_group(N, GM.generators, induced)
+        for label, witness in witnesses.items():
+            monkeypatch.setattr(cli, "continuity_witness", witness)
+            verdicts = list(cli._escapes_witness(N, GM, names))
+            assert verdicts == continuity_escapes(N, GM, witness), (case, label)
+            failed[label] += any(verdicts)
+    # the real witness always passes, and each doctored one fails somewhere
+    assert failed["real"] == 0 and all(failed[label] for label in witnesses if label != "real")
 
 
 def test_scheme_check_clean_and_mutated(capsys, edge_file):

@@ -4,7 +4,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-import stabilizer_oracle
 from references import automorphism_group_brute, greedy_lex_generators, rigid_over
 from stablelift.corpus import digraph
 from stablelift.groups import (
@@ -16,7 +15,6 @@ from stablelift.groups import (
     orbits,
     orbits_on_tuples,
     pointwise_stabilizer,
-    pointwise_stabilizers,
 )
 from stablelift.lifting import LiftConfig, build_lift
 
@@ -183,55 +181,18 @@ def test_stabilizer_members_match_brute_filter(corpus):
             assert pointwise_stabilizer(G, A).elements() == expected
 
 
-def _assert_stabilizers_match(G, supports):
-    derived = pointwise_stabilizers(G, supports)
-    assert set(derived) == {frozenset(A) for A in supports}
-    for A in supports:
-        gens = derived[frozenset(A)]
-        assert all(g(a) == a for g in gens for a in A)
-        assert all(g in G for g in gens)
-        H, reference = PermGroup(gens, G.degree), stabilizer_oracle.pointwise_stabilizer(G, A)
-        assert H.order() == reference.order(), A
-        if G.degree <= 8:
-            assert H.elements() == reference.elements(), A
-
-
-def test_stabilizers_by_orbit_match_one_chain_per_support(corpus):
-    """Conjugated generators against a fresh chain per support: on Aut(M)
-    for every support of at most two points, and on Aut(N) for every base
-    point, over the corpus at k = 1, 2."""
-    for _, M in corpus:
-        supports = [A for r in range(3) for A in itertools.combinations(M.domain, r)]
-        _assert_stabilizers_match(automorphism_group(M), supports)
-        for k in (1, 2):
-            N = build_lift(M, LiftConfig(k=k))
-            base_points = [(N.base_id(a),) for a in M.domain]
-            _assert_stabilizers_match(automorphism_group(N.structure), base_points)
-
-
-def test_stabilizers_by_orbit_conjugate_within_an_orbit(m_triple):
-    G = automorphism_group(m_triple)
-    derived = pointwise_stabilizers(G, [(0,), (1,), (2,), (0, 1), (1, 2)])
-    assert [len(derived[frozenset({x})]) for x in range(3)] == [1, 1, 1]
-    assert derived[frozenset({1})][0].images == (2, 1, 0)
-    assert derived[frozenset({0, 1})] == ()
-    with pytest.raises(GroupError, match="outside degree"):
-        pointwise_stabilizers(G, [(0,), (3,)])
-
-
 @pytest.mark.parametrize(
     "call, shown",
     [
         # 1.0 would escape as a bare TypeError from a tuple index
         (lambda G: orbits(G, [1.0]), "1.0"),
         (lambda G: pointwise_stabilizer(G, [1.0]), "1.0"),
-        (lambda G: pointwise_stabilizers(G, [(1.0,)]), "1.0"),
         # a string would escape from the degree comparison
         (lambda G: orbits(G, ["a"]), "'a'"),
         # True would be taken for the point 1
         (lambda G: pointwise_stabilizer(G, [True]), "True"),
     ],
-    ids=["orbits-float", "stabilizer-float", "stabilizers-float", "orbits-str", "stabilizer-bool"],
+    ids=["orbits-float", "stabilizer-float", "orbits-str", "stabilizer-bool"],
 )
 def test_points_that_are_not_int_are_refused(m_triple, call, shown):
     with pytest.raises(GroupError, match=f"element {shown} is not an int"):
@@ -641,13 +602,20 @@ def _lift_cases(corpus):
 def test_certified_group_equals_the_search_on_lifts(corpus):
     """On every lift both certificates hold: the coordinate names and the
     reference refinement from the sort table with the base points split
-    off.  The group of the induced generators, which
-    lift_automorphism_group returns, is the plain search's: the same order,
-    each holding the other's generators, and, on sources of at most five
-    elements, the order of the backtracking oracle (the lifts of the
-    6-vertex families take it seconds each)."""
+    off.  The group of the induced generators, which certify_induced_group
+    vouches for, is the plain search's: the same order, each holding the
+    other's generators, and the order of the backtracking oracle on sources
+    of at most five elements and at k = 1.  The naming points it returns
+    are read off the provenance: none for the anchor, its source point for
+    a base element, and the coordinates of a fiber element."""
     from automorphism_oracle import automorphisms
-    from stablelift.lifting import _rigid_over_base, direct_induced, lift_automorphism_group
+    from stablelift.lifting import (
+        BaseElem,
+        FiberElem,
+        _rigid_over_base,
+        certify_induced_group,
+        direct_induced,
+    )
 
     for case, N in _lift_cases(corpus):
         S, M = N.structure, N.source
@@ -655,13 +623,18 @@ def test_certified_group_equals_the_search_on_lifts(corpus):
         assert rigid_over(S, N.sorts.values(), [N.base_id(a) for a in M.domain]), case
         GM = automorphism_group(M)
         induced = [direct_induced(N, g) for g in GM.generators]
-        certified = lift_automorphism_group(N, GM.generators, induced)
-        assert certified.generators == PermGroup(induced, S.size).generators, case
+        names = certify_induced_group(N, GM.generators, induced)
+        assert names == tuple(
+            (p.source,) if isinstance(p, BaseElem)
+            else p.coords if isinstance(p, FiberElem) else ()
+            for p in N.provenance
+        ), case
+        certified = PermGroup(induced, S.size)
         searched = automorphism_group(S)
         assert certified.order() == searched.order() == GM.order(), case
         assert all(g in searched for g in certified.generators), case
         assert all(g in certified for g in searched.generators), case
-        if M.size <= 5:
+        if M.size <= 5 or case[1] == 1:
             assert certified.order() == len(automorphisms(S, budget=2_000_000)), case
 
 
@@ -739,11 +712,11 @@ def test_a_lift_that_does_not_encode_its_source_is_an_internal_error(doctor):
     N = build_lift(digraph(3, cycle), LiftConfig(k=1))
     GM = automorphism_group(N.source)
     induced = [lifting.direct_induced(N, g) for g in GM.generators]
-    assert lifting.lift_automorphism_group(N, GM.generators, induced).order() == 3
+    lifting.certify_induced_group(N, GM.generators, induced)
     edges = cycle[:2] if doctor == "drop" else cycle + [(1, 0)]
     doctored = replace(N, source=digraph(3, edges))
     with pytest.raises(lifting.LiftError, match=r"\(internal error\)$"):
-        lifting.lift_automorphism_group(doctored, GM.generators, induced)
+        lifting.certify_induced_group(doctored, GM.generators, induced)
 
 
 def test_images_generating_a_proper_subgroup_are_an_internal_error():
@@ -751,31 +724,31 @@ def test_images_generating_a_proper_subgroup_are_an_internal_error():
     # place of the others: automorphisms of the lift, but they generate a
     # group of order 2, not |Aut(M)| = 6, since they do not restrict to
     # their generators
-    from stablelift.lifting import LiftError, direct_induced, lift_automorphism_group
+    from stablelift.lifting import LiftError, certify_induced_group, direct_induced
 
     N = build_lift(digraph(3, []), LiftConfig(k=1))
     generators = automorphism_group(N.source).generators
     assert len(generators) == 2
     induced = [direct_induced(N, generators[0])] * len(generators)
     with pytest.raises(LiftError, match=r"\(internal error\)$"):
-        lift_automorphism_group(N, generators, induced)
+        certify_induced_group(N, generators, induced)
 
 
 def test_images_and_generators_are_paired_one_to_one():
-    from stablelift.lifting import direct_induced, lift_automorphism_group
+    from stablelift.lifting import certify_induced_group, direct_induced
 
     N = build_lift(digraph(3, []), LiftConfig(k=1))
     generators = automorphism_group(N.source).generators
     induced = [direct_induced(N, g) for g in generators]
     with pytest.raises(ValueError, match="zip"):
-        lift_automorphism_group(N, generators, induced[:1])
+        certify_induced_group(N, generators, induced[:1])
 
 
 def test_an_induced_image_that_is_no_automorphism_is_refused():
-    from stablelift.lifting import LiftError, lift_automorphism_group
+    from stablelift.lifting import LiftError, certify_induced_group
 
     N = build_lift(digraph(3, []), LiftConfig(k=1))
     swap = list(range(N.structure.size))
     swap[0], swap[1] = 1, 0
     with pytest.raises(LiftError, match="^not an automorphism of the lift$"):
-        lift_automorphism_group(N, [Permutation((1, 0, 2))], [Permutation(tuple(swap))])
+        certify_induced_group(N, [Permutation((1, 0, 2))], [Permutation(tuple(swap))])

@@ -269,8 +269,7 @@ def test_report_builds_one_census_table_per_copy_bound(corpus, monkeypatch):
         "_census_table",
         lambda N, depth, inner=stability._census_table: built.append(depth) or inner(N, depth),
     )
-    # each lift's search starts from its census blocks, so only the source's
-    # search partitions by sort
+    # no lift is searched, so only the source's search partitions by sort
     searched = []
     monkeypatch.setattr(
         groups,
@@ -291,3 +290,32 @@ def test_report_builds_one_census_table_per_copy_bound(corpus, monkeypatch):
             assert [row["types"] for row in entry["per_sort"]] == [
                 len({type_of[e] for e in N.sorts[row["sort"]]}) for row in entry["per_sort"]
             ]
+
+
+def test_report_stabilizers_equal_the_lift_chain_stabilizers(corpus, monkeypatch):
+    """Each lift stabilizer stability_report counts orbits of, the group of
+    the induced generators of Aut(M)'s stabilizer, against the stabilizer
+    read off a chain of the searched Aut(N): the same order, and each holds
+    the other's generators; on the corpus at k = 1, 2 for every parameter
+    set of at most two points."""
+    seen = []
+    monkeypatch.setattr(
+        stability,
+        "_decomposition",
+        lambda N, GN, source, inner=stability._decomposition: seen.append((N, GN))
+        or inner(N, GN, source),
+    )
+    for _, M in corpus:
+        seen.clear()
+        As = [A for r in range(3) for A in itertools.combinations(M.domain, r)]
+        report = stability_report(M, [1, 2], As)
+        assert report.all_pass and len(seen) == len(report.entries)
+        searched = {}
+        for entry, (N, induced) in zip(report.entries, seen):
+            if entry["k"] not in searched:
+                searched[entry["k"]] = groups.automorphism_group(N.structure)
+            A = [N.base_id(a) for a in entry["A"]]
+            chain = groups.pointwise_stabilizer(searched[entry["k"]], A)
+            assert induced.order() == chain.order(), (M, entry["k"], A)
+            assert all(g in chain for g in induced.generators), (M, entry["k"], A)
+            assert all(g in induced for g in chain.generators), (M, entry["k"], A)
