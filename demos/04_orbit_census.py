@@ -12,12 +12,7 @@ evidence this library reports.
 
 from stablelift import LiftConfig, build_lift
 from stablelift.corpus import digraph
-from stablelift.stability import (
-    orbit_decomposition_check,
-    qf_type_census,
-    stability_report,
-    stabilizer_orbits,
-)
+from stablelift.stability import qf_type_census, stability_report, stabilizer_orbits
 
 pair = digraph(2, [])
 N = build_lift(pair, LiftConfig(k=1))
@@ -29,13 +24,12 @@ print("quantifier-free 1-types at depth 1:",
 
 print("\norbit decomposition for the one-edge digraph at k=1:")
 edge = digraph(2, [(0, 1)])
-N_edge = build_lift(edge, LiftConfig(k=1))
-# the right side is predicted from the lift's own source, N_edge.source
-report = orbit_decomposition_check(N_edge, ())
-for row in report.per_sort:
-    print(f"  {row['sort']:<18} lift says {row['left']}, source predicts {row['right']}")
-print(f"  totals: {report.left_total} = {report.right_total} "
-      f"({'pass' if report.passed else 'FAIL'})")
+# the lift's stabilizer is induced from Aut(edge); the growth law predicts
+# the total from the source's own orbit counts
+(entry,) = stability_report(edge, ks=[1], As=[()], structure_id="edge").entries
+for row in entry["per_sort"]:
+    print(f"  {row['sort']:<18} {row['orbits']} orbit(s), {row['types']} type(s)")
+print(f"  total {entry['total']}: growth law {entry['growth_law']}")
 
 print("\ngrowth of the census in k (triangle with a 3-cycle):")
 triangle = digraph(3, [(0, 1), (1, 2), (2, 0)])

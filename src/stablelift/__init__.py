@@ -66,7 +66,6 @@ from .stability import (
     CensusReport,
     stabilizer_orbits,
     qf_type_census,
-    orbit_decomposition_check,
     stability_report,
 )
 

@@ -6,9 +6,10 @@ count: two elements are equivalent when some automorphism fixing the
 parameter set carries one to the other.  For a lift with parameters inside
 the base copy, those orbits decompose by sort: one for the anchor, the
 source-structure orbits on the base copy, and per copy index the orbits of
-the stabilizer acting on fiber tuples.  Saturation-style extension arguments
-have no finite counterpart; the decomposition identity is the finite
-substitute, and every report header says so.
+the stabilizer acting on fiber tuples.  ``stability_report`` checks that
+identity with stabilizers induced from Aut(M), searching no lift.  Extension
+arguments that need saturated models have no finite counterpart; the
+identity is the finite substitute, and every report header says so.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .lifting import (
     ANCHOR_NAME,
     BASE_NAME,
     LIMIT,
-    BaseElem,
     LiftConfig,
     LiftedStructure,
     build_lift,
@@ -43,8 +43,6 @@ __all__ = [
     "stabilizer_orbits",
     "TypeCensus",
     "qf_type_census",
-    "DecompositionReport",
-    "orbit_decomposition_check",
     "CensusReport",
     "stability_report",
     "SUBSTITUTION_NOTE",
@@ -192,19 +190,6 @@ def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
 # -- orbit decomposition --------------------------------------------------------
 
 
-def _translate_parameters(N: LiftedStructure, A) -> tuple[int, ...]:
-    A = tuple(sorted(set(A)))
-    for b in A:
-        if not (0 <= b < N.structure.size):
-            raise StabilityError(f"parameter {b} outside the lift domain")
-        if not isinstance(N.provenance[b], BaseElem):
-            raise StabilityError(
-                f"parameter {b} is not a base element; the decomposition "
-                "identity only models parameters inside the base copy"
-            )
-    return tuple(N.provenance[b].source for b in A)
-
-
 @dataclass
 class DecompositionReport:
     per_sort: list[dict]
@@ -216,31 +201,6 @@ class DecompositionReport:
         return self.left_total == self.right_total and all(
             row["left"] == row["right"] for row in self.per_sort
         )
-
-
-def orbit_decomposition_check(
-    N: LiftedStructure,
-    A,
-    *,
-    group_M: PermGroup | None = None,
-    group_N: PermGroup | None = None,
-) -> DecompositionReport:
-    """Compare, sort by sort, the stabilizer orbit counts on the lift (left)
-    with the counts predicted from its source M = N.source alone (right): one
-    anchor orbit, the stabilizer orbits on the source domain, and for each
-    copy index the stabilizer orbits on eligible fiber tuples (relation
-    members for the limit copy).  Both sides are computed independently: the
-    left side counts the orbits meeting each sort of the lift's sort table
-    ``N.sorts``, and the rows follow the relation order of ``N.fibers``."""
-    A = tuple(sorted(set(A)))
-    A_src = _translate_parameters(N, A)
-    GN = pointwise_stabilizer(
-        group_N if group_N is not None else automorphism_group(N.structure), A
-    )
-    GM = pointwise_stabilizer(
-        group_M if group_M is not None else automorphism_group(N.source), A_src
-    )
-    return _decomposition(N, GN, _source_counts(N.source, N.fibers, GM))
 
 
 def _per_sort(sorts: dict[str, tuple[int, ...]], blocks) -> dict[str, int]:
@@ -262,8 +222,9 @@ def _source_counts(M: Structure, fibers: dict, GM: PermGroup) -> tuple[int, dict
 
 
 def _decomposition(N: LiftedStructure, GN: PermGroup, source) -> DecompositionReport:
-    """orbit_decomposition_check's rows from the lift's stabilizer GN and
-    the source side from _source_counts."""
+    """Per sort of ``N.sorts``, the orbits of the lift stabilizer GN meeting
+    it (left) against the count that ``source``, from _source_counts,
+    predicts (right); the fiber rows follow the relation order of N.fibers."""
     left_blocks = orbits(GN, N.structure.domain)
     left_by_sort = _per_sort(N.sorts, left_blocks)
     # each orbit meets at least one sort, so the counts sum past the orbit
@@ -322,8 +283,9 @@ def stability_report(
     set adds only the atoms that mention a parameter.  A lift's stabilizer
     is the group of the direct_induced images of the generators of Aut(M)'s,
     which certify_induced_group proves to be Aut(N)'s; no group is built on
-    the lift.  An empty list of copy bounds or of parameter sets
-    raises StabilityError: such a census would pass with nothing checked."""
+    the lift, and a stabilizer that is Aut(M) itself reuses the certified
+    images.  An empty list of copy bounds or of parameter sets raises
+    StabilityError: such a census would pass with nothing checked."""
     ks = list(ks)
     As = [tuple(sorted(set(A_src))) for A_src in As]
     if not ks or not As:
@@ -349,7 +311,10 @@ def stability_report(
                 stabilizer = pointwise_stabilizer(group_M, A_src)
                 sources[A_src] = stabilizer, _source_counts(M, N.fibers, stabilizer)
             stabilizer, counts = sources[A_src]
-            lift_generators = [direct_induced(N, g) for g in stabilizer.generators]
+            if stabilizer is group_M:  # every generator fixes A_src
+                lift_generators = induced
+            else:
+                lift_generators = [direct_induced(N, g) for g in stabilizer.generators]
             decomposition = _decomposition(N, PermGroup(lift_generators, N.structure.size), counts)
             orbit_counts = {row["sort"]: row["left"] for row in decomposition.per_sort}
             types = _per_sort(N.sorts, _census_over(table, N.structure, A, 1).blocks)

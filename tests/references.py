@@ -21,7 +21,10 @@ faster or checks another way, and tests compare the two:
   ``lifting._rigid_over_base``;
 - ``continuity_escapes`` induces the generators of every witness's
   stabilizer and applies them to the lift element, the reference for
-  ``verify-iso``'s continuity check through naming points.
+  ``verify-iso``'s continuity check through naming points;
+- ``searched_decomposition`` takes the stabilizers of base parameters in
+  the searched ``Aut(N)`` and ``Aut(M)``, the reference for the stabilizers
+  ``report`` induces from ``Aut(M)``'s.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from stablelift.interpretation import (
     _bijection_problem,
     _Quotient,
 )
-from stablelift.lifting import direct_induced
+from stablelift.lifting import BaseElem, direct_induced
+from stablelift.stability import StabilityError, _decomposition, _source_counts
 from stablelift.structures import Structure
 
 BRUTE_DEGREE_LIMIT = 8
@@ -214,3 +218,17 @@ def continuity_escapes(N, GM, witness) -> list[bool]:
         stabilizer = pointwise_stabilizer(GM, witness(N, (b,)))
         escapes.append(any(direct_induced(N, g)(b) != b for g in stabilizer.generators))
     return escapes
+
+
+def searched_decomposition(N, A, group_M=None, group_N=None):
+    """The orbit decomposition of lift N over base parameters A, from the
+    pointwise stabilizers of A in group_N and of A's source points in
+    group_M, each searched when not given."""
+    A = sorted(set(A))
+    if not all(isinstance(N.provenance[b], BaseElem) for b in A):
+        raise StabilityError(f"parameters {A} are not all base elements")
+    GN = pointwise_stabilizer(group_N or automorphism_group(N.structure), A)
+    GM = pointwise_stabilizer(
+        group_M or automorphism_group(N.source), [N.provenance[b].source for b in A]
+    )
+    return _decomposition(N, GN, _source_counts(N.source, N.fibers, GM))

@@ -190,6 +190,27 @@ def test_report_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
     assert calls and {args[0] for args in calls} == {3}
 
 
+def test_report_induces_each_stabilizer_generator_once_per_copy_bound(
+    capsys, tmp_path, monkeypatch
+):
+    # the empty parameter set's stabilizer is Aut(M) itself, whose images the
+    # certificate already holds; the stabilizer of 0 induces its own
+    from stablelift import stability
+    from stablelift.groups import pointwise_stabilizer
+
+    GM = automorphism_group(digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b]))
+    fixing_0 = pointwise_stabilizer(GM, (0,))
+    assert fixing_0 is not GM and fixing_0.order() == 2
+    calls = _spy(monkeypatch, stability, "direct_induced")
+    code, out, _ = run(capsys, "report", "--in", _complete3_file(tmp_path), "--ks", "1,2,3",
+                       "--A", "", "--A", "0")
+    assert code == 0
+    assert [e["growth_law"] for e in json.loads(out)["entries"]] == ["pass"] * 6
+    for k in (1, 2, 3):
+        induced = [g for N, g in calls if N.config.k == k]
+        assert induced == [*GM.generators, *fixing_0.generators], k
+
+
 def test_verify_iso_takes_a_stabilizer_only_for_a_naming_point_outside_the_witness(
     capsys, tmp_path, monkeypatch
 ):

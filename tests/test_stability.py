@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from references import searched_decomposition
 
 from stablelift import groups, stability
 from stablelift.corpus import digraph
@@ -10,7 +11,6 @@ from stablelift.lifting import LiftConfig, build_lift
 from stablelift.stability import (
     SUBSTITUTION_NOTE,
     StabilityError,
-    orbit_decomposition_check,
     qf_type_census,
     stability_report,
     stabilizer_orbits,
@@ -157,17 +157,17 @@ def test_orbits_refine_types(corpus):
 
 def test_decomposition_examples(m_pair, m_edge, m_triple):
     N1 = build_lift(m_pair, LiftConfig(k=1))
-    r1 = orbit_decomposition_check(N1, ())
+    r1 = searched_decomposition(N1, ())
     assert (r1.left_total, r1.right_total) == (3, 3)
     assert [row["right"] for row in r1.per_sort] == [1, 1, 1, 0]  # anchor, base, copy-0, limit
 
     N0 = build_lift(m_edge, LiftConfig(k=1))
-    r0 = orbit_decomposition_check(N0, ())
+    r0 = searched_decomposition(N0, ())
     assert (r0.left_total, r0.right_total) == (6, 6)
     assert [row["right"] for row in r0.per_sort] == [1, 2, 2, 1]
 
     N2 = build_lift(m_triple, LiftConfig(k=1))
-    r2 = orbit_decomposition_check(N2, (N2.base_id(0),))
+    r2 = searched_decomposition(N2, (N2.base_id(0),))
     assert r2.passed
     # stabilizer of one point in Sym(3) still acts transitively on nothing
     # bigger than the remaining pair
@@ -177,7 +177,7 @@ def test_decomposition_examples(m_pair, m_edge, m_triple):
 def test_decomposition_rejects_fiber_parameters(m_pair):
     N = build_lift(m_pair, LiftConfig(k=1))
     with pytest.raises(StabilityError, match="base element"):
-        orbit_decomposition_check(N, (3,))
+        searched_decomposition(N, (3,))
 
 
 def test_decomposition_reports_an_orbit_crossing_sorts(m_edge):
@@ -187,13 +187,13 @@ def test_decomposition_reports_an_orbit_crossing_sorts(m_edge):
     images[0], images[1] = 1, 0
     swap = PermGroup([Permutation(tuple(images))], N.structure.size)
     with pytest.raises(StabilityError, match="crosses sorts"):
-        orbit_decomposition_check(N, (), group_N=swap)
+        searched_decomposition(N, (), group_N=swap)
 
 
 def test_decomposition_on_corpus_sample(corpus):
     for _, M in corpus[40:60]:
         N = build_lift(M, LiftConfig(k=2))
-        report = orbit_decomposition_check(N, ())
+        report = searched_decomposition(N, ())
         assert report.passed, report.per_sort
 
 
@@ -223,7 +223,7 @@ def test_growth_law_with_parameters(m_triple):
 
 def test_growth_law_with_repetition_tuples(m_pair):
     reports = [
-        orbit_decomposition_check(
+        searched_decomposition(
             build_lift(m_pair, LiftConfig(k, include_repetition_tuples=True)), ()
         )
         for k in (1, 2)
@@ -319,3 +319,27 @@ def test_report_stabilizers_equal_the_lift_chain_stabilizers(corpus, monkeypatch
             assert induced.order() == chain.order(), (M, entry["k"], A)
             assert all(g in chain for g in induced.generators), (M, entry["k"], A)
             assert all(g in induced for g in chain.generators), (M, entry["k"], A)
+
+
+def test_report_orbits_equal_the_searched_decomposition(corpus):
+    """Each stability_report entry's per-sort orbit counts and total against
+    the left column and left total of the reference over the searched Aut(N)
+    and Aut(M), on the corpus at k = 1, 2 for every parameter set of at most
+    two points."""
+    for name, M in corpus:
+        As = [A for r in range(3) for A in itertools.combinations(M.domain, r)]
+        group_M = groups.automorphism_group(M)
+        searched = {}
+        for entry in stability_report(M, [1, 2], As).entries:
+            k = entry["k"]
+            if k not in searched:
+                N = build_lift(M, LiftConfig(k=k))
+                searched[k] = N, groups.automorphism_group(N.structure)
+            N, group_N = searched[k]
+            A = [N.base_id(a) for a in entry["A"]]
+            reference = searched_decomposition(N, A, group_M, group_N)
+            # the reference also has a row, with no orbit, for an empty sort
+            left = {row["sort"]: row["left"] for row in reference.per_sort}
+            orbits = {row["sort"]: row["orbits"] for row in entry["per_sort"]}
+            assert left == {**dict.fromkeys(left, 0), **orbits}, (name, k, A)
+            assert entry["total"] == reference.left_total, (name, k, A)
