@@ -12,6 +12,9 @@ support covers every point below its largest that G's chain moves, and
 grows one chain whose base starts with the support otherwise.  verify-iso
 and report take stabilizers only in the source's group: a lift's are the
 direct_induced images of the source's (lifting.certify_induced_group).
+Orbits on points and on tuples come from one routine, _orbit_search: it
+maps the generators' image tuples over each orbit, one breadth-first layer
+at a time (the orbit algorithm of Seress, Permutation Group Algorithms).
 
 The automorphism search is individualization-refinement with orbit pruning
 (McKay & Piperno, Practical graph isomorphism II).  Its root is the ordered
@@ -290,43 +293,39 @@ class PermGroup:
         }
 
 
-def _orbit_search(G: PermGroup, points, act):
-    """Breadth-first orbits of G through ``points`` under ``act(g, x)``:
-    yields (seed, orbit) with each seed the least point outside the orbits
-    yielded before it.  The orbit maps the seed to None and every other
-    point z to (g, y), y a point found before z with act(g, y) = z."""
+def _orbit_search(G: PermGroup, points, act=tuple.__getitem__):
+    """Orbits of G through ``points`` under ``act(images, x)``, images the
+    image tuple of a generator: yields (seed, orbit) with each seed the
+    least point outside the orbits yielded before it, and the orbit the set
+    of points reached from it, grown breadth-first one layer at a time."""
+    steps = [functools.partial(act, g.images) for g in G.generators]
     todo = set(points)
     for x in sorted(todo):
         if x not in todo:
             continue
-        orbit = {x: None}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g in G.generators:
-                z = act(g, y)
-                if z not in orbit:
-                    orbit[z] = (g, y)
-                    queue.append(z)
-        todo.difference_update(orbit)
+        orbit = layer = {x}
+        while layer:
+            layer = set().union(*[map(step, layer) for step in steps]) - orbit
+            orbit |= layer
+        todo -= orbit
         yield x, orbit
 
 
 def orbits(G: PermGroup, S) -> list[tuple[int, ...]]:
     """Partition of S into G-orbits (blocks sorted, ordered by least member)."""
-    members = set(_check_points(G, S))
-    return [
-        tuple(sorted(orbit.keys() & members))
-        for _, orbit in _orbit_search(G, members, Permutation.__call__)
-    ]
+    points = _check_points(G, S)
+    if not G.generators:
+        return [(x,) for x in points]
+    members = set(points)
+    return [tuple(sorted(orbit & members)) for _, orbit in _orbit_search(G, members)]
 
 
 def orbits_on_tuples(G: PermGroup, tuples) -> list[tuple[tuple[int, ...], ...]]:
     """Orbits of the coordinatewise action on a G-invariant set of tuples."""
     members = set(tuples)
     blocks = []
-    for t, orbit in _orbit_search(G, members, Permutation.apply_tuple):
-        if not orbit.keys() <= members:
+    for t, orbit in _orbit_search(G, members, lambda g, t: tuple([g[x] for x in t])):
+        if not orbit <= members:
             raise GroupError(f"tuple set not invariant: orbit of {t} escapes")
         blocks.append(tuple(sorted(orbit)))
     return blocks
@@ -590,13 +589,13 @@ def automorphism_group(M: Structure) -> PermGroup:
     gens: list[Permutation] = []
     for d, i in reversed(list(enumerate(levels))):
         trans = G.trans[i]
-        reached = {i: None}
+        reached = {i}
         while len(reached) < len(trans):
             x = trans[min(trans.keys() - reached)][0]
             for j in levels[d + 1:]:
                 x = _compose(x, G.trans[j][min(G.trans[j], key=x.__getitem__)][0])
             gens.append(Permutation(x))
-            _, reached = next(_orbit_search(PermGroup(gens, M.size), [i], Permutation.__call__))
+            _, reached = next(_orbit_search(PermGroup(gens, M.size), [i]))
     group = PermGroup(gens, M.size)
     # the search's chain, complete, over the base order PermGroup's would have
     group._chain = G

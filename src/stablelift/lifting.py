@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .formulas import (
@@ -463,17 +464,20 @@ def _rigid_over_base(N: LiftedStructure) -> tuple[tuple[int, ...], ...] | None:
     S, rels = N.structure, N.source.sig.relations
     base = {e for (e,) in S.relation_sets[BASE_NAME]}
     fixed = {S.constants[ANCHOR_NAME], *base}
-    predicates = [S.relation_sets[fiber_predicate(rel)] for rel, _ in rels]
-    selectors = [S.functions[copy_function(rel, j)] for rel, _ in rels for j in range(N.config.k)]
+    domain = S.domain
+    flags = [map(S.relation_sets[fiber_predicate(rel)].__contains__, zip(domain)) for rel, _ in rels]
+    flags += [map(operator.eq, S.functions[copy_function(rel, j)], domain)
+              for rel, _ in rels for j in range(N.config.k)]
     projections = [S.functions[projection_function(rel, t)] for rel, n in rels for t in range(n)]
+    # with no relation there are no columns, and no fiber element either
+    rows = zip(zip(*flags), zip(*projections)) if rels else itertools.repeat(((), ()))
     points, names = [], set()
-    for e in S.domain:
-        values = (e,) if e in fixed else tuple(p[e] for p in projections)
+    for e, (flag, values) in zip(domain, rows):
+        values = (e,) if e in fixed else values
         if not fixed.issuperset(values):
             return None
         if e not in fixed:
-            names.add((tuple((e,) in P for P in predicates), tuple(f[e] == e for f in selectors),
-                       values))
+            names.add((flag, values))
         points.append(tuple([v - 1 for v in values if v in base]))
     return tuple(points) if len(names) == S.size - len(fixed) else None
 

@@ -9,12 +9,14 @@ source-structure orbits on the base copy, and per copy index the orbits of
 the stabilizer acting on fiber tuples.  ``stability_report`` checks that
 identity with stabilizers induced from Aut(M), searching no lift.  Extension
 arguments that need saturated models have no finite counterpart; the
-identity is the finite substitute, and every report header says so.
+identity is the finite substitute, and every report header says so.  Each
+census truth column is one map over term columns, and parameters are ints.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .formulas import group_by_columns
@@ -118,14 +120,14 @@ def _census_table(N: Structure, depth: int) -> _CensusTable:
     cols = list(dict.fromkeys(map(tuple, terms)))
     varies = [len(set(col)) > 1 for col in cols]
     truth = [
-        [a == b for a, b in zip(cols[i], cols[j])]
+        list(map(operator.eq, cols[i], cols[j]))
         for i, j in itertools.combinations(range(len(cols)), 2)
         if varies[i] or varies[j]
     ]
     for name, arity in N.sig.relations:
         held = N.relation_sets[name]
         truth += [
-            [t in held for t in zip(*(cols[i] for i in idx))]
+            list(map(held.__contains__, zip(*map(cols.__getitem__, idx))))
             for idx in itertools.product(range(len(cols)), repeat=arity)
             if any(varies[i] for i in idx)
         ]
@@ -140,6 +142,14 @@ def _census_table(N: Structure, depth: int) -> _CensusTable:
         blocks=blocks,
         block_of=tuple(block_of),
     )
+
+
+def _int_parameters(A) -> tuple[int, ...]:
+    """A as a tuple of ints; 1.0 and True would pass for the element 1."""
+    A = tuple(A)
+    if bad := [a for a in A if type(a) is not int]:
+        raise StabilityError(f"parameter {bad[0]!r} is not an int")
+    return A
 
 
 def _census_over(table: _CensusTable, N: Structure, A, depth: int) -> TypeCensus:
@@ -158,7 +168,7 @@ def _census_over(table: _CensusTable, N: Structure, A, depth: int) -> TypeCensus
         values |= frontier
     new = values - table.fixed
     size = N.size
-    truth = [[x == v for x in col] for v in new for col in table.varying]
+    truth = [list(map(operator.eq, col, itertools.repeat(v))) for v in new for col in table.varying]
     kinds = (
         table.varying,
         [[v] * size for v in table.fixed],
@@ -171,11 +181,11 @@ def _census_over(table: _CensusTable, N: Structure, A, depth: int) -> TypeCensus
         for pattern in itertools.product(range(3), repeat=arity):
             if 0 in pattern and 2 in pattern:
                 truth += [
-                    [t in held for t in zip(*picked)]
+                    list(map(held.__contains__, zip(*picked)))
                     for picked in itertools.product(*(kinds[k] for k in pattern))
                 ]
-    blocks = group_by_columns(size, [table.block_of, *truth]).values()
-    return TypeCensus(tuple(tuple(blk) for blk in blocks))
+    blocks = group_by_columns(size, [table.block_of, *truth]).values() if truth else table.blocks
+    return TypeCensus(tuple(map(tuple, blocks)))
 
 
 def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
@@ -184,6 +194,7 @@ def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
 
     The parameter-free census is built first; the parameters then refine
     its blocks by only the atoms that mention a parameter term."""
+    A = _int_parameters(A)
     return _census_over(_census_table(N, depth), N, A, depth)
 
 
@@ -287,7 +298,7 @@ def stability_report(
     images.  An empty list of copy bounds or of parameter sets raises
     StabilityError: such a census would pass with nothing checked."""
     ks = list(ks)
-    As = [tuple(sorted(set(A_src))) for A_src in As]
+    As = [tuple(sorted(set(_int_parameters(A_src)))) for A_src in As]
     if not ks or not As:
         raise StabilityError("the census needs at least one copy bound and one parameter set")
     bad = next((a for A_src in As for a in A_src if a not in M.domain), None)

@@ -1,9 +1,12 @@
 """A backtracking automorphism oracle that shares no code with the search.
 
-It maps one element at a time and tries every unused image.  Each fact is
-checked as soon as all of its elements are mapped: a relation tuple, a
-function's graph pair (x, f(x)) and a constant c as the tuple (c,) of a
-one-tuple relation.  A bijection that carries every fact of a finite set to
+It maps one element at a time and tries every unused image that holds the
+same one-element facts, the facts whose entries are all one element: a
+unary fact, a constant, and also R(x, ..., x) and a fixed point f(x) = x.
+An automorphism carries each such fact on x to the same fact on its image,
+so no automorphism is lost.  Each fact is checked as soon as all of its
+elements are mapped: a relation tuple, a function's graph pair (x, f(x))
+and a constant c as the tuple (c,) of a one-tuple relation.  A bijection that carries every fact of a finite set to
 a fact maps the set onto itself, so a partial map that breaks a fully
 mapped fact extends to no automorphism, and the pruning is exact.  There is
 no refinement, no orbit pruning and no sort partition.
@@ -32,10 +35,13 @@ def automorphisms(M, budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
     """Every automorphism of M as an image tuple, in lexicographic order;
     raises OracleBudgetExceeded after ``budget`` tried images."""
     n = M.size
-    fact_sets = [M.relation_sets[name] for name, _ in M.sig.relations]
-    fact_sets += [set(enumerate(M.functions[f])) for f in M.sig.functions]
-    fact_sets += [{(M.constants[c],)} for c in M.sig.constants]
-    facts = [(t, fs) for fs in fact_sets for t in fs if t]
+    fact_sets = [(M.relation_sets[name], arity) for name, arity in M.sig.relations]
+    fact_sets += [(set(enumerate(M.functions[f])), 2) for f in M.sig.functions]
+    fact_sets += [({(M.constants[c],)}, 1) for c in M.sig.constants]
+    facts = [(t, fs) for fs, _ in fact_sets for t in fs if t]
+    # per element, which fact sets hold it alone; an image must hold the same
+    alone = [tuple((x,) * arity in fs for fs, arity in fact_sets) for x in range(n)]
+    alike = [[y for y in range(n) if alone[y] == alone[x]] for x in range(n)]
     facts_at: list[list[int]] = [[] for _ in range(n)]
     for i, (t, _) in enumerate(facts):
         for x in set(t):
@@ -44,7 +50,8 @@ def automorphisms(M, budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
     # the mapping order, and per step the facts it completes; score[x]
     # counts the facts whose only unmapped element is x
     unmapped = set(range(n))
-    left = [len(set(t)) for t, _ in facts]
+    width = [len(set(t)) for t, _ in facts]
+    left = width[:]
     score = [sum(left[i] == 1 for i in facts_at[x]) for x in range(n)]
     order: list[int] = []
     due: list[list[tuple[tuple[int, ...], set]]] = []
@@ -52,7 +59,8 @@ def automorphisms(M, budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
         x = max(unmapped, key=lambda x: (score[x], -x))
         unmapped.remove(x)
         order.append(x)
-        due.append([facts[i] for i in facts_at[x] if left[i] == 1])
+        # a one-element fact is already held by each image in alike[x]
+        due.append([facts[i] for i in facts_at[x] if left[i] == 1 < width[i]])
         for i in facts_at[x]:
             left[i] -= 1
             if left[i] == 1:
@@ -69,7 +77,7 @@ def automorphisms(M, budget: int = NODE_BUDGET) -> list[tuple[int, ...]]:
             found.append(tuple(images))
             return
         x = order[i]
-        for y in range(n):
+        for y in alike[x]:
             if used[y]:
                 continue
             nodes += 1

@@ -19,6 +19,8 @@ faster or checks another way, and tests compare the two:
 - ``rigid_over`` certifies that only the identity fixes given points by
   refining from them, the reference for the lift's coordinate certificate
   ``lifting._rigid_over_base``;
+- ``naming_points`` reads each lift element's names one element at a
+  time, the reference for the column-wise ``lifting._rigid_over_base``;
 - ``continuity_escapes`` induces the generators of every witness's
   stabilizer and applies them to the lift element, the reference for
   ``verify-iso``'s continuity check through naming points;
@@ -50,7 +52,15 @@ from stablelift.interpretation import (
     _bijection_problem,
     _Quotient,
 )
-from stablelift.lifting import BaseElem, direct_induced
+from stablelift.lifting import (
+    ANCHOR_NAME,
+    BASE_NAME,
+    BaseElem,
+    copy_function,
+    direct_induced,
+    fiber_predicate,
+    projection_function,
+)
 from stablelift.stability import StabilityError, _decomposition, _source_counts
 from stablelift.structures import Structure
 
@@ -205,6 +215,29 @@ def rigid_over(M: Structure, sorts, points) -> bool:
     rest = [[x for x in block if x not in fixed] for block in sorts]
     blocks = [[x] for x in sorted(fixed)] + [block for block in rest if block]
     return len(root_partition(M, view_tables(M), blocks)[2]) == M.size
+
+
+def naming_points(N):
+    """_rigid_over_base element by element: the naming points of every lift
+    element, or None when some projection value lies outside the anchor
+    and the base copy or two elements share fiber predicates, fixing copy
+    selectors and projection values."""
+    S, rels = N.structure, N.source.sig.relations
+    base = {e for (e,) in S.relation_sets[BASE_NAME]}
+    fixed = {S.constants[ANCHOR_NAME], *base}
+    predicates = [S.relation_sets[fiber_predicate(rel)] for rel, _ in rels]
+    selectors = [S.functions[copy_function(rel, j)] for rel, _ in rels for j in range(N.config.k)]
+    projections = [S.functions[projection_function(rel, t)] for rel, n in rels for t in range(n)]
+    points, names = [], set()
+    for e in S.domain:
+        values = (e,) if e in fixed else tuple(p[e] for p in projections)
+        if not fixed.issuperset(values):
+            return None
+        if e not in fixed:
+            names.add((tuple((e,) in P for P in predicates), tuple(f[e] == e for f in selectors),
+                       values))
+        points.append(tuple([v - 1 for v in values if v in base]))
+    return tuple(points) if len(names) == S.size - len(fixed) else None
 
 
 def continuity_escapes(N, GM, witness) -> list[bool]:

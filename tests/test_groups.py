@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from references import automorphism_group_brute, greedy_lex_generators, rigid_over
+from references import automorphism_group_brute, greedy_lex_generators, naming_points, rigid_over
 from stablelift.corpus import digraph
 from stablelift.groups import (
     GroupError,
@@ -153,6 +153,74 @@ def test_orbits_examples(m_edge, m_pair):
 def test_orbits_on_tuples(m_pair):
     G = automorphism_group(m_pair)
     assert orbits_on_tuples(G, [(0, 1), (1, 0)]) == [((0, 1), (1, 0))]
+
+
+def _closure_blocks(G, points, act):
+    """Orbits by brute force: the images of each point under every member of
+    G, restricted to ``points``, ordered by least member."""
+    members, points = G.elements(), set(points)
+    todo, blocks = set(points), []
+    while todo:
+        x = todo.pop()
+        block = {act(g, x) for g in members} & points
+        todo -= block
+        blocks.append(tuple(sorted(block)))
+    return sorted(blocks)
+
+
+def _orbit_cases(corpus):
+    """(case, group, domain, tuple sets): Aut(M) on the corpus with M's
+    relations, and on the lifts of _lift_cases the group of the induced
+    generators of Aut(M) and its stabilizer of one moved point, with the
+    lift's relations and function graphs."""
+    from stablelift.lifting import direct_induced
+
+    for name, M in corpus:
+        yield name, automorphism_group(M), M.domain, list(M.relation_sets.values())
+    for case, N in _lift_cases(corpus):
+        S = N.structure
+        G = PermGroup([direct_induced(N, g) for g in automorphism_group(N.source).generators], S.size)
+        tuple_sets = list(S.relation_sets.values()) + [set(enumerate(f)) for f in S.functions.values()]
+        yield case, G, S.domain, tuple_sets
+        moved = [x for x in S.domain if any(g(x) != x for g in G.generators)]
+        if moved:
+            yield case + ("stabilizer",), pointwise_stabilizer(G, moved[:1]), S.domain, tuple_sets
+
+
+def test_orbits_equal_the_closure_under_every_member(corpus):
+    """orbits and orbits_on_tuples, which follow the generators breadth-first,
+    against the images under every group member: on the whole domain, on
+    its even points (a set no group need preserve, whose orbits are cut
+    down to it), and on each invariant tuple set.  First a group given by
+    two generators, neither of which reaches the whole orbit of 0 alone."""
+    G = PermGroup([Permutation((1, 0, 2, 3, 4)), Permutation((0, 2, 1, 3, 4))], 5)
+    assert orbits(G, range(5)) == _closure_blocks(G, range(5), Permutation.__call__) == [
+        (0, 1, 2), (3,), (4,)
+    ]
+    pairs = list(itertools.permutations(range(3), 2))
+    assert orbits_on_tuples(G, pairs) == [tuple(sorted(pairs))]
+    for case, G, domain, tuple_sets in _orbit_cases(corpus):
+        assert orbits(G, domain) == _closure_blocks(G, domain, Permutation.__call__), case
+        evens = domain[::2]
+        assert orbits(G, evens) == _closure_blocks(G, evens, Permutation.__call__), case
+        for tuples in tuple_sets:
+            expected = _closure_blocks(G, tuples, Permutation.apply_tuple)
+            assert orbits_on_tuples(G, tuples) == expected, case
+
+
+def test_orbits_of_the_trivial_group_are_singletons():
+    G = PermGroup([], 4)
+    assert orbits(G, [3, 1, 2]) == [(1,), (2,), (3,)]
+    assert orbits(G, []) == []
+    assert orbits_on_tuples(G, [(1, 0), (0, 1)]) == [((0, 1),), ((1, 0),)]
+
+
+def test_orbits_on_tuples_names_an_escaping_orbit(m_pair):
+    # the swap of 0 and 1 carries (0, 1) to (1, 0), which the set lacks
+    G = automorphism_group(m_pair)
+    with pytest.raises(GroupError) as raised:
+        orbits_on_tuples(G, [(0, 1), (1, 1)])
+    assert str(raised.value) == "tuple set not invariant: orbit of (0, 1) escapes"
 
 
 def test_pointwise_stabilizer_examples(m_pair, m_triple):
@@ -600,12 +668,12 @@ def _lift_cases(corpus):
 
 
 def test_certified_group_equals_the_search_on_lifts(corpus):
-    """On every lift both certificates hold: the coordinate names and the
-    reference refinement from the sort table with the base points split
-    off.  The group of the induced generators, which certify_induced_group
-    vouches for, is the plain search's: the same order, each holding the
-    other's generators, and the order of the backtracking oracle on sources
-    of at most five elements and at k = 1.  The naming points it returns
+    """On every lift both certificates hold: the coordinate names, equal to
+    their element-by-element reference, and the reference refinement from
+    the sort table with the base points split off.  The group of the
+    induced generators, which certify_induced_group vouches for, is the
+    plain search's: the same order, each holding the other's generators,
+    and the order of the backtracking oracle.  The naming points it returns
     are read off the provenance: none for the anchor, its source point for
     a base element, and the coordinates of a fiber element."""
     from automorphism_oracle import automorphisms
@@ -619,6 +687,7 @@ def test_certified_group_equals_the_search_on_lifts(corpus):
 
     for case, N in _lift_cases(corpus):
         S, M = N.structure, N.source
+        assert _rigid_over_base(N) == naming_points(N), case
         assert _rigid_over_base(N), case
         assert rigid_over(S, N.sorts.values(), [N.base_id(a) for a in M.domain]), case
         GM = automorphism_group(M)
@@ -634,8 +703,7 @@ def test_certified_group_equals_the_search_on_lifts(corpus):
         assert certified.order() == searched.order() == GM.order(), case
         assert all(g in searched for g in certified.generators), case
         assert all(g in certified for g in searched.generators), case
-        if M.size <= 5 or case[1] == 1:
-            assert certified.order() == len(automorphisms(S, budget=2_000_000)), case
+        assert certified.order() == len(automorphisms(S, budget=2_000_000)), case
 
 
 def test_rigidity_needs_the_base_points():
@@ -697,6 +765,39 @@ def test_a_projection_onto_a_fiber_element_is_refused():
 
     assert _rigid_over_base(N)
     assert not _rigid_over_base(_with_projections(N, onto_a_fiber))
+
+
+def test_naming_points_of_a_lift_with_no_relation():
+    # no relation gives no name column, and the lift is the anchor and the
+    # base copy alone
+    from stablelift.lifting import _rigid_over_base
+    from stablelift.structures import Signature, Structure
+
+    N = build_lift(Structure(sig=Signature(), size=3), LiftConfig(k=2))
+    assert _rigid_over_base(N) == naming_points(N) == ((), (0,), (1,), (2,))
+
+
+@pytest.mark.parametrize("doctor", ["shared names", "value off the base"])
+def test_the_naming_certificate_refuses_a_doctored_lift(doctor):
+    # two elements of the sort fiber_edge[0] (same fiber predicate, same
+    # copy selectors fixing them) given the same projection values, so no
+    # name tells them apart; or the first given a projection value in a
+    # fiber, outside the anchor and the base copy
+    from stablelift.lifting import _rigid_over_base, fiber_sort
+
+    for edges in ([], [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 3)]):
+        for k in (1, 2):
+            N = build_lift(digraph(4, edges), LiftConfig(k=k))
+            first, second = N.sorts[fiber_sort("edge", 0)][:2]
+
+            def doctored(images):
+                value = images[first] if doctor == "shared names" else second
+                target = second if doctor == "shared names" else first
+                return images[:target] + (value,) + images[target + 1:]
+
+            assert _rigid_over_base(N) is not None
+            assert _rigid_over_base(_with_projections(N, doctored)) is None, (edges, k)
+            assert naming_points(_with_projections(N, doctored)) is None, (edges, k)
 
 
 @pytest.mark.parametrize("doctor", ["drop", "add"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from references import searched_decomposition
@@ -109,6 +110,21 @@ def test_one_census_table_serves_every_parameter_set(type_structures):
                 assert got == _qf_type_census_reference(N, A, depth), (index, depth, A)
 
 
+def test_a_parameter_set_that_adds_no_atom_keeps_the_table_blocks(type_structures):
+    # a constant's value as the one parameter: its terms are the constant's,
+    # already constant columns of the table, so it adds no atom, as () does
+    checked = 0
+    for index, N in enumerate(type_structures):
+        for depth in (0, 1, 2) if N.size <= 12 else (0, 1):
+            table = stability._census_table(N, depth)
+            assert qf_type_census(N, (), depth=depth).blocks == table.blocks, index
+            for A in [(N.constants[c],) for c in N.sig.constants[:1]]:
+                got = qf_type_census(N, A, depth=depth).blocks
+                assert got == table.blocks == _qf_type_census_reference(N, A, depth), (index, A)
+                checked += 1
+    assert checked > 0
+
+
 def test_qf_census_of_the_empty_domain():
     sig = Signature(relations=(("R", 2), ("U", 1)), functions=("f",))
     empty = Structure(sig=sig, size=0, functions={"f": ()})
@@ -135,6 +151,25 @@ def test_qf_census_depth_guard(m_pair):
 def test_qf_census_parameter_validation(m_pair):
     with pytest.raises(StabilityError, match="outside"):
         qf_type_census(m_pair, (9,))
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "0"])
+def test_a_parameter_that_is_not_an_int_is_refused(m_pair, bad, monkeypatch):
+    # 1.0 and True pass for the element 1 in a range and "0" for nothing;
+    # each is refused by repr before any census table or group is built
+    N = build_lift(m_pair, LiftConfig(k=1)).structure
+
+    def no_work(*args):
+        raise AssertionError("work done before the parameters were checked")
+
+    monkeypatch.setattr(stability, "_census_table", no_work)
+    monkeypatch.setattr(stability, "automorphism_group", no_work)
+    message = f"^parameter {re.escape(repr(bad))} is not an int$"
+    for M in (m_pair, N):
+        with pytest.raises(StabilityError, match=message):
+            qf_type_census(M, (0, bad))
+    with pytest.raises(StabilityError, match=message):
+        stability_report(m_pair, [1], [(), (bad,)])
 
 
 def test_orbits_refine_types(corpus):
