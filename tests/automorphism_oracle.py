@@ -6,10 +6,11 @@ unary fact, a constant, and also R(x, ..., x) and a fixed point f(x) = x.
 An automorphism carries each such fact on x to the same fact on its image,
 so no automorphism is lost.  Each fact is checked as soon as all of its
 elements are mapped: a relation tuple, a function's graph pair (x, f(x))
-and a constant c as the tuple (c,) of a one-tuple relation.  A bijection that carries every fact of a finite set to
-a fact maps the set onto itself, so a partial map that breaks a fully
-mapped fact extends to no automorphism, and the pruning is exact.  There is
-no refinement, no orbit pruning and no sort partition.
+and a constant c as the tuple (c,) of a one-tuple relation.  A bijection
+that carries every fact of a finite set to a fact maps the set onto
+itself, so a partial map that breaks a fully mapped fact extends to no
+automorphism, and the pruning is exact.  There is no refinement, no orbit
+pruning and no sort partition.
 
 The elements are mapped in a fixed order read off the facts alone: next
 the unmapped element with the most facts on itself and mapped elements,
