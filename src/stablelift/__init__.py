@@ -18,9 +18,7 @@ from .structures import (
 from .formulas import (
     Formula,
     FormulaError,
-    ParseError,
     AtomicType,
-    parse_formula,
     format_formula,
     eval_formula,
     definable_set,

@@ -11,6 +11,12 @@ Variable blocks: a sort of width m uses host variables x0..x(m-1); its
 equivalence formula uses x0..x(2m-1) with the second block as the partner
 tuple; a translation formula for a relation over sorts of widths m0..m(k-1)
 uses consecutive blocks of those widths.
+
+Validation and transport decide one language, the forms that generated
+schemes and their mutants take: each equivalence is a kernel whose key
+covers the positions its domain formula reads, and each translation is a
+constant or an equality pattern linking key positions of its first two
+sorts.  Any other scheme raises SchemeError before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -18,19 +24,16 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import deque
-from collections.abc import Container
 from dataclasses import dataclass, field, replace
 
-# perfbench/spans.py wraps eval_formula at this import site, where the
-# quotients and the row-by-row agreement scan call it; definable_set is not
+# perfbench/spans.py wraps eval_formula at this import site, where only the
+# quotients call it, on domain formulas at core tuples; definable_set is not
 # called here but stays importable at the same site
 from .formulas import (
     And,
     AtomicType,
     Equal,
     Formula,
-    FormulaError,
     Not,
     Var,
     conjunction,
@@ -38,7 +41,6 @@ from .formulas import (
     eval_formula,
     format_formula,
     free_variables,
-    free_width,
     inert_variables,
     sort_partition,
 )
@@ -212,140 +214,56 @@ def _equality_pattern(phi: Formula) -> Pattern | None:
 # -- quotients ----------------------------------------------------------------
 
 
+def _kernel_key(width: int, r: Formula, E: Formula) -> tuple[int, ...]:
+    """The key of E, the ascending positions q of its atoms x_q = x_(width+q),
+    when E is a conjunction of such atoms and atoms xq = xq, the kernel of
+    the projection onto its key, and r reads no position outside the key;
+    SchemeError otherwise."""
+    pattern = _equality_pattern(E)
+    if pattern is None or pattern[0] or any(t != width + s for s, t in pattern[1]):
+        raise SchemeError("equivalence is not a kernel")
+    key = tuple(s for s, _ in pattern[1])
+    outside = set(range(width)).difference(key, inert_variables(r))
+    if outside:
+        raise SchemeError(f"domain formula reads x{min(outside)} outside the equivalence's key")
+    return key
+
+
 class _Quotient:
-    """r(M)/E by class index; verifies E is an equivalence on r(M).
+    """r(M)/E by class index, for an E that is the kernel of the projection
+    onto ``key`` (see _kernel_key).
 
-    Position q is padding when x_q is inert in r and x_q, x_(width+q) are
-    inert in E: the truth of r and E never depends on it.  r and E are then
-    evaluated on the other (core) positions only, with padding set to
-    M.domain[0], and each class is kept as its sorted core tuples; its full
-    members are any values in the padding positions.  A witness is its core
-    witness with M.domain[0] in the padding positions.
-
-    An E that is a conjunction of atoms x_q = x_(width+q) and padding atoms
-    xq = xq is the kernel of the projection onto those q, which are core
-    since E reads them: the classes are r(M) grouped by those positions,
-    and E is never evaluated, since a kernel cannot fail to be an
-    equivalence.  Any other E is evaluated on every pair of core tuples,
-    with a witness for the first failure.
+    The positions outside the key are padding: neither r nor E reads them.
+    r is evaluated at each core tuple, the values at the key positions, with
+    padding set to M.domain[0], and each class is its one core tuple; its
+    members are that tuple with any values in the padding positions.  A
+    kernel cannot fail to be an equivalence, so E is never evaluated.
     """
 
-    def __init__(self, M: Structure, r: Formula, E: Formula):
-        n = free_width(r)
-        fv_E, pattern = free_variables(E), _equality_pattern(E)
-        kernel = pattern is not None and not pattern[0] and all(t == n + s for s, t in pattern[1])
-        # a kernel reads exactly the positions in its pairs
-        inert_r = inert_variables(r)
-        inert_E = fv_E.difference(*pattern[1]) if kernel else inert_variables(E)
-        # over an empty domain nothing is padding: M^width is empty anyway
-        pad = [q for q in range(n) if M.size and q in inert_r and {q, n + q} <= inert_E]
-        padded = set(pad)
-        core = [q for q in range(n) if q not in padded]
-        low = tuple(M.domain[0] for _ in pad)
-        # the inverse permutation: x_q sits at where[q] in core + pad
-        where = sorted(range(n), key=(core + pad).__getitem__)
+    def __init__(self, M: Structure, width: int, r: Formula, key: tuple[int, ...]):
+        keyed = set(key)
+        pad = [q for q in range(width) if q not in keyed]
+        low = tuple(M.domain[:1]) * len(pad)
+        # the inverse permutation: x_q sits at where[q] in key + pad
+        where = sorted(range(width), key=[*key, *pad].__getitem__)
 
         def full(c: tuple, p: tuple = low) -> tuple:
             cp = c + p
             return tuple(cp[i] for i in where)
 
-        self.M, self.width, self.core, self.pad, self.full = M, n, core, pad, full
-        cores = itertools.product(M.domain, repeat=len(core))
-        dom = [c for c in cores if eval_formula(M, r, dict(enumerate(full(c))))]
-        if fv_E != frozenset(range(2 * n)):
-            raise SchemeError(
-                f"equivalence formula must use exactly x0..x{2 * n - 1}"
-            )
-
-        self.cores: list[tuple[tuple, ...]]
-        if kernel:
-            key = [core.index(s) for s, _ in pattern[1]]
-            classes: dict[tuple, list[tuple]] = {}
-            for c in dom:
-                classes.setdefault(tuple(c[i] for i in key), []).append(c)
-            # dom is in lexicographic order, so each class is sorted and the
-            # classes come ordered by least member
-            self.cores = [tuple(members) for members in classes.values()]
-            self._class_of = {c: idx for idx, members in enumerate(self.cores) for c in members}
-            return
-        fulls = [full(t) for t in dom]
-        rows = {
-            s: {t for t, ft in zip(dom, fulls) if eval_formula(M, E, dict(enumerate(fs + ft)))}
-            for s, fs in zip(dom, fulls)
-        }
-        for s in dom:
-            if s not in rows[s]:
-                raise SchemeError(
-                    f"not an equivalence relation: not reflexive at {full(s)}"
-                )
-            for t in sorted(rows[s]):
-                if s not in rows[t]:
-                    raise SchemeError(
-                        "not an equivalence relation: not symmetric at "
-                        f"({full(s)}, {full(t)})"
-                    )
-        # group into tentative classes, then confirm rows match the grouping;
-        # a mismatch yields an explicit transitivity witness
-        class_of: dict[tuple, int] = {}
-        self.cores = []
-        for s in dom:
-            if s in class_of:
-                continue
-            members = set()
-            queue = [s]
-            while queue:
-                u = queue.pop()
-                if u in members:
-                    continue
-                members.add(u)
-                queue.extend(rows[u] - members)
-            for u in members:
-                class_of[u] = len(self.cores)
-            self.cores.append(tuple(sorted(members)))
-        for s in dom:
-            for t in dom:
-                if (class_of[s] == class_of[t]) != (t in rows[s]):
-                    triple = _transitivity_witness(rows, s, t)
-                    raise SchemeError(
-                        "not an equivalence relation: not transitive at "
-                        f"({', '.join(str(full(c)) for c in triple)})"
-                    )
-        self._class_of = class_of
+        self.M, self.width, self.key, self.pad, self.full = M, width, key, pad, full
+        # over an empty domain there is no core tuple, nor a padding value
+        cores = itertools.product(M.domain, repeat=len(key)) if M.size else ()
+        # in lexicographic order, so the classes come ordered by least member
+        self.cores = [c for c in cores if eval_formula(M, r, dict(enumerate(full(c))))]
+        self._class_of = {c: idx for idx, c in enumerate(self.cores)}
 
     def index(self, t: tuple) -> int | None:
         """The class of host tuple t, or None if t has the wrong width, a
         padding entry outside the domain, or lies outside r(M)."""
         if len(t) != self.width or any(t[q] not in self.M.domain for q in self.pad):
             return None
-        return self._class_of.get(tuple(t[q] for q in self.core))
-
-    def members(self, idx: int, read: Container[int]) -> tuple[tuple, ...]:
-        """Class idx's full tuples in lexicographic order, each padding
-        position outside ``read`` kept at M.domain[0]."""
-        pads = itertools.product(
-            *(self.M.domain if q in read else self.M.domain[:1] for q in self.pad)
-        )
-        return tuple(sorted(self.full(c, p) for p in pads for c in self.cores[idx]))
-
-
-def _transitivity_witness(rows: dict[tuple, set[tuple]], s: tuple, t: tuple) -> tuple:
-    """A triple (s, u, v) with s~u, u~v and not s~v, given t in the class
-    of s but not related to it: the first steps of a shortest path s ... t,
-    found by breadth-first search with parent pointers inside the class."""
-    parent = {s: s}
-    queue = deque([s])
-    while t not in parent:
-        x = queue.popleft()
-        for y in sorted(rows[x]):
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    path = [t]
-    while path[-1] != s:
-        path.append(parent[path[-1]])
-    path.reverse()
-    # on a shortest path, s and the vertex two steps on are unrelated
-    return path[0], path[1], path[2]
+        return self._class_of.get(tuple(t[q] for q in self.key))
 
 
 # -- scheme validation ---------------------------------------------------------
@@ -391,25 +309,64 @@ def _sort_cover(
     return CheckResult("sort-cover", passed, witness)
 
 
+def _pattern_of(phi: Formula, patterns: dict[int, Pattern | None]) -> Pattern | None:
+    if id(phi) not in patterns:
+        patterns[id(phi)] = _equality_pattern(phi)
+    return patterns[id(phi)]
+
+
+def _language(
+    scheme: InterpretationScheme,
+) -> tuple[dict[AtomicType, tuple[int, ...]], dict[int, Pattern | None]]:
+    """Each sort's key and, by formula id, each translation's equality
+    pattern, for a scheme in the one language that validation and transport
+    decide: each equivalence is a kernel whose key covers every position its
+    domain formula reads (see _kernel_key), and each translation is a
+    constant or an equality pattern whose pairs link key positions of its
+    first sort to key positions of its second.  Any other scheme raises
+    SchemeError naming the first sort outside it, by index and key, or else
+    the first translation, by relation and sort keys; nothing is evaluated.
+    """
+    keys: dict[AtomicType, tuple[int, ...]] = {}
+    for idx, s in enumerate(scheme.sorts):
+        try:
+            keys[s.key] = _kernel_key(s.width, s.domain_formula, s.equiv_formula)
+        except SchemeError as e:
+            raise SchemeError(f"sort {idx} {s.key}: {e}") from None
+    widths = {s.key: s.width for s in scheme.sorts}
+    patterns: dict[int, Pattern | None] = {}
+    for sr in scheme.rels:
+        pattern = _pattern_of(sr.formula, patterns)
+        if pattern is None:
+            problem = "not a constant or an equality pattern"
+        elif not pattern[1]:
+            continue
+        else:
+            first = sr.sort_keys[0]
+            second = keys[sr.sort_keys[1]] if len(sr.sort_keys) > 1 else ()
+            split = widths[first]
+            unlinked = [(s, t) for s, t in pattern[1] if s not in keys[first] or t - split not in second]
+            if not unlinked:
+                continue
+            s, t = unlinked[0]
+            problem = f"x{s} = x{t} does not link key positions of its first and second sorts"
+        raise SchemeError(f"translation of {sr.rel!r} at sorts {sr.sort_keys}: {problem}")
+    return keys, patterns
+
+
 def _sort_pass(
     M1: Structure,
     scheme: InterpretationScheme,
     realized: dict[AtomicType, tuple[int, ...]],
-) -> tuple[dict[AtomicType, _Quotient | None], list[CheckResult]]:
-    """Each scheme sort's quotient over M1 (None where its equivalence
-    fails), with the sort-quotient checks and then the sort-bijection
-    checks, each in scheme order; a sort whose quotient failed gets no
-    bijection check."""
-    quotients: dict[AtomicType, _Quotient | None] = {}
+) -> tuple[dict[AtomicType, _Quotient], list[CheckResult], dict[int, Pattern | None]]:
+    """Each scheme sort's quotient over M1, with the sort-quotient checks and
+    then the sort-bijection checks, each in scheme order, and the patterns
+    of _language, which first refuses a scheme outside the language."""
+    keys, patterns = _language(scheme)
+    quotients: dict[AtomicType, _Quotient] = {}
     sort_checks, bijection_checks = [], []
     for idx, s in enumerate(scheme.sorts):
-        try:
-            q = _Quotient(M1, s.domain_formula, s.equiv_formula)
-        except SchemeError as e:
-            quotients[s.key] = None
-            sort_checks.append(CheckResult(f"sort-quotient[{idx}]", False, str(e)))
-            continue
-        quotients[s.key] = q
+        q = quotients[s.key] = _Quotient(M1, s.width, s.domain_formula, keys[s.key])
         nonempty = bool(q.cores) or s.key not in realized
         witness = None if nonempty else "definable set empty for a realized sort"
         sort_checks.append(CheckResult(f"sort-quotient[{idx}]", nonempty, witness))
@@ -417,7 +374,7 @@ def _sort_pass(
             q, scheme.bijections.get(s.key, {}), realized.get(s.key, ())
         )
         bijection_checks.append(CheckResult(f"sort-bijection[{idx}]", problem is None, problem))
-    return quotients, sort_checks + bijection_checks
+    return quotients, sort_checks + bijection_checks, patterns
 
 
 def validate_scheme(
@@ -428,24 +385,21 @@ def validate_scheme(
     quotient, each sort's bijection, the translation cover, then agreement
     of each target relation with its translations.
 
-    Agreement evaluates the translations at every member of each element's
-    class, which also checks that they respect the equivalences.  A padding
-    position that no translation reads stays at M1.domain[0]; an element
-    whose representative has no class is untranslatable.  A sort whose
-    equivalence is a kernel is grouped by key, not checked pair by pair;
-    a block of target tuples whose translation is a constant or an
-    equality pattern is decided whole from its held tuples (see
-    _agreement_witness).  Every generated scheme and CLI mutant is decided
-    that way throughout, except that a constant False block that holds no
-    target tuple, whose elements all have class members, is skipped: it
-    can neither fail nor raise.  The translation cover is read off
+    A scheme outside the language of _language raises SchemeError before
+    anything is evaluated.  Inside it, each class has one core tuple and no
+    translation reads padding, so an element stands for one host tuple, its
+    representative, and agreement there is exact: a translation that reads
+    only key positions respects the equivalences.  An element whose
+    representative has no class is untranslatable.  Each block of target
+    tuples, one per tuple of sorts, is decided whole from its held tuples
+    (see _agreement_witness).  The translation cover is read off
     ``scheme.translations``, listing missing tuples of sorts only when a
     relation has fewer translations than tuples of realized sorts.
     """
     _require_relational(M1, "host structure")
     _require_relational(M2, "target structure")
     realized = sort_partition(M2)
-    quotients, sort_checks = _sort_pass(M1, scheme, realized)
+    quotients, sort_checks, patterns = _sort_pass(M1, scheme, realized)
     report = ValidationReport([_sort_cover(realized, scheme), *sort_checks])
 
     element_sort = {b: key for key, block in realized.items() for b in block}
@@ -470,126 +424,88 @@ def validate_scheme(
     rep_of: dict[int, tuple[int, ...]] = {}
     for fmap in scheme.bijections.values():
         rep_of.update(fmap)
-    # id(formula) -> its equality pattern or None, shared by the padding
-    # walk below and every relation's scan
-    patterns: dict[int, Pattern | None] = {}
-    # per sort, the padding positions some translation reads: its free
-    # variables that are not inert, found once per distinct formula; a
-    # pattern reads the positions in its pairs
-    pad = {key: q.pad for key, q in quotients.items() if q is not None and q.pad}
-    read: dict[AtomicType, set[int]] = {key: set() for key in pad}
-    widths = {s.key: s.width for s in scheme.sorts}
-    reads: dict[int, Container[int]] = {}
-    for sr in scheme.rels:
-        if not any(key in pad for key in sr.sort_keys):
-            continue
-        live = reads.get(id(sr.formula))
-        if live is None:
-            pattern = _pattern_of(sr.formula, patterns)
-            if pattern is not None:
-                live = {q for pair in pattern[1] for q in pair}
-            else:
-                live = sr._free_vars - inert_variables(sr.formula)
-            reads[id(sr.formula)] = live
-        start = 0
-        for key in sr.sort_keys:
-            if key in pad:
-                read[key].update(q for q in pad[key] if start + q in live)
-            start += widths[key]
-    # the host tuples each element stands for: the members of its class;
-    # an element without a valid class has none
-    options: dict[int, tuple[tuple[int, ...], ...]] = {}
+    # the host tuple each element stands for: its representative, if that
+    # has a class of the element's sort
+    options: dict[int, tuple[int, ...]] = {}
     for b, rep in rep_of.items():
-        key = element_sort.get(b)
-        q = quotients.get(key)
-        idx = None if q is None else q.index(rep)
-        if idx is not None:
-            options[b] = q.members(idx, read.get(key, ()))
-    # per sort, how many options its elements have
-    counts = {key: {len(options.get(e, ())) for e in block} for key, block in realized.items()}
+        q = quotients.get(element_sort.get(b))
+        if q is not None and q.index(rep) is not None:
+            options[b] = rep
+    # per sort, its elements with an option, and its least element without
+    # one where it has such
+    ready = {key: tuple(filter(options.__contains__, block)) for key, block in realized.items()}
+    stray = {
+        key: min(set(block).difference(ready[key]))
+        for key, block in realized.items()
+        if len(ready[key]) < len(block)
+    }
+    widths = {s.key: s.width for s in scheme.sorts}
     for name, row in table.items():
         witness = _agreement_witness(
-            M1, M2.relation_sets[name], row, realized, element_sort, options, counts, widths,
+            M2.relation_sets[name], row, realized, element_sort, options, ready, stray, widths,
             patterns,
         )
         report.checks.append(CheckResult(f"relation-agreement[{name}]", witness is None, witness))
     return report
 
 
-def _pattern_of(phi: Formula, patterns: dict[int, Pattern | None]) -> Pattern | None:
-    if id(phi) not in patterns:
-        patterns[id(phi)] = _equality_pattern(phi)
-    return patterns[id(phi)]
-
-
 def _agreement_witness(
-    M1: Structure,
     held: frozenset,
     row: list[tuple[tuple[AtomicType, ...], SchemeRel | None]],
     realized: dict[AtomicType, tuple[int, ...]],
     element_sort: dict[int, AtomicType],
-    options: dict[int, tuple[tuple[int, ...], ...]],
-    counts: dict[AtomicType, set[int]],
+    options: dict[int, tuple[int, ...]],
+    ready: dict[AtomicType, tuple[int, ...]],
+    stray: dict[AtomicType, int],
     widths: dict[AtomicType, int],
     patterns: dict[int, Pattern | None],
 ) -> str | None:
     """The witness of the first tuple of M2^arity, in product order, whose
-    translation is missing, cannot be evaluated, or disagrees with ``held``,
-    the relation's tuples in M2.
+    translation is missing, that has an element without an option, or
+    whose translation disagrees with ``held``, the relation's tuples in M2.
 
     The tuples split into blocks, one per tuple of sorts, each with its
     translation in ``row`` in any order, and each block gives its least
-    failing tuple; the first failure is the least of those.  Each distinct
-    formula object's equality pattern is found once into ``patterns``,
-    keyed by id and shared between relations by the caller, as is
-    ``counts``, each sort's set of option counts.  A constant False block
-    that holds no tuple, whose elements all have options, cannot fail and
-    is skipped.  Any other block is decided whole by _block_failure when
-    its translation is a constant and all its elements have options, or an
-    equality pattern whose pairs all link the first sort with the second
-    and all its elements have one option each; any other block is scanned
-    tuple by tuple by _first_failure.  A FormulaError at the first failure
-    is raised, as evaluating the tuples in order would.
+    failing tuple; the first failure is the least of those.  Within a
+    block, the least tuple with an element outside ``ready`` puts the
+    ``stray`` element of its sort at one position and each other sort's
+    least element at the rest; the tuples of ready elements are decided
+    whole by _block_failure, which may also report a held tuple with a
+    stray element, never less than that least one.  A constant False block
+    that holds no tuple and has no stray element cannot fail and is
+    skipped.
     """
     held_in: dict[tuple[AtomicType, ...], list[tuple[int, ...]]] = {}
     sort_of = element_sort.__getitem__
     for t in held:
         held_in.setdefault(tuple(map(sort_of, t)), []).append(t)
-    failures = []  # per block: (least failing tuple, witness or FormulaError)
+    failures = []  # per block: (least failing tuple, witness)
     for keys, sr in row:
         if sr is None:
             least = tuple(realized[key][0] for key in keys)
             failures.append((least, f"untranslatable tuple {least}"))
             continue
-        pattern = _pattern_of(sr.formula, patterns)
-        if pattern is None:
-            whole = False
-        elif not pattern[1]:
-            whole = all(0 not in counts[key] for key in keys)
-            # constant False with no held tuple cannot fail, nor raise
-            if whole and pattern[0] and keys not in held_in:
-                continue
-        else:
-            # a pair inside the first sort stops the chain before keys[1]
-            split = widths[keys[0]]
-            whole = all(
-                s < split <= t < split + widths[keys[1]] for s, t in pattern[1]
-            ) and all(counts[key] == {1} for key in keys)
-        blocks = [realized[key] for key in keys]
-        if whole:
-            found = _block_failure(
-                pattern, widths[keys[0]], blocks, held, held_in.get(keys, ()), options
+        pattern = patterns[id(sr.formula)]
+        here = held_in.get(keys, ())
+        if stray and any(map(stray.__contains__, keys)):
+            # no tuple with a stray element is less than this one, which
+            # goes first among equal failures
+            least = min(
+                tuple(stray[k] if j == i else realized[k][0] for j, k in enumerate(keys))
+                for i, key in enumerate(keys)
+                if key in stray
             )
-        else:
-            found = _first_failure(M1, sr.formula, held, blocks, options)
+            failures.append((least, f"untranslatable tuple {least}"))
+        elif pattern == (True, ()) and not here:
+            # constant False with no held tuple cannot fail
+            continue
+        blocks = [ready[key] for key in keys]
+        found = _block_failure(pattern, widths[keys[0]], blocks, held, here, options)
         if found:
             failures.append(found)
     if not failures:
         return None
-    _, outcome = min(failures, key=lambda failure: failure[0])
-    if isinstance(outcome, FormulaError):
-        raise outcome
-    return outcome
+    return min(failures, key=lambda failure: failure[0])[1]
 
 
 def _block_failure(
@@ -598,12 +514,14 @@ def _block_failure(
     blocks: list[tuple[int, ...]],
     held: frozenset,
     held_here: list[tuple[int, ...]],
-    options: dict[int, tuple[tuple[int, ...], ...]],
+    options: dict[int, tuple[int, ...]],
 ) -> tuple[tuple[int, ...], str] | None:
-    """What _first_failure returns for a block whose translation is a
-    constant, or an equality pattern whose pairs link block 0 (of width
-    ``split``) with block 1 at elements with one option each, decided from
-    the block's held tuples ``held_here`` with no per-tuple evaluation.
+    """The least tuple of the product of ``blocks`` at which the translation
+    disagrees with ``held``, with its witness, or None: a translation that
+    is a constant, or an equality pattern whose pairs link block 0 (of
+    width ``split``) with block 1, read at each element's option and
+    decided from the block's held tuples ``held_here`` with no per-tuple
+    evaluation.
 
     A constant True fails at the least product tuple not held, a constant
     False at the least held tuple.  Otherwise block 1's elements are
@@ -626,11 +544,11 @@ def _block_failure(
         right = operator.itemgetter(*[t - split for _, t in pairs])
         index: dict = {}
         for b in blocks[1]:
-            index.setdefault(right(options[b][0]), []).append(b)
+            index.setdefault(right(options[b]), []).append(b)
         satisfying = {
             (a, b, *rest)
             for a in blocks[0]
-            for b in index.get(left(options[a][0]), ())
+            for b in index.get(left(options[a]), ())
             for rest in itertools.product(*blocks[2:])
         }
         if negated:
@@ -642,30 +560,6 @@ def _block_failure(
             found = [min(satisfying.symmetric_difference(held_here), default=None)]
     least = min((t for t in found if t is not None), default=None)
     return None if least is None else (least, f"tuple {least} (target says {least in held})")
-
-
-def _first_failure(
-    M1: Structure,
-    phi: Formula,
-    held: frozenset,
-    blocks: list[tuple[int, ...]],
-    options: dict[int, tuple[tuple[int, ...], ...]],
-) -> tuple[tuple[int, ...], str | FormulaError] | None:
-    """The first tuple of the block's product that has an element without
-    options or whose translation ``phi`` over M1, under some choice of
-    options, disagrees with ``held``; with its witness, or the FormulaError
-    its evaluation raised."""
-    for elems in itertools.product(*blocks):
-        if any(e not in options for e in elems):
-            return elems, f"untranslatable tuple {elems}"
-        holds = elems in held
-        try:
-            for reps in itertools.product(*[options[e] for e in elems]):
-                if eval_formula(M1, phi, dict(enumerate(sum(reps, ())))) != holds:
-                    return elems, f"tuple {elems} (target says {holds})"
-        except FormulaError as e:
-            return elems, e
-    return None
 
 
 # -- induced automorphisms -----------------------------------------------------
@@ -681,15 +575,16 @@ def induced_automorphism(
 
     A target element maps to the element whose class is the coordinatewise
     image of the class of its representative under the scheme's bijections.
-    Identity goes to identity and composition is preserved.  The map fails
-    with the witness of the first failing sort check of validation (cover,
-    quotients, bijections), or with a diagnostic if the definable sets are
-    not closed under the automorphism.
+    Identity goes to identity and composition is preserved.  A scheme
+    outside the language of _language is refused as validation refuses it;
+    otherwise the map fails with the witness of the first failing sort check
+    of validation (cover, quotients, bijections), or with a diagnostic if
+    the definable sets are not closed under the automorphism.
     """
     if not is_automorphism(M1, pi):
         raise SchemeError("the supplied permutation is not an automorphism of the host")
     realized = sort_partition(M2)
-    quotients, sort_checks = _sort_pass(M1, scheme, realized)
+    quotients, sort_checks, _ = _sort_pass(M1, scheme, realized)
     for check in [_sort_cover(realized, scheme), *sort_checks]:
         if not check.passed:
             raise SchemeError(check.witness)

@@ -10,8 +10,15 @@ faster or checks another way, and tests compare the two:
   generate, the reference for the level-by-level read-off;
 - ``atomic_type`` walks the formula trees for one element, the reference
   for the column-wise ``formulas.sort_partition``;
-- ``definable_quotient`` writes out every member of every class of a
-  quotient, which validation never asks for;
+- ``definable_quotient`` writes out every member of every class of the
+  library's kernel quotient, which validation never asks for;
+- ``brute_quotient`` evaluates a domain formula over all of ``M^width`` and
+  any equivalence formula over all pairs of its tuples, with a witness for
+  the first way it fails to be an equivalence (``transitivity_witness``
+  names a failure of transitivity), the reference for the kernel quotient;
+- ``first_failure`` scans a block of target tuples row by row, evaluating a
+  translation at every choice of class members, the reference for the
+  block decisions of scheme validation;
 - ``check_classical_interpretation`` checks a single-sorted interpretation
   by brute-force invariance under the host's automorphism group;
 - ``standard_corpus`` is every digraph on at most a few vertices, the
@@ -32,10 +39,20 @@ faster or checks another way, and tests compare the two:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from refinement_oracle import root_partition, view_tables
 from stablelift.corpus import exhaustive_digraphs
-from stablelift.formulas import AtomicType, Formula, FormulaError, atomic_formula_basis, eval_formula
+from stablelift.formulas import (
+    AtomicType,
+    Formula,
+    FormulaError,
+    atomic_formula_basis,
+    definable_set,
+    eval_formula,
+    free_variables,
+    free_width,
+)
 from stablelift.groups import (
     GroupError,
     Permutation,
@@ -50,6 +67,7 @@ from stablelift.interpretation import (
     SchemeError,
     ValidationReport,
     _bijection_problem,
+    _kernel_key,
     _Quotient,
 )
 from stablelift.lifting import (
@@ -121,15 +139,117 @@ def atomic_type(M: Structure, a: int) -> AtomicType:
     )
 
 
+def kernel_quotient(M: Structure, r: Formula, E: Formula) -> _Quotient:
+    """The library's quotient of r(M) by E.  Raises SchemeError unless E is
+    a kernel whose key covers the positions r reads."""
+    width = free_width(r)
+    if free_variables(E) != frozenset(range(2 * width)):
+        raise SchemeError(f"equivalence formula must use exactly x0..x{2 * width - 1}")
+    return _Quotient(M, width, r, _kernel_key(width, r, E))
+
+
+def quotient_members(q: _Quotient, idx: int) -> tuple[tuple[int, ...], ...]:
+    """Class idx of a kernel quotient written out in lexicographic order:
+    its core tuple with every value in each padding position."""
+    pads = itertools.product(q.M.domain, repeat=len(q.pad))
+    return tuple(sorted(q.full(q.cores[idx], p) for p in pads))
+
+
 def definable_quotient(
     M: Structure, r: Formula, E: Formula
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The classes of r(M) under E, each sorted, ordered by least member.
+    """The classes of r(M) under the kernel E, each sorted, ordered by least
+    member.  Raises SchemeError unless E is a kernel whose key covers the
+    positions r reads."""
+    q = kernel_quotient(M, r, E)
+    return tuple(quotient_members(q, idx) for idx in range(len(q.cores)))
 
-    Raises SchemeError with a witness if E is not an equivalence on r(M).
-    """
-    q = _Quotient(M, r, E)
-    return tuple(q.members(idx, q.pad) for idx in range(len(q.cores)))
+
+def brute_quotient(M: Structure, r: Formula, E: Formula):
+    """The unfactored quotient of r(M) by any formula E: r over all of
+    M^width and E over all pairs of r(M), with the lex-least symmetry
+    witness.  Returns r(M), the classes, each tuple's class and each
+    class's least member."""
+    width = len(free_variables(r))
+    dom = definable_set(M, r)
+    if free_variables(E) != frozenset(range(2 * width)):
+        raise SchemeError(f"equivalence formula must use exactly x0..x{2 * width - 1}")
+    rows = {
+        s: {
+            t
+            for t in dom
+            if eval_formula(M, E, {**dict(enumerate(s)), **dict(enumerate(t, width))})
+        }
+        for s in dom
+    }
+    for s in dom:
+        if s not in rows[s]:
+            raise SchemeError(f"not an equivalence relation: not reflexive at {s}")
+        for t in sorted(rows[s]):
+            if s not in rows[t]:
+                raise SchemeError(f"not an equivalence relation: not symmetric at ({s}, {t})")
+    class_of, classes = {}, []
+    for s in dom:
+        if s not in class_of:
+            members, queue = set(), [s]
+            while queue:
+                u = queue.pop()
+                if u not in members:
+                    members.add(u)
+                    queue.extend(rows[u] - members)
+            for u in members:
+                class_of[u] = len(classes)
+            classes.append(tuple(sorted(members)))
+    for s in dom:
+        for t in dom:
+            if (class_of[s] == class_of[t]) != (t in rows[s]):
+                s, u, v = transitivity_witness(rows, s, t)
+                raise SchemeError(f"not an equivalence relation: not transitive at ({s}, {u}, {v})")
+    return dom, classes, class_of, tuple(c[0] for c in classes)
+
+
+def transitivity_witness(rows: dict[tuple, set[tuple]], s: tuple, t: tuple) -> tuple:
+    """A triple (s, u, v) with s~u, u~v and not s~v, given t in the class
+    of s but not related to it: the first steps of a shortest path s ... t,
+    found by breadth-first search with parent pointers inside the class."""
+    parent = {s: s}
+    queue = deque([s])
+    while t not in parent:
+        x = queue.popleft()
+        for y in sorted(rows[x]):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    path = [t]
+    while path[-1] != s:
+        path.append(parent[path[-1]])
+    path.reverse()
+    # on a shortest path, s and the vertex two steps on are unrelated
+    return path[0], path[1], path[2]
+
+
+def first_failure(
+    M1: Structure,
+    phi: Formula,
+    held: frozenset,
+    blocks: list[tuple[int, ...]],
+    options: dict[int, tuple[tuple[int, ...], ...]],
+) -> tuple[tuple[int, ...], str | FormulaError] | None:
+    """The first tuple of the block's product that has an element without
+    options or whose translation ``phi`` over M1, under some choice of
+    options, disagrees with ``held``; with its witness, or the FormulaError
+    its evaluation raised."""
+    for elems in itertools.product(*blocks):
+        if any(e not in options for e in elems):
+            return elems, f"untranslatable tuple {elems}"
+        holds = elems in held
+        try:
+            for reps in itertools.product(*[options[e] for e in elems]):
+                if eval_formula(M1, phi, dict(enumerate(sum(reps, ())))) != holds:
+                    return elems, f"tuple {elems} (target says {holds})"
+        except FormulaError as e:
+            return elems, e
+    return None
 
 
 def check_classical_interpretation(
@@ -152,7 +272,7 @@ def check_classical_interpretation(
         CheckResult("domain-definable", True, None)  # D is given by a formula
     )
     try:
-        q = _Quotient(M, D, E)
+        q = kernel_quotient(M, D, E)
     except SchemeError as e:
         report.checks.append(CheckResult("equivalence", False, str(e)))
         return report
@@ -164,7 +284,7 @@ def check_classical_interpretation(
         return report
 
     cls_to_elem = {q.index(alpha[b]): b for b in alpha}
-    domain = sorted(t for idx in range(len(q.cores)) for t in q.members(idx, q.pad))
+    domain = sorted(t for idx in range(len(q.cores)) for t in quotient_members(q, idx))
     G = automorphism_group(M)
 
     for name, tuples in sorted(N.relation_sets.items()):

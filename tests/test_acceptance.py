@@ -14,6 +14,7 @@ import time
 import pytest
 
 from automorphism_oracle import automorphisms
+from formula_parser import parse_formula
 from references import (
     automorphism_group_brute,
     check_classical_interpretation,
@@ -33,7 +34,6 @@ from stablelift.formulas import (
     Rel,
     Var,
     format_formula,
-    parse_formula,
 )
 from stablelift.groups import (
     Permutation,

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from formula_parser import ParseError, parse_formula
 from references import atomic_type, automorphism_group_brute, standard_corpus
 from stablelift.corpus import digraph
 from stablelift.formulas import (
@@ -15,7 +16,6 @@ from stablelift.formulas import (
     FormulaError,
     Not,
     Or,
-    ParseError,
     Rel,
     Var,
     atomic_formula_basis,
@@ -24,7 +24,6 @@ from stablelift.formulas import (
     format_formula,
     free_variables,
     group_by_columns,
-    parse_formula,
     sort_partition,
 )
 from stablelift.lifting import LiftConfig, build_lift

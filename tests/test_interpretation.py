@@ -6,10 +6,15 @@ from dataclasses import replace
 
 import pytest
 
+from formula_parser import parse_formula
 from references import (
     automorphism_group_brute,
+    brute_quotient,
     check_classical_interpretation,
     definable_quotient,
+    first_failure,
+    kernel_quotient,
+    quotient_members,
 )
 from stablelift import interpretation
 from stablelift.corpus import digraph, random_digraph
@@ -23,10 +28,8 @@ from stablelift.formulas import (
     Rel,
     Var,
     conjunction,
-    definable_set,
     eval_formula,
     free_variables,
-    parse_formula,
     tautology,
 )
 from stablelift.groups import Permutation, automorphism_group
@@ -44,18 +47,30 @@ from stablelift.interpretation import (
     validate_scheme,
     weaken_equivalence,
 )
-from stablelift.lifting import LiftConfig, build_lift, direct_induced, generate_scheme
+from stablelift.lifting import (
+    LiftConfig,
+    PaddingAssignment,
+    build_lift,
+    direct_induced,
+    generate_scheme,
+    padding_triples,
+)
 from stablelift.structures import Signature, Structure, relational_companion
 
 
-def _scheme_setup(M, k=1):
-    N = build_lift(M, LiftConfig(k=k))
+def _scheme_setup(M, k=1, **config):
+    N = build_lift(M, LiftConfig(k=k, **config))
     scheme = generate_scheme(N)
     companion = relational_companion(N.structure)
     return N, companion, scheme
 
 
 # -- quotients ------------------------------------------------------------------
+
+# The library's quotients are kernels; any other equivalence is refused
+# unevaluated (test_schemes_outside_the_language_are_refused_unevaluated).
+# brute_quotient, the reference, still checks any equivalence pair by pair,
+# and the tests of its witnesses below keep their names.
 
 
 def test_quotient_identity_classes(m_edge):
@@ -76,78 +91,32 @@ def test_quotient_rejects_non_reflexive(m_edge):
     r = parse_formula("x0 = x0", m_edge.sig)
     E = parse_formula("edge(x0,x1)", m_edge.sig)
     with pytest.raises(SchemeError, match=r"not reflexive at \(0,\)"):
-        definable_quotient(m_edge, r, E)
+        brute_quotient(m_edge, r, E)
 
 
 def test_quotient_rejects_non_symmetric(m_edge):
     r = parse_formula("x0 = x0", m_edge.sig)
     E = parse_formula("x0 = x1 | edge(x0,x1)", m_edge.sig)
     with pytest.raises(SchemeError, match="not symmetric"):
-        definable_quotient(m_edge, r, E)
+        brute_quotient(m_edge, r, E)
 
 
 def test_quotient_rejects_non_transitive():
-    from stablelift.corpus import digraph
-
     M = digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
     r = parse_formula("x0 = x0", M.sig)
     E = parse_formula("x0 = x1 | edge(x0,x1)", M.sig)
     with pytest.raises(SchemeError, match="not transitive"):
-        definable_quotient(M, r, E)
+        brute_quotient(M, r, E)
 
 
 def test_quotient_transitivity_witness_on_a_path_of_length_three():
-    from stablelift.corpus import digraph
-
     # 0 ~ 2 ~ 3 ~ 1: the closure joins 0 and 1 only through a path of
     # length 3, so no single middle point relates them
     M = digraph(4, [(0, 2), (2, 3), (3, 1)])
     r = parse_formula("x0 = x0", M.sig)
     E = parse_formula("x0 = x1 | edge(x0, x1) | edge(x1, x0)", M.sig)
     with pytest.raises(SchemeError, match=r"not transitive at \(\(0,\), \(2,\), \(3,\)\)"):
-        definable_quotient(M, r, E)
-
-
-def _brute_quotient(M, r, E):
-    """The unfactored quotient: r over all of M^width and E over all pairs of
-    r(M), with the lex-least symmetry witness.  The reference for the
-    factored _Quotient."""
-    width = len(free_variables(r))
-    dom = definable_set(M, r)
-    if free_variables(E) != frozenset(range(2 * width)):
-        raise SchemeError(f"equivalence formula must use exactly x0..x{2 * width - 1}")
-    rows = {
-        s: {
-            t
-            for t in dom
-            if eval_formula(M, E, {**dict(enumerate(s)), **dict(enumerate(t, width))})
-        }
-        for s in dom
-    }
-    for s in dom:
-        if s not in rows[s]:
-            raise SchemeError(f"not an equivalence relation: not reflexive at {s}")
-        for t in sorted(rows[s]):
-            if s not in rows[t]:
-                raise SchemeError(f"not an equivalence relation: not symmetric at ({s}, {t})")
-    class_of, classes = {}, []
-    for s in dom:
-        if s not in class_of:
-            members, queue = set(), [s]
-            while queue:
-                u = queue.pop()
-                if u not in members:
-                    members.add(u)
-                    queue.extend(rows[u] - members)
-            for u in members:
-                class_of[u] = len(classes)
-            classes.append(tuple(sorted(members)))
-    for s in dom:
-        for t in dom:
-            if (class_of[s] == class_of[t]) != (t in rows[s]):
-                s, u, v = interpretation._transitivity_witness(rows, s, t)
-                raise SchemeError(f"not an equivalence relation: not transitive at ({s}, {u}, {v})")
-    return dom, classes, class_of, tuple(c[0] for c in classes)
+        brute_quotient(M, r, E)
 
 
 def _outcome(build, M, r, E):
@@ -161,9 +130,9 @@ def _outcome(build, M, r, E):
 
 
 def _expanded(q):
-    """A _Quotient written out as _brute_quotient gives it: every member of
-    every class, and the class index() finds for each tuple of M^width."""
-    classes = [q.members(idx, q.pad) for idx in range(len(q.cores))]
+    """A kernel quotient written out as brute_quotient gives it: every member
+    of every class, and the class index() finds for each tuple of M^width."""
+    classes = [quotient_members(q, idx) for idx in range(len(q.cores))]
     hosts = itertools.product(q.M.domain, repeat=q.width)
     class_of = {t: idx for t in hosts if (idx := q.index(t)) is not None}
     return tuple(sorted(class_of)), classes, class_of, tuple(c[0] for c in classes)
@@ -221,25 +190,6 @@ def _padded_path_repro(width, leading):
     return M, r, E
 
 
-@pytest.mark.hashseed
-def test_factored_quotient_matches_brute_force():
-    rng = random.Random(20260418)
-    kinds = Counter()
-    for _ in range(1500):
-        M, r, E = _random_quotient_case(rng)
-        expected = _outcome(_brute_quotient, M, r, E)
-        assert _outcome(interpretation._Quotient, M, r, E) == expected, (M, r, E)
-        if isinstance(expected[0], str):
-            kinds[expected[1].split(" at ")[0].split(": ")[-1]] += 1
-    for width in (2, 3):
-        for leading in (False, True):
-            case = _padded_path_repro(width, leading)
-            expected = _outcome(_brute_quotient, *case)
-            assert _outcome(interpretation._Quotient, *case) == expected
-            kinds[expected[1].split(" at ")[0].split(": ")[-1]] += 1
-    assert {"not reflexive", "not symmetric", "not transitive"} <= set(kinds), kinds
-
-
 def _eval_spy(monkeypatch):
     """The formulas interpretation evaluates, one entry per top-level call,
     as recorded."""
@@ -252,6 +202,39 @@ def _eval_spy(monkeypatch):
 
     monkeypatch.setattr(interpretation, "eval_formula", recording)
     return evaluated
+
+
+def _refused(outcome):
+    """Whether a quotient outcome is the library's refusal of an equivalence
+    that is no kernel, or of a domain formula reading outside the key."""
+    return outcome[0] == "SchemeError" and (
+        outcome[1] == "equivalence is not a kernel" or outcome[1].startswith("domain formula reads")
+    )
+
+
+@pytest.mark.hashseed
+def test_factored_quotient_matches_brute_force(monkeypatch):
+    # wherever the library builds a quotient it equals the brute one; every
+    # other equivalence is refused before anything is evaluated
+    evaluated = _eval_spy(monkeypatch)
+    rng = random.Random(20260418)
+    kinds = Counter()
+    for _ in range(1500):
+        M, r, E = _random_quotient_case(rng)
+        evaluated.clear()
+        found = _outcome(kernel_quotient, M, r, E)
+        if _refused(found):
+            assert not evaluated, (M, r, E)
+            kinds["refused"] += 1
+            continue
+        assert found == _outcome(brute_quotient, M, r, E), (M, r, E)
+        kinds["built"] += 1
+    for width in (2, 3):
+        for leading in (False, True):
+            evaluated.clear()
+            assert _refused(_outcome(kernel_quotient, *_padded_path_repro(width, leading)))
+            assert not evaluated
+    assert kinds["refused"] and kinds["built"], kinds
 
 
 def _random_kernel_case(rng):
@@ -280,57 +263,61 @@ def _random_kernel_case(rng):
 @pytest.mark.hashseed
 def test_kernel_quotients_match_brute_force(corpus, monkeypatch):
     # kernels are grouped by key and never evaluated; the classes, their
-    # order and index() equal the brute quotient's
+    # order and index() equal the brute quotient's.  A kernel whose key
+    # misses a position r reads is refused unevaluated
     evaluated = _eval_spy(monkeypatch)
     rng = random.Random(2011)
+    refused = 0
     for _ in range(300):
         M, r, E = _random_kernel_case(rng)
         evaluated.clear()
-        assert _outcome(interpretation._Quotient, M, r, E) == _outcome(_brute_quotient, M, r, E)
+        found = _outcome(kernel_quotient, M, r, E)
+        if _refused(found):
+            assert found[1].startswith("domain formula reads") and not evaluated
+            refused += 1
+            continue
+        assert found == _outcome(brute_quotient, M, r, E)
         # over an empty domain there is no core tuple to evaluate r at
         assert set(evaluated) == ({r} if M.size else set())
+    assert refused
     weakened = 0
     for _, M in corpus[:20:3]:
         _, _, scheme = _scheme_setup(M, 2)
         for i, s in enumerate(scheme.sorts):
             E = weaken_equivalence(scheme, i).sorts[i].equiv_formula
             evaluated.clear()
-            q = interpretation._Quotient(M, s.domain_formula, E)
+            q = kernel_quotient(M, s.domain_formula, E)
             assert set(evaluated) == {s.domain_formula}
-            assert _expanded(q) == _brute_quotient(M, s.domain_formula, E)
+            assert _expanded(q) == brute_quotient(M, s.domain_formula, E)
             weakened += len(q.cores) > len(definable_quotient(M, s.domain_formula, s.equiv_formula))
     assert weakened
 
 
 @pytest.mark.hashseed
 def test_equalities_that_are_not_kernels_are_checked_pair_by_pair(monkeypatch):
-    # a pair inside one block, or across blocks at different positions,
-    # is an equality pattern but no kernel, and a kernel widened by an edge
-    # is no pattern: E is evaluated and any failure has the brute quotient's
-    # witness
+    # a pair inside one block, or across blocks at different positions, is
+    # an equality pattern but no kernel, and a kernel widened by an edge is
+    # no pattern: the library refuses each unevaluated, and the brute
+    # reference checks each pair by pair, with a witness for its failure
     evaluated = _eval_spy(monkeypatch)
     M = digraph(3, [(0, 1)])
     r = parse_formula("x0 = x0 & x1 = x1", M.sig)
+    cases = [
+        (M, r, parse_formula(text, M.sig))
+        for text in (
+            "x0 = x1 & x2 = x3",
+            "x0 = x3 & x1 = x2",
+            "x0 = x2 & x1 = x1 & x3 = x3 & x0 = x3",
+            "x0 = x2 & x1 = x3 | edge(x0, x2)",
+        )
+    ]
+    cases += [_padded_path_repro(width, leading=False) for width in (2, 3)]
     witnesses = Counter()
-    for text in (
-        "x0 = x1 & x2 = x3",
-        "x0 = x3 & x1 = x2",
-        "x0 = x2 & x1 = x1 & x3 = x3 & x0 = x3",
-        "x0 = x2 & x1 = x3 | edge(x0, x2)",
-    ):
-        E = parse_formula(text, M.sig)
-        evaluated.clear()
-        expected = _outcome(_brute_quotient, M, r, E)
-        assert _outcome(interpretation._Quotient, M, r, E) == expected, text
-        assert set(evaluated) == {r, E}
-        witnesses[expected[1].split(" at ")[0]] += 1
-    for width in (2, 3):
-        M, r, E = _padded_path_repro(width, leading=False)
-        evaluated.clear()
-        expected = _outcome(_brute_quotient, M, r, E)
-        assert _outcome(interpretation._Quotient, M, r, E) == expected
-        assert set(evaluated) == {r, E}
-        witnesses[expected[1].split(" at ")[0]] += 1
+    for case in cases:
+        with pytest.raises(SchemeError, match="^equivalence is not a kernel$"):
+            kernel_quotient(*case)
+        assert not evaluated
+        witnesses[_outcome(brute_quotient, *case)[1].split(" at ")[0]] += 1
     assert set(witnesses) == {
         "not an equivalence relation: not reflexive",
         "not an equivalence relation: not symmetric",
@@ -342,20 +329,20 @@ def test_padded_transitivity_witness():
     with pytest.raises(
         SchemeError, match=r"not transitive at \(\(0, 0\), \(2, 0\), \(3, 0\)\)"
     ):
-        definable_quotient(*_padded_path_repro(2, leading=False))
+        brute_quotient(*_padded_path_repro(2, leading=False))
     with pytest.raises(
         SchemeError, match=r"not transitive at \(\(0, 0, 0\), \(0, 0, 2\), \(0, 0, 3\)\)"
     ):
-        definable_quotient(*_padded_path_repro(3, leading=True))
+        brute_quotient(*_padded_path_repro(3, leading=True))
 
 
 def test_quotient_factors_padding_unless_an_exists_rebinds_it(monkeypatch):
-    # position 1 is padding in r; E relates x0 and x2 through a common
-    # out-neighbour, found once with a fresh bound index and once rebinding x1.
-    # _Quotient evaluates r and E: count the calls on each
+    # E is the kernel on x0; r asks for an out-neighbour of x0, found once
+    # with a fresh bound index, so that x1 is padding and r is evaluated at
+    # each of the 3 core tuples, and once rebinding x1, which r then reads
+    # outside the key: refused before any evaluation
     M = digraph(3, [(0, 2), (1, 2)])
-    r = parse_formula("x0 = x0 & x1 = x1", M.sig)
-    pads = "x0 = x0 & x1 = x1 & x2 = x2 & x3 = x3"
+    E = parse_formula("x0 = x0 & x1 = x1 & x2 = x2 & x3 = x3 & x0 = x2", M.sig)
     calls = Counter()
     original = interpretation.eval_formula
 
@@ -366,18 +353,19 @@ def test_quotient_factors_padding_unless_an_exists_rebinds_it(monkeypatch):
         return original(M, phi, v)
 
     monkeypatch.setattr(interpretation, "eval_formula", counting)
-    for bound, factored in (("x4", True), ("x1", False)):
-        E = parse_formula(
-            f"{pads} & (x0 = x2 | exists {bound}. edge(x0, {bound}) & edge(x2, {bound}))",
-            M.sig,
-        )
-        calls.clear()
-        q = interpretation._Quotient(M, r, E)
-        core = 1 if factored else 2
-        # r at each core tuple, E at each pair of them
-        assert calls == {r: 3 ** core, E: 3 ** (2 * core)}
-        assert _expanded(q) == _brute_quotient(M, r, E)
-        assert q.members(0, q.pad) == tuple((a, b) for a in (0, 1) for b in range(3))
+    fresh, rebound = (
+        parse_formula(f"x0 = x0 & x1 = x1 & exists {bound}. edge(x0, {bound})", M.sig)
+        for bound in ("x4", "x1")
+    )
+    q = kernel_quotient(M, fresh, E)
+    assert calls == {fresh: 3}
+    assert _expanded(q) == brute_quotient(M, fresh, E)
+    assert q.cores == [(0,), (1,)]
+    assert quotient_members(q, 0) == tuple((0, b) for b in range(3))
+    calls.clear()
+    with pytest.raises(SchemeError, match=r"^domain formula reads x1 outside the equivalence's key$"):
+        kernel_quotient(M, rebound, E)
+    assert not calls
 
 
 def test_quotient_on_empty_domain_is_empty():
@@ -395,18 +383,19 @@ def test_quotient_keeps_the_free_variable_gap_error(m_edge):
 
 
 def test_a_wide_quotient_is_built_quickly(m_edge):
-    # one core position among 10,000: splitting core from padding and
-    # putting full tuples back together take time linear in the width
+    # one core position among 10,000: finding the key, splitting core from
+    # padding and putting full tuples back together take time linear in
+    # the width
     n, mid = 10_000, 5_000
     r = tautology(n)
     E = conjunction(
         [Equal(Var(q), Var(q)) for q in range(2 * n)] + [Equal(Var(mid), Var(n + mid))]
     )
     started = time.monotonic()
-    q = interpretation._Quotient(m_edge, r, E)
+    q = kernel_quotient(m_edge, r, E)
     assert time.monotonic() - started < 1
-    assert q.core == [mid] and len(q.pad) == n - 1
-    assert q.cores == [((0,),), ((1,),)]
+    assert q.key == (mid,) and len(q.pad) == n - 1
+    assert q.cores == [(0,), (1,)]
     t = q.full((1,))
     assert t[mid] == 1 and t.count(0) == n - 1
     assert q.index(t) == 1
@@ -524,60 +513,164 @@ def test_a_mutant_shares_what_it_keeps_with_its_parent(corpus):
     assert redirected
 
 
-def _rewrapped(scheme):
-    """scheme with its first translation and its first sort's equivalence
-    each replaced by phi | phi, the same truth but neither an equality
-    pattern nor a kernel."""
-    sr, s = scheme.rels[0], scheme.sorts[0]
-    rels = (SchemeRel(sr.rel, sr.sort_keys, Or((sr.formula, sr.formula))), *scheme.rels[1:])
-    E = Or((s.equiv_formula, s.equiv_formula))
-    sorts = (SchemeSort(s.key, s.width, s.domain_formula, E), *scheme.sorts[1:])
-    return replace(scheme, rels=rels, sorts=sorts)
+def _with_translation(scheme, i, formula):
+    """scheme with the formula of its translation i replaced."""
+    sr = scheme.rels[i]
+    rels = (*scheme.rels[:i], SchemeRel(sr.rel, sr.sort_keys, formula), *scheme.rels[i + 1:])
+    return replace(scheme, rels=rels)
+
+
+def _with_equivalence(scheme, i, E):
+    """scheme with the equivalence formula of its sort i replaced."""
+    s = scheme.sorts[i]
+    sorts = (*scheme.sorts[:i], SchemeSort(s.key, s.width, s.domain_formula, E), *scheme.sorts[i + 1:])
+    return replace(scheme, sorts=sorts)
 
 
 @pytest.mark.hashseed
 def test_validation_evaluates_only_formulas_outside_patterns_and_kernels(corpus, monkeypatch):
-    # sort domain formulas and every formula that is neither an equality
-    # pattern nor a kernel are evaluated; patterns are decided by joins and
-    # kernels grouped by key, unevaluated.  Generated translations are all
-    # patterns, generated and weakened equivalences all kernels
+    # each sort's domain formula is evaluated, at its core tuples; patterns
+    # are decided by joins and kernels grouped by key, unevaluated.
+    # Generated translations are all patterns, generated and weakened
+    # equivalences all kernels
     evaluated = _eval_spy(monkeypatch)
     for _, M in corpus[::7]:
         for k in (1, 2, 3):
             _, companion, scheme = _scheme_setup(M, k)
             assert all(interpretation._equality_pattern(sr.formula) for sr in scheme.rels)
-            mutants = (
-                scheme, negate_translation(scheme, 0), weaken_equivalence(scheme, 0), _rewrapped(scheme)
-            )
-            for mutant in mutants:
+            for mutant in (scheme, negate_translation(scheme, 0), weaken_equivalence(scheme, 0)):
                 evaluated.clear()
                 validate_scheme(M, companion, mutant)
-                # each sort's r in its quotient, and what was rewrapped
-                reached = {id(s.domain_formula) for s in mutant.sorts}
-                reached |= {id(s.equiv_formula) for s in mutant.sorts if isinstance(s.equiv_formula, Or)}
-                reached |= {id(sr.formula) for sr in mutant.rels if isinstance(sr.formula, Or)}
-                assert set(map(id, evaluated)) == reached
+                assert set(map(id, evaluated)) == {id(s.domain_formula) for s in mutant.sorts}
+
+
+def test_schemes_outside_the_language_are_refused_unevaluated(m_edge, monkeypatch):
+    # each kind of sort or translation that no generated scheme or CLI
+    # mutant has raises SchemeError in validation and in transport, naming
+    # the sort (index and key) or the translation (relation and sort keys),
+    # before any formula is evaluated.  m_edge's lift has the width-3 limit
+    # sort of edge, whose position 2 is padding
+    _, companion, scheme = _scheme_setup(m_edge)
+    widths = {s.key: s.width for s in scheme.sorts}
+    base = next(i for i, s in enumerate(scheme.sorts) if s.width == 1)
+    limit = next(i for i, s in enumerate(scheme.sorts) if s.width == 3)
+    limit_key = scheme.sorts[limit].key
+
+    def rel_at(wanted):
+        return next(i for i, sr in enumerate(scheme.rels) if wanted(sr))
+
+    # a translation that is no negated pattern, over a first sort of width 2
+    positive = rel_at(
+        lambda sr: widths[sr.sort_keys[0]] > 1
+        and not interpretation._equality_pattern(sr.formula)[0]
+    )
+    # a pattern linking the limit sort with a second sort
+    linked = rel_at(
+        lambda sr: sr.sort_keys[0] == limit_key and interpretation._equality_pattern(sr.formula)[1]
+    )
+    fiber = rel_at(lambda sr: sr.rel == "fiber_edge" and sr.sort_keys == (limit_key,))
+
+    def at_sort(i, problem):
+        return f"sort {i} {scheme.sorts[i].key}: {problem}"
+
+    def at_rel(i, problem):
+        sr = scheme.rels[i]
+        return f"translation of {sr.rel!r} at sorts {sr.sort_keys}: {problem}"
+
+    def joined(i, *parts):
+        return _with_translation(scheme, i, And((*parts, scheme.rels[i].formula)))
+
+    E0 = scheme.sorts[0].equiv_formula
+    phi0 = scheme.rels[0].formula
+    entered = Exists(3, Rel("edge", (Var(3), Var(2))))
+    no_pattern, no_kernel = "not a constant or an equality pattern", "equivalence is not a kernel"
+    unlinked = "does not link key positions of its first and second sorts"
+    cases = [
+        ("or translation", _with_translation(scheme, 0, Or((phi0, phi0))), at_rel(0, no_pattern)),
+        ("or equivalence", _with_equivalence(scheme, 0, Or((E0, E0))), at_sort(0, no_kernel)),
+        ("relation atom", joined(0, Rel("edge", (Var(0), Var(0)))), at_rel(0, no_pattern)),
+        (
+            "negated equality",
+            _with_equivalence(scheme, base, Not(Equal(Var(0), Var(1)))),
+            at_sort(base, no_kernel),
+        ),
+        ("pair inside a sort", joined(positive, Equal(Var(0), Var(1))), at_rel(positive, f"x0 = x1 {unlinked}")),
+        ("pair at padding", joined(linked, Equal(Var(2), Var(3))), at_rel(linked, f"x2 = x3 {unlinked}")),
+        ("exists", joined(fiber, Not(entered)), at_rel(fiber, no_pattern)),
+        (
+            "coarsen",
+            _with_equivalence(scheme, limit, tautology(6)),
+            at_sort(limit, "domain formula reads x0 outside the equivalence's key"),
+        ),
+        ("unknown relation", joined(0, Rel("nosuch", (Var(0),))), at_rel(0, no_pattern)),
+    ]
+    evaluated = _eval_spy(monkeypatch)
+    ident = Permutation.identity(m_edge.size)
+    for label, mutant, witness in cases:
+        with pytest.raises(SchemeError) as err:
+            validate_scheme(m_edge, companion, mutant)
+        assert str(err.value) == witness, label
+        with pytest.raises(SchemeError) as err:
+            induced_automorphism(m_edge, companion, mutant, ident)
+        assert str(err.value) == witness, label
+        assert not evaluated, label
+
+
+def _ternary_unary_case(rng):
+    """A seeded structure with a ternary and a unary relation whose tuples
+    may repeat entries, on two or three elements, and a random explicit
+    padding at copy bound 1: distinct widths from 3 to 8."""
+    n = rng.randint(2, 3)
+    sig = Signature(relations=(("T", 3), ("U", 1)))
+    relations = {
+        "T": sorted({tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randint(1, 4))}),
+        "U": sorted({(rng.randrange(n),) for _ in range(rng.randint(0, 2))}),
+    }
+    M = Structure(sig, n, relations, repetition_free=False)
+    triples = padding_triples(sig, 1)
+    widths = rng.sample(range(3, 9), len(triples))
+    pads = {(rel, i): m - sig.relation_arity(rel) for (rel, i), m in zip(triples, widths)}
+    return M, PaddingAssignment(pads)
+
+
+def _cli_mutants(M, scheme):
+    """The mutants that scheme-check --mutate makes, where it can: the first
+    translation negated, the first sort wider than 1 weakened, and the
+    bijection of the least sort key with two elements redirected."""
+    yield negate_translation(scheme, 0)
+    if M.size >= 2:
+        yield weaken_equivalence(scheme, next((i for i, s in enumerate(scheme.sorts) if s.width > 1), 0))
+    key = next((key for key, fmap in sorted(scheme.bijections.items()) if len(fmap) >= 2), None)
+    if key is not None:
+        yield redirect_bijection(scheme, key)
 
 
 def test_generated_schemes_never_reach_eval_formula(corpus, monkeypatch):
     # generated translations are decided from their equality patterns and
     # generated equivalences grouped as kernels, so validating the schemes
-    # and their CLI mutants, and transport, never evaluate a translation or
-    # an equivalence: every eval_formula call is on a sort's domain formula
+    # and their CLI mutants, and transport, raise no SchemeError
+    # and never evaluate a translation or an equivalence: every eval_formula
+    # call is on a sort's domain formula.  Over the corpus at k = 1..3, with
+    # fibers over repeated entries at k = 1, 2, and seeded ternary-plus-unary
+    # structures with explicit padding
     evaluated = _eval_spy(monkeypatch)
+    rng = random.Random(3601)
+    cases = [(M, k, {}) for _, M in corpus[::3] for k in (1, 2, 3)]
+    cases += [(M, k, {"include_repetition_tuples": True}) for _, M in corpus[::3] for k in (1, 2)]
+    cases += [(M, 1, {"padding": padding}) for M, padding in map(_ternary_unary_case, [rng] * 6)]
     validations = 0
-    for _, M in corpus[::3]:
-        for k in (1, 2):
-            _, companion, scheme = _scheme_setup(M, k)
-            evaluated.clear()
-            for mutant in _one_of_each_mutant(M, scheme):
-                validate_scheme(M, companion, mutant)
-                validations += 1
-            for g in automorphism_group(M).generators:
-                induced_automorphism(M, companion, scheme, g)
-            assert evaluated
-            assert set(map(id, evaluated)) <= {id(s.domain_formula) for s in scheme.sorts}
-    assert validations == 180
+    for M, k, config in cases:
+        _, companion, scheme = _scheme_setup(M, k, **config)
+        evaluated.clear()
+        assert validate_scheme(M, companion, scheme).passed, (M, k, config)
+        for mutant in _cli_mutants(M, scheme):
+            assert not validate_scheme(M, companion, mutant).passed
+            validations += 1
+        for g in automorphism_group(M).generators:
+            induced_automorphism(M, companion, scheme, g)
+        assert evaluated
+        assert set(map(id, evaluated)) <= {id(s.domain_formula) for s in scheme.sorts}
+    assert validations == 353
 
 
 # -- scheme validation -------------------------------------------------------------
@@ -658,20 +751,6 @@ def test_validation_reports_a_representative_outside_its_sort(m_edge):
     ]
     assert all(c.witness.startswith("untranslatable tuple") for c in rest)
     assert any(f"({b},)" in c.witness for c in rest)
-
-
-def test_validation_reports_a_sort_whose_quotient_failed(m_edge):
-    _, companion, scheme = _scheme_setup(m_edge)
-    idx, s = next((i, s) for i, s in enumerate(scheme.sorts) if s.width == 1)
-    sorts = list(scheme.sorts)
-    # not reflexive, so the sort has no quotient
-    sorts[idx] = SchemeSort(s.key, 1, s.domain_formula, Not(Equal(Var(0), Var(1))))
-    broken = replace(scheme, sorts=tuple(sorts))
-    failing = validate_scheme(m_edge, companion, broken).failures()
-    assert failing[0].condition == f"sort-quotient[{idx}]"
-    assert "not reflexive" in failing[0].witness
-    rest = [c for c in failing if c.condition.startswith("relation-agreement[")]
-    assert rest and all(c.witness.startswith("untranslatable tuple") for c in rest)
 
 
 def test_class_images_independent_of_member_choice(m_pair, m_edge):
@@ -812,15 +891,15 @@ def _one_of_each_mutant(M, scheme):
 
 
 def _product_scan_report(M1, M2, scheme):
-    """validate_scheme as it was before the per-block agreement scan: every
-    tuple of M2^arity in product order, each translation looked up and
-    walked with eval_formula per tuple, at every choice of members of the
-    elements' classes, which come from _brute_quotient.  The reference for
-    the block scan and for reading only the padding that translations read;
-    its other checks come from the sort helpers and its own cover loop, so
-    it runs no agreement scan of validate_scheme."""
+    """validate_scheme as it was before the per-block agreement decisions:
+    every tuple of M2^arity in product order, each translation looked up
+    and walked with eval_formula per tuple, at every choice of members of
+    the elements' classes, which come from brute_quotient.  The reference
+    for the block decisions and for reading each element at its
+    representative alone; its other checks come from the sort helpers and
+    its own cover loop, so it runs no agreement scan of validate_scheme."""
     realized = interpretation.sort_partition(M2)
-    quotients, sort_checks = interpretation._sort_pass(M1, scheme, realized)
+    _, sort_checks, _ = interpretation._sort_pass(M1, scheme, realized)
     missing = [
         name
         for name, arity in M2.sig.relations
@@ -836,9 +915,8 @@ def _product_scan_report(M1, M2, scheme):
         rep_of.update(fmap)
     brute = {}
     for s in scheme.sorts:
-        if quotients[s.key] is not None:
-            _, classes, class_of, _ = _brute_quotient(M1, s.domain_formula, s.equiv_formula)
-            brute[s.key] = classes, class_of
+        _, classes, class_of, _ = brute_quotient(M1, s.domain_formula, s.equiv_formula)
+        brute[s.key] = classes, class_of
     options = {}
     for b, rep in rep_of.items():
         classes, class_of = brute.get(element_sort.get(b), ((), {}))
@@ -865,45 +943,47 @@ def _product_scan_report(M1, M2, scheme):
 
 
 def _scan_mutants(M, scheme, rng):
-    """The clean scheme and its mutants: negated translations at several
-    indices, a weakened and a coarsened equivalence (one class, which the
-    translations need not respect), a redirected bijection, a dropped
-    translation, a representative of the wrong width, a later translation
-    that names an unknown relation (alone and after a negated one)."""
+    """The clean scheme and its mutants, each with the SchemeError text that
+    refuses it, or None for one inside the language: negated translations
+    at several indices, a weakened equivalence, a redirected bijection, a
+    dropped translation, a representative of the wrong width; and, refused,
+    a coarsened equivalence (one class) of a sort whose domain formula
+    reads its positions, and a later translation that names an unknown
+    relation (alone and after a negated one)."""
     n = len(scheme.rels)
     bij = scheme.bijections
-    yield "clean", scheme
+    yield "clean", scheme, None
     for i in sorted({0, n // 2, n - 1, *rng.sample(range(n), min(n, 3))}):
-        yield f"negate {i}", negate_translation(scheme, i)
+        yield f"negate {i}", negate_translation(scheme, i), None
     for mutant in _one_of_each_mutant(M, scheme):
         if mutant.bijections is not bij:
-            yield "redirect", mutant
+            yield "redirect", mutant, None
         elif mutant.sorts != scheme.sorts:
-            yield "weaken", mutant
-    sorts = list(scheme.sorts)
-    i = max(range(len(sorts)), key=lambda i: (len(bij[sorts[i].key]), rng.random()))
-    s = sorts[i]
-    sorts[i] = SchemeSort(s.key, s.width, s.domain_formula, tautology(2 * s.width))
-    yield f"coarsen {i}", replace(scheme, sorts=tuple(sorts))
+            yield "weaken", mutant, None
+    reading = [
+        i for i, s in enumerate(scheme.sorts)
+        if interpretation._equality_pattern(s.domain_formula) is None
+    ]
+    if reading:
+        i = max(reading, key=lambda i: (len(bij[scheme.sorts[i].key]), rng.random()))
+        s = scheme.sorts[i]
+        yield (
+            f"coarsen {i}",
+            _with_equivalence(scheme, i, tautology(2 * s.width)),
+            f"sort {i} {s.key}: domain formula reads x0 outside the equivalence's key",
+        )
     i = rng.randrange(n)
-    yield f"drop {i}", replace(scheme, rels=scheme.rels[:i] + scheme.rels[i + 1:])
+    yield f"drop {i}", replace(scheme, rels=scheme.rels[:i] + scheme.rels[i + 1:]), None
     key = rng.choice(sorted(bij))
     b = rng.choice(sorted(bij[key]))
-    yield f"wide {b}", replace(scheme, bijections={**bij, key: {**bij[key], b: bij[key][b] + (0,)}})
+    wide = {**bij, key: {**bij[key], b: bij[key][b] + (0,)}}
+    yield f"wide {b}", replace(scheme, bijections=wide), None
     j = rng.randrange(n // 2, n)
-    rels = list(scheme.rels)
-    sr = rels[j]
-    rels[j] = SchemeRel(sr.rel, sr.sort_keys, And((sr.formula, Rel("nosuch", (Var(0),)))))
-    unknown = replace(scheme, rels=tuple(rels))
-    yield f"unknown {j}", unknown
-    yield f"negate {j // 2}, unknown {j}", negate_translation(unknown, j // 2)
-
-
-def _scan_outcome(validate, *args):
-    try:
-        return validate(*args).checks
-    except FormulaError as e:
-        return str(e)
+    sr = scheme.rels[j]
+    unknown = _with_translation(scheme, j, And((Rel("nosuch", (Var(0),)), sr.formula)))
+    refusal = f"translation of {sr.rel!r} at sorts {sr.sort_keys}: not a constant or an equality pattern"
+    yield f"unknown {j}", unknown, refusal
+    yield f"negate {j // 2}, unknown {j}", negate_translation(unknown, j // 2), refusal
 
 
 def _relabelled(M2, scheme, rng):
@@ -925,52 +1005,62 @@ def _relabelled(M2, scheme, rng):
 
 @pytest.mark.hashseed
 def test_block_scan_matches_the_product_scan(corpus):
-    # whole reports, witnesses and raised FormulaErrors included, on the
-    # companion or, every other time, a relabelled copy of it; the product
-    # scan takes seconds per scheme on three vertices at k = 3, so k = 2, 3
-    # cover the digraphs on at most two vertices and a few more
+    # whole reports, witnesses included, on the companion or, every other
+    # time, a relabelled copy of it, and the SchemeError of each mutant
+    # outside the language; the product scan takes seconds per scheme on
+    # three vertices at k = 3, so k = 2, 3 cover the digraphs on at most
+    # two vertices and a few more
     rng = random.Random(99)
     outcomes = Counter()
     for k, sample in ((1, corpus[::5]), (2, corpus[:5] + corpus[5::32]), (3, corpus[:3])):
         for index, (name, M) in enumerate(sample):
             _, companion, scheme = _scheme_setup(M, k)
             target, scheme = (companion, scheme) if index % 2 else _relabelled(companion, scheme, rng)
-            for label, mutant in _scan_mutants(M, scheme, rng):
+            for label, mutant, refusal in _scan_mutants(M, scheme, rng):
                 args = (M, target, mutant)
-                expected = _scan_outcome(_product_scan_report, *args)
-                assert _scan_outcome(validate_scheme, *args) == expected, (name, k, label)
-                if isinstance(expected, str):
-                    outcomes["raised"] += 1
+                if refusal is not None:
+                    with pytest.raises(SchemeError) as err:
+                        validate_scheme(*args)
+                    assert str(err.value) == refusal, (name, k, label)
+                    outcomes["refused"] += 1
                     continue
+                expected = _product_scan_report(*args).checks
+                assert validate_scheme(*args).checks == expected, (name, k, label)
                 outcomes.update(
                     c.witness.split()[0]
                     for c in expected
                     if c.condition.startswith("relation-agreement") and not c.passed
                 )
-    assert outcomes["raised"] and outcomes["tuple"] and outcomes["untranslatable"], outcomes
+    assert outcomes["refused"] and outcomes["tuple"] and outcomes["untranslatable"], outcomes
 
 
 @pytest.mark.hashseed
 def test_block_scan_takes_the_least_failure_over_interleaved_sorts():
     # the even elements form one sort and the odd ones another; R's
-    # translation fails at (0, 4) in the block of two even sorts, which is
-    # scanned first, and at (0, 3) in the next block, whose first row starts
-    # at the same element
-    sig = Signature(relations=(("P", 1), ("Q", 2)))
-    M1 = Structure(sig, 6, {"P": [(0,), (2,), (4,)], "Q": [(0, 4), (0, 3)]})
+    # translation ~x0 = x1 fails at (0, 4) in the block of two even sorts,
+    # which is decided first, and the constant True at (0, 3) in the next
+    # block, whose first row starts at the same element
+    sig = Signature(relations=(("P", 1),))
+    M1 = Structure(sig, 6, {"P": [(0,), (2,), (4,)]})
+    held = [(0, 2), (2, 0), (2, 4), (4, 0), (4, 2), (0, 1), (0, 5)]
+    held += [(a, b) for a in (2, 4) for b in (1, 3, 5)]
     M2 = Structure(
-        Signature(relations=(("P", 1), ("R", 2))), 6, {"P": [(0,), (2,), (4,)]}
+        Signature(relations=(("P", 1), ("R", 2))), 6, {"P": [(0,), (2,), (4,)], "R": held}
     )
     even, odd = interpretation.sort_partition(M2)
     sorts = tuple(
         SchemeSort(key, 1, parse_formula(r, sig), parse_formula("x0 = x1", sig))
         for key, r in ((even, "P(x0)"), (odd, "~P(x0)"))
     )
-    rels = tuple(SchemeRel("P", (key,), parse_formula("P(x0)", sig)) for key in (even, odd))
-    rels += tuple(
-        SchemeRel("R", keys, parse_formula("Q(x0, x1)", sig))
-        for keys in itertools.product((even, odd), repeat=2)
-    )
+    translations = {
+        ("P", (even,)): "x0 = x0",
+        ("P", (odd,)): "x0 = x0 & ~x0 = x0",
+        ("R", (even, even)): "~x0 = x1",
+        ("R", (even, odd)): "x0 = x0 & x1 = x1",
+        ("R", (odd, even)): "x0 = x0 & x1 = x1 & ~x0 = x0",
+        ("R", (odd, odd)): "x0 = x0 & x1 = x1 & ~x0 = x0",
+    }
+    rels = tuple(SchemeRel(rel, keys, parse_formula(text, sig)) for (rel, keys), text in translations.items())
     bij = {key: {b: (b,) for b in block} for key, block in ((even, (0, 2, 4)), (odd, (1, 3, 5)))}
     scheme = InterpretationScheme(sorts, rels, bij)
     report = validate_scheme(M1, M2, scheme)
@@ -1034,15 +1124,16 @@ def _random_block_case(rng):
 @pytest.mark.hashseed
 def test_block_decision_matches_the_tuple_scan():
     # constants and equality patterns, negated or not, decided from the held
-    # tuples give _first_failure's least tuple and witness text
+    # tuples give the row-by-row reference's least tuple and witness text
     rng = random.Random(2010)
     M = digraph(3, [])
     outcomes = Counter()
     for _ in range(3000):
         formula, pattern, split, blocks, held, held_here, options = _random_block_case(rng)
         assert interpretation._equality_pattern(formula) == pattern, formula
-        expected = interpretation._first_failure(M, formula, held, blocks, options)
-        found = interpretation._block_failure(pattern, split, blocks, held, held_here, options)
+        expected = first_failure(M, formula, held, blocks, options)
+        reps = {e: members[0] for e, members in options.items()}
+        found = interpretation._block_failure(pattern, split, blocks, held, held_here, reps)
         assert found == expected, (formula, blocks, held, options)
         kind = "pattern" if pattern[1] else "constant"
         outcomes[kind, pattern[0], expected and expected[1].split()[-1]] += 1
@@ -1067,81 +1158,6 @@ def test_equality_patterns_are_read_off_the_formula(m_edge):
         assert interpretation._equality_pattern(parse_formula(text, sig)) == pattern, text
     for text in ("x0 = x1 | x1 = x1", "x0 = x0 & ~x0 = x1", "edge(x0, x1)", "x0 = x0 & edge(x0, x1)"):
         assert interpretation._equality_pattern(parse_formula(text, sig)) is None, text
-
-
-def _scan_spy(monkeypatch):
-    """The blocks that validation hands to _first_failure, as recorded."""
-    scanned = []
-    original = interpretation._first_failure
-
-    def recording(M1, phi, held, blocks, options):
-        scanned.append(tuple(blocks))
-        return original(M1, phi, held, blocks, options)
-
-    monkeypatch.setattr(interpretation, "_first_failure", recording)
-    return scanned
-
-
-def _blocks_with(scheme, companion, wanted):
-    """The blocks of target tuples, in scan order, whose sort keys and
-    translation satisfy ``wanted``."""
-    realized = interpretation.sort_partition(companion)
-    return [
-        tuple(realized[key] for key in keys)
-        for name, arity in companion.sig.relations
-        for keys in itertools.product(realized, repeat=arity)
-        if wanted(keys, scheme.translation(name, keys).formula)
-    ]
-
-
-@pytest.mark.hashseed
-def test_blocks_outside_the_join_fall_back_to_the_tuple_scan(corpus, monkeypatch):
-    # an element without options, an element with two, a formula that is
-    # not a pattern, and a pattern with a pair inside one sort are scanned
-    # tuple by tuple; reports equal the product scan's
-    scanned = _scan_spy(monkeypatch)
-    falls_back = Counter()
-    for name, M in corpus[1:12:2]:
-        _, companion, scheme = _scheme_setup(M)
-        widths = {s.key: s.width for s in scheme.sorts}
-        bij = scheme.bijections
-        wide = max(scheme.sorts, key=lambda s: (s.width, len(bij[s.key]))).key
-        b = min(bij[wide])
-        coarse = max(range(len(scheme.sorts)), key=lambda i: len(bij[scheme.sorts[i].key]))
-        s = scheme.sorts[coarse]
-        sorts = list(scheme.sorts)
-        sorts[coarse] = SchemeSort(s.key, s.width, s.domain_formula, tautology(2 * s.width))
-        inside = [
-            i for i, sr in enumerate(scheme.rels)
-            if widths[sr.sort_keys[0]] > 1 and interpretation._equality_pattern(sr.formula)[1]
-        ]
-        rels = list(scheme.rels)
-        for i in inside[:1] + inside[-1:]:
-            sr = rels[i]
-            rels[i] = SchemeRel(sr.rel, sr.sort_keys, And((sr.formula, Equal(Var(0), Var(1)))))
-        changed = {id(sr.formula) for sr in rels} - {id(sr.formula) for sr in scheme.rels}
-        cases = [
-            ("clean", scheme, lambda keys, phi: False),
-            (
-                "untranslatable",
-                replace(scheme, bijections={**bij, wide: {**bij[wide], b: bij[wide][b] + (0,)}}),
-                lambda keys, phi: wide in keys,
-            ),
-            (
-                "two options",
-                replace(scheme, sorts=tuple(sorts)),
-                lambda keys, phi: s.key in keys and interpretation._equality_pattern(phi)[1],
-            ),
-            ("not a pattern", _rewrapped(scheme), lambda keys, phi: isinstance(phi, Or)),
-            ("pair inside a sort", replace(scheme, rels=tuple(rels)), lambda keys, phi: id(phi) in changed),
-        ]
-        for label, mutant, wanted in cases:
-            scanned.clear()
-            report = validate_scheme(M, companion, mutant)
-            assert scanned == _blocks_with(mutant, companion, wanted), (name, label)
-            assert report == _product_scan_report(M, companion, mutant), (name, label)
-            falls_back.update([label] if scanned else [])
-    assert set(falls_back) == {"untranslatable", "two options", "not a pattern", "pair inside a sort"}
 
 
 def _cover_mutants(scheme, rng):
@@ -1185,8 +1201,8 @@ def test_translation_cover_completion_matches_the_product_scan(corpus):
             _, companion, scheme = _scheme_setup(M, k)
             target, scheme = (companion, scheme) if index % 2 else _relabelled(companion, scheme, rng)
             for label, mutant in _cover_mutants(scheme, rng):
-                expected = _scan_outcome(_product_scan_report, M, target, mutant)
-                assert _scan_outcome(validate_scheme, M, target, mutant) == expected, (name, k, label)
+                expected = _product_scan_report(M, target, mutant).checks
+                assert validate_scheme(M, target, mutant).checks == expected, (name, k, label)
                 failed = {c.condition for c in expected if not c.passed}
                 assert "translation-cover" in failed, (name, k, label)
                 seen[label, "sort-cover" in failed] += 1
@@ -1235,7 +1251,7 @@ def _padding_readers(M, scheme, pads, rng):
     """scheme with one to three translations over padded sorts each joined
     with a random formula over a padding position of their blocks and two
     other positions: by &, by |, or as (xp = xp | phi) & formula, which reads
-    padding but keeps the truth."""
+    padding but keeps the truth; or joined with xp = xp, which reads none."""
     widths = {s.key: s.width for s in scheme.sorts}
     rels = list(scheme.rels)
     touched = [i for i, sr in enumerate(rels) if any(pads[key] for key in sr.sort_keys)]
@@ -1246,62 +1262,52 @@ def _padding_readers(M, scheme, pads, rng):
             start += widths[key]
         p = rng.choice(padded)
         extra = _random_core(rng, [p, *rng.sample(range(start), min(start, 2))])
-        template = rng.randrange(3)
+        template = rng.randrange(4)
         if template == 0:
             formula = And((sr.formula, extra))
         elif template == 1:
             formula = Or((sr.formula, extra))
-        else:
+        elif template == 2:
             formula = And((sr.formula, Or((Equal(Var(p), Var(p)), extra))))
+        else:
+            formula = And((sr.formula, Equal(Var(p), Var(p))))
         rels[i] = SchemeRel(sr.rel, sr.sort_keys, formula)
     return replace(scheme, rels=tuple(rels))
 
 
 @pytest.mark.hashseed
-def test_validation_matches_member_enumeration_where_translations_read_padding(corpus):
-    # validation evaluates each element's class members with only the
-    # padding that some translation reads; the product scan evaluates every
-    # member of every class from _brute_quotient
+def test_validation_matches_member_enumeration_where_translations_read_padding(corpus, monkeypatch):
+    # a translation that reads a padding position is refused before any
+    # evaluation, naming the first one in scheme order; a join that reads
+    # no padding after all is decided at each element's representative, as
+    # the product scan decides it at every member of every class
+    evaluated = _eval_spy(monkeypatch)
     rng = random.Random(1604)
     outcomes = Counter()
     for k, sample in ((1, corpus[1::10]), (2, corpus[1:4])):
         for name, M in sample:
             _, companion, scheme = _scheme_setup(M, k)
             pads = {
-                s.key: interpretation._Quotient(M, s.domain_formula, s.equiv_formula).pad
+                s.key: kernel_quotient(M, s.domain_formula, s.equiv_formula).pad
                 for s in scheme.sorts
             }
             for _ in range(16):
                 mutant = _padding_readers(M, scheme, pads, rng)
-                expected = _scan_outcome(_product_scan_report, M, companion, mutant)
-                assert _scan_outcome(validate_scheme, M, companion, mutant) == expected, (
-                    name, k, mutant.rels
-                )
-                outcomes[all(c.passed for c in expected)] += 1
-    assert outcomes[True] > 30 and outcomes[False] > 30, outcomes
-
-
-def test_validation_catches_a_translation_that_tells_class_members_apart(m_edge):
-    # the copy sort of edge has padding position 2; "no edge enters x2"
-    # holds at every representative, whose padding is 0, but not at the
-    # members whose padding is 1, so the translation does not respect the
-    # sort's equivalence
-    _, companion, scheme = _scheme_setup(m_edge)
-    key = next(s.key for s in scheme.sorts if s.width == 3)
-    at = next(
-        i for i, sr in enumerate(scheme.rels) if sr.rel == "fiber_edge" and sr.sort_keys == (key,)
-    )
-    sr = scheme.rels[at]
-    entered = Exists(3, Rel("edge", (Var(3), Var(2))))
-    rels = list(scheme.rels)
-    rels[at] = SchemeRel(sr.rel, sr.sort_keys, And((sr.formula, Not(entered))))
-    planted = replace(scheme, rels=tuple(rels))
-    (element,) = scheme.bijections[key]
-    report = validate_scheme(m_edge, companion, planted)
-    assert report.failures() == [
-        CheckResult("relation-agreement[fiber_edge]", False, f"tuple ({element},) (target says True)")
-    ]
-    assert report == _product_scan_report(m_edge, companion, planted)
+                changed = [
+                    f"translation of {sr.rel!r} at sorts {sr.sort_keys}: "
+                    for sr, old in zip(mutant.rels, scheme.rels)
+                    if sr is not old
+                ]
+                evaluated.clear()
+                try:
+                    checks = validate_scheme(M, companion, mutant).checks
+                except SchemeError as e:
+                    assert str(e).startswith(tuple(changed)) and not evaluated, (name, k, str(e))
+                    outcomes["refused"] += 1
+                    continue
+                assert checks == _product_scan_report(M, companion, mutant).checks, (name, k)
+                outcomes["decided", all(c.passed for c in checks)] += 1
+    assert outcomes["refused"] > 30 and outcomes["decided", True], outcomes
 
 
 # -- classical interpretation proxy ----------------------------------------------------
