@@ -50,6 +50,14 @@ SUBCOMMANDS = {
     "scheme-check-k2-negate-relformula": [
         "scheme-check", "--k", "2", "--mutate", "negate-relformula"
     ],
+    "scheme-check-k3": ["scheme-check", "--k", "3"],
+    "scheme-check-k3-negate-relformula": [
+        "scheme-check", "--k", "3", "--mutate", "negate-relformula"
+    ],
+    "scheme-check-k2-explicit": ["scheme-check", "--k", "2", "--padding", "explicit:40,2,9"],
+    "scheme-check-k2-explicit-negate-relformula": [
+        "scheme-check", "--k", "2", "--padding", "explicit:40,2,9", "--mutate", "negate-relformula"
+    ],
 }
 
 
