@@ -4,6 +4,9 @@ definable sets, and atomic one-variable types.
 Formulas are built as trees; ``format_formula`` prints one in the grammar
 that README documents.  The library reads no formula text: the parser of
 that grammar is a test fixture.
+Generated scheme formulas hold their padding as one ``Padded`` node,
+printed as the conjunction it stands for; the parser fixture reads that
+text back as the expanded ``And``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "And",
     "Or",
     "Exists",
+    "Padded",
     "Formula",
     "FormulaError",
     "format_formula",
@@ -33,9 +37,6 @@ __all__ = [
     "free_width",
     "eval_formula",
     "definable_set",
-    "conjunction",
-    "tautology",
-    "contradiction",
     "AtomicType",
     "atomic_formula_basis",
     "group_by_columns",
@@ -110,7 +111,21 @@ class Exists:
     body: "Formula"
 
 
-Formula = Equal | Rel | Not | And | Or | Exists
+@dataclass(frozen=True)
+class Padded:
+    """The conjunction x0 = x0 & ... & x(width-1) = x(width-1) & core...,
+    held as one node: the first ``width`` variables are free, and only the
+    core's variables are read."""
+
+    width: int
+    core: tuple["Formula", ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.width < 1:
+            raise FormulaError("padding width must be positive")
+
+
+Formula = Equal | Rel | Not | And | Or | Exists | Padded
 
 
 def _term_vars(t: Term) -> frozenset[int]:
@@ -132,6 +147,8 @@ def free_variables(phi: Formula) -> frozenset[int]:
         return frozenset().union(*map(free_variables, phi.parts))
     if isinstance(phi, Exists):
         return free_variables(phi.body) - {phi.var}
+    if isinstance(phi, Padded):
+        return frozenset(range(phi.width)).union(*map(free_variables, phi.core))
     raise FormulaError(f"not a formula: {phi!r}")
 
 
@@ -151,6 +168,8 @@ def inert_variables(phi: Formula) -> frozenset[int]:
             return frozenset().union(*map(live, psi.parts))
         if isinstance(psi, Exists):
             return live(psi.body) | {psi.var}
+        if isinstance(psi, Padded):
+            return frozenset().union(*map(live, psi.core))
         return free_variables(psi)
 
     return free_variables(phi) - live(phi)
@@ -165,26 +184,6 @@ def free_width(phi: Formula) -> int:
         missing = sorted(set(range(n)) - fv)
         raise FormulaError(f"free-variable gap: missing x{missing[0]}")
     return n
-
-
-def conjunction(parts: list[Formula]) -> Formula:
-    """Conjunction builder that never produces a one-part And (a lone part is
-    returned as-is so printed formulas re-parse to the same AST)."""
-    if not parts:
-        raise FormulaError("empty conjunction")
-    return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-
-def tautology(nvars: int) -> Formula:
-    """True everywhere, mentioning exactly the variables x0..x(nvars-1)."""
-    return conjunction([Equal(Var(i), Var(i)) for i in range(nvars)])
-
-
-def contradiction(nvars: int) -> Formula:
-    """False everywhere, mentioning exactly the variables x0..x(nvars-1)."""
-    return conjunction(
-        [Equal(Var(i), Var(i)) for i in range(nvars)] + [Not(Equal(Var(0), Var(0)))]
-    )
 
 
 # -- printing ----------------------------------------------------------------
@@ -204,6 +203,19 @@ def format_formula(phi: Formula) -> str:
     return _format(phi, top=True)
 
 
+def _grouped(phi: Formula) -> bool:
+    """Whether phi takes parentheses as a conjunct or under ~: it prints as
+    a conjunction of two or more parts (Padded(1) prints as x0 = x0), a
+    disjunction or an exists."""
+    if isinstance(phi, Padded):
+        return phi.width + len(phi.core) > 1
+    return isinstance(phi, (And, Or, Exists))
+
+
+def _conjuncts(parts: tuple[Formula, ...]) -> list[str]:
+    return [f"({_format(p)})" if _grouped(p) else _format(p) for p in parts]
+
+
 def _format(phi: Formula, top: bool = False) -> str:
     if isinstance(phi, Equal):
         return f"{_format_term(phi.left)} = {_format_term(phi.right)}"
@@ -211,15 +223,11 @@ def _format(phi: Formula, top: bool = False) -> str:
         return f"{phi.name}({', '.join(map(_format_term, phi.args))})"
     if isinstance(phi, Not):
         body = _format(phi.body)
-        if isinstance(phi.body, (And, Or, Exists)):
-            body = f"({body})"
-        return f"~{body}"
+        return f"~({body})" if _grouped(phi.body) else f"~{body}"
     if isinstance(phi, And):
-        rendered = [
-            f"({_format(p)})" if isinstance(p, (And, Or, Exists)) else _format(p)
-            for p in phi.parts
-        ]
-        return " & ".join(rendered)
+        return " & ".join(_conjuncts(phi.parts))
+    if isinstance(phi, Padded):
+        return " & ".join([f"x{q} = x{q}" for q in range(phi.width)] + _conjuncts(phi.core))
     if isinstance(phi, Or):
         rendered = [
             f"({_format(p)})" if isinstance(p, (Or, Exists)) else _format(p)
@@ -268,6 +276,10 @@ def eval_formula(M: Structure, phi: Formula, v: dict[int, int] | None = None) ->
         return any(eval_formula(M, p, v) for p in phi.parts)
     if isinstance(phi, Exists):
         return any(eval_formula(M, phi.body, {**v, phi.var: a}) for a in M.domain)
+    if isinstance(phi, Padded):
+        if not all(map(v.__contains__, range(phi.width))):
+            raise FormulaError(f"uncovered free variable x{min(set(range(phi.width)) - v.keys())}")
+        return all(eval_formula(M, p, v) for p in phi.core)
     raise FormulaError(f"not a formula: {phi!r}")
 
 

@@ -35,8 +35,8 @@ from .formulas import (
     Equal,
     Formula,
     Not,
+    Padded,
     Var,
-    conjunction,
     definable_set,
     eval_formula,
     format_formula,
@@ -187,28 +187,30 @@ Pattern = tuple[bool, tuple[tuple[int, int], ...]]
 def _equality_pattern(phi: Formula) -> Pattern | None:
     """phi as (negated, pairs) when it is a conjunction of atoms xs = xt, or
     the negation of one: the conjunction of xs = xt over the sorted pairs
-    (s, t), s < t, negated or not.  An atom xq = xq is true and adds no
-    pair; a conjunction that reaches a false part is false, the negation of
-    the empty one, as evaluation stops there.  None for any other formula.
-    Such a formula reads only the positions in its pairs and never raises.
+    (s, t), s < t, negated or not.  An atom xq = xq, a Padded node's padding
+    included, is true and adds no pair; a conjunction with a false part is
+    false, the negation of the empty one, but a later part of another form
+    still gives None.  None for any other formula.  Such a formula reads
+    only the positions in its pairs and never raises.
     """
     negated = False
     while isinstance(phi, Not):
         negated, phi = not negated, phi.body
     pairs: set[tuple[int, int]] = set()
-    for part in phi.parts if isinstance(phi, And) else (phi,):
+    has_false = False
+    parts = phi.parts if isinstance(phi, And) else phi.core if isinstance(phi, Padded) else (phi,)
+    for part in parts:
         if isinstance(part, Equal) and isinstance(part.left, Var) and isinstance(part.right, Var):
             s, t = part.left.index, part.right.index
             if s != t:
                 pairs.add((s, t) if s < t else (t, s))
             continue
-        inner = _equality_pattern(part) if isinstance(part, (Not, And)) else None
+        inner = _equality_pattern(part) if isinstance(part, (Not, And, Padded)) else None
         if inner is None or inner[0] and inner[1]:
             return None
-        if inner[0]:
-            return not negated, ()
+        has_false = has_false or inner[0]
         pairs.update(inner[1])
-    return negated, tuple(sorted(pairs))
+    return (not negated, ()) if has_false else (negated, tuple(sorted(pairs)))
 
 
 # -- quotients ----------------------------------------------------------------
@@ -625,10 +627,7 @@ def weaken_equivalence(scheme: InterpretationScheme, sort_index: int) -> Interpr
     sorts = list(scheme.sorts)
     s = sorts[sort_index]
     m = s.width
-    identity = conjunction(
-        [Equal(Var(q), Var(q)) for q in range(2 * m)]
-        + [Equal(Var(q), Var(m + q)) for q in range(m)]
-    )
+    identity = Padded(2 * m, tuple(Equal(Var(q), Var(m + q)) for q in range(m)))
     sorts[sort_index] = SchemeSort(
         key=s.key, width=s.width, domain_formula=s.domain_formula, equiv_formula=identity
     )

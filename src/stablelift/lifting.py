@@ -27,12 +27,10 @@ from .formulas import (
     Equal,
     Formula,
     Not,
+    Padded,
     Rel,
     Var,
-    conjunction,
-    contradiction,
     sort_partition,
-    tautology,
 )
 from .groups import Permutation, is_automorphism
 from .interpretation import InterpretationScheme, SchemeRel, SchemeSort
@@ -526,16 +524,6 @@ def continuity_witness(N: LiftedStructure, B) -> frozenset[int]:
 # -- scheme generation ---------------------------------------------------------
 
 
-def _distinctness(n: int) -> list[Formula]:
-    return [
-        Not(Equal(Var(s), Var(t))) for s in range(n) for t in range(s + 1, n)
-    ]
-
-
-def _padded(total: int, core: list[Formula]) -> Formula:
-    return conjunction([Equal(Var(q), Var(q)) for q in range(total)] + core)
-
-
 def _fiber_sort_formulas(
     N: LiftedStructure, rel: str, i
 ) -> tuple[int, Formula, Formula]:
@@ -545,11 +533,11 @@ def _fiber_sort_formulas(
     sig = N.source.sig
     n = sig.relation_arity(rel)
     m = N.padding.width(sig, rel, i)
-    core: list[Formula] = _distinctness(n) if N.repetition_free_fibers else []
-    if i == LIMIT:
-        core.append(Rel(rel, tuple(Var(t) for t in range(n))))
-    E = _padded(2 * m, [Equal(Var(t), Var(m + t)) for t in range(n)])
-    return m, _padded(m, core), E
+    pairs = itertools.combinations(range(n), 2) if N.repetition_free_fibers else ()
+    core = [Not(Equal(Var(s), Var(t))) for s, t in pairs]
+    core += [Rel(rel, tuple(map(Var, range(n))))] if i == LIMIT else []
+    E = Padded(2 * m, tuple(Equal(Var(t), Var(m + t)) for t in range(n)))
+    return m, Padded(m, tuple(core)), E
 
 
 # A companion symbol's role: "base", "anchor", "fiber", "samefiber", "proj"
@@ -608,12 +596,12 @@ def _translation_recipe(
 
 
 def _recipe_formula(recipe: Recipe) -> Formula:
-    """The formula of a recipe: xq = xq for every position, followed by
-    ~x0 = x0 for a False truth or by the equalities of its index pairs."""
+    """The formula of a recipe: padding over every position, with the core
+    ~x0 = x0 for a False truth or the equalities of its index pairs."""
     total, core = recipe
     if isinstance(core, bool):
-        return tautology(total) if core else contradiction(total)
-    return _padded(total, [Equal(Var(s), Var(t)) for s, t in core])
+        return Padded(total, () if core else (Not(Equal(Var(0), Var(0))),))
+    return Padded(total, tuple(Equal(Var(s), Var(t)) for s, t in core))
 
 
 def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
@@ -649,10 +637,10 @@ def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
     for key, block in realized.items():
         kind = kinds[key] = N.provenance[block[0]]
         if isinstance(kind, Anchor):
-            width, r, E = 2, tautology(2), tautology(4)
+            width, r, E = 2, Padded(2), Padded(4)
             bij[key] = {block[0]: (0,) * 2}
         elif isinstance(kind, BaseElem):
-            width, r, E = 1, tautology(1), Equal(Var(0), Var(1))
+            width, r, E = 1, Padded(1), Equal(Var(0), Var(1))
             bij[key] = {e: (N.provenance[e].source,) for e in block}
         else:
             width, r, E = _fiber_sort_formulas(N, kind.rel, kind.copy)

@@ -8,6 +8,9 @@ faster or checks another way, and tests compare the two:
 - ``greedy_lex_generators`` reads the greedy generators off one pruned lex
   walk of a chain while it grows a second chain of the group they
   generate, the reference for the level-by-level read-off;
+- ``expanded`` writes each ``Padded`` node of a formula out as the
+  conjunction it stands for (``conjunction`` of the reflexive atoms and the
+  core), the reference for every formula reader's handling of the node;
 - ``atomic_type`` walks the formula trees for one element, the reference
   for the column-wise ``formulas.sort_partition``;
 - ``definable_quotient`` writes out every member of every class of the
@@ -44,9 +47,16 @@ from collections import deque
 from refinement_oracle import root_partition, view_tables
 from stablelift.corpus import exhaustive_digraphs
 from stablelift.formulas import (
+    And,
     AtomicType,
+    Equal,
+    Exists,
     Formula,
     FormulaError,
+    Not,
+    Or,
+    Padded,
+    Var,
     atomic_formula_basis,
     definable_set,
     eval_formula,
@@ -127,6 +137,38 @@ def greedy_lex_generators(chain: _Chain) -> tuple[list[Permutation], _Chain]:
         while D > 0 and all(s in H for s in chain.gens[levels[D - 1]]):
             D -= 1
     return gens, H
+
+
+def conjunction(parts: list[Formula]) -> Formula:
+    """Conjunction builder that never produces a one-part And (a lone part is
+    returned as-is so printed formulas re-parse to the same AST)."""
+    if not parts:
+        raise FormulaError("empty conjunction")
+    return parts[0] if len(parts) == 1 else And(tuple(parts))
+
+
+def tautology(nvars: int) -> Formula:
+    """True everywhere, mentioning exactly the variables x0..x(nvars-1), as
+    an expanded conjunction of atoms xq = xq."""
+    return conjunction([Equal(Var(i), Var(i)) for i in range(nvars)])
+
+
+def expanded(phi: Formula) -> Formula:
+    """phi with every Padded node written out as its conjunction: the atoms
+    xq = xq for q < width, then the core's parts; what printing phi and
+    parsing the text give back."""
+    if isinstance(phi, Padded):
+        reflexive = [Equal(Var(q), Var(q)) for q in range(phi.width)]
+        return conjunction(reflexive + list(map(expanded, phi.core)))
+    if isinstance(phi, Not):
+        return Not(expanded(phi.body))
+    if isinstance(phi, And):
+        return And(tuple(map(expanded, phi.parts)))
+    if isinstance(phi, Or):
+        return Or(tuple(map(expanded, phi.parts)))
+    if isinstance(phi, Exists):
+        return Exists(phi.var, expanded(phi.body))
+    return phi
 
 
 def atomic_type(M: Structure, a: int) -> AtomicType:

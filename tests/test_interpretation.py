@@ -11,10 +11,12 @@ from references import (
     automorphism_group_brute,
     brute_quotient,
     check_classical_interpretation,
+    conjunction,
     definable_quotient,
     first_failure,
     kernel_quotient,
     quotient_members,
+    tautology,
 )
 from stablelift import interpretation
 from stablelift.corpus import digraph, random_digraph
@@ -25,12 +27,11 @@ from stablelift.formulas import (
     FormulaError,
     Not,
     Or,
+    Padded,
     Rel,
     Var,
-    conjunction,
     eval_formula,
     free_variables,
-    tautology,
 )
 from stablelift.groups import Permutation, automorphism_group
 from stablelift.interpretation import (
@@ -582,6 +583,10 @@ def test_schemes_outside_the_language_are_refused_unevaluated(m_edge, monkeypatc
 
     E0 = scheme.sorts[0].equiv_formula
     phi0 = scheme.rels[0].formula
+    # a relation the host lacks after a false part: no constant False
+    width0 = len(free_variables(phi0))
+    after_false = (Not(Equal(Var(0), Var(0))), Rel("nosuch", (Var(0),)))
+    expanded_after_false = And((*[Equal(Var(q), Var(q)) for q in range(width0)], *after_false))
     entered = Exists(3, Rel("edge", (Var(3), Var(2))))
     no_pattern, no_kernel = "not a constant or an equality pattern", "equivalence is not a kernel"
     unlinked = "does not link key positions of its first and second sorts"
@@ -603,6 +608,16 @@ def test_schemes_outside_the_language_are_refused_unevaluated(m_edge, monkeypatc
             at_sort(limit, "domain formula reads x0 outside the equivalence's key"),
         ),
         ("unknown relation", joined(0, Rel("nosuch", (Var(0),))), at_rel(0, no_pattern)),
+        (
+            "unknown after false",
+            _with_translation(scheme, 0, expanded_after_false),
+            at_rel(0, no_pattern),
+        ),
+        (
+            "unknown after false in a padded core",
+            _with_translation(scheme, 0, Padded(width0, after_false)),
+            at_rel(0, no_pattern),
+        ),
     ]
     evaluated = _eval_spy(monkeypatch)
     ident = Permutation.identity(m_edge.size)
@@ -1150,13 +1165,16 @@ def test_equality_patterns_are_read_off_the_formula(m_edge):
         ("x0 = x0 & x1 = x1", (False, ())),
         ("x0 = x0 & ~x0 = x0 & x1 = x1", (True, ())),
         ("~(x0 = x0 & ~x0 = x0)", (False, ())),
-        ("x0 = x0 & ~x0 = x0 & edge(x0, x1)", (True, ())),
         ("x2 = x0 & (x1 = x1 & x0 = x2) & x1 = x3", (False, ((0, 2), (1, 3)))),
         ("~(x0 = x1)", (True, ((0, 1),))),
         ("~~(x0 = x1)", (False, ((0, 1),))),
     ):
         assert interpretation._equality_pattern(parse_formula(text, sig)) == pattern, text
-    for text in ("x0 = x1 | x1 = x1", "x0 = x0 & ~x0 = x1", "edge(x0, x1)", "x0 = x0 & edge(x0, x1)"):
+    # a part of another form refuses the formula, also after a false part
+    for text in (
+        "x0 = x1 | x1 = x1", "x0 = x0 & ~x0 = x1", "edge(x0, x1)", "x0 = x0 & edge(x0, x1)",
+        "x0 = x0 & ~x0 = x0 & edge(x0, x1)",
+    ):
         assert interpretation._equality_pattern(parse_formula(text, sig)) is None, text
 
 

@@ -7,16 +7,35 @@ import random
 
 import pytest
 from automorphism_oracle import automorphisms
-from references import automorphism_group_brute, definable_quotient, searched_decomposition
+from formula_parser import parse_formula
+from references import (
+    automorphism_group_brute,
+    definable_quotient,
+    expanded,
+    searched_decomposition,
+    standard_corpus,
+)
 
+from stablelift import interpretation
 from stablelift.corpus import digraph, edge_pairs
-from stablelift.formulas import sort_partition
+from stablelift.formulas import (
+    And,
+    FormulaError,
+    Not,
+    Or,
+    Padded,
+    eval_formula,
+    format_formula,
+    free_variables,
+    inert_variables,
+    sort_partition,
+)
 from stablelift.groups import (
     Permutation,
     automorphism_group,
     is_automorphism,
 )
-from stablelift.interpretation import scheme_to_json_dict, validate_scheme
+from stablelift.interpretation import scheme_to_json_dict, validate_scheme, weaken_equivalence
 from stablelift.lifting import (
     LIMIT,
     Anchor,
@@ -32,6 +51,7 @@ from stablelift.lifting import (
     fiber_sort,
     generate_scheme,
     limit_elements,
+    padding_triples,
     project_automorphism,
 )
 from stablelift.lifting import LiftMapError, _restrict_automorphism
@@ -532,6 +552,116 @@ def test_generated_scheme_is_pinned(name, k, repetitions):
     blob = json.dumps(scheme_to_json_dict(generate_scheme(N)), sort_keys=True)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     assert digest == _PINNED_SCHEMES[(name, k, repetitions)]
+
+
+def _random_padding(rng, sig, k, most):
+    """Pairwise distinct random explicit widths, from the greatest arity (at
+    least 2) up to ``most``."""
+    triples = padding_triples(sig, k)
+    least = max(2, *(arity for _, arity in sig.relations))
+    widths = rng.sample(range(least, most + 1), len(triples))
+    return PaddingAssignment(
+        {(rel, i): m - sig.relation_arity(rel) for (rel, i), m in zip(triples, widths)}
+    )
+
+
+def _nodes(x) -> int:
+    """The tree nodes of a formula: each formula and term object once."""
+    if isinstance(x, tuple):
+        return sum(map(_nodes, x))
+    if dataclasses.is_dataclass(x):
+        return 1 + sum(_nodes(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return 0
+
+
+def _scheme_formulas(scheme):
+    """(label, formula) for every formula of a scheme: each sort's domain
+    and equivalence formula, then each translation."""
+    for s in scheme.sorts:
+        yield ("domain", s.key), s.domain_formula
+        yield ("equivalence", s.key), s.equiv_formula
+    for sr in scheme.rels:
+        yield ("translation", sr.rel, sr.sort_keys), sr.formula
+
+
+@pytest.mark.hashseed
+def test_generated_formulas_do_not_grow_with_the_padding(corpus):
+    # padding is one node, so a formula of a generated scheme has as many
+    # tree nodes at explicit widths up to 2,000 as at the canonical widths
+    rng = random.Random(3701)
+    cases = [(M, False) for _, M in corpus[::6]]
+    cases += [(M, repetitions) for M in _PINNED_STRUCTURES.values() for repetitions in (False, True)]
+    for M, repetitions in cases:
+        for k in (1, 2, 3):
+            config = LiftConfig(k=k, include_repetition_tuples=repetitions)
+            narrow = dict(_scheme_formulas(generate_scheme(build_lift(M, config))))
+            wide_config = dataclasses.replace(config, padding=_random_padding(rng, M.sig, k, 2000))
+            wide = dict(_scheme_formulas(generate_scheme(build_lift(M, wide_config))))
+            assert narrow.keys() == wide.keys()
+            for label, phi in narrow.items():
+                assert _nodes(wide[label]) == _nodes(phi), (M, k, label)
+
+
+def _differential_formulas():
+    """Every distinct formula of the generated schemes, each with a host
+    structure of its signature: the corpus at k = 1..3, the pinned
+    structures with and without fibers over repeated entries, and both
+    with random explicit widths; with each translation's negation, as
+    negate_translation makes it, and each sort's weakened equivalence."""
+    rng = random.Random(3702)
+    cases = [(M, k, {}) for _, M in standard_corpus(3) for k in (1, 2, 3)]
+    for M in _PINNED_STRUCTURES.values():
+        cases += [(M, k, {"include_repetition_tuples": rep}) for k in (1, 2, 3) for rep in (False, True)]
+    cases += [
+        (M, k, {"padding": _random_padding(rng, M.sig, k, 12)})
+        for M in [*_PINNED_STRUCTURES.values(), *(M for _, M in standard_corpus(3)[::5])]
+        for k in (1, 2)
+    ]
+    found = {}
+    for M, k, config in cases:
+        scheme = generate_scheme(build_lift(M, LiftConfig(k=k, **config)))
+        for _, phi in _scheme_formulas(scheme):
+            found.setdefault(phi, M)
+        for sr in scheme.rels:
+            found.setdefault(Not(sr.formula), M)
+        for i in range(len(scheme.sorts)):
+            found.setdefault(weaken_equivalence(scheme, i).sorts[i].equiv_formula, M)
+    return found
+
+
+def test_padded_formulas_read_as_their_expanded_conjunctions():
+    # every reader of a Padded node agrees with the conjunction it stands
+    # for, also under ~, inside & and inside |, and its text parses back
+    # to that conjunction
+    rng = random.Random(3703)
+    found = _differential_formulas()
+    assert sum(isinstance(phi, Padded) for phi in found) > 100
+    pattern = interpretation._equality_pattern
+
+    def value(M, phi, v):
+        try:
+            return eval_formula(M, phi, v)
+        except FormulaError as e:
+            return str(e)
+
+    for node, M in found.items():
+        for phi in (node, Not(node), And((node, node)), Or((node, node))):
+            reference = expanded(phi)
+            assert "Padded" not in repr(reference)
+            assert free_variables(phi) == free_variables(reference)
+            assert inert_variables(phi) == inert_variables(reference)
+            assert pattern(phi) == pattern(reference)
+            text = format_formula(phi)
+            assert text == format_formula(reference)
+            assert parse_formula(text, M.sig) == reference
+        width = len(free_variables(node))
+        for _ in range(4):
+            v = {q: rng.randrange(M.size) for q in range(width)}
+            assert value(M, node, v) == value(M, expanded(node), v)
+            for q in rng.sample(range(width), rng.randint(1, min(width, 3))):
+                del v[q]
+            assert value(M, node, v) == value(M, expanded(node), v)
+            assert value(M, node, v) == f"uncovered free variable x{min(set(range(width)) - v.keys())}"
 
 
 # -- continuity witnesses ---------------------------------------------------------------------
