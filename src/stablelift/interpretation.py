@@ -263,9 +263,10 @@ class _Quotient:
     def index(self, t: tuple) -> int | None:
         """The class of host tuple t, or None if t has the wrong width, a
         padding entry outside the domain, or lies outside r(M)."""
-        if len(t) != self.width or any(t[q] not in self.M.domain for q in self.pad):
+        padding = map(t.__getitem__, self.pad)
+        if len(t) != self.width or not all(map(self.M.domain.__contains__, padding)):
             return None
-        return self._class_of.get(tuple(t[q] for q in self.key))
+        return self._class_of.get(tuple(map(t.__getitem__, self.key)))
 
 
 # -- scheme validation ---------------------------------------------------------
@@ -655,10 +656,11 @@ def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
     of sort keys, so a writer can write each once; callers must not
     mutate these lists."""
     texts: dict[int, str] = {}  # id(formula) -> text, once per distinct formula object
+    prefixes: dict[int, str] = {}  # padding width -> its prefix, once per width
 
     def text(phi: Formula) -> str:
         if id(phi) not in texts:
-            texts[id(phi)] = format_formula(phi)
+            texts[id(phi)] = format_formula(phi, prefixes)
         return texts[id(phi)]
 
     key_list = {key: list(key) for key in [*(s.key for s in scheme.sorts), *scheme.bijections]}

@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from references import searched_decomposition
 
 from stablelift import groups, stability
@@ -123,6 +124,72 @@ def test_a_parameter_set_that_adds_no_atom_keeps_the_table_blocks(type_structure
                 assert got == table.blocks == _qf_type_census_reference(N, A, depth), (index, A)
                 checked += 1
     assert checked > 0
+
+
+@st.composite
+def _census_cases(draw):
+    """A structure with one or two relations of arity 1-3 (tuples may repeat
+    entries), up to two unary functions and up to two constants, a term
+    depth of 0-2 and several parameter sets."""
+    n = draw(st.integers(1, 5))
+    element = st.integers(0, n - 1)
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    sig = Signature(
+        relations=tuple((f"R{i}", arity) for i, arity in enumerate(arities)),
+        functions=tuple(f"f{i}" for i in range(draw(st.integers(0, 2)))),
+        constants=tuple(f"c{i}" for i in range(draw(st.integers(0, 2)))),
+    )
+    N = Structure(
+        sig=sig,
+        size=n,
+        relations={
+            name: draw(st.lists(st.tuples(*[element] * arity), max_size=3 * n))
+            for name, arity in sig.relations
+        },
+        functions={f: draw(st.lists(element, min_size=n, max_size=n)) for f in sig.functions},
+        constants={c: draw(element) for c in sig.constants},
+        repetition_free=False,
+    )
+    depth = draw(st.integers(0, 2))
+    As = draw(st.lists(st.lists(element, max_size=2), min_size=1, max_size=4))
+    return N, depth, As
+
+
+@given(_census_cases())
+@settings(max_examples=120, deadline=None)
+def test_pruned_census_matches_the_reference(case):
+    # one table serves every parameter set; the atoms it skips or drops
+    # (disjoint values, constant or repeated columns) split no block
+    N, depth, As = case
+    table = stability._census_table(N, depth)
+    for A in As:
+        reference = _qf_type_census_reference(N, A, depth)
+        assert stability._census_over(table, N, A, depth).blocks == reference, A
+        assert qf_type_census(N, A, depth=depth).blocks == reference, A
+
+
+def test_census_groups_only_columns_that_can_split_a_block(corpus, type_structures, monkeypatch):
+    # the report's lifts, and structures with a function and a constant,
+    # whose terms give equalities and relation atoms that hold nowhere or
+    # everywhere (x = f(x) for a fixed-point-free f, say)
+    received = []
+
+    def recording(size, columns, inner=stability.group_by_columns):
+        columns = list(columns)
+        received.append((size, columns))
+        return inner(size, columns)
+
+    monkeypatch.setattr(stability, "group_by_columns", recording)
+    rigid = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    for M in [rigid] + [M for _, M in corpus if M.size >= 2][::8]:
+        stability_report(M, [1, 2], [(), (0,), (0, 1)])
+    for N in type_structures[-40:]:
+        for depth in (1, 2):
+            qf_type_census(N, (0, N.size - 1), depth=depth)
+    assert received
+    for size, columns in received:
+        assert all(len(col) == size and len(set(col)) > 1 for col in columns)
+        assert len(set(map(tuple, columns))) == len(columns)
 
 
 def test_qf_census_of_the_empty_domain():
