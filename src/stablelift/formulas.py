@@ -197,11 +197,10 @@ def _format_term(t: Term) -> str:
     return t.name
 
 
-def format_formula(phi: Formula, prefixes: dict[int, str] | None = None) -> str:
+def format_formula(phi: Formula) -> str:
     """Render a formula in README's grammar, so that parsing the text gives
-    phi back.  A caller that prints many formulas may pass every call the
-    same dict as ``prefixes``: each padding width's prefix is built once."""
-    return _format(phi, {} if prefixes is None else prefixes, top=True)
+    phi back."""
+    return _format(phi, top=True)
 
 
 def _grouped(phi: Formula) -> bool:
@@ -213,33 +212,31 @@ def _grouped(phi: Formula) -> bool:
     return isinstance(phi, (And, Or, Exists))
 
 
-def _conjuncts(parts: tuple[Formula, ...], prefixes: dict[int, str]) -> list[str]:
-    return [f"({_format(p, prefixes)})" if _grouped(p) else _format(p, prefixes) for p in parts]
+def _conjuncts(parts: tuple[Formula, ...]) -> list[str]:
+    return [f"({_format(p)})" if _grouped(p) else _format(p) for p in parts]
 
 
-def _format(phi: Formula, prefixes: dict[int, str], top: bool = False) -> str:
+def _format(phi: Formula, top: bool = False) -> str:
     if isinstance(phi, Equal):
         return f"{_format_term(phi.left)} = {_format_term(phi.right)}"
     if isinstance(phi, Rel):
         return f"{phi.name}({', '.join(map(_format_term, phi.args))})"
     if isinstance(phi, Not):
-        body = _format(phi.body, prefixes)
+        body = _format(phi.body)
         return f"~({body})" if _grouped(phi.body) else f"~{body}"
     if isinstance(phi, And):
-        return " & ".join(_conjuncts(phi.parts, prefixes))
+        return " & ".join(_conjuncts(phi.parts))
     if isinstance(phi, Padded):
-        if phi.width not in prefixes:  # x0 = x0 & ..., joined at C level
-            q = list(map(str, range(phi.width)))
-            prefixes[phi.width] = "x" + " & x".join(map(" = x".join, zip(q, q)))
-        return " & ".join([prefixes[phi.width], *_conjuncts(phi.core, prefixes)])
+        q = list(map(str, range(phi.width)))  # x0 = x0 & ..., joined at C level
+        return " & ".join(["x" + " & x".join(map(" = x".join, zip(q, q))), *_conjuncts(phi.core)])
     if isinstance(phi, Or):
         rendered = [
-            f"({_format(p, prefixes)})" if isinstance(p, (Or, Exists)) else _format(p, prefixes)
+            f"({_format(p)})" if isinstance(p, (Or, Exists)) else _format(p)
             for p in phi.parts
         ]
         return " | ".join(rendered)
     if isinstance(phi, Exists):
-        inner = f"exists x{phi.var}. {_format(phi.body, prefixes, top=True)}"
+        inner = f"exists x{phi.var}. {_format(phi.body, top=True)}"
         return inner if top else f"({inner})"
     raise FormulaError(f"not a formula: {phi!r}")
 

@@ -656,11 +656,10 @@ def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
     of sort keys, so a writer can write each once; callers must not
     mutate these lists."""
     texts: dict[int, str] = {}  # id(formula) -> text, once per distinct formula object
-    prefixes: dict[int, str] = {}  # padding width -> its prefix, once per width
 
     def text(phi: Formula) -> str:
         if id(phi) not in texts:
-            texts[id(phi)] = format_formula(phi, prefixes)
+            texts[id(phi)] = format_formula(phi)
         return texts[id(phi)]
 
     key_list = {key: list(key) for key in [*(s.key for s in scheme.sorts), *scheme.bijections]}

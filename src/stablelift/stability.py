@@ -88,10 +88,9 @@ class TypeCensus:
 @dataclass(frozen=True)
 class _CensusTable:
     """The parameter-free part of a census: the term columns that vary, each
-    with its set of values, the values of the constant terms, the values of
-    each nonempty relation per position, and the partition by the
-    parameter-free atoms as blocks (by least element) and as a block index
-    per element."""
+    with its set of values, the values of the constant terms, each nonempty
+    relation's values per position, and the partition by the parameter-free
+    atoms as blocks (by least element) and as a block index per element."""
 
     varying: dict[tuple[int, ...], frozenset[int]]
     fixed: frozenset[int]
@@ -101,43 +100,16 @@ class _CensusTable:
 
 
 def _splitting(size: int, truth) -> list[tuple[bool, ...]]:
-    """One copy of each column that is not constant: a constant column splits
-    no block, nor does a repeat of another, and blocks come in order of
-    least element whatever the order of the columns."""
+    """One copy of each non-constant column: a constant or repeated column
+    splits no block, and blocks come by least element whatever the columns."""
     return list(set(truth) - {(True,) * size, (False,) * size})
-
-
-def _constants(values) -> dict[itertools.repeat, frozenset[int]]:
-    """Constant terms as endless columns, each with its one value."""
-    return {itertools.repeat(v): frozenset((v,)) for v in values}
-
-
-def _terms(N: Structure, cols, vals, depth: int) -> tuple[dict, set[int]]:
-    """The terms of nesting depth at most ``depth`` over the columns ``cols``
-    and the values ``vals``, as columns over the domain: the varying ones,
-    each with its set of values, and the values of the constant ones.  A
-    constant term is kept as its value, and so are its images; a column or
-    value met before is not applied again, as its images are already in."""
-    varying: dict[tuple[int, ...], frozenset[int]] = {}
-    fixed: set[int] = set()
-    images = [N.functions[f].__getitem__ for f in N.sig.functions]
-    for level in range(depth + 1):
-        if level:
-            cols = [tuple(map(image, col)) for image in images for col in cols]
-            vals = {image(v) for image in images for v in vals}
-        seen = {col: frozenset(col) for col in cols if col not in varying}
-        cols = [col for col, s in seen.items() if len(s) > 1]
-        varying |= {col: seen[col] for col in cols}
-        vals = vals.union(*(s for s in seen.values() if len(s) == 1)) - fixed
-        fixed |= vals
-    return varying, fixed
 
 
 def _relation_truth(N: Structure, at, kinds, needed: set[int]) -> list[tuple[bool, ...]]:
     """Truth columns of the relation atoms whose term at each position is a
     column of one of ``kinds`` (dicts column -> its values) with a value the
     relation takes there, for every pattern of kinds that holds each kind in
-    ``needed``.  Kind 0, the varying columns, is needed: every zip ends."""
+    ``needed``."""
     truth = []
     for name, places in at.items():
         held = N.relation_sets[name]
@@ -160,28 +132,35 @@ def _census_table(N: Structure, depth: int) -> _CensusTable:
     if depth < 0:
         raise StabilityError(f"depth {depth} is negative")
 
-    constant_terms = {N.constants[c] for c in N.sig.constants}
-    varying, fixed = _terms(N, [tuple(N.domain)], constant_terms, depth)
-    # Atoms over constants only are constant.  An equality whose two terms
-    # share no value, and a relation atom with a term that takes no value
-    # the relation takes at its position, are false at every element: their
-    # columns are never built (two constants never share a value).  An
-    # empty relation holds no atom.
+    # every term as a column of values over the domain; the terms that do
+    # not mention the free element give constant columns
+    size = N.size
+    images = [N.functions[f].__getitem__ for f in N.sig.functions]
+    terms = frontier = [tuple(N.domain)] + [(N.constants[c],) * size for c in N.sig.constants]
+    for _ in range(depth):
+        frontier = [tuple(map(image, col)) for image in images for col in frontier]
+        terms = terms + frontier
+    cols = {col: frozenset(col) for col in terms}
+    varying = {col: s for col, s in cols.items() if len(s) > 1}
+    constants = {col: s for col, s in cols.items() if len(s) == 1}
+
+    # An equality whose two terms share no value, and a relation atom with
+    # a term that takes no value the relation takes at its position, are
+    # false everywhere and split no block: their columns are never built.
+    # Two constant columns share no value; an empty relation has no atom.
     at = {name: tuple(map(frozenset, zip(*held))) for name, held in N.relation_sets.items() if held}
-    constants = _constants(fixed)
     truth = [
         tuple(map(operator.eq, c1, c2))
-        for (c1, s1), (c2, s2) in itertools.combinations({**varying, **constants}.items(), 2)
+        for (c1, s1), (c2, s2) in itertools.combinations(cols.items(), 2)
         if not s1.isdisjoint(s2)
     ]
     truth += _relation_truth(N, at, [varying, constants], {0})
-    size = N.size
     blocks = tuple(map(tuple, group_by_columns(size, _splitting(size, truth)).values()))
     block_of = [0] * size
     for idx, blk in enumerate(blocks):
         for e in blk:
             block_of[e] = idx
-    return _CensusTable(varying, frozenset(fixed), at, blocks, tuple(block_of))
+    return _CensusTable(varying, frozenset(c[0] for c in constants), at, blocks, tuple(block_of))
 
 
 def _int_parameters(A) -> tuple[int, ...]:
@@ -198,10 +177,15 @@ def _census_over(table: _CensusTable, N: Structure, A, depth: int) -> TypeCensus
         if not (0 <= a < N.size):
             raise StabilityError(f"parameter {a} outside the domain")
 
-    # Every parameter term is a constant.  One equal to a constant of the
-    # table only repeats the table's atoms; the others are new, and only
-    # their atoms with a varying column can split a block.
-    new = _constants(_terms(N, [], set(params), depth)[1] - table.fixed)
+    # Every parameter term is a constant column.  One equal to a constant
+    # column of the table only repeats the table's atoms; the others are
+    # new, and only their atoms with a varying column can split a block.
+    values = set(params)
+    frontier = values
+    for _ in range(depth):
+        frontier = {N.functions[f][v] for f in N.sig.functions for v in frontier}
+        values |= frontier
+    new = {(v,) * N.size: frozenset((v,)) for v in values - table.fixed}
     if not new:
         return TypeCensus(table.blocks)
     truth = [
@@ -209,14 +193,12 @@ def _census_over(table: _CensusTable, N: Structure, A, depth: int) -> TypeCensus
         for (c1, s1), (c2, s2) in itertools.product(table.varying.items(), new.items())
         if not s1.isdisjoint(s2)
     ]
-    truth += _relation_truth(N, table.at, [table.varying, _constants(table.fixed), new], {0, 2})
-    size = N.size
-    truth = _splitting(size, truth)
+    fixed = {(v,) * N.size: frozenset((v,)) for v in table.fixed}
+    truth += _relation_truth(N, table.at, [table.varying, fixed, new], {0, 2})
     # the table's block indices as one more column: all 0 (equal to all
     # False) for one block, and 0/1 equal to a truth column for two
-    columns = _splitting(size, [table.block_of, *truth])
-    blocks = group_by_columns(size, columns).values() if truth else table.blocks
-    return TypeCensus(tuple(map(tuple, blocks)))
+    columns = _splitting(N.size, [table.block_of, *truth])
+    return TypeCensus(tuple(map(tuple, group_by_columns(N.size, columns).values())))
 
 
 def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
