@@ -298,12 +298,13 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
 
 def _cmd_limit(args) -> tuple[dict, list[str]]:
     M = _load_structure(args.infile, args.max_size)
-    N = build_lift(M, _lift_config(args, M))
+    config = _lift_config(args, M)
+    if args.relation and not M.sig.has_relation(args.relation):
+        raise InputError(f"unknown relation {args.relation!r}")
+    N = build_lift(M, config)
     rels = [args.relation] if args.relation else [n for n, _ in M.sig.relations]
     table = {}
     for rel in rels:
-        if not M.sig.has_relation(rel):
-            raise InputError(f"unknown relation {rel!r}")
         elems = limit_elements(N, rel)
         table[rel] = [
             {"id": e, "coords": list(N.provenance[e].coords)} for e in elems

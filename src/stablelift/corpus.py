@@ -49,6 +49,8 @@ def exhaustive_digraphs(size: int) -> list[tuple[str, Structure]]:
     return out
 
 
-def random_digraph(rng: random.Random, size: int, edge_probability: float = 0.4) -> Structure:
-    edges = [p for p in edge_pairs(size) if rng.random() < edge_probability]
+def random_digraph(rng: random.Random, size: int) -> Structure:
+    """A digraph that holds each edge of edge_pairs(size) with probability
+    0.4, one draw of rng per pair."""
+    edges = [p for p in edge_pairs(size) if rng.random() < 0.4]
     return digraph(size, edges)

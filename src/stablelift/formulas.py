@@ -11,7 +11,6 @@ text back as the expanded ``And``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -309,7 +308,6 @@ def definable_set(M: Structure, phi: Formula) -> tuple[tuple[int, ...], ...]:
 AtomicType = tuple[str, ...]
 
 
-@functools.lru_cache(maxsize=None)
 def atomic_formula_basis(sig: Signature) -> tuple[tuple[str, Formula], ...]:
     """All atomic formulas in the single free variable x0, with terms of
     function-nesting depth at most 1: the variable itself, one function

@@ -4,14 +4,12 @@ PermGroup keeps a generating set and a stabilizer chain over the base order
 0, 1, ..., n-1, built on first use.  The chain grows by incremental
 Schreier-Sims: adding a generator extends the levels it touches in place
 instead of rebuilding them (Seress, Permutation Group Algorithms, chs. 4-5).
-A chain sifts only through the levels above its trivial tail, and one
-that is told the group order stops sifting Schreier generators once its
-orbit lengths multiply to it; the search knows |Aut| from its own orbits.
-pointwise_stabilizer reads a support's stabilizer off G's chain when the
-support covers every point below its largest that G's chain moves, and
-grows one chain whose base starts with the support otherwise.  verify-iso
-and report take stabilizers only in the source's group: a lift's are the
-direct_induced images of the source's (lifting.certify_induced_group).
+A chain that is told the group order stops sifting Schreier generators
+once its orbit lengths multiply to it; the search knows |Aut| from its own
+orbits.  pointwise_stabilizer grows one chain whose base starts with the
+support, told G's order.  verify-iso and report take stabilizers only in
+the source's group: a lift's are the direct_induced images of the
+source's (lifting.certify_induced_group).
 Orbits on points and on tuples come from one routine, _orbit_search: it
 maps the generators' image tuples over each orbit, one breadth-first layer
 at a time (the orbit algorithm of Seress, Permutation Group Algorithms).
@@ -129,8 +127,7 @@ class _Chain:
     fix order[:i] and generate the level's group, the pointwise stabilizer
     of order[:i], and a transversal mapping each point x of the fundamental
     orbit to (u, u^-1) with u(order[i]) = x.  Levels with a trivial orbit are
-    kept, so a residue never needs a base change; every level from ``depth``
-    on has one, and sift strips only the levels above it.
+    kept, so a residue never needs a base change.
 
     ``size`` is the group order when the caller knows it.  The product of
     the orbit lengths never exceeds the order of the group generated, and
@@ -146,7 +143,6 @@ class _Chain:
         ]
         # Schreier pairs (orbit point, generator index) not yet sifted
         self._pending: list[list[tuple[int, int]]] = [[] for _ in self.order]
-        self.depth = 0
         self._size = 1
         self._known_size = size
 
@@ -154,7 +150,7 @@ class _Chain:
         """Strip g through levels start..; returns (residue, level at which
         it got stuck), the level being len(order) iff g is a member."""
         order, trans = self.order, self.trans
-        for i in range(start, self.depth):
+        for i in range(start, len(order)):
             b = order[i]
             x = g[b]
             if x != b:
@@ -162,11 +158,6 @@ class _Chain:
                 if rep is None:
                     return g, i
                 g = _compose(rep[1], g)
-        if g != self.identity:
-            # a trivial level gets stuck exactly where g moves its point
-            for i in range(max(start, self.depth), len(order)):
-                if g[order[i]] != order[i]:
-                    return g, i
         return g, len(order)
 
     def __contains__(self, g: Images) -> bool:
@@ -206,7 +197,6 @@ class _Chain:
             idx += 1
         if len(points) > old:
             self._size = self._size // old * len(points)
-            self.depth = max(self.depth, i + 1)
 
     def _settle(self, i: int) -> None:
         """Sift every pending Schreier generator at levels i, i-1, ..., 0;
@@ -231,7 +221,7 @@ class _Chain:
                 i = j
 
     def nontrivial_levels(self) -> list[int]:
-        return [i for i in range(self.depth) if len(self.trans[i]) > 1]
+        return [i for i, trans in enumerate(self.trans) if len(trans) > 1]
 
 
 def _lex_walk(chain: _Chain):
@@ -344,25 +334,18 @@ def _check_points(G: PermGroup, A) -> tuple[int, ...]:
 
 
 def pointwise_stabilizer(G: PermGroup, A) -> PermGroup:
-    """The subgroup fixing every point of A.
-
-    When each point below a = max(A) is in A or has a trivial level in G's
-    chain (the stabilizer of the points before it fixes it), the subgroup
-    is G_{0..a}, by induction on those points, and G's own chain holds its
-    generators at level a + 1.  Any other A gets the level after A in a
-    chain whose base order starts with A's points in ascending order, grown
-    from G's generators and stopped at G's order."""
+    """The subgroup fixing every point of A: G itself when no generator
+    moves a point of A, else the level after A in a chain whose base order
+    starts with A's points in ascending order, grown from G's generators and
+    stopped at G's order."""
     A = _check_points(G, A)
     if all(g(a) == a for g in G.generators for a in A):
         return G
     fixed = set(A)
-    chain, level = G._chain, A[-1] + 1
-    if any(x not in fixed and len(chain.trans[x]) > 1 for x in range(A[-1])):
-        rest = tuple(x for x in range(G.degree) if x not in fixed)
-        chain, level = _Chain(G.degree, A + rest, G.order()), len(A)
-        for g in G.generators:
-            chain.add(g.images)
-    stabilizer_gens = chain.gens[level] if level < G.degree else []
+    chain = _Chain(G.degree, A + tuple(x for x in range(G.degree) if x not in fixed), G.order())
+    for g in G.generators:
+        chain.add(g.images)
+    stabilizer_gens = chain.gens[len(A)] if len(A) < G.degree else []
     return PermGroup([Permutation(s) for s in stabilizer_gens], G.degree)
 
 

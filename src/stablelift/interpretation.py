@@ -21,7 +21,6 @@ sorts.  Any other scheme raises SchemeError before anything is evaluated.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass, field, replace
@@ -97,12 +96,6 @@ class SchemeRel:
     sort_keys: tuple[AtomicType, ...]
     formula: Formula
 
-    # found once per instance: a scheme and its mutants share SchemeRels,
-    # so a mutant walks only the formula tree it replaces
-    @functools.cached_property
-    def _free_vars(self) -> frozenset[int]:
-        return free_variables(self.formula)
-
 
 @dataclass(frozen=True)
 class InterpretationScheme:
@@ -123,24 +116,19 @@ class InterpretationScheme:
         if len(set(keys)) != len(keys):
             raise SchemeError("sort keys must be distinct")
         widths = {s.key: s.width for s in self.sorts}
-        # id(formula) -> its free variables and n when they are exactly
-        # x0..x(n-1), else -1: found once per distinct formula object
-        exact: dict[int, tuple[frozenset[int], int]] = {}
+        # id(formula) -> n when its free variables are exactly x0..x(n-1),
+        # else -1: found once per distinct formula object
+        exact: dict[int, int] = {}
         for sr in self.rels:
             try:
                 total = sum(map(widths.__getitem__, sr.sort_keys))
             except KeyError:
                 raise SchemeError(f"unknown sort key in translation for {sr.rel!r}") from None
-            found = exact.get(id(sr.formula))
-            if found is None:
-                fv = sr._free_vars
-                n = len(fv) if fv == frozenset(range(len(fv))) else -1
-                found = exact[id(sr.formula)] = fv, n
-            else:
-                # fill the cached property, so that a mutant which keeps this
-                # SchemeRel but replaces the one that found fv needs no walk
-                vars(sr).setdefault("_free_vars", found[0])
-            if found[1] != total:
+            n = exact.get(id(sr.formula))
+            if n is None:
+                fv = free_variables(sr.formula)
+                n = exact[id(sr.formula)] = len(fv) if fv == frozenset(range(len(fv))) else -1
+            if n != total:
                 raise SchemeError(
                     f"translation formula for {sr.rel!r} must use exactly x0..x{total - 1}"
                 )

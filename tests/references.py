@@ -25,7 +25,9 @@ faster or checks another way, and tests compare the two:
 - ``check_classical_interpretation`` checks a single-sorted interpretation
   by brute-force invariance under the host's automorphism group;
 - ``standard_corpus`` is every digraph on at most a few vertices, the
-  corpus of the acceptance criteria and the golden CLI reports;
+  corpus of the acceptance criteria and the golden CLI reports, and
+  ``random_digraph_at`` draws a digraph at a given edge probability, as
+  ``corpus.random_digraph`` does at its fixed one;
 - ``rigid_over`` certifies that only the identity fixes given points by
   refining from them, the reference for the lift's coordinate certificate
   ``lifting._rigid_over_base``;
@@ -45,7 +47,7 @@ import itertools
 from collections import deque
 
 from refinement_oracle import root_partition, view_tables
-from stablelift.corpus import exhaustive_digraphs
+from stablelift.corpus import digraph, edge_pairs, exhaustive_digraphs
 from stablelift.formulas import (
     And,
     AtomicType,
@@ -365,6 +367,12 @@ def standard_corpus(max_size: int = 3) -> list[tuple[str, Structure]]:
     for size in range(1, max_size + 1):
         out.extend(exhaustive_digraphs(size))
     return out
+
+
+def random_digraph_at(rng, size: int, edge_probability: float) -> Structure:
+    """A digraph that holds each edge of edge_pairs(size) with the given
+    probability, one draw of rng per pair."""
+    return digraph(size, [p for p in edge_pairs(size) if rng.random() < edge_probability])
 
 
 def rigid_over(M: Structure, sorts, points) -> bool:

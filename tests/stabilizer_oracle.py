@@ -1,32 +1,14 @@
-"""Reference stabilizer-chain forms for the differential tests.
+"""Reference stabilizer form for the differential tests.
 
-A chain in ``stablelift.groups`` sifts only through the levels above its
-trivial tail, may stop at a known group order, and ``pointwise_stabilizer``
-reads the stabilizer of a support that covers the moved points below its
-largest off the group's own chain.  This module keeps the plain forms those
-replace: a sift that walks every level, and a pointwise stabilizer that
-grows a fresh chain over the support followed by the other points, with no
-known order, for every support.
+``pointwise_stabilizer`` in ``stablelift.groups`` grows its chain told the
+group's order, and stops sifting Schreier generators once the orbit
+lengths multiply to it.  This module keeps the plain form: a fresh chain
+over the support followed by the other points, grown with no known order.
 """
 
 from __future__ import annotations
 
-from stablelift.groups import PermGroup, Permutation, _Chain, _check_points, _compose
-
-
-def sift(chain: _Chain, g, start: int = 0):
-    """Strip g through every level start..; returns (residue, level at
-    which it got stuck), the level being len(order) if it never did."""
-    order, trans = chain.order, chain.trans
-    for i in range(start, len(order)):
-        b = order[i]
-        x = g[b]
-        if x != b:
-            rep = trans[i].get(x)
-            if rep is None:
-                return g, i
-            g = _compose(rep[1], g)
-    return g, len(order)
+from stablelift.groups import PermGroup, Permutation, _Chain, _check_points
 
 
 def pointwise_stabilizer(G: PermGroup, A) -> PermGroup:

@@ -569,14 +569,21 @@ def test_negative_exhaustive_exit_2_naming_the_flag(capsys, tmp_path):
     assert not out_dir.exists()
 
 
-def test_limit_relation_filter(capsys, edge_file):
+def test_limit_relation_filter(capsys, edge_file, monkeypatch):
     code, out, _ = run(capsys, "limit", "--in", edge_file, "--k", "1",
                        "--relation", "edge")
     assert code == 0
     assert json.loads(out)["limit_elements"]["edge"]
-    code, _, err = run(capsys, "limit", "--in", edge_file, "--k", "1",
+    # an unknown name is refused after the lift guards, before any lift is built
+    built = []
+    monkeypatch.setattr(cli, "build_lift", lambda *a: built.append(a))
+    code, out, err = run(capsys, "limit", "--in", edge_file, "--k", "1",
+                         "--relation", "nope")
+    assert (code, out, err) == (2, "", "error: unknown relation 'nope'\n")
+    code, _, err = run(capsys, "limit", "--in", edge_file, "--k", "99",
                        "--relation", "nope")
-    assert code == 2 and "unknown relation" in err
+    assert code == 2 and "copy bound 99" in err
+    assert built == []
 
 
 def test_report_with_parameter_sets(capsys, pair_file):

@@ -365,11 +365,11 @@ def test_lazy_chain_safe_under_concurrent_first_access(m_triple):
 def _random_digraphs(seed, count, max_size=6):
     import random
 
-    from stablelift.corpus import random_digraph
+    from references import random_digraph_at
 
     rng = random.Random(seed)
     return [
-        random_digraph(rng, rng.randint(1, max_size), rng.choice([0.2, 0.4, 0.6]))
+        random_digraph_at(rng, rng.randint(1, max_size), rng.choice([0.2, 0.4, 0.6]))
         for _ in range(count)
     ]
 

@@ -16,10 +16,11 @@ from references import (
     first_failure,
     kernel_quotient,
     quotient_members,
+    random_digraph_at,
     tautology,
 )
 from stablelift import interpretation
-from stablelift.corpus import digraph, random_digraph
+from stablelift.corpus import digraph
 from stablelift.formulas import (
     And,
     Equal,
@@ -153,7 +154,7 @@ def _random_core(rng, variables, depth=2):
 def _random_quotient_case(rng):
     """A random digraph with a width-1..3 sort: padding positions occur only
     in reflexive atoms, core positions also in random core formulas."""
-    M = random_digraph(rng, rng.choice([0, 1, 2, 2, 3, 3, 3]), rng.random())
+    M = random_digraph_at(rng, rng.choice([0, 1, 2, 2, 3, 3, 3]), rng.random())
     width = rng.randint(1, 3)
     core = [q for q in range(width) if rng.random() < 0.6]
     both = core + [width + q for q in core]
@@ -243,7 +244,7 @@ def _random_kernel_case(rng):
     projection onto some positions (all, some or none), its atoms in either
     orientation, shuffled and partly nested; positions outside the key
     that r does not read are padding."""
-    M = random_digraph(rng, rng.choice([0, 1, 2, 3, 3]), rng.random())
+    M = random_digraph_at(rng, rng.choice([0, 1, 2, 3, 3]), rng.random())
     width = rng.randint(1, 3)
     key = [q for q in range(width) if rng.random() < 0.7]
     read = [q for q in range(width) if rng.random() < 0.4]
@@ -436,30 +437,22 @@ def test_interpretation_scheme_construction_errors(m_edge, m_pair):
         )
     widths = {s.key: s.width for s in scheme.sorts}
     total = sum(widths[k] for k in sr.sort_keys)
-    wide = parse_formula(" & ".join(f"x{q} = x{q}" for q in range(total + 1)), m_edge.sig)
-    with pytest.raises(
-        SchemeError,
-        match=rf"^translation formula for {sr.rel!r} must use exactly x0\.\.x{total - 1}$",
-    ):
+    message = rf"^translation formula for {sr.rel!r} must use exactly x0\.\.x{total - 1}$"
+    # one variable too many, one too few, and x1..x(total): a gap at x0
+    for used in (range(total + 1), range(total - 1), range(1, total + 1)):
+        phi = parse_formula(" & ".join(f"x{q} = x{q}" for q in used), m_edge.sig)
+        with pytest.raises(SchemeError, match=message):
+            InterpretationScheme(
+                sorts=scheme.sorts, rels=(SchemeRel(sr.rel, sr.sort_keys, phi),)
+            )
+    # a formula object shared with a translation of another width is
+    # checked against each one's own width
+    other = next(r for r in scheme.rels if sum(widths[k] for k in r.sort_keys) != total)
+    with pytest.raises(SchemeError, match=message):
         InterpretationScheme(
-            sorts=scheme.sorts, rels=(SchemeRel(sr.rel, sr.sort_keys, wide),)
+            sorts=scheme.sorts,
+            rels=(other, SchemeRel(sr.rel, sr.sort_keys, other.formula)),
         )
-
-
-def test_a_mutant_checks_only_the_translation_it_replaces(m_edge, monkeypatch):
-    _, _, scheme = _scheme_setup(m_edge)
-    assert len(scheme.rels) > 1
-    calls = []
-    original = interpretation.free_variables
-
-    def counting(phi):
-        calls.append(phi)
-        return original(phi)
-
-    monkeypatch.setattr(interpretation, "free_variables", counting)
-    mutant = negate_translation(scheme, 0)
-    assert calls == [mutant.rels[0].formula]
-    assert mutant.rels[1:] == scheme.rels[1:]
 
 
 def _bijection_entries(data):
