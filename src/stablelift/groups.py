@@ -27,16 +27,18 @@ cell until the partition is discrete; those elements form a base.  Working
 from the deepest base point up, each level tries only the cell mates of its
 base point that the automorphisms found so far do not already reach, so the
 search finds one automorphism per new orbit point rather than visiting every
-group element.  Each leaf is confirmed with is_automorphism.  The reported
-generating set is the greedy lexicographic one: each generator is the
-lex-least group element outside the subgroup the earlier ones generate.
-They are read off the search's own chain level by level, from the deepest
-nontrivial one: once the generators so far hold the stabilizer of 0..i,
-the next is the lex-least member of u_z * G_{0..i}, z the least point of
-level i's orbit outside their orbit of i, until the two orbits are equal.
-The group keeps that chain.  Tests check the search against a brute-force
-oracle on small degrees, and the read-off against a lex walk that grows a
-second chain (tests/references.py).
+group element.  Each leaf is confirmed with is_automorphism.  The group
+holds the search's generators, a strong generating set for its base, and
+is told the order their orbits give, so verify-iso and report build no
+chain for Aut(M) itself.  Only PermGroup.to_json_dict, the printer of
+``aut``, prints the greedy lexicographic generators: each is the lex-least
+group element outside the subgroup the earlier ones generate.  They are
+read off the group's chain level by level, from the deepest nontrivial
+one: once the generators so far hold the stabilizer of 0..i, the next is
+the lex-least member of u_z * G_{0..i}, z the least point of level i's
+orbit outside their orbit of i, until the two orbits are equal.  Tests
+check the search against a brute-force oracle on small degrees, and the
+read-off against a lex walk that grows a second chain (tests/references.py).
 """
 
 from __future__ import annotations
@@ -244,9 +246,13 @@ def _lex_walk(chain: _Chain):
 
 class PermGroup:
     """A permutation group given by generators, with a stabilizer chain
-    built on first use.  Values are immutable once built."""
+    built on first use.  ``generators`` is the set the group was built from,
+    sorted and without the identity.  ``order`` is the group order when the
+    caller knows it: order() then returns it without a chain, and the chain
+    is told it.  Values are immutable once built."""
 
-    def __init__(self, generators: list[Permutation] | tuple[Permutation, ...], degree: int):
+    def __init__(self, generators: list[Permutation] | tuple[Permutation, ...], degree: int,
+                 order: int | None = None):
         for g in generators:
             if g.degree != degree:
                 raise GroupError("all generators must share the group's degree")
@@ -254,16 +260,17 @@ class PermGroup:
         self.generators = tuple(sorted(
             {g for g in generators if not g.is_identity()}, key=lambda g: g.images
         ))
+        self._order = order
 
     @functools.cached_property
     def _chain(self) -> _Chain:
-        chain = _Chain(self.degree)
+        chain = _Chain(self.degree, size=self._order)
         for g in self.generators:
             chain.add(g.images)
         return chain
 
     def order(self) -> int:
-        return self._chain.size()
+        return self._chain.size() if self._order is None else self._order
 
     def __contains__(self, g: Permutation) -> bool:
         if g.degree != self.degree:
@@ -276,11 +283,36 @@ class PermGroup:
         return [Permutation(x) for x in _lex_walk(self._chain)]
 
     def to_json_dict(self) -> dict:
+        """The degree, the greedy lexicographic generators (read off the
+        chain, whatever set the group was built from) and the order."""
         return {
             "degree": self.degree,
-            "generators": [list(g.images) for g in self.generators],
+            "generators": [list(g.images) for g in _greedy_generators(self._chain)],
             "order": str(self.order()),
         }
+
+
+def _greedy_generators(G: _Chain) -> list[Permutation]:
+    """The greedy lexicographic generators of the group of a chain over the
+    order 0..n-1: what sifting every member in lex order would keep."""
+    # level by level from the deepest nontrivial one: while the group
+    # generated so far holds G_{0..i}, a level-i member x is in it iff x(i)
+    # is in its orbit of i, so the next generator is the lex-least member of
+    # u_z * G_{0..i}, z the least point of the level's orbit outside that
+    # orbit (the first child at each deeper level of a lex walk), and the
+    # level is done once the two orbits are equal
+    levels = G.nontrivial_levels()
+    gens: list[Permutation] = []
+    for d, i in reversed(list(enumerate(levels))):
+        trans = G.trans[i]
+        reached = {i}
+        while len(reached) < len(trans):
+            x = trans[min(trans.keys() - reached)][0]
+            for j in levels[d + 1:]:
+                x = _compose(x, G.trans[j][min(G.trans[j], key=x.__getitem__)][0])
+            gens.append(Permutation(x))
+            _, reached = next(_orbit_search(PermGroup(gens, len(G.order)), [i]))
+    return gens
 
 
 def _orbit_search(G: PermGroup, points, act=tuple.__getitem__):
@@ -486,7 +518,7 @@ def _target_cell(node) -> list[int]:
     return sorted(lab[s:s + size[s]])
 
 
-def _automorphism_generators(M: Structure) -> tuple[list[Images], int]:
+def _automorphism_generators(M: Structure) -> tuple[list[Permutation], int]:
     """Generators of Aut(M) from an individualization-refinement search,
     and |Aut(M)|: at most one automorphism per point of each fundamental
     orbit of the search's base, each confirmed by is_automorphism at its
@@ -504,7 +536,7 @@ def _automorphism_generators(M: Structure) -> tuple[list[Images], int]:
         path.append(_individualize(adj, path[-1], v))
     first_leaf = path[-1][0]
 
-    def leaf_below(node, d: int) -> Images | None:
+    def leaf_below(node, d: int) -> Permutation | None:
         if node[2] != path[d][2]:
             return None
         if d == len(base):
@@ -512,7 +544,7 @@ def _automorphism_generators(M: Structure) -> tuple[list[Images], int]:
             for x, y in zip(first_leaf, node[0]):
                 images[x] = y
             pi = Permutation(tuple(images))
-            return pi.images if is_automorphism(M, pi) else None
+            return pi if is_automorphism(M, pi) else None
         for v in _target_cell(node):
             found = leaf_below(_individualize(adj, node, v), d + 1)
             if found is not None:
@@ -529,7 +561,7 @@ def _automorphism_generators(M: Structure) -> tuple[list[Images], int]:
             x = root[x]
         return x
 
-    gens: list[Images] = []
+    gens: list[Permutation] = []
     order = 1
     for i in reversed(range(len(base))):
         failed: list[int] = []
@@ -544,7 +576,7 @@ def _automorphism_generators(M: Structure) -> tuple[list[Images], int]:
                 continue
             gens.append(pi)
             for x in range(n):
-                a, b = find(x), find(pi[x])
+                a, b = find(x), find(pi(x))
                 if a != b:
                     root[max(a, b)] = min(a, b)
         r = find(base[i])
@@ -553,34 +585,8 @@ def _automorphism_generators(M: Structure) -> tuple[list[Images], int]:
 
 
 def automorphism_group(M: Structure) -> PermGroup:
-    """The full automorphism group as a PermGroup.
-
-    The generating set is the greedy lexicographic one: each generator is
-    the lex-least automorphism outside the group the earlier ones generate
-    (what sifting every automorphism in lex order would keep)."""
+    """The full automorphism group as a PermGroup of the search's
+    generators, told the order their orbits give.  to_json_dict prints the
+    greedy lexicographic generators instead."""
     found, order = _automorphism_generators(M)
-    G = _Chain(M.size, size=order)
-    for g in found:
-        G.add(g)
-    # the greedy generators, level by level from the deepest nontrivial one:
-    # while the group generated so far holds G_{0..i}, a level-i member x is
-    # in it iff x(i) is in its orbit of i, so the next generator is the
-    # lex-least member of u_z * G_{0..i}, z the least point of the level's
-    # orbit outside that orbit (the first child at each deeper level of a
-    # lex walk), and the level is done once the two orbits are equal
-    levels = G.nontrivial_levels()
-    gens: list[Permutation] = []
-    for d, i in reversed(list(enumerate(levels))):
-        trans = G.trans[i]
-        reached = {i}
-        while len(reached) < len(trans):
-            x = trans[min(trans.keys() - reached)][0]
-            for j in levels[d + 1:]:
-                x = _compose(x, G.trans[j][min(G.trans[j], key=x.__getitem__)][0])
-            gens.append(Permutation(x))
-            _, reached = next(_orbit_search(PermGroup(gens, M.size), [i]))
-    group = PermGroup(gens, M.size)
-    # the search's chain, complete, over the base order PermGroup's would have
-    group._chain = G
-    return group
-
+    return PermGroup(found, M.size, order)

@@ -374,6 +374,11 @@ def _random_digraphs(seed, count, max_size=6):
     ]
 
 
+def _printed(G):
+    """The generators G.to_json_dict prints, as permutations."""
+    return [Permutation(tuple(g)) for g in G.to_json_dict()["generators"]]
+
+
 def _greedy_lex_sift(members):
     """Reference generating set: walk the automorphisms in lex order and
     keep each one the kept ones do not generate (membership by closure)."""
@@ -439,7 +444,7 @@ def test_search_equals_oracle_with_functions_constants_and_ternary_relations():
         members = automorphism_group_brute(M)
         G = automorphism_group(M)
         assert G.elements() == members
-        assert list(G.generators) == _greedy_lex_sift(members)
+        assert _printed(G) == _greedy_lex_sift(members)
 
 
 def _views_per_position_pair(M):
@@ -490,7 +495,7 @@ def test_search_equals_oracle_where_relations_repeat_a_column():
         members = automorphism_group_brute(M)
         G = automorphism_group(M)
         assert G.elements() == members
-        assert list(G.generators) == _greedy_lex_sift(members)
+        assert _printed(G) == _greedy_lex_sift(members)
         fast, slow = _adjacency(M), _views_per_position_pair(M)
         assert sum(map(len, fast)) < sum(len(row) for table in slow for row in table)
         # the same cells, though keys of another kind may order them otherwise
@@ -511,8 +516,10 @@ def test_generators_are_the_greedy_lex_sift_of_the_brute_list(corpus):
             if N.structure.size <= 8
         ]
         for X in structures:
-            expected = _greedy_lex_sift(automorphism_group_brute(X))
-            assert list(automorphism_group(X).generators) == expected
+            members = automorphism_group_brute(X)
+            G = automorphism_group(X)
+            assert G.elements() == members
+            assert _printed(G) == _greedy_lex_sift(members)
 
 
 def _iso_symmetric_families():
@@ -539,16 +546,37 @@ def _greedy_cases(corpus, random_structures):
 
 
 def test_generators_equal_the_walk_with_a_second_chain(corpus, random_structures):
-    # the level-by-level read-off against a pruned lex walk with a second chain
+    # the level-by-level read-off the printer makes against a pruned lex walk
+    # with a second chain; the search's generators generate the group whose
+    # order they are told
     for M, G in _greedy_cases(corpus, random_structures):
         expected, H = greedy_lex_generators(G._chain)
-        assert list(G.generators) == expected
-        assert H.size() == G.order()
+        assert _printed(G) == expected
+        assert H.size() == G._chain.size() == G.order()
 
 
-def test_the_search_chain_is_the_chain_of_its_generators(corpus, random_structures):
-    # the chain a group keeps is the search's; PermGroup would build another
-    # from the generators, of the same group over the same base
+def test_the_printed_generators_are_greedy_where_the_search_finds_more():
+    # the one sampled digraph whose search generators are not the greedy
+    # set: the search finds three, aut prints the two greedy ones
+    M = digraph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 0), (1, 2), (1, 3), (1, 4),
+                    (2, 0), (2, 1), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (3, 5),
+                    (4, 1), (4, 2), (5, 0), (5, 3)])
+    G = automorphism_group(M)
+    assert [g.images for g in G.generators] == [
+        (0, 2, 1, 3, 4, 5), (1, 0, 3, 2, 5, 4), (3, 1, 2, 0, 4, 5)
+    ]
+    assert G.to_json_dict() == {
+        "degree": 6, "generators": [[0, 2, 1, 3, 4, 5], [1, 0, 3, 2, 5, 4]], "order": "8"
+    }
+    members = automorphism_group_brute(M)
+    assert G.elements() == members
+    assert _printed(G) == _greedy_lex_sift(members)
+
+
+def test_a_group_told_its_order_matches_one_that_is_not(corpus, random_structures):
+    # the search's group is told its order, so its chain stops once the
+    # orbits multiply to it; a group of the same generators that is not
+    # told grows the chain of the same group over the same base
     import random
 
     rng = random.Random(17)
@@ -557,6 +585,7 @@ def test_the_search_chain_is_the_chain_of_its_generators(corpus, random_structur
         assert lazy.order() == G.order()
         assert [t.keys() for t in lazy._chain.trans] == [t.keys() for t in G._chain.trans]
         members = lazy.elements()
+        assert G.elements() == members
         others = [Permutation(tuple(rng.sample(range(M.size), M.size))) for _ in range(20)]
         for g in members + others:
             assert (g in G) == (g in lazy)
