@@ -29,7 +29,6 @@ from .groups import (
     PermGroup,
     GroupError,
     orbits,
-    pointwise_stabilizer,
     is_automorphism,
     automorphism_group,
 )

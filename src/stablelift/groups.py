@@ -1,50 +1,61 @@
-"""Permutations, automorphism groups, orbits, and pointwise stabilizers.
+"""Permutations, automorphism groups and their pointwise stabilizers, and
+orbits.
 
-PermGroup keeps a generating set and a stabilizer chain over the base order
-0, 1, ..., n-1, built on first use.  The chain grows by incremental
-Schreier-Sims: adding a generator extends the levels it touches in place
-instead of rebuilding them (Seress, Permutation Group Algorithms, chs. 4-5).
-A chain that is told the group order stops sifting Schreier generators
-once its orbit lengths multiply to it; the search knows |Aut| from its own
-orbits.  pointwise_stabilizer grows one chain whose base starts with the
-support, told G's order.  verify-iso and report take stabilizers only in
-the source's group: a lift's are the direct_induced images of the
-source's (lifting.certify_induced_group).
-Orbits on points and on tuples come from one routine, _orbit_search: it
-maps the generators' image tuples over each orbit, one breadth-first layer
-at a time (the orbit algorithm of Seress, Permutation Group Algorithms).
+Every group this library orders, lists or prints comes from one algorithm,
+the automorphism search, and so does every pointwise stabilizer:
+automorphism_group(M, fixed=A) is Aut(M)_A, the automorphism group of M
+with A's points individualized at the root.  A PermGroup built from other
+generators, such as the lift stabilizers that report induces, gives orbits
+only.  Orbits on points and on tuples come from one routine, _orbit_search:
+it maps the generators' image tuples over each orbit, one breadth-first
+layer at a time (the orbit algorithm of Seress, Permutation Group
+Algorithms).
 
-The automorphism search is individualization-refinement with orbit pruning
-(McKay & Piperno, Practical graph isomorphism II).  Its root is the ordered
+The search is individualization-refinement with orbit pruning (McKay &
+Piperno, Practical graph isomorphism II).  Its root is the ordered
 partition into sorts (atomic one-variable types, which already separate
-constants and unary facts), refined to the coarsest equitable partition by
-one splitter routine.  It reads the binary views of the relations and
-functions merged into one list per element, each view weighted so that a
-sum of weights still tells the views apart, and re-queues all but one
-largest fragment of a split cell (McKay, Practical graph isomorphism, 1981).
-The first path individualizes the least element of the first non-singleton
-cell until the partition is discrete; those elements form a base.  Working
+constants and unary facts) with A's points split off, refined to the
+coarsest equitable partition by one splitter routine.  It reads the binary
+views of the relations and functions merged into one list per element,
+each view weighted so that a sum of weights still tells the views apart,
+and re-queues all but one largest fragment of a split cell (McKay,
+Practical graph isomorphism, 1981).  The first path individualizes the
+least element of any non-singleton cell until the partition is discrete;
+those elements form an ascending base, and every point below a base point
+is a singleton there.  Every other path takes the cell at the position the
+first path took at its depth, which keeps the search invariant.  Working
 from the deepest base point up, each level tries only the cell mates of its
 base point that the automorphisms found so far do not already reach, so the
 search finds one automorphism per new orbit point rather than visiting every
-group element.  Each leaf is confirmed with is_automorphism.  The group
-holds the search's generators, a strong generating set for its base, and
-is told the order their orbits give, so verify-iso and report build no
-chain for Aut(M) itself.  Only PermGroup.to_json_dict, the printer of
-``aut``, prints the greedy lexicographic generators: each is the lex-least
-group element outside the subgroup the earlier ones generate.  They are
-read off the group's chain level by level, from the deepest nontrivial
-one: once the generators so far hold the stabilizer of 0..i, the next is
-the lex-least member of u_z * G_{0..i}, z the least point of level i's
-orbit outside their orbit of i, until the two orbits are equal.  Tests
-check the search against a brute-force oracle on small degrees, and the
-read-off against a lex walk that grows a second chain (tests/references.py).
+group element.  Each leaf is confirmed with is_automorphism.  The
+generators found at a base point's level and below fix every point below
+it and generate the pointwise stabilizer of those points, so together they
+are a strong generating set for the base order 0, 1, ..., n-1, and the
+group is told the order their orbits give (Seress, ch. 4).
+
+The chain over that base order is then orbits and transversals with
+nothing sifted; only elements() builds it.  The search's generators, in
+image order, are also the greedy lexicographic generators that ``aut``
+prints, each the lex-least group element outside the subgroup the earlier
+ones generate.  A member that fixes 0..b-1 precedes every member moving a
+point below b, so the greedy choice completes the deepest level first.  At
+level b the search tries the cell mates w of b in ascending order, skipping
+those its generators reach, as the greedy choice takes the least point
+outside their orbit of b.  Below w it keeps the first automorphism of a
+walk that tries each cell's points in ascending order, and the images of
+the points between two base points are the same across the coset, as the
+deeper level's group fixes them, so that automorphism is the coset's
+lex-least member.  Tests check the search and its stabilizers against a
+brute-force oracle and Schreier-Sims (tests/stabilizer_oracle.py), and the
+printed generators against a lex walk that grows a Schreier-Sims chain
+(tests/references.py).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .formulas import sort_partition
@@ -55,7 +66,6 @@ __all__ = [
     "PermGroup",
     "GroupError",
     "orbits",
-    "pointwise_stabilizer",
     "is_automorphism",
     "automorphism_group",
 ]
@@ -67,8 +77,7 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of 0..n-1 as an image tuple; composition is function
-    composition: (p * q)(x) = p(q(x))."""
+    """A permutation of 0..n-1 as an image tuple."""
 
     images: tuple[int, ...]
 
@@ -78,24 +87,12 @@ class Permutation:
         if not {*map(type, images)} <= {int} or sorted(images) != list(range(len(images))):
             raise GroupError(f"not a permutation: {images}")
 
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(tuple(range(degree)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
 
     def __call__(self, x: int) -> int:
         return self.images[x]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise GroupError("degree mismatch")
-        return Permutation(_compose(self.images, other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_invert(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -104,7 +101,7 @@ class Permutation:
         return tuple(self.images[x] for x in t)
 
 
-# -- stabilizer chains ----------------------------------------------------------
+# -- the chain of a strong generating set ----------------------------------------
 #
 # Chains work on bare image tuples; composition is (p o q)[x] = p[q[x]].
 
@@ -115,141 +112,63 @@ def _compose(p: Images, q: Images) -> Images:
     return tuple([p[x] for x in q])
 
 
-def _invert(p: Images) -> Images:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
 class _Chain:
-    """Stabilizer chain over a base order that lists every point.
+    """Orbits and transversals over the base order 0..n-1 of the group of a
+    strong generating set for that order.  Level b's group, the pointwise
+    stabilizer of 0..b-1, is generated by the generators that fix 0..b-1, so
+    its orbit of b is theirs and nothing is sifted.  ``levels`` keeps the
+    nontrivial levels in ascending order, each as (b, transversal), the
+    transversal mapping each point x of the orbit to a level member u with
+    u[b] = x.  ``size`` is the product of the orbit lengths: the group order
+    exactly when the generators are a strong generating set, and less
+    otherwise."""
 
-    Level i belongs to the point order[i].  It keeps strong generators that
-    fix order[:i] and generate the level's group, the pointwise stabilizer
-    of order[:i], and a transversal mapping each point x of the fundamental
-    orbit to (u, u^-1) with u(order[i]) = x.  Levels with a trivial orbit are
-    kept, so a residue never needs a base change.
-
-    ``size`` is the group order when the caller knows it.  The product of
-    the orbit lengths never exceeds the order of the group generated, and
-    reaching it proves every level complete, so the chain then drops its
-    Schreier generators unsifted: each would sift to the identity."""
-
-    def __init__(self, degree: int, order=None, size: int | None = None):
-        self.order = tuple(range(degree)) if order is None else tuple(order)
+    def __init__(self, generators: list[Images], degree: int):
         self.identity = tuple(range(degree))
-        self.gens: list[list[Images]] = [[] for _ in self.order]
-        self.trans: list[dict[int, tuple[Images, Images]]] = [
-            {b: (self.identity, self.identity)} for b in self.order
-        ]
-        # Schreier pairs (orbit point, generator index) not yet sifted
-        self._pending: list[list[tuple[int, int]]] = [[] for _ in self.order]
-        self._size = 1
-        self._known_size = size
-
-    def sift(self, g: Images, start: int = 0) -> tuple[Images, int]:
-        """Strip g through levels start..; returns (residue, level at which
-        it got stuck), the level being len(order) iff g is a member."""
-        order, trans = self.order, self.trans
-        for i in range(start, len(order)):
-            b = order[i]
-            x = g[b]
-            if x != b:
-                rep = trans[i].get(x)
-                if rep is None:
-                    return g, i
-                g = _compose(rep[1], g)
-        return g, len(order)
-
-    def __contains__(self, g: Images) -> bool:
-        return self.sift(g)[1] == len(self.order)
-
-    def size(self) -> int:
-        return self._size
-
-    def add(self, g: Images) -> bool:
-        """Extend the chain by one generator; False if g is already a member."""
-        residue, j = self.sift(g)
-        if j == len(self.order):
-            return False
-        for i in range(j + 1):
-            self._add_strong(i, residue)
-        self._settle(j)
-        return True
-
-    def _add_strong(self, i: int, s: Images) -> None:
-        gens, trans, pending = self.gens[i], self.trans[i], self._pending[i]
-        k = len(gens)
-        gens.append(s)
-        points = list(trans)
-        old = len(points)
-        pending.extend((x, k) for x in points)
-        idx = 0
-        while idx < len(points):
-            x = points[idx]
-            u = trans[x][0]
-            for g in (s,) if idx < old else gens:
-                y = g[x]
-                if y not in trans:
-                    gu = _compose(g, u)
-                    trans[y] = (gu, _invert(gu))
-                    points.append(y)
-                    pending.extend((y, m) for m in range(len(gens)))
-            idx += 1
-        if len(points) > old:
-            self._size = self._size // old * len(points)
-
-    def _settle(self, i: int) -> None:
-        """Sift every pending Schreier generator at levels i, i-1, ..., 0;
-        a residue becomes a strong generator of the levels it fixes."""
-        while i >= 0:
-            if self._size == self._known_size:
-                for pending in self._pending:
-                    pending.clear()
-                return
-            pending = self._pending[i]
-            if not pending:
-                i -= 1
-                continue
-            x, k = pending.pop()
-            s = self.gens[i][k]
-            trans = self.trans[i]
-            h = _compose(trans[s[x]][1], _compose(s, trans[x][0]))
-            residue, j = self.sift(h, i + 1)
-            if j < len(self.order):
-                for m in range(i + 1, j + 1):
-                    self._add_strong(m, residue)
-                i = j
-
-    def nontrivial_levels(self) -> list[int]:
-        return [i for i, trans in enumerate(self.trans) if len(trans) > 1]
+        # a generator's first moved point is the deepest level it belongs to
+        first = [next(x for x, y in enumerate(g) if x != y) for g in generators]
+        self.levels: list[tuple[int, dict[int, Images]]] = []
+        for b in sorted(set(first)):
+            level = [g for g, f in zip(generators, first) if f >= b]
+            trans = {b: self.identity}
+            points = [b]
+            for x in points:
+                u = trans[x]
+                for g in level:
+                    if g[x] not in trans:
+                        trans[g[x]] = _compose(g, u)
+                        points.append(g[x])
+            self.levels.append((b, trans))
+        self.size = math.prod(len(trans) for _, trans in self.levels)
 
 
 def _lex_walk(chain: _Chain):
-    """Members of the group of a chain over the order 0..n-1, in
-    lexicographic image order.  A node at depth d is the coset x * K, K the
-    group of the d-th nontrivial level (the trivial group at the bottom)."""
-    levels = chain.nontrivial_levels()
+    """Members of the group of a chain in lexicographic image order.  A node
+    at depth d is the coset x * K, K the group of the d-th nontrivial level
+    (the trivial group at the bottom)."""
+    levels = chain.levels
 
     def walk(d: int, x: Images):
         if d == len(levels):
             yield x
             return
-        trans = chain.trans[levels[d]]
+        trans = levels[d][1]
         # below x * u_z every member sends the level's point to x[z]
         for z in sorted(trans, key=x.__getitem__):
-            yield from walk(d + 1, _compose(x, trans[z][0]))
+            yield from walk(d + 1, _compose(x, trans[z]))
 
     yield from walk(0, chain.identity)
 
 
 class PermGroup:
-    """A permutation group given by generators, with a stabilizer chain
-    built on first use.  ``generators`` is the set the group was built from,
-    sorted and without the identity.  ``order`` is the group order when the
-    caller knows it: order() then returns it without a chain, and the chain
-    is told it.  Values are immutable once built."""
+    """A permutation group given by generators.  ``generators`` is the set
+    the group was built from, sorted and without the identity; orbits need
+    nothing else.  ``order`` is the group order when the caller knows it,
+    and the generators must then be a strong generating set for the base
+    order 0..n-1, as the search's are.  order(), elements() and
+    to_json_dict() answer only for a group told its order, and raise
+    GroupError otherwise; elements() also raises when the generators' orbits
+    do not give the order, rather than list a wrong chain's members."""
 
     def __init__(self, generators: list[Permutation] | tuple[Permutation, ...], degree: int,
                  order: int | None = None):
@@ -262,57 +181,29 @@ class PermGroup:
         ))
         self._order = order
 
-    @functools.cached_property
-    def _chain(self) -> _Chain:
-        chain = _Chain(self.degree, size=self._order)
-        for g in self.generators:
-            chain.add(g.images)
-        return chain
-
     def order(self) -> int:
-        return self._chain.size() if self._order is None else self._order
-
-    def __contains__(self, g: Permutation) -> bool:
-        if g.degree != self.degree:
-            return False
-        return g.images in self._chain
+        if self._order is None:
+            raise GroupError("the group's order is unknown: it was built for its orbits only")
+        return self._order
 
     def elements(self) -> list[Permutation]:
-        """All group members in lexicographic image order.  Meant for the
-        small groups this library works with; cost is the group order."""
-        return [Permutation(x) for x in _lex_walk(self._chain)]
+        """All group members in lexicographic image order, walked off the
+        chain of the generators.  Meant for the small groups this library
+        works with; cost is the group order."""
+        chain = _Chain([g.images for g in self.generators], self.degree)
+        if chain.size != self.order():
+            raise GroupError(f"the generators are no strong generating set of a group of order "
+                             f"{self._order}")
+        return [Permutation(x) for x in _lex_walk(chain)]
 
     def to_json_dict(self) -> dict:
-        """The degree, the greedy lexicographic generators (read off the
-        chain, whatever set the group was built from) and the order."""
+        """The degree, the generators and the order; for a group from the
+        search the generators are the greedy lexicographic ones."""
         return {
             "degree": self.degree,
-            "generators": [list(g.images) for g in _greedy_generators(self._chain)],
+            "generators": [list(g.images) for g in self.generators],
             "order": str(self.order()),
         }
-
-
-def _greedy_generators(G: _Chain) -> list[Permutation]:
-    """The greedy lexicographic generators of the group of a chain over the
-    order 0..n-1: what sifting every member in lex order would keep."""
-    # level by level from the deepest nontrivial one: while the group
-    # generated so far holds G_{0..i}, a level-i member x is in it iff x(i)
-    # is in its orbit of i, so the next generator is the lex-least member of
-    # u_z * G_{0..i}, z the least point of the level's orbit outside that
-    # orbit (the first child at each deeper level of a lex walk), and the
-    # level is done once the two orbits are equal
-    levels = G.nontrivial_levels()
-    gens: list[Permutation] = []
-    for d, i in reversed(list(enumerate(levels))):
-        trans = G.trans[i]
-        reached = {i}
-        while len(reached) < len(trans):
-            x = trans[min(trans.keys() - reached)][0]
-            for j in levels[d + 1:]:
-                x = _compose(x, G.trans[j][min(G.trans[j], key=x.__getitem__)][0])
-            gens.append(Permutation(x))
-            _, reached = next(_orbit_search(PermGroup(gens, len(G.order)), [i]))
-    return gens
 
 
 def _orbit_search(G: PermGroup, points, act=tuple.__getitem__):
@@ -335,7 +226,7 @@ def _orbit_search(G: PermGroup, points, act=tuple.__getitem__):
 
 def orbits(G: PermGroup, S) -> list[tuple[int, ...]]:
     """Partition of S into G-orbits (blocks sorted, ordered by least member)."""
-    points = _check_points(G, S)
+    points = _check_points(G.degree, S)
     if not G.generators:
         return [(x,) for x in points]
     members = set(points)
@@ -353,32 +244,18 @@ def orbits_on_tuples(G: PermGroup, tuples) -> list[tuple[tuple[int, ...], ...]]:
     return blocks
 
 
-def _check_points(G: PermGroup, A) -> tuple[int, ...]:
-    """A as a sorted tuple of distinct points of G's domain."""
+def _check_points(degree: int, A) -> tuple[int, ...]:
+    """A as a sorted tuple of distinct points of 0..degree-1."""
     A = tuple(A)
-    for x in A:
-        # as for Permutation images: 1.0 and True compare as 1, yet are no point
-        if type(x) is not int:
-            raise GroupError(f"element {x!r} is not an int")
-        if not (0 <= x < G.degree):
-            raise GroupError(f"element {x} outside degree {G.degree}")
+    # as for Permutation images: 1.0 and True compare as 1, yet are no
+    # point; the first bad element is looked for only once one is known
+    if not {*map(type, A)} <= {int} or A and not (0 <= min(A) and max(A) < degree):
+        for x in A:
+            if type(x) is not int:
+                raise GroupError(f"element {x!r} is not an int")
+            if not (0 <= x < degree):
+                raise GroupError(f"element {x} outside degree {degree}")
     return tuple(sorted(set(A)))
-
-
-def pointwise_stabilizer(G: PermGroup, A) -> PermGroup:
-    """The subgroup fixing every point of A: G itself when no generator
-    moves a point of A, else the level after A in a chain whose base order
-    starts with A's points in ascending order, grown from G's generators and
-    stopped at G's order."""
-    A = _check_points(G, A)
-    if all(g(a) == a for g in G.generators for a in A):
-        return G
-    fixed = set(A)
-    chain = _Chain(G.degree, A + tuple(x for x in range(G.degree) if x not in fixed), G.order())
-    for g in G.generators:
-        chain.add(g.images)
-    stabilizer_gens = chain.gens[len(A)] if len(A) < G.degree else []
-    return PermGroup([Permutation(s) for s in stabilizer_gens], G.degree)
 
 
 # -- automorphisms -----------------------------------------------------------
@@ -512,27 +389,38 @@ def _individualize(adj, node, v: int):
     return lab, cell_of, size
 
 
-def _target_cell(node) -> list[int]:
+def _cell(node, s: int) -> list[int]:
     lab, _, size = node
-    s = min(c for c, k in size.items() if k > 1)
     return sorted(lab[s:s + size[s]])
 
 
-def _automorphism_generators(M: Structure) -> tuple[list[Permutation], int]:
-    """Generators of Aut(M) from an individualization-refinement search,
-    and |Aut(M)|: at most one automorphism per point of each fundamental
-    orbit of the search's base, each confirmed by is_automorphism at its
-    leaf.  They form a strong generating set for that base, so the order is
-    the product of the orbits they give each base point at its level."""
+def _automorphism_generators(M: Structure, fixed=()) -> tuple[list[Permutation], int]:
+    """Generators of Aut(M)_fixed from an individualization-refinement
+    search, and its order: at most one automorphism per point of each
+    fundamental orbit of the search's base, each confirmed by is_automorphism
+    at its leaf.  They form a strong generating set for the base order
+    0..n-1, so the order is the product of the orbits they give each base
+    point at its level."""
     n = M.size
     adj = _adjacency(M)
+    node = _root_partition(M, adj)
+    for a in fixed:
+        # refinement may have made a a singleton already
+        if node[2][node[1][a]] > 1:
+            node = _individualize(adj, node, a)
 
-    # first path: individualize the least element of the first open cell
-    path = [_root_partition(M, adj)]
+    # first path: individualize the least element of any open cell, and
+    # record the cell's position, which every other path takes at that depth
+    path = [node]
     base: list[int] = []
+    cells: list[int] = []
+    v = 0
     while len(path[-1][2]) < n:
-        v = _target_cell(path[-1])[0]
+        _, cell_of, size = path[-1]
+        while size[cell_of[v]] == 1:
+            v += 1
         base.append(v)
+        cells.append(cell_of[v])
         path.append(_individualize(adj, path[-1], v))
     first_leaf = path[-1][0]
 
@@ -545,7 +433,7 @@ def _automorphism_generators(M: Structure) -> tuple[list[Permutation], int]:
                 images[x] = y
             pi = Permutation(tuple(images))
             return pi if is_automorphism(M, pi) else None
-        for v in _target_cell(node):
+        for v in _cell(node, cells[d]):
             found = leaf_below(_individualize(adj, node, v), d + 1)
             if found is not None:
                 return found
@@ -565,7 +453,7 @@ def _automorphism_generators(M: Structure) -> tuple[list[Permutation], int]:
     order = 1
     for i in reversed(range(len(base))):
         failed: list[int] = []
-        cell = _target_cell(path[i])
+        cell = _cell(path[i], cells[i])
         for w in cell:
             rw = find(w)
             if rw == find(base[i]) or any(find(f) == rw for f in failed):
@@ -584,9 +472,9 @@ def _automorphism_generators(M: Structure) -> tuple[list[Permutation], int]:
     return gens, order
 
 
-def automorphism_group(M: Structure) -> PermGroup:
-    """The full automorphism group as a PermGroup of the search's
-    generators, told the order their orbits give.  to_json_dict prints the
-    greedy lexicographic generators instead."""
-    found, order = _automorphism_generators(M)
+def automorphism_group(M: Structure, fixed=()) -> PermGroup:
+    """Aut(M), or its pointwise stabilizer of the points ``fixed``, as a
+    PermGroup of the search's generators told the order their orbits give."""
+    fixed = _check_points(M.size, fixed)
+    found, order = _automorphism_generators(M, fixed)
     return PermGroup(found, M.size, order)

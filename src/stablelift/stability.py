@@ -25,7 +25,6 @@ from .groups import (
     automorphism_group,
     orbits,
     orbits_on_tuples,
-    pointwise_stabilizer,
 )
 from .lifting import (
     ANCHOR_NAME,
@@ -66,7 +65,7 @@ class StabilityError(ValueError):
 def stabilizer_orbits(N: Structure, A) -> list[tuple[int, ...]]:
     """Orbits of the pointwise stabilizer of A on the whole domain: the
     classes of "related by an automorphism fixing A"."""
-    return orbits(pointwise_stabilizer(automorphism_group(N), A), N.domain)
+    return orbits(automorphism_group(N, fixed=A), N.domain)
 
 
 @dataclass(frozen=True)
@@ -304,11 +303,13 @@ def stability_report(
     in source coordinates and land inside the base copy of each lift, built
     with ``LiftConfig(k=k)``.  Type counts are ``qf_type_census`` at depth
     1: the parameter-free census is built once per lift, and each parameter
-    set adds only the atoms that mention a parameter.  A lift's stabilizer
-    is the group of the direct_induced images of the generators of Aut(M)'s,
-    which certify_induced_group proves to be Aut(N)'s; no group is built on
-    the lift, and a stabilizer that is Aut(M) itself reuses the certified
-    images.  An empty list of copy bounds or of parameter sets raises
+    set adds only the atoms that mention a parameter.  Aut(M)'s stabilizer
+    of a parameter set is searched with the set individualized, once per
+    set.  A lift's stabilizer is the group of the direct_induced images of
+    its generators, which certify_induced_group proves to be Aut(N)'s; no
+    group is built on the lift, and a stabilizer that is Aut(M) itself, for
+    a set that every generator fixes, reuses the certified images.  An
+    empty list of copy bounds or of parameter sets raises
     StabilityError: such a census would pass with nothing checked."""
     ks = list(ks)
     As = [tuple(sorted(set(_int_parameters(A_src)))) for A_src in As]
@@ -332,7 +333,8 @@ def stability_report(
         for A_src in As:
             A = tuple(N.base_id(a) for a in A_src)
             if A_src not in sources:
-                stabilizer = pointwise_stabilizer(group_M, A_src)
+                fixes = all(g(a) == a for g in group_M.generators for a in A_src)
+                stabilizer = group_M if fixes else automorphism_group(M, fixed=A_src)
                 sources[A_src] = stabilizer, _source_counts(M, N.fibers, stabilizer)
             stabilizer, counts = sources[A_src]
             if stabilizer is group_M:  # every generator fixes A_src

@@ -6,8 +6,9 @@ faster or checks another way, and tests compare the two:
 - ``automorphism_group_brute`` tries every permutation of the domain, the
   reference for the automorphism search on small degrees;
 - ``greedy_lex_generators`` reads the greedy generators off one pruned lex
-  walk of a chain while it grows a second chain of the group they
-  generate, the reference for the level-by-level read-off;
+  walk of a Schreier-Sims chain of a group while it grows a second chain of
+  the group they generate, the reference for the generators the search
+  finds and ``aut`` prints;
 - ``expanded`` writes each ``Padded`` node of a formula out as the
   conjunction it stands for (``conjunction`` of the reflexive atoms and the
   core), the reference for every formula reader's handling of the node;
@@ -34,10 +35,10 @@ faster or checks another way, and tests compare the two:
 - ``naming_points`` reads each lift element's names one element at a
   time, the reference for the column-wise ``lifting._rigid_over_base``;
 - ``continuity_escapes`` induces the generators of every witness's
-  stabilizer and applies them to the lift element, the reference for
+  Schreier-Sims stabilizer and applies them to the lift element, the reference for
   ``verify-iso``'s continuity check through naming points;
-- ``searched_decomposition`` takes the stabilizers of base parameters in
-  the searched ``Aut(N)`` and ``Aut(M)``, the reference for the stabilizers
+- ``searched_decomposition`` takes the Schreier-Sims stabilizers of base
+  parameters in the searched ``Aut(N)`` and ``Aut(M)``, the reference for the stabilizers
   ``report`` induces from ``Aut(M)``'s.
 """
 
@@ -46,7 +47,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+import stabilizer_oracle
 from refinement_oracle import root_partition, view_tables
+from stabilizer_oracle import pointwise_stabilizer
 from stablelift.corpus import digraph, edge_pairs, exhaustive_digraphs
 from stablelift.formulas import (
     And,
@@ -67,12 +70,11 @@ from stablelift.formulas import (
 )
 from stablelift.groups import (
     GroupError,
+    PermGroup,
     Permutation,
-    _Chain,
     _compose,
     automorphism_group,
     is_automorphism,
-    pointwise_stabilizer,
 )
 from stablelift.interpretation import (
     CheckResult,
@@ -112,15 +114,18 @@ def automorphism_group_brute(M: Structure) -> list[Permutation]:
     return found
 
 
-def greedy_lex_generators(chain: _Chain) -> tuple[list[Permutation], _Chain]:
-    """The greedy lexicographic generators of the group of a complete chain
-    over the order 0..n-1, and a second chain H of the group they generate.
-    A lex walk of the chain yields them: it skips a coset x * K inside H
-    (x in H and K <= H, true from depth D on; the skip reads D and H as
-    they grow), and once H is the whole group it skips everything."""
+def greedy_lex_generators(
+    G: PermGroup,
+) -> tuple[list[Permutation], stabilizer_oracle.Chain]:
+    """The greedy lexicographic generators of G's group, and a second chain
+    H of the group they generate.  A lex walk of G's Schreier-Sims chain
+    over the order 0..n-1 yields them: it skips a coset x * K inside H (x in
+    H and K <= H, true from depth D on; the skip reads D and H as they
+    grow), and once H is the whole group it skips everything."""
+    chain = stabilizer_oracle.chain(G)
     levels = chain.nontrivial_levels()
     D = len(levels)
-    H = _Chain(len(chain.order), size=chain.size())
+    H = stabilizer_oracle.Chain(G.degree)
     gens: list[Permutation] = []
 
     def walk(d: int, x: tuple[int, ...]):

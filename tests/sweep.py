@@ -63,7 +63,8 @@ NAMED = {
     # two disjoint 3-cycles, |Aut| = 18, and the 5-cycle, |Aut| = 5
     "cycles33": _digraph_json(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
     "cycle5": _digraph_json(5, [(i, (i + 1) % 5) for i in range(5)]),
-    # |Aut| = 8, where the search finds more generators than aut prints
+    # |Aut| = 8, where a search that took the first open cell by position
+    # found three generators, one more than the greedy two that aut prints
     "order8": _digraph_json(6, [
         (0, 1), (0, 2), (0, 3), (0, 5), (1, 0), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1),
         (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (3, 5), (4, 1), (4, 2), (5, 0), (5, 3),
@@ -155,7 +156,8 @@ def mismatches() -> list[str]:
     stored one, or that is missing on either side."""
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     actual = sweep_digests()
-    keys = {(label, name) for table in (expected, actual) for label in table for name in table[label]}
+    keys = {(label, name) for table in (expected, actual) for label, runs in table.items()
+            for name in runs}
     return [
         f"{label} {name}"
         for label, name in sorted(keys)

@@ -35,11 +35,7 @@ from stablelift.formulas import (
     Var,
     format_formula,
 )
-from stablelift.groups import (
-    Permutation,
-    automorphism_group,
-    pointwise_stabilizer,
-)
+from stablelift.groups import Permutation, automorphism_group
 from stablelift.interpretation import (
     induced_automorphism,
     negate_translation,
@@ -241,11 +237,10 @@ def test_criterion_4_continuity_witnesses():
                             pihat = induced_table[pi.images]
                             assert all(pihat(b) == b for b in B), (name, k, B)
                     checked_forward += 1
-            GN = aut_N(idx, k)
             for size in (0, 1, 2):
                 for A_src in itertools.combinations(range(M.size), size):
                     A_lift = tuple(N.base_id(a) for a in A_src)
-                    stab = pointwise_stabilizer(GN, A_lift)
+                    stab = automorphism_group(N.structure, fixed=A_lift)
                     for g in stab.elements():
                         projected = project_automorphism(N, g)
                         assert all(projected(a) == a for a in A_src), (name, k, A_src)

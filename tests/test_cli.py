@@ -90,7 +90,7 @@ def test_verify_iso_reports_a_broken_projection(capsys, pair_file, monkeypatch):
     import stablelift.lifting as lifting
 
     monkeypatch.setattr(lifting, "_restrict_automorphism",
-                        lambda N, g: Permutation.identity(N.source.size))
+                        lambda N, g: Permutation(tuple(range(N.source.size))))
     code, out, err = run(capsys, "verify-iso", "--in", pair_file, "--k", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(" (internal error)\n")
@@ -180,15 +180,19 @@ def test_verify_iso_induces_each_permutation_once(capsys, tmp_path, monkeypatch)
 
 def test_report_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
     # each lift's stabilizer is the group of induced generators of a source
-    # stabilizer, so the only chains report builds are on the source's degree
+    # stabilizer, and each source stabilizer is searched: report searches
+    # only the source and builds no chain at all
     import stablelift.groups as groups
+    from stablelift import stability
 
-    calls = _spy(monkeypatch, groups, "_Chain")
+    chains = _spy(monkeypatch, groups, "_Chain")
+    searches = _spy(monkeypatch, stability, "automorphism_group")
     code, out, _ = run(capsys, "report", "--in", _complete3_file(tmp_path), "--ks", "1,2",
                        "--A", "0", "--A", "0,1")
     assert code == 0
     assert [e["growth_law"] for e in json.loads(out)["entries"]] == ["pass"] * 4
-    assert calls and {args[0] for args in calls} == {3}
+    assert chains == []
+    assert len(searches) == 3 and {args[0].size for args in searches} == {3}
 
 
 def test_report_induces_each_stabilizer_generator_once_per_copy_bound(
@@ -197,11 +201,11 @@ def test_report_induces_each_stabilizer_generator_once_per_copy_bound(
     # the empty parameter set's stabilizer is Aut(M) itself, whose images the
     # certificate already holds; the stabilizer of 0 induces its own
     from stablelift import stability
-    from stablelift.groups import pointwise_stabilizer
 
-    GM = automorphism_group(digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b]))
-    fixing_0 = pointwise_stabilizer(GM, (0,))
-    assert fixing_0 is not GM and fixing_0.order() == 2
+    M = digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])
+    GM = automorphism_group(M)
+    fixing_0 = automorphism_group(M, fixed=(0,))
+    assert fixing_0.order() == 2
     calls = _spy(monkeypatch, stability, "direct_induced")
     code, out, _ = run(capsys, "report", "--in", _complete3_file(tmp_path), "--ks", "1,2,3",
                        "--A", "", "--A", "0")
@@ -216,14 +220,16 @@ def test_verify_iso_takes_a_stabilizer_only_for_a_naming_point_outside_the_witne
     capsys, tmp_path, monkeypatch
 ):
     # every real witness holds its element's naming points, so a normal run
-    # takes no stabilizer; an empty witness takes one and fails
-    calls = _spy(monkeypatch, cli, "pointwise_stabilizer")
+    # searches Aut(M) alone and no stabilizer; an empty witness searches
+    # one and fails
+    calls = _spy(monkeypatch, cli, "automorphism_group")
     path = _complete3_file(tmp_path)
     code, out, _ = run(capsys, "verify-iso", "--in", path, "--k", "2")
-    assert (code, calls) == (0, [])
+    assert (code, len(calls)) == (0, 1)
     monkeypatch.setattr(cli, "continuity_witness", lambda N, B: frozenset())
+    calls.clear()
     code, out, _ = run(capsys, "verify-iso", "--in", path, "--k", "2")
-    assert code == 1 and calls
+    assert code == 1 and len(calls) > 1
 
 
 def _dropping(t):
@@ -242,11 +248,11 @@ def test_a_witness_missing_a_naming_point_passes_on_a_rigid_source(capsys, tmp_p
     # the check takes the stabilizer of each short witness, and it passes
     path = tmp_path / "path.json"
     path.write_text(structure_to_json(digraph(3, [(0, 1), (1, 2)])), encoding="utf-8")
-    calls = _spy(monkeypatch, cli, "pointwise_stabilizer")
+    calls = _spy(monkeypatch, cli, "automorphism_group")
     monkeypatch.setattr(cli, "continuity_witness", _dropping(0))
     code, out, _ = run(capsys, "verify-iso", "--in", str(path), "--k", "1")
     assert code == 0 and json.loads(out)["continuity_witnesses"] == "pass"
-    assert calls
+    assert len(calls) > 1
 
 
 def test_continuity_by_naming_points_equals_inducing_each_stabilizer(corpus, monkeypatch):
@@ -267,7 +273,7 @@ def test_continuity_by_naming_points_equals_inducing_each_stabilizer(corpus, mon
         names = certify_induced_group(N, GM.generators, induced)
         for label, witness in witnesses.items():
             monkeypatch.setattr(cli, "continuity_witness", witness)
-            verdicts = list(cli._escapes_witness(N, GM, names))
+            verdicts = list(cli._escapes_witness(N, names))
             assert verdicts == continuity_escapes(N, GM, witness), (case, label)
             failed[label] += any(verdicts)
     # the real witness always passes, and each doctored one fails somewhere

@@ -4,7 +4,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import stabilizer_oracle as reference
 from references import automorphism_group_brute, greedy_lex_generators, naming_points, rigid_over
+from stabilizer_oracle import identity, inverse, multiply
 from stablelift.corpus import digraph
 from stablelift.groups import (
     GroupError,
@@ -14,9 +16,15 @@ from stablelift.groups import (
     is_automorphism,
     orbits,
     orbits_on_tuples,
-    pointwise_stabilizer,
 )
 from stablelift.lifting import LiftConfig, build_lift
+
+def _chain_of(G):
+    """The chain that G.elements() walks."""
+    from stablelift.groups import _Chain
+
+    return _Chain([g.images for g in G.generators], G.degree)
+
 
 perms = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(list(range(n))).map(lambda p: Permutation(tuple(p)))
@@ -36,16 +44,19 @@ def test_permutation_rejects_images_that_are_not_int(images):
         Permutation(images)
 
 
+# the permutation algebra that only tests use lives in stabilizer_oracle
+
+
 def test_swap_squares_to_identity():
     swap = Permutation((1, 0))
-    assert (swap * swap).is_identity()
-    assert Permutation.identity(2).inverse() == Permutation.identity(2)
+    assert multiply(swap, swap).is_identity()
+    assert inverse(identity(2)) == identity(2)
 
 
 @given(perms)
 def test_inverse_axiom(pi):
-    assert (pi * pi.inverse()).is_identity()
-    assert (pi.inverse() * pi).is_identity()
+    assert multiply(pi, inverse(pi)).is_identity()
+    assert multiply(inverse(pi), pi).is_identity()
 
 
 @given(perms.flatmap(lambda p: st.tuples(st.just(p), st.permutations(list(range(p.degree))))))
@@ -53,19 +64,19 @@ def test_composition_acts_right_to_left(pair):
     p, q_images = pair
     q = Permutation(tuple(q_images))
     for x in range(p.degree):
-        assert (p * q)(x) == p(q(x))
+        assert multiply(p, q)(x) == p(q(x))
 
 
 def test_degree_mismatch_rejected():
     with pytest.raises(GroupError, match="degree mismatch"):
-        Permutation((1, 0)) * Permutation((0, 1, 2))
+        multiply(Permutation((1, 0)), Permutation((0, 1, 2)))
 
 
 # -- is_automorphism -----------------------------------------------------------
 
 
 def test_is_automorphism_examples(m_edge, m_pair):
-    ident = Permutation.identity(2)
+    ident = identity(2)
     swap = Permutation((1, 0))
     assert is_automorphism(m_edge, ident)
     assert not is_automorphism(m_edge, swap)
@@ -88,13 +99,10 @@ def test_is_automorphism_functions_and_constants():
 
 
 def test_brute_oracle_fixtures(m_edge, m_pair):
-    assert automorphism_group_brute(m_edge) == [Permutation.identity(2)]
-    assert automorphism_group_brute(m_pair) == [
-        Permutation.identity(2),
-        Permutation((1, 0)),
-    ]
+    assert automorphism_group_brute(m_edge) == [identity(2)]
+    assert automorphism_group_brute(m_pair) == [identity(2), Permutation((1, 0))]
     N = build_lift(m_edge, LiftConfig(k=1)).structure
-    assert automorphism_group_brute(N) == [Permutation.identity(6)]
+    assert automorphism_group_brute(N) == [identity(6)]
 
 
 def test_brute_oracle_guard():
@@ -128,16 +136,17 @@ def test_search_equals_oracle_on_some_size_five():
 
 def test_order_is_product_of_fundamental_orbits(m_triple):
     G = automorphism_group(m_triple)
-    chain = G._chain
-    assert G.order() == math.prod(len(chain.trans[i]) for i in chain.nontrivial_levels())
-    assert G.order() == 6
+    assert G.order() == math.prod(len(trans) for _, trans in _chain_of(G).levels) == 6
 
 
 def test_membership_matches_enumeration(m_triple):
+    # Schreier-Sims membership in the search's generators against the
+    # listed members
     G = automorphism_group(m_triple)
     members = set(G.elements())
+    assert len(members) == 6
     for images in itertools.permutations(range(3)):
-        assert (Permutation(images) in G) == (Permutation(images) in members)
+        assert reference.contains(G, Permutation(images)) == (Permutation(images) in members)
 
 
 # -- orbits and stabilizers --------------------------------------------------------
@@ -157,8 +166,9 @@ def test_orbits_on_tuples(m_pair):
 
 def _closure_blocks(G, points, act):
     """Orbits by brute force: the images of each point under every member of
-    G, restricted to ``points``, ordered by least member."""
-    members, points = G.elements(), set(points)
+    G, restricted to ``points``, ordered by least member; the members are
+    listed by Schreier-Sims, as G may be given by any generators."""
+    members, points = reference.elements(G), set(points)
     todo, blocks = set(points), []
     while todo:
         x = todo.pop()
@@ -184,7 +194,8 @@ def _orbit_cases(corpus):
         yield case, G, S.domain, tuple_sets
         moved = [x for x in S.domain if any(g(x) != x for g in G.generators)]
         if moved:
-            yield case + ("stabilizer",), pointwise_stabilizer(G, moved[:1]), S.domain, tuple_sets
+            stabilizer = reference.pointwise_stabilizer(G, moved[:1])
+            yield case + ("stabilizer",), stabilizer, S.domain, tuple_sets
 
 
 def test_orbits_equal_the_closure_under_every_member(corpus):
@@ -224,47 +235,99 @@ def test_orbits_on_tuples_names_an_escaping_orbit(m_pair):
 
 
 def test_pointwise_stabilizer_examples(m_pair, m_triple):
-    G2 = automorphism_group(m_pair)
-    assert pointwise_stabilizer(G2, [0]).order() == 1
-    G3 = automorphism_group(m_triple)
-    assert pointwise_stabilizer(G3, [0]).order() == 2
-    assert pointwise_stabilizer(G3, []).order() == 6
-    assert pointwise_stabilizer(G3, [0, 1, 2]).order() == 1
+    assert automorphism_group(m_pair, fixed=[0]).order() == 1
+    assert automorphism_group(m_triple, fixed=[0]).order() == 2
+    assert automorphism_group(m_triple, fixed=[]).order() == 6
+    assert automorphism_group(m_triple, fixed=[0, 1, 2]).order() == 1
+    # a support is a set: order and repeats do not matter
+    assert automorphism_group(m_triple, fixed=(2, 0, 2)).elements() == automorphism_group(
+        m_triple, fixed=[0, 2]
+    ).elements()
 
 
 def test_pointwise_stabilizer_composes(m_triple):
-    G = automorphism_group(m_triple)
-    two_step = pointwise_stabilizer(pointwise_stabilizer(G, [0]), [1])
-    direct = pointwise_stabilizer(G, [0, 1])
-    assert sorted(p.images for p in two_step.elements()) == sorted(
-        p.images for p in direct.elements()
-    )
+    # the stabilizer of 1 in the searched stabilizer of 0, by Schreier-Sims,
+    # is the search's stabilizer of {0, 1}
+    two_step = reference.pointwise_stabilizer(automorphism_group(m_triple, fixed=[0]), [1])
+    direct = automorphism_group(m_triple, fixed=[0, 1])
+    assert reference.elements(two_step) == direct.elements()
 
 
 def test_stabilizer_members_match_brute_filter(corpus):
     for _, M in corpus[60:69]:
-        G = automorphism_group(M)
         for A in ([0], [1], [0, 2]):
             expected = [p for p in automorphism_group_brute(M) if all(p(a) == a for a in A)]
-            assert pointwise_stabilizer(G, A).elements() == expected
+            assert automorphism_group(M, fixed=A).elements() == expected
 
 
 @pytest.mark.parametrize(
     "call, shown",
     [
         # 1.0 would escape as a bare TypeError from a tuple index
-        (lambda G: orbits(G, [1.0]), "1.0"),
-        (lambda G: pointwise_stabilizer(G, [1.0]), "1.0"),
+        (lambda M: orbits(automorphism_group(M), [1.0]), "1.0"),
+        (lambda M: automorphism_group(M, fixed=[1.0]), "1.0"),
         # a string would escape from the degree comparison
-        (lambda G: orbits(G, ["a"]), "'a'"),
+        (lambda M: orbits(automorphism_group(M), ["a"]), "'a'"),
+        (lambda M: automorphism_group(M, fixed=[0, "a"]), "'a'"),
         # True would be taken for the point 1
-        (lambda G: pointwise_stabilizer(G, [True]), "True"),
+        (lambda M: automorphism_group(M, fixed=[True]), "True"),
+        (lambda M: orbits(automorphism_group(M), [2, False]), "False"),
     ],
-    ids=["orbits-float", "stabilizer-float", "orbits-str", "stabilizer-bool"],
+    ids=["orbits-float", "stabilizer-float", "orbits-str", "stabilizer-str", "stabilizer-bool",
+         "orbits-bool"],
 )
 def test_points_that_are_not_int_are_refused(m_triple, call, shown):
-    with pytest.raises(GroupError, match=f"element {shown} is not an int"):
-        call(automorphism_group(m_triple))
+    with pytest.raises(GroupError, match=f"^element {shown} is not an int$"):
+        call(m_triple)
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda M: orbits(automorphism_group(M), [0, 3]), "3"),
+        (lambda M: automorphism_group(M, fixed=[3]), "3"),
+        (lambda M: automorphism_group(M, fixed=[1, -1]), "-1"),
+        (lambda M: orbits(automorphism_group(M), [-1, 5]), "-1"),
+    ],
+    ids=["orbits-above", "stabilizer-above", "stabilizer-below", "orbits-below"],
+)
+def test_points_outside_the_degree_are_refused(m_triple, call, shown):
+    with pytest.raises(GroupError, match=f"^element {shown} outside degree 3$"):
+        call(m_triple)
+
+
+def test_the_first_bad_point_is_named():
+    # the C-level check only finds that some point is bad; the message names
+    # the first, whether it is out of range or no int
+    from stablelift.groups import _check_points
+
+    for points, message in (
+        ([0, 7, 1.0], "element 7 outside degree 3"),
+        ([0, 1.0, 7], "element 1.0 is not an int"),
+        ([2, True, -1], "element True is not an int"),
+        ([-2, "a"], "element -2 outside degree 3"),
+    ):
+        with pytest.raises(GroupError, match=f"^{message}$"):
+            _check_points(3, points)
+    assert _check_points(3, iter([2, 0, 2])) == (0, 2)
+    assert _check_points(0, []) == ()
+
+
+def test_a_group_of_unknown_order_answers_orbits_only(m_triple):
+    # a group of arbitrary generators gives its orbits; its order, members
+    # and printed generators would need Schreier-Sims, so they raise
+    G = PermGroup([Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))], 4)
+    assert orbits(G, range(4)) == [(0, 1), (2, 3)]
+    for ask in (G.order, G.elements, G.to_json_dict):
+        with pytest.raises(GroupError, match="order is unknown"):
+            ask()
+    # told an order that its generators' orbits do not give, a chain of
+    # them would answer wrong: (0 1 2) and (0 1) give orbit products 3 * 1,
+    # not 6, on the base order 0, 1, 2
+    told = PermGroup([Permutation((1, 2, 0)), Permutation((1, 0, 2))], 3, order=6)
+    assert told.order() == 6
+    with pytest.raises(GroupError, match="no strong generating set"):
+        told.elements()
 
 
 def test_group_serialization(m_triple):
@@ -282,13 +345,13 @@ def test_deterministic_generators(m_triple):
 
 def _closure(gens, degree):
     # multiplication closure, an oracle independent of the stabilizer chain
-    elems = {Permutation.identity(degree)} | set(gens)
+    elems = {identity(degree)} | set(gens)
     frontier = list(elems)
     while frontier:
         nxt = []
         for a in gens:
             for b in frontier:
-                c = a * b
+                c = multiply(a, b)
                 if c not in elems:
                     elems.add(c)
                     nxt.append(c)
@@ -297,6 +360,7 @@ def _closure(gens, degree):
 
 
 def test_chain_order_matches_multiplication_closure():
+    # the Schreier-Sims reference, for groups of arbitrary generators
     import random
 
     rng = random.Random(99)
@@ -308,16 +372,17 @@ def test_chain_order_matches_multiplication_closure():
             ]
             G = PermGroup(gens, degree)
             closure = _closure(gens, degree)
-            assert G.order() == len(closure)
-            assert set(G.elements()) == closure
+            assert reference.order(G) == len(closure)
+            assert set(reference.elements(G)) == closure
             sample = rng.sample(sorted(closure, key=lambda p: p.images),
                                 min(10, len(closure)))
-            assert all(p in G for p in sample)
+            assert reference.contains(G, *sample)
             outside = Permutation(tuple(rng.sample(range(degree), degree)))
-            assert (outside in G) == (outside in closure)
+            assert reference.contains(G, outside) == (outside in closure)
 
 
 def test_stabilizer_matches_closure_filter():
+    # the Schreier-Sims reference's stabilizers of arbitrary generators
     import random
 
     rng = random.Random(7)
@@ -332,31 +397,39 @@ def test_stabilizer_matches_closure_filter():
                 (p for p in closure if all(p(a) == a for a in A)),
                 key=lambda p: p.images,
             )
-            assert pointwise_stabilizer(G, A).elements() == expected
+            assert reference.elements(reference.pointwise_stabilizer(G, A)) == expected
 
 
 def test_base_points_ascend(m_triple):
-    G = automorphism_group(m_triple)
-    base = G._chain.nontrivial_levels()
-    assert list(base) == sorted(base)
+    # the first path individualizes the least point of any open cell, so
+    # each generator's first moved point is a base point, and the chain's
+    # orbit lengths multiply to the order with nothing sifted
+    for M in (m_triple, digraph(6, []), digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])):
+        G = automorphism_group(M)
+        base = [b for b, _ in _chain_of(G).levels]
+        assert base == sorted(base)
+        firsts = {next(x for x, y in enumerate(g.images) if x != y) for g in G.generators}
+        assert sorted(firsts) == base
+        assert _chain_of(G).size == G.order()
 
 
-def test_lazy_chain_safe_under_concurrent_first_access(m_triple):
+def test_elements_agree_under_concurrent_calls(m_triple):
     import threading
 
     gens = automorphism_group(m_triple).generators
     for _ in range(20):
-        G = PermGroup(gens, 3)
-        orders = []
+        G = PermGroup(gens, 3, order=6)
+        listed = []
         threads = [
-            threading.Thread(target=lambda: orders.append(G.order()))
+            threading.Thread(target=lambda: listed.append(G.elements()))
             for _ in range(8)
         ]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert orders == [6] * 8
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert listed == [automorphism_group_brute(m_triple)] * 8
 
 
 # -- search vs oracle on random digraphs and their lifts -----------------------------
@@ -546,25 +619,24 @@ def _greedy_cases(corpus, random_structures):
 
 
 def test_generators_equal_the_walk_with_a_second_chain(corpus, random_structures):
-    # the level-by-level read-off the printer makes against a pruned lex walk
-    # with a second chain; the search's generators generate the group whose
-    # order they are told
+    # the search's generators, which the printer prints, against a pruned
+    # lex walk of a Schreier-Sims chain with a second one; they generate the
+    # group whose order they are told
     for M, G in _greedy_cases(corpus, random_structures):
-        expected, H = greedy_lex_generators(G._chain)
+        expected, H = greedy_lex_generators(G)
         assert _printed(G) == expected
-        assert H.size() == G._chain.size() == G.order()
+        assert H.size() == reference.order(G) == _chain_of(G).size == G.order()
 
 
-def test_the_printed_generators_are_greedy_where_the_search_finds_more():
-    # the one sampled digraph whose search generators are not the greedy
-    # set: the search finds three, aut prints the two greedy ones
+def test_the_search_finds_the_greedy_generators_of_the_order_8_digraph():
+    # a search whose first path took the first open cell by position found
+    # three generators here, (3 0) beside the two greedy ones; from an
+    # ascending base it finds the greedy ones, which aut prints as found
     M = digraph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 0), (1, 2), (1, 3), (1, 4),
                     (2, 0), (2, 1), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (3, 5),
                     (4, 1), (4, 2), (5, 0), (5, 3)])
     G = automorphism_group(M)
-    assert [g.images for g in G.generators] == [
-        (0, 2, 1, 3, 4, 5), (1, 0, 3, 2, 5, 4), (3, 1, 2, 0, 4, 5)
-    ]
+    assert [g.images for g in G.generators] == [(0, 2, 1, 3, 4, 5), (1, 0, 3, 2, 5, 4)]
     assert G.to_json_dict() == {
         "degree": 6, "generators": [[0, 2, 1, 3, 4, 5], [1, 0, 3, 2, 5, 4]], "order": "8"
     }
@@ -574,27 +646,33 @@ def test_the_printed_generators_are_greedy_where_the_search_finds_more():
 
 
 def test_a_group_told_its_order_matches_one_that_is_not(corpus, random_structures):
-    # the search's group is told its order, so its chain stops once the
-    # orbits multiply to it; a group of the same generators that is not
-    # told grows the chain of the same group over the same base
+    # the search's group is told its order, and its chain is orbits and
+    # transversals of its strong generating set; Schreier-Sims on the same
+    # generators, not told, grows the chain of the same group over the same
+    # base, with the same fundamental orbits and members.  A stabilizer the
+    # search finds with the support individualized has the orbits of the
+    # Schreier-Sims stabilizer
     import random
 
     rng = random.Random(17)
     for M, G in _greedy_cases(corpus, random_structures):
-        lazy = PermGroup(G.generators, M.size)
-        assert lazy.order() == G.order()
-        assert [t.keys() for t in lazy._chain.trans] == [t.keys() for t in G._chain.trans]
-        members = lazy.elements()
+        grown = reference.chain(G)
+        assert grown.size() == G.order()
+        assert [sorted(grown.trans[b]) for b in grown.nontrivial_levels()] == [
+            sorted(trans) for _, trans in _chain_of(G).levels
+        ]
+        members = reference.elements(G)
         assert G.elements() == members
         others = [Permutation(tuple(rng.sample(range(M.size), M.size))) for _ in range(20)]
-        for g in members + others:
-            assert (g in G) == (g in lazy)
-        assert all(g in G for g in members)
-        supports = [range(j) for j in range(1, M.size)] + [[a] for a in M.domain]
-        supports += [rng.sample(M.domain, min(M.size, 3)) for _ in range(10)]
+        listed = set(members)
+        for g in others:
+            assert reference.contains(G, g) == (g in listed)
+        # prefixes, single points and random triples, a few per structure
+        supports = [range(j) for j in range(1, min(M.size, 4))] + [[a] for a in M.domain[:6]]
+        supports += [rng.sample(M.domain, min(M.size, 3)) for _ in range(3)]
         for A in supports:
-            assert orbits(pointwise_stabilizer(G, A), M.domain) == orbits(
-                pointwise_stabilizer(lazy, A), M.domain
+            assert orbits(automorphism_group(M, fixed=A), M.domain) == orbits(
+                reference.pointwise_stabilizer(G, A), M.domain
             )
 
 
@@ -614,8 +692,8 @@ def test_leaf_checks_grow_with_the_chain_not_the_group(monkeypatch):
         calls.clear()
         G = automorphism_group(X)
         assert G.order() == 720
-        levels = G._chain.nontrivial_levels()
-        bound = sum(len(G._chain.trans[i]) for i in levels) + len(levels)
+        levels = _chain_of(G).levels
+        bound = sum(len(trans) for _, trans in levels) + len(levels)
         assert 0 < len(calls) <= bound < 720
         # every accepted leaf joins two orbits of the automorphisms found
         # before it, and no leaf is rejected on these structures
@@ -729,10 +807,10 @@ def test_certified_group_equals_the_search_on_lifts(corpus):
         ), case
         certified = PermGroup(induced, S.size)
         searched = automorphism_group(S)
-        assert certified.order() == searched.order() == GM.order(), case
-        assert all(g in searched for g in certified.generators), case
-        assert all(g in certified for g in searched.generators), case
-        assert certified.order() == len(automorphisms(S, budget=2_000_000)), case
+        assert reference.order(certified) == searched.order() == GM.order(), case
+        assert reference.contains(searched, *certified.generators), case
+        assert reference.contains(certified, *searched.generators), case
+        assert searched.order() == len(automorphisms(S, budget=2_000_000)), case
 
 
 def test_rigidity_needs_the_base_points():
@@ -778,7 +856,7 @@ def test_a_lift_with_flattened_projections_fails_both_certificates():
         base = [N.base_id(a) for a in M.domain]
         assert not _rigid_over_base(N)
         assert not rigid_over(S, N.sorts.values(), base)
-        assert pointwise_stabilizer(automorphism_group(S), base).order() > 1
+        assert automorphism_group(S, fixed=base).order() > 1
 
 
 def test_a_projection_onto_a_fiber_element_is_refused():

@@ -19,6 +19,7 @@ from references import (
     random_digraph_at,
     tautology,
 )
+from stabilizer_oracle import identity, multiply
 from stablelift import interpretation
 from stablelift.corpus import digraph
 from stablelift.formulas import (
@@ -613,7 +614,7 @@ def test_schemes_outside_the_language_are_refused_unevaluated(m_edge, monkeypatc
         ),
     ]
     evaluated = _eval_spy(monkeypatch)
-    ident = Permutation.identity(m_edge.size)
+    ident = identity(m_edge.size)
     for label, mutant, witness in cases:
         with pytest.raises(SchemeError) as err:
             validate_scheme(m_edge, companion, mutant)
@@ -781,7 +782,7 @@ def test_class_images_independent_of_member_choice(m_pair, m_edge):
 
 def test_identity_induces_identity(m_pair):
     N, companion, scheme = _scheme_setup(m_pair)
-    ident = Permutation.identity(2)
+    ident = identity(2)
     assert induced_automorphism(m_pair, companion, scheme, ident).is_identity()
 
 
@@ -804,7 +805,7 @@ def test_induced_rejects_a_redirected_bijection(m_pair):
     key = next(k for k, fmap in sorted(scheme.bijections.items()) if len(fmap) >= 2)
     redirected = redirect_bijection(scheme, key)
     with pytest.raises(SchemeError, match="not injective"):
-        induced_automorphism(m_pair, companion, redirected, Permutation.identity(2))
+        induced_automorphism(m_pair, companion, redirected, identity(2))
 
 
 def test_induced_is_homomorphism(corpus):
@@ -817,7 +818,7 @@ def test_induced_is_homomorphism(corpus):
         }
         for a in members:
             for b in members:
-                assert table[(a * b).images] == table[a.images] * table[b.images]
+                assert table[multiply(a, b).images] == multiply(table[a.images], table[b.images])
 
 
 def test_induced_injective_when_every_element_appears(m_pair):
@@ -841,7 +842,7 @@ def test_induced_rejects_a_scheme_missing_a_realized_sort(m_pair):
         rels=tuple(sr for sr in scheme.rels if dropped not in sr.sort_keys),
     )
     with pytest.raises(SchemeError, match=r"^missing=1 extra=0 sort keys$"):
-        induced_automorphism(m_pair, companion, partial, Permutation.identity(2))
+        induced_automorphism(m_pair, companion, partial, identity(2))
 
 
 def _sort_mutants(scheme):
@@ -865,7 +866,7 @@ def test_induced_raises_the_first_failing_sort_check(corpus):
     raised = 0
     for _, M in corpus[1:12]:
         _, companion, scheme = _scheme_setup(M)
-        ident = Permutation.identity(M.size)
+        ident = identity(M.size)
         for mutant in _sort_mutants(scheme):
             failure = _first_sort_failure(validate_scheme(M, companion, mutant))
             if failure is None:

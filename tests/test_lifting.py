@@ -15,6 +15,7 @@ from references import (
     searched_decomposition,
     standard_corpus,
 )
+from stabilizer_oracle import identity
 
 from stablelift import interpretation
 from stablelift.corpus import digraph, edge_pairs
@@ -206,7 +207,7 @@ def test_limit_elements_reject_a_fiber_index_missing_a_limit_copy(m_edge):
 
 def test_direct_induced_identity(m_edge):
     N = build_lift(m_edge, LiftConfig(k=1))
-    assert direct_induced(N, Permutation.identity(2)).is_identity()
+    assert direct_induced(N, identity(2)).is_identity()
 
 
 def test_direct_induced_swap(m_pair):

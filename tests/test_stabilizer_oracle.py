@@ -1,105 +1,63 @@
-"""The stabilizer-chain layer against the reference form in
-stabilizer_oracle: a chain stopped at a known order is the chain grown
-without it, the search's order is the oracle's, and a stabilizer grown
-told the group's order is the one an unstopped chain gives."""
+"""The search's pointwise stabilizers against Schreier-Sims and brute force.
+
+automorphism_group(M, fixed=A) individualizes A's points at the root of
+the search.  stabilizer_oracle takes the level after A in a Schreier-Sims
+chain of the searched Aut(M), and the brute-force and backtracking oracles
+filter every automorphism of M by A.  All three give the same order, the
+same members and the same orbits."""
 
 import itertools
-import random
-
-import pytest
+import json
 
 import automorphism_oracle
 import stabilizer_oracle as reference
+import sweep
+from references import automorphism_group_brute
+from stablelift.corpus import digraph
 from stablelift.groups import (
-    PermGroup,
     Permutation,
     _automorphism_generators,
-    _Chain,
-    _lex_walk,
     automorphism_group,
-    pointwise_stabilizer,
+    orbits,
 )
 from stablelift.lifting import LiftConfig, build_lift
+from stablelift.structures import Signature, Structure, structure_from_json
 
 
-def _random_generators(rng, degree):
-    """One to three permutations that move only a random subset of the
-    points, so that the group's chain has trivial levels between moved
-    ones, or of all of them."""
-    moved = rng.sample(range(degree), rng.randint(2, degree))
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        images = list(range(degree))
-        for x, y in zip(moved, rng.sample(moved, len(moved))):
-            images[x] = y
-        gens.append(tuple(images))
-    return gens
+def _members(M) -> list[Permutation]:
+    """Every automorphism of M in lexicographic image order: by brute force
+    on small degrees, else by the backtracking oracle."""
+    if M.size <= 6:
+        return automorphism_group_brute(M)
+    return [Permutation(p) for p in automorphism_oracle.automorphisms(M, budget=2_000_000)]
 
 
-def _random_groups(seed, count):
-    rng = random.Random(seed)
-    groups = []
-    for _ in range(count):
-        degree = rng.randint(3, 7)
-        groups.append(PermGroup([Permutation(g) for g in _random_generators(rng, degree)], degree))
-    return groups
+def _assert_same_stabilizer(M, G, members, A):
+    """The search's stabilizer of A in Aut(M) = G against the Schreier-Sims
+    stabilizer in G and against the members of Aut(M) that fix A."""
+    searched = automorphism_group(M, fixed=A)
+    slow = reference.pointwise_stabilizer(G, A)
+    fixing = [g for g in members if all(g(a) == a for a in A)]
+    case = (M, A)
+    assert searched.order() == reference.order(slow) == len(fixing), case
+    assert searched.elements() == reference.elements(slow) == fixing, case
+    closure = sorted({tuple(sorted({g(x) for g in fixing})) for x in M.domain})
+    assert orbits(searched, M.domain) == orbits(slow, M.domain) == closure, case
 
 
-@pytest.fixture(scope="module")
-def corpus_groups(corpus):
-    """Aut of every corpus structure and of its lifts at k = 1, 2."""
-    groups = []
-    for _, M in corpus:
-        groups.append(automorphism_group(M))
-        for k in (1, 2):
-            groups.append(automorphism_group(build_lift(M, LiftConfig(k=k)).structure))
-    return groups
+def _supports(points, size):
+    return [A for r in range(size + 1) for A in itertools.combinations(points, r)]
 
 
-# -- known order -----------------------------------------------------------------
+def _check_supports(M, supports):
+    G, members = automorphism_group(M), _members(M)
+    for A in supports:
+        _assert_same_stabilizer(M, G, members, A)
 
 
-def _chain(gens, order):
-    chain = _Chain(len(order), order)
-    for g in gens:
-        chain.add(g)
-    return chain
-
-
-class _CountingChain(_Chain):
-    sifts = 0
-
-    def sift(self, g, start=0):
-        self.sifts += 1
-        return super().sift(g, start)
-
-
-def test_a_chain_stopped_at_its_known_order_is_the_chain_grown_without_it(corpus_groups):
-    rng = random.Random(2602)
-    cases = [(G.degree, [g.images for g in G.generators]) for G in corpus_groups]
-    for _ in range(150):
-        degree = rng.randint(3, 8)
-        cases.append((degree, _random_generators(rng, degree)))
-    saved = 0
-    for degree, gens in cases:
-        for order in (tuple(range(degree)), tuple(rng.sample(range(degree), degree))):
-            plain = _CountingChain(degree, order)
-            for g in gens:
-                plain.add(g)
-            known = _CountingChain(degree, order, plain.size())
-            for g in gens:
-                known.add(g)
-            saved += known.sifts < plain.sifts
-            assert known.size() == plain.size()
-            if order == tuple(range(degree)):
-                assert list(_lex_walk(known)) == list(_lex_walk(plain))
-            for _ in range(10):
-                g = tuple(rng.sample(range(degree), degree))
-                assert (g in known) == (g in plain)
-            if degree <= 6:
-                assert all(g in known for g in _lex_walk(_chain(gens, tuple(range(degree)))))
-    # the stop is taken, not only harmless
-    assert saved > 50, saved
+def _named(name):
+    """A named structure of the sweep."""
+    return structure_from_json(json.dumps(sweep.NAMED[name]))
 
 
 def test_the_search_order_is_the_backtracking_oracles_on_the_corpus_lifts(corpus):
@@ -110,31 +68,97 @@ def test_the_search_order_is_the_backtracking_oracles_on_the_corpus_lifts(corpus
             assert order == len(automorphism_oracle.automorphisms(N))
 
 
-# -- prefix stabilizers ------------------------------------------------------------
+def test_stabilizers_of_the_four_vertex_classes():
+    # every support of at most two points of every loop-free digraph on
+    # four vertices up to isomorphism
+    for edges in sweep.digraph_classes(4):
+        M = digraph(4, edges)
+        G, members = automorphism_group(M), automorphism_group_brute(M)
+        for A in _supports(M.domain, 2):
+            _assert_same_stabilizer(M, G, members, A)
 
 
-def _assert_same_stabilizer(G, A):
-    fast, slow = pointwise_stabilizer(G, A), reference.pointwise_stabilizer(G, A)
-    assert fast.order() == slow.order(), (G.generators, A)
-    # generators in G_A of a group as large as G_A: they generate G_A
-    assert all(g in G and all(g(a) == a for a in A) for g in fast.generators)
-    if G.degree <= 8:
-        assert fast.elements() == slow.elements(), (G.generators, A)
+def test_stabilizers_told_the_order_match_a_fresh_chain(corpus):
+    # the search's stabilizers, each told the order its orbits give, against
+    # a fresh Schreier-Sims chain: every support of at most two points on
+    # the corpus; on its lifts at k = 1, every single point, every pair of
+    # base points and every prefix {0..i}
+    for _, M in corpus:
+        _check_supports(M, _supports(M.domain, 2))
+        N = build_lift(M, LiftConfig(k=1)).structure
+        base = [1 + a for a in M.domain]
+        supports = _supports(base, 2) + [(e,) for e in N.domain]
+        _check_supports(N, supports + [tuple(range(i + 1)) for i in range(N.size)])
 
 
-def test_stabilizers_told_the_order_match_a_fresh_chain(corpus_groups):
-    for G in corpus_groups + _random_groups(2603, 100):
-        # every support of at most two points, and every prefix {0..i}
-        supports = [A for r in range(3) for A in itertools.combinations(range(G.degree), r)]
-        for A in supports + [tuple(range(i + 1)) for i in range(G.degree)]:
-            _assert_same_stabilizer(G, A)
+def _other_signatures(random_structures):
+    """Structures beyond digraphs: the ternary rotations and the unary case
+    of the sweep, the seeded structures of test_lifting with a ternary
+    relation, and seeded structures with a function, a constant, and
+    ternary, binary and unary relations."""
+    from test_lifting import _random_relational_structure
+
+    named = [_named(name) for name in ("rotations", "unary")]
+    seeded = [_random_relational_structure(seed) for seed in range(40)]
+    seeded = [M for M in seeded if 3 in dict(M.sig.relations).values()]
+    return named + seeded, random_structures[:60]
+
+
+def test_stabilizers_on_lifts_of_other_signatures(random_structures):
+    # on the lifts at k = 1 of the relational ones: every single point and
+    # every pair of base points; on the others, which have a function and
+    # cannot be lifted, every support of at most two points
+    relational, functional = _other_signatures(random_structures)
+    for M in relational:
+        _check_supports(M, _supports(M.domain, 2))
+        N = build_lift(M, LiftConfig(k=1)).structure
+        base = [1 + a for a in M.domain]
+        _check_supports(N, _supports(base, 2) + [(e,) for e in N.domain])
+    for M in functional:
+        _check_supports(M, _supports(M.domain, 2))
 
 
 def test_a_support_that_skips_a_fixed_level():
-    # <(0 1 2), (3 4 5)>: the stabilizer of 0 fixes 1 and 2, so the levels
-    # of 1 and 2 in G's chain are trivial
-    G = PermGroup([Permutation((1, 2, 0, 3, 4, 5)), Permutation((0, 1, 2, 4, 5, 3))], 6)
-    assert [len(t) for t in G._chain.trans] == [3, 1, 1, 3, 1, 1]
+    # two directed 3-cycles told apart by U = {3, 4, 5}: Aut = <(0 1 2),
+    # (3 4 5)>, so the stabilizer of 0 fixes 1 and 2, and the levels of 1
+    # and 2 in the chain are trivial
+    sig = Signature(relations=(("edge", 2), ("U", 1)))
+    M = Structure(sig=sig, size=6, relations={
+        "edge": [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+        "U": [(3,), (4,), (5,)],
+    })
+    G, members = automorphism_group(M), automorphism_group_brute(M)
+    assert G.order() == 9
     for A, order in (((0, 3), 1), ((0, 2), 3), ((0,), 3), ((0, 4), 1), ((2,), 3), ((3,), 3)):
-        assert pointwise_stabilizer(G, A).order() == order, A
-        _assert_same_stabilizer(G, A)
+        assert automorphism_group(M, fixed=A).order() == order, A
+        _assert_same_stabilizer(M, G, members, A)
+
+
+def test_a_support_point_that_refinement_already_split_off():
+    # a point of the support that is a singleton at the root, by its sort or
+    # by refinement, is not individualized again: that would leave an empty
+    # cell behind.  U = {0} beside the edges 1 <-> 2; the constant 0 beside
+    # the 3-cycle 1 -> 2 -> 3; the path 0 -> 1 -> 2 -> 3, which the root
+    # already splits into singletons
+    unary = _named("unary")
+    sig = Signature(relations=(("E", 2),), constants=("c",))
+    constant = Structure(sig=sig, size=4, relations={"E": [(1, 2), (2, 3), (3, 1)]},
+                         constants={"c": 0})
+    path = digraph(4, [(0, 1), (1, 2), (2, 3)])
+    for M, A, order in ((unary, (0,), 2), (unary, (0, 1), 1), (constant, (0,), 3),
+                        (constant, (0, 2), 1), (path, (1, 2), 1), (path, (0, 1, 2, 3), 1)):
+        assert automorphism_group(M, fixed=A).order() == order, (M, A)
+        _assert_same_stabilizer(M, automorphism_group(M), automorphism_group_brute(M), A)
+
+
+def test_other_paths_take_the_cell_the_first_path_took():
+    # one edge pair 1 <-> 3 and three isolated points: |Aut| = 2 * 3! = 12.
+    # The first path takes the cell of the least open point; a path that
+    # chose its cell by label in turn, not by the first path's position,
+    # would break the search's invariance and find a group of order 4
+    M = digraph(5, [(1, 3), (3, 1)])
+    G, members = automorphism_group(M), automorphism_group_brute(M)
+    assert G.order() == len(members) == 12
+    assert G.elements() == members
+    for A in _supports(M.domain, 2):
+        _assert_same_stabilizer(M, G, members, A)
