@@ -112,41 +112,39 @@ def _compose(p: Images, q: Images) -> Images:
     return tuple([p[x] for x in q])
 
 
-class _Chain:
+def _chain(generators: list[Images],
+           degree: int) -> tuple[list[tuple[int, dict[int, Images]]], int]:
     """Orbits and transversals over the base order 0..n-1 of the group of a
     strong generating set for that order.  Level b's group, the pointwise
     stabilizer of 0..b-1, is generated by the generators that fix 0..b-1, so
-    its orbit of b is theirs and nothing is sifted.  ``levels`` keeps the
-    nontrivial levels in ascending order, each as (b, transversal), the
-    transversal mapping each point x of the orbit to a level member u with
-    u[b] = x.  ``size`` is the product of the orbit lengths: the group order
-    exactly when the generators are a strong generating set, and less
-    otherwise."""
-
-    def __init__(self, generators: list[Images], degree: int):
-        self.identity = tuple(range(degree))
-        # a generator's first moved point is the deepest level it belongs to
-        first = [next(x for x, y in enumerate(g) if x != y) for g in generators]
-        self.levels: list[tuple[int, dict[int, Images]]] = []
-        for b in sorted(set(first)):
-            level = [g for g, f in zip(generators, first) if f >= b]
-            trans = {b: self.identity}
-            points = [b]
-            for x in points:
-                u = trans[x]
-                for g in level:
-                    if g[x] not in trans:
-                        trans[g[x]] = _compose(g, u)
-                        points.append(g[x])
-            self.levels.append((b, trans))
-        self.size = math.prod(len(trans) for _, trans in self.levels)
+    its orbit of b is theirs and nothing is sifted.  Returns (levels, size):
+    ``levels`` keeps the nontrivial levels in ascending order, each as
+    (b, transversal), the transversal mapping each point x of the orbit to
+    a level member u with u[b] = x; ``size`` is the product of the orbit
+    lengths, the group order exactly when the generators are a strong
+    generating set, and less otherwise."""
+    identity = tuple(range(degree))
+    # a generator's first moved point is the deepest level it belongs to
+    first = [next(x for x, y in enumerate(g) if x != y) for g in generators]
+    levels: list[tuple[int, dict[int, Images]]] = []
+    for b in sorted(set(first)):
+        level = [g for g, f in zip(generators, first) if f >= b]
+        trans = {b: identity}
+        points = [b]
+        for x in points:
+            u = trans[x]
+            for g in level:
+                if g[x] not in trans:
+                    trans[g[x]] = _compose(g, u)
+                    points.append(g[x])
+        levels.append((b, trans))
+    return levels, math.prod(len(trans) for _, trans in levels)
 
 
-def _lex_walk(chain: _Chain):
-    """Members of the group of a chain in lexicographic image order.  A node
-    at depth d is the coset x * K, K the group of the d-th nontrivial level
-    (the trivial group at the bottom)."""
-    levels = chain.levels
+def _lex_walk(levels, degree: int):
+    """Members of the group of a chain's levels in lexicographic image
+    order.  A node at depth d is the coset x * K, K the group of the d-th
+    nontrivial level (the trivial group at the bottom)."""
 
     def walk(d: int, x: Images):
         if d == len(levels):
@@ -157,7 +155,7 @@ def _lex_walk(chain: _Chain):
         for z in sorted(trans, key=x.__getitem__):
             yield from walk(d + 1, _compose(x, trans[z]))
 
-    yield from walk(0, chain.identity)
+    yield from walk(0, tuple(range(degree)))
 
 
 class PermGroup:
@@ -190,11 +188,11 @@ class PermGroup:
         """All group members in lexicographic image order, walked off the
         chain of the generators.  Meant for the small groups this library
         works with; cost is the group order."""
-        chain = _Chain([g.images for g in self.generators], self.degree)
-        if chain.size != self.order():
+        levels, size = _chain([g.images for g in self.generators], self.degree)
+        if size != self.order():
             raise GroupError(f"the generators are no strong generating set of a group of order "
                              f"{self._order}")
-        return [Permutation(x) for x in _lex_walk(chain)]
+        return [Permutation(x) for x in _lex_walk(levels, self.degree)]
 
     def to_json_dict(self) -> dict:
         """The degree, the generators and the order; for a group from the
@@ -247,14 +245,12 @@ def orbits_on_tuples(G: PermGroup, tuples) -> list[tuple[tuple[int, ...], ...]]:
 def _check_points(degree: int, A) -> tuple[int, ...]:
     """A as a sorted tuple of distinct points of 0..degree-1."""
     A = tuple(A)
-    # as for Permutation images: 1.0 and True compare as 1, yet are no
-    # point; the first bad element is looked for only once one is known
-    if not {*map(type, A)} <= {int} or A and not (0 <= min(A) and max(A) < degree):
-        for x in A:
-            if type(x) is not int:
-                raise GroupError(f"element {x!r} is not an int")
-            if not (0 <= x < degree):
-                raise GroupError(f"element {x} outside degree {degree}")
+    for x in A:
+        # as for Permutation images: 1.0 and True compare as 1, yet are no point
+        if type(x) is not int:
+            raise GroupError(f"element {x!r} is not an int")
+        if not (0 <= x < degree):
+            raise GroupError(f"element {x} outside degree {degree}")
     return tuple(sorted(set(A)))
 
 

@@ -123,7 +123,7 @@ def test_verify_iso_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
     # verify-iso builds no stabilizer chain at all
     import stablelift.groups as groups
 
-    calls = _spy(monkeypatch, groups, "_Chain")
+    calls = _spy(monkeypatch, groups, "_chain")
     code, out, _ = run(capsys, "verify-iso", "--in", _complete3_file(tmp_path), "--k", "2")
     assert code == 0
     assert json.loads(out)["order_N"] == 6
@@ -185,7 +185,7 @@ def test_report_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
     import stablelift.groups as groups
     from stablelift import stability
 
-    chains = _spy(monkeypatch, groups, "_Chain")
+    chains = _spy(monkeypatch, groups, "_chain")
     searches = _spy(monkeypatch, stability, "automorphism_group")
     code, out, _ = run(capsys, "report", "--in", _complete3_file(tmp_path), "--ks", "1,2",
                        "--A", "0", "--A", "0,1")

@@ -68,7 +68,7 @@ def test_the_search_order_is_the_backtracking_oracles_on_the_corpus_lifts(corpus
             assert order == len(automorphism_oracle.automorphisms(N))
 
 
-def test_stabilizers_of_the_four_vertex_classes():
+def test_stabilizers_of_the_four_vertex_classes(one_root_per_structure):
     # every support of at most two points of every loop-free digraph on
     # four vertices up to isomorphism
     for edges in sweep.digraph_classes(4):
@@ -78,17 +78,21 @@ def test_stabilizers_of_the_four_vertex_classes():
             _assert_same_stabilizer(M, G, members, A)
 
 
-def test_stabilizers_told_the_order_match_a_fresh_chain(corpus):
+def _all_supports(M):
+    """Every support of at most two points, and every prefix {0..i}."""
+    return _supports(M.domain, 2) + [tuple(range(i + 1)) for i in range(M.size)]
+
+
+def test_stabilizers_told_the_order_match_a_fresh_chain(corpus, one_root_per_structure):
     # the search's stabilizers, each told the order its orbits give, against
-    # a fresh Schreier-Sims chain: every support of at most two points on
-    # the corpus; on its lifts at k = 1, every single point, every pair of
-    # base points and every prefix {0..i}
+    # a fresh Schreier-Sims chain and the oracles' members: every support of
+    # at most two points and every prefix, on the corpus and on its lifts at
+    # k = 1, 2
     for _, M in corpus:
-        _check_supports(M, _supports(M.domain, 2))
-        N = build_lift(M, LiftConfig(k=1)).structure
-        base = [1 + a for a in M.domain]
-        supports = _supports(base, 2) + [(e,) for e in N.domain]
-        _check_supports(N, supports + [tuple(range(i + 1)) for i in range(N.size)])
+        _check_supports(M, _all_supports(M))
+        for k in (1, 2):
+            N = build_lift(M, LiftConfig(k=k)).structure
+            _check_supports(N, _all_supports(N))
 
 
 def _other_signatures(random_structures):
@@ -104,18 +108,17 @@ def _other_signatures(random_structures):
     return named + seeded, random_structures[:60]
 
 
-def test_stabilizers_on_lifts_of_other_signatures(random_structures):
-    # on the lifts at k = 1 of the relational ones: every single point and
-    # every pair of base points; on the others, which have a function and
-    # cannot be lifted, every support of at most two points
+def test_stabilizers_on_lifts_of_other_signatures(random_structures, one_root_per_structure):
+    # every support of at most two points and every prefix, on the
+    # relational ones and their lifts at k = 1, and on the others, which
+    # have a function and cannot be lifted
     relational, functional = _other_signatures(random_structures)
     for M in relational:
-        _check_supports(M, _supports(M.domain, 2))
         N = build_lift(M, LiftConfig(k=1)).structure
-        base = [1 + a for a in M.domain]
-        _check_supports(N, _supports(base, 2) + [(e,) for e in N.domain])
+        _check_supports(M, _all_supports(M))
+        _check_supports(N, _all_supports(N))
     for M in functional:
-        _check_supports(M, _supports(M.domain, 2))
+        _check_supports(M, _all_supports(M))
 
 
 def test_a_support_that_skips_a_fixed_level():
