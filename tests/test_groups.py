@@ -297,8 +297,8 @@ def test_points_outside_the_degree_are_refused(m_triple, call, shown):
 
 
 def test_the_first_bad_point_is_named():
-    # the C-level check only finds that some point is bad; the message names
-    # the first, whether it is out of range or no int
+    # the message names the first bad point, whether it is out of range or
+    # no int
     from stablelift.groups import _check_points
 
     for points, message in (
