@@ -222,13 +222,12 @@ def _orbit_search(G: PermGroup, points, act=tuple.__getitem__):
         yield x, orbit
 
 
-def orbits(G: PermGroup, S) -> list[tuple[int, ...]]:
-    """Partition of S into G-orbits (blocks sorted, ordered by least member)."""
-    points = _check_points(G.degree, S)
+def orbits(G: PermGroup) -> list[tuple[int, ...]]:
+    """Partition of 0..G.degree-1 into G-orbits (blocks sorted, ordered by
+    least member)."""
     if not G.generators:
-        return [(x,) for x in points]
-    members = set(points)
-    return [tuple(sorted(orbit & members)) for _, orbit in _orbit_search(G, members)]
+        return [(x,) for x in range(G.degree)]
+    return [tuple(sorted(orbit)) for _, orbit in _orbit_search(G, range(G.degree))]
 
 
 def orbits_on_tuples(G: PermGroup, tuples) -> list[tuple[tuple[int, ...], ...]]:

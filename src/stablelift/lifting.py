@@ -488,8 +488,8 @@ def certify_induced_group(N: LiftedStructure, generators, images) -> tuple[tuple
     restriction embeds Aut(N) in Aut(M); each image restricts to its
     generator, so direct_induced is an isomorphism onto Aut(N).  A member of
     Aut(N) fixes an element iff it fixes its naming points: it commutes with
-    the projections, and the names are injective.  A lift failing any of
-    this is an internal error."""
+    the projections, and the names are injective, so the naming points
+    decide continuity.  A lift failing any of this is an internal error."""
     S, M = N.structure, N.source
     if not all(is_automorphism(S, g) for g in images):
         raise LiftError("not an automorphism of the lift")

@@ -65,7 +65,7 @@ class StabilityError(ValueError):
 def stabilizer_orbits(N: Structure, A) -> list[tuple[int, ...]]:
     """Orbits of the pointwise stabilizer of A on the whole domain: the
     classes of "related by an automorphism fixing A"."""
-    return orbits(automorphism_group(N, fixed=A), N.domain)
+    return orbits(automorphism_group(N, fixed=A))
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ def _per_sort(sorts: dict[str, tuple[int, ...]], blocks) -> dict[str, int]:
 def _source_counts(M: Structure, fibers: dict, GM: PermGroup) -> tuple[int, dict]:
     """The source side of the growth law under GM: the orbit count on M's
     domain and, per relation, on its fiber tuples and on the held ones."""
-    return len(orbits(GM, M.domain)), {
+    return len(orbits(GM)), {
         rel: tuple(
             len(orbits_on_tuples(GM, ts))
             for ts in (tuples, [t for t in tuples if t in M.relation_sets[rel]])
@@ -248,7 +248,7 @@ def _decomposition(N: LiftedStructure, GN: PermGroup, source) -> DecompositionRe
     """Per sort of ``N.sorts``, the orbits of the lift stabilizer GN meeting
     it (left) against the count that ``source``, from _source_counts,
     predicts (right); the fiber rows follow the relation order of N.fibers."""
-    left_blocks = orbits(GN, N.structure.domain)
+    left_blocks = orbits(GN)
     left_by_sort = _per_sort(N.sorts, left_blocks)
     # each orbit meets at least one sort, so the counts sum past the orbit
     # count exactly when some orbit meets two

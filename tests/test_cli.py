@@ -216,20 +216,18 @@ def test_report_induces_each_stabilizer_generator_once_per_copy_bound(
         assert induced == [*GM.generators, *fixing_0.generators], k
 
 
-def test_verify_iso_takes_a_stabilizer_only_for_a_naming_point_outside_the_witness(
-    capsys, tmp_path, monkeypatch
-):
-    # every real witness holds its element's naming points, so a normal run
-    # searches Aut(M) alone and no stabilizer; an empty witness searches
-    # one and fails
+def test_verify_iso_searches_aut_m_once(capsys, tmp_path, monkeypatch):
+    # continuity is containment of the naming points in the witness, so
+    # verify-iso searches Aut(M) once and no stabilizer, whether the witness
+    # holds them (exit 0) or is empty (exit 1)
     calls = _spy(monkeypatch, cli, "automorphism_group")
     path = _complete3_file(tmp_path)
-    code, out, _ = run(capsys, "verify-iso", "--in", path, "--k", "2")
-    assert (code, len(calls)) == (0, 1)
-    monkeypatch.setattr(cli, "continuity_witness", lambda N, B: frozenset())
-    calls.clear()
-    code, out, _ = run(capsys, "verify-iso", "--in", path, "--k", "2")
-    assert code == 1 and len(calls) > 1
+    for witness, expected in ((continuity_witness, 0), (lambda N, B: frozenset(), 1)):
+        monkeypatch.setattr(cli, "continuity_witness", witness)
+        calls.clear()
+        code, out, _ = run(capsys, "verify-iso", "--in", path, "--k", "2")
+        assert (code, len(calls)) == (expected, 1)
+        assert calls[0][0].size == 3
 
 
 def _dropping(t):
@@ -243,41 +241,46 @@ def _dropping(t):
     return witness
 
 
-def test_a_witness_missing_a_naming_point_passes_on_a_rigid_source(capsys, tmp_path, monkeypatch):
-    # the path 0 -> 1 -> 2 is rigid, so only the identity fixes any support:
-    # the check takes the stabilizer of each short witness, and it passes
+def test_a_witness_missing_a_naming_point_fails_on_a_rigid_source(capsys, tmp_path, monkeypatch):
+    # the path 0 -> 1 -> 2 is rigid, so inducing each stabilizer would find
+    # no escape; containment does not look at the group, and a witness that
+    # misses a naming point fails (exit 1) with no stabilizer searched
     path = tmp_path / "path.json"
     path.write_text(structure_to_json(digraph(3, [(0, 1), (1, 2)])), encoding="utf-8")
     calls = _spy(monkeypatch, cli, "automorphism_group")
     monkeypatch.setattr(cli, "continuity_witness", _dropping(0))
     code, out, _ = run(capsys, "verify-iso", "--in", str(path), "--k", "1")
-    assert code == 0 and json.loads(out)["continuity_witnesses"] == "pass"
-    assert len(calls) > 1
+    assert code == 1 and json.loads(out)["continuity_witnesses"] == "fail"
+    assert len(calls) == 1
 
 
-def test_continuity_by_naming_points_equals_inducing_each_stabilizer(corpus, monkeypatch):
-    """verify-iso's continuity verdict per lift element against the
-    reference that induces each witness stabilizer's generators, on the
-    corpus lifts, the iso-symmetric families and the seeded structures with
-    a ternary relation, under the real witness, one dropping each
-    coordinate in turn and the empty one."""
+def test_continuity_by_naming_points_equals_inducing_each_stabilizer(corpus):
+    """verify-iso's continuity rule per lift element, containment of the
+    certificate's naming points in the witness, against the reference that
+    induces each witness stabilizer's generators, on the corpus lifts, the
+    iso-symmetric families and the seeded structures with a ternary
+    relation.  Under the real witness both pass everywhere.  Under the empty
+    witness and one dropping each coordinate in turn, containment is sound
+    (where it passes, no stabilizer moves the element), and each such
+    witness fails containment, and the reference, somewhere."""
     from references import continuity_escapes
     from test_groups import _lift_cases
 
     witnesses = {"real": continuity_witness, "empty": lambda N, B: frozenset()}
     witnesses.update({f"drop {t}": _dropping(t) for t in range(3)})
-    failed = {label: 0 for label in witnesses}
+    failed = {label: [0, 0] for label in witnesses}
     for case, N in _lift_cases(corpus):
         GM = automorphism_group(N.source)
         induced = [direct_induced(N, g) for g in GM.generators]
         names = certify_induced_group(N, GM.generators, induced)
         for label, witness in witnesses.items():
-            monkeypatch.setattr(cli, "continuity_witness", witness)
-            verdicts = list(cli._escapes_witness(N, names))
-            assert verdicts == continuity_escapes(N, GM, witness), (case, label)
-            failed[label] += any(verdicts)
-    # the real witness always passes, and each doctored one fails somewhere
-    assert failed["real"] == 0 and all(failed[label] for label in witnesses if label != "real")
+            held = [witness(N, (b,)).issuperset(points) for b, points in enumerate(names)]
+            escapes = continuity_escapes(N, GM, witness)
+            assert not any(h and e for h, e in zip(held, escapes)), (case, label)
+            failed[label][0] += not all(held)
+            failed[label][1] += any(escapes)
+    assert failed.pop("real") == [0, 0]
+    assert all(held and escaped for held, escaped in failed.values()), failed
 
 
 def test_scheme_check_clean_and_mutated(capsys, edge_file):
@@ -736,6 +739,77 @@ def test_translation_guard_refuses_many_sorts_over_one_element(capsys, tmp_path)
         "error: the scheme at copy bound 8 would have 188608 translations, "
         f"above the guard {cli.TRANSLATION_GUARD}\n"
     )
+
+
+def _signature_doc(size, relations=(), functions=0, constants=0):
+    """A structure document on ``size`` points with empty relations of the
+    given arities, identity functions and constants at 0."""
+    fs = [f"f{i}" for i in range(functions)]
+    cs = [f"c{i}" for i in range(constants)]
+    return {
+        "signature": {
+            "relations": [{"name": f"R{i}", "arity": a} for i, a in enumerate(relations)],
+            "functions": [{"name": f} for f in fs],
+            "constants": [{"name": c} for c in cs],
+        },
+        "domain": size,
+        "relations": {f"R{i}": [] for i in range(len(relations))},
+        "functions": {f: list(range(size)) for f in fs},
+        "constants": dict.fromkeys(cs, 0),
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, argv, count",
+    [
+        (_signature_doc(2, relations=[10**8]), ("aut",), 10**8 + 1),
+        (_signature_doc(3, relations=[12], constants=3), ("aut",), 10 + 12 * (4**12 - 3**12)),
+        (_signature_doc(1, constants=20_000), ("aut",), 20_001 * 20_002 // 2),
+        (_signature_doc(6, functions=200), ("census", "--A", "0", "--depth", "2"),
+         40_201 * 40_202 // 2),
+    ],
+    ids=["arity-1e8", "three-constants-arity-12", "20000-constants", "200-functions-depth-2"],
+)
+def test_too_many_atomic_formulas_are_refused_before_anything_is_built(
+    capsys, tmp_path, doc, argv, count
+):
+    # the sort basis and the census would build every one-variable atomic
+    # formula: a MemoryError or minutes of work, refused here in well under
+    # a second, with the count in the message
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv, "--in", _write_doc(tmp_path, doc))
+    assert (code, out) == (2, "") and time.monotonic() - started < 1
+    assert f"at least {count} one-variable atomic formulas" in err
+    assert err.endswith(f"above the guard {cli.FORMULA_GUARD}\n")
+
+
+def test_the_formula_guard_boundary_is_exact(monkeypatch):
+    # the census's T(T+1)/2 equalities of its T terms, and each relation
+    # atom of the sort basis weighed by its arity
+    from stablelift.formulas import Rel, atomic_formula_basis
+
+    sig = Signature(relations=(("U", 1), ("T", 3)), functions=("f", "g"), constants=("c",))
+    M = Structure(sig, 2, {"U": [], "T": []}, functions={"f": [0, 1], "g": [1, 0]},
+                  constants={"c": 0})
+    atoms = sum(len(phi.args) for _, phi in atomic_formula_basis(sig) if isinstance(phi, Rel))
+    for depth, T in ((0, 2), (1, 6), (2, 14)):
+        count = T * (T + 1) // 2 + atoms
+        monkeypatch.setattr(cli, "FORMULA_GUARD", count)
+        cli._check_formulas("doc.json", M, depth)
+        monkeypatch.setattr(cli, "FORMULA_GUARD", count - 1)
+        with pytest.raises(cli.InputError) as raised:
+            cli._check_formulas("doc.json", M, depth)
+        assert str(raised.value) == (
+            f"doc.json: at least {count} one-variable atomic formulas (terms at depth {depth}: "
+            f"{T}; relation 'T' of arity 3), above the guard {count - 1}"
+        )
+
+
+def test_the_formula_count_passes_at_depth_1_what_depth_2_refuses(capsys, tmp_path):
+    # 200 functions on 6 points: 201 terms at depth 1, 40,201 at depth 2
+    path = _write_doc(tmp_path, _signature_doc(6, functions=200))
+    code, out, _ = run(capsys, "census", "--in", path, "--A", "0")
+    assert code == 0 and json.loads(out)["class_count"] == 2
 
 
 def _wide_doc(tmp_path, arity):

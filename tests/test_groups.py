@@ -153,10 +153,10 @@ def test_membership_matches_enumeration(m_triple):
 
 
 def test_orbits_examples(m_edge, m_pair):
-    assert orbits(automorphism_group(m_pair), [0, 1]) == [(0, 1)]
-    assert orbits(automorphism_group(m_edge), [0, 1]) == [(0,), (1,)]
+    assert orbits(automorphism_group(m_pair)) == [(0, 1)]
+    assert orbits(automorphism_group(m_edge)) == [(0,), (1,)]
     N = build_lift(m_pair, LiftConfig(k=1)).structure
-    assert orbits(automorphism_group(N), N.domain) == [(0,), (1, 2), (3, 4)]
+    assert orbits(automorphism_group(N)) == [(0,), (1, 2), (3, 4)]
 
 
 def test_orbits_on_tuples(m_pair):
@@ -200,20 +200,17 @@ def _orbit_cases(corpus):
 
 def test_orbits_equal_the_closure_under_every_member(corpus):
     """orbits and orbits_on_tuples, which follow the generators breadth-first,
-    against the images under every group member: on the whole domain, on
-    its even points (a set no group need preserve, whose orbits are cut
-    down to it), and on each invariant tuple set.  First a group given by
-    two generators, neither of which reaches the whole orbit of 0 alone."""
+    against the images under every group member: on the whole domain and on
+    each invariant tuple set.  First a group given by two generators,
+    neither of which reaches the whole orbit of 0 alone."""
     G = PermGroup([Permutation((1, 0, 2, 3, 4)), Permutation((0, 2, 1, 3, 4))], 5)
-    assert orbits(G, range(5)) == _closure_blocks(G, range(5), Permutation.__call__) == [
+    assert orbits(G) == _closure_blocks(G, range(5), Permutation.__call__) == [
         (0, 1, 2), (3,), (4,)
     ]
     pairs = list(itertools.permutations(range(3), 2))
     assert orbits_on_tuples(G, pairs) == [tuple(sorted(pairs))]
     for case, G, domain, tuple_sets in _orbit_cases(corpus):
-        assert orbits(G, domain) == _closure_blocks(G, domain, Permutation.__call__), case
-        evens = domain[::2]
-        assert orbits(G, evens) == _closure_blocks(G, evens, Permutation.__call__), case
+        assert orbits(G) == _closure_blocks(G, domain, Permutation.__call__), case
         for tuples in tuple_sets:
             expected = _closure_blocks(G, tuples, Permutation.apply_tuple)
             assert orbits_on_tuples(G, tuples) == expected, case
@@ -221,8 +218,8 @@ def test_orbits_equal_the_closure_under_every_member(corpus):
 
 def test_orbits_of_the_trivial_group_are_singletons():
     G = PermGroup([], 4)
-    assert orbits(G, [3, 1, 2]) == [(1,), (2,), (3,)]
-    assert orbits(G, []) == []
+    assert orbits(G) == [(0,), (1,), (2,), (3,)]
+    assert orbits(PermGroup([], 0)) == []
     assert orbits_on_tuples(G, [(1, 0), (0, 1)]) == [((0, 1),), ((1, 0),)]
 
 
@@ -264,17 +261,13 @@ def test_stabilizer_members_match_brute_filter(corpus):
     "call, shown",
     [
         # 1.0 would escape as a bare TypeError from a tuple index
-        (lambda M: orbits(automorphism_group(M), [1.0]), "1.0"),
         (lambda M: automorphism_group(M, fixed=[1.0]), "1.0"),
         # a string would escape from the degree comparison
-        (lambda M: orbits(automorphism_group(M), ["a"]), "'a'"),
         (lambda M: automorphism_group(M, fixed=[0, "a"]), "'a'"),
         # True would be taken for the point 1
         (lambda M: automorphism_group(M, fixed=[True]), "True"),
-        (lambda M: orbits(automorphism_group(M), [2, False]), "False"),
     ],
-    ids=["orbits-float", "stabilizer-float", "orbits-str", "stabilizer-str", "stabilizer-bool",
-         "orbits-bool"],
+    ids=["stabilizer-float", "stabilizer-str", "stabilizer-bool"],
 )
 def test_points_that_are_not_int_are_refused(m_triple, call, shown):
     with pytest.raises(GroupError, match=f"^element {shown} is not an int$"):
@@ -284,12 +277,10 @@ def test_points_that_are_not_int_are_refused(m_triple, call, shown):
 @pytest.mark.parametrize(
     "call, shown",
     [
-        (lambda M: orbits(automorphism_group(M), [0, 3]), "3"),
         (lambda M: automorphism_group(M, fixed=[3]), "3"),
         (lambda M: automorphism_group(M, fixed=[1, -1]), "-1"),
-        (lambda M: orbits(automorphism_group(M), [-1, 5]), "-1"),
     ],
-    ids=["orbits-above", "stabilizer-above", "stabilizer-below", "orbits-below"],
+    ids=["stabilizer-above", "stabilizer-below"],
 )
 def test_points_outside_the_degree_are_refused(m_triple, call, shown):
     with pytest.raises(GroupError, match=f"^element {shown} outside degree 3$"):
@@ -317,7 +308,7 @@ def test_a_group_of_unknown_order_answers_orbits_only(m_triple):
     # a group of arbitrary generators gives its orbits; its order, members
     # and printed generators would need Schreier-Sims, so they raise
     G = PermGroup([Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))], 4)
-    assert orbits(G, range(4)) == [(0, 1), (2, 3)]
+    assert orbits(G) == [(0, 1), (2, 3)]
     for ask in (G.order, G.elements, G.to_json_dict):
         with pytest.raises(GroupError, match="order is unknown"):
             ask()
@@ -671,8 +662,8 @@ def test_a_group_told_its_order_matches_one_that_is_not(corpus, random_structure
         supports = [range(j) for j in range(1, M.size)] + [[a] for a in M.domain]
         supports += [rng.sample(M.domain, min(M.size, 3)) for _ in range(10)]
         for A in supports:
-            assert orbits(automorphism_group(M, fixed=A), M.domain) == orbits(
-                reference.pointwise_stabilizer(G, A), M.domain
+            assert orbits(automorphism_group(M, fixed=A)) == orbits(
+                reference.pointwise_stabilizer(G, A)
             )
 
 
@@ -697,7 +688,7 @@ def test_leaf_checks_grow_with_the_chain_not_the_group(monkeypatch):
         assert 0 < len(calls) <= bound < 720
         # every accepted leaf joins two orbits of the automorphisms found
         # before it, and no leaf is rejected on these structures
-        assert len(calls) <= X.size - len(orbits(G, X.domain))
+        assert len(calls) <= X.size - len(orbits(G))
 
 
 def _cells(node):
