@@ -1,8 +1,9 @@
 """Byte-identity sweep beyond the golden corpus.
 
-Four subcommands run in process over every loop-free digraph on four
-vertices up to isomorphism (218 classes) and over named structures with
-larger or less regular automorphism groups.  The sha256 of each run's
+Seven subcommands, scheme-check also under each of its three mutations,
+run in process over every loop-free digraph on four vertices up to
+isomorphism (218 classes) and over named structures with larger or less
+regular automorphism groups.  The sha256 of each run's
 (exit code, stdout, stderr) must match ``data/sweep_digests.json``, so a
 change to any report byte, diagnostic or exit code names its
 (subcommand, structure) pair.
@@ -45,6 +46,13 @@ RUNS = {
     "census": ["census", "--A", "0,1"],
     "verify-iso": ["verify-iso", "--k", "2"],
     "report": ["report", "--ks", "1,2", "--A", "", "--A", "0", "--A", "0,2"],
+    "lift": ["lift", "--k", "2"],
+    "limit": ["limit", "--k", "2"],
+    "scheme-check": ["scheme-check", "--k", "1"],
+    **{
+        f"scheme-check {mutation}": ["scheme-check", "--k", "1", "--mutate", mutation]
+        for mutation in ("negate-relformula", "break-ep", "break-fp")
+    },
 }
 
 
