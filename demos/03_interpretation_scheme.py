@@ -37,9 +37,9 @@ for s in scheme.sorts:
     print(f"  width {s.width}: domain  {format_formula(s.domain_formula)}")
     print(f"           equiv   {format_formula(s.equiv_formula)}")
 
-print(f"\n{len(scheme.rels)} translation formulas, e.g.:")
-for sr in scheme.rels[:4]:
-    print(f"  {sr.rel}: {format_formula(sr.formula)}")
+print(f"\n{len(scheme.translations)} translation formulas, e.g.:")
+for (rel, _), phi in list(scheme.translations.items())[:4]:
+    print(f"  {rel}: {format_formula(phi)}")
 
 print("\nsort bijections, element -> representative source tuple:")
 for s in scheme.sorts:

@@ -34,7 +34,6 @@ from .groups import (
 )
 from .interpretation import (
     SchemeSort,
-    SchemeRel,
     InterpretationScheme,
     ValidationReport,
     SchemeError,

@@ -3,9 +3,9 @@
 A scheme presents one structure sort-by-sort inside another: each sort (an
 atomic one-variable type of the target) gets a definable set with an
 equivalence relation over the host and a bijection onto the quotient, and
-each target relation gets a translation formula; the scheme holds all of
-them, bijections included.  A validated scheme transports every host
-automorphism to a target automorphism.
+each target relation gets a translation formula at each tuple of sorts; the
+scheme holds all of them, bijections included.  A validated scheme
+transports every host automorphism to a target automorphism.
 
 Variable blocks: a sort of width m uses host variables x0..x(m-1); its
 equivalence formula uses x0..x(2m-1) with the second block as the partner
@@ -49,7 +49,6 @@ from .structures import Structure
 __all__ = [
     "SchemeError",
     "SchemeSort",
-    "SchemeRel",
     "InterpretationScheme",
     "ValidationReport",
     "CheckResult",
@@ -89,27 +88,14 @@ class SchemeSort:
 
 
 @dataclass(frozen=True)
-class SchemeRel:
-    """Translation formula for one target relation at one tuple of sorts."""
-
-    rel: str
-    sort_keys: tuple[AtomicType, ...]
-    formula: Formula
-
-
-@dataclass(frozen=True)
 class InterpretationScheme:
     sorts: tuple[SchemeSort, ...]
-    rels: tuple[SchemeRel, ...]
+    # (relation, sort keys) -> translation formula, in report order
+    translations: dict[tuple[str, tuple[AtomicType, ...]], Formula]
     # per sort, the map from target elements of that sort to representative
     # host tuples (each names its class; the generated choice is the
     # lexicographically least member)
     bijections: dict[AtomicType, dict[int, tuple[int, ...]]] = field(default_factory=dict)
-    # translations: (rel, sort_keys) -> first matching SchemeRel, derived in
-    # __post_init__ so translation() is one dict lookup
-    translations: dict[tuple[str, tuple[AtomicType, ...]], SchemeRel] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         keys = [s.key for s in self.sorts]
@@ -119,22 +105,21 @@ class InterpretationScheme:
         # id(formula) -> n when its free variables are exactly x0..x(n-1),
         # else -1: found once per distinct formula object
         exact: dict[int, int] = {}
-        for sr in self.rels:
+        for (rel, sort_keys), phi in self.translations.items():
             try:
-                total = sum(map(widths.__getitem__, sr.sort_keys))
+                total = sum(map(widths.__getitem__, sort_keys))
             except KeyError:
-                raise SchemeError(f"unknown sort key in translation for {sr.rel!r}") from None
-            n = exact.get(id(sr.formula))
+                raise SchemeError(f"unknown sort key in translation for {rel!r}") from None
+            n = exact.get(id(phi))
             if n is None:
-                fv = free_variables(sr.formula)
-                n = exact[id(sr.formula)] = len(fv) if fv == frozenset(range(len(fv))) else -1
+                fv = free_variables(phi)
+                n = exact[id(phi)] = len(fv) if fv == frozenset(range(len(fv))) else -1
             if n != total:
                 raise SchemeError(
-                    f"translation formula for {sr.rel!r} must use exactly x0..x{total - 1}"
+                    f"translation formula for {rel!r} must use exactly x0..x{total - 1}"
                 )
-            self.translations.setdefault((sr.rel, sr.sort_keys), sr)
 
-    def translation(self, rel: str, sort_keys: tuple[AtomicType, ...]) -> SchemeRel | None:
+    def translation(self, rel: str, sort_keys: tuple[AtomicType, ...]) -> Formula | None:
         return self.translations.get((rel, sort_keys))
 
 
@@ -326,22 +311,22 @@ def _language(
             raise SchemeError(f"sort {idx} {s.key}: {e}") from None
     widths = {s.key: s.width for s in scheme.sorts}
     patterns: dict[int, Pattern | None] = {}
-    for sr in scheme.rels:
-        pattern = _pattern_of(sr.formula, patterns)
+    for (rel, sort_keys), phi in scheme.translations.items():
+        pattern = _pattern_of(phi, patterns)
         if pattern is None:
             problem = "not a constant or an equality pattern"
         elif not pattern[1]:
             continue
         else:
-            first = sr.sort_keys[0]
-            second = keys[sr.sort_keys[1]] if len(sr.sort_keys) > 1 else ()
+            first = sort_keys[0]
+            second = keys[sort_keys[1]] if len(sort_keys) > 1 else ()
             split = widths[first]
             unlinked = [(s, t) for s, t in pattern[1] if s not in keys[first] or t - split not in second]
             if not unlinked:
                 continue
             s, t = unlinked[0]
             problem = f"x{s} = x{t} does not link key positions of its first and second sorts"
-        raise SchemeError(f"translation of {sr.rel!r} at sorts {sr.sort_keys}: {problem}")
+        raise SchemeError(f"translation of {rel!r} at sorts {sort_keys}: {problem}")
     return keys, patterns
 
 
@@ -395,20 +380,22 @@ def validate_scheme(
 
     element_sort = {b: key for key, block in realized.items() for b in block}
 
-    # per relation, its translation at each tuple of realized sorts, read
-    # off the scheme's index in its order, then None at each tuple of sorts
-    # it has no translation for, which only a short count can leave
+    # per relation, its translation at each tuple of realized sorts, in the
+    # scheme's order, then None at each tuple of sorts it has no translation
+    # for, which only a short count can leave
     arity_of = dict(M2.sig.relations)
     table: dict[str, list] = {name: [] for name in arity_of}
-    for (name, keys), sr in scheme.translations.items():
+    for (name, keys), phi in scheme.translations.items():
         if len(keys) == arity_of.get(name) and all(map(realized.__contains__, keys)):
-            table[name].append((keys, sr))
+            table[name].append((keys, phi))
     for name, row in table.items():
         if len(row) < len(realized) ** arity_of[name]:
             found = {keys for keys, _ in row}
             combos = itertools.product(realized, repeat=arity_of[name])
             row += [(keys, None) for keys in combos if keys not in found]
-    missing = next((name for name, row in table.items() if any(sr is None for _, sr in row)), None)
+    missing = next(
+        (name for name, row in table.items() if any(phi is None for _, phi in row)), None
+    )
     witness = None if missing is None else f"no translation formula for {missing!r}"
     report.checks.append(CheckResult("translation-cover", missing is None, witness))
 
@@ -442,7 +429,7 @@ def validate_scheme(
 
 def _agreement_witness(
     held: frozenset,
-    row: list[tuple[tuple[AtomicType, ...], SchemeRel | None]],
+    row: list[tuple[tuple[AtomicType, ...], Formula | None]],
     realized: dict[AtomicType, tuple[int, ...]],
     element_sort: dict[int, AtomicType],
     options: dict[int, tuple[int, ...]],
@@ -471,12 +458,12 @@ def _agreement_witness(
     for t in held:
         held_in.setdefault(tuple(map(sort_of, t)), []).append(t)
     failures = []  # per block: (least failing tuple, witness)
-    for keys, sr in row:
-        if sr is None:
+    for keys, phi in row:
+        if phi is None:
             least = tuple(realized[key][0] for key in keys)
             failures.append((least, f"untranslatable tuple {least}"))
             continue
-        pattern = patterns[id(sr.formula)]
+        pattern = patterns[id(phi)]
         here = held_in.get(keys, ())
         if stray and any(map(stray.__contains__, keys)):
             # no tuple with a stray element is less than this one, which
@@ -602,11 +589,9 @@ def induced_automorphism(
 
 
 def negate_translation(scheme: InterpretationScheme, index: int) -> InterpretationScheme:
-    """Flip one translation formula; a validated scheme must stop validating."""
-    rels = list(scheme.rels)
-    sr = rels[index]
-    rels[index] = SchemeRel(rel=sr.rel, sort_keys=sr.sort_keys, formula=Not(sr.formula))
-    return replace(scheme, rels=tuple(rels))
+    """Flip the index-th translation formula; a validated scheme must stop validating."""
+    at = list(scheme.translations)[index]
+    return replace(scheme, translations={**scheme.translations, at: Not(scheme.translations[at])})
 
 
 def weaken_equivalence(scheme: InterpretationScheme, sort_index: int) -> InterpretationScheme:
@@ -666,11 +651,11 @@ def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
         ],
         "relations": [
             {
-                "relation": sr.rel,
-                "sorts": sort_list[sr.sort_keys],
-                "formula": text(sr.formula),
+                "relation": rel,
+                "sorts": sort_list[keys],
+                "formula": text(phi),
             }
-            for sr in scheme.rels
+            for (rel, keys), phi in scheme.translations.items()
         ],
         "bijections": [
             {

@@ -33,7 +33,7 @@ from .formulas import (
     sort_partition,
 )
 from .groups import Permutation, is_automorphism
-from .interpretation import InterpretationScheme, SchemeRel, SchemeSort
+from .interpretation import InterpretationScheme, SchemeSort
 from .structures import Signature, Structure, StructureError
 
 __all__ = [
@@ -651,7 +651,7 @@ def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
         sorts.append(SchemeSort(key=key, width=width, domain_formula=r, equiv_formula=E))
         widths[key] = width
 
-    rels: list[SchemeRel] = []
+    translations: dict[tuple[str, tuple[AtomicType, ...]], Formula] = {}
     keys_in_order = [s.key for s in sorts]
     roles = _companion_roles(M, N.config.k)
     formulas: dict[Recipe, Formula] = {}
@@ -664,6 +664,6 @@ def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
             )
             if recipe not in formulas:
                 formulas[recipe] = _recipe_formula(recipe)
-            rels.append(SchemeRel(rel=name, sort_keys=combo, formula=formulas[recipe]))
+            translations[name, combo] = formulas[recipe]
 
-    return InterpretationScheme(sorts=tuple(sorts), rels=tuple(rels), bijections=bij)
+    return InterpretationScheme(sorts=tuple(sorts), translations=translations, bijections=bij)

@@ -192,11 +192,11 @@ def test_criterion_3_scheme_suite():
     negated = broken_eq = broken_map = 0
     for idx, (name, M) in enumerate(CORPUS):
         scheme, companion = scheme_of(idx, 1)
-        for i, sr in enumerate(scheme.rels):
+        for i, (rel, _) in enumerate(scheme.translations):
             mutant = negate_translation(scheme, i)
             failures = validate_scheme(M, companion, mutant).failures()
-            assert [c.condition for c in failures] == [f"relation-agreement[{sr.rel}]"], (name, i)
-            assert failures[0].witness, (name, sr.rel)
+            assert [c.condition for c in failures] == [f"relation-agreement[{rel}]"], (name, i)
+            assert failures[0].witness, (name, rel)
             negated += 1
         for i, s in enumerate(scheme.sorts):
             classes = definable_quotient(M, s.domain_formula, s.equiv_formula)

@@ -40,7 +40,6 @@ from stablelift.interpretation import (
     CheckResult,
     InterpretationScheme,
     SchemeError,
-    SchemeRel,
     SchemeSort,
     ValidationReport,
     induced_automorphism,
@@ -425,34 +424,34 @@ def test_scheme_sort_construction_errors(m_edge):
 def test_interpretation_scheme_construction_errors(m_edge, m_pair):
     _, _, scheme = _scheme_setup(m_edge)
     with pytest.raises(SchemeError, match=r"^sort keys must be distinct$"):
-        InterpretationScheme(sorts=scheme.sorts + scheme.sorts[:1], rels=())
+        InterpretationScheme(sorts=scheme.sorts + scheme.sorts[:1], translations={})
     # a sort key the scheme does not list: one from another structure's lift
     _, _, other = _scheme_setup(m_pair, k=2)
     known = {s.key for s in scheme.sorts}
     stranger = next(s.key for s in other.sorts if s.key not in known)
-    sr = scheme.rels[0]
-    with pytest.raises(SchemeError, match=rf"^unknown sort key in translation for {sr.rel!r}$"):
+    (rel, keys), phi0 = next(iter(scheme.translations.items()))
+    with pytest.raises(SchemeError, match=rf"^unknown sort key in translation for {rel!r}$"):
         InterpretationScheme(
             sorts=scheme.sorts,
-            rels=(SchemeRel(sr.rel, (stranger,) + sr.sort_keys[1:], sr.formula),),
+            translations={(rel, (stranger,) + keys[1:]): phi0},
         )
     widths = {s.key: s.width for s in scheme.sorts}
-    total = sum(widths[k] for k in sr.sort_keys)
-    message = rf"^translation formula for {sr.rel!r} must use exactly x0\.\.x{total - 1}$"
+    total = sum(widths[k] for k in keys)
+    message = rf"^translation formula for {rel!r} must use exactly x0\.\.x{total - 1}$"
     # one variable too many, one too few, and x1..x(total): a gap at x0
     for used in (range(total + 1), range(total - 1), range(1, total + 1)):
         phi = parse_formula(" & ".join(f"x{q} = x{q}" for q in used), m_edge.sig)
         with pytest.raises(SchemeError, match=message):
-            InterpretationScheme(
-                sorts=scheme.sorts, rels=(SchemeRel(sr.rel, sr.sort_keys, phi),)
-            )
+            InterpretationScheme(sorts=scheme.sorts, translations={(rel, keys): phi})
     # a formula object shared with a translation of another width is
     # checked against each one's own width
-    other = next(r for r in scheme.rels if sum(widths[k] for k in r.sort_keys) != total)
+    other, shared = next(
+        (at, phi) for at, phi in scheme.translations.items() if sum(widths[k] for k in at[1]) != total
+    )
     with pytest.raises(SchemeError, match=message):
         InterpretationScheme(
             sorts=scheme.sorts,
-            rels=(other, SchemeRel(sr.rel, sr.sort_keys, other.formula)),
+            translations={other: shared, (rel, keys): shared},
         )
 
 
@@ -469,16 +468,17 @@ def test_a_mutant_shares_what_it_keeps_with_its_parent(corpus):
         for k in (1, 2):
             _, _, scheme = _scheme_setup(M, k)
             data = scheme_to_json_dict(scheme)
-            for i in (0, len(scheme.rels) - 1):
+            for i in (0, len(scheme.translations) - 1):
                 mutant = negate_translation(scheme, i)
                 assert mutant.sorts is scheme.sorts and mutant.bijections is scheme.bijections
-                assert all(
-                    a is b for j, (a, b) in enumerate(zip(mutant.rels, scheme.rels)) if j != i
-                )
-                assert mutant.rels[i] is not scheme.rels[i]
+                assert list(mutant.translations) == list(scheme.translations)
+                old, new = list(scheme.translations.values()), list(mutant.translations.values())
+                assert all(a is b for j, (a, b) in enumerate(zip(new, old)) if j != i)
+                assert new[i] is not old[i]
             for i in range(len(scheme.sorts)):
                 mutant = weaken_equivalence(scheme, i)
-                assert mutant.rels is scheme.rels and mutant.bijections is scheme.bijections
+                assert mutant.translations is scheme.translations
+                assert mutant.bijections is scheme.bijections
                 assert all(
                     a is b for j, (a, b) in enumerate(zip(mutant.sorts, scheme.sorts)) if j != i
                 )
@@ -488,7 +488,7 @@ def test_a_mutant_shares_what_it_keeps_with_its_parent(corpus):
                 if len(fmap) < 2:
                     continue
                 mutant = redirect_bijection(scheme, key)
-                assert mutant.sorts is scheme.sorts and mutant.rels is scheme.rels
+                assert mutant.sorts is scheme.sorts and mutant.translations is scheme.translations
                 assert mutant.bijections.keys() == scheme.bijections.keys()
                 assert all(
                     mutant.bijections[other] is scheme.bijections[other]
@@ -510,9 +510,14 @@ def test_a_mutant_shares_what_it_keeps_with_its_parent(corpus):
 
 def _with_translation(scheme, i, formula):
     """scheme with the formula of its translation i replaced."""
-    sr = scheme.rels[i]
-    rels = (*scheme.rels[:i], SchemeRel(sr.rel, sr.sort_keys, formula), *scheme.rels[i + 1:])
-    return replace(scheme, rels=rels)
+    at = list(scheme.translations)[i]
+    return replace(scheme, translations={**scheme.translations, at: formula})
+
+
+def _without_translation(scheme, i):
+    """scheme with its translation i left out."""
+    at = list(scheme.translations)[i]
+    return replace(scheme, translations={a: phi for a, phi in scheme.translations.items() if a != at})
 
 
 def _with_equivalence(scheme, i, E):
@@ -532,7 +537,7 @@ def test_validation_evaluates_only_formulas_outside_patterns_and_kernels(corpus,
     for _, M in corpus[::7]:
         for k in (1, 2, 3):
             _, companion, scheme = _scheme_setup(M, k)
-            assert all(interpretation._equality_pattern(sr.formula) for sr in scheme.rels)
+            assert all(map(interpretation._equality_pattern, scheme.translations.values()))
             for mutant in (scheme, negate_translation(scheme, 0), weaken_equivalence(scheme, 0)):
                 evaluated.clear()
                 validate_scheme(M, companion, mutant)
@@ -551,32 +556,34 @@ def test_schemes_outside_the_language_are_refused_unevaluated(m_edge, monkeypatc
     limit = next(i for i, s in enumerate(scheme.sorts) if s.width == 3)
     limit_key = scheme.sorts[limit].key
 
+    entries = [(rel, keys, phi) for (rel, keys), phi in scheme.translations.items()]
+
     def rel_at(wanted):
-        return next(i for i, sr in enumerate(scheme.rels) if wanted(sr))
+        return next(i for i, entry in enumerate(entries) if wanted(*entry))
 
     # a translation that is no negated pattern, over a first sort of width 2
     positive = rel_at(
-        lambda sr: widths[sr.sort_keys[0]] > 1
-        and not interpretation._equality_pattern(sr.formula)[0]
+        lambda rel, keys, phi: widths[keys[0]] > 1
+        and not interpretation._equality_pattern(phi)[0]
     )
     # a pattern linking the limit sort with a second sort
     linked = rel_at(
-        lambda sr: sr.sort_keys[0] == limit_key and interpretation._equality_pattern(sr.formula)[1]
+        lambda rel, keys, phi: keys[0] == limit_key and interpretation._equality_pattern(phi)[1]
     )
-    fiber = rel_at(lambda sr: sr.rel == "fiber_edge" and sr.sort_keys == (limit_key,))
+    fiber = rel_at(lambda rel, keys, phi: rel == "fiber_edge" and keys == (limit_key,))
 
     def at_sort(i, problem):
         return f"sort {i} {scheme.sorts[i].key}: {problem}"
 
     def at_rel(i, problem):
-        sr = scheme.rels[i]
-        return f"translation of {sr.rel!r} at sorts {sr.sort_keys}: {problem}"
+        rel, keys, _ = entries[i]
+        return f"translation of {rel!r} at sorts {keys}: {problem}"
 
     def joined(i, *parts):
-        return _with_translation(scheme, i, And((*parts, scheme.rels[i].formula)))
+        return _with_translation(scheme, i, And((*parts, entries[i][2])))
 
     E0 = scheme.sorts[0].equiv_formula
-    phi0 = scheme.rels[0].formula
+    phi0 = entries[0][2]
     # a relation the host lacks after a false part: no constant False
     width0 = len(free_variables(phi0))
     after_false = (Not(Equal(Var(0), Var(0))), Rel("nosuch", (Var(0),)))
@@ -839,7 +846,7 @@ def test_induced_rejects_a_scheme_missing_a_realized_sort(m_pair):
     partial = replace(
         scheme,
         sorts=scheme.sorts[1:],
-        rels=tuple(sr for sr in scheme.rels if dropped not in sr.sort_keys),
+        translations={at: phi for at, phi in scheme.translations.items() if dropped not in at[1]},
     )
     with pytest.raises(SchemeError, match=r"^missing=1 extra=0 sort keys$"):
         induced_automorphism(m_pair, companion, partial, identity(2))
@@ -935,14 +942,14 @@ def _product_scan_report(M1, M2, scheme):
         witness = None
         for elems in itertools.product(M2.domain, repeat=arity):
             keys = tuple(element_sort[e] for e in elems)
-            sr = scheme.translation(name, keys)
-            if sr is None or any(e not in options for e in elems):
+            phi = scheme.translation(name, keys)
+            if phi is None or any(e not in options for e in elems):
                 witness = f"untranslatable tuple {elems}"
                 break
             holds = elems in M2.relation_sets[name]
             for blocks in itertools.product(*[options[e] for e in elems]):
                 v = dict(enumerate(sum(blocks, ())))
-                if eval_formula(M1, sr.formula, v) != holds:
+                if eval_formula(M1, phi, v) != holds:
                     witness = f"tuple {elems} (target says {holds})"
                     break
             if witness:
@@ -959,7 +966,7 @@ def _scan_mutants(M, scheme, rng):
     a coarsened equivalence (one class) of a sort whose domain formula
     reads its positions, and a later translation that names an unknown
     relation (alone and after a negated one)."""
-    n = len(scheme.rels)
+    n = len(scheme.translations)
     bij = scheme.bijections
     yield "clean", scheme, None
     for i in sorted({0, n // 2, n - 1, *rng.sample(range(n), min(n, 3))}):
@@ -982,15 +989,15 @@ def _scan_mutants(M, scheme, rng):
             f"sort {i} {s.key}: domain formula reads x0 outside the equivalence's key",
         )
     i = rng.randrange(n)
-    yield f"drop {i}", replace(scheme, rels=scheme.rels[:i] + scheme.rels[i + 1:]), None
+    yield f"drop {i}", _without_translation(scheme, i), None
     key = rng.choice(sorted(bij))
     b = rng.choice(sorted(bij[key]))
     wide = {**bij, key: {**bij[key], b: bij[key][b] + (0,)}}
     yield f"wide {b}", replace(scheme, bijections=wide), None
     j = rng.randrange(n // 2, n)
-    sr = scheme.rels[j]
-    unknown = _with_translation(scheme, j, And((Rel("nosuch", (Var(0),)), sr.formula)))
-    refusal = f"translation of {sr.rel!r} at sorts {sr.sort_keys}: not a constant or an equality pattern"
+    (rel, keys), phi = list(scheme.translations.items())[j]
+    unknown = _with_translation(scheme, j, And((Rel("nosuch", (Var(0),)), phi)))
+    refusal = f"translation of {rel!r} at sorts {keys}: not a constant or an equality pattern"
     yield f"unknown {j}", unknown, refusal
     yield f"negate {j // 2}, unknown {j}", negate_translation(unknown, j // 2), refusal
 
@@ -1069,9 +1076,9 @@ def test_block_scan_takes_the_least_failure_over_interleaved_sorts():
         ("R", (odd, even)): "x0 = x0 & x1 = x1 & ~x0 = x0",
         ("R", (odd, odd)): "x0 = x0 & x1 = x1 & ~x0 = x0",
     }
-    rels = tuple(SchemeRel(rel, keys, parse_formula(text, sig)) for (rel, keys), text in translations.items())
+    formulas = {at: parse_formula(text, sig) for at, text in translations.items()}
     bij = {key: {b: (b,) for b in block} for key, block in ((even, (0, 2, 4)), (odd, (1, 3, 5)))}
-    scheme = InterpretationScheme(sorts, rels, bij)
+    scheme = InterpretationScheme(sorts, formulas, bij)
     report = validate_scheme(M1, M2, scheme)
     assert report.failures() == [
         CheckResult("relation-agreement[R]", False, "tuple (0, 3) (target says False)")
@@ -1179,14 +1186,14 @@ def _cover_mutants(scheme, rng):
     for a relation outside the target's signature, and one realized sort
     renamed to a key the target does not realize, in its translations too."""
     widths = {s.key: s.width for s in scheme.sorts}
-    i = rng.randrange(len(scheme.rels))
-    sr = scheme.rels[i]
-    dropped = scheme.rels[:i] + scheme.rels[i + 1:]
-    yield "drop", replace(scheme, rels=dropped)
-    keys = sr.sort_keys[1:] if len(sr.sort_keys) > 1 else sr.sort_keys * 2
-    wrong = SchemeRel(sr.rel, keys, tautology(sum(map(widths.__getitem__, keys))))
-    yield "wrong arity", replace(scheme, rels=dropped + (wrong,))
-    yield "outside", replace(scheme, rels=dropped + (SchemeRel("nosuch", sr.sort_keys, sr.formula),))
+    i = rng.randrange(len(scheme.translations))
+    (rel, sort_keys), phi = list(scheme.translations.items())[i]
+    dropped = _without_translation(scheme, i)
+    yield "drop", dropped
+    keys = sort_keys[1:] if len(sort_keys) > 1 else sort_keys * 2
+    wrong = tautology(sum(map(widths.__getitem__, keys)))
+    yield "wrong arity", replace(dropped, translations={**dropped.translations, (rel, keys): wrong})
+    yield "outside", replace(dropped, translations={**dropped.translations, ("nosuch", sort_keys): phi})
     old = rng.choice(scheme.sorts).key
     new = ("renamed",) + old
 
@@ -1195,7 +1202,7 @@ def _cover_mutants(scheme, rng):
 
     yield "sort left out", InterpretationScheme(
         tuple(replace(s, key=rename(s.key)) for s in scheme.sorts),
-        tuple(SchemeRel(r.rel, tuple(map(rename, r.sort_keys)), r.formula) for r in scheme.rels),
+        {(r, tuple(map(rename, ks))): f for (r, ks), f in scheme.translations.items()},
         {rename(key): fmap for key, fmap in scheme.bijections.items()},
     )
 
@@ -1238,8 +1245,8 @@ def test_agreement_skips_constant_false_blocks_and_reads_the_index(monkeypatch):
         for t in tuples
     }
     dead = sum(
-        interpretation._equality_pattern(sr.formula) == (True, ()) and index not in held
-        for index, sr in scheme.translations.items()
+        interpretation._equality_pattern(phi) == (True, ()) and index not in held
+        for index, phi in scheme.translations.items()
     )
     decided = []
     original = interpretation._block_failure
@@ -1265,26 +1272,26 @@ def _padding_readers(M, scheme, pads, rng):
     other positions: by &, by |, or as (xp = xp | phi) & formula, which reads
     padding but keeps the truth; or joined with xp = xp, which reads none."""
     widths = {s.key: s.width for s in scheme.sorts}
-    rels = list(scheme.rels)
-    touched = [i for i, sr in enumerate(rels) if any(pads[key] for key in sr.sort_keys)]
-    for i in rng.sample(touched, min(len(touched), rng.randint(1, 3))):
-        sr, start, padded = rels[i], 0, []
-        for key in sr.sort_keys:
+    translations = dict(scheme.translations)
+    touched = [at for at in translations if any(pads[key] for key in at[1])]
+    for at in rng.sample(touched, min(len(touched), rng.randint(1, 3))):
+        phi, start, padded = translations[at], 0, []
+        for key in at[1]:
             padded += [start + q for q in pads[key]]
             start += widths[key]
         p = rng.choice(padded)
         extra = _random_core(rng, [p, *rng.sample(range(start), min(start, 2))])
         template = rng.randrange(4)
         if template == 0:
-            formula = And((sr.formula, extra))
+            formula = And((phi, extra))
         elif template == 1:
-            formula = Or((sr.formula, extra))
+            formula = Or((phi, extra))
         elif template == 2:
-            formula = And((sr.formula, Or((Equal(Var(p), Var(p)), extra))))
+            formula = And((phi, Or((Equal(Var(p), Var(p)), extra))))
         else:
-            formula = And((sr.formula, Equal(Var(p), Var(p))))
-        rels[i] = SchemeRel(sr.rel, sr.sort_keys, formula)
-    return replace(scheme, rels=tuple(rels))
+            formula = And((phi, Equal(Var(p), Var(p))))
+        translations[at] = formula
+    return replace(scheme, translations=translations)
 
 
 @pytest.mark.hashseed
@@ -1306,9 +1313,9 @@ def test_validation_matches_member_enumeration_where_translations_read_padding(c
             for _ in range(16):
                 mutant = _padding_readers(M, scheme, pads, rng)
                 changed = [
-                    f"translation of {sr.rel!r} at sorts {sr.sort_keys}: "
-                    for sr, old in zip(mutant.rels, scheme.rels)
-                    if sr is not old
+                    f"translation of {rel!r} at sorts {keys}: "
+                    for (rel, keys), phi in mutant.translations.items()
+                    if phi is not scheme.translations[rel, keys]
                 ]
                 evaluated.clear()
                 try:

@@ -506,9 +506,9 @@ def test_equal_translations_are_one_object(corpus):
         for k in (1, 2, 3):
             scheme = generate_scheme(build_lift(M, LiftConfig(k=k)))
             first = {}
-            for sr in scheme.rels:
-                assert first.setdefault(sr.formula, sr.formula) is sr.formula
-            assert len(first) < len(scheme.rels)
+            for phi in scheme.translations.values():
+                assert first.setdefault(phi, phi) is phi
+            assert len(first) < len(scheme.translations)
 
 
 _TUE = Signature(relations=(("T", 3), ("E", 2), ("U", 1)))
@@ -581,8 +581,8 @@ def _scheme_formulas(scheme):
     for s in scheme.sorts:
         yield ("domain", s.key), s.domain_formula
         yield ("equivalence", s.key), s.equiv_formula
-    for sr in scheme.rels:
-        yield ("translation", sr.rel, sr.sort_keys), sr.formula
+    for (rel, keys), phi in scheme.translations.items():
+        yield ("translation", rel, keys), phi
 
 
 @pytest.mark.hashseed
@@ -623,8 +623,8 @@ def _differential_formulas():
         scheme = generate_scheme(build_lift(M, LiftConfig(k=k, **config)))
         for _, phi in _scheme_formulas(scheme):
             found.setdefault(phi, M)
-        for sr in scheme.rels:
-            found.setdefault(Not(sr.formula), M)
+        for phi in scheme.translations.values():
+            found.setdefault(Not(phi), M)
         for i in range(len(scheme.sorts)):
             found.setdefault(weaken_equivalence(scheme, i).sorts[i].equiv_formula, M)
     return found
