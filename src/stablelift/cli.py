@@ -12,13 +12,16 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .corpus import exhaustive_digraphs, random_digraph
 from .groups import GroupError, automorphism_group
 from .interpretation import (
+    InterpretationScheme,
     SchemeError,
     negate_translation,
     redirect_bijection,
@@ -29,6 +32,7 @@ from .interpretation import (
 from .lifting import (
     LiftConfig,
     LiftError,
+    LiftedStructure,
     PaddingAssignment,
     build_lift,
     certify_induced_group,
@@ -65,6 +69,10 @@ LIFT_ELEMENT_GUARD = 10_000
 # scheme-check writes one translation per companion relation and tuple of
 # sorts, S**arity of them over S sorts; this bounds their count.
 TRANSLATION_GUARD = 50_000
+# scheme-check's report prints each sort's key atoms and 3 * width atoms in
+# its formulas, and each translation its sorts' key atoms and widths; this
+# bounds their count, which padding or a wide relation makes large.
+SCHEME_ATOM_GUARD = 2_000_000
 # An explicit padding width m puts m atoms into a sort's domain formula and
 # 2m into its equivalence, and each translation is as wide as its sorts
 # together; this bounds each width.
@@ -185,15 +193,20 @@ def _check_lift_size(M: Structure, k: int, include_repetitions: bool) -> None:
         )
 
 
-def _translation_count(M: Structure, k: int, include_repetitions: bool) -> int:
-    """How many translations generate_scheme writes: the lift realizes S
-    sorts (the anchor, the base if M is not empty, per relation k copy sorts
-    if it has fiber tuples and a limit sort if it holds a tuple), and its
-    companion has 2 + #R unary relations and 1 + arity + k binary ones per
-    relation."""
-    fibers = _fiber_tuples(M, include_repetitions)
-    S = 1 + (M.size > 0) + sum(k * (t > 0) + (len(M.relations[r]) > 0) for r, t in fibers.items())
-    return (2 + len(fibers)) * S + sum((1 + arity + k) * S**2 for _, arity in M.sig.relations)
+def _translation_count(N: LiftedStructure) -> int:
+    """How many translations generate_scheme writes for N: one per relation
+    of its companion and tuple of its sorts."""
+    return sum(len(N.sorts) ** arity for _, arity in N.companion.sig.relations)
+
+
+def _scheme_atoms(scheme: InterpretationScheme) -> int:
+    """How many atoms scheme-check's report prints in the scheme's sorts and
+    translations (see SCHEME_ATOM_GUARD), summed once per tuple of sorts."""
+    size = {s.key: len(s.key) + s.width for s in scheme.sorts}
+    tuples = Counter(map(operator.itemgetter(1), scheme.translations))
+    return sum(len(s.key) + 3 * s.width for s in scheme.sorts) + sum(
+        n * sum(map(size.__getitem__, keys)) for keys, n in tuples.items()
+    )
 
 
 def _lift_config(args, M: Structure) -> LiftConfig:
@@ -262,15 +275,20 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
 
 def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
     M = _load_structure(args.infile, args.max_size)
-    config = _lift_config(args, M)
-    translations = _translation_count(M, config.k, config.include_repetition_tuples)
+    N = build_lift(M, _lift_config(args, M))
+    translations = _translation_count(N)
     if translations > TRANSLATION_GUARD:
         raise InputError(
-            f"the scheme at copy bound {config.k} would have {translations} translations, "
+            f"the scheme at copy bound {args.k} would have {translations} translations, "
             f"above the guard {TRANSLATION_GUARD}"
         )
-    N = build_lift(M, config)
     scheme = generate_scheme(N)
+    atoms = _scheme_atoms(scheme)
+    if atoms > SCHEME_ATOM_GUARD:
+        raise InputError(
+            f"the scheme at copy bound {args.k} would print {atoms} atoms, "
+            f"above the guard {SCHEME_ATOM_GUARD}"
+        )
     if args.mutate == "negate-relformula":
         scheme = negate_translation(scheme, 0)
     elif args.mutate == "break-ep":

@@ -703,7 +703,7 @@ def test_translation_count_is_the_generated_scheme_length():
         k, repetitions = rng.randint(1, 3), rng.random() < 0.3
         N = build_lift(M, LiftConfig(k=k, include_repetition_tuples=repetitions))
         scheme = generate_scheme(N)
-        assert cli._translation_count(M, k, repetitions) == len(scheme.translations), (M, k, repetitions)
+        assert cli._translation_count(N) == len(scheme.translations), (M, k, repetitions)
 
 
 def test_translation_guard_boundary_is_exact(capsys, monkeypatch, tmp_path):
@@ -739,6 +739,62 @@ def test_translation_guard_refuses_many_sorts_over_one_element(capsys, tmp_path)
         "error: the scheme at copy bound 8 would have 188608 translations, "
         f"above the guard {cli.TRANSLATION_GUARD}\n"
     )
+
+
+def _report_atoms(scheme):
+    """The atoms a scheme-check report prints in its sorts and translations,
+    read off the report: per sort its key atoms, width atoms in its domain
+    and twice as many in its equivalence, and per translation the key atoms
+    and widths of its sorts."""
+    width = {tuple(s["key"]): s["width"] for s in scheme["sorts"]}
+    return sum(len(key) + 3 * w for key, w in width.items()) + sum(
+        len(key) + width[tuple(key)] for r in scheme["relations"] for key in r["sorts"]
+    )
+
+
+def test_scheme_atom_guard_boundary_is_exact(capsys, monkeypatch, tmp_path):
+    # a report of exactly the guard's atoms is written, one atom more is
+    # refused before validation, with the count in the message
+    path, guard = tmp_path / "structure.json", cli.SCHEME_ATOM_GUARD
+    for M, argv in (
+        (digraph(2, [(0, 1)]), ("--k", "2")),
+        (digraph(3, [(0, 1), (1, 2)]), ("--k", "2", "--padding", "explicit:3,5,4")),
+        (Structure(Signature(relations=(("W", 4),)), 2, {"W": []}), ("--k", "1")),
+    ):
+        path.write_text(structure_to_json(M), encoding="utf-8")
+        monkeypatch.setattr(cli, "SCHEME_ATOM_GUARD", guard)
+        code, out, _ = run(capsys, "scheme-check", "--in", str(path), *argv)
+        assert code == 0
+        atoms = _report_atoms(json.loads(out)["scheme"])
+        monkeypatch.setattr(cli, "SCHEME_ATOM_GUARD", atoms - 1)
+        code, out, err = run(capsys, "scheme-check", "--in", str(path), *argv)
+        assert (code, out) == (2, ""), (M, argv)
+        assert err.endswith(f"would print {atoms} atoms, above the guard {atoms - 1}\n")
+        monkeypatch.setattr(cli, "SCHEME_ATOM_GUARD", atoms)
+        for mutate in ((), ("--mutate", "negate-relformula")):
+            code, _, _ = run(capsys, "scheme-check", "--in", str(path), *argv, *mutate)
+            assert code == (1 if mutate else 0), (M, argv, mutate)
+
+
+def test_scheme_atom_guard_refuses_a_wide_relation_quickly(capsys, tmp_path):
+    # one empty relation of arity 1,000 on two points passes every other
+    # guard; unguarded, its report is 137 MB
+    doc = {"signature": {"relations": [{"name": "W", "arity": 1000}]}, "domain": 2, "relations": {"W": []}}
+    started = time.monotonic()
+    code, out, err = run(capsys, "scheme-check", "--in", _write_doc(tmp_path, doc))
+    assert (code, out) == (2, "") and time.monotonic() - started < 1
+    assert err == (
+        "error: the scheme at copy bound 1 would print 4044102 atoms, "
+        f"above the guard {cli.SCHEME_ATOM_GUARD}\n"
+    )
+
+
+def test_the_widest_padded_scheme_of_ci_is_within_the_atom_guard():
+    # five widths near 2,000 on the one-edge digraph at k = 4, a 16 MB report
+    M = digraph(2, [(0, 1)])
+    padding = cli._parse_padding("explicit:1999,1998,1997,1996,1995", M, 4)
+    scheme = generate_scheme(build_lift(M, LiftConfig(k=4, padding=padding)))
+    assert cli._scheme_atoms(scheme) == 1_041_710 <= cli.SCHEME_ATOM_GUARD
 
 
 def _signature_doc(size, relations=(), functions=0, constants=0):
