@@ -26,7 +26,7 @@ faster or checks another way, and tests compare the two:
 - ``check_classical_interpretation`` checks a single-sorted interpretation
   by brute-force invariance under the host's automorphism group;
 - ``standard_corpus`` is every digraph on at most a few vertices, the
-  corpus of the acceptance criteria and the golden CLI reports, and
+  corpus of the acceptance criteria, and
   ``random_digraph_at`` draws a digraph at a given edge probability, as
   ``corpus.random_digraph`` does at its fixed one;
 - ``rigid_over`` certifies that only the identity fixes given points by

@@ -1,16 +1,18 @@
-"""Byte-identity sweep beyond the golden corpus.
+"""Byte-identity sweep of the CLI.
 
-Seven subcommands, scheme-check also under each of its three mutations,
-run in process over every loop-free digraph on four vertices up to
-isomorphism (218 classes) and over named structures with larger or less
-regular automorphism groups.  The sha256 of each run's
-(exit code, stdout, stderr) must match ``data/sweep_digests.json``, so a
-change to any report byte, diagnostic or exit code names its
-(subcommand, structure) pair.
+Every run of ``RUNS`` is made in process on each of its cases: the 69
+digraphs on 1-3 vertices, every loop-free digraph on four vertices up to
+isomorphism (218 classes) and named structures with larger or less regular
+automorphism groups.  The sha256 of each run's (exit code, stdout, stderr)
+must match ``data/sweep_digests.json``, keyed by the run's shell form and
+the case name, so a change to any report byte, diagnostic or exit code
+names its (run, case) pair.  Each run's stdout is also json's own text of
+the report it holds, and a run that exits 2 writes none.
 
-The classes come from a brute canonical form: the least sorted edge list
-over all 24 relabellings.  They are checked by the orbit-counting identity
-sum over classes of 4!/|Aut| = 2^12, with |Aut| counted by brute force.
+The four-vertex classes come from a brute canonical form: the least sorted
+edge list over all 24 relabellings.  They are checked by the orbit-counting
+identity sum over classes of 4!/|Aut| = 2^12, with |Aut| counted by brute
+force.
 
 Standard library only, so that it runs under every supported interpreter
 with or without pytest:
@@ -23,11 +25,14 @@ with or without pytest:
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
 import os
+import re
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -36,24 +41,42 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from stablelift.cli import main  # noqa: E402
-from stablelift.corpus import digraph, edge_pairs  # noqa: E402
+from stablelift.corpus import digraph, edge_pairs, exhaustive_digraphs  # noqa: E402
 from stablelift.structures import structure_to_json  # noqa: E402
 
 DIGESTS = HERE / "data" / "sweep_digests.json"
 
-RUNS = {
-    "aut": ["aut"],
-    "census": ["census", "--A", "0,1"],
-    "verify-iso": ["verify-iso", "--k", "2"],
-    "report": ["report", "--ks", "1,2", "--A", "", "--A", "0", "--A", "0,2"],
-    "lift": ["lift", "--k", "2"],
-    "limit": ["limit", "--k", "2"],
-    "scheme-check": ["scheme-check", "--k", "1"],
-    **{
-        f"scheme-check {mutation}": ["scheme-check", "--k", "1", "--mutate", mutation]
-        for mutation in ("negate-relformula", "break-ep", "break-fp")
-    },
-}
+# the cases a run is made on are the names its pattern matches in full
+EVERY, SMALL = r".*", r"digraph_n[123]_m\d+"
+MUTATIONS = ("", " --mutate negate-relformula", " --mutate break-ep", " --mutate break-fp")
+# each run's arguments in shell form, the input file going after the
+# subcommand, keyed by shlex.join of their argv, with the pattern of its cases
+RUNS = {shlex.join(shlex.split(run)): cases for run, cases in [
+    ("aut", EVERY),
+    ("census --A 0", EVERY),
+    ("census --A 0,1", EVERY),
+    ("verify-iso --k 2", EVERY),
+    ("report --ks 1,2 --A '' --A 0", EVERY),
+    ("report --ks 1,2 --A '' --A 0 --A 0,2", EVERY),
+    ("report --ks 1,2,3 --A '' --A 0 --A 0,1", EVERY),
+    ("lift --k 2", EVERY),
+    ("lift --k 2 --include-repetitions", EVERY),
+    ("limit --k 2", EVERY),
+    *[(f"scheme-check --k 1{mutation}", EVERY) for mutation in MUTATIONS],
+    # deeper and padded schemes, which take seconds over the larger cases
+    *[(f"scheme-check --k 2{mutation}", SMALL) for mutation in MUTATIONS],
+    ("scheme-check --k 3", SMALL),
+    ("scheme-check --k 3 --mutate negate-relformula", SMALL),
+    ("scheme-check --k 2 --padding explicit:40,2,9", SMALL),
+    ("scheme-check --k 2 --padding explicit:40,2,9 --mutate negate-relformula", SMALL),
+    # the wide and padded schemes of the CI console-script step; edge2 there
+    # is digraph_n2_m1 here, a 16 MB report
+    ("scheme-check --k 4 --padding explicit:1999,1998,1997,1996,1995", "digraph_n2_m1"),
+    ("scheme-check --padding explicit:2,2000", "digraph_n3_m63"),
+    ("scheme-check --k 4", "wide4"),
+    *[(f"scheme-check --k 2 --include-repetitions{mutation}", "digraph_n3_m63")
+      for mutation in MUTATIONS],
+]}
 
 
 def _digraph_json(n: int, edges) -> dict:
@@ -61,6 +84,15 @@ def _digraph_json(n: int, edges) -> dict:
         "signature": {"relations": [{"name": "edge", "arity": 2}]},
         "domain": n,
         "relations": {"edge": [list(e) for e in edges]},
+    }
+
+
+def _wide_json(arity: int) -> dict:
+    return {
+        "signature": {"relations": [{"name": "W", "arity": arity}]},
+        "domain": 6,
+        "relations": {"W": []},
+        "repetition_free": False,
     }
 
 
@@ -93,6 +125,10 @@ NAMED = {
     },
     # the path 0 -> ... -> 5 plus the edge 0 -> 2, |Aut| = 1
     "rigid6": _digraph_json(6, [(i, i + 1) for i in range(5)] + [(0, 2)]),
+    # six points and one empty 4- or 5-ary relation whose tuples may repeat
+    # entries: thousands of lift elements, |Aut| = 720
+    "wide4": _wide_json(4),
+    "wide5": _wide_json(5),
 }
 
 
@@ -118,10 +154,13 @@ def digraph_classes(n: int = 4) -> list[tuple[tuple[int, int], ...]]:
     return sorted(classes)
 
 
+@functools.lru_cache(maxsize=None)
 def _cases() -> dict[str, str]:
     """Structure file contents by case name."""
+    cases = {
+        name: structure_to_json(M) for n in (1, 2, 3) for name, M in exhaustive_digraphs(n)
+    }
     pairs = edge_pairs(4)
-    cases = {}
     for edges in digraph_classes(4):
         mask = sum(1 << pairs.index(e) for e in edges)
         cases[f"digraph_n4_m{mask}"] = structure_to_json(digraph(4, edges))
@@ -130,46 +169,50 @@ def _cases() -> dict[str, str]:
     return cases
 
 
-def _digest(argv: list[str]) -> str:
+def _digest(run: str, name: str) -> str:
+    command, *options = shlex.split(run)
+    argv = [command, "--in", f"{name}.json", *options]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    # the report writer gives json.dumps's text; an input error writes none
+    stdout = out.getvalue()
+    report = "" if code == 2 else json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
+    if stdout != report:
+        raise AssertionError(f"{shlex.join(argv)} exits {code} with stdout that is not its report")
+    blob = json.dumps([code, stdout, err.getvalue()])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def sweep_digests() -> dict[str, dict[str, str]]:
-    """Per subcommand, the digest of its run on each case.  Structure files
-    are written to a temporary directory and named relative to it, because
+def sweep_digests(runs=RUNS) -> dict[str, dict[str, str]]:
+    """Per run, the digest of it on each of its cases.  Structure files are
+    written to a temporary directory and named relative to it, because
     reports and diagnostics quote the path they were given."""
     cases = _cases()
+    names = {run: [name for name in cases if re.fullmatch(RUNS[run], name)] for run in runs}
     previous = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, text in cases.items():
-                Path(f"{name}.json").write_text(text, encoding="utf-8")
-            return {
-                label: {
-                    name: _digest([argv[0], "--in", f"{name}.json", *argv[1:]]) for name in cases
-                }
-                for label, argv in RUNS.items()
-            }
+            for name in set().union(*names.values()):
+                Path(f"{name}.json").write_text(cases[name], encoding="utf-8")
+            return {run: {name: _digest(run, name) for name in names[run]} for run in runs}
         finally:
             os.chdir(previous)
 
 
-def mismatches() -> list[str]:
-    """'subcommand case' for every run whose digest differs from the
-    stored one, or that is missing on either side."""
+def mismatches(runs=None) -> list[str]:
+    """'run on case' for every digest that differs from the stored one, or
+    that is missing on either side: over the given runs, or over every run
+    of RUNS and of the stored file."""
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    actual = sweep_digests()
-    keys = {(label, name) for table in (expected, actual) for label, runs in table.items()
-            for name in runs}
+    runs = sorted(set(RUNS) | set(expected)) if runs is None else runs
+    actual = sweep_digests([run for run in runs if run in RUNS])
     return [
-        f"{label} {name}"
-        for label, name in sorted(keys)
-        if expected.get(label, {}).get(name) != actual.get(label, {}).get(name)
+        f"{run} on {name}"
+        for run in runs
+        for name in sorted(set(expected.get(run, {})) | set(actual.get(run, {})))
+        if expected.get(run, {}).get(name) != actual.get(run, {}).get(name)
     ]
 
 

@@ -3,7 +3,7 @@
 Every JSON report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
 newline.  ``cli._dump`` writes that text through its own writer,
 ``cli._indented`` alone, which raises TypeError on what no report holds.
-The golden CLI runs check the written reports themselves (test_cli_golden).
+The byte-identity sweep checks the written reports themselves (sweep.py).
 """
 
 import enum

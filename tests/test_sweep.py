@@ -1,7 +1,9 @@
-"""The byte-identity sweep of ``sweep.py`` as a Tier-1 test: every stored
-digest over the four-vertex digraph classes and the named group cases
-matches.  Regenerate the digests, after a deliberate output change only,
-with ``python tests/sweep.py --write``."""
+"""The byte-identity sweep of ``sweep.py`` as a Tier-1 test, one item per
+run: every stored digest of the run over its cases matches.  Regenerate
+the digests, after a deliberate output change only, with
+``python tests/sweep.py --write``."""
+
+import json
 
 import pytest
 
@@ -15,6 +17,11 @@ def test_the_four_vertex_classes_are_the_218_isomorphism_classes():
     assert len(sweep.digraph_classes(4)) == 218
 
 
-def test_sweep_outputs_match_the_stored_digests():
-    bad = sweep.mismatches()
+def test_the_stored_digests_are_of_the_sweep_runs():
+    assert sorted(json.loads(sweep.DIGESTS.read_text(encoding="utf-8"))) == sorted(sweep.RUNS)
+
+
+@pytest.mark.parametrize("run", sweep.RUNS)
+def test_sweep_outputs_match_the_stored_digests(run):
+    bad = sweep.mismatches([run])
     assert not bad, f"{len(bad)} sweep mismatches; first: {bad[0]}"

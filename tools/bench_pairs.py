@@ -2,11 +2,12 @@
 
     python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_<n>.json --seed 9101
 
-Extracts the base revision with ``git archive`` into a temporary directory,
-then runs ``perfbench/run.py`` (``--trace 0``, for BENCHMARK.json's
-``run_seconds``) on every workload of BENCHMARK.json once in the base
-checkout and once in this working tree per pair, for ten pairs, alternating
-which side goes first, with one fresh seed per pair.  The
+Extracts the base revision with ``git archive`` into a temporary directory
+under ``.bench_build/`` beside this working tree, then runs
+``perfbench/run.py`` (``--trace 0``, for BENCHMARK.json's ``run_seconds``)
+on every workload of BENCHMARK.json once in the base checkout and once in
+this working tree per pair, for ten pairs, alternating which side goes
+first, with one fresh seed per pair.  The
 output file holds, per workload and end-to-end metric, each side's values,
 median and quartiles, the ratio of the medians, and how many pairs the
 change won (by the metric's ``better`` direction; ties count for neither).
@@ -81,7 +82,13 @@ def main() -> int:
         "python": sys.version.split()[0],
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory() as tmp:
+    # Set-up writes every input file.  On a shared 2-CPU Linux host, file
+    # creation and deletion under /tmp took three to five times the CPU they
+    # took in the working tree, and a parent extracted there read a higher
+    # setup_s in 10 of 10 pairs of an A/A comparison.  So the parent lives
+    # beside the working tree.
+    (ROOT / ".bench_build").mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=ROOT / ".bench_build") as tmp:
         base = Path(tmp)
         extract(base_commit, base)
         # perfbench caches the library's bytecode in the checkout, so without
