@@ -21,7 +21,10 @@ def test_the_stored_digests_are_of_the_sweep_runs():
     assert sorted(json.loads(sweep.DIGESTS.read_text(encoding="utf-8"))) == sorted(sweep.RUNS)
 
 
+# a short name, so that each item's full name, its argv included, stays
+# under 100 characters and no two items share a cut-off prefix
 @pytest.mark.parametrize("run", sweep.RUNS)
-def test_sweep_outputs_match_the_stored_digests(run):
+def test_run(run):
+    """Every stored digest of the run over its cases matches."""
     bad = sweep.mismatches([run])
     assert not bad, f"{len(bad)} sweep mismatches; first: {bad[0]}"
