@@ -6,13 +6,9 @@ isomorphism (218 classes) and named structures with larger or less regular
 automorphism groups.  The sha256 of each run's (exit code, stdout, stderr)
 must match ``data/sweep_digests.json``, keyed by the run's shell form and
 the case name, so a change to any report byte, diagnostic or exit code
-names its (run, case) pair.  Each run's stdout is also json's own text of
-the report it holds, and a run that exits 2 writes none.
-
-The four-vertex classes come from a brute canonical form: the least sorted
-edge list over all 24 relabellings.  They are checked by the orbit-counting
-identity sum over classes of 4!/|Aut| = 2^12, with |Aut| counted by brute
-force.
+names its (run, case) pair.  A run whose digest is written or does not
+match must also print json's own text of its report, or nothing if it exits
+2, and no run may take more than ``RUN_SECONDS`` of wall time on one case.
 
 Standard library only, so that it runs under every supported interpreter
 with or without pytest:
@@ -35,6 +31,7 @@ import re
 import shlex
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -46,57 +43,66 @@ from stablelift.structures import structure_to_json  # noqa: E402
 
 DIGESTS = HERE / "data" / "sweep_digests.json"
 
+# a run that takes longer on one case, in wall seconds, fails
+RUN_SECONDS = 60
 # the cases a run is made on are the names its pattern matches in full
 EVERY, SMALL = r".*", r"digraph_n[123]_m\d+"
 MUTATIONS = ("", " --mutate negate-relformula", " --mutate break-ep", " --mutate break-fp")
+
+
+def _keyed(runs) -> dict[str, str]:
+    """Each run's pattern keyed by shlex.join of its argv, refusing a key
+    listed twice, of which a dict would keep only the last pattern."""
+    keys = [shlex.join(shlex.split(run)) for run, _ in runs]
+    twice = sorted({key for key in keys if keys.count(key) > 1})
+    if twice:
+        raise ValueError(f"sweep runs listed twice: {twice}")
+    return dict(zip(keys, (cases for _, cases in runs)))
+
+
 # each run's arguments in shell form, the input file going after the
-# subcommand, keyed by shlex.join of their argv, with the pattern of its cases
-RUNS = {shlex.join(shlex.split(run)): cases for run, cases in [
+# subcommand, with the pattern of its cases
+RUNS = _keyed([
     ("aut", EVERY),
-    ("census --A 0", EVERY),
-    ("census --A 0,1", EVERY),
-    ("verify-iso --k 2", EVERY),
-    ("report --ks 1,2 --A '' --A 0", EVERY),
-    ("report --ks 1,2 --A '' --A 0 --A 0,2", EVERY),
-    ("report --ks 1,2,3 --A '' --A 0 --A 0,1", EVERY),
-    ("lift --k 2", EVERY),
-    ("lift --k 2 --include-repetitions", EVERY),
+    *[(f"census --A {A}", EVERY) for A in ("0", "1", "0,1", "0,1 --depth 2")],
+    *[(f"verify-iso{k}", EVERY) for k in ("", " --k 2", " --k 3")],
+    *[(f"report --ks {options}", EVERY) for options in (
+        "1,2", "1,2 --A '' --A 0", "1,2 --A '' --A 0 --A 0,2", "1,2,3 --A '' --A 0 --A 0,1")],
+    ("report --ks 1,2,3 --A '' --A 0 --A 1 --A 0,3", "cycles33|cycle5"),
+    *[(f"lift --k 2{options}", EVERY) for options in ("", " --include-repetitions")],
     ("limit --k 2", EVERY),
     *[(f"scheme-check --k 1{mutation}", EVERY) for mutation in MUTATIONS],
     # deeper and padded schemes, which take seconds over the larger cases
-    *[(f"scheme-check --k 2{mutation}", SMALL) for mutation in MUTATIONS],
-    ("scheme-check --k 3", SMALL),
-    ("scheme-check --k 3 --mutate negate-relformula", SMALL),
-    ("scheme-check --k 2 --padding explicit:40,2,9", SMALL),
-    ("scheme-check --k 2 --padding explicit:40,2,9 --mutate negate-relformula", SMALL),
-    # the wide and padded schemes of the CI console-script step; edge2 there
-    # is digraph_n2_m1 here, a 16 MB report
+    *[(f"scheme-check --k 2{mutation}", rf"{SMALL}|rotations|unary") for mutation in MUTATIONS],
+    *[(f"scheme-check --k 3{mutation}", rf"{SMALL}|rigid4") for mutation in MUTATIONS[:2]],
+    *[(f"scheme-check --k 3{mutation}", "rigid4") for mutation in MUTATIONS[2:]],
+    *[(f"scheme-check --k 2 --padding explicit:40,2,9{mutation}", SMALL)
+      for mutation in MUTATIONS[:2]],
+    # wide and padded schemes: on the one-edge digraph a 16 MB report
     ("scheme-check --k 4 --padding explicit:1999,1998,1997,1996,1995", "digraph_n2_m1"),
     ("scheme-check --padding explicit:2,2000", "digraph_n3_m63"),
     ("scheme-check --k 4", "wide4"),
     *[(f"scheme-check --k 2 --include-repetitions{mutation}", "digraph_n3_m63")
       for mutation in MUTATIONS],
-]}
+])
+
+
+def _doc(n: int, relations: dict, **extra) -> dict:
+    """The structure document on n points with each relation's arity and
+    tuples by its name."""
+    return {
+        "signature": {"relations": [{"name": r, "arity": a} for r, (a, _) in relations.items()]},
+        "domain": n,
+        "relations": {r: [list(t) for t in tuples] for r, (_, tuples) in relations.items()},
+        **extra,
+    }
 
 
 def _digraph_json(n: int, edges) -> dict:
-    return {
-        "signature": {"relations": [{"name": "edge", "arity": 2}]},
-        "domain": n,
-        "relations": {"edge": [list(e) for e in edges]},
-    }
+    return _doc(n, {"edge": (2, edges)})
 
 
-def _wide_json(arity: int) -> dict:
-    return {
-        "signature": {"relations": [{"name": "W", "arity": arity}]},
-        "domain": 6,
-        "relations": {"W": []},
-        "repetition_free": False,
-    }
-
-
-# the group cases of the CI console-script step
+# structures with larger or less regular automorphism groups, and wide ones
 NAMED = {
     "empty6": _digraph_json(6, []),
     "complete6": _digraph_json(6, edge_pairs(6)),
@@ -111,30 +117,25 @@ NAMED = {
     ]),
     # the rotations of (0, 1, 2) in a ternary relation whose tuples may
     # repeat entries, |Aut| = 3
-    "rotations": {
-        "signature": {"relations": [{"name": "T", "arity": 3}]},
-        "domain": 3,
-        "relations": {"T": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
-        "repetition_free": False,
-    },
+    "rotations": _doc(3, {"T": (3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])}, repetition_free=False),
     # U = {0} beside the edges 1 <-> 2, |Aut| = 2
-    "unary": {
-        "signature": {"relations": [{"name": "U", "arity": 1}, {"name": "edge", "arity": 2}]},
-        "domain": 3,
-        "relations": {"U": [[0]], "edge": [[1, 2], [2, 1]]},
-    },
+    "unary": _doc(3, {"U": (1, [(0,)]), "edge": (2, [(1, 2), (2, 1)])}),
     # the path 0 -> ... -> 5 plus the edge 0 -> 2, |Aut| = 1
     "rigid6": _digraph_json(6, [(i, i + 1) for i in range(5)] + [(0, 2)]),
+    # a rigid 4-vertex digraph, whose k = 3 scheme is the heaviest of
+    # scheme-rigid: most agreement blocks are constant False
+    "rigid4": _digraph_json(4, [(0, 1), (1, 2), (2, 3), (0, 2), (3, 1)]),
     # six points and one empty 4- or 5-ary relation whose tuples may repeat
     # entries: thousands of lift elements, |Aut| = 720
-    "wide4": _wide_json(4),
-    "wide5": _wide_json(5),
+    **{f"wide{a}": _doc(6, {"W": (a, [])}, repetition_free=False) for a in (4, 5)},
 }
 
 
 def digraph_classes(n: int = 4) -> list[tuple[tuple[int, int], ...]]:
     """The loop-free digraphs on n vertices up to isomorphism, each as its
-    least sorted edge list over all relabellings, in ascending order."""
+    least sorted edge list over all relabellings, in ascending order.  They
+    are checked by the orbit-counting identity: the classes' sum of
+    n!/|Aut|, with |Aut| counted by brute force, is 2^(n(n-1))."""
     pairs = edge_pairs(n)
     perms = list(itertools.permutations(range(n)))
 
@@ -145,7 +146,6 @@ def digraph_classes(n: int = 4) -> list[tuple[tuple[int, int], ...]]:
     for mask in range(2 ** len(pairs)):
         edges = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
         classes.add(min(relabelled(edges, p) for p in perms))
-    # each class holds n!/|Aut| labelled digraphs
     labelled = sum(
         len(perms) // sum(relabelled(edges, p) == edges for p in perms) for edges in classes
     )
@@ -157,37 +157,47 @@ def digraph_classes(n: int = 4) -> list[tuple[tuple[int, int], ...]]:
 @functools.lru_cache(maxsize=None)
 def _cases() -> dict[str, str]:
     """Structure file contents by case name."""
-    cases = {
-        name: structure_to_json(M) for n in (1, 2, 3) for name, M in exhaustive_digraphs(n)
-    }
+    cases = {name: structure_to_json(M) for n in (1, 2, 3) for name, M in exhaustive_digraphs(n)}
     pairs = edge_pairs(4)
     for edges in digraph_classes(4):
         mask = sum(1 << pairs.index(e) for e in edges)
         cases[f"digraph_n4_m{mask}"] = structure_to_json(digraph(4, edges))
-    for name, data in NAMED.items():
-        cases[name] = json.dumps(data)
+    cases.update((name, json.dumps(data)) for name, data in NAMED.items())
     return cases
 
 
-def _digest(run: str, name: str) -> str:
+def _run(run: str, name: str) -> tuple[str, int, str, str]:
+    """The run on the case's file: its argv in shell form, exit code, stdout and stderr."""
     command, *options = shlex.split(run)
     argv = [command, "--in", f"{name}.json", *options]
     out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    # the report writer gives json.dumps's text; an input error writes none
-    stdout = out.getvalue()
-    report = "" if code == 2 else json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
-    if stdout != report:
-        raise AssertionError(f"{shlex.join(argv)} exits {code} with stdout that is not its report")
-    blob = json.dumps([code, stdout, err.getvalue()])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    seconds = time.perf_counter() - started
+    if seconds > RUN_SECONDS:
+        raise AssertionError(f"{shlex.join(argv)} took {seconds:.1f} s, over {RUN_SECONDS} s")
+    return shlex.join(argv), code, out.getvalue(), err.getvalue()
 
 
-def sweep_digests(runs=RUNS) -> dict[str, dict[str, str]]:
-    """Per run, the digest of it on each of its cases.  Structure files are
-    written to a temporary directory and named relative to it, because
-    reports and diagnostics quote the path they were given."""
+def _digest(run: str, name: str, expected: str | None) -> str:
+    argv, code, stdout, stderr = _run(run, name)
+    digest = hashlib.sha256(json.dumps([code, stdout, stderr]).encode("utf-8")).hexdigest()
+    # the report writer gives json.dumps's text and an input error writes
+    # none; a matching digest pins bytes that were checked when written
+    if digest != expected:
+        report = "" if code == 2 else json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
+        if stdout != report:
+            raise AssertionError(f"{argv} exits {code} with stdout that is not its report")
+    return digest
+
+
+def sweep_digests(runs=RUNS, expected=None) -> dict[str, dict[str, str]]:
+    """Per run, the digest of it on each of its cases, given the expected
+    ones if any.  Structure files are written to a temporary directory and
+    named relative to it, because reports and diagnostics quote the path
+    they were given."""
+    expected = expected or {}
     cases = _cases()
     names = {run: [name for name in cases if re.fullmatch(RUNS[run], name)] for run in runs}
     previous = os.getcwd()
@@ -196,7 +206,10 @@ def sweep_digests(runs=RUNS) -> dict[str, dict[str, str]]:
         try:
             for name in set().union(*names.values()):
                 Path(f"{name}.json").write_text(cases[name], encoding="utf-8")
-            return {run: {name: _digest(run, name) for name in names[run]} for run in runs}
+            return {
+                run: {name: _digest(run, name, expected.get(run, {}).get(name)) for name in found}
+                for run, found in names.items()
+            }
         finally:
             os.chdir(previous)
 
@@ -207,7 +220,7 @@ def mismatches(runs=None) -> list[str]:
     of RUNS and of the stored file."""
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     runs = sorted(set(RUNS) | set(expected)) if runs is None else runs
-    actual = sweep_digests([run for run in runs if run in RUNS])
+    actual = sweep_digests([run for run in runs if run in RUNS], expected)
     return [
         f"{run} on {name}"
         for run in runs
@@ -219,7 +232,6 @@ def mismatches(runs=None) -> list[str]:
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         table = sweep_digests()
-        DIGESTS.parent.mkdir(exist_ok=True)
         DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {sum(map(len, table.values()))} digests to {DIGESTS}")
     elif sys.argv[1:]:

@@ -641,8 +641,9 @@ def test_work_guards_exit_2_before_building(capsys, edge_file, monkeypatch, argv
         raise AssertionError("a lift was built past a work guard")
 
     monkeypatch.setattr(cli, "build_lift", no_lift)
+    started = time.monotonic()
     code, out, err = run(capsys, *argv, "--in", edge_file)
-    assert code == 2 and out == ""
+    assert code == 2 and out == "" and time.monotonic() - started < 1
     assert err.startswith(f"error: {message}")
 
 
