@@ -204,20 +204,20 @@ Provenance = Anchor | BaseElem | FiberElem
 
 @dataclass(frozen=True)
 class LiftedStructure:
-    """The lift as a plain Structure plus per-element provenance.
+    """The lift as a plain Structure plus its fiber index.
 
     Element layout is canonical: the anchor is 0, base elements follow in
     source order, then fibers ordered by relation, tuple, copy index (limit
     last).  ``fibers`` indexes the fiber elements in that same order:
-    relation -> eligible tuple -> {copy index: element id}; it and ``sorts``
-    are the lift's only indexes.
+    relation -> eligible tuple -> {copy index: element id}.  ``provenance``
+    and ``sorts`` are read off it on first use.  ``structure`` is generated
+    without the per-tuple checks of Structure(...), which it passes.
     """
 
     structure: Structure
     source: Structure
     config: LiftConfig
     padding: PaddingAssignment
-    provenance: tuple[Provenance, ...]
     fibers: dict[str, dict[tuple[int, ...], dict[int | float, int]]] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -228,6 +228,14 @@ class LiftedStructure:
     @property
     def repetition_free_fibers(self) -> bool:
         return self.source.repetition_free and not self.config.include_repetition_tuples
+
+    @functools.cached_property
+    def provenance(self) -> tuple[Provenance, ...]:
+        """Each element's provenance by id: the anchor, the base copy, then
+        the fiber elements in ``fibers`` order, whose ids run consecutively."""
+        fiber = (FiberElem(rel, i, coords) for rel, table in self.fibers.items()
+                 for coords, copies in table.items() for i in copies)
+        return (Anchor(), *map(BaseElem, self.source.domain), *fiber)
 
     @functools.cached_property
     def sorts(self) -> dict[str, tuple[int, ...]]:
@@ -313,8 +321,8 @@ def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructu
     sig = _lift_signature(M, config.k)
 
     repetition_free_fibers = M.repetition_free and not config.include_repetition_tuples
-    provenance: list[Provenance] = [Anchor()]
-    provenance.extend(BaseElem(a) for a in M.domain)
+    size = 1 + M.size
+    finite, with_limit = range(config.k), [*range(config.k), LIMIT]
 
     rels_in_order = sorted((n for n, _ in M.sig.relations), key=M.sig.arity_index)
     fibers: dict[str, dict[tuple[int, ...], dict[int | float, int]]] = {}
@@ -328,16 +336,10 @@ def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructu
             tuples = itertools.product(M.domain, repeat=arity)
         held = M.relation_sets[rel]
         for coords in tuples:
-            copies: dict[int | float, int] = {}
-            indices: list[int | float] = list(range(config.k))
-            if coords in held:
-                indices.append(LIMIT)
-            for i in indices:
-                copies[i] = len(provenance)
-                provenance.append(FiberElem(rel, i, coords))
-            fibers[rel][coords] = copies
+            indices = with_limit if coords in held else finite
+            fibers[rel][coords] = dict(zip(indices, range(size, size + len(indices))))
+            size += len(indices)
 
-    size = len(provenance)
     relations: dict[str, tuple[tuple[int, ...], ...]] = {
         BASE_NAME: tuple((1 + a,) for a in M.domain)
     }
@@ -366,21 +368,9 @@ def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructu
                     images[e] = fib[j]
             functions[copy_function(rel, j)] = tuple(images)
 
-    structure = Structure(
-        sig=sig,
-        size=size,
-        relations=relations,
-        functions=functions,
-        constants={ANCHOR_NAME: 0},
-        repetition_free=False,
-    )
+    structure = Structure._generated(sig, size, relations, functions, {ANCHOR_NAME: 0})
     return LiftedStructure(
-        structure=structure,
-        source=M,
-        config=config,
-        padding=padding,
-        provenance=tuple(provenance),
-        fibers=fibers,
+        structure=structure, source=M, config=config, padding=padding, fibers=fibers
     )
 
 

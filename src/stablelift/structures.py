@@ -193,6 +193,19 @@ class Structure:
             self, "relation_sets", {n: frozenset(ts) for n, ts in rels.items()}
         )
 
+    @classmethod
+    def _generated(cls, sig, size, relations, functions, constants) -> Structure:
+        """A structure the library generated itself, with sorted tuple sets in
+        range: laid out in signature order and not checked again; never
+        repetition-free.  Every input path goes through the checked form."""
+        M = object.__new__(cls)
+        rels = {n: relations[n] for n, _ in sig.relations}
+        M.__dict__.update(sig=sig, size=size, relations=rels,
+                          functions={f: functions[f] for f in sig.functions},
+                          constants=constants, repetition_free=False,
+                          relation_sets={n: frozenset(ts) for n, ts in rels.items()})
+        return M
+
     @property
     def domain(self) -> range:
         return range(self.size)
@@ -259,7 +272,7 @@ def relational_companion(M: Structure) -> Structure:
         rels[f] = tuple((x, M.functions[f][x]) for x in M.domain)
     for c in M.sig.constants:
         rels[c] = ((M.constants[c],),)
-    return Structure(sig=sig, size=M.size, relations=rels, repetition_free=False)
+    return Structure._generated(sig, M.size, rels, {}, {})
 
 
 # -- serialization ----------------------------------------------------------

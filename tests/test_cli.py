@@ -544,6 +544,29 @@ def test_explicit_padding(capsys, edge_file):
     assert code == 2 and "distinct" in err
 
 
+_NOT_AN_INT = "invalid literal for int() with base 10: 'x'"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["census", "--in", "EDGE", "--A", "0,x"], f"bad element list '0,x': {_NOT_AN_INT}"),
+        (["report", "--in", "EDGE", "--A", "0,x"], f"bad element list '0,x': {_NOT_AN_INT}"),
+        (["lift", "--in", "EDGE", "--padding", "explicit:5"],
+         "padding list needs 2 widths (one per relation/copy pair)"),
+        (["lift", "--in", "EDGE", "--padding", "explicit:5,7,9"],
+         "padding list needs 2 widths (one per relation/copy pair)"),
+        (["corpus", "--out", "OUT", "--random", "1", "--size", str(cli.DEFAULT_SIZE_GUARD + 1)],
+         f"random corpus size guarded to <= {cli.DEFAULT_SIZE_GUARD}"),
+    ],
+)
+def test_malformed_flags_exit_2_with_their_message(capsys, tmp_path, edge_file, argv, message):
+    out_dir = tmp_path / "corpus"
+    argv = [{"EDGE": edge_file, "OUT": str(out_dir)}.get(a, a) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_census_input_errors_exit_2(capsys, pair_file, monkeypatch):
     code, _, err = run(capsys, "census", "--in", pair_file, "--depth", "3")
     assert code == 2 and "depth" in err

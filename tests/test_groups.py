@@ -472,6 +472,82 @@ def test_search_equals_oracle_on_random_digraphs_and_lifts():
             )
 
 
+def _cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+# regular graphs as (size, undirected edges); refinement cannot split a
+# regular graph's vertices, so its search runs on individualization alone
+REGULAR_GRAPHS = {
+    # cubic; two subtrees of its Aut(M) search hold no automorphism
+    "cubic 8": (8, [(0, 1), (0, 6), (0, 7), (1, 4), (1, 5), (2, 4), (2, 5), (2, 6),
+                    (3, 4), (3, 5), (3, 7), (6, 7)]),
+    "cube": (8, [(a, a ^ b) for a in range(8) for b in (1, 2, 4) if a < a ^ b]),
+    "Wagner": (8, _cycle(8) + [(i, i + 4) for i in range(4)]),
+    "two K4": (8, [(a + s, b + s) for s in (0, 4) for a in range(4) for b in range(a + 1, 4)]),
+    "circulant 7 (1, 2)": (7, [(i, (i + j) % 7) for i in range(7) for j in (1, 2)]),
+    "prism": (6, _cycle(3) + [(a + 3, (a + 1) % 3 + 3) for a in range(3)]
+              + [(a, a + 3) for a in range(3)]),
+    "K3,3": (6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    "two triangles": (6, _cycle(3) + [(a + 3, (a + 1) % 3 + 3) for a in range(3)]),
+    "C6": (6, _cycle(6)),
+    "C5": (5, _cycle(5)),
+    "K4": (4, [(a, b) for a in range(4) for b in range(a + 1, 4)]),
+}
+
+
+def _backtracks(M):
+    """Aut(M) by the search, and how often a node of the search returned
+    from leaf_below's last line: no child of it reached an automorphism."""
+    import sys
+
+    import stablelift.groups as groups
+
+    hits = 0
+
+    def calls(frame, event, arg):
+        code = frame.f_code
+        if code.co_name != "leaf_below" or code.co_filename != groups.__file__:
+            return None
+        last = max(line for *_, line in code.co_lines() if line is not None)
+
+        def lines(frame, event, arg):
+            nonlocal hits
+            hits += event == "return" and frame.f_lineno == last
+            return lines
+
+        return lines
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        G = automorphism_group(M)
+    finally:
+        sys.settrace(previous)
+    return G, hits
+
+
+def test_search_equals_oracle_on_regular_graphs():
+    # each edge in both directions; every stabilizer of one or two points is
+    # checked against Schreier-Sims and against the brute filter, and the
+    # lift at k = 1 is certified with the search's generators
+    from stablelift.lifting import certify_induced_group, direct_induced
+
+    backtracks = {}
+    for name, (n, edges) in REGULAR_GRAPHS.items():
+        M = digraph(n, sorted({*edges, *((b, a) for a, b in edges)}))
+        G, backtracks[name] = _backtracks(M)
+        members = automorphism_group_brute(M)
+        assert G.elements() == members, name
+        for A in [*itertools.combinations(M.domain, 1), *itertools.combinations(M.domain, 2)]:
+            searched = automorphism_group(M, fixed=A).elements()
+            assert searched == reference.elements(reference.pointwise_stabilizer(G, A))
+            assert searched == [g for g in members if all(g(a) == a for a in A)], (name, A)
+        N = build_lift(M, LiftConfig(k=1))
+        certify_induced_group(N, G.generators, [direct_induced(N, g) for g in G.generators])
+    assert backtracks["cubic 8"] > 0
+
+
 
 def test_search_equals_oracle_with_functions_constants_and_ternary_relations():
     import random

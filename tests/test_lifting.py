@@ -16,6 +16,7 @@ from references import (
     standard_corpus,
 )
 from stabilizer_oracle import identity
+from sweep import digraph_classes
 
 from stablelift import interpretation
 from stablelift.corpus import digraph, edge_pairs
@@ -448,6 +449,21 @@ def test_sort_table_matches_provenance_and_companion(corpus):
     assert build_lift(digraph(0, []), LiftConfig(k=1)).sorts == {"anchor": (0,)}
 
 
+def _assert_provenance_is_the_fiber_index(N):
+    """N.provenance lists the anchor, the base copy, then FiberElem(rel, i,
+    coords) at e exactly when N.fibers[rel][coords][i] == e."""
+    head = (Anchor(), *map(BaseElem, N.source.domain))
+    assert N.provenance[:len(head)] == head
+    assert len(N.provenance) == N.structure.size
+    fibers = {
+        e: FiberElem(rel, i, coords)
+        for rel, table in N.fibers.items()
+        for coords, copies in table.items()
+        for i, e in copies.items()
+    }
+    assert fibers == {e: p for e, p in enumerate(N.provenance) if e >= len(head)}
+
+
 def test_fiber_index_matches_provenance_and_limit_sorts(corpus):
     # N.fibers is the lift's one fiber index: flattened, it is exactly the
     # fiber provenance, and its limit copies are the limit block of N.sorts
@@ -461,21 +477,53 @@ def test_fiber_index_matches_provenance_and_limit_sorts(corpus):
     lifts += [build_lift(M, LiftConfig(k=2)) for M in mixed]
     lifts += [build_lift(digraph(0, []), LiftConfig(k=k)) for k in (1, 2)]
     for N in lifts:
-        from_provenance = {
-            (p.rel, p.copy, p.coords): e
-            for e, p in enumerate(N.provenance)
-            if isinstance(p, FiberElem)
-        }
-        from_fibers = {
-            (rel, i, coords): e
-            for rel, table in N.fibers.items()
-            for coords, copies in table.items()
-            for i, e in copies.items()
-        }
-        assert from_fibers == from_provenance
+        _assert_provenance_is_the_fiber_index(N)
         for rel, _ in N.source.sig.relations:
             expected = N.sorts.get(fiber_sort(rel, LIMIT), ())
             assert limit_elements(N, rel) == expected
+
+
+# -- the generated structures against the checked constructor --------------------
+
+
+def _assert_as_if_checked(S):
+    """S, which the library generated without checks, equals itself rebuilt
+    through Structure(...), which checks every tuple: the same fields, the
+    same key order (the signature's) and the same tuple sets."""
+    R = Structure(sig=S.sig, size=S.size, relations=S.relations, functions=S.functions,
+                  constants=S.constants, repetition_free=S.repetition_free)
+    assert S == R and S.repetition_free is R.repetition_free is False
+    for name in ("relations", "functions", "constants", "relation_sets"):
+        assert list(getattr(S, name)) == list(getattr(R, name)), name
+    # equality leaves relation_sets out
+    assert S.relation_sets == R.relation_sets
+
+
+def test_generated_lifts_and_companions_equal_the_checked_construction(
+    corpus, random_structures
+):
+    # the ternary symbol comes before the binary one in the signature, but
+    # build_lift fills its tables by arity
+    ternary_first = Structure(
+        sig=Signature(relations=(("T", 3), ("E", 2))),
+        size=4,
+        relations={"T": ((0, 1, 2), (3, 2, 1)), "E": ((0, 1), (2, 0))},
+    )
+    sources = [M for _, M in corpus] + [digraph(4, edges) for edges in digraph_classes(4)]
+    sources += [ternary_first, digraph(0, [])]
+    configs = [LiftConfig(k=k, include_repetition_tuples=r) for k in (1, 2, 3) for r in (False, True)]
+    lifts = [build_lift(M, config) for M in sources for config in configs]
+    # companions of structures with a function, a constant and a ternary
+    # relation; they are not repetition-free, so the flag changes nothing
+    companions = [relational_companion(M) for M in random_structures]
+    lifts += [build_lift(C, LiftConfig(k=k)) for C in companions if C.size <= 4 for k in (1, 2, 3)]
+    assert len(lifts) > 1800
+    for C in companions:
+        _assert_as_if_checked(C)
+    for N in lifts:
+        _assert_as_if_checked(N.structure)
+        _assert_as_if_checked(N.companion)
+        _assert_provenance_is_the_fiber_index(N)
 
 
 def test_explicit_padding_scheme_still_validates(m_edge):
