@@ -3,13 +3,14 @@ orbits.
 
 Every group this library orders, lists or prints comes from one algorithm,
 the automorphism search, and so does every pointwise stabilizer:
-automorphism_group(M, fixed=A) is Aut(M)_A, the automorphism group of M
-with A's points individualized at the root.  A PermGroup built from other
-generators, such as the lift stabilizers that report induces, gives orbits
-only.  Orbits on points and on tuples come from one routine, _orbit_search:
-it maps the generators' image tuples over each orbit, one breadth-first
-layer at a time (the orbit algorithm of Seress, Permutation Group
-Algorithms).
+stabilizer_search(M)(A) is Aut(M)_A, the automorphism group of M with A's
+points individualized at a root built once per structure, and
+automorphism_group(M, fixed=A) is one such search.  A PermGroup built from
+other generators, such as the lift stabilizers that report induces, gives
+orbits only.  Orbits on points and on tuples come from one routine,
+_orbit_search: it maps the generators' image tuples over each orbit, one
+breadth-first layer at a time (the orbit algorithm of Seress, Permutation
+Group Algorithms).
 
 The search is individualization-refinement with orbit pruning (McKay &
 Piperno, Practical graph isomorphism II).  Its root is the ordered
@@ -68,6 +69,7 @@ __all__ = [
     "orbits",
     "is_automorphism",
     "automorphism_group",
+    "stabilizer_search",
 ]
 
 
@@ -389,16 +391,14 @@ def _cell(node, s: int) -> list[int]:
     return sorted(lab[s:s + size[s]])
 
 
-def _automorphism_generators(M: Structure, fixed=()) -> tuple[list[Permutation], int]:
-    """Generators of Aut(M)_fixed from an individualization-refinement
-    search, and its order: at most one automorphism per point of each
-    fundamental orbit of the search's base, each confirmed by is_automorphism
-    at its leaf.  They form a strong generating set for the base order
-    0..n-1, so the order is the product of the orbits they give each base
-    point at its level."""
+def _search(M: Structure, adj, node, fixed) -> PermGroup:
+    """Aut(M)_fixed, generated by what an individualization-refinement search
+    from the root ``node`` with the points ``fixed`` individualized finds:
+    at most one automorphism per point of each fundamental orbit of the
+    search's base, each confirmed by is_automorphism at its leaf.  They form
+    a strong generating set for the base order 0..n-1, so the group is told
+    the product of the orbits they give each base point at its level."""
     n = M.size
-    adj = _adjacency(M)
-    node = _root_partition(M, adj)
     for a in fixed:
         # refinement may have made a a singleton already
         if node[2][node[1][a]] > 1:
@@ -464,12 +464,20 @@ def _automorphism_generators(M: Structure, fixed=()) -> tuple[list[Permutation],
                     root[max(a, b)] = min(a, b)
         r = find(base[i])
         order *= sum(find(w) == r for w in cell)
-    return gens, order
+    return PermGroup(gens, n, order)
+
+
+def stabilizer_search(M: Structure):
+    """Aut(M)'s pointwise stabilizers, all searched from one root: a function
+    from points ``fixed`` to Aut(M)_fixed.  The adjacency and the root
+    depend on M alone and are built once; each search individualizes on
+    copies of the root and never writes into it."""
+    adj = _adjacency(M)
+    root = _root_partition(M, adj)
+    return lambda fixed=(): _search(M, adj, root, _check_points(M.size, fixed))
 
 
 def automorphism_group(M: Structure, fixed=()) -> PermGroup:
-    """Aut(M), or its pointwise stabilizer of the points ``fixed``, as a
-    PermGroup of the search's generators told the order their orbits give."""
-    fixed = _check_points(M.size, fixed)
-    found, order = _automorphism_generators(M, fixed)
-    return PermGroup(found, M.size, order)
+    """Aut(M), or its pointwise stabilizer of the points ``fixed``: one
+    search from a root of its own."""
+    return stabilizer_search(M)(fixed)

@@ -25,6 +25,7 @@ from .groups import (
     automorphism_group,
     orbits,
     orbits_on_tuples,
+    stabilizer_search,
 )
 from .lifting import (
     ANCHOR_NAME,
@@ -303,13 +304,14 @@ def stability_report(
     in source coordinates and land inside the base copy of each lift, built
     with ``LiftConfig(k=k)``.  Type counts are ``qf_type_census`` at depth
     1: the parameter-free census is built once per lift, and each parameter
-    set adds only the atoms that mention a parameter.  Aut(M)'s stabilizer
-    of a parameter set is searched with the set individualized, once per
-    set.  A lift's stabilizer is the group of the direct_induced images of
-    its generators, which certify_induced_group proves to be Aut(N)'s; no
-    group is built on the lift, and a stabilizer that is Aut(M) itself, for
-    a set that every generator fixes, reuses the certified images.  An
-    empty list of copy bounds or of parameter sets raises
+    set adds only the atoms that mention a parameter.  Aut(M) and its
+    stabilizer of each parameter set are searched from one root, each once,
+    and the source counts are taken once: every lift has the default
+    config, so its fibers range over the same tuples.  A lift's stabilizer
+    is the group of the direct_induced images of its generators, which
+    certify_induced_group proves to be Aut(N)'s for Aut(M); no group is
+    built on the lift, and each distinct generator is induced once per
+    lift.  An empty list of copy bounds or of parameter sets raises
     StabilityError: such a census would pass with nothing checked."""
     ks = list(ks)
     As = [tuple(sorted(set(_int_parameters(A_src)))) for A_src in As]
@@ -321,27 +323,23 @@ def stability_report(
             f"parameter {bad} is not an element of the source domain (size {M.size})"
         )
     report = CensusReport(structure_id=structure_id)
-    group_M = automorphism_group(M)
-    # per parameter set, Aut(M)'s stabilizer and the source counts: every
-    # lift has the default config, so its fibers range over the same tuples
-    sources: dict[tuple[int, ...], tuple[PermGroup, tuple[int, dict]]] = {}
+    search = stabilizer_search(M)
+    group_M = search(())
+    stabilizers = [search(A_src) for A_src in As]
+    counts = []
     for k in ks:
         N = build_lift(M, LiftConfig(k=k))
         table = _census_table(N.structure, 1)
-        induced = [direct_induced(N, g) for g in group_M.generators]
-        certify_induced_group(N, group_M.generators, induced)
-        for A_src in As:
+        induced = {g: direct_induced(N, g) for g in group_M.generators}
+        certify_induced_group(N, group_M.generators, list(induced.values()))
+        counts = counts or [_source_counts(M, N.fibers, G) for G in stabilizers]
+        for A_src, stabilizer, source in zip(As, stabilizers, counts):
             A = tuple(N.base_id(a) for a in A_src)
-            if A_src not in sources:
-                fixes = all(g(a) == a for g in group_M.generators for a in A_src)
-                stabilizer = group_M if fixes else automorphism_group(M, fixed=A_src)
-                sources[A_src] = stabilizer, _source_counts(M, N.fibers, stabilizer)
-            stabilizer, counts = sources[A_src]
-            if stabilizer is group_M:  # every generator fixes A_src
-                lift_generators = induced
-            else:
-                lift_generators = [direct_induced(N, g) for g in stabilizer.generators]
-            decomposition = _decomposition(N, PermGroup(lift_generators, N.structure.size), counts)
+            for g in stabilizer.generators:
+                if g not in induced:
+                    induced[g] = direct_induced(N, g)
+            lift_generators = [induced[g] for g in stabilizer.generators]
+            decomposition = _decomposition(N, PermGroup(lift_generators, N.structure.size), source)
             orbit_counts = {row["sort"]: row["left"] for row in decomposition.per_sort}
             types = _per_sort(N.sorts, _census_over(table, N.structure, A, 1).blocks)
             per_sort = [{"sort": s, "orbits": orbit_counts[s], "types": types[s]} for s in N.sorts]

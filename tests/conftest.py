@@ -33,27 +33,6 @@ def m_triple():
     return digraph(3, [])
 
 
-@pytest.fixture
-def one_root_per_structure(monkeypatch):
-    """The automorphism search's adjacency and root partition built once per
-    structure, as they depend on the structure alone: for tests that search
-    hundreds of pointwise stabilizers of one structure.  The root is handed
-    out uncopied, so a search that wrote into it would spoil the next
-    search of the same structure."""
-    import stablelift.groups as groups
-
-    for name in ("_adjacency", "_root_partition"):
-        built, memo = getattr(groups, name), {}
-
-        def once(M, *args, built=built, memo=memo):
-            # the structure is kept, so its id is not reused
-            if id(M) not in memo:
-                memo[id(M)] = (M, built(M, *args))
-            return memo[id(M)][1]
-
-        monkeypatch.setattr(groups, name, once)
-
-
 @pytest.fixture(scope="session")
 def corpus():
     """Every repetition-free digraph on up to 3 vertices (69 structures)."""

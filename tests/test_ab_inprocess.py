@@ -27,6 +27,13 @@ def test_an_a_a_run_reports_identical_digests():
     assert result["ratio"]["q1"] <= result["ratio"]["median"] <= result["ratio"]["q3"]
 
 
+def test_two_runs_print_the_same_combined_digest():
+    # report prints its --in path, which names a bare file in the tool's
+    # working directory, not the fresh temporary directory that holds it
+    (_, first), (_, second) = _ab(ROOT, ROOT), _ab(ROOT, ROOT)
+    assert first["digests"] == second["digests"]
+
+
 def test_a_copy_whose_reports_differ_fails(tmp_path):
     # every report carries the substitution note, so changing it changes
     # the stdout of every operation

@@ -180,40 +180,64 @@ def test_verify_iso_induces_each_permutation_once(capsys, tmp_path, monkeypatch)
 
 def test_report_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
     # each lift's stabilizer is the group of induced generators of a source
-    # stabilizer, and each source stabilizer is searched: report searches
-    # only the source and builds no chain at all
+    # stabilizer, and the source stabilizers are searched from one root:
+    # report sorts M once, for that root, searches Aut(M) and each parameter
+    # set's stabilizer once, and builds no chain at all
     import stablelift.groups as groups
     from stablelift import stability
 
     chains = _spy(monkeypatch, groups, "_chain")
-    searches = _spy(monkeypatch, stability, "automorphism_group")
+    builds = _spy(monkeypatch, stability, "stabilizer_search")
+    roots = _spy(monkeypatch, groups, "sort_partition")
+    searches = _spy(monkeypatch, groups, "_search")
     code, out, _ = run(capsys, "report", "--in", _complete3_file(tmp_path), "--ks", "1,2",
                        "--A", "0", "--A", "0,1")
     assert code == 0
     assert [e["growth_law"] for e in json.loads(out)["entries"]] == ["pass"] * 4
     assert chains == []
-    assert len(searches) == 3 and {args[0].size for args in searches} == {3}
+    assert len(builds) == len(roots) == 1 and builds[0][0] is roots[0][0]
+    assert len(searches) == 1 + 2 and all(args[0] is builds[0][0] for args in searches)
 
 
 def test_report_induces_each_stabilizer_generator_once_per_copy_bound(
     capsys, tmp_path, monkeypatch
 ):
-    # the empty parameter set's stabilizer is Aut(M) itself, whose images the
-    # certificate already holds; the stabilizer of 0 induces its own
+    # the certificate induces Aut(M)'s generators; the stabilizers of () and
+    # of 0 have only generators among them, which are not induced again, and
+    # the stabilizer of 1 has one of its own, induced once
     from stablelift import stability
 
     M = digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])
     GM = automorphism_group(M)
-    fixing_0 = automorphism_group(M, fixed=(0,))
-    assert fixing_0.order() == 2
+    empty, fixing_0, fixing_1 = (automorphism_group(M, fixed=A) for A in ((), (0,), (1,)))
+    assert {*empty.generators, *fixing_0.generators} <= set(GM.generators)
+    (own,) = set(fixing_1.generators) - set(GM.generators)
     calls = _spy(monkeypatch, stability, "direct_induced")
     code, out, _ = run(capsys, "report", "--in", _complete3_file(tmp_path), "--ks", "1,2,3",
-                       "--A", "", "--A", "0")
+                       "--A", "", "--A", "0", "--A", "1")
     assert code == 0
-    assert [e["growth_law"] for e in json.loads(out)["entries"]] == ["pass"] * 6
+    assert [e["growth_law"] for e in json.loads(out)["entries"]] == ["pass"] * 9
     for k in (1, 2, 3):
         induced = [g for N, g in calls if N.config.k == k]
-        assert induced == [*GM.generators, *fixing_0.generators], k
+        assert induced == [*GM.generators, own], k
+
+
+def test_report_exits_1_when_a_growth_law_fails(capsys, tmp_path, monkeypatch):
+    # the source counts of the stabilizer of 0, of order 2, are one orbit too
+    # many, so its entry fails and the other passes: exit 1, the JSON report
+    # on stdout and "check failed" on stderr
+    from stablelift import stability
+
+    def off_by_one(M, fibers, G, inner=stability._source_counts):
+        o_M, per_rel = inner(M, fibers, G)
+        return o_M + (G.order() == 2), per_rel
+
+    monkeypatch.setattr(stability, "_source_counts", off_by_one)
+    code, out, err = run(capsys, "report", "--in", _complete3_file(tmp_path), "--ks", "1",
+                         "--A", "", "--A", "0")
+    assert (code, err) == (1, "check failed\n")
+    entries = json.loads(out)["entries"]
+    assert [(e["A"], e["growth_law"]) for e in entries] == [([], "pass"), ([0], "fail")]
 
 
 def test_verify_iso_searches_aut_m_once(capsys, tmp_path, monkeypatch):
@@ -503,6 +527,15 @@ def test_corpus_unwritable_file_exit_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {blocked}: ")
     assert "Traceback" not in err
+
+
+def test_corpus_out_below_a_file_exit_2(capsys, tmp_path):
+    # no directory can be made below a regular file, not even by root
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out_dir = tmp_path / "file" / "corpus"
+    code, out, err = run(capsys, "corpus", "--out", str(out_dir), "--exhaustive", "1")
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err.startswith(f"error: cannot create {out_dir}: ")
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

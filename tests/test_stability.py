@@ -232,6 +232,7 @@ def test_a_parameter_that_is_not_an_int_is_refused(m_pair, bad, monkeypatch):
 
     monkeypatch.setattr(stability, "_census_table", no_work)
     monkeypatch.setattr(stability, "automorphism_group", no_work)
+    monkeypatch.setattr(stability, "stabilizer_search", no_work)
     message = f"^parameter {re.escape(repr(bad))} is not an int$"
     for M in (m_pair, N):
         with pytest.raises(StabilityError, match=message):
@@ -372,8 +373,8 @@ def test_report_builds_one_census_table_per_copy_bound(corpus, monkeypatch):
         "_census_table",
         lambda N, depth, inner=stability._census_table: built.append(depth) or inner(N, depth),
     )
-    # no lift is searched, so only the source's searches, of Aut(M) and of
-    # the stabilizers of parameter sets that it moves, partition by sort
+    # no lift is searched, and Aut(M) and every parameter set's stabilizer
+    # are searched from one root: M is partitioned by sort once
     searched = []
     monkeypatch.setattr(
         groups,
@@ -386,7 +387,7 @@ def test_report_builds_one_census_table_per_copy_bound(corpus, monkeypatch):
         searched.clear()
         report = stability_report(M, ks, As)
         assert built == [1] * len(ks)
-        assert 1 <= len(searched) <= 1 + len(As) and all(S is M for S in searched)
+        assert len(searched) == 1 and searched[0] is M
         for entry in report.entries:
             N = build_lift(M, LiftConfig(k=entry["k"]))
             census = qf_type_census(N.structure, [N.base_id(a) for a in entry["A"]])

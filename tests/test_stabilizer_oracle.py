@@ -1,7 +1,8 @@
 """The search's pointwise stabilizers against Schreier-Sims and brute force.
 
-automorphism_group(M, fixed=A) individualizes A's points at the root of
-the search.  stabilizer_oracle takes the level after A in a Schreier-Sims
+stabilizer_search(M)(A) individualizes A's points at the root of the
+search, which one stabilizer_search(M) builds once for every A.
+stabilizer_oracle takes the level after A in a Schreier-Sims
 chain of the searched Aut(M), and the brute-force and backtracking oracles
 filter every automorphism of M by A.  All three give the same order, the
 same members and the same orbits."""
@@ -16,9 +17,9 @@ from references import automorphism_group_brute
 from stablelift.corpus import digraph
 from stablelift.groups import (
     Permutation,
-    _automorphism_generators,
     automorphism_group,
     orbits,
+    stabilizer_search,
 )
 from stablelift.lifting import LiftConfig, build_lift
 from stablelift.structures import Signature, Structure, structure_from_json
@@ -32,27 +33,25 @@ def _members(M) -> list[Permutation]:
     return [Permutation(p) for p in automorphism_oracle.automorphisms(M, budget=2_000_000)]
 
 
-def _assert_same_stabilizer(M, G, members, A):
-    """The search's stabilizer of A in Aut(M) = G against the Schreier-Sims
-    stabilizer in G and against the members of Aut(M) that fix A."""
-    searched = automorphism_group(M, fixed=A)
-    slow = reference.pointwise_stabilizer(G, A)
-    fixing = [g for g in members if all(g(a) == a for a in A)]
-    case = (M, A)
-    assert searched.order() == reference.order(slow) == len(fixing), case
-    assert searched.elements() == reference.elements(slow) == fixing, case
-    closure = sorted({tuple(sorted({g(x) for g in fixing})) for x in M.domain})
-    assert orbits(searched) == orbits(slow) == closure, case
-
-
 def _supports(points, size):
     return [A for r in range(size + 1) for A in itertools.combinations(points, r)]
 
 
 def _check_supports(M, supports):
-    G, members = automorphism_group(M), _members(M)
+    """The stabilizer of each A in ``supports`` that one stabilizer_search(M)
+    finds, against the Schreier-Sims stabilizer in the searched Aut(M) = G
+    and against the members of Aut(M) that fix A."""
+    search = stabilizer_search(M)
+    G, members = search(()), _members(M)
     for A in supports:
-        _assert_same_stabilizer(M, G, members, A)
+        searched = search(A)
+        slow = reference.pointwise_stabilizer(G, A)
+        fixing = [g for g in members if all(g(a) == a for a in A)]
+        case = (M, A)
+        assert searched.order() == reference.order(slow) == len(fixing), case
+        assert searched.elements() == reference.elements(slow) == fixing, case
+        closure = sorted({tuple(sorted({g(x) for g in fixing})) for x in M.domain})
+        assert orbits(searched) == orbits(slow) == closure, case
 
 
 def _named(name):
@@ -64,18 +63,15 @@ def test_the_search_order_is_the_backtracking_oracles_on_the_corpus_lifts(corpus
     for _, M in corpus:
         for k in (1, 2):
             N = build_lift(M, LiftConfig(k=k)).structure
-            _, order = _automorphism_generators(N)
-            assert order == len(automorphism_oracle.automorphisms(N))
+            assert automorphism_group(N).order() == len(automorphism_oracle.automorphisms(N))
 
 
-def test_stabilizers_of_the_four_vertex_classes(one_root_per_structure):
+def test_stabilizers_of_the_four_vertex_classes():
     # every support of at most two points of every loop-free digraph on
     # four vertices up to isomorphism
     for edges in sweep.digraph_classes(4):
         M = digraph(4, edges)
-        G, members = automorphism_group(M), automorphism_group_brute(M)
-        for A in _supports(M.domain, 2):
-            _assert_same_stabilizer(M, G, members, A)
+        _check_supports(M, _supports(M.domain, 2))
 
 
 def _all_supports(M):
@@ -83,7 +79,7 @@ def _all_supports(M):
     return _supports(M.domain, 2) + [tuple(range(i + 1)) for i in range(M.size)]
 
 
-def test_stabilizers_told_the_order_match_a_fresh_chain(corpus, one_root_per_structure):
+def test_stabilizers_told_the_order_match_a_fresh_chain(corpus):
     # the search's stabilizers, each told the order its orbits give, against
     # a fresh Schreier-Sims chain and the oracles' members: every support of
     # at most two points and every prefix, on the corpus and on its lifts at
@@ -108,7 +104,7 @@ def _other_signatures(random_structures):
     return named + seeded, random_structures[:60]
 
 
-def test_stabilizers_on_lifts_of_other_signatures(random_structures, one_root_per_structure):
+def test_stabilizers_on_lifts_of_other_signatures(random_structures):
     # every support of at most two points and every prefix, on the
     # relational ones and their lifts at k = 1, and on the others, which
     # have a function and cannot be lifted
@@ -130,11 +126,11 @@ def test_a_support_that_skips_a_fixed_level():
         "edge": [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
         "U": [(3,), (4,), (5,)],
     })
-    G, members = automorphism_group(M), automorphism_group_brute(M)
-    assert G.order() == 9
-    for A, order in (((0, 3), 1), ((0, 2), 3), ((0,), 3), ((0, 4), 1), ((2,), 3), ((3,), 3)):
+    cases = (((0, 3), 1), ((0, 2), 3), ((0,), 3), ((0, 4), 1), ((2,), 3), ((3,), 3))
+    assert automorphism_group(M).order() == 9
+    for A, order in cases:
         assert automorphism_group(M, fixed=A).order() == order, A
-        _assert_same_stabilizer(M, G, members, A)
+    _check_supports(M, [A for A, _ in cases])
 
 
 def test_a_support_point_that_refinement_already_split_off():
@@ -151,7 +147,7 @@ def test_a_support_point_that_refinement_already_split_off():
     for M, A, order in ((unary, (0,), 2), (unary, (0, 1), 1), (constant, (0,), 3),
                         (constant, (0, 2), 1), (path, (1, 2), 1), (path, (0, 1, 2, 3), 1)):
         assert automorphism_group(M, fixed=A).order() == order, (M, A)
-        _assert_same_stabilizer(M, automorphism_group(M), automorphism_group_brute(M), A)
+        _check_supports(M, [A])
 
 
 def test_other_paths_take_the_cell_the_first_path_took():
@@ -163,5 +159,4 @@ def test_other_paths_take_the_cell_the_first_path_took():
     G, members = automorphism_group(M), automorphism_group_brute(M)
     assert G.order() == len(members) == 12
     assert G.elements() == members
-    for A in _supports(M.domain, 2):
-        _assert_same_stabilizer(M, G, members, A)
+    _check_supports(M, _supports(M.domain, 2))

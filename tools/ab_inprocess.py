@@ -28,6 +28,7 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import pkgutil
 import statistics
 import sys
@@ -78,6 +79,26 @@ def load_inputs():
     inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     return inputs
+
+
+@contextlib.contextmanager
+def written_ops(ops):
+    """The argv of each operation, with its structure written to a file of
+    its own in a fresh temporary directory.  That directory is the working
+    directory while the block runs and the argv name bare files, so a
+    report that prints its --in path prints the same bytes in every run."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            argvs = []
+            for i, op in enumerate(ops):
+                name = f"op{i:04d}.json"
+                Path(name).write_text(op.structure + "\n", encoding="utf-8")
+                argvs.append(op.args(name))
+            yield argvs
+        finally:
+            os.chdir(cwd)
 
 
 def run_op(table: dict, argv: list[str]) -> str:
@@ -131,12 +152,7 @@ def main(argv=None) -> int:
     per_round = len(ops) // args.rounds
     cpu: dict[str, list[float]] = {"a": [], "b": []}
     digests: dict[str, list[str]] = {"a": [], "b": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        argvs = []
-        for i, op in enumerate(ops):
-            path = Path(tmp) / f"op{i:04d}.json"
-            path.write_text(op.structure + "\n", encoding="utf-8")
-            argvs.append(op.args(str(path)))
+    with written_ops(ops) as argvs:
         try:
             for r in range(args.rounds):
                 batch = argvs[r * per_round : (r + 1) * per_round]

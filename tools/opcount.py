@@ -32,7 +32,6 @@ import collections
 import hashlib
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -96,12 +95,7 @@ def main(argv=None) -> int:
     ops = inputs.build_ops(args.workload, args.seed, 1)
     result: dict = {}
     digests: dict[str, list[str]] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        argvs = []
-        for i, op in enumerate(ops):
-            path = Path(tmp) / f"op{i:04d}.json"
-            path.write_text(op.structure + "\n", encoding="utf-8")
-            argvs.append(op.args(str(path)))
+    with ab.written_ops(ops) as argvs:
         try:
             for side, table in sides.items():
                 _, warm = ab.run_round(table, argvs)
