@@ -309,10 +309,10 @@ def stability_report(
     and the source counts are taken once: every lift has the default
     config, so its fibers range over the same tuples.  A lift's stabilizer
     is the group of the direct_induced images of its generators, which
-    certify_induced_group proves to be Aut(N)'s for Aut(M); no group is
-    built on the lift, and each distinct generator is induced once per
-    lift.  An empty list of copy bounds or of parameter sets raises
-    StabilityError: such a census would pass with nothing checked."""
+    certify_induced_group proves to be Aut(N)'s; no group is built on the
+    lift, and each distinct generator is induced once per lift.  An empty
+    list of copy bounds or of parameter sets raises StabilityError: such a
+    census would pass with nothing checked."""
     ks = list(ks)
     As = [tuple(sorted(set(_int_parameters(A_src)))) for A_src in As]
     if not ks or not As:

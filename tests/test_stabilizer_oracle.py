@@ -2,10 +2,10 @@
 
 stabilizer_search(M)(A) individualizes A's points at the root of the
 search, which one stabilizer_search(M) builds once for every A.
-stabilizer_oracle takes the level after A in a Schreier-Sims
-chain of the searched Aut(M), and the brute-force and backtracking oracles
-filter every automorphism of M by A.  All three give the same order, the
-same members and the same orbits."""
+stabilizer_oracle takes the level after A in a Schreier-Sims chain of the
+searched Aut(M), and the brute-force and backtracking oracles filter every
+automorphism of M by A.  All three give the same order, the same members
+and the same orbits."""
 
 import itertools
 import json
