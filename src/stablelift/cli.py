@@ -19,13 +19,13 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .corpus import exhaustive_digraphs, random_digraph
+from .formulas import Formula, format_formula
 from .groups import GroupError, automorphism_group
 from .interpretation import (
     InterpretationScheme,
     SchemeError,
     negate_translation,
     redirect_bijection,
-    scheme_to_json_dict,
     validate_scheme,
     weaken_equivalence,
 )
@@ -309,7 +309,7 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
     validation = validate_scheme(M, N.companion, scheme)
     report = {
         "validation": validation.to_json_dict(),
-        "scheme": scheme_to_json_dict(scheme),
+        "scheme": scheme,
         "mutation": args.mutate,
     }
     if not validation.passed:
@@ -512,16 +512,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _indented(value, nl: str, memo: dict | None = None) -> str:
+def _indented(value, nl: str) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
-    where ``nl`` is the line break and indent before it.  Handles dicts with
-    str keys, lists, tuples, str, int, bool, None and float; raises TypeError
-    on anything else.  A list or tuple object met again at the same indent
-    within one top-level call is written once: ``memo`` maps
-    ``(id(value), nl)`` to its text, and the objects it names stay alive
-    inside the top-level value."""
-    if memo is None:
-        memo = {}
+    where ``nl`` is the line break and indent before it, an
+    ``InterpretationScheme`` standing for its JSON data (see
+    ``_scheme_text``).  Handles dicts with str keys, lists, tuples, str, int,
+    bool, None and float; raises TypeError on anything else."""
     t = type(value)
     if t is str:
         return encode_basestring_ascii(value)
@@ -533,20 +529,17 @@ def _indented(value, nl: str, memo: dict | None = None) -> str:
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"key {key!r} is not a str")
-            parts.append(encode_basestring_ascii(key) + ": " + _indented(value[key], inner, memo))
+            parts.append(encode_basestring_ascii(key) + ": " + _indented(value[key], inner))
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
     if t is list or t is tuple:
         if not value:
             return "[]"
-        seen = (id(value), nl)
-        if seen not in memo:
-            inner = nl + "  "
-            if all(type(item) is str for item in value):
-                parts = map(encode_basestring_ascii, value)
-            else:
-                parts = [_indented(item, inner, memo) for item in value]
-            memo[seen] = "[" + inner + ("," + inner).join(parts) + nl + "]"
-        return memo[seen]
+        inner = nl + "  "
+        if all(type(item) is str for item in value):
+            parts = map(encode_basestring_ascii, value)
+        else:
+            parts = [_indented(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(parts) + nl + "]"
     if t is int:
         return repr(value)
     if value is True:
@@ -557,13 +550,67 @@ def _indented(value, nl: str, memo: dict | None = None) -> str:
         return "null"
     if t is float:
         return json.dumps(value)
+    if t is InterpretationScheme:
+        return _scheme_text(value, nl)
     raise TypeError(f"cannot write {t.__name__}")
+
+
+def _scheme_text(scheme: InterpretationScheme, nl: str) -> str:
+    """``_indented`` of the scheme's JSON data: a dict of its sorts (key,
+    width, and domain and equivalence formula texts), its relations (each
+    translation in order: relation, sort keys and formula text) and its
+    bijections (by sort key, each map as [element, representative] pairs by
+    element), every key a list of its atoms.  Written in one pass over the
+    scheme: each distinct formula object is formatted once, each sort key
+    written once per indent and each tuple of sort keys once, and each entry
+    is one string from fixed key prefixes."""
+    i1, i2, i3, i4, i5 = (nl + "  " * d for d in range(1, 6))
+    enc = encode_basestring_ascii
+
+    def items(parts: list[str], outer: str) -> str:
+        inner = outer + "  "
+        return "[" + inner + ("," + inner).join(parts) + outer + "]" if parts else "[]"
+
+    def entry(outer: str, *fields: str) -> str:  # a dict of these sorted keys, each value a %s
+        return "{" + ",".join(outer + '  "' + f + '": %s' for f in fields) + outer + "}"
+
+    # texts by formula object and by tuple of sort keys: none is empty, so
+    # ``or`` falls through to a text not yet written
+    texts: dict[int, str] = {}
+    tuples: dict[tuple, str] = {}
+    every_key = [*(s.key for s in scheme.sorts), *scheme.bijections]
+    at3 = {key: items([*map(enc, key)], i3) for key in every_key}
+    at4 = {key: items([*map(enc, key)], i4) for key in at3}
+
+    def text(phi: Formula) -> str:
+        return texts.get(id(phi)) or texts.setdefault(id(phi), enc(format_formula(phi)))
+
+    sort = entry(i2, "domain", "equivalence", "key", "width")
+    relation, bijection = entry(i2, "formula", "relation", "sorts"), entry(i2, "key", "map")
+    pair = "[" + i5 + "%s," + i5 + "%s" + i4 + "]"
+    sorts = [
+        sort % (text(s.domain_formula), text(s.equiv_formula), at3[s.key], s.width)
+        for s in scheme.sorts
+    ]
+    relations = [
+        relation % (text(phi), enc(rel),
+                    tuples.get(keys) or tuples.setdefault(keys, items([at4[k] for k in keys], i3)))
+        for (rel, keys), phi in scheme.translations.items()
+    ]
+    bijections = [
+        bijection % (at3[key], items([pair % (b, items([*map(str, rep)], i5))
+                                      for b, rep in sorted(fmap.items())], i3))
+        for key, fmap in sorted(scheme.bijections.items())
+    ]
+    return entry(nl, "bijections", "relations", "sorts") % (
+        items(bijections, i1), items(relations, i1), items(sorts, i1))
 
 
 def _dump(report) -> str:
     """Exactly ``json.dumps(report, sort_keys=True, indent=2)`` for every
-    report: with an indent, json never uses its C encoder, and ``_indented``
-    writes the same text in less time."""
+    report, a scheme in it written as its JSON data: with an indent, json
+    never uses its C encoder before 3.13, and ``_indented`` writes the same
+    text in less time."""
     return _indented(report, "\n")
 
 

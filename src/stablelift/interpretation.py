@@ -38,7 +38,6 @@ from .formulas import (
     Var,
     definable_set,
     eval_formula,
-    format_formula,
     free_variables,
     inert_variables,
     sort_partition,
@@ -57,7 +56,6 @@ __all__ = [
     "negate_translation",
     "weaken_equivalence",
     "redirect_bijection",
-    "scheme_to_json_dict",
 ]
 
 
@@ -619,49 +617,3 @@ def redirect_bijection(scheme: InterpretationScheme, key: AtomicType) -> Interpr
     fmap[elems[0]] = fmap[elems[1]]
     return replace(scheme, bijections={**scheme.bijections, key: fmap})
 
-
-# -- serialization --------------------------------------------------------------
-
-
-def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
-    """The scheme as JSON data.  Each distinct formula object is formatted
-    once.  Equal sort keys share one list object, and so do equal tuples
-    of sort keys, so a writer can write each once; callers must not
-    mutate these lists."""
-    texts: dict[int, str] = {}  # id(formula) -> text, once per distinct formula object
-
-    def text(phi: Formula) -> str:
-        if id(phi) not in texts:
-            texts[id(phi)] = format_formula(phi)
-        return texts[id(phi)]
-
-    key_list = {key: list(key) for key in [*(s.key for s in scheme.sorts), *scheme.bijections]}
-    used = {keys for _, keys in scheme.translations}
-    sort_list = {keys: [key_list[k] for k in keys] for keys in used}
-
-    return {
-        "sorts": [
-            {
-                "key": key_list[s.key],
-                "width": s.width,
-                "domain": text(s.domain_formula),
-                "equivalence": text(s.equiv_formula),
-            }
-            for s in scheme.sorts
-        ],
-        "relations": [
-            {
-                "relation": rel,
-                "sorts": sort_list[keys],
-                "formula": text(phi),
-            }
-            for (rel, keys), phi in scheme.translations.items()
-        ],
-        "bijections": [
-            {
-                "key": key_list[key],
-                "map": [[b, list(rep)] for b, rep in sorted(fmap.items())],
-            }
-            for key, fmap in sorted(scheme.bijections.items())
-        ],
-    }

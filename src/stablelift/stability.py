@@ -305,12 +305,12 @@ def stability_report(
     with ``LiftConfig(k=k)``.  Type counts are ``qf_type_census`` at depth
     1: the parameter-free census is built once per lift, and each parameter
     set adds only the atoms that mention a parameter.  Aut(M) and its
-    stabilizer of each parameter set are searched from one root, each once,
-    and the source counts are taken once: every lift has the default
-    config, so its fibers range over the same tuples.  A lift's stabilizer
-    is the group of the direct_induced images of its generators, which
-    certify_induced_group proves to be Aut(N)'s; no group is built on the
-    lift, and each distinct generator is induced once per lift.  An empty
+    stabilizer of each nonempty parameter set are searched from one root,
+    each once, and the source counts are taken once: every lift has the
+    default config, so its fibers range over the same tuples.  A lift's
+    stabilizer is the group of the direct_induced images of its generators,
+    which certify_induced_group proves to be Aut(N)'s; no group is built on
+    the lift, and each distinct generator is induced once per lift.  An empty
     list of copy bounds or of parameter sets raises StabilityError: such a
     census would pass with nothing checked."""
     ks = list(ks)
@@ -325,7 +325,7 @@ def stability_report(
     report = CensusReport(structure_id=structure_id)
     search = stabilizer_search(M)
     group_M = search(())
-    stabilizers = [search(A_src) for A_src in As]
+    stabilizers = [search(A_src) if A_src else group_M for A_src in As]
     counts = []
     for k in ks:
         N = build_lift(M, LiftConfig(k=k))

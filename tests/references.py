@@ -39,7 +39,9 @@ faster or checks another way, and tests compare the two:
   ``verify-iso``'s continuity check through naming points;
 - ``searched_decomposition`` takes the Schreier-Sims stabilizers of base
   parameters in the searched ``Aut(N)`` and ``Aut(M)``, the reference for the stabilizers
-  ``report`` induces from ``Aut(M)``'s.
+  ``report`` induces from ``Aut(M)``'s;
+- ``scheme_to_json_dict`` is a scheme's JSON data, formula by formula and
+  key by key, the reference for the text ``cli._scheme_text`` writes.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from stablelift.formulas import (
     atomic_formula_basis,
     definable_set,
     eval_formula,
+    format_formula,
     free_variables,
     free_width,
 )
@@ -78,6 +81,7 @@ from stablelift.groups import (
 )
 from stablelift.interpretation import (
     CheckResult,
+    InterpretationScheme,
     SchemeError,
     ValidationReport,
     _bijection_problem,
@@ -440,3 +444,28 @@ def searched_decomposition(N, A, group_M=None, group_N=None):
         group_M or automorphism_group(N.source), [N.provenance[b].source for b in A]
     )
     return _decomposition(N, GN, _source_counts(N.source, N.fibers, GM))
+
+
+def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
+    """The scheme as JSON data: its sorts, its translations in order and its
+    bijections by sort key, each formula formatted where it stands and
+    each sort key a fresh list of its atoms."""
+    return {
+        "sorts": [
+            {
+                "key": list(s.key),
+                "width": s.width,
+                "domain": format_formula(s.domain_formula),
+                "equivalence": format_formula(s.equiv_formula),
+            }
+            for s in scheme.sorts
+        ],
+        "relations": [
+            {"relation": rel, "sorts": [list(key) for key in keys], "formula": format_formula(phi)}
+            for (rel, keys), phi in scheme.translations.items()
+        ],
+        "bijections": [
+            {"key": list(key), "map": [[b, list(rep)] for b, rep in sorted(fmap.items())]}
+            for key, fmap in sorted(scheme.bijections.items())
+        ],
+    }

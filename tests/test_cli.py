@@ -199,6 +199,18 @@ def test_report_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
     assert len(searches) == 1 + 2 and all(args[0] is builds[0][0] for args in searches)
 
 
+def test_report_searches_aut_m_once_for_an_empty_parameter_set(capsys, tmp_path, monkeypatch):
+    # the empty set's stabilizer is Aut(M) itself, already searched
+    import stablelift.groups as groups
+
+    searches = _spy(monkeypatch, groups, "_search")
+    code, out, _ = run(capsys, "report", "--in", _complete3_file(tmp_path), "--ks", "1,2",
+                       "--A", "", "--A", "0")
+    assert code == 0
+    assert [e["growth_law"] for e in json.loads(out)["entries"]] == ["pass"] * 4
+    assert [tuple(args[3]) for args in searches] == [(), (0,)]
+
+
 def test_report_induces_each_stabilizer_generator_once_per_copy_bound(
     capsys, tmp_path, monkeypatch
 ):

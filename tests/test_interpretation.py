@@ -17,6 +17,7 @@ from references import (
     kernel_quotient,
     quotient_members,
     random_digraph_at,
+    scheme_to_json_dict,
     tautology,
 )
 from stabilizer_oracle import identity, multiply
@@ -45,7 +46,6 @@ from stablelift.interpretation import (
     induced_automorphism,
     negate_translation,
     redirect_bijection,
-    scheme_to_json_dict,
     validate_scheme,
     weaken_equivalence,
 )

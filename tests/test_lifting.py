@@ -12,6 +12,7 @@ from references import (
     automorphism_group_brute,
     definable_quotient,
     expanded,
+    scheme_to_json_dict,
     searched_decomposition,
     standard_corpus,
 )
@@ -37,7 +38,7 @@ from stablelift.groups import (
     automorphism_group,
     is_automorphism,
 )
-from stablelift.interpretation import scheme_to_json_dict, validate_scheme, weaken_equivalence
+from stablelift.interpretation import validate_scheme, weaken_equivalence
 from stablelift.lifting import (
     LIMIT,
     Anchor,
@@ -256,6 +257,38 @@ def test_project_rejects_non_automorphism(m_pair):
     assert not is_automorphism(N.structure, bad)
     with pytest.raises(LiftError, match="not an automorphism"):
         project_automorphism(N, bad)
+
+
+def test_projection_raises_its_internal_errors_when_the_lift_check_is_wrong(m_edge, monkeypatch):
+    # no lift automorphism moves the base copy or restricts to a map that
+    # is not in Aut(M); only a wrong lift check can hand one over
+    import stablelift.lifting as lifting
+
+    N = build_lift(m_edge, LiftConfig(k=1))
+    original = lifting.is_automorphism
+    monkeypatch.setattr(lifting, "is_automorphism", lambda S, g: S is N.structure or original(S, g))
+    rest = tuple(range(3, N.structure.size))
+    cases = [
+        ((1, 0, 2, *rest), "automorphism does not preserve the base copy (internal error)"),
+        ((0, 2, 1, *rest), "projection is not an automorphism of the source (internal error)"),
+    ]
+    for images, message in cases:
+        with pytest.raises(LiftError) as e:
+            project_automorphism(N, Permutation(images))
+        assert str(e.value) == message
+
+
+def test_generate_scheme_raises_its_internal_error_when_the_sorts_differ(m_edge, monkeypatch):
+    # generate_scheme re-sorts the companion that build_lift sorted, so
+    # only a sort_partition that lists other blocks reaches the check
+    import stablelift.lifting as lifting
+
+    N = build_lift(m_edge, LiftConfig(k=1))
+    original = lifting.sort_partition
+    monkeypatch.setattr(lifting, "sort_partition", lambda S: dict(reversed(original(S).items())))
+    with pytest.raises(LiftError) as e:
+        generate_scheme(N)
+    assert str(e.value) == "companion sorts differ from the lift's sorts (internal error)"
 
 
 def test_order_transfer_under_both_fiber_flags(corpus):

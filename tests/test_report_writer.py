@@ -3,18 +3,32 @@
 Every JSON report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
 newline.  ``cli._dump`` writes that text through its own writer,
 ``cli._indented`` alone, which raises TypeError on what no report holds.
-The byte-identity sweep checks the written reports themselves (sweep.py).
+A scheme in a report stands for its JSON data, the reference
+``scheme_to_json_dict``, and ``cli._scheme_text`` writes that data's text
+straight from the scheme.  The byte-identity sweep checks the written
+reports themselves (sweep.py).
 """
 
 import enum
 import json
 import math
 from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from references import scheme_to_json_dict
 from stablelift import cli
+from stablelift.corpus import digraph
+from stablelift.interpretation import negate_translation, redirect_bijection, weaken_equivalence
+from stablelift.lifting import (
+    LiftConfig,
+    PaddingAssignment,
+    build_lift,
+    generate_scheme,
+    padding_triples,
+)
 
 
 def reference(value) -> str:
@@ -150,15 +164,57 @@ def test_a_shared_list_is_written_like_json(value):
     assert_written_like_json(value)
 
 
-def test_a_k3_scheme_report_is_written_like_json():
-    from stablelift.corpus import digraph
-    from stablelift.interpretation import scheme_to_json_dict
-    from stablelift.lifting import LiftConfig, build_lift, generate_scheme
+def with_data(report: dict) -> dict:
+    """The report with its scheme replaced by the scheme's reference data."""
+    return {**report, "scheme": scheme_to_json_dict(report["scheme"])}
 
-    M = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (3, 1)])
-    report = scheme_to_json_dict(generate_scheme(build_lift(M, LiftConfig(k=3))))
-    # equal sort keys, and equal tuples of them, share one list object
-    first = report["relations"][0]["sorts"]
-    assert any(r["sorts"] is first for r in report["relations"][1:])
-    assert any(first[0] is s["key"] for s in report["sorts"])
-    assert_written_like_json(report)
+
+def test_a_k3_scheme_report_is_written_like_json():
+    scheme = generate_scheme(build_lift(digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (3, 1)]),
+                                        LiftConfig(k=3)))
+    report = {"scheme": scheme, "mutation": None}
+    assert cli._dump(report) == reference(with_data(report))
+    assert cli._indented(scheme, "\n") == reference(scheme_to_json_dict(scheme))
+
+
+def _mutants(M, scheme):
+    """The scheme under each mutation scheme-check plants on M, chosen as it
+    chooses them: the first translation, the first sort wider than 1, and
+    the first sort key, in order, whose map has two elements; where
+    scheme-check refuses a mutation, it is left out."""
+    mutants = {"negate-relformula": negate_translation(scheme, 0)}
+    if M.size >= 2:
+        wide = next((i for i, s in enumerate(scheme.sorts) if s.width > 1), 0)
+        mutants["break-ep"] = weaken_equivalence(scheme, wide)
+    key = next((k for k, fmap in sorted(scheme.bijections.items()) if len(fmap) >= 2), None)
+    if key is not None:
+        mutants["break-fp"] = redirect_bijection(scheme, key)
+    return mutants
+
+
+@pytest.mark.hashseed
+def test_schemes_are_written_like_their_reference_data(corpus):
+    """Every corpus scheme at k = 1, 2 and 3, with and without repetition
+    tuples and with an explicit padding, and each k = 1 scheme's mutants and
+    a copy with its bijections and maps in reverse order one level deeper,
+    so that no indent is fixed."""
+    validation = {"checks": [{"condition": "sort cover", "passed": True}], "passed": True}
+    for _, M in corpus:
+        pads = {pair: 2 + 7 * j for j, pair in enumerate(padding_triples(M.sig, 2))}
+        configs = [
+            LiftConfig(k=k, include_repetition_tuples=repetitions)
+            for k in (1, 2, 3)
+            for repetitions in (False, True)
+        ] + [LiftConfig(k=2, padding=PaddingAssignment(pads))]
+        schemes = [generate_scheme(build_lift(M, config)) for config in configs]
+        for scheme in schemes:
+            report = {"validation": validation, "scheme": scheme, "mutation": None}
+            assert cli._dump(report) == reference(with_data(report))
+        scheme = schemes[0]  # k = 1
+        # the writer orders the bijections and their maps itself
+        backwards = replace(scheme, bijections={
+            key: dict(reversed(fmap.items())) for key, fmap in reversed(scheme.bijections.items())
+        })
+        for name, mutant in [*_mutants(M, scheme).items(), ("reversed maps", backwards)]:
+            report = {"validation": validation, "scheme": mutant, "mutation": name}
+            assert cli._dump({"runs": [report]}) == reference({"runs": [with_data(report)]})
