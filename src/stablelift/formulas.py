@@ -12,6 +12,7 @@ text back as the expanded ``And``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .structures import Signature, Structure
@@ -40,6 +41,7 @@ __all__ = [
     "atomic_formula_basis",
     "group_by_columns",
     "sort_partition",
+    "sort_blocks",
 ]
 
 
@@ -308,6 +310,38 @@ def definable_set(M: Structure, phi: Formula) -> tuple[tuple[int, ...], ...]:
 AtomicType = tuple[str, ...]
 
 
+def _basis_atoms(sig: Signature) -> list[tuple[str | None, tuple[int, ...]]]:
+    """The atoms of atomic_formula_basis, in the order it builds them, over
+    term indices: term 0 is x0, then f(x0) per function symbol, then the
+    constants.  (None, (i, j)) is t_i = t_j and (R, args) is R of the terms
+    ``args``; each mentions x0, that is, a term below ``1 + |functions|``."""
+    free = 1 + len(sig.functions)
+    n = free + len(sig.constants)
+    atoms: list[tuple[str | None, tuple[int, ...]]] = [
+        (None, (i, j)) for i in range(free) for j in range(i, n)
+    ]
+    atoms += [
+        (name, args)
+        for name, arity in sig.relations
+        for args in itertools.product(range(n), repeat=arity)
+        if min(args) < free
+    ]
+    return atoms
+
+
+def _printed_basis(sig: Signature) -> list[tuple[str, Formula, tuple]]:
+    """(printed form, formula, atom) per atom of _basis_atoms, sorted by
+    printed form."""
+    terms: list[Term] = [Var(0), *(Apply(f, Var(0)) for f in sig.functions), *map(Const, sig.constants)]
+    basis = []
+    for atom in _basis_atoms(sig):
+        name, args = atom
+        args = tuple(map(terms.__getitem__, args))
+        phi = Equal(*args) if name is None else Rel(name, args)
+        basis.append((format_formula(phi), phi, atom))
+    return sorted(basis, key=lambda entry: entry[0])
+
+
 def atomic_formula_basis(sig: Signature) -> tuple[tuple[str, Formula], ...]:
     """All atomic formulas in the single free variable x0, with terms of
     function-nesting depth at most 1: the variable itself, one function
@@ -317,24 +351,20 @@ def atomic_formula_basis(sig: Signature) -> tuple[tuple[str, Formula], ...]:
     Term depth one is enough to separate every sort a lift construction
     needs while keeping the basis size signature-bounded.
     """
-    terms: list[Term] = [Var(0)]
-    terms += [Apply(f, Var(0)) for f in sig.functions]
-    terms += [Const(c) for c in sig.constants]
+    return tuple((text, phi) for text, phi, _ in _printed_basis(sig))
 
-    def mentions_var(t: Term) -> bool:
-        return bool(_term_vars(t))
 
-    basis: list[Formula] = []
-    for i, t in enumerate(terms):
-        for t2 in terms[i:]:
-            if mentions_var(t) or mentions_var(t2):
-                basis.append(Equal(t, t2))
-    for name, arity in sig.relations:
-        for args in itertools.product(terms, repeat=arity):
-            if any(mentions_var(a) for a in args):
-                basis.append(Rel(name, args))
-    printed = sorted(((format_formula(phi), phi) for phi in basis), key=lambda p: p[0])
-    return tuple(printed)
+def _truth_columns(M: Structure, atoms) -> list:
+    """Each atom's truth over the domain, a column of one value per element:
+    every term is a column over the whole domain, x0 the domain itself."""
+    sig = M.sig
+    terms = [M.domain, *map(M.functions.__getitem__, sig.functions)]
+    terms += [[M.constants[c]] * M.size for c in sig.constants]
+    return [
+        map(operator.eq, *map(terms.__getitem__, args)) if name is None
+        else map(M.relation_sets[name].__contains__, zip(*map(terms.__getitem__, args)))
+        for name, args in atoms
+    ]
 
 
 def group_by_columns(size: int, columns) -> dict[tuple, list[int]]:
@@ -353,30 +383,18 @@ def sort_partition(M: Structure) -> dict[AtomicType, tuple[int, ...]]:
     """Partition the domain by atomic type ("sorts").  Blocks are returned
     ordered by least element; each block is sorted.
 
-    Each term and each basis formula is evaluated once as a column over the
-    whole domain; tests/references.py keeps the per-element tree walk as the
-    reference."""
-    basis = atomic_formula_basis(M.sig)
-    columns: dict[Term, list[int]] = {Var(0): list(M.domain)}
-
-    def column(t: Term) -> list[int]:
-        if t not in columns:
-            if isinstance(t, Apply):
-                images = M.functions[t.func]
-                columns[t] = [images[x] for x in column(t.arg)]
-            else:
-                columns[t] = [M.constants[t.name]] * M.size
-        return columns[t]
-
-    truth = []
-    for _, phi in basis:
-        if isinstance(phi, Equal):
-            truth.append([a == b for a, b in zip(column(phi.left), column(phi.right))])
-        else:
-            held = M.relation_sets[phi.name]
-            truth.append([t in held for t in zip(*map(column, phi.args))])
-    texts = [text for text, _ in basis]
+    Each basis formula is evaluated once as a column over the whole domain;
+    tests/references.py keeps the per-element tree walk as the reference."""
+    basis = _printed_basis(M.sig)
+    truth = _truth_columns(M, [atom for _, _, atom in basis])
+    texts = [text for text, _, _ in basis]
     return {
         tuple(itertools.compress(texts, row)): tuple(block)
         for row, block in group_by_columns(M.size, truth).items()
     }
+
+
+def sort_blocks(M: Structure) -> list[list[int]]:
+    """The blocks of sort_partition(M) in its order, without their keys:
+    no basis formula is built or printed."""
+    return [*group_by_columns(M.size, _truth_columns(M, _basis_atoms(M.sig))).values()]

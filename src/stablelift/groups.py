@@ -57,9 +57,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
-from .formulas import sort_partition
+# the search roots at sort_blocks; sort_partition stays a name here because
+# perfbench/spans.py wraps it at this import site
+from .formulas import sort_blocks, sort_partition
 from .structures import Structure
 
 __all__ = [
@@ -110,8 +113,16 @@ class Permutation:
 Images = tuple[int, ...]
 
 
+def _image(p, column) -> tuple:
+    """(p[x] for x in column) as a tuple, mapped in C: itemgetter returns a
+    bare item for one index and takes none for no index."""
+    if len(column) > 1:
+        return operator.itemgetter(*column)(p)
+    return (p[column[0]],) if column else ()
+
+
 def _compose(p: Images, q: Images) -> Images:
-    return tuple([p[x] for x in q])
+    return _image(p, q)
 
 
 def _chain(generators: list[Images],
@@ -266,13 +277,12 @@ def is_automorphism(M: Structure, pi: Permutation) -> bool:
     p = pi.images
     if any(p[c] != c for c in M.constants.values()):
         return False
-    if any(_compose(p, f) != _compose(f, p) for f in M.functions.values()):
+    if any(_image(p, f) != _image(f, p) for f in M.functions.values()):
         return False
-    for name, tuples in M.relations.items():
+    for name, columns in M.relation_columns.items():
         # pi is a bijection on a finite tuple set, so image-containment
         # forces image equality; tuples are mapped column by column
-        columns = [map(p.__getitem__, column) for column in zip(*tuples)]
-        if not M.relation_sets[name].issuperset(zip(*columns)):
+        if not M.relation_sets[name].issuperset(zip(*[_image(p, c) for c in columns])):
             return False
     return True
 
@@ -360,7 +370,7 @@ def _root_partition(M: Structure, adj):
     lab: list[int] = []
     cell_of = [0] * M.size
     size: dict[int, int] = {}
-    for block in sort_partition(M).values():
+    for block in sort_blocks(M):
         s = len(lab)
         size[s] = len(block)
         for x in block:

@@ -32,7 +32,7 @@ from .formulas import (
     Var,
     sort_partition,
 )
-from .groups import Permutation, is_automorphism
+from .groups import Permutation, _image, is_automorphism
 from .interpretation import InterpretationScheme, SchemeSort
 from .structures import Signature, Structure, StructureError
 
@@ -209,8 +209,8 @@ class LiftedStructure:
     Element layout is canonical: the anchor is 0, base elements follow in
     source order, then fibers ordered by relation, tuple, copy index (limit
     last).  ``fibers`` indexes the fiber elements in that same order:
-    relation -> eligible tuple -> {copy index: element id}.  ``provenance``
-    and ``sorts`` are read off it on first use.  ``structure`` is generated
+    relation -> eligible tuple -> {copy index: element id}.  ``provenance``,
+    ``sorts`` and ``supports`` are read off it on first use.  ``structure`` is generated
     without the per-tuple checks of Structure(...), which it passes.
     """
 
@@ -243,11 +243,24 @@ class LiftedStructure:
         anchor, the base copy, then fiber_sort(rel, i) per relation in
         ``fibers`` order, limit last), each block sorted and the sorts in
         order of least element, as sort_partition lists the companion's."""
-        table = {ANCHOR_NAME: (0,), BASE_NAME: tuple(map(self.base_id, self.source.domain))}
+        table = {ANCHOR_NAME: (0,), BASE_NAME: tuple(range(1, 1 + self.source.size))}
         for rel, fibers in self.fibers.items():
+            copies = fibers.values()
             for i in [*range(self.config.k), LIMIT]:
-                table[fiber_sort(rel, i)] = tuple(c[i] for c in fibers.values() if i in c)
+                held = itertools.compress(copies, map(operator.contains, copies, itertools.repeat(i)))
+                table[fiber_sort(rel, i)] = tuple(map(operator.itemgetter(i), held))
         return {label: block for label, block in table.items() if block}
+
+    @functools.cached_property
+    def supports(self) -> tuple[frozenset[int], ...]:
+        """Each element's support by id, as continuity_witness gives it: none
+        for the anchor, a for the base element 1 + a, and a fiber tuple's
+        points for each of its copies, which share one frozenset."""
+        table = [frozenset(), *map(frozenset, zip(self.source.domain))]
+        for fibers in self.fibers.values():
+            table += itertools.chain.from_iterable(
+                map(itertools.repeat, map(frozenset, fibers), map(len, fibers.values())))
+        return tuple(table)
 
     @functools.cached_property
     def companion(self) -> Structure:
@@ -316,8 +329,12 @@ def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructu
     """Construct the lift of a purely relational structure."""
     if not M.is_relational():
         raise LiftError("the lift is defined for purely relational structures")
-    padding = config.padding or canonical_padding(M.sig, config.k)
-    padding.validate(M.sig, config.k)
+    # canonical_padding validates what it returns
+    padding = config.padding
+    if padding is None:
+        padding = canonical_padding(M.sig, config.k)
+    else:
+        padding.validate(M.sig, config.k)
     sig = _lift_signature(M, config.k)
 
     repetition_free_fibers = M.repetition_free and not config.include_repetition_tuples
@@ -326,6 +343,8 @@ def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructu
 
     rels_in_order = sorted((n for n, _ in M.sig.relations), key=M.sig.arity_index)
     fibers: dict[str, dict[tuple[int, ...], dict[int | float, int]]] = {}
+    # each relation's fiber elements are the ids from first[rel] on, consecutively
+    first: dict[str, int] = {}
     for rel in rels_in_order:
         arity = M.sig.relation_arity(rel)
         fibers[rel] = {}
@@ -335,6 +354,7 @@ def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructu
         else:
             tuples = itertools.product(M.domain, repeat=arity)
         held = M.relation_sets[rel]
+        first[rel] = size
         for coords in tuples:
             indices = with_limit if coords in held else finite
             fibers[rel][coords] = dict(zip(indices, range(size, size + len(indices))))
@@ -346,15 +366,15 @@ def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructu
     functions: dict[str, tuple[int, ...]] = {}
     for rel in rels_in_order:
         arity = M.sig.relation_arity(rel)
-        members = [e for fib in fibers[rel].values() for e in fib.values()]
-        relations[fiber_predicate(rel)] = tuple((e,) for e in sorted(members))
-        pairs = [
+        members = range(first[rel], first[rel] + sum(map(len, fibers[rel].values())))
+        relations[fiber_predicate(rel)] = tuple(zip(members))
+        # fibers hold consecutive ids in order, so the pairs come sorted
+        relations[samefiber_relation(rel)] = tuple([
             (e1, e2)
             for fib in fibers[rel].values()
             for e1 in fib.values()
             for e2 in fib.values()
-        ]
-        relations[samefiber_relation(rel)] = tuple(sorted(pairs))
+        ])
         for t in range(arity):
             images = [0] * size
             for coords, fib in fibers[rel].items():
@@ -378,9 +398,11 @@ def limit_elements(N: LiftedStructure, rel: str) -> tuple[int, ...]:
     """Fiber elements of the relation fixed by no copy selector, computed
     from the structure itself (and cross-checked against the sort table)."""
     S = N.structure
-    selectors = [S.functions[copy_function(rel, j)] for j in range(N.config.k)]
-    members = sorted(e for (e,) in S.relations[fiber_predicate(rel)])
-    out = tuple(e for e in members if all(f[e] != e for f in selectors))
+    # a unary relation's one column lists its members in order
+    (members,) = S.relation_columns[fiber_predicate(rel)] or ((),)
+    moved = [map(operator.ne, _image(S.functions[copy_function(rel, j)], members), members)
+             for j in range(N.config.k)]
+    out = tuple(itertools.compress(members, map(all, zip(*moved))))
     if out != N.sorts.get(fiber_sort(rel, LIMIT), ()):
         raise LiftError("limit elements disagree with the sort table (internal error)")
     return out
@@ -398,18 +420,21 @@ def direct_induced(N: LiftedStructure, pi: Permutation) -> Permutation:
     M = N.source
     if pi.degree != M.size:
         raise LiftError(f"permutation degree {pi.degree} does not match |M| = {M.size}")
-    source_images = pi.images
-    images = list(range(N.structure.size))
-    for a in M.domain:
-        images[N.base_id(a)] = N.base_id(source_images[a])
+    p = pi.images
+    # the anchor, then 1 + a -> 1 + pi(a); fiber ids follow in ``fibers`` order
+    images = [0, *map((1).__add__, p)]
     for rel, table in N.fibers.items():
-        for coords, copies in table.items():
-            moved = tuple([source_images[x] for x in coords])
-            target = table.get(moved, {})
-            for i, e in copies.items():
-                if i not in target:
-                    raise LiftMapError(rel, coords, moved)
-                images[e] = target[i]
+        # a permutation maps the fiber tuples, all of M^arity or all the
+        # repetition-free ones, onto themselves, column by column
+        moved = list(zip(*[_image(p, column) for column in zip(*table)]))
+        targets = list(map(table.__getitem__, moved))
+        # copies are 0..k-1 plus the limit over relation tuples, so equal
+        # lengths mean equal copy keys, in the same order
+        if list(map(len, targets)) != list(map(len, table.values())):
+            for (coords, copies), image, target in zip(table.items(), moved, targets):
+                if len(copies) > len(target):
+                    raise LiftMapError(rel, coords, image)
+        images += itertools.chain.from_iterable(map(dict.values, targets))
     return Permutation(tuple(images))
 
 
@@ -427,13 +452,10 @@ def project_automorphism(N: LiftedStructure, pihat: Permutation) -> Permutation:
 def _restrict_automorphism(N: LiftedStructure, pihat: Permutation) -> Permutation:
     """project_automorphism for a pihat already known to be in Aut(N)."""
     M = N.source
-    images = []
-    for a in M.domain:
-        target = pihat(1 + a)
-        if not (1 <= target <= M.size):
-            raise LiftError("automorphism does not preserve the base copy (internal error)")
-        images.append(target - 1)
-    pi = Permutation(tuple(images))
+    images = pihat.images[1:1 + M.size]
+    if images and (min(images) < 1 or max(images) > M.size):
+        raise LiftError("automorphism does not preserve the base copy (internal error)")
+    pi = Permutation(tuple(map((-1).__add__, images)))
     if not is_automorphism(M, pi):
         raise LiftError("projection is not an automorphism of the source (internal error)")
     return pi
@@ -483,10 +505,15 @@ def certify_induced_group(N: LiftedStructure, generators, images) -> tuple[tuple
     S, M = N.structure, N.source
     if not all(is_automorphism(S, g) for g in images):
         raise LiftError("not an automorphism of the lift")
-    encoded = S.relation_sets[BASE_NAME] == {(N.base_id(a),) for a in M.domain} and all(
-        {tuple(S.functions[projection_function(rel, t)][e] - 1 for t in range(arity))
-         for e in limit_elements(N, rel)} == M.relation_sets[rel]
-        for rel, arity in M.sig.relations
+    down = range(-1, S.size - 1)  # a base element 1 + a read as a
+
+    def encodes(rel: str, arity: int) -> bool:
+        limits = limit_elements(N, rel)
+        projections = [_image(S.functions[projection_function(rel, t)], limits) for t in range(arity)]
+        return set(zip(*[_image(down, column) for column in projections])) == M.relation_sets[rel]
+
+    encoded = S.relation_sets[BASE_NAME] == set(zip(range(1, 1 + M.size))) and all(
+        encodes(rel, arity) for rel, arity in M.sig.relations
     )
     if not (encoded and (points := _rigid_over_base(N)) and all(
         _restrict_automorphism(N, h) == g for g, h in zip(generators, images, strict=True)
@@ -498,17 +525,20 @@ def certify_induced_group(N: LiftedStructure, generators, images) -> tuple[tuple
 def continuity_witness(N: LiftedStructure, B) -> frozenset[int]:
     """A finite support in the source domain: fixing it pointwise forces the
     induced automorphism to fix B pointwise.  Base elements contribute their
-    source point, fiber elements all their coordinates, the anchor nothing."""
-    A: set[int] = set()
-    for b in set(B):
-        if not (0 <= b < N.structure.size):
+    source point, fiber elements all their coordinates, the anchor nothing,
+    each read off N.supports.  An element that is not an int, or lies
+    outside the lift, raises LiftError."""
+    supports = N.supports
+    B = tuple(B)
+    for b in B:
+        # as for permutation images: 1.0 and True compare as 1, yet are no element
+        if type(b) is not int:
+            raise LiftError(f"element {b!r} is not an int")
+        if not (0 <= b < len(supports)):
             raise LiftError(f"element {b} outside the lift domain")
-        p = N.provenance[b]
-        if isinstance(p, BaseElem):
-            A.add(p.source)
-        elif isinstance(p, FiberElem):
-            A.update(p.coords)
-    return frozenset(A)
+    if len(B) == 1:
+        return supports[B[0]]
+    return frozenset().union(*map(supports.__getitem__, B))
 
 
 # -- scheme generation ---------------------------------------------------------

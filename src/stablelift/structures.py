@@ -7,6 +7,7 @@ are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from contextlib import contextmanager
@@ -205,6 +206,12 @@ class Structure:
                           constants=constants, repetition_free=False,
                           relation_sets={n: frozenset(ts) for n, ts in rels.items()})
         return M
+
+    @functools.cached_property
+    def relation_columns(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """Each relation's tuples as columns, entry p of every tuple in
+        tuple order; none for an empty relation.  Built on first use."""
+        return {n: tuple(zip(*ts)) for n, ts in self.relations.items()}
 
     @property
     def domain(self) -> range:

@@ -34,6 +34,14 @@ faster or checks another way, and tests compare the two:
   ``lifting._rigid_over_base``;
 - ``naming_points`` reads each lift element's names one element at a
   time, the reference for the column-wise ``lifting._rigid_over_base``;
+- ``induced_by_fiber`` carries a source permutation to the lift one fiber
+  element at a time, the reference for the column-wise
+  ``lifting.direct_induced`` and the LiftMapError it raises;
+- ``limit_elements_by_provenance``, ``witness_by_provenance`` and
+  ``restricted_by_element`` read the limit copies, a continuity witness and
+  the restriction to the base copy off the provenance or element by
+  element, the references for ``lifting.limit_elements``,
+  ``lifting.continuity_witness`` and ``lifting._restrict_automorphism``;
 - ``continuity_escapes`` induces the generators of every witness's
   Schreier-Sims stabilizer and applies them to the lift element, the reference for
   ``verify-iso``'s continuity check through naming points;
@@ -91,7 +99,10 @@ from stablelift.interpretation import (
 from stablelift.lifting import (
     ANCHOR_NAME,
     BASE_NAME,
+    LIMIT,
     BaseElem,
+    FiberElem,
+    LiftMapError,
     copy_function,
     direct_induced,
     fiber_predicate,
@@ -417,6 +428,54 @@ def naming_points(N):
                        values))
         points.append(tuple([v - 1 for v in values if v in base]))
     return tuple(points) if len(names) == S.size - len(fixed) else None
+
+
+def induced_by_fiber(N, pi: Permutation) -> Permutation:
+    """direct_induced one fiber element at a time: the anchor fixed, 1 + a
+    sent to 1 + pi(a), and each copy of a fiber to the same copy of the
+    fiber over the image tuple.  A copy that the image's fiber lacks, the
+    limit copy over a relation tuple whose image is no relation tuple,
+    raises the LiftMapError naming the first such fiber in fiber order."""
+    images = list(range(N.structure.size))
+    for a in N.source.domain:
+        images[N.base_id(a)] = N.base_id(pi(a))
+    for rel, table in N.fibers.items():
+        for coords, copies in table.items():
+            moved = tuple(pi(x) for x in coords)
+            target = table.get(moved, {})
+            for i, e in copies.items():
+                if i not in target:
+                    raise LiftMapError(rel, coords, moved)
+                images[e] = target[i]
+    return Permutation(tuple(images))
+
+
+def limit_elements_by_provenance(N, rel: str) -> tuple[int, ...]:
+    """The limit copies of the relation's fibers, read off the provenance."""
+    return tuple(
+        e for e, p in enumerate(N.provenance)
+        if isinstance(p, FiberElem) and p.rel == rel and p.copy == LIMIT
+    )
+
+
+def witness_by_provenance(N, B) -> frozenset[int]:
+    """continuity_witness read off each element's provenance: the source
+    point of a base element, the coordinates of a fiber element and nothing
+    for the anchor."""
+    A: set[int] = set()
+    for b in B:
+        p = N.provenance[b]
+        if isinstance(p, BaseElem):
+            A.add(p.source)
+        elif isinstance(p, FiberElem):
+            A.update(p.coords)
+    return frozenset(A)
+
+
+def restricted_by_element(N, pihat: Permutation) -> Permutation:
+    """A lift automorphism's restriction to the base copy, one base element
+    at a time: a is sent to pihat(1 + a) - 1."""
+    return Permutation(tuple(pihat(N.base_id(a)) - 1 for a in N.source.domain))
 
 
 def continuity_escapes(N, GM, witness) -> list[bool]:

@@ -188,7 +188,7 @@ def test_report_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
 
     chains = _spy(monkeypatch, groups, "_chain")
     builds = _spy(monkeypatch, stability, "stabilizer_search")
-    roots = _spy(monkeypatch, groups, "sort_partition")
+    roots = _spy(monkeypatch, groups, "sort_blocks")
     searches = _spy(monkeypatch, groups, "_search")
     code, out, _ = run(capsys, "report", "--in", _complete3_file(tmp_path), "--ks", "1,2",
                        "--A", "0", "--A", "0,1")

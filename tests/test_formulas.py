@@ -24,6 +24,7 @@ from stablelift.formulas import (
     format_formula,
     free_variables,
     group_by_columns,
+    sort_blocks,
     sort_partition,
 )
 from stablelift.lifting import LiftConfig, build_lift
@@ -245,6 +246,24 @@ def test_sort_partition_matches_per_element_atomic_types(type_structures):
         expected = [(t, tuple(b)) for t, b in blocks.items()]
         got = list(sort_partition(M).items())
         assert got == expected
+
+
+@pytest.mark.hashseed
+def test_sort_blocks_are_the_per_element_types_blocks(type_structures, monkeypatch):
+    # the search root's blocks, in the order of least element, with no basis
+    # formula built or printed
+    from stablelift import formulas
+
+    expected = []
+    for M in type_structures:
+        blocks: dict[AtomicType, list[int]] = {}
+        for a in M.domain:
+            blocks.setdefault(atomic_type(M, a), []).append(a)
+        expected.append(list(blocks.values()))
+    monkeypatch.setattr(formulas, "format_formula", None)
+    monkeypatch.setattr(formulas, "Equal", None)
+    monkeypatch.setattr(formulas, "Rel", None)
+    assert [sort_blocks(M) for M in type_structures] == expected
 
 
 @pytest.mark.hashseed

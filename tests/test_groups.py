@@ -45,6 +45,45 @@ def test_permutation_rejects_images_that_are_not_int(images):
         Permutation(images)
 
 
+def _is_permutation(images) -> bool:
+    """The plain check: int images, as many distinct ones as there are
+    positions, each a position."""
+    return (all(type(x) is int for x in images) and len(set(images)) == len(images)
+            and set(images) <= set(range(len(images))))
+
+
+@pytest.mark.hashseed
+def test_the_permutation_check_equals_the_plain_check():
+    # ints, bools, floats, repeats, negatives, out-of-range values and the
+    # empty tuple, listed and drawn at random
+    import random
+
+    rng = random.Random(50)
+    cases = [(), (0,), (1,), (-1,), (True,), (False,), (0.0,), (0, 1), (1, 0), (0, 0), (1, 1),
+             (-1, 0), (0, 2), (2, 0, 1), (0, 1, 3), (0, 1.0), (True, False), (1, False),
+             (0, 1, 1, 2), (3, 2, 1, 0), (0, -1, 1), (2, 1), (1, 2, 3)]
+    values = [-1, 0, 1, 2, 3, 4, True, False, 1.0, 2.5]
+    for _ in range(500):
+        n = rng.randint(0, 5)
+        images = list(range(n))
+        rng.shuffle(images)
+        for _ in range(rng.randint(0, 2)):
+            if images:
+                images[rng.randrange(n)] = rng.choice(values)
+        cases.append(tuple(images))
+    verdicts = set()
+    for images in cases:
+        try:
+            Permutation(images)
+            accepted = True
+        except GroupError as e:
+            assert str(e) == f"not a permutation: {images}"
+            accepted = False
+        assert accepted == _is_permutation(images), images
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
 # the permutation algebra that only tests use lives in stabilizer_oracle
 
 
@@ -94,6 +133,65 @@ def test_is_automorphism_functions_and_constants():
     # swapping 0,1 fixes the constant but does not commute with the 3-cycle f
     M2 = Structure(sig=sig, size=3, functions={"f": (1, 2, 0)}, constants={"c": 2})
     assert not is_automorphism(M2, Permutation((1, 0, 2)))
+
+
+def _automorphism_cases(corpus, random_structures):
+    """(structure, automorphisms) pairs for the leaf and certificate check:
+    the corpus and the seeded random structures (a function, a constant, a
+    ternary relation) with their search generators, the corpus lifts at
+    k = 1-3 and their companions with the induced generators, and
+    structures of degree 0 and 1 and with one-tuple and empty relations."""
+    from stablelift.lifting import direct_induced
+    from stablelift.structures import Signature, Structure
+
+    sig = Signature(relations=(("R", 2), ("T", 3), ("U", 1)), functions=("f",))
+    edge = [
+        Structure(sig=sig, size=0, functions={"f": ()}),
+        Structure(sig=Signature(relations=(("R", 2), ("U", 1)), functions=("f",), constants=("c",)),
+                  size=1, relations={"R": [(0, 0)], "U": [(0,)]}, functions={"f": (0,)},
+                  constants={"c": 0}, repetition_free=False),
+        Structure(sig=sig, size=4, relations={"R": [(0, 1)], "U": [(2,)]}, functions={"f": (1, 0, 2, 3)}),
+        Structure(sig=sig, size=4, relations={"T": [(0, 1, 2)]}, functions={"f": (0, 1, 2, 3)}),
+    ]
+    sources = [M for _, M in corpus] + list(random_structures) + edge
+    cases = [(M, automorphism_group(M).generators) for M in sources]
+    for _, M in corpus:
+        generators = automorphism_group(M).generators
+        for k in (1, 2, 3):
+            N = build_lift(M, LiftConfig(k=k))
+            induced = [direct_induced(N, g) for g in generators]
+            cases += [(N.structure, induced), (N.companion, induced)]
+    return cases
+
+
+@pytest.mark.hashseed
+def test_is_automorphism_equals_the_oracle(corpus, random_structures):
+    # the identity, the automorphisms found, each of them after a random
+    # transposition and random permutations, against the refinement
+    # oracle's element-by-element check; the stored columns are the
+    # relations' own
+    import random
+
+    from refinement_oracle import is_automorphism as oracle
+
+    rng = random.Random(50)
+    verdicts = {True: 0, False: 0}
+    for S, automorphisms in _automorphism_cases(corpus, random_structures):
+        assert S.relation_columns == {n: tuple(zip(*ts)) for n, ts in S.relations.items()}
+        n = S.size
+        perms = [identity(n), *automorphisms]
+        for g in [identity(n), *automorphisms][:4]:
+            if n >= 2:
+                a, b = rng.sample(range(n), 2)
+                swap = list(range(n))
+                swap[a], swap[b] = b, a
+                perms.append(multiply(g, Permutation(tuple(swap))))
+        perms += [Permutation(tuple(rng.sample(range(n), n))) for _ in range(3)]
+        for pi in perms:
+            verdict = is_automorphism(S, pi)
+            assert verdict == oracle(S, pi.images), (S, pi)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 1000, verdicts
 
 
 # -- brute oracle ---------------------------------------------------------------

@@ -12,9 +12,13 @@ from references import (
     automorphism_group_brute,
     definable_quotient,
     expanded,
+    induced_by_fiber,
+    limit_elements_by_provenance,
+    restricted_by_element,
     scheme_to_json_dict,
     searched_decomposition,
     standard_corpus,
+    witness_by_provenance,
 )
 from stabilizer_oracle import identity
 from sweep import digraph_classes
@@ -101,6 +105,28 @@ def test_padding_validation_errors():
     unary = Signature(relations=(("U", 1),))
     with pytest.raises(LiftError, match="must exceed 1"):
         PaddingAssignment({("U", 0): 0, ("U", LIMIT): 2}).validate(unary, 1)
+
+
+def test_a_build_validates_its_padding_once(m_edge, monkeypatch):
+    # canonical_padding validates what it returns, so build_lift validates
+    # only a padding the caller gives; a bad one raises its own message
+    calls = []
+    validate = PaddingAssignment.validate
+    monkeypatch.setattr(PaddingAssignment, "validate",
+                        lambda self, sig, k: calls.append(k) or validate(self, sig, k))
+    build_lift(m_edge, LiftConfig(k=2))
+    assert calls == [2]
+    padding = PaddingAssignment({("edge", 0): 0, ("edge", 1): 1, ("edge", LIMIT): 2})
+    calls.clear()
+    assert build_lift(m_edge, LiftConfig(k=2, padding=padding)).padding == padding
+    assert calls == [2]
+    for pads, message in (
+        ({("edge", 0): 0, ("edge", 1): 1}, "padding must cover exactly the (relation, copy) pairs"),
+        ({("edge", 0): 0, ("edge", 1): 0, ("edge", LIMIT): 2}, "padded widths must be pairwise distinct"),
+    ):
+        with pytest.raises(LiftError) as e:
+            build_lift(m_edge, LiftConfig(k=2, padding=PaddingAssignment(pads)))
+        assert str(e.value) == message
 
 
 def test_config_requires_positive_k():
@@ -226,6 +252,77 @@ def test_direct_induced_rejects_with_fiber_witness(m_edge):
     assert e.value.rel == "edge"
     assert e.value.coords == (0, 1)
     assert e.value.image == (1, 0)
+
+
+def _kernel_lifts(corpus):
+    """Lifts for the column kernels and their references: the corpus at
+    k = 1-3, every twelfth structure with repetition tuples, the mixed
+    signatures, the seeded random relational structures (ternary relations,
+    one-tuple and empty ones, with and without repetition tuples) and the
+    empty digraph."""
+    lifts = [build_lift(M, LiftConfig(k=k)) for _, M in corpus for k in (1, 2, 3)]
+    lifts += [
+        build_lift(M, LiftConfig(k=k, include_repetition_tuples=True))
+        for _, M in corpus[::12]
+        for k in (1, 2)
+    ]
+    mixed = [_mixed_structure(), _ternary_structure(), _two_binary_structure()]
+    lifts += [build_lift(M, LiftConfig(k=2)) for M in mixed]
+    lifts += [
+        build_lift(_random_relational_structure(seed), LiftConfig(k=k, include_repetition_tuples=r))
+        for seed in range(12) for k in (1, 2) for r in (False, True)
+    ]
+    lifts += [build_lift(digraph(0, []), LiftConfig(k=k)) for k in (1, 2)]
+    return lifts
+
+
+@pytest.mark.hashseed
+def test_direct_induced_equals_the_per_fiber_reference(corpus):
+    # every permutation of each source, automorphism or not, and random
+    # ones of the 4- to 6-vertex digraphs: the same image, or a
+    # LiftMapError with the same fiber, image and text
+    rng = random.Random(50)
+    cases = [(N, list(map(Permutation, itertools.permutations(N.source.domain))))
+             for N in _kernel_lifts(corpus)]
+    for n in (4, 5, 6):
+        for edges in ([], [(0, 1), (1, 2), (2, 0)], [(a, b) for a in range(n) for b in range(n) if a != b]):
+            M = digraph(n, edges)
+            perms = [Permutation(tuple(rng.sample(range(n), n))) for _ in range(12)]
+            perms += automorphism_group(M).generators
+            cases += [(build_lift(M, LiftConfig(k=k)), perms) for k in (1, 2)]
+    outcomes = {"induced": 0, "refused": 0}
+    for N, perms in cases:
+        for pi in perms:
+            try:
+                expected = induced_by_fiber(N, pi)
+            except LiftMapError as e:
+                with pytest.raises(LiftMapError) as got:
+                    direct_induced(N, pi)
+                assert (str(got.value), got.value.rel, got.value.coords, got.value.image) == (
+                    str(e), e.rel, e.coords, e.image)
+                outcomes["refused"] += 1
+            else:
+                assert direct_induced(N, pi) == expected
+                outcomes["induced"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+@pytest.mark.hashseed
+def test_certificate_read_offs_equal_their_provenance_forms(corpus):
+    # the limit copies, the sort table, the restriction to the base copy and
+    # the continuity witness of single elements, pairs, none and all
+    for N in _kernel_lifts(corpus):
+        S, M = N.structure, N.source
+        for rel, _ in M.sig.relations:
+            assert limit_elements(N, rel) == limit_elements_by_provenance(N, rel)
+        assert list(N.sorts.items()) == list(_sorts_from_provenance(N).items())
+        for g in (Permutation(tuple(M.domain)), *automorphism_group(M).generators):
+            pihat = direct_induced(N, g)
+            assert _restrict_automorphism(N, pihat) == restricted_by_element(N, pihat) == g
+        supports = [(), tuple(S.domain), *zip(S.domain), *zip(S.domain[::3], S.domain[1::3])]
+        for B in supports:
+            assert continuity_witness(N, B) == witness_by_provenance(N, B), B
+        assert N.supports == tuple(witness_by_provenance(N, (b,)) for b in S.domain)
 
 
 def test_projection_inverts_induction(corpus):
@@ -755,6 +852,25 @@ def test_continuity_witness_examples(m_pair):
     assert continuity_witness(N, [N.base_id(1)]) == frozenset({1})
     copy0 = N.fibers["edge"][(0, 1)][0]
     assert continuity_witness(N, [copy0]) == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("B,shown", [([1.5], "1.5"), ([True], "True"), ([0, 2.0], "2.0"),
+                                     ([False, 1], "False"), (["1"], "'1'")])
+def test_continuity_witness_refuses_elements_that_are_not_int(m_pair, B, shown):
+    # True and 2.0 compare equal to elements, and 1.5 indexes nothing
+    N = build_lift(m_pair, LiftConfig(k=1))
+    with pytest.raises(LiftError) as e:
+        continuity_witness(N, B)
+    assert str(e.value) == f"element {shown} is not an int"
+
+
+@pytest.mark.parametrize("b", [-1, 5, 99])
+def test_continuity_witness_refuses_elements_outside_the_lift(m_pair, b):
+    N = build_lift(m_pair, LiftConfig(k=1))
+    assert N.structure.size == 5
+    with pytest.raises(LiftError) as e:
+        continuity_witness(N, [0, b])
+    assert str(e.value) == f"element {b} outside the lift domain"
 
 
 def test_continuity_containment_brute(m_pair, m_triple):

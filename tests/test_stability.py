@@ -378,8 +378,8 @@ def test_report_builds_one_census_table_per_copy_bound(corpus, monkeypatch):
     searched = []
     monkeypatch.setattr(
         groups,
-        "sort_partition",
-        lambda M, inner=groups.sort_partition: searched.append(M) or inner(M),
+        "sort_blocks",
+        lambda M, inner=groups.sort_blocks: searched.append(M) or inner(M),
     )
     ks, As = [1, 2, 3], [(), (0,), (0, 1)]
     for _, M in [c for c in corpus if c[1].size >= 2][::6]:
