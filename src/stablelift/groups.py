@@ -108,7 +108,8 @@ class Permutation:
 
 # -- the chain of a strong generating set ----------------------------------------
 #
-# Chains work on bare image tuples; composition is (p o q)[x] = p[q[x]].
+# Chains work on bare image tuples; the composition (p o q)[x] = p[q[x]] is
+# _image(p, q).
 
 Images = tuple[int, ...]
 
@@ -119,10 +120,6 @@ def _image(p, column) -> tuple:
     if len(column) > 1:
         return operator.itemgetter(*column)(p)
     return (p[column[0]],) if column else ()
-
-
-def _compose(p: Images, q: Images) -> Images:
-    return _image(p, q)
 
 
 def _chain(generators: list[Images],
@@ -148,7 +145,7 @@ def _chain(generators: list[Images],
             u = trans[x]
             for g in level:
                 if g[x] not in trans:
-                    trans[g[x]] = _compose(g, u)
+                    trans[g[x]] = _image(g, u)
                     points.append(g[x])
         levels.append((b, trans))
     return levels, math.prod(len(trans) for _, trans in levels)
@@ -166,7 +163,7 @@ def _lex_walk(levels, degree: int):
         trans = levels[d][1]
         # below x * u_z every member sends the level's point to x[z]
         for z in sorted(trans, key=x.__getitem__):
-            yield from walk(d + 1, _compose(x, trans[z]))
+            yield from walk(d + 1, _image(x, trans[z]))
 
     yield from walk(0, tuple(range(degree)))
 

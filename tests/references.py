@@ -59,7 +59,7 @@ from collections import deque
 
 import stabilizer_oracle
 from refinement_oracle import root_partition, view_tables
-from stabilizer_oracle import pointwise_stabilizer
+from stabilizer_oracle import compose, pointwise_stabilizer
 from stablelift.corpus import digraph, edge_pairs, exhaustive_digraphs
 from stablelift.formulas import (
     And,
@@ -83,7 +83,6 @@ from stablelift.groups import (
     GroupError,
     PermGroup,
     Permutation,
-    _compose,
     automorphism_group,
     is_automorphism,
 )
@@ -151,7 +150,7 @@ def greedy_lex_generators(
             return
         trans = chain.trans[levels[d]]
         for z in sorted(trans, key=x.__getitem__):
-            yield from walk(d + 1, _compose(x, trans[z][0]))
+            yield from walk(d + 1, compose(x, trans[z][0]))
 
     for g in walk(0, chain.identity):
         gens.append(Permutation(g))

@@ -15,9 +15,15 @@ in a chain whose base starts with it.
 
 from __future__ import annotations
 
-from stablelift.groups import GroupError, PermGroup, Permutation, _check_points, _compose
+from stablelift.groups import GroupError, PermGroup, Permutation, _check_points
 
 Images = tuple[int, ...]
+
+
+def compose(p: Images, q: Images) -> Images:
+    """(p o q)[x] = p[q[x]], point by point, apart from the library's
+    column kernel groups._image."""
+    return tuple([p[x] for x in q])
 
 
 # -- permutation algebra -----------------------------------------------------------
@@ -31,7 +37,7 @@ def multiply(p: Permutation, q: Permutation) -> Permutation:
     """Function composition: multiply(p, q)(x) = p(q(x))."""
     if p.degree != q.degree:
         raise GroupError("degree mismatch")
-    return Permutation(_compose(p.images, q.images))
+    return Permutation(compose(p.images, q.images))
 
 
 def _invert(p: Images) -> Images:
@@ -79,7 +85,7 @@ class Chain:
                 rep = trans[i].get(x)
                 if rep is None:
                     return g, i
-                g = _compose(rep[1], g)
+                g = compose(rep[1], g)
         return g, len(order)
 
     def __contains__(self, g: Images) -> bool:
@@ -112,7 +118,7 @@ class Chain:
             for g in (s,) if idx < old else gens:
                 y = g[x]
                 if y not in trans:
-                    gu = _compose(g, u)
+                    gu = compose(g, u)
                     trans[y] = (gu, _invert(gu))
                     points.append(y)
                     pending.extend((y, m) for m in range(len(gens)))
@@ -131,7 +137,7 @@ class Chain:
             x, k = pending.pop()
             s = self.gens[i][k]
             trans = self.trans[i]
-            h = _compose(trans[s[x]][1], _compose(s, trans[x][0]))
+            h = compose(trans[s[x]][1], compose(s, trans[x][0]))
             residue, j = self.sift(h, i + 1)
             if j < len(self.order):
                 for m in range(i + 1, j + 1):
@@ -167,7 +173,7 @@ def elements(G: PermGroup) -> list[Permutation]:
     grown = chain(G)
     members = [grown.identity]
     for i in grown.nontrivial_levels():
-        members = [_compose(m, u) for m in members for u, _ in grown.trans[i].values()]
+        members = [compose(m, u) for m in members for u, _ in grown.trans[i].values()]
     return [Permutation(x) for x in sorted(members)]
 
 
