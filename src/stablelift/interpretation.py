@@ -26,8 +26,9 @@ import operator
 from dataclasses import dataclass, field, replace
 
 # perfbench/spans.py wraps eval_formula at this import site, where only the
-# quotients call it, on domain formulas at core tuples; definable_set is not
-# called here but stays importable at the same site
+# quotients call it, on domain formulas at core tuples; definable_set and
+# sort_partition are not called here (the target's stored
+# Structure.sort_partition is read) but stay importable at the same site
 from .formulas import (
     And,
     AtomicType,
@@ -101,13 +102,17 @@ class InterpretationScheme:
             raise SchemeError("sort keys must be distinct")
         widths = {s.key: s.width for s in self.sorts}
         # id(formula) -> n when its free variables are exactly x0..x(n-1),
-        # else -1: found once per distinct formula object
+        # else -1: found once per distinct formula object; and the width of
+        # each distinct tuple of sort keys, summed once
         exact: dict[int, int] = {}
+        totals: dict[tuple[AtomicType, ...], int] = {}
         for (rel, sort_keys), phi in self.translations.items():
-            try:
-                total = sum(map(widths.__getitem__, sort_keys))
-            except KeyError:
-                raise SchemeError(f"unknown sort key in translation for {rel!r}") from None
+            total = totals.get(sort_keys)
+            if total is None:
+                try:
+                    total = totals[sort_keys] = sum(map(widths.__getitem__, sort_keys))
+                except KeyError:
+                    raise SchemeError(f"unknown sort key in translation for {rel!r}") from None
             n = exact.get(id(phi))
             if n is None:
                 fv = free_variables(phi)
@@ -364,15 +369,17 @@ def validate_scheme(
     translation reads padding, so an element stands for one host tuple, its
     representative, and agreement there is exact: a translation that reads
     only key positions respects the equivalences.  An element whose
-    representative has no class is untranslatable.  Each block of target
-    tuples, one per tuple of sorts, is decided whole from its held tuples
-    (see _agreement_witness).  The translation cover is read off
-    ``scheme.translations``, listing missing tuples of sorts only when a
-    relation has fewer translations than tuples of realized sorts.
+    representative has no class is untranslatable.  Each relation is
+    decided whole: the tuples where its translations hold, block by block,
+    against its held tuples (see _agreement_witness).  The translation
+    cover is read off ``scheme.translations``, listing missing tuples of
+    sorts only when a relation has fewer translations than tuples of
+    realized sorts.  The target's sorts are its stored
+    ``Structure.sort_partition``, shared with generate_scheme.
     """
     _require_relational(M1, "host structure")
     _require_relational(M2, "target structure")
-    realized = sort_partition(M2)
+    realized = M2.sort_partition
     quotients, sort_checks, patterns = _sort_pass(M1, scheme, realized)
     report = ValidationReport([_sort_cover(realized, scheme), *sort_checks])
 
@@ -418,8 +425,7 @@ def validate_scheme(
     widths = {s.key: s.width for s in scheme.sorts}
     for name, row in table.items():
         witness = _agreement_witness(
-            M2.relation_sets[name], row, realized, element_sort, options, ready, stray, widths,
-            patterns,
+            M2.relation_sets[name], row, realized, options, ready, stray, widths, patterns
         )
         report.checks.append(CheckResult(f"relation-agreement[{name}]", witness is None, witness))
     return report
@@ -429,7 +435,6 @@ def _agreement_witness(
     held: frozenset,
     row: list[tuple[tuple[AtomicType, ...], Formula | None]],
     realized: dict[AtomicType, tuple[int, ...]],
-    element_sort: dict[int, AtomicType],
     options: dict[int, tuple[int, ...]],
     ready: dict[AtomicType, tuple[int, ...]],
     stray: dict[AtomicType, int],
@@ -441,101 +446,76 @@ def _agreement_witness(
     whose translation disagrees with ``held``, the relation's tuples in M2.
 
     The tuples split into blocks, one per tuple of sorts, each with its
-    translation in ``row`` in any order, and each block gives its least
-    failing tuple; the first failure is the least of those.  Within a
-    block, the least tuple with an element outside ``ready`` puts the
-    ``stray`` element of its sort at one position and each other sort's
-    least element at the rest; the tuples of ready elements are decided
-    whole by _block_failure, which may also report a held tuple with a
-    stray element, never less than that least one.  A constant False block
-    that holds no tuple and has no stray element cannot fail and is
-    skipped.
+    translation in ``row`` in any order.  A block without a translation is
+    untranslatable from its least tuple on.  A block with a sort in
+    ``stray`` has, as its least untranslatable tuple, that sort's stray
+    element at one position and each other sort's least element at the
+    rest.  The tuples of ``ready`` elements are decided for the whole
+    relation at once: _holding adds, block by block, those where the
+    translation holds (a constant False block adds nothing and is
+    skipped), and as the blocks partition M2^arity the first disagreement
+    is the least tuple of that set's symmetric difference with ``held``.
+    The difference also holds each held tuple with an element outside
+    ``ready``; such a tuple is never less than its block's least
+    untranslatable one, which wins a tie.
     """
-    held_in: dict[tuple[AtomicType, ...], list[tuple[int, ...]]] = {}
-    sort_of = element_sort.__getitem__
-    for t in held:
-        held_in.setdefault(tuple(map(sort_of, t)), []).append(t)
-    failures = []  # per block: (least failing tuple, witness)
+    untranslatable = []
+    holding: set[tuple[int, ...]] = set()
     for keys, phi in row:
         if phi is None:
-            least = tuple(realized[key][0] for key in keys)
-            failures.append((least, f"untranslatable tuple {least}"))
+            untranslatable.append(tuple(realized[key][0] for key in keys))
             continue
-        pattern = patterns[id(phi)]
-        here = held_in.get(keys, ())
         if stray and any(map(stray.__contains__, keys)):
-            # no tuple with a stray element is less than this one, which
-            # goes first among equal failures
-            least = min(
+            untranslatable.append(min(
                 tuple(stray[k] if j == i else realized[k][0] for j, k in enumerate(keys))
                 for i, key in enumerate(keys)
                 if key in stray
-            )
-            failures.append((least, f"untranslatable tuple {least}"))
-        elif pattern == (True, ()) and not here:
-            # constant False with no held tuple cannot fail
-            continue
-        blocks = [ready[key] for key in keys]
-        found = _block_failure(pattern, widths[keys[0]], blocks, held, here, options)
-        if found:
-            failures.append(found)
-    if not failures:
-        return None
-    return min(failures, key=lambda failure: failure[0])[1]
+            ))
+        pattern = patterns[id(phi)]
+        if pattern != (True, ()):  # a constant False holds nowhere
+            _holding(holding, pattern, widths[keys[0]], [ready[key] for key in keys], options)
+    least = min(untranslatable, default=None)
+    wrong = min(holding.symmetric_difference(held), default=None)
+    if wrong is not None and (least is None or wrong < least):
+        return f"tuple {wrong} (target says {wrong in held})"
+    return None if least is None else f"untranslatable tuple {least}"
 
 
-def _block_failure(
+def _holding(
+    out: set,
     pattern: Pattern,
     split: int,
     blocks: list[tuple[int, ...]],
-    held: frozenset,
-    held_here: list[tuple[int, ...]],
     options: dict[int, tuple[int, ...]],
-) -> tuple[tuple[int, ...], str] | None:
-    """The least tuple of the product of ``blocks`` at which the translation
-    disagrees with ``held``, with its witness, or None: a translation that
-    is a constant, or an equality pattern whose pairs link block 0 (of
-    width ``split``) with block 1, read at each element's option and
-    decided from the block's held tuples ``held_here`` with no per-tuple
-    evaluation.
-
-    A constant True fails at the least product tuple not held, a constant
-    False at the least held tuple.  Otherwise block 1's elements are
-    indexed by their linked coordinates and block 0 is joined against that
-    index, which gives the set of tuples that satisfy the pattern.  The
-    pattern fails at the least tuple of the symmetric difference of that
-    set and the held tuples; its negation at the least tuple in both, or
-    the least product tuple in neither, found by a walk that passes only
-    tuples in one of them.
-    """
+) -> None:
+    """Add to ``out`` the tuples of the product of ``blocks`` at which a
+    translation holds, read at each element's option: a constant or an
+    equality pattern whose pairs link block 0 (of width ``split``) with
+    block 1, with no per-tuple evaluation.  A constant True adds the
+    product and a constant False nothing.  Otherwise block 1's elements
+    are indexed by their linked coordinates and block 0 is joined against
+    that index; the pattern adds the join, its negation the product less
+    the join."""
     negated, pairs = pattern
     if not pairs:
-        # constant False is wrong at every held tuple, True at every other
-        if negated:
-            found = [min(held_here, default=None)]
-        else:
-            found = [next((t for t in itertools.product(*blocks) if t not in held), None)]
+        if not negated:
+            out.update(itertools.product(*blocks))
+        return
+    left = operator.itemgetter(*[s for s, _ in pairs])
+    right = operator.itemgetter(*[t - split for _, t in pairs])
+    index: dict = {}
+    for b in blocks[1]:
+        index.setdefault(right(options[b]), []).append(b)
+    join = {
+        (a, b, *rest)
+        for a in blocks[0]
+        for b in index.get(left(options[a]), ())
+        for rest in itertools.product(*blocks[2:])
+    }
+    if negated:
+        out.update(t for t in itertools.product(*blocks) if t not in join)
     else:
-        left = operator.itemgetter(*[s for s, _ in pairs])
-        right = operator.itemgetter(*[t - split for _, t in pairs])
-        index: dict = {}
-        for b in blocks[1]:
-            index.setdefault(right(options[b]), []).append(b)
-        satisfying = {
-            (a, b, *rest)
-            for a in blocks[0]
-            for b in index.get(left(options[a]), ())
-            for rest in itertools.product(*blocks[2:])
-        }
-        if negated:
-            neither = (
-                t for t in itertools.product(*blocks) if t not in satisfying and t not in held
-            )
-            found = [min(satisfying.intersection(held_here), default=None), next(neither, None)]
-        else:
-            found = [min(satisfying.symmetric_difference(held_here), default=None)]
-    least = min((t for t in found if t is not None), default=None)
-    return None if least is None else (least, f"tuple {least} (target says {least in held})")
+        out |= join
 
 
 # -- induced automorphisms -----------------------------------------------------
@@ -559,7 +539,7 @@ def induced_automorphism(
     """
     if not is_automorphism(M1, pi):
         raise SchemeError("the supplied permutation is not an automorphism of the host")
-    realized = sort_partition(M2)
+    realized = M2.sort_partition
     quotients, sort_checks, _ = _sort_pass(M1, scheme, realized)
     for check in [_sort_cover(realized, scheme), *sort_checks]:
         if not check.passed:

@@ -22,6 +22,9 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
+# sort_partition is not called here (the companion's stored
+# Structure.sort_partition is read) but stays a name because
+# perfbench/spans.py wraps it at this import site
 from .formulas import (
     AtomicType,
     Equal,
@@ -34,7 +37,7 @@ from .formulas import (
 )
 from .groups import Permutation, _image, is_automorphism
 from .interpretation import InterpretationScheme, SchemeSort
-from .structures import Signature, Structure, StructureError
+from .structures import Signature, Structure
 
 __all__ = [
     "LIMIT",
@@ -315,14 +318,13 @@ def _lift_signature(M: Structure, k: int) -> Signature:
         relations.append((samefiber_relation(rel), 2))
         functions.extend(projection_function(rel, t) for t in range(arity))
         functions.extend(copy_function(rel, j) for j in range(k))
-    try:
-        return Signature(
-            relations=tuple(relations),
-            functions=tuple(functions),
-            constants=(ANCHOR_NAME,),
-        )
-    except StructureError as e:
-        raise LiftError(f"source relation names clash with lift symbols: {e}") from e
+    # the names cannot clash: each starts with its kind's prefix, and an
+    # index has no underscore, so two agree only when relation and index do
+    return Signature(
+        relations=tuple(relations),
+        functions=tuple(functions),
+        constants=(ANCHOR_NAME,),
+    )
 
 
 def build_lift(M: Structure, config: LiftConfig = LiftConfig()) -> LiftedStructure:
@@ -581,40 +583,6 @@ def _companion_roles(M: Structure, k: int) -> dict[str, Role]:
 Recipe = tuple[int, bool | tuple[tuple[int, int], ...]]
 
 
-def _translation_recipe(
-    role: Role, kinds: tuple[Provenance, ...], widths: tuple[int, ...]
-) -> Recipe:
-    """What decides one companion relation at one tuple of sorts, each sort
-    given by the provenance of one of its elements, over the source
-    structure.  Most combinations are decided by the sorts alone (a truth);
-    the fiber-indexed symbols compare tuple coordinates across blocks (the
-    index pairs)."""
-    what, rel, index = role
-    total = sum(widths)
-    first = kinds[0]
-    on_fiber = isinstance(first, FiberElem) and first.rel == rel
-    if what == "base":
-        holds = isinstance(first, BaseElem)
-    elif what == "anchor":
-        holds = isinstance(first, Anchor)
-    elif what == "fiber":
-        holds = on_fiber
-    elif not on_fiber:
-        # off its relation's fibers a function sends everything to the anchor
-        holds = what != "samefiber" and isinstance(kinds[1], Anchor)
-    elif what == "proj":
-        if isinstance(kinds[1], BaseElem):
-            return total, ((index, widths[0]),)
-        holds = False
-    else:
-        second = kinds[1]
-        same = isinstance(second, FiberElem) and second.rel == rel
-        if same and (what == "samefiber" or second.copy == index):
-            return total, tuple((t, widths[0] + t) for t in range(len(first.coords)))
-        holds = False
-    return total, holds
-
-
 def _recipe_formula(recipe: Recipe) -> Formula:
     """The formula of a recipe: padding over every position, with the core
     ~x0 = x0 for a False truth or the equalities of its index pairs."""
@@ -632,12 +600,17 @@ def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
     (one class); the base sort is M itself under equality; each copy sort of
     width m(rel, i) consists of padded tuples keyed by their leading
     coordinates, with the limit sorts further cut down to relation members.
+    The sorts are the companion's stored Structure.sort_partition.
+
     Translation formulas for every companion relation are emitted
-    mechanically from the fiber semantics, one formula object per distinct
-    formula.  The bijections send the anchor to (0, 0), a base element to
-    its source point, and a fiber element to its coordinates padded with 0
-    to the sort's width.  An empty source raises LiftError: the anchor sort needs a host
-    tuple to present it.
+    mechanically from the fiber semantics, in product order of the sorts,
+    one formula object per distinct recipe (width and truth or index
+    pairs).  Each sort's kind and width are read once, and each relation
+    fills, per first sort, the row of recipes over the second sorts.  The
+    bijections send the anchor to (0, 0), a base element to its source
+    point, and a fiber element to its coordinates padded with 0 to the
+    sort's width.  An empty source raises LiftError: the anchor sort needs a
+    host tuple to present it.
     """
     M = N.source
     if not M.size:
@@ -646,16 +619,15 @@ def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
             "whose anchor needs a host tuple"
         )
     companion = N.companion
-    realized = sort_partition(companion)
+    realized = companion.sort_partition
     if list(realized.values()) != list(N.sorts.values()):
         raise LiftError("companion sorts differ from the lift's sorts (internal error)")
 
     sorts: list[SchemeSort] = []
-    kinds: dict[AtomicType, Provenance] = {}
-    widths: dict[AtomicType, int] = {}
+    kinds: list[Provenance] = []
     bij: dict[AtomicType, dict[int, tuple[int, ...]]] = {}
     for key, block in realized.items():
-        kind = kinds[key] = N.provenance[block[0]]
+        kind = N.provenance[block[0]]
         if isinstance(kind, Anchor):
             width, r, E = 2, Padded(2), Padded(4)
             bij[key] = {block[0]: (0,) * 2}
@@ -669,21 +641,51 @@ def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
                 for e in block
             }
         sorts.append(SchemeSort(key=key, width=width, domain_formula=r, equiv_formula=E))
-        widths[key] = width
+        kinds.append(kind)
 
+    keys = [s.key for s in sorts]
+    widths = [s.width for s in sorts]
+    unary = {
+        "base": [isinstance(kind, BaseElem) for kind in kinds],
+        "anchor": [isinstance(kind, Anchor) for kind in kinds],
+    }
+    fiber = [kind.rel if isinstance(kind, FiberElem) else None for kind in kinds]
+    copy = [kind.copy if isinstance(kind, FiberElem) else None for kind in kinds]
+    singles, combos = [*zip(keys)], [[(a, b) for b in keys] for a in keys]
+    never = [False] * len(keys)
+    # one formula per distinct recipe, for this scheme only
+    formula = functools.cache(_recipe_formula)
     translations: dict[tuple[str, tuple[AtomicType, ...]], Formula] = {}
-    keys_in_order = [s.key for s in sorts]
+
+    def emit(name: str, sort_keys: list, recipes) -> None:
+        translations.update(zip(zip(itertools.repeat(name), sort_keys), map(formula, recipes)))
+
     roles = _companion_roles(M, N.config.k)
-    formulas: dict[Recipe, Formula] = {}
-    for name, arity in companion.sig.relations:
-        for combo in itertools.product(keys_in_order, repeat=arity):
-            recipe = _translation_recipe(
-                roles[name],
-                tuple(kinds[k] for k in combo),
-                tuple(widths[k] for k in combo),
-            )
-            if recipe not in formulas:
-                formulas[recipe] = _recipe_formula(recipe)
-            translations[name, combo] = formulas[recipe]
+    for name, _ in companion.sig.relations:
+        what, rel, index = roles[name]
+        if what == "fiber":
+            emit(name, singles, zip(widths, [r == rel for r in fiber]))
+        elif what in unary:
+            emit(name, singles, zip(widths, unary[what]))
+        else:
+            # the second sorts a fiber-indexed symbol links: base ones for a
+            # projection, R-fiber ones for samefiber, copy j's for copy j
+            linked = unary["base"] if what == "proj" else [
+                r == rel and (what == "samefiber" or i == index) for r, i in zip(fiber, copy)
+            ]
+            # off its relation's fibers a function sends everything to the
+            # anchor, and samefiber holds nowhere
+            off = never if what == "samefiber" else unary["anchor"]
+            for a, first in enumerate(kinds):
+                totals = [widths[a] + w for w in widths]
+                if fiber[a] != rel:
+                    emit(name, combos[a], zip(totals, off))
+                    continue
+                if what == "proj":
+                    pairs = ((index, widths[a]),)
+                else:
+                    pairs = tuple((t, widths[a] + t) for t in range(len(first.coords)))
+                row = [(w, pairs if link else False) for w, link in zip(totals, linked)]
+                emit(name, combos[a], row)
 
     return InterpretationScheme(sorts=tuple(sorts), translations=translations, bijections=bij)

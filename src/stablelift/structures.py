@@ -12,6 +12,7 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 __all__ = [
     "Signature",
@@ -117,7 +118,9 @@ class Structure:
 
     ``repetition_free`` records whether relation tuples are required to have
     pairwise distinct entries.  Tuple sets are stored sorted; equality of two
-    structures is equality of interpretations, not isomorphism.
+    structures is equality of interpretations, not isomorphism.  The relation
+    columns and the sort partition are derived on first use and stored on
+    the instance, so every reader of one structure shares one of each.
     """
 
     sig: Signature
@@ -212,6 +215,15 @@ class Structure:
         """Each relation's tuples as columns, entry p of every tuple in
         tuple order; none for an empty relation.  Built on first use."""
         return {n: tuple(zip(*ts)) for n, ts in self.relations.items()}
+
+    @functools.cached_property
+    def sort_partition(self) -> MappingProxyType:
+        """formulas.sort_partition(self), read-only: atomic type -> sorted
+        block, blocks by least element.  Built on first use."""
+        # looked up at call time: formulas imports this module
+        from .formulas import sort_partition
+
+        return MappingProxyType(sort_partition(self))
 
     @property
     def domain(self) -> range:

@@ -49,7 +49,12 @@ faster or checks another way, and tests compare the two:
   parameters in the searched ``Aut(N)`` and ``Aut(M)``, the reference for the stabilizers
   ``report`` induces from ``Aut(M)``'s;
 - ``scheme_to_json_dict`` is a scheme's JSON data, formula by formula and
-  key by key, the reference for the text ``cli._scheme_text`` writes.
+  key by key, the reference for the text ``cli._scheme_text`` writes;
+- ``translation_recipe`` decides one companion relation at one tuple of
+  sorts from the provenance of each sort's elements, and
+  ``generated_translations`` emits a lift's translations tuple of sorts by
+  tuple of sorts with it, the reference for the row-wise
+  ``lifting.generate_scheme``.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ from stablelift.formulas import (
     format_formula,
     free_variables,
     free_width,
+    sort_partition,
 )
 from stablelift.groups import (
     GroupError,
@@ -99,9 +105,12 @@ from stablelift.lifting import (
     ANCHOR_NAME,
     BASE_NAME,
     LIMIT,
+    Anchor,
     BaseElem,
     FiberElem,
     LiftMapError,
+    _companion_roles,
+    _recipe_formula,
     copy_function,
     direct_induced,
     fiber_predicate,
@@ -527,3 +536,57 @@ def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
             for key, fmap in sorted(scheme.bijections.items())
         ],
     }
+
+
+def translation_recipe(role, kinds, widths):
+    """What decides one companion relation at one tuple of sorts, each sort
+    given by the provenance of one of its elements and by its width, over
+    the source structure: the width of the translation and either its
+    truth or the index pairs (s, t) of its atoms xs = xt.  Most
+    combinations are decided by the sorts alone (a truth); the
+    fiber-indexed symbols compare tuple coordinates across blocks (the
+    index pairs)."""
+    what, rel, index = role
+    total = sum(widths)
+    first = kinds[0]
+    on_fiber = isinstance(first, FiberElem) and first.rel == rel
+    if what == "base":
+        holds = isinstance(first, BaseElem)
+    elif what == "anchor":
+        holds = isinstance(first, Anchor)
+    elif what == "fiber":
+        holds = on_fiber
+    elif not on_fiber:
+        # off its relation's fibers a function sends everything to the anchor
+        holds = what != "samefiber" and isinstance(kinds[1], Anchor)
+    elif what == "proj":
+        if isinstance(kinds[1], BaseElem):
+            return total, ((index, widths[0]),)
+        holds = False
+    else:
+        second = kinds[1]
+        same = isinstance(second, FiberElem) and second.rel == rel
+        if same and (what == "samefiber" or second.copy == index):
+            return total, tuple((t, widths[0] + t) for t in range(len(first.coords)))
+        holds = False
+    return total, holds
+
+
+def generated_translations(N, scheme: InterpretationScheme) -> tuple[dict, dict]:
+    """The translations generate_scheme emits for the lift N, with the sort
+    widths of ``scheme``: one translation_recipe per tuple of the
+    companion's sorts, freshly partitioned, in product order of the
+    companion's relations, each with a fresh formula; and the recipe of
+    each translation, by (relation, sort keys)."""
+    kinds = {key: N.provenance[block[0]] for key, block in sort_partition(N.companion).items()}
+    widths = {s.key: s.width for s in scheme.sorts}
+    roles = _companion_roles(N.source, N.config.k)
+    translations, recipes = {}, {}
+    for name, arity in N.companion.sig.relations:
+        for combo in itertools.product(kinds, repeat=arity):
+            recipe = translation_recipe(
+                roles[name], tuple(kinds[k] for k in combo), tuple(widths[k] for k in combo)
+            )
+            recipes[name, combo] = recipe
+            translations[name, combo] = _recipe_formula(recipe)
+    return translations, recipes

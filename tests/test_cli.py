@@ -343,6 +343,39 @@ def test_scheme_check_other_mutations(capsys, edge_file):
         assert code == 1, mutation
 
 
+def test_scheme_check_builds_one_sort_partition_per_op(capsys, tmp_path, monkeypatch):
+    # generation and validation read the companion's stored partition: one
+    # build per op, mutated or not, equal to a fresh sort_partition and
+    # read-only
+    from stablelift import formulas, interpretation, lifting
+
+    path = tmp_path / "rigid.json"
+    M = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (3, 1)])
+    path.write_text(structure_to_json(M), encoding="utf-8")
+    original = formulas.sort_partition
+    built = []
+
+    def spy(S):
+        built.append(S)
+        return original(S)
+
+    # at the import sites too, which the library keeps as names
+    for module in (formulas, interpretation, lifting):
+        monkeypatch.setattr(module, "sort_partition", spy)
+    mutations = [("--mutate", m) for m in ("negate-relformula", "break-ep", "break-fp")]
+    for flags, expected in [((), 0), *((flags, 1) for flags in mutations)]:
+        built.clear()
+        code, _, _ = run(capsys, "scheme-check", "--in", str(path), "--k", "3", *flags)
+        assert code == expected, flags
+        assert len(built) == 1 and built[0].is_relational(), (flags, len(built))
+    N = build_lift(M, LiftConfig(k=3))
+    stored = N.companion.sort_partition
+    assert stored is N.companion.sort_partition
+    assert list(stored.items()) == list(original(N.companion).items())
+    with pytest.raises(TypeError):
+        stored[next(iter(stored))] = ()
+
+
 @pytest.mark.parametrize("k", ["1", "2"])
 def test_mutations_that_need_two_elements_on_a_point_are_input_errors(capsys, tmp_path, k):
     # the anchor's one class has |M|^2 = 1 member and every other sort is

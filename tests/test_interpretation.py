@@ -508,6 +508,15 @@ def test_a_mutant_shares_what_it_keeps_with_its_parent(corpus):
     assert redirected
 
 
+def test_redirect_bijection_refuses_a_one_element_sort(m_edge):
+    # the anchor sort has one element, so no second class can take it
+    _, _, scheme = _scheme_setup(m_edge)
+    key = next(key for key, fmap in scheme.bijections.items() if len(fmap) == 1)
+    with pytest.raises(SchemeError) as e:
+        redirect_bijection(scheme, key)
+    assert str(e.value) == "sort has fewer than two elements; cannot redirect"
+
+
 def _with_translation(scheme, i, formula):
     """scheme with the formula of its translation i replaced."""
     at = list(scheme.translations)[i]
@@ -1086,28 +1095,14 @@ def test_block_scan_takes_the_least_failure_over_interleaved_sorts():
     assert report == _product_scan_report(M1, M2, scheme)
 
 
-def _random_block_case(rng):
-    """A random block of one to three sorts of width 1-3 over a 3-element
-    host, each element with one random host tuple as its option, random
-    held tuples (one more outside the block), and the formula of a
-    constant or of an equality pattern linking the first two sorts, negated
-    or not, with the pattern it should have."""
-    n, nsorts = rng.randint(1, 6), rng.randint(1, 2)
-    sort_of = [rng.randrange(nsorts) for _ in range(n)]
-    sorts = [tuple(e for e in range(n) if sort_of[e] == i) for i in range(nsorts)]
-    sorts = [block for block in sorts if block]
-    widths = [rng.randint(1, 3) for _ in sorts]
-    keys = [rng.randrange(len(sorts)) for _ in range(rng.randint(1, 3))]
-    blocks, block_widths = [sorts[i] for i in keys], [widths[i] for i in keys]
-    options = {
-        e: (tuple(rng.randrange(3) for _ in range(widths[i])),)
-        for i, block in enumerate(sorts)
-        for e in block
-    }
-    total, split = sum(block_widths), block_widths[0]
+def _random_translation(rng, widths):
+    """The formula of a constant or of an equality pattern linking the first
+    two sorts, over sorts of these widths, negated or not, with the pattern
+    it should have."""
+    total, split = sum(widths), widths[0]
     pairs = []
-    if len(keys) > 1 and rng.random() < 0.8:
-        links = [(s, t) for s in range(split) for t in range(split, split + block_widths[1])]
+    if len(widths) > 1 and rng.random() < 0.8:
+        links = [(s, t) for s in range(split) for t in range(split, split + widths[1])]
         pairs = sorted(rng.sample(links, rng.randint(1, min(2, len(links)))))
     parts = [Equal(Var(q), Var(q)) for q in range(total)]
     parts += [Equal(Var(t), Var(s)) if rng.random() < 0.5 else Equal(Var(s), Var(t)) for s, t in pairs]
@@ -1118,39 +1113,103 @@ def _random_block_case(rng):
     negated = rng.random() < 0.5
     formula = conjunction(parts)
     formula = Not(formula) if negated else formula
-    product = list(itertools.product(*blocks))
+    return formula, (negated != false, tuple(pairs))
+
+
+def _random_held(rng, formula, product, options):
+    """Random held tuples of ``product``, at a random density or exactly
+    where the formula holds at the options, with one tuple flipped at
+    times."""
     density = rng.choice([0, 0.1, 0.5, 1, "exact"])
-    if density == "exact":
-        # exactly where the formula holds, with one tuple flipped at times
-        H = digraph(3, [])
-        held = {
-            t for t in product
-            if eval_formula(H, formula, dict(enumerate(sum((options[e][0] for e in t), ()))))
-        }
-        if rng.random() < 0.5:
-            held ^= {rng.choice(product)}
-    else:
-        held = {t for t in product if rng.random() < density}
-    held_here = list(held)
-    held.add((n,) * len(keys))
-    pattern = (negated != false, tuple(pairs))
-    return formula, pattern, split, blocks, frozenset(held), held_here, options
+    if density != "exact":
+        return {t for t in product if rng.random() < density}
+    H = digraph(3, [])
+    held = {
+        t for t in product
+        if eval_formula(H, formula, dict(enumerate(sum((options[e][0] for e in t), ()))))
+    }
+    if product and rng.random() < 0.5:
+        held ^= {rng.choice(product)}
+    return held
+
+
+def _random_sorts(rng, n, most):
+    """Elements 0..n-1 split at random into one to ``most`` nonempty sorts,
+    keyed ("s0",), ("s1",), ..., each of width 1-3, with each element's
+    one random host tuple over a 3-element host as its option."""
+    sort_of = [rng.randrange(most) for _ in range(n)]
+    blocks = [tuple(e for e in range(n) if sort_of[e] == i) for i in range(most)]
+    realized = {(f"s{i}",): block for i, block in enumerate(filter(None, blocks))}
+    widths = {key: rng.randint(1, 3) for key in realized}
+    options = {
+        e: (tuple(rng.randrange(3) for _ in range(widths[key])),)
+        for key, block in realized.items()
+        for e in block
+    }
+    return realized, widths, options
+
+
+def _agreement(held, row, realized, options, widths):
+    """_agreement_witness of one relation, its ready and stray elements read
+    off ``options`` as validate_scheme reads them."""
+    ready = {key: tuple(filter(options.__contains__, block)) for key, block in realized.items()}
+    stray = {
+        key: min(set(block).difference(ready[key]))
+        for key, block in realized.items()
+        if len(ready[key]) < len(block)
+    }
+    patterns = {id(phi): interpretation._equality_pattern(phi) for _, phi in row if phi is not None}
+    reps = {e: members[0] for e, members in options.items()}
+    return interpretation._agreement_witness(
+        frozenset(held), row, realized, reps, ready, stray, widths, patterns
+    )
+
+
+def _row_by_row(M, held, row, realized, options):
+    """The row-by-row reference: each block's first_failure (a block with no
+    translation fails at its least tuple), the least of them."""
+    failures = []
+    for keys, phi in row:
+        blocks = [realized[key] for key in keys]
+        if phi is None:
+            least = tuple(block[0] for block in blocks)
+            failures.append((least, f"untranslatable tuple {least}"))
+        else:
+            failures.append(first_failure(M, phi, frozenset(held), blocks, options))
+    return min(filter(None, failures), default=(None, None))
 
 
 @pytest.mark.hashseed
 def test_block_decision_matches_the_tuple_scan():
-    # constants and equality patterns, negated or not, decided from the held
-    # tuples give the row-by-row reference's least tuple and witness text
+    # constants and equality patterns, negated or not, decided at relation
+    # level give the row-by-row reference's least tuple and witness text:
+    # one random block, every other block of the relation a constant that
+    # agrees with the target there, its held tuples beside the block's
     rng = random.Random(2010)
     M = digraph(3, [])
     outcomes = Counter()
     for _ in range(3000):
-        formula, pattern, split, blocks, held, held_here, options = _random_block_case(rng)
+        realized, widths, options = _random_sorts(rng, rng.randint(1, 6), 2)
+        arity = rng.randint(1, 3)
+        keys = tuple(rng.choice(list(realized)) for _ in range(arity))
+        formula, pattern = _random_translation(rng, [widths[key] for key in keys])
         assert interpretation._equality_pattern(formula) == pattern, formula
-        expected = first_failure(M, formula, held, blocks, options)
-        reps = {e: members[0] for e, members in options.items()}
-        found = interpretation._block_failure(pattern, split, blocks, held, held_here, reps)
-        assert found == expected, (formula, blocks, held, options)
+        blocks = [realized[key] for key in keys]
+        held = _random_held(rng, formula, list(itertools.product(*blocks)), options)
+        row = [(keys, formula)]
+        for other in itertools.product(realized, repeat=arity):
+            if other != keys:
+                true = rng.random() < 0.5
+                width = sum(widths[key] for key in other)
+                false = Padded(width, (Not(Equal(Var(0), Var(0))),))
+                row.append((other, tautology(width) if true else false))
+                if true:
+                    held.update(itertools.product(*[realized[key] for key in other]))
+        rng.shuffle(row)
+        expected = first_failure(M, formula, frozenset(held), blocks, options)
+        assert _row_by_row(M, held, row, realized, options) == (expected or (None, None))
+        found = _agreement(held, row, realized, options, widths)
+        assert found == (expected and expected[1]), (formula, blocks, held, options)
         kind = "pattern" if pattern[1] else "constant"
         outcomes[kind, pattern[0], expected and expected[1].split()[-1]] += 1
     # a constant True fails only where the target says False, and False
@@ -1158,6 +1217,48 @@ def test_block_decision_matches_the_tuple_scan():
     impossible = {("constant", False, "True)"), ("constant", True, "False)")}
     for case in itertools.product(("pattern", "constant"), (False, True), (None, "True)", "False)")):
         assert (outcomes[case] > 0) == (case not in impossible), outcomes
+
+
+@pytest.mark.hashseed
+def test_relation_agreement_matches_the_row_by_row_reference():
+    # random relations of several blocks, each with a constant, a pattern, a
+    # negated pattern or no translation, over elements with or without an
+    # option: the relation-wide decision gives the least failing tuple of
+    # the row-by-row reference, untranslatable ones winning ties
+    rng = random.Random(5104)
+    M = digraph(3, [])
+    outcomes = Counter()
+    for _ in range(1500):
+        realized, widths, options = _random_sorts(rng, rng.randint(1, 6), 3)
+        for e in [e for e in options if rng.random() < 0.1]:
+            del options[e]
+        arity = rng.randint(1, 3)
+        row, held = [], set()
+        for keys in itertools.product(realized, repeat=arity):
+            if rng.random() < 0.05:
+                row.append((keys, None))
+                phi = tautology(sum(widths[key] for key in keys))
+            else:
+                phi, _ = _random_translation(rng, [widths[key] for key in keys])
+                row.append((keys, phi))
+            product = list(itertools.product(*[realized[key] for key in keys]))
+            ready = [t for t in product if all(map(options.__contains__, t))]
+            held |= _random_held(rng, phi, ready, options)
+            held |= {t for t in product if t not in ready and rng.random() < 0.3}
+        rng.shuffle(row)
+        least, expected = _row_by_row(M, held, row, realized, options)
+        found = _agreement(held, row, realized, options, widths)
+        assert found == expected, (row, held, options)
+        if expected is None:
+            outcomes["pass"] += 1
+        elif expected.startswith("untranslatable"):
+            keys = tuple(next(k for k, b in realized.items() if e in b) for e in least)
+            missing = dict(row)[keys] is None
+            outcomes["missing" if missing else "stray", least in held] += 1
+        else:
+            outcomes[expected.split()[-1]] += 1
+    assert {"pass", "True)", "False)", ("missing", False), ("missing", True), ("stray", False),
+            ("stray", True)} <= set(outcomes), outcomes
 
 
 def test_equality_patterns_are_read_off_the_formula(m_edge):
@@ -1232,8 +1333,9 @@ def test_translation_cover_completion_matches_the_product_scan(corpus):
 
 def test_agreement_skips_constant_false_blocks_and_reads_the_index(monkeypatch):
     # the heaviest scheme-rigid class: a rigid digraph on four vertices at
-    # k = 3; its many constant False blocks that hold no tuple never reach
-    # _block_failure, and a covered scheme needs no translation lookup
+    # k = 3; its many constant False blocks, those that hold no tuple
+    # among them, never reach _holding, and a covered scheme needs no
+    # translation lookup
     M = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (3, 1)])
     assert automorphism_group(M).order() == 1
     _, companion, scheme = _scheme_setup(M, 3)
@@ -1249,21 +1351,26 @@ def test_agreement_skips_constant_false_blocks_and_reads_the_index(monkeypatch):
         for index, phi in scheme.translations.items()
     )
     decided = []
-    original = interpretation._block_failure
+    original = interpretation._holding
 
-    def recording(pattern, split, blocks, held, held_here, options):
-        decided.append((pattern, held_here))
-        return original(pattern, split, blocks, held, held_here, options)
+    def recording(out, pattern, split, blocks, options):
+        decided.append(pattern)
+        return original(out, pattern, split, blocks, options)
 
     def lookup(self, rel, sort_keys):
         raise AssertionError(f"translation({rel!r}, ...) looked up")
 
-    monkeypatch.setattr(interpretation, "_block_failure", recording)
+    monkeypatch.setattr(interpretation, "_holding", recording)
     monkeypatch.setattr(InterpretationScheme, "translation", lookup)
     report = validate_scheme(M, companion, scheme)
     assert report.passed, report.failures()
     assert dead and decided, (dead, len(decided))
-    assert not [here for pattern, here in decided if pattern == (True, ()) and not here]
+    assert (True, ()) not in decided
+    # every other block reaches the kernel once
+    constant_false = sum(
+        interpretation._equality_pattern(phi) == (True, ()) for phi in scheme.translations.values()
+    )
+    assert len(decided) == len(scheme.translations) - constant_false
 
 
 def _padding_readers(M, scheme, pads, rng):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from automorphism_oracle import automorphisms
@@ -12,6 +13,7 @@ from references import (
     automorphism_group_brute,
     definable_quotient,
     expanded,
+    generated_translations,
     induced_by_fiber,
     limit_elements_by_provenance,
     restricted_by_element,
@@ -23,7 +25,7 @@ from references import (
 from stabilizer_oracle import identity
 from sweep import digraph_classes
 
-from stablelift import interpretation
+from stablelift import formulas, interpretation
 from stablelift.corpus import digraph, edge_pairs
 from stablelift.formulas import (
     And,
@@ -376,16 +378,34 @@ def test_projection_raises_its_internal_errors_when_the_lift_check_is_wrong(m_ed
 
 
 def test_generate_scheme_raises_its_internal_error_when_the_sorts_differ(m_edge, monkeypatch):
-    # generate_scheme re-sorts the companion that build_lift sorted, so
-    # only a sort_partition that lists other blocks reaches the check
-    import stablelift.lifting as lifting
-
+    # generate_scheme reads the companion's stored partition, which build_lift
+    # sorted already, so only a sort_partition that lists other blocks, met
+    # when the partition is first built, reaches the check
     N = build_lift(m_edge, LiftConfig(k=1))
-    original = lifting.sort_partition
-    monkeypatch.setattr(lifting, "sort_partition", lambda S: dict(reversed(original(S).items())))
+    original = formulas.sort_partition
+    monkeypatch.setattr(formulas, "sort_partition", lambda S: dict(reversed(original(S).items())))
     with pytest.raises(LiftError) as e:
         generate_scheme(N)
     assert str(e.value) == "companion sorts differ from the lift's sorts (internal error)"
+
+
+def test_lift_symbols_stay_distinct_under_adversarial_relation_names():
+    # relation names shaped like the lift's own symbols, and indices that
+    # share digits, never make two lift symbols agree: every lift builds
+    rng = random.Random(5102)
+    names = ["a", "a_1", "a_10", "fiber_a", "samefiber_a", "proj_a_0", "copy_a_1",
+             "base", "anchor"]
+    for _ in range(40):
+        chosen = rng.sample(names, rng.randint(1, len(names)))
+        sig = Signature(relations=tuple((name, rng.randint(1, 12)) for name in chosen))
+        # on two points only relations of arity 1 and 2 have fibers
+        held = {name: [(0, 1)[:n]] for name, n in sig.relations if n <= 2}
+        M = Structure(sig=sig, size=2, relations=held)
+        for k in (1, 2, 11):
+            S = build_lift(M, LiftConfig(k=k)).structure
+            symbols = [n for n, _ in S.sig.relations] + [*S.sig.functions, *S.sig.constants]
+            count = 2 + sum(2 + n + k for _, n in sig.relations)  # base, anchor and per relation
+            assert len(set(symbols)) == len(symbols) == count
 
 
 def test_order_transfer_under_both_fiber_flags(corpus):
@@ -687,6 +707,38 @@ def test_equal_translations_are_one_object(corpus):
             for phi in scheme.translations.values():
                 assert first.setdefault(phi, phi) is phi
             assert len(first) < len(scheme.translations)
+
+
+@pytest.mark.hashseed
+def test_generation_equals_the_per_tuple_reference(corpus):
+    # the row-wise generation emits the per-tuple reference's translations
+    # in the same order, with one formula object per distinct recipe: the
+    # corpus at k = 1..3, fibers over repeated entries, explicit paddings
+    # and mixed signatures
+    rng = random.Random(5103)
+    configs = [(M, LiftConfig(k=k)) for _, M in corpus for k in (1, 2, 3)]
+    others = [*_PINNED_STRUCTURES.values(), _mixed_structure(), _ternary_structure(),
+              _two_binary_structure(), *map(_random_relational_structure, range(8))]
+    for M in others:
+        for k in (1, 2, 3):
+            configs += [
+                (M, LiftConfig(k=k)),
+                (M, LiftConfig(k=k, include_repetition_tuples=True)),
+                (M, LiftConfig(k=k, padding=_random_padding(rng, M.sig, k, 40))),
+            ]
+    seen = Counter()
+    for M, config in configs:
+        N = build_lift(M, config)
+        scheme = generate_scheme(N)
+        expected, recipes = generated_translations(N, scheme)
+        assert list(scheme.translations) == list(expected), (M, config)
+        assert scheme.translations == expected, (M, config)
+        shared = {}
+        for at, phi in scheme.translations.items():
+            assert shared.setdefault(recipes[at], phi) is phi, (M, config, at)
+        assert len({*map(id, scheme.translations.values())}) == len(shared), (M, config)
+        seen.update(type(core).__name__ for _, core in recipes.values())
+    assert seen["bool"] and seen["tuple"], seen
 
 
 _TUE = Signature(relations=(("T", 3), ("E", 2), ("U", 1)))
