@@ -243,6 +243,8 @@ def orbits(G: PermGroup) -> list[tuple[int, ...]]:
 def orbits_on_tuples(G: PermGroup, tuples) -> list[tuple[tuple[int, ...], ...]]:
     """Orbits of the coordinatewise action on a G-invariant set of tuples."""
     members = set(tuples)
+    if not G.generators:
+        return [(t,) for t in sorted(members)]
     blocks = []
     for t, orbit in _orbit_search(G, members, lambda g, t: tuple([g[x] for x in t])):
         if not orbit <= members:

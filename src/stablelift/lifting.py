@@ -472,26 +472,28 @@ def _rigid_over_base(N: LiftedStructure) -> tuple[tuple[int, ...], ...] | None:
     anchor or base copy; so it is the identity if all of them lie there and
     no two elements share all three.  The naming points, source points a for
     base elements 1 + a, are none for the anchor, a for 1 + a, and for e its
-    projection values in the base copy, in projection order."""
+    projection values in the base copy, in projection order.  All of it is
+    read off columns over the elements outside the anchor and base copy."""
     S, rels = N.structure, N.source.sig.relations
     base = {e for (e,) in S.relation_sets[BASE_NAME]}
     fixed = {S.constants[ANCHOR_NAME], *base}
-    domain = S.domain
-    flags = [map(S.relation_sets[fiber_predicate(rel)].__contains__, zip(domain)) for rel, _ in rels]
-    flags += [map(operator.eq, S.functions[copy_function(rel, j)], domain)
+    rest = tuple(itertools.filterfalse(fixed.__contains__, S.domain))
+    projections = [_image(S.functions[projection_function(rel, t)], rest)
+                   for rel, n in rels for t in range(n)]
+    if not fixed.issuperset(itertools.chain.from_iterable(projections)):
+        return None
+    flags = [map(S.relation_sets[fiber_predicate(rel)].__contains__, zip(rest)) for rel, _ in rels]
+    flags += [map(operator.eq, _image(S.functions[copy_function(rel, j)], rest), rest)
               for rel, _ in rels for j in range(N.config.k)]
-    projections = [S.functions[projection_function(rel, t)] for rel, n in rels for t in range(n)]
-    # with no relation there are no columns, and no fiber element either
-    rows = zip(zip(*flags), zip(*projections)) if rels else itertools.repeat(((), ()))
-    points, names = [], set()
-    for e, (flag, values) in zip(domain, rows):
-        values = (e,) if e in fixed else values
-        if not fixed.issuperset(values):
-            return None
-        if e not in fixed:
-            names.add((flag, values))
-        points.append(tuple([v - 1 for v in values if v in base]))
-    return tuple(points) if len(names) == S.size - len(fixed) else None
+    if len(set(zip(*flags, *projections))) != len(rest):
+        return None
+    # 1 + a names a, as a base element and as a projection value
+    named = {b: (b - 1,) for b in base}
+    points = dict.fromkeys(S.domain, ()) | named
+    named[S.constants[ANCHOR_NAME]] = ()
+    rows = zip(*[_image(named, column) for column in projections])
+    points.update(zip(rest, map(tuple, map(itertools.chain.from_iterable, rows))))
+    return tuple(points.values())
 
 
 def certify_induced_group(N: LiftedStructure, generators, images) -> tuple[tuple[int, ...], ...]:

@@ -11,6 +11,8 @@ identity with stabilizers induced from Aut(M), searching no lift.  Extension
 arguments that need saturated models have no finite counterpart; the
 identity is the finite substitute, and every report header says so.  Each
 census truth column is one map over term columns, and parameters are ints.
+A census labels each element by its block and counts distinct labels per
+sort, and a report decomposes each distinct stabilizer once per lift.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from .formulas import group_by_columns
 from .groups import (
     PermGroup,
+    _image,
     automorphism_group,
     orbits,
     orbits_on_tuples,
@@ -89,14 +92,14 @@ class TypeCensus:
 class _CensusTable:
     """The parameter-free part of a census: the term columns that vary, each
     with its set of values, the values of the constant terms, each nonempty
-    relation's values per position, and the partition by the parameter-free
-    atoms as blocks (by least element) and as a block index per element."""
+    relation's values per position, and each element's block label under
+    the parameter-free atoms, the rank of its row: blocks are numbered by
+    least element."""
 
     varying: dict[tuple[int, ...], frozenset[int]]
     fixed: frozenset[int]
     at: dict[str, tuple[frozenset[int], ...]]
-    blocks: tuple[tuple[int, ...], ...]
-    block_of: tuple[int, ...]
+    labels: tuple[int, ...]
 
 
 def _splitting(size: int, truth) -> list[tuple[bool, ...]]:
@@ -135,32 +138,37 @@ def _census_table(N: Structure, depth: int) -> _CensusTable:
     # every term as a column of values over the domain; the terms that do
     # not mention the free element give constant columns
     size = N.size
-    images = [N.functions[f].__getitem__ for f in N.sig.functions]
+    functions = [N.functions[f] for f in N.sig.functions]
     terms = frontier = [tuple(N.domain)] + [(N.constants[c],) * size for c in N.sig.constants]
     for _ in range(depth):
-        frontier = [tuple(map(image, col)) for image in images for col in frontier]
+        frontier = [_image(f, col) for f in functions for col in frontier]
         terms = terms + frontier
     cols = {col: frozenset(col) for col in terms}
     varying = {col: s for col, s in cols.items() if len(s) > 1}
     constants = {col: s for col, s in cols.items() if len(s) == 1}
+    fixed = frozenset(col[0] for col in constants)
 
     # An equality whose two terms share no value, and a relation atom with
     # a term that takes no value the relation takes at its position, are
     # false everywhere and split no block: their columns are never built.
-    # Two constant columns share no value; an empty relation has no atom.
-    at = {name: tuple(map(frozenset, zip(*held))) for name, held in N.relation_sets.items() if held}
+    # Two varying terms that share only constant values v are equal exactly
+    # where both equal such a v, which the atoms t = v already tell; two
+    # constant columns share no value; an empty relation has no atom.
+    at = {name: tuple(map(frozenset, columns)) for name, columns in N.relation_columns.items()
+          if columns}
+    free = [(col, s - fixed) for col, s in varying.items()]
     truth = [
         tuple(map(operator.eq, c1, c2))
-        for (c1, s1), (c2, s2) in itertools.combinations(cols.items(), 2)
+        for (c1, s1), (c2, s2) in itertools.combinations(free, 2)
         if not s1.isdisjoint(s2)
     ]
+    truth += [tuple(map(v.__eq__, col)) for col, s in varying.items() for v in s & fixed]
     truth += _relation_truth(N, at, [varying, constants], {0})
-    blocks = tuple(map(tuple, group_by_columns(size, _splitting(size, truth)).values()))
-    block_of = [0] * size
-    for idx, blk in enumerate(blocks):
-        for e in blk:
-            block_of[e] = idx
-    return _CensusTable(varying, frozenset(c[0] for c in constants), at, blocks, tuple(block_of))
+    # each distinct row's rank in order of first, so least, element
+    columns = _splitting(size, truth)
+    rows = list(zip(*columns)) if columns else [()] * size
+    rank = dict(zip(dict.fromkeys(rows), itertools.count()))
+    return _CensusTable(varying, fixed, at, tuple(map(rank.__getitem__, rows)))
 
 
 def _int_parameters(A) -> tuple[int, ...]:
@@ -171,7 +179,9 @@ def _int_parameters(A) -> tuple[int, ...]:
     return A
 
 
-def _census_over(table: _CensusTable, N: Structure, A, depth: int) -> TypeCensus:
+def _census_over(table: _CensusTable, N: Structure, A, depth: int):
+    """Each element's label, shared exactly by the elements of its type over
+    A: the table's label, zipped with the new non-constant truth columns."""
     params = sorted(set(A))
     for a in params:
         if not (0 <= a < N.size):
@@ -185,20 +195,18 @@ def _census_over(table: _CensusTable, N: Structure, A, depth: int) -> TypeCensus
     for _ in range(depth):
         frontier = {N.functions[f][v] for f in N.sig.functions for v in frontier}
         values |= frontier
-    new = {(v,) * N.size: frozenset((v,)) for v in values - table.fixed}
-    if not new:
-        return TypeCensus(table.blocks)
-    truth = [
-        tuple(map(operator.eq, c1, c2))
-        for (c1, s1), (c2, s2) in itertools.product(table.varying.items(), new.items())
-        if not s1.isdisjoint(s2)
-    ]
+    values -= table.fixed
+    if not values:
+        return table.labels
+    truth = [tuple(map(v.__eq__, col)) for col, s in table.varying.items() for v in s & values]
+    # a relation atom with a new term needs a position that takes its value
+    at = {name: places for name, places in table.at.items()
+          if any(not there.isdisjoint(values) for there in places)}
     fixed = {(v,) * N.size: frozenset((v,)) for v in table.fixed}
-    truth += _relation_truth(N, table.at, [table.varying, fixed, new], {0, 2})
-    # the table's block indices as one more column: all 0 (equal to all
-    # False) for one block, and 0/1 equal to a truth column for two
-    columns = _splitting(N.size, [table.block_of, *truth])
-    return TypeCensus(tuple(map(tuple, group_by_columns(N.size, columns).values())))
+    new = {(v,) * N.size: frozenset((v,)) for v in values}
+    truth += _relation_truth(N, at, [table.varying, fixed, new], {0, 2})
+    columns = _splitting(N.size, truth)
+    return list(zip(table.labels, *columns)) if columns else table.labels
 
 
 def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
@@ -208,7 +216,8 @@ def qf_type_census(N: Structure, A, depth: int = 1) -> TypeCensus:
     The parameter-free census is built first; the parameters then refine
     its blocks by only the atoms that mention a parameter term."""
     A = _int_parameters(A)
-    return _census_over(_census_table(N, depth), N, A, depth)
+    labels = _census_over(_census_table(N, depth), N, A, depth)
+    return TypeCensus(tuple(map(tuple, group_by_columns(N.size, [labels]).values())))
 
 
 # -- orbit decomposition --------------------------------------------------------
@@ -227,10 +236,10 @@ class DecompositionReport:
         )
 
 
-def _per_sort(sorts: dict[str, tuple[int, ...]], blocks) -> dict[str, int]:
-    """Per sort, how many of ``blocks`` (a partition of the domain) meet it."""
-    block_of = {e: idx for idx, block in enumerate(blocks) for e in block}
-    return {label: len({block_of[e] for e in block}) for label, block in sorts.items()}
+def _per_sort(sorts: dict[str, tuple[int, ...]], labels) -> dict[str, int]:
+    """Per sort, how many distinct labels its elements have, ``labels``
+    giving one label per element of the domain (a block of a partition)."""
+    return {name: len(set(_image(labels, block))) for name, block in sorts.items()}
 
 
 def _source_counts(M: Structure, fibers: dict, GM: PermGroup) -> tuple[int, dict]:
@@ -250,7 +259,11 @@ def _decomposition(N: LiftedStructure, GN: PermGroup, source) -> DecompositionRe
     it (left) against the count that ``source``, from _source_counts,
     predicts (right); the fiber rows follow the relation order of N.fibers."""
     left_blocks = orbits(GN)
-    left_by_sort = _per_sort(N.sorts, left_blocks)
+    # each orbit labelled by its least element; a trivial group's are points
+    least = range(GN.degree)
+    if GN.generators:
+        least = {e: block[0] for block in left_blocks for e in block}
+    left_by_sort = _per_sort(N.sorts, least)
     # each orbit meets at least one sort, so the counts sum past the orbit
     # count exactly when some orbit meets two
     if sum(left_by_sort.values()) != len(left_blocks):
@@ -326,22 +339,28 @@ def stability_report(
     search = stabilizer_search(M)
     group_M = search(())
     stabilizers = [search(A_src) if A_src else group_M for A_src in As]
-    counts = []
+    # equal generators give the same group, so the same orbits and counts
+    counts: dict[tuple, tuple] = {}
     for k in ks:
         N = build_lift(M, LiftConfig(k=k))
         table = _census_table(N.structure, 1)
         induced = {g: direct_induced(N, g) for g in group_M.generators}
         certify_induced_group(N, group_M.generators, list(induced.values()))
-        counts = counts or [_source_counts(M, N.fibers, G) for G in stabilizers]
-        for A_src, stabilizer, source in zip(As, stabilizers, counts):
-            A = tuple(N.base_id(a) for a in A_src)
-            for g in stabilizer.generators:
-                if g not in induced:
-                    induced[g] = direct_induced(N, g)
-            lift_generators = [induced[g] for g in stabilizer.generators]
-            decomposition = _decomposition(N, PermGroup(lift_generators, N.structure.size), source)
+        decompositions: dict[tuple, DecompositionReport] = {}
+        for A_src, stabilizer in zip(As, stabilizers):
+            generators = stabilizer.generators
+            if generators not in decompositions:
+                if generators not in counts:
+                    counts[generators] = _source_counts(M, N.fibers, stabilizer)
+                for g in generators:
+                    if g not in induced:
+                        induced[g] = direct_induced(N, g)
+                lift_group = PermGroup([induced[g] for g in generators], N.structure.size)
+                decompositions[generators] = _decomposition(N, lift_group, counts[generators])
+            decomposition = decompositions[generators]
             orbit_counts = {row["sort"]: row["left"] for row in decomposition.per_sort}
-            types = _per_sort(N.sorts, _census_over(table, N.structure, A, 1).blocks)
+            A = tuple(N.base_id(a) for a in A_src)
+            types = _per_sort(N.sorts, _census_over(table, N.structure, A, 1))
             per_sort = [{"sort": s, "orbits": orbit_counts[s], "types": types[s]} for s in N.sorts]
             report.entries.append({
                 "k": k,

@@ -60,6 +60,7 @@ faster or checks another way, and tests compare the two:
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 
 import stabilizer_oracle
@@ -434,6 +435,31 @@ def naming_points(N):
         if e not in fixed:
             names.add((tuple((e,) in P for P in predicates), tuple(f[e] == e for f in selectors),
                        values))
+        points.append(tuple([v - 1 for v in values if v in base]))
+    return tuple(points) if len(names) == S.size - len(fixed) else None
+
+
+def rigid_over_base_by_row(N):
+    """_rigid_over_base as one loop over the lift's elements, each read as
+    its row of fiber predicates, fixing copy selectors and projection
+    values, the anchor and the base copy named by themselves."""
+    S, rels = N.structure, N.source.sig.relations
+    base = {e for (e,) in S.relation_sets[BASE_NAME]}
+    fixed = {S.constants[ANCHOR_NAME], *base}
+    domain = S.domain
+    flags = [map(S.relation_sets[fiber_predicate(rel)].__contains__, zip(domain)) for rel, _ in rels]
+    flags += [map(operator.eq, S.functions[copy_function(rel, j)], domain)
+              for rel, _ in rels for j in range(N.config.k)]
+    projections = [S.functions[projection_function(rel, t)] for rel, n in rels for t in range(n)]
+    # with no relation there are no columns, and no fiber element either
+    rows = zip(zip(*flags), zip(*projections)) if rels else itertools.repeat(((), ()))
+    points, names = [], set()
+    for e, (flag, values) in zip(domain, rows):
+        values = (e,) if e in fixed else values
+        if not fixed.issuperset(values):
+            return None
+        if e not in fixed:
+            names.add((flag, values))
         points.append(tuple([v - 1 for v in values if v in base]))
     return tuple(points) if len(names) == S.size - len(fixed) else None
 

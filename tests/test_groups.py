@@ -322,6 +322,35 @@ def test_orbits_of_the_trivial_group_are_singletons():
     assert orbits_on_tuples(G, [(1, 0), (0, 1)]) == [((0, 1),), ((1, 0),)]
 
 
+@pytest.mark.hashseed
+def test_tuple_orbits_of_a_group_with_no_generators_equal_the_search():
+    # the singletons orbits_on_tuples returns for a group with no
+    # generators, against the breadth-first search it skips, over random
+    # tuple sets of arity 0-3 on 1-6 points, with repeats, in random order
+    import random
+
+    from stablelift.groups import _orbit_search
+
+    rng = random.Random(5)
+    for _ in range(200):
+        n, arity = rng.randint(1, 6), rng.randint(0, 3)
+        G = PermGroup([], n)
+        tuples = [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(rng.randint(0, 12))]
+        act = lambda g, t: tuple([g[x] for x in t])  # noqa: E731
+        searched = [tuple(sorted(orbit)) for _, orbit in _orbit_search(G, set(tuples), act)]
+        assert orbits_on_tuples(G, tuples) == searched == [(t,) for t in sorted(set(tuples))]
+
+
+def test_a_group_refuses_a_generator_of_another_degree():
+    with pytest.raises(GroupError, match=r"^all generators must share the group's degree$"):
+        PermGroup([Permutation((1, 0, 2)), Permutation((1, 0))], 3)
+
+
+def test_is_automorphism_refuses_a_permutation_of_another_degree(m_triple):
+    with pytest.raises(GroupError, match=r"^permutation degree 2 != domain size 3$"):
+        is_automorphism(m_triple, Permutation((1, 0)))
+
+
 def test_orbits_on_tuples_names_an_escaping_orbit(m_pair):
     # the swap of 0 and 1 carries (0, 1) to (1, 0), which the set lacks
     G = automorphism_group(m_pair)
@@ -891,13 +920,13 @@ def test_root_partition_refines_the_sorts_and_is_equitable(type_structures):
     import refinement_oracle
     from stablelift.formulas import sort_partition
     from stablelift.groups import _adjacency, _refine, _root_partition
-    from stablelift.stability import _census_table
+    from stablelift.stability import qf_type_census
 
     for M in type_structures:
         adj = _adjacency(M)
         views = _views_per_position_pair(M)
         # from the sorts, and refined from the depth-1 census blocks
-        for sorts in (None, _census_table(M, 1).blocks):
+        for sorts in (None, qf_type_census(M, ()).blocks):
             if sorts is None:
                 node = _root_partition(M, adj)
             else:
@@ -991,6 +1020,45 @@ def test_certified_group_equals_the_search_on_lifts(corpus):
         assert reference.contains(searched, *certified.generators), case
         assert reference.contains(certified, *searched.generators), case
         assert searched.order() == len(automorphisms(S, budget=2_000_000)), case
+
+
+def test_naming_certificate_equals_its_row_loop(corpus):
+    """_rigid_over_base, which reads columns over the fiber elements, against
+    the loop over each element's row that it replaced: on the lifts of
+    _lift_cases, on the corpus at k = 3, with and without repetition tuples,
+    on lifts of mixed signatures, and on lifts doctored to share a name or
+    to project outside the anchor and the base copy, where both give
+    None."""
+    from references import rigid_over_base_by_row
+    from stablelift.lifting import _rigid_over_base, fiber_sort
+    from test_lifting import _mixed_structure, _ternary_structure, _two_binary_structure
+
+    lifts = [N for _, N in _lift_cases(corpus)]
+    lifts += [build_lift(M, LiftConfig(k=3, include_repetition_tuples=repeats))
+              for _, M in corpus for repeats in (False, True)]
+    lifts += [build_lift(make(), LiftConfig(k=k, include_repetition_tuples=repeats))
+              for make in (_mixed_structure, _ternary_structure, _two_binary_structure)
+              for k in (1, 2, 3) for repeats in (False, True)]
+    refused = 0
+    for N in lifts:
+        assert _rigid_over_base(N) == rigid_over_base_by_row(N) is not None
+        copies = [block for sort, block in N.sorts.items()
+                  if sort.startswith("fiber_") and len(block) > 1]
+        if not copies:
+            continue
+        first, second = copies[0][:2]
+
+        def shared(images):
+            return images[:second] + (images[first],) + images[second + 1:]
+
+        def off_the_base(images):
+            return images[:first] + (second,) + images[first + 1:]
+
+        for doctor in (shared, off_the_base):
+            doctored = _with_projections(N, doctor)
+            assert _rigid_over_base(doctored) is rigid_over_base_by_row(doctored) is None
+            refused += 1
+    assert refused > 100
 
 
 def test_rigidity_needs_the_base_points():

@@ -20,7 +20,7 @@ from stablelift.groups import (
     automorphism_group,
     is_automorphism,
 )
-from stablelift.stability import _census_table
+from stablelift.stability import qf_type_census
 from stablelift.structures import Signature, Structure
 
 pytestmark = pytest.mark.hashseed
@@ -35,7 +35,7 @@ def test_refinement_gives_the_reference_cells_at_the_root_and_its_children(
     for M in type_structures + random_structures:
         adj, tables = _adjacency(M), reference.view_tables(M)
         # from the sorts, and from the depth-1 census blocks
-        for sorts in (None, _census_table(M, 1).blocks):
+        for sorts in (None, qf_type_census(M, ()).blocks):
             if sorts is None:
                 root = _root_partition(M, adj)
             else:

@@ -84,6 +84,15 @@ def _qf_type_census_reference(N, A, depth):
     return tuple(tuple(blk) for blk in ordered)
 
 
+def _blocks(labels):
+    """The elements grouped by label, each block ascending, blocks by least
+    element."""
+    blocks = {}
+    for e, label in enumerate(labels):
+        blocks.setdefault(label, []).append(e)
+    return tuple(map(tuple, blocks.values()))
+
+
 def test_qf_census_matches_label_set_reference(type_structures):
     rng = random.Random(17)
     for index, N in enumerate(type_structures):
@@ -108,21 +117,27 @@ def test_one_census_table_serves_every_parameter_set(type_structures):
                 As.append(fresh[:1])
             # the reference is slow: each table meets every other set
             for A in As[index % 2 :: 2]:
-                got = stability._census_over(table, N, A, depth).blocks
+                got = _blocks(stability._census_over(table, N, A, depth))
                 assert got == _qf_type_census_reference(N, A, depth), (index, depth, A)
 
 
 def test_a_parameter_set_that_adds_no_atom_keeps_the_table_blocks(type_structures):
     # a constant's value as the one parameter: its terms are the constant's,
-    # already constant columns of the table, so it adds no atom, as () does
+    # already constant columns of the table, so it adds no atom, as () does,
+    # and the table's labels come back as they are; they are the ranks of
+    # the blocks by least element
     checked = 0
     for index, N in enumerate(type_structures):
         for depth in (0, 1, 2) if N.size <= 12 else (0, 1):
             table = stability._census_table(N, depth)
-            assert qf_type_census(N, (), depth=depth).blocks == table.blocks, index
+            blocks = _blocks(table.labels)
+            assert [table.labels[block[0]] for block in blocks] == list(range(len(blocks))), index
+            assert stability._census_over(table, N, (), depth) is table.labels, index
+            assert qf_type_census(N, (), depth=depth).blocks == blocks, index
             for A in [(N.constants[c],) for c in N.sig.constants[:1]]:
+                assert stability._census_over(table, N, A, depth) is table.labels, (index, A)
                 got = qf_type_census(N, A, depth=depth).blocks
-                assert got == table.blocks == _qf_type_census_reference(N, A, depth), (index, A)
+                assert got == blocks == _qf_type_census_reference(N, A, depth), (index, A)
                 checked += 1
     assert checked > 0
 
@@ -165,22 +180,80 @@ def test_pruned_census_matches_the_reference(case):
     table = stability._census_table(N, depth)
     for A in As:
         reference = _qf_type_census_reference(N, A, depth)
-        assert stability._census_over(table, N, A, depth).blocks == reference, A
+        assert _blocks(stability._census_over(table, N, A, depth)) == reference, A
         assert qf_type_census(N, A, depth=depth).blocks == reference, A
+
+
+def _census_structure(size, functions, constants=None, relations=None):
+    """A structure of unary functions, constants and relations, given as
+    name -> images, name -> element and name -> tuples."""
+    relations = relations or {}
+    sig = Signature(
+        relations=tuple((name, len(next(iter(ts)))) for name, ts in relations.items()),
+        functions=tuple(functions),
+        constants=tuple(constants or ()),
+    )
+    return Structure(sig=sig, size=size, relations=relations, functions=functions,
+                     constants=constants or {}, repetition_free=False)
+
+
+@pytest.mark.hashseed
+def test_census_equalities_of_varying_terms_match_the_reference():
+    # f and g take the values {0, 1, 2} and {0, 3, 4}, and meet only at the
+    # constant c = 0, so f(x) = g(x) holds where f(x) = c and g(x) = c do
+    # and is never built; x = f(x) has no constant to meet at and splits the
+    # fixed points of f off; in the last structure f(x) = g(x) holds at 0
+    # and also at 1, 3 and 4, at values no constant term takes, and so
+    # splits them from 2, 5 and 6
+    meet_at_constants = _census_structure(
+        6, {"f": (0, 1, 0, 2, 1, 0), "g": (0, 3, 4, 0, 0, 3)}, {"c": 0})
+    fixed_points = _census_structure(4, {"f": (1, 0, 2, 3)})
+    meet_past_constants = _census_structure(
+        7, {"f": (0, 5, 5, 1, 2, 3, 4), "g": (0, 5, 6, 1, 2, 4, 3)}, {"c": 0})
+    cases = [meet_at_constants, fixed_points, meet_past_constants]
+    assert [qf_type_census(N, ()).blocks for N in cases] == [
+        ((0,), (1,), (2, 5), (3, 4)), ((0, 1), (2, 3)), ((0,), (1, 3, 4), (2, 5, 6))
+    ]
+    for N in cases:
+        for depth in (0, 1, 2):
+            table = stability._census_table(N, depth)
+            for A in [A for r in range(3) for A in itertools.combinations(N.domain, r)]:
+                reference = _qf_type_census_reference(N, A, depth)
+                assert _blocks(stability._census_over(table, N, A, depth)) == reference, (depth, A)
+                assert qf_type_census(N, A, depth=depth).blocks == reference, (depth, A)
+
+
+@pytest.mark.hashseed
+def test_census_relation_atoms_with_a_parameter_match_the_reference():
+    # R takes 2 and 3 at its second position: the parameter 2 makes the atom
+    # R(x, 2), which splits 0 off, and R(x, f(2)) with f(2) = 3 splits 1
+    # off; Q takes no parameter value at any position and adds no atom
+    N = _census_structure(5, {"f": (0, 1, 3, 2, 4)},
+                          relations={"R": {(0, 2), (1, 3)}, "Q": {(4, 4)}})
+    assert qf_type_census(N, ()).blocks == ((0, 1), (2, 3), (4,))
+    assert qf_type_census(N, (2,)).blocks == ((0,), (1,), (2,), (3,), (4,))
+    assert qf_type_census(N, (2,), depth=0).blocks == ((0,), (1, 3), (2,), (4,))
+    for depth in (0, 1, 2):
+        table = stability._census_table(N, depth)
+        for A in [A for r in range(3) for A in itertools.combinations(N.domain, r)]:
+            reference = _qf_type_census_reference(N, A, depth)
+            assert _blocks(stability._census_over(table, N, A, depth)) == reference, (depth, A)
+            assert qf_type_census(N, A, depth=depth).blocks == reference, (depth, A)
 
 
 def test_census_groups_only_columns_that_can_split_a_block(corpus, type_structures, monkeypatch):
     # the report's lifts, and structures with a function and a constant,
     # whose terms give equalities and relation atoms that hold nowhere or
-    # everywhere (x = f(x) for a fixed-point-free f, say)
+    # everywhere (x = f(x) for a fixed-point-free f, say); the columns that
+    # _splitting keeps are the ones zipped into the labels
     received = []
 
-    def recording(size, columns, inner=stability.group_by_columns):
-        columns = list(columns)
+    def recording(size, truth, inner=stability._splitting):
+        columns = inner(size, truth)
         received.append((size, columns))
-        return inner(size, columns)
+        return columns
 
-    monkeypatch.setattr(stability, "group_by_columns", recording)
+    monkeypatch.setattr(stability, "_splitting", recording)
     rigid = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     for M in [rigid] + [M for _, M in corpus if M.size >= 2][::8]:
         stability_report(M, [1, 2], [(), (0,), (0, 1)])
@@ -397,6 +470,27 @@ def test_report_builds_one_census_table_per_copy_bound(corpus, monkeypatch):
             ]
 
 
+def test_report_decomposes_each_distinct_stabilizer_once_per_lift(m_triple, monkeypatch):
+    # equal generators give one group: a rigid M's three parameter sets have
+    # one stabilizer, decomposed once per lift and counted on M once; Sym(3)
+    # has four distinct ones among its six sets
+    calls = []
+    for name in ("_decomposition", "_source_counts"):
+        inner = getattr(stability, name)
+        monkeypatch.setattr(stability, name,
+                            lambda *args, name=name, inner=inner: calls.append(name) or inner(*args))
+    rigid = digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    for M, As, distinct in (
+        (rigid, [(), (0,), (0, 1)], 1),
+        (m_triple, [(), (0,), (0, 1), (1,), (1, 0), (0, 1, 2)], 4),
+    ):
+        calls.clear()
+        report = stability_report(M, [1, 2, 3], As)
+        assert report.all_pass and len(report.entries) == 3 * len(As)
+        assert calls.count("_decomposition") == 3 * distinct
+        assert calls.count("_source_counts") == distinct
+
+
 def test_report_stabilizers_equal_the_lift_chain_stabilizers(corpus, monkeypatch):
     """Each lift stabilizer stability_report counts orbits of, the group of
     the induced generators of Aut(M)'s stabilizer, against the stabilizer
@@ -404,6 +498,9 @@ def test_report_stabilizers_equal_the_lift_chain_stabilizers(corpus, monkeypatch
     by Schreier-Sims, the same order, and each holds the other's
     generators; on the corpus at k = 1, 2 for every parameter set of at
     most two points."""
+    # _decomposition runs once per lift and distinct stabilizer, in the
+    # order of the parameter sets; each entry is matched to its call by the
+    # generators of its source stabilizer
     seen = []
     monkeypatch.setattr(
         stability,
@@ -414,9 +511,15 @@ def test_report_stabilizers_equal_the_lift_chain_stabilizers(corpus, monkeypatch
     for _, M in corpus:
         seen.clear()
         As = [A for r in range(3) for A in itertools.combinations(M.domain, r)]
+        search = groups.stabilizer_search(M)
+        distinct = list(dict.fromkeys(search(A).generators for A in As))
         report = stability_report(M, [1, 2], As)
-        assert report.all_pass and len(seen) == len(report.entries)
-        for entry, (N, induced) in zip(report.entries, seen):
+        assert report.all_pass and len(seen) == 2 * len(distinct)
+        for entry in report.entries:
+            call = (entry["k"] - 1) * len(distinct)
+            call += distinct.index(search(tuple(entry["A"])).generators)
+            N, induced = seen[call]
+            assert N.config.k == entry["k"]
             A = [N.base_id(a) for a in entry["A"]]
             searched = groups.automorphism_group(N.structure, fixed=A)
             case = (M, entry["k"], A)
