@@ -12,9 +12,7 @@ import argparse
 import functools
 import json
 import math
-import operator
 import sys
-from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -36,11 +34,11 @@ from .lifting import (
     PaddingAssignment,
     build_lift,
     certify_induced_group,
-    continuity_witness,
     direct_induced,
     generate_scheme,
     limit_elements,
     padding_triples,
+    sort_widths,
 )
 from .stability import (
     QF_DEPTH_LIMIT,
@@ -199,14 +197,16 @@ def _translation_count(N: LiftedStructure) -> int:
     return sum(len(N.sorts) ** arity for _, arity in N.companion.sig.relations)
 
 
-def _scheme_atoms(scheme: InterpretationScheme) -> int:
-    """How many atoms scheme-check's report prints in the scheme's sorts and
-    translations (see SCHEME_ATOM_GUARD), summed once per tuple of sorts."""
-    size = {s.key: len(s.key) + s.width for s in scheme.sorts}
-    tuples = Counter(map(operator.itemgetter(1), scheme.translations))
-    return sum(len(s.key) + 3 * s.width for s in scheme.sorts) + sum(
-        n * sum(map(size.__getitem__, keys)) for keys, n in tuples.items()
-    )
+def _scheme_atoms(N: LiftedStructure) -> int:
+    """How many atoms scheme-check's report prints in the sorts and
+    translations of generate_scheme(N) (see SCHEME_ATOM_GUARD), counted
+    before the scheme is built.  A sort prints its key atoms and 3 * width
+    atoms; a translation the key atoms and widths of its sorts.  Over S
+    sorts, a relation of arity a has S**a translations, and each sort
+    stands at each of the a positions in S**(a - 1) of them."""
+    sizes = list(zip(map(len, N.companion.sort_partition), sort_widths(N)))
+    per_position = sum(a * len(sizes) ** (a - 1) for _, a in N.companion.sig.relations)
+    return sum(key + 3 * width for key, width in sizes) + per_position * sum(map(sum, sizes))
 
 
 def _lift_config(args, M: Structure) -> LiftConfig:
@@ -258,7 +258,10 @@ def _cmd_verify_iso(args) -> tuple[dict, list[str]]:
     # fixes the element's naming points, so a witness holding them suffices
     names = certify_induced_group(N, GM.generators, [direct_induced(N, g) for g in GM.generators])
     order_M = GM.order()
-    held = all(continuity_witness(N, (b,)).issuperset(points) for b, points in enumerate(names))
+    # each element's witness, its support (as continuity_witness reads it),
+    # against its naming points, in one pass
+    supports = N.supports
+    held = len(supports) == len(names) and all(map(frozenset.issuperset, supports, names))
     continuity = "pass" if held else "fail"
 
     report = {
@@ -282,13 +285,13 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
             f"the scheme at copy bound {args.k} would have {translations} translations, "
             f"above the guard {TRANSLATION_GUARD}"
         )
-    scheme = generate_scheme(N)
-    atoms = _scheme_atoms(scheme)
+    atoms = _scheme_atoms(N)
     if atoms > SCHEME_ATOM_GUARD:
         raise InputError(
             f"the scheme at copy bound {args.k} would print {atoms} atoms, "
             f"above the guard {SCHEME_ATOM_GUARD}"
         )
+    scheme = generate_scheme(N)
     if args.mutate == "negate-relformula":
         scheme = negate_translation(scheme, 0)
     elif args.mutate == "break-ep":
@@ -561,9 +564,10 @@ def _scheme_text(scheme: InterpretationScheme, nl: str) -> str:
     translation in order: relation, sort keys and formula text) and its
     bijections (by sort key, each map as [element, representative] pairs by
     element), every key a list of its atoms.  Written in one pass over the
-    scheme: each distinct formula object is formatted once, each sort key
-    written once per indent and each tuple of sort keys once, and each entry
-    is one string from fixed key prefixes."""
+    scheme: each distinct formula object is formatted once, each padding
+    prefix and relation name written once, each sort key once per indent
+    and each tuple of sort keys once, and each entry is one string from
+    fixed key prefixes."""
     i1, i2, i3, i4, i5 = (nl + "  " * d for d in range(1, 6))
     enc = encode_basestring_ascii
 
@@ -574,16 +578,18 @@ def _scheme_text(scheme: InterpretationScheme, nl: str) -> str:
     def entry(outer: str, *fields: str) -> str:  # a dict of these sorted keys, each value a %s
         return "{" + ",".join(outer + '  "' + f + '": %s' for f in fields) + outer + "}"
 
-    # texts by formula object and by tuple of sort keys: none is empty, so
-    # ``or`` falls through to a text not yet written
+    # texts by formula object, tuple of sort keys and relation name: none is
+    # empty, so ``or`` falls through to a text not yet written
     texts: dict[int, str] = {}
-    tuples: dict[tuple, str] = {}
+    tuples: dict[int, str] = {}
+    names: dict[str, str] = {}
+    prefixes: dict[int, str] = {}
     every_key = [*(s.key for s in scheme.sorts), *scheme.bijections]
     at3 = {key: items([*map(enc, key)], i3) for key in every_key}
     at4 = {key: items([*map(enc, key)], i4) for key in at3}
 
     def text(phi: Formula) -> str:
-        return texts.get(id(phi)) or texts.setdefault(id(phi), enc(format_formula(phi)))
+        return texts.get(id(phi)) or texts.setdefault(id(phi), enc(format_formula(phi, prefixes)))
 
     sort = entry(i2, "domain", "equivalence", "key", "width")
     relation, bijection = entry(i2, "formula", "relation", "sorts"), entry(i2, "key", "map")
@@ -593,8 +599,11 @@ def _scheme_text(scheme: InterpretationScheme, nl: str) -> str:
         for s in scheme.sorts
     ]
     relations = [
-        relation % (text(phi), enc(rel),
-                    tuples.get(keys) or tuples.setdefault(keys, items([at4[k] for k in keys], i3)))
+        relation % (
+            text(phi),
+            names.get(rel) or names.setdefault(rel, enc(rel)),
+            tuples.get(id(keys)) or tuples.setdefault(id(keys), items([at4[k] for k in keys], i3)),
+        )
         for (rel, keys), phi in scheme.translations.items()
     ]
     bijections = [

@@ -129,28 +129,33 @@ class Padded:
 Formula = Equal | Rel | Not | And | Or | Exists | Padded
 
 
-def _term_vars(t: Term) -> frozenset[int]:
-    if isinstance(t, Var):
-        return frozenset((t.index,))
-    if isinstance(t, Apply):
-        return _term_vars(t.arg)
-    return frozenset()
+def _add_free(phi: Formula, out: set[int]) -> set[int]:
+    """out with phi's free variables added: one set for the whole tree,
+    none per atom."""
+    if isinstance(phi, (Equal, Rel)):
+        for t in (phi.left, phi.right) if isinstance(phi, Equal) else phi.args:
+            while isinstance(t, Apply):
+                t = t.arg
+            if isinstance(t, Var):
+                out.add(t.index)
+    elif isinstance(phi, Not):
+        _add_free(phi.body, out)
+    elif isinstance(phi, Exists):
+        out.update(_add_free(phi.body, set()) - {phi.var})
+    elif isinstance(phi, Padded):
+        out.update(range(phi.width))
+        for part in phi.core:
+            _add_free(part, out)
+    elif isinstance(phi, (And, Or)):
+        for part in phi.parts:
+            _add_free(part, out)
+    else:
+        raise FormulaError(f"not a formula: {phi!r}")
+    return out
 
 
 def free_variables(phi: Formula) -> frozenset[int]:
-    if isinstance(phi, Equal):
-        return _term_vars(phi.left) | _term_vars(phi.right)
-    if isinstance(phi, Rel):
-        return frozenset().union(*map(_term_vars, phi.args)) if phi.args else frozenset()
-    if isinstance(phi, Not):
-        return free_variables(phi.body)
-    if isinstance(phi, (And, Or)):
-        return frozenset().union(*map(free_variables, phi.parts))
-    if isinstance(phi, Exists):
-        return free_variables(phi.body) - {phi.var}
-    if isinstance(phi, Padded):
-        return frozenset(range(phi.width)).union(*map(free_variables, phi.core))
-    raise FormulaError(f"not a formula: {phi!r}")
+    return frozenset(_add_free(phi, set()))
 
 
 def inert_variables(phi: Formula) -> frozenset[int]:
@@ -159,10 +164,8 @@ def inert_variables(phi: Formula) -> frozenset[int]:
 
     def live(psi: Formula) -> frozenset[int]:
         # indices outside reflexive atoms, and every index an Exists binds
-        if isinstance(psi, Equal):
-            if isinstance(psi.left, Var) and psi.left == psi.right:
-                return frozenset()
-            return _term_vars(psi.left) | _term_vars(psi.right)
+        if isinstance(psi, Equal) and isinstance(psi.left, Var) and psi.left == psi.right:
+            return frozenset()
         if isinstance(psi, Not):
             return live(psi.body)
         if isinstance(psi, (And, Or)):
@@ -198,10 +201,12 @@ def _format_term(t: Term) -> str:
     return t.name
 
 
-def format_formula(phi: Formula) -> str:
+def format_formula(phi: Formula, prefixes: dict[int, str] | None = None) -> str:
     """Render a formula in README's grammar, so that parsing the text gives
-    phi back."""
-    return _format(phi, top=True)
+    phi back.  ``prefixes`` maps a width to the text of its padding
+    ``x0 = x0 & ...``; each width missing from it is written once and added,
+    so calls that pass one dict share every prefix."""
+    return _format(phi, {} if prefixes is None else prefixes, top=True)
 
 
 def _grouped(phi: Formula) -> bool:
@@ -213,31 +218,34 @@ def _grouped(phi: Formula) -> bool:
     return isinstance(phi, (And, Or, Exists))
 
 
-def _conjuncts(parts: tuple[Formula, ...]) -> list[str]:
-    return [f"({_format(p)})" if _grouped(p) else _format(p) for p in parts]
+def _conjuncts(parts: tuple[Formula, ...], prefixes: dict[int, str]) -> list[str]:
+    return [f"({_format(p, prefixes)})" if _grouped(p) else _format(p, prefixes) for p in parts]
 
 
-def _format(phi: Formula, top: bool = False) -> str:
+def _format(phi: Formula, prefixes: dict[int, str], top: bool = False) -> str:
     if isinstance(phi, Equal):
         return f"{_format_term(phi.left)} = {_format_term(phi.right)}"
     if isinstance(phi, Rel):
         return f"{phi.name}({', '.join(map(_format_term, phi.args))})"
     if isinstance(phi, Not):
-        body = _format(phi.body)
+        body = _format(phi.body, prefixes)
         return f"~({body})" if _grouped(phi.body) else f"~{body}"
     if isinstance(phi, And):
-        return " & ".join(_conjuncts(phi.parts))
+        return " & ".join(_conjuncts(phi.parts, prefixes))
     if isinstance(phi, Padded):
-        q = list(map(str, range(phi.width)))  # x0 = x0 & ..., joined at C level
-        return " & ".join(["x" + " & x".join(map(" = x".join, zip(q, q))), *_conjuncts(phi.core)])
+        prefix = prefixes.get(phi.width)
+        if prefix is None:
+            q = list(map(str, range(phi.width)))  # x0 = x0 & ..., joined at C level
+            prefix = prefixes[phi.width] = "x" + " & x".join(map(" = x".join, zip(q, q)))
+        return " & ".join([prefix, *_conjuncts(phi.core, prefixes)]) if phi.core else prefix
     if isinstance(phi, Or):
         rendered = [
-            f"({_format(p)})" if isinstance(p, (Or, Exists)) else _format(p)
+            f"({_format(p, prefixes)})" if isinstance(p, (Or, Exists)) else _format(p, prefixes)
             for p in phi.parts
         ]
         return " | ".join(rendered)
     if isinstance(phi, Exists):
-        inner = f"exists x{phi.var}. {_format(phi.body, top=True)}"
+        inner = f"exists x{phi.var}. {_format(phi.body, prefixes, top=True)}"
         return inner if top else f"({inner})"
     raise FormulaError(f"not a formula: {phi!r}")
 
@@ -245,59 +253,121 @@ def _format(phi: Formula, top: bool = False) -> str:
 # -- evaluation --------------------------------------------------------------
 
 
-def _eval_term(M: Structure, t: Term, v: dict[int, int]) -> int:
+def _term_values(M: Structure, t: Term, env: dict, rows) -> list[int]:
+    """The values of t at ``rows``, in their order; FormulaError if t is bad."""
     if isinstance(t, Var):
-        if t.index not in v:
+        column = env.get(t.index)
+        if column is None:
             raise FormulaError(f"uncovered free variable x{t.index}")
-        return v[t.index]
+        return list(map(column.__getitem__, rows))
     if isinstance(t, Apply):
         if not M.sig.has_function(t.func):
             raise FormulaError(f"unknown function symbol {t.func!r}")
-        return M.functions[t.func][_eval_term(M, t.arg, v)]
+        return list(map(M.functions[t.func].__getitem__, _term_values(M, t.arg, env, rows)))
     if not M.sig.has_constant(t.name):
         raise FormulaError(f"unknown constant symbol {t.name!r}")
-    return M.constants[t.name]
+    return [M.constants[t.name]] * len(rows)
 
 
-def eval_formula(M: Structure, phi: Formula, v: dict[int, int] | None = None) -> bool:
-    """Classical satisfaction; Exists ranges over the full domain."""
-    v = v or {}
-    if isinstance(phi, Equal):
-        return _eval_term(M, phi.left, v) == _eval_term(M, phi.right, v)
-    if isinstance(phi, Rel):
-        if not M.sig.has_relation(phi.name):
-            raise FormulaError(f"unknown relation symbol {phi.name!r}")
-        if len(phi.args) != M.sig.relation_arity(phi.name):
-            raise FormulaError(f"arity mismatch for {phi.name!r}")
-        return tuple(_eval_term(M, t, v) for t in phi.args) in M.relation_sets[phi.name]
+def _split(rows, holds: list[bool]) -> tuple[list[int], list[int]]:
+    """The rows where ``holds`` is true, and those where it is false."""
+    return [*itertools.compress(rows, holds)], [*itertools.compress(rows, map(operator.not_, holds))]
+
+
+def _decide(M: Structure, phi: Formula, env: dict, rows, bad: list) -> tuple[list[int], list[int]]:
+    """The rows where phi holds and those where it fails, of ``rows``, with
+    each variable's values a column in ``env``, indexed by row.  A batch
+    covers a variable at every row or at none, so an atom is bad at every
+    row that reaches it or at none; such a row stops there and is in
+    neither list, and ``bad`` keeps the least one of the walk and its
+    FormulaError."""
+    if not rows:
+        return [], []
+    try:
+        if isinstance(phi, Equal):
+            left = _term_values(M, phi.left, env, rows)
+            return _split(rows, list(map(operator.eq, left, _term_values(M, phi.right, env, rows))))
+        if isinstance(phi, Rel):
+            if not M.sig.has_relation(phi.name):
+                raise FormulaError(f"unknown relation symbol {phi.name!r}")
+            if len(phi.args) != M.sig.relation_arity(phi.name):
+                raise FormulaError(f"arity mismatch for {phi.name!r}")
+            # a signature's arities are positive, so zip sees a column
+            args = [_term_values(M, t, env, rows) for t in phi.args]
+            return _split(rows, list(map(M.relation_sets[phi.name].__contains__, zip(*args))))
+        if isinstance(phi, Padded):
+            missing = next(itertools.filterfalse(env.__contains__, range(phi.width)), None)
+            if missing is not None:
+                raise FormulaError(f"uncovered free variable x{missing}")
+        elif not isinstance(phi, (Not, And, Or, Exists)):
+            raise FormulaError(f"not a formula: {phi!r}")
+    except FormulaError as e:
+        least = min(rows)
+        if not bad or least < bad[0]:
+            bad[:] = [least, e]
+        return [], []
     if isinstance(phi, Not):
-        return not eval_formula(M, phi.body, v)
-    if isinstance(phi, And):
-        return all(eval_formula(M, p, v) for p in phi.parts)
+        held, failed = _decide(M, phi.body, env, rows, bad)
+        return failed, held
     if isinstance(phi, Or):
-        return any(eval_formula(M, p, v) for p in phi.parts)
+        held, open_ = [], rows
+        for part in phi.parts:
+            found, open_ = _decide(M, part, env, open_, bad)
+            held += found
+        return held, open_
     if isinstance(phi, Exists):
-        return any(eval_formula(M, phi.body, {**v, phi.var: a}) for a in M.domain)
-    if isinstance(phi, Padded):
-        if not all(map(v.__contains__, range(phi.width))):
-            raise FormulaError(f"uncovered free variable x{min(set(range(phi.width)) - v.keys())}")
-        return all(eval_formula(M, p, v) for p in phi.core)
-    raise FormulaError(f"not a formula: {phi!r}")
+        held, open_ = [], rows
+        for a in M.domain:
+            if not open_:
+                break
+            found, open_ = _decide(M, phi.body, {**env, phi.var: dict.fromkeys(open_, a)}, open_, bad)
+            held += found
+        return held, open_
+    failed, open_ = [], rows
+    for part in phi.parts if isinstance(phi, And) else phi.core:
+        open_, found = _decide(M, part, env, open_, bad)
+        failed += found
+    return open_, failed
+
+
+def eval_formula(
+    M: Structure, phi: Formula, v: dict[int, int] | list[tuple[int, ...]] | None = None
+) -> bool | list[bool]:
+    """Classical satisfaction, with Exists ranging over the full domain, at
+    one assignment or at a batch of them.
+
+    ``v`` is one assignment, a dict from variable index to element, and the
+    result one bool; or a batch, a list of tuples of one length, where the
+    row t assigns t[i] to xi, and the result a list of one bool per row.
+    One assignment is a batch of one row.  The tree is walked once per
+    batch: ``&``, ``|`` and ``exists`` pass on only the rows they have not
+    yet decided, so each row reaches exactly the atoms that a walk of that
+    row alone reaches (tests/references.py keeps that walk).  A row stops
+    at the first bad atom it reaches, and the batch raises the FormulaError
+    of the least such row.
+    """
+    if isinstance(v, list):
+        if len(set(map(len, v))) > 1:
+            raise FormulaError("batch rows differ in length")
+        env, rows = dict(enumerate(zip(*v))), range(len(v))
+    else:
+        env, rows = {q: (a,) for q, a in (v or {}).items()}, range(1)
+    bad: list = []
+    held = _decide(M, phi, env, rows, bad)[0]
+    if bad:
+        raise bad[1]
+    return list(map(set(held).__contains__, rows)) if isinstance(v, list) else bool(held)
 
 
 def definable_set(M: Structure, phi: Formula) -> tuple[tuple[int, ...], ...]:
-    """All tuples satisfying phi, in lexicographic order.
+    """All tuples satisfying phi, in lexicographic order, decided in one
+    batch.
 
     The free variables must be exactly x0..x(n-1); a gap is an error.
     """
     n = free_width(phi)
-    # one tree walk per tuple, over frozensets built once per structure
-    # (M.relation_sets); fine at desk scale.
-    return tuple(
-        tup
-        for tup in itertools.product(M.domain, repeat=n)
-        if eval_formula(M, phi, dict(enumerate(tup)))
-    )
+    tuples = list(itertools.product(M.domain, repeat=n))
+    return tuple(itertools.compress(tuples, eval_formula(M, phi, tuples)))
 
 
 # -- atomic one-variable types -----------------------------------------------

@@ -26,7 +26,8 @@ import operator
 from dataclasses import dataclass, field, replace
 
 # perfbench/spans.py wraps eval_formula at this import site, where only the
-# quotients call it, on domain formulas at core tuples; definable_set and
+# quotients call it, once per sort: a domain formula at one batch of all the
+# sort's core tuples, so the tracer counts batches; definable_set and
 # sort_partition are not called here (the target's stored
 # Structure.sort_partition is read) but stay importable at the same site
 from .formulas import (
@@ -103,14 +104,14 @@ class InterpretationScheme:
         widths = {s.key: s.width for s in self.sorts}
         # id(formula) -> n when its free variables are exactly x0..x(n-1),
         # else -1: found once per distinct formula object; and the width of
-        # each distinct tuple of sort keys, summed once
+        # each distinct tuple of sort keys, summed once per object
         exact: dict[int, int] = {}
-        totals: dict[tuple[AtomicType, ...], int] = {}
+        totals: dict[int, int] = {}
         for (rel, sort_keys), phi in self.translations.items():
-            total = totals.get(sort_keys)
+            total = totals.get(id(sort_keys))
             if total is None:
                 try:
-                    total = totals[sort_keys] = sum(map(widths.__getitem__, sort_keys))
+                    total = totals[id(sort_keys)] = sum(map(widths.__getitem__, sort_keys))
                 except KeyError:
                     raise SchemeError(f"unknown sort key in translation for {rel!r}") from None
             n = exact.get(id(phi))
@@ -212,28 +213,26 @@ class _Quotient:
     onto ``key`` (see _kernel_key).
 
     The positions outside the key are padding: neither r nor E reads them.
-    r is evaluated at each core tuple, the values at the key positions, with
-    padding set to M.domain[0], and each class is its one core tuple; its
-    members are that tuple with any values in the padding positions.  A
-    kernel cannot fail to be an equivalence, so E is never evaluated.
+    r is evaluated in one batch at every core tuple, the values at the key
+    positions, with padding set to M.domain[0], and each class is its one
+    core tuple; its members are that tuple with any values in the padding
+    positions.  A kernel cannot fail to be an equivalence, so E is never
+    evaluated.
     """
 
     def __init__(self, M: Structure, width: int, r: Formula, key: tuple[int, ...]):
         keyed = set(key)
-        pad = [q for q in range(width) if q not in keyed]
-        low = tuple(M.domain[:1]) * len(pad)
-        # the inverse permutation: x_q sits at where[q] in key + pad
-        where = sorted(range(width), key=[*key, *pad].__getitem__)
-
-        def full(c: tuple, p: tuple = low) -> tuple:
-            cp = c + p
-            return tuple(cp[i] for i in where)
-
-        self.M, self.width, self.key, self.pad, self.full = M, width, key, pad, full
-        # over an empty domain there is no core tuple, nor a padding value
-        cores = itertools.product(M.domain, repeat=len(key)) if M.size else ()
-        # in lexicographic order, so the classes come ordered by least member
-        self.cores = [c for c in cores if eval_formula(M, r, dict(enumerate(full(c))))]
+        self.M, self.width, self.key = M, width, key
+        self.pad = [q for q in range(width) if q not in keyed]
+        self.cores = []
+        if M.size:  # over an empty domain there is no core tuple, nor a padding value
+            # the core tuples and, as the key ascends, their full tuples in
+            # the same lexicographic order, so the classes come ordered by
+            # least member; r is decided at all of them in one batch
+            cores = list(itertools.product(M.domain, repeat=len(key)))
+            choices = [M.domain if q in keyed else M.domain[:1] for q in range(width)]
+            held = eval_formula(M, r, list(itertools.product(*choices)))
+            self.cores = list(itertools.compress(cores, held))
         self._class_of = {c: idx for idx, c in enumerate(self.cores)}
 
     def index(self, t: tuple) -> int | None:
@@ -288,12 +287,6 @@ def _sort_cover(
     return CheckResult("sort-cover", passed, witness)
 
 
-def _pattern_of(phi: Formula, patterns: dict[int, Pattern | None]) -> Pattern | None:
-    if id(phi) not in patterns:
-        patterns[id(phi)] = _equality_pattern(phi)
-    return patterns[id(phi)]
-
-
 def _language(
     scheme: InterpretationScheme,
 ) -> tuple[dict[AtomicType, tuple[int, ...]], dict[int, Pattern | None]]:
@@ -315,7 +308,10 @@ def _language(
     widths = {s.key: s.width for s in scheme.sorts}
     patterns: dict[int, Pattern | None] = {}
     for (rel, sort_keys), phi in scheme.translations.items():
-        pattern = _pattern_of(phi, patterns)
+        try:
+            pattern = patterns[id(phi)]
+        except KeyError:  # read off the tree once per distinct formula
+            pattern = patterns[id(phi)] = _equality_pattern(phi)
         if pattern is None:
             problem = "not a constant or an equality pattern"
         elif not pattern[1]:
@@ -383,26 +379,33 @@ def validate_scheme(
     quotients, sort_checks, patterns = _sort_pass(M1, scheme, realized)
     report = ValidationReport([_sort_cover(realized, scheme), *sort_checks])
 
-    element_sort = {b: key for key, block in realized.items() for b in block}
+    # each realized element's quotient, where the scheme has its sort
+    quotient_of = {
+        b: quotients[key] for key, block in realized.items() if key in quotients for b in block
+    }
 
     # per relation, its translation at each tuple of realized sorts, in the
     # scheme's order, then None at each tuple of sorts it has no translation
     # for, which only a short count can leave
     arity_of = dict(M2.sig.relations)
     table: dict[str, list] = {name: [] for name in arity_of}
+    # whether a tuple of sort keys has only realized sorts, by object
+    covered: dict[int, bool] = {}
     for (name, keys), phi in scheme.translations.items():
-        if len(keys) == arity_of.get(name) and all(map(realized.__contains__, keys)):
+        ok = covered.get(id(keys))
+        if ok is None:
+            ok = covered[id(keys)] = all(map(realized.__contains__, keys))
+        if ok and len(keys) == arity_of.get(name):
             table[name].append((keys, phi))
-    for name, row in table.items():
-        if len(row) < len(realized) ** arity_of[name]:
-            found = {keys for keys, _ in row}
-            combos = itertools.product(realized, repeat=arity_of[name])
-            row += [(keys, None) for keys in combos if keys not in found]
-    missing = next(
-        (name for name, row in table.items() if any(phi is None for _, phi in row)), None
-    )
-    witness = None if missing is None else f"no translation formula for {missing!r}"
-    report.checks.append(CheckResult("translation-cover", missing is None, witness))
+    # a row holds distinct tuples of realized sorts, so it misses one exactly
+    # when it is short
+    short = [name for name, row in table.items() if len(row) < len(realized) ** arity_of[name]]
+    for name in short:
+        found = {keys for keys, _ in table[name]}
+        combos = itertools.product(realized, repeat=arity_of[name])
+        table[name] += [(keys, None) for keys in combos if keys not in found]
+    witness = f"no translation formula for {short[0]!r}" if short else None
+    report.checks.append(CheckResult("translation-cover", not short, witness))
 
     rep_of: dict[int, tuple[int, ...]] = {}
     for fmap in scheme.bijections.values():
@@ -411,7 +414,7 @@ def validate_scheme(
     # has a class of the element's sort
     options: dict[int, tuple[int, ...]] = {}
     for b, rep in rep_of.items():
-        q = quotients.get(element_sort.get(b))
+        q = quotient_of.get(b)
         if q is not None and q.index(rep) is not None:
             options[b] = rep
     # per sort, its elements with an option, and its least element without

@@ -64,6 +64,7 @@ __all__ = [
     "project_automorphism",
     "certify_induced_group",
     "generate_scheme",
+    "sort_widths",
     "continuity_witness",
 ]
 
@@ -548,20 +549,29 @@ def continuity_witness(N: LiftedStructure, B) -> frozenset[int]:
 # -- scheme generation ---------------------------------------------------------
 
 
-def _fiber_sort_formulas(
-    N: LiftedStructure, rel: str, i
-) -> tuple[int, Formula, Formula]:
-    """Width, definable-set formula, and equivalence formula for one copy
-    sort: padded tuples whose first coordinates carry the fiber tuple, two
-    tuples equivalent when those coordinates agree."""
+def sort_widths(N: LiftedStructure) -> list[int]:
+    """The width of each sort of generate_scheme(N), in the order of
+    ``N.sorts``: 2 for the anchor, 1 for the base copy and the padded
+    width m(rel, i) for copy i of a relation's fibers."""
     sig = N.source.sig
-    n = sig.relation_arity(rel)
-    m = N.padding.width(sig, rel, i)
+    kinds = map(N.provenance.__getitem__, map(operator.itemgetter(0), N.sorts.values()))
+    return [
+        2 if isinstance(kind, Anchor) else 1 if isinstance(kind, BaseElem)
+        else N.padding.width(sig, kind.rel, kind.copy)
+        for kind in kinds
+    ]
+
+
+def _fiber_sort_formulas(N: LiftedStructure, rel: str, i, m: int) -> tuple[Formula, Formula]:
+    """Definable-set formula and equivalence formula for one copy sort of
+    width m: padded tuples whose first coordinates carry the fiber tuple,
+    two tuples equivalent when those coordinates agree."""
+    n = N.source.sig.relation_arity(rel)
     pairs = itertools.combinations(range(n), 2) if N.repetition_free_fibers else ()
     core = [Not(Equal(Var(s), Var(t))) for s, t in pairs]
     core += [Rel(rel, tuple(map(Var, range(n))))] if i == LIMIT else []
     E = Padded(2 * m, tuple(Equal(Var(t), Var(m + t)) for t in range(n)))
-    return m, Padded(m, tuple(core)), E
+    return Padded(m, tuple(core)), E
 
 
 # A companion symbol's role: "base", "anchor", "fiber", "samefiber", "proj"
@@ -585,13 +595,18 @@ def _companion_roles(M: Structure, k: int) -> dict[str, Role]:
 Recipe = tuple[int, bool | tuple[tuple[int, int], ...]]
 
 
-def _recipe_formula(recipe: Recipe) -> Formula:
+def _atom(s: int, t: int) -> Formula:
+    return Equal(Var(s), Var(t))
+
+
+def _recipe_formula(recipe: Recipe, atom=_atom) -> Formula:
     """The formula of a recipe: padding over every position, with the core
-    ~x0 = x0 for a False truth or the equalities of its index pairs."""
+    ~x0 = x0 for a False truth or the equalities of its index pairs, each
+    built by ``atom``."""
     total, core = recipe
     if isinstance(core, bool):
-        return Padded(total, () if core else (Not(Equal(Var(0), Var(0))),))
-    return Padded(total, tuple(Equal(Var(s), Var(t)) for s, t in core))
+        return Padded(total, () if core else (Not(atom(0, 0)),))
+    return Padded(total, tuple(itertools.starmap(atom, core)))
 
 
 def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
@@ -607,8 +622,9 @@ def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
     Translation formulas for every companion relation are emitted
     mechanically from the fiber semantics, in product order of the sorts,
     one formula object per distinct recipe (width and truth or index
-    pairs).  Each sort's kind and width are read once, and each relation
-    fills, per first sort, the row of recipes over the second sorts.  The
+    pairs) and one atom xs = xt per index pair, shared.  Each sort's kind
+    and width (from sort_widths) are read once, and each relation fills,
+    per first sort, the row of recipes over the second sorts.  The
     bijections send the anchor to (0, 0), a base element to its source
     point, and a fiber element to its coordinates padded with 0 to the
     sort's width.  An empty source raises LiftError: the anchor sort needs a
@@ -628,16 +644,16 @@ def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
     sorts: list[SchemeSort] = []
     kinds: list[Provenance] = []
     bij: dict[AtomicType, dict[int, tuple[int, ...]]] = {}
-    for key, block in realized.items():
+    for (key, block), width in zip(realized.items(), sort_widths(N)):
         kind = N.provenance[block[0]]
         if isinstance(kind, Anchor):
-            width, r, E = 2, Padded(2), Padded(4)
+            r, E = Padded(2), Padded(4)
             bij[key] = {block[0]: (0,) * 2}
         elif isinstance(kind, BaseElem):
-            width, r, E = 1, Padded(1), Equal(Var(0), Var(1))
+            r, E = Padded(1), Equal(Var(0), Var(1))
             bij[key] = {e: (N.provenance[e].source,) for e in block}
         else:
-            width, r, E = _fiber_sort_formulas(N, kind.rel, kind.copy)
+            r, E = _fiber_sort_formulas(N, kind.rel, kind.copy, width)
             bij[key] = {
                 e: N.provenance[e].coords + (0,) * (width - len(N.provenance[e].coords))
                 for e in block
@@ -655,8 +671,10 @@ def generate_scheme(N: LiftedStructure) -> InterpretationScheme:
     copy = [kind.copy if isinstance(kind, FiberElem) else None for kind in kinds]
     singles, combos = [*zip(keys)], [[(a, b) for b in keys] for a in keys]
     never = [False] * len(keys)
-    # one formula per distinct recipe, for this scheme only
-    formula = functools.cache(_recipe_formula)
+    # one formula per distinct recipe and one atom xs = xt per pair (s, t),
+    # for this scheme only
+    atom = functools.cache(_atom)
+    formula = functools.cache(functools.partial(_recipe_formula, atom=atom))
     translations: dict[tuple[str, tuple[AtomicType, ...]], Formula] = {}
 
     def emit(name: str, sort_keys: list, recipes) -> None:

@@ -12,10 +12,15 @@ faster or checks another way, and tests compare the two:
 - ``expanded`` writes each ``Padded`` node of a formula out as the
   conjunction it stands for (``conjunction`` of the reflexive atoms and the
   core), the reference for every formula reader's handling of the node;
+- ``eval_row`` walks a formula's tree for one assignment, its ``&`` and
+  ``|`` stopping at the first deciding part, the reference for the batch
+  evaluator ``formulas.eval_formula``; the references below evaluate with
+  it;
 - ``atomic_type`` walks the formula trees for one element, the reference
   for the column-wise ``formulas.sort_partition``;
 - ``definable_quotient`` writes out every member of every class of the
-  library's kernel quotient, which validation never asks for;
+  library's kernel quotient, which validation never asks for, each one
+  put together by ``full_tuple``;
 - ``brute_quotient`` evaluates a domain formula over all of ``M^width`` and
   any equivalence formula over all pairs of its tuples, with a witness for
   the first way it fails to be an equivalence (``transitivity_witness``
@@ -50,6 +55,9 @@ faster or checks another way, and tests compare the two:
   ``report`` induces from ``Aut(M)``'s;
 - ``scheme_to_json_dict`` is a scheme's JSON data, formula by formula and
   key by key, the reference for the text ``cli._scheme_text`` writes;
+- ``scheme_atoms`` counts the atoms a scheme-check report prints, sort by
+  sort and translation by translation, the reference for the closed form
+  ``cli._scheme_atoms`` reads off the lift before the scheme is built;
 - ``translation_recipe`` decides one companion relation at one tuple of
   sorts from the provenance of each sort's elements, and
   ``generated_translations`` emits a lift's translations tuple of sorts by
@@ -69,6 +77,7 @@ from stabilizer_oracle import compose, pointwise_stabilizer
 from stablelift.corpus import digraph, edge_pairs, exhaustive_digraphs
 from stablelift.formulas import (
     And,
+    Apply,
     AtomicType,
     Equal,
     Exists,
@@ -77,10 +86,10 @@ from stablelift.formulas import (
     Not,
     Or,
     Padded,
+    Rel,
+    Term,
     Var,
     atomic_formula_basis,
-    definable_set,
-    eval_formula,
     format_formula,
     free_variables,
     free_width,
@@ -202,13 +211,55 @@ def expanded(phi: Formula) -> Formula:
     return phi
 
 
+def _term_at(M: Structure, t: Term, v: dict[int, int]) -> int:
+    if isinstance(t, Var):
+        if t.index not in v:
+            raise FormulaError(f"uncovered free variable x{t.index}")
+        return v[t.index]
+    if isinstance(t, Apply):
+        if not M.sig.has_function(t.func):
+            raise FormulaError(f"unknown function symbol {t.func!r}")
+        return M.functions[t.func][_term_at(M, t.arg, v)]
+    if not M.sig.has_constant(t.name):
+        raise FormulaError(f"unknown constant symbol {t.name!r}")
+    return M.constants[t.name]
+
+
+def eval_row(M: Structure, phi: Formula, v: dict[int, int] | None = None) -> bool:
+    """Classical satisfaction at one assignment, by a walk of the tree that
+    stops ``&`` and ``|`` at the first deciding part and ``exists`` at the
+    first witness, raising at the first bad atom it reaches."""
+    v = v or {}
+    if isinstance(phi, Equal):
+        return _term_at(M, phi.left, v) == _term_at(M, phi.right, v)
+    if isinstance(phi, Rel):
+        if not M.sig.has_relation(phi.name):
+            raise FormulaError(f"unknown relation symbol {phi.name!r}")
+        if len(phi.args) != M.sig.relation_arity(phi.name):
+            raise FormulaError(f"arity mismatch for {phi.name!r}")
+        return tuple(_term_at(M, t, v) for t in phi.args) in M.relation_sets[phi.name]
+    if isinstance(phi, Not):
+        return not eval_row(M, phi.body, v)
+    if isinstance(phi, And):
+        return all(eval_row(M, p, v) for p in phi.parts)
+    if isinstance(phi, Or):
+        return any(eval_row(M, p, v) for p in phi.parts)
+    if isinstance(phi, Exists):
+        return any(eval_row(M, phi.body, {**v, phi.var: a}) for a in M.domain)
+    if isinstance(phi, Padded):
+        if not all(map(v.__contains__, range(phi.width))):
+            raise FormulaError(f"uncovered free variable x{min(set(range(phi.width)) - v.keys())}")
+        return all(eval_row(M, p, v) for p in phi.core)
+    raise FormulaError(f"not a formula: {phi!r}")
+
+
 def atomic_type(M: Structure, a: int) -> AtomicType:
     """The atomic one-variable type of an element: which basis formulas hold
     of it."""
     if not (0 <= a < M.size):
         raise FormulaError(f"element {a} outside domain of size {M.size}")
     return tuple(
-        text for text, phi in atomic_formula_basis(M.sig) if eval_formula(M, phi, {0: a})
+        text for text, phi in atomic_formula_basis(M.sig) if eval_row(M, phi, {0: a})
     )
 
 
@@ -221,11 +272,21 @@ def kernel_quotient(M: Structure, r: Formula, E: Formula) -> _Quotient:
     return _Quotient(M, width, r, _kernel_key(width, r, E))
 
 
+def full_tuple(q: _Quotient, core: tuple, padding: tuple | None = None) -> tuple[int, ...]:
+    """The host tuple with ``core`` at the key positions of a kernel
+    quotient and ``padding`` at its padding positions, by default the least
+    element at each."""
+    if padding is None:
+        padding = (q.M.domain[0],) * len(q.pad)
+    at = dict(zip(q.key, core)) | dict(zip(q.pad, padding))
+    return tuple(map(at.__getitem__, range(q.width)))
+
+
 def quotient_members(q: _Quotient, idx: int) -> tuple[tuple[int, ...], ...]:
     """Class idx of a kernel quotient written out in lexicographic order:
     its core tuple with every value in each padding position."""
     pads = itertools.product(q.M.domain, repeat=len(q.pad))
-    return tuple(sorted(q.full(q.cores[idx], p) for p in pads))
+    return tuple(sorted(full_tuple(q, q.cores[idx], p) for p in pads))
 
 
 def definable_quotient(
@@ -243,15 +304,15 @@ def brute_quotient(M: Structure, r: Formula, E: Formula):
     M^width and E over all pairs of r(M), with the lex-least symmetry
     witness.  Returns r(M), the classes, each tuple's class and each
     class's least member."""
-    width = len(free_variables(r))
-    dom = definable_set(M, r)
+    width = free_width(r)
+    dom = tuple(t for t in itertools.product(M.domain, repeat=width) if eval_row(M, r, dict(enumerate(t))))
     if free_variables(E) != frozenset(range(2 * width)):
         raise SchemeError(f"equivalence formula must use exactly x0..x{2 * width - 1}")
     rows = {
         s: {
             t
             for t in dom
-            if eval_formula(M, E, {**dict(enumerate(s)), **dict(enumerate(t, width))})
+            if eval_row(M, E, {**dict(enumerate(s)), **dict(enumerate(t, width))})
         }
         for s in dom
     }
@@ -318,7 +379,7 @@ def first_failure(
         holds = elems in held
         try:
             for reps in itertools.product(*[options[e] for e in elems]):
-                if eval_formula(M1, phi, dict(enumerate(sum(reps, ())))) != holds:
+                if eval_row(M1, phi, dict(enumerate(sum(reps, ())))) != holds:
                     return elems, f"tuple {elems} (target says {holds})"
         except FormulaError as e:
             return elems, e
@@ -562,6 +623,16 @@ def scheme_to_json_dict(scheme: InterpretationScheme) -> dict:
             for key, fmap in sorted(scheme.bijections.items())
         ],
     }
+
+
+def scheme_atoms(scheme: InterpretationScheme) -> int:
+    """The atoms scheme-check's report prints in a scheme's sorts and
+    translations: per sort its key atoms and 3 * width, per translation
+    the key atoms and width of each of its sorts."""
+    size = {s.key: len(s.key) + s.width for s in scheme.sorts}
+    return sum(len(s.key) + 3 * s.width for s in scheme.sorts) + sum(
+        size[key] for _, keys in scheme.translations for key in keys
+    )
 
 
 def translation_recipe(role, kinds, widths):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from references import scheme_atoms
 from stablelift import cli
 from stablelift.cli import build_parser, main
 from stablelift.corpus import digraph, exhaustive_digraphs
@@ -18,11 +19,14 @@ from stablelift.groups import Permutation, automorphism_group
 from stablelift.lifting import (
     BaseElem,
     LiftConfig,
+    LiftedStructure,
+    PaddingAssignment,
     build_lift,
     certify_induced_group,
     continuity_witness,
     direct_induced,
     generate_scheme,
+    padding_triples,
 )
 from stablelift.structures import Signature, Structure, structure_to_json
 
@@ -76,9 +80,16 @@ def test_verify_iso_passes(capsys, pair_file):
     }
 
 
+def _witness_supports(monkeypatch, witness):
+    """verify-iso reads each element's witness off LiftedStructure.supports:
+    make element b's entry ``witness(N, (b,))`` instead."""
+    monkeypatch.setattr(LiftedStructure, "supports", property(
+        lambda N: tuple(witness(N, (b,)) for b in N.structure.domain)))
+
+
 def test_verify_iso_reports_a_continuity_failure(capsys, pair_file, monkeypatch):
     # an empty support forces nothing, and the swap moves the base elements
-    monkeypatch.setattr("stablelift.cli.continuity_witness", lambda N, B: frozenset())
+    _witness_supports(monkeypatch, lambda N, B: frozenset())
     code, out, _ = run(capsys, "verify-iso", "--in", pair_file, "--k", "1")
     assert code == 1
     assert json.loads(out)["continuity_witnesses"] == "fail"
@@ -258,8 +269,9 @@ def test_verify_iso_searches_aut_m_once(capsys, tmp_path, monkeypatch):
     # holds them (exit 0) or is empty (exit 1)
     calls = _spy(monkeypatch, cli, "automorphism_group")
     path = _complete3_file(tmp_path)
-    for witness, expected in ((continuity_witness, 0), (lambda N, B: frozenset(), 1)):
-        monkeypatch.setattr(cli, "continuity_witness", witness)
+    for witness, expected in ((None, 0), (lambda N, B: frozenset(), 1)):
+        if witness:
+            _witness_supports(monkeypatch, witness)
         calls.clear()
         code, out, _ = run(capsys, "verify-iso", "--in", path, "--k", "2")
         assert (code, len(calls)) == (expected, 1)
@@ -284,7 +296,7 @@ def test_a_witness_missing_a_naming_point_fails_on_a_rigid_source(capsys, tmp_pa
     path = tmp_path / "path.json"
     path.write_text(structure_to_json(digraph(3, [(0, 1), (1, 2)])), encoding="utf-8")
     calls = _spy(monkeypatch, cli, "automorphism_group")
-    monkeypatch.setattr(cli, "continuity_witness", _dropping(0))
+    _witness_supports(monkeypatch, _dropping(0))
     code, out, _ = run(capsys, "verify-iso", "--in", str(path), "--k", "1")
     assert code == 1 and json.loads(out)["continuity_witnesses"] == "fail"
     assert len(calls) == 1
@@ -895,8 +907,33 @@ def test_the_widest_padded_scheme_of_ci_is_within_the_atom_guard():
     # five widths near 2,000 on the one-edge digraph at k = 4, a 16 MB report
     M = digraph(2, [(0, 1)])
     padding = cli._parse_padding("explicit:1999,1998,1997,1996,1995", M, 4)
-    scheme = generate_scheme(build_lift(M, LiftConfig(k=4, padding=padding)))
-    assert cli._scheme_atoms(scheme) == 1_041_710 <= cli.SCHEME_ATOM_GUARD
+    N = build_lift(M, LiftConfig(k=4, padding=padding))
+    assert cli._scheme_atoms(N) == scheme_atoms(generate_scheme(N)) == 1_041_710 <= cli.SCHEME_ATOM_GUARD
+
+
+def test_atom_count_before_the_scheme_equals_the_count_over_it(corpus):
+    # the closed form over the lift, which scheme-check checks against the
+    # guard before generating, equals the count over the generated scheme:
+    # the corpus at k = 1..3, fibers over repeated entries, and seeded
+    # explicit paddings with a ternary relation
+    rng = random.Random(5301)
+    cases = [(M, LiftConfig(k=k)) for _, M in corpus[1::4] for k in (1, 2, 3)]
+    cases += [(M, LiftConfig(k=k, include_repetition_tuples=True)) for _, M in corpus[1::9] for k in (1, 2)]
+    sig = Signature(relations=(("T", 3), ("E", 2)))
+    for _ in range(6):
+        n = rng.randint(1, 3)
+        M = Structure(sig, n, {
+            "T": sorted({tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randint(0, 3))}),
+            "E": sorted({tuple(rng.randrange(n) for _ in range(2)) for _ in range(rng.randint(0, 3))}),
+        }, repetition_free=False)
+        k = rng.randint(1, 2)
+        triples = padding_triples(sig, k)
+        widths = rng.sample(range(3, 12), len(triples))
+        pads = {(rel, i): m - sig.relation_arity(rel) for (rel, i), m in zip(triples, widths)}
+        cases.append((M, LiftConfig(k=k, padding=PaddingAssignment(pads))))
+    for M, config in cases:
+        N = build_lift(M, config)
+        assert cli._scheme_atoms(N) == scheme_atoms(generate_scheme(N)), (M, config)
 
 
 def _signature_doc(size, relations=(), functions=0, constants=0):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formula_parser import ParseError, parse_formula
-from references import atomic_type, automorphism_group_brute, standard_corpus
+from references import atomic_type, automorphism_group_brute, eval_row, standard_corpus
 from stablelift.corpus import digraph
 from stablelift.formulas import (
     And,
@@ -16,6 +16,7 @@ from stablelift.formulas import (
     FormulaError,
     Not,
     Or,
+    Padded,
     Rel,
     Var,
     atomic_formula_basis,
@@ -28,7 +29,7 @@ from stablelift.formulas import (
     sort_partition,
 )
 from stablelift.lifting import LiftConfig, build_lift
-from stablelift.structures import Signature
+from stablelift.structures import Signature, Structure
 
 SIG = Signature(relations=(("R", 2), ("U", 1)), functions=("f",), constants=("c",))
 
@@ -178,6 +179,122 @@ def test_eval_uncovered_variable(m_edge):
     for text in ("x0 = x0 & edge(x0,x1)", "~x0 = x0 | edge(x0,x1)"):
         with pytest.raises(FormulaError, match="uncovered free variable x1"):
             eval_formula(m_edge, parse_formula(text, m_edge.sig), {0: 0})
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except FormulaError as e:
+        return "FormulaError", str(e)
+
+
+def _row_outcome(M, phi, rows):
+    """The per-row walk over a batch: each row's truth, or the error of the
+    first row that raises."""
+    results = []
+    for row in rows:
+        try:
+            results.append(eval_row(M, phi, dict(enumerate(row))))
+        except FormulaError as e:
+            return "FormulaError", str(e)
+    return results
+
+
+@st.composite
+def _eval_structures(draw):
+    """A structure of SIG with one to three elements: random tables for f,
+    c, R and U."""
+    n = draw(st.sampled_from([3, 2, 3, 1]))
+    element = st.integers(min_value=0, max_value=n - 1)
+    return Structure(
+        SIG,
+        n,
+        {
+            "R": sorted(draw(st.sets(st.tuples(element, element), max_size=n * n))),
+            "U": sorted(draw(st.sets(st.tuples(element), max_size=n))),
+        },
+        {"f": tuple(draw(st.lists(element, min_size=n, max_size=n)))},
+        {"c": draw(element)},
+        repetition_free=False,
+    )
+
+
+def _eval_terms():
+    """Mostly the variables x0..x2, the constant c and f applied to terms;
+    now and then x4, which no row covers, the unknown constant d or the
+    unknown function g."""
+    base = st.sampled_from([Var(0), Var(1), Var(2), Const("c")] * 8 + [Var(4), Const("d")])
+    return st.recursive(
+        base, lambda inner: st.tuples(st.sampled_from("f" * 9 + "g"), inner).map(lambda p: Apply(*p)), max_leaves=3
+    )
+
+
+def _eval_formulas():
+    """Every node kind over _eval_terms; now and then an unknown relation
+    symbol S, a wrong arity, or a term where a formula belongs."""
+    t = _eval_terms()
+    equal = st.tuples(t, t).map(lambda p: Equal(*p))
+    atoms = st.one_of(
+        equal,
+        equal,
+        st.tuples(t, t).map(lambda p: Rel("R", p)),
+        t.map(lambda x: Rel("U", (x,))),
+        st.sampled_from([Rel("S", (Var(0),)), Rel("R", (Var(1),)), Var(0), Padded(4), Padded(2), Padded(1)]),
+    )
+    trees = st.recursive(
+        atoms,
+        lambda children: st.one_of(
+            children.map(Not),
+            st.lists(children, min_size=2, max_size=3).map(lambda ps: And(tuple(ps))),
+            st.lists(children, min_size=2, max_size=3).map(lambda ps: Or(tuple(ps))),
+            st.tuples(st.integers(min_value=0, max_value=5), children).map(lambda p: Exists(*p)),
+            st.tuples(st.integers(min_value=1, max_value=4), st.lists(children, max_size=2)).map(
+                lambda p: Padded(p[0], tuple(p[1]))
+            ),
+        ),
+        max_leaves=10,
+    )
+    # (guard & phi) | psi: rows split on the guard, so that rows of one batch
+    # reach different atoms, and often different bad ones
+    guards = st.sampled_from([Equal(Var(0), Var(1)), Rel("R", (Var(0), Var(1))), Rel("U", (Var(1),))])
+    split = st.tuples(guards, trees, trees).map(lambda p: Or((And(p[:2]), p[2])))
+    return st.one_of(split, trees)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_batch_evaluator_equals_the_row_walk(data):
+    # a batch's truths, or its error, are those of walking row by row, where
+    # the batch's error is that of the least row that reaches a bad atom;
+    # one assignment, gaps in its variables allowed, is a batch of one
+    M, phi = data.draw(_eval_structures()), data.draw(_eval_formulas())
+    element = st.sampled_from(M.domain)
+    width = data.draw(st.sampled_from([3, 2, 4, 3, 0]))
+    rows = data.draw(st.permutations(list(itertools.product(M.domain, repeat=width))))
+    assert _outcome(lambda: eval_formula(M, phi, rows)) == _row_outcome(M, phi, rows)
+    v = data.draw(st.dictionaries(st.integers(min_value=0, max_value=4), element))
+    assert _outcome(lambda: eval_formula(M, phi, v)) == _outcome(lambda: eval_row(M, phi, v))
+
+
+def test_a_batch_raises_the_error_of_its_least_bad_row(m_edge):
+    # rows with x0 = x1 reach the unknown S, the others the unknown T, and
+    # neither reaches the other's atom; rows that reach none decide
+    phi = Or((And((Equal(Var(0), Var(1)), Rel("S", (Var(0),)))), Rel("T", (Var(1),))))
+    for rows, error in (([(0, 0), (0, 1)], "'S'"), ([(0, 1), (0, 0)], "'T'")):
+        with pytest.raises(FormulaError, match=f"^unknown relation symbol {error}$"):
+            eval_formula(m_edge, phi, rows)
+        assert _row_outcome(m_edge, phi, rows) == ("FormulaError", f"unknown relation symbol {error}")
+    guarded = Or((Equal(Var(0), Var(0)), phi))
+    assert eval_formula(m_edge, guarded, [(0, 0), (0, 1)]) == [True, True]
+    assert eval_formula(m_edge, phi, []) == []
+    with pytest.raises(FormulaError, match="^batch rows differ in length$"):
+        eval_formula(m_edge, phi, [(0,), (0, 1)])
+
+
+def test_free_variables_reach_through_function_terms():
+    phi = And((Equal(Apply("f", Var(2)), Const("c")), Exists(1, Rel("R", (Apply("f", Apply("f", Var(0))), Var(1))))))
+    assert free_variables(phi) == {0, 2}
+    assert free_variables(Padded(2, (phi,))) == {0, 1, 2}
 
 
 def test_definable_set_examples(m_edge):

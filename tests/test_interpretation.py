@@ -13,7 +13,9 @@ from references import (
     check_classical_interpretation,
     conjunction,
     definable_quotient,
+    eval_row,
     first_failure,
+    full_tuple,
     kernel_quotient,
     quotient_members,
     random_digraph_at,
@@ -33,7 +35,6 @@ from stablelift.formulas import (
     Padded,
     Rel,
     Var,
-    eval_formula,
     free_variables,
 )
 from stablelift.groups import Permutation, automorphism_group
@@ -193,12 +194,16 @@ def _padded_path_repro(width, leading):
 
 
 def _eval_spy(monkeypatch):
-    """The formulas interpretation evaluates, one entry per top-level call,
-    as recorded."""
+    """The formulas interpretation evaluates, one entry per call, as
+    recorded.  Every call is one batch: a list of distinct full tuples,
+    padding included."""
     evaluated = []
     original = interpretation.eval_formula
 
     def recording(M, phi, v=None):
+        width = len(free_variables(phi))
+        assert type(v) is list and len(set(v)) == len(v), v
+        assert all(len(t) == width for t in v), (phi, v)
         evaluated.append(phi)
         return original(M, phi, v)
 
@@ -279,8 +284,9 @@ def test_kernel_quotients_match_brute_force(corpus, monkeypatch):
             refused += 1
             continue
         assert found == _outcome(brute_quotient, M, r, E)
-        # over an empty domain there is no core tuple to evaluate r at
-        assert set(evaluated) == ({r} if M.size else set())
+        # one batch of core tuples; over an empty domain there is no core
+        # tuple to evaluate r at
+        assert evaluated == ([r] if M.size else [])
     assert refused
     weakened = 0
     for _, M in corpus[:20:3]:
@@ -289,7 +295,7 @@ def test_kernel_quotients_match_brute_force(corpus, monkeypatch):
             E = weaken_equivalence(scheme, i).sorts[i].equiv_formula
             evaluated.clear()
             q = kernel_quotient(M, s.domain_formula, E)
-            assert set(evaluated) == {s.domain_formula}
+            assert evaluated == [s.domain_formula]
             assert _expanded(q) == brute_quotient(M, s.domain_formula, E)
             weakened += len(q.cores) > len(definable_quotient(M, s.domain_formula, s.equiv_formula))
     assert weakened
@@ -341,17 +347,17 @@ def test_padded_transitivity_witness():
 def test_quotient_factors_padding_unless_an_exists_rebinds_it(monkeypatch):
     # E is the kernel on x0; r asks for an out-neighbour of x0, found once
     # with a fresh bound index, so that x1 is padding and r is evaluated at
-    # each of the 3 core tuples, and once rebinding x1, which r then reads
-    # outside the key: refused before any evaluation
+    # the 3 core tuples in one batch, and once rebinding x1, which r then
+    # reads outside the key: refused before any evaluation
     M = digraph(3, [(0, 2), (1, 2)])
     E = parse_formula("x0 = x0 & x1 = x1 & x2 = x2 & x3 = x3 & x0 = x2", M.sig)
-    calls = Counter()
+    calls = {}
     original = interpretation.eval_formula
 
     def counting(M, phi, v=None):
-        # a full tuple, padding included
-        assert v.keys() == free_variables(phi)
-        calls[phi] += 1
+        # full tuples, padding included
+        assert all(len(t) == len(free_variables(phi)) for t in v)
+        calls.setdefault(phi, []).append(v)
         return original(M, phi, v)
 
     monkeypatch.setattr(interpretation, "eval_formula", counting)
@@ -360,7 +366,7 @@ def test_quotient_factors_padding_unless_an_exists_rebinds_it(monkeypatch):
         for bound in ("x4", "x1")
     )
     q = kernel_quotient(M, fresh, E)
-    assert calls == {fresh: 3}
+    assert calls == {fresh: [[(0, 0), (1, 0), (2, 0)]]}
     assert _expanded(q) == brute_quotient(M, fresh, E)
     assert q.cores == [(0,), (1,)]
     assert quotient_members(q, 0) == tuple((0, b) for b in range(3))
@@ -398,7 +404,7 @@ def test_a_wide_quotient_is_built_quickly(m_edge):
     assert time.monotonic() - started < 1
     assert q.key == (mid,) and len(q.pad) == n - 1
     assert q.cores == [(0,), (1,)]
-    t = q.full((1,))
+    t = full_tuple(q, (1,))
     assert t[mid] == 1 and t.count(0) == n - 1
     assert q.index(t) == 1
 
@@ -538,8 +544,9 @@ def _with_equivalence(scheme, i, E):
 
 @pytest.mark.hashseed
 def test_validation_evaluates_only_formulas_outside_patterns_and_kernels(corpus, monkeypatch):
-    # each sort's domain formula is evaluated, at its core tuples; patterns
-    # are decided by joins and kernels grouped by key, unevaluated.
+    # each sort's domain formula is evaluated, in one batch of its core
+    # tuples; patterns are decided by joins and kernels grouped by key,
+    # unevaluated.
     # Generated translations are all patterns, generated and weakened
     # equivalences all kernels
     evaluated = _eval_spy(monkeypatch)
@@ -550,7 +557,7 @@ def test_validation_evaluates_only_formulas_outside_patterns_and_kernels(corpus,
             for mutant in (scheme, negate_translation(scheme, 0), weaken_equivalence(scheme, 0)):
                 evaluated.clear()
                 validate_scheme(M, companion, mutant)
-                assert set(map(id, evaluated)) == {id(s.domain_formula) for s in mutant.sorts}
+                assert sorted(map(id, evaluated)) == sorted(id(s.domain_formula) for s in mutant.sorts)
 
 
 def test_schemes_outside_the_language_are_refused_unevaluated(m_edge, monkeypatch):
@@ -675,7 +682,8 @@ def test_generated_schemes_never_reach_eval_formula(corpus, monkeypatch):
     # generated equivalences grouped as kernels, so validating the schemes
     # and their CLI mutants, and transport, raise no SchemeError
     # and never evaluate a translation or an equivalence: every eval_formula
-    # call is on a sort's domain formula.  Over the corpus at k = 1..3, with
+    # call is one batch for a sort's domain formula, one per sort and
+    # validation or transport.  Over the corpus at k = 1..3, with
     # fibers over repeated entries at k = 1, 2, and seeded ternary-plus-unary
     # structures with explicit padding
     evaluated = _eval_spy(monkeypatch)
@@ -688,13 +696,15 @@ def test_generated_schemes_never_reach_eval_formula(corpus, monkeypatch):
         _, companion, scheme = _scheme_setup(M, k, **config)
         evaluated.clear()
         assert validate_scheme(M, companion, scheme).passed, (M, k, config)
+        runs = 1
         for mutant in _cli_mutants(M, scheme):
             assert not validate_scheme(M, companion, mutant).passed
             validations += 1
+            runs += 1
         for g in automorphism_group(M).generators:
             induced_automorphism(M, companion, scheme, g)
-        assert evaluated
-        assert set(map(id, evaluated)) <= {id(s.domain_formula) for s in scheme.sorts}
+            runs += 1
+        assert Counter(map(id, evaluated)) == {id(s.domain_formula): runs for s in scheme.sorts}
     assert validations == 353
 
 
@@ -918,7 +928,7 @@ def _one_of_each_mutant(M, scheme):
 def _product_scan_report(M1, M2, scheme):
     """validate_scheme as it was before the per-block agreement decisions:
     every tuple of M2^arity in product order, each translation looked up
-    and walked with eval_formula per tuple, at every choice of members of
+    and walked with the per-row eval_row per tuple, at every choice of members of
     the elements' classes, which come from brute_quotient.  The reference
     for the block decisions and for reading each element at its
     representative alone; its other checks come from the sort helpers and
@@ -958,7 +968,7 @@ def _product_scan_report(M1, M2, scheme):
             holds = elems in M2.relation_sets[name]
             for blocks in itertools.product(*[options[e] for e in elems]):
                 v = dict(enumerate(sum(blocks, ())))
-                if eval_formula(M1, phi, v) != holds:
+                if eval_row(M1, phi, v) != holds:
                     witness = f"tuple {elems} (target says {holds})"
                     break
             if witness:
@@ -1126,7 +1136,7 @@ def _random_held(rng, formula, product, options):
     H = digraph(3, [])
     held = {
         t for t in product
-        if eval_formula(H, formula, dict(enumerate(sum((options[e][0] for e in t), ()))))
+        if eval_row(H, formula, dict(enumerate(sum((options[e][0] for e in t), ()))))
     }
     if product and rng.random() < 0.5:
         held ^= {rng.choice(product)}
