@@ -323,10 +323,10 @@ def _cmd_scheme_check(args) -> tuple[dict, list[str]]:
 def _cmd_limit(args) -> tuple[dict, list[str]]:
     M = _load_structure(args.infile, args.max_size)
     config = _lift_config(args, M)
-    if args.relation and not M.sig.has_relation(args.relation):
+    if args.relation is not None and not M.sig.has_relation(args.relation):
         raise InputError(f"unknown relation {args.relation!r}")
     N = build_lift(M, config)
-    rels = [args.relation] if args.relation else [n for n, _ in M.sig.relations]
+    rels = [n for n, _ in M.sig.relations] if args.relation is None else [args.relation]
     table = {}
     for rel in rels:
         elems = limit_elements(N, rel)
@@ -399,6 +399,8 @@ def _cmd_report(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_corpus(args) -> tuple[dict, list[str]]:
+    if args.random < 0:
+        raise InputError(f"--random {args.random} is negative")
     if args.random > RANDOM_CORPUS_GUARD:
         raise InputError(
             f"random corpus count {args.random} exceeds the guard {RANDOM_CORPUS_GUARD}"

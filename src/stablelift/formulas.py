@@ -330,33 +330,27 @@ def _decide(M: Structure, phi: Formula, env: dict, rows, bad: list) -> tuple[lis
     return open_, failed
 
 
-def eval_formula(
-    M: Structure, phi: Formula, v: dict[int, int] | list[tuple[int, ...]] | None = None
-) -> bool | list[bool]:
+def eval_formula(M: Structure, phi: Formula, v: list[tuple[int, ...]]) -> list[bool]:
     """Classical satisfaction, with Exists ranging over the full domain, at
-    one assignment or at a batch of them.
+    a batch of assignments.
 
-    ``v`` is one assignment, a dict from variable index to element, and the
-    result one bool; or a batch, a list of tuples of one length, where the
-    row t assigns t[i] to xi, and the result a list of one bool per row.
-    One assignment is a batch of one row.  The tree is walked once per
-    batch: ``&``, ``|`` and ``exists`` pass on only the rows they have not
-    yet decided, so each row reaches exactly the atoms that a walk of that
-    row alone reaches (tests/references.py keeps that walk).  A row stops
-    at the first bad atom it reaches, and the batch raises the FormulaError
-    of the least such row.
+    ``v`` is a list of tuples of one length, where the row t assigns t[i]
+    to xi, and the result a list of one bool per row; a closed formula is
+    decided at ``[()]``.  The tree is walked once per batch: ``&``, ``|``
+    and ``exists`` pass on only the rows they have not yet decided, so each
+    row reaches exactly the atoms that a walk of that row alone reaches
+    (tests/references.py keeps that walk).  A row stops at the first bad
+    atom it reaches, and the batch raises the FormulaError of the least
+    such row.
     """
-    if isinstance(v, list):
-        if len(set(map(len, v))) > 1:
-            raise FormulaError("batch rows differ in length")
-        env, rows = dict(enumerate(zip(*v))), range(len(v))
-    else:
-        env, rows = {q: (a,) for q, a in (v or {}).items()}, range(1)
+    if len(set(map(len, v))) > 1:
+        raise FormulaError("batch rows differ in length")
+    rows = range(len(v))
     bad: list = []
-    held = _decide(M, phi, env, rows, bad)[0]
+    held = _decide(M, phi, dict(enumerate(zip(*v))), rows, bad)[0]
     if bad:
         raise bad[1]
-    return list(map(set(held).__contains__, rows)) if isinstance(v, list) else bool(held)
+    return list(map(set(held).__contains__, rows))
 
 
 def definable_set(M: Structure, phi: Formula) -> tuple[tuple[int, ...], ...]:

@@ -6,11 +6,12 @@ the automorphism search, and so does every pointwise stabilizer:
 stabilizer_search(M)(A) is Aut(M)_A, the automorphism group of M with A's
 points individualized at a root built once per structure, and
 automorphism_group(M, fixed=A) is one such search.  A PermGroup built from
-other generators, such as the lift stabilizers that report induces, gives
-orbits only.  Orbits on points and on tuples come from one routine,
-_orbit_search: it maps the generators' image tuples over each orbit, one
-breadth-first layer at a time (the orbit algorithm of Seress, Permutation
-Group Algorithms).
+other generators and told no order, such as the lift stabilizers that
+report induces, gives orbits only.  Orbits on points, on tuples and on the
+group itself come from one routine, _orbit_search: it maps the generators'
+image tuples over each orbit, one breadth-first layer at a time (the orbit
+algorithm of Seress, Permutation Group Algorithms).  A group's members are
+the orbit of the identity under x -> g o x, g a generator.
 
 The search is individualization-refinement with orbit pruning (McKay &
 Piperno, Practical graph isomorphism II).  Its root is the ordered
@@ -32,31 +33,30 @@ group element.  Each leaf is confirmed with is_automorphism.  The
 generators found at a base point's level and below fix every point below
 it and generate the pointwise stabilizer of those points, so together they
 are a strong generating set for the base order 0, 1, ..., n-1, and the
-group is told the order their orbits give (Seress, ch. 4).
+group is told the order their orbits give (Seress, ch. 4).  elements()
+lists it as the identity's orbit and checks the orbit's size against that
+order.
 
-The chain over that base order is then orbits and transversals with
-nothing sifted; only elements() builds it.  The search's generators, in
-image order, are also the greedy lexicographic generators that ``aut``
-prints, each the lex-least group element outside the subgroup the earlier
-ones generate.  A member that fixes 0..b-1 precedes every member moving a
-point below b, so the greedy choice completes the deepest level first.  At
-level b the search tries the cell mates w of b in ascending order, skipping
-those its generators reach, as the greedy choice takes the least point
-outside their orbit of b.  Below w it keeps the first automorphism of a
-walk that tries each cell's points in ascending order, and the images of
-the points between two base points are the same across the coset, as the
-deeper level's group fixes them, so that automorphism is the coset's
-lex-least member.  Tests check the search and its stabilizers against a
-brute-force oracle and Schreier-Sims (tests/stabilizer_oracle.py), and the
-printed generators against a lex walk that grows a Schreier-Sims chain
-(tests/references.py).
+The search's generators, in image order, are also the greedy lexicographic
+generators that ``aut`` prints, each the lex-least group element outside the
+subgroup the earlier ones generate.  A member that fixes 0..b-1 precedes
+every member moving a point below b, so the greedy choice completes the
+deepest level first.  At level b the search tries the cell mates w of b in
+ascending order, skipping those its generators reach, as the greedy choice
+takes the least point outside their orbit of b.  Below w it keeps the first
+automorphism of a walk that tries each cell's points in ascending order, and
+the images of the points between two base points are the same across the
+coset, as the deeper level's group fixes them, so that automorphism is the
+coset's lex-least member.  Tests check the search and its stabilizers
+against a brute-force oracle and Schreier-Sims (tests/stabilizer_oracle.py),
+and the printed generators against a lex walk that grows a Schreier-Sims
+chain (tests/references.py).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -106,12 +106,7 @@ class Permutation:
         return tuple(self.images[x] for x in t)
 
 
-# -- the chain of a strong generating set ----------------------------------------
-#
-# Chains work on bare image tuples; the composition (p o q)[x] = p[q[x]] is
-# _image(p, q).
-
-Images = tuple[int, ...]
+# Bare image tuples compose as (p o q)[x] = p[q[x]], which is _image(p, q).
 
 
 def _image(p, column) -> tuple:
@@ -122,61 +117,14 @@ def _image(p, column) -> tuple:
     return (p[column[0]],) if column else ()
 
 
-def _chain(generators: list[Images],
-           degree: int) -> tuple[list[tuple[int, dict[int, Images]]], int]:
-    """Orbits and transversals over the base order 0..n-1 of the group of a
-    strong generating set for that order.  Level b's group, the pointwise
-    stabilizer of 0..b-1, is generated by the generators that fix 0..b-1, so
-    its orbit of b is theirs and nothing is sifted.  Returns (levels, size):
-    ``levels`` keeps the nontrivial levels in ascending order, each as
-    (b, transversal), the transversal mapping each point x of the orbit to
-    a level member u with u[b] = x; ``size`` is the product of the orbit
-    lengths, the group order exactly when the generators are a strong
-    generating set, and less otherwise."""
-    identity = tuple(range(degree))
-    # a generator's first moved point is the deepest level it belongs to
-    first = [next(x for x, y in enumerate(g) if x != y) for g in generators]
-    levels: list[tuple[int, dict[int, Images]]] = []
-    for b in sorted(set(first)):
-        level = [g for g, f in zip(generators, first) if f >= b]
-        trans = {b: identity}
-        points = [b]
-        for x in points:
-            u = trans[x]
-            for g in level:
-                if g[x] not in trans:
-                    trans[g[x]] = _image(g, u)
-                    points.append(g[x])
-        levels.append((b, trans))
-    return levels, math.prod(len(trans) for _, trans in levels)
-
-
-def _lex_walk(levels, degree: int):
-    """Members of the group of a chain's levels in lexicographic image
-    order.  A node at depth d is the coset x * K, K the group of the d-th
-    nontrivial level (the trivial group at the bottom)."""
-
-    def walk(d: int, x: Images):
-        if d == len(levels):
-            yield x
-            return
-        trans = levels[d][1]
-        # below x * u_z every member sends the level's point to x[z]
-        for z in sorted(trans, key=x.__getitem__):
-            yield from walk(d + 1, _image(x, trans[z]))
-
-    yield from walk(0, tuple(range(degree)))
-
-
 class PermGroup:
     """A permutation group given by generators.  ``generators`` is the set
     the group was built from, sorted and without the identity; orbits need
     nothing else.  ``order`` is the group order when the caller knows it,
-    and the generators must then be a strong generating set for the base
-    order 0..n-1, as the search's are.  order(), elements() and
-    to_json_dict() answer only for a group told its order, and raise
-    GroupError otherwise; elements() also raises when the generators' orbits
-    do not give the order, rather than list a wrong chain's members."""
+    as the search does.  order(), elements() and to_json_dict() answer only
+    for a group told its order, and raise GroupError otherwise; elements()
+    also raises when the generators give a group of another order, rather
+    than list that group as this one."""
 
     def __init__(self, generators: list[Permutation] | tuple[Permutation, ...], degree: int,
                  order: int | None = None):
@@ -195,14 +143,14 @@ class PermGroup:
         return self._order
 
     def elements(self) -> list[Permutation]:
-        """All group members in lexicographic image order, walked off the
-        chain of the generators.  Meant for the small groups this library
-        works with; cost is the group order."""
-        levels, size = _chain([g.images for g in self.generators], self.degree)
-        if size != self.order():
-            raise GroupError(f"the generators are no strong generating set of a group of order "
-                             f"{self._order}")
-        return [Permutation(x) for x in _lex_walk(levels, self.degree)]
+        """All group members in lexicographic image order: the orbit of the
+        identity under x -> g o x, g a generator.  Meant for the small groups
+        this library works with; cost is the group order."""
+        order = self.order()
+        [(_, members)] = _orbit_search(self, [tuple(range(self.degree))], _image)
+        if len(members) != order:
+            raise GroupError(f"the generators give a group of order {len(members)}, not {order}")
+        return [Permutation(x) for x in sorted(members)]
 
     def to_json_dict(self) -> dict:
         """The degree, the generators and the order; for a group from the

@@ -128,13 +128,13 @@ def _spy(monkeypatch, owner, name):
     return calls
 
 
-def test_verify_iso_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
+def test_verify_iso_lists_no_group_members(capsys, tmp_path, monkeypatch):
     # the certificate stands for Aut(N), Aut(M) is told its order by the
     # search, and the naming points settle continuity with no stabilizer:
-    # verify-iso builds no stabilizer chain at all
+    # verify-iso lists the members of no group at all
     import stablelift.groups as groups
 
-    calls = _spy(monkeypatch, groups, "_chain")
+    calls = _spy(monkeypatch, groups.PermGroup, "elements")
     code, out, _ = run(capsys, "verify-iso", "--in", _complete3_file(tmp_path), "--k", "2")
     assert code == 0
     assert json.loads(out)["order_N"] == 6
@@ -189,15 +189,15 @@ def test_verify_iso_induces_each_permutation_once(capsys, tmp_path, monkeypatch)
         assert set(induced) == set(automorphism_group(digraph(3, [])).generators)
 
 
-def test_report_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
+def test_report_searches_each_stabilizer_once_and_lists_no_members(capsys, tmp_path, monkeypatch):
     # each lift's stabilizer is the group of induced generators of a source
     # stabilizer, and the source stabilizers are searched from one root:
     # report sorts M once, for that root, searches Aut(M) and each parameter
-    # set's stabilizer once, and builds no chain at all
+    # set's stabilizer once, and lists the members of no group at all
     import stablelift.groups as groups
     from stablelift import stability
 
-    chains = _spy(monkeypatch, groups, "_chain")
+    listings = _spy(monkeypatch, groups.PermGroup, "elements")
     builds = _spy(monkeypatch, stability, "stabilizer_search")
     roots = _spy(monkeypatch, groups, "sort_blocks")
     searches = _spy(monkeypatch, groups, "_search")
@@ -205,7 +205,7 @@ def test_report_builds_no_chain_on_the_lift(capsys, tmp_path, monkeypatch):
                        "--A", "0", "--A", "0,1")
     assert code == 0
     assert [e["growth_law"] for e in json.loads(out)["entries"]] == ["pass"] * 4
-    assert chains == []
+    assert listings == []
     assert len(builds) == len(roots) == 1 and builds[0][0] is roots[0][0]
     assert len(searches) == 1 + 2 and all(args[0] is builds[0][0] for args in searches)
 
@@ -692,6 +692,16 @@ def test_negative_exhaustive_exit_2_naming_the_flag(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("extra", [(), ("--exhaustive", "1"), ("--size", "99")])
+def test_negative_random_exit_2_naming_the_flag(capsys, tmp_path, extra):
+    # refused before any other corpus check: with an exhaustive corpus asked
+    # for beside it, and before the size guard of random structures
+    out_dir = tmp_path / "corpus"
+    code, out, err = run(capsys, "corpus", "--out", str(out_dir), "--random", "-1", *extra)
+    assert (code, out, err) == (2, "", "error: --random -1 is negative\n")
+    assert not out_dir.exists()
+
+
 def test_limit_relation_filter(capsys, edge_file, monkeypatch):
     code, out, _ = run(capsys, "limit", "--in", edge_file, "--k", "1",
                        "--relation", "edge")
@@ -703,6 +713,9 @@ def test_limit_relation_filter(capsys, edge_file, monkeypatch):
     code, out, err = run(capsys, "limit", "--in", edge_file, "--k", "1",
                          "--relation", "nope")
     assert (code, out, err) == (2, "", "error: unknown relation 'nope'\n")
+    # the empty name is a name like any other, not the absent filter
+    code, out, err = run(capsys, "limit", "--in", edge_file, "--k", "1", "--relation", "")
+    assert (code, out, err) == (2, "", "error: unknown relation ''\n")
     code, _, err = run(capsys, "limit", "--in", edge_file, "--k", "99",
                        "--relation", "nope")
     assert code == 2 and "copy bound 99" in err

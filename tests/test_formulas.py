@@ -153,32 +153,45 @@ def test_empty_connectives_rejected():
         Or(())
 
 
+def test_padding_and_the_readers_refuse_what_is_no_formula():
+    # a Padded node needs a positive width, and the readers of a tree
+    # refuse a node of no formula type, by exact message
+    for width in (0, -1):
+        with pytest.raises(FormulaError, match="^padding width must be positive$"):
+            Padded(width)
+    for read in (free_variables, format_formula):
+        with pytest.raises(FormulaError, match="^not a formula: 'x'$"):
+            read("x")
+
+
 # -- evaluation --------------------------------------------------------------
 
 
 def test_eval_relation(m_edge):
     phi = parse_formula("edge(x0,x1)", m_edge.sig)
-    assert eval_formula(m_edge, phi, {0: 0, 1: 1})
-    assert not eval_formula(m_edge, phi, {0: 1, 1: 0})
+    assert eval_formula(m_edge, phi, [(0, 1), (1, 0)]) == [True, False]
 
 
 def test_eval_exists(m_edge):
     phi = parse_formula("exists x1. edge(x0,x1)", m_edge.sig)
-    assert eval_formula(m_edge, phi, {0: 0})
-    assert not eval_formula(m_edge, phi, {0: 1})
+    assert eval_formula(m_edge, phi, [(0,), (1,)]) == [True, False]
+    # a closed formula is decided at the one empty row
+    closed = parse_formula("exists x0. exists x1. edge(x0,x1)", m_edge.sig)
+    assert eval_formula(m_edge, closed, [()]) == [True]
+    assert eval_formula(m_edge, Not(closed), [()]) == [False]
 
 
 def test_eval_uncovered_variable(m_edge):
     phi = parse_formula("edge(x0,x1)", m_edge.sig)
     with pytest.raises(FormulaError, match="uncovered free variable"):
-        eval_formula(m_edge, phi, {0: 0})
+        eval_formula(m_edge, phi, [(0,)])
     # & and | stop at their first deciding part: a part past it is never
     # reached, so it cannot raise
     for text, expected in (("~x0 = x0 & edge(x0,x1)", False), ("x0 = x0 | edge(x0,x1)", True)):
-        assert eval_formula(m_edge, parse_formula(text, m_edge.sig), {0: 0}) is expected
+        assert eval_formula(m_edge, parse_formula(text, m_edge.sig), [(0,)]) == [expected]
     for text in ("x0 = x0 & edge(x0,x1)", "~x0 = x0 | edge(x0,x1)"):
         with pytest.raises(FormulaError, match="uncovered free variable x1"):
-            eval_formula(m_edge, parse_formula(text, m_edge.sig), {0: 0})
+            eval_formula(m_edge, parse_formula(text, m_edge.sig), [(0,)])
 
 
 def _outcome(evaluate):
@@ -265,15 +278,11 @@ def _eval_formulas():
 @settings(max_examples=200, deadline=None)
 def test_batch_evaluator_equals_the_row_walk(data):
     # a batch's truths, or its error, are those of walking row by row, where
-    # the batch's error is that of the least row that reaches a bad atom;
-    # one assignment, gaps in its variables allowed, is a batch of one
+    # the batch's error is that of the least row that reaches a bad atom
     M, phi = data.draw(_eval_structures()), data.draw(_eval_formulas())
-    element = st.sampled_from(M.domain)
     width = data.draw(st.sampled_from([3, 2, 4, 3, 0]))
     rows = data.draw(st.permutations(list(itertools.product(M.domain, repeat=width))))
     assert _outcome(lambda: eval_formula(M, phi, rows)) == _row_outcome(M, phi, rows)
-    v = data.draw(st.dictionaries(st.integers(min_value=0, max_value=4), element))
-    assert _outcome(lambda: eval_formula(M, phi, v)) == _outcome(lambda: eval_row(M, phi, v))
 
 
 def test_a_batch_raises_the_error_of_its_least_bad_row(m_edge):
@@ -444,12 +453,11 @@ def test_eval_invariant_under_automorphisms(size):
         auts = automorphism_group_brute(M)
         for phi in _formula_corpus(M.sig):
             fv = sorted(free_variables(phi))
-            for values in itertools.product(M.domain, repeat=len(fv)):
-                v = dict(zip(fv, values))
-                base = eval_formula(M, phi, v)
-                for pi in auts:
-                    moved = {i: pi(x) for i, x in v.items()}
-                    assert eval_formula(M, phi, moved) == base
+            assert fv == list(range(len(fv)))
+            rows = list(itertools.product(M.domain, repeat=len(fv)))
+            base = eval_formula(M, phi, rows)
+            for pi in auts:
+                assert eval_formula(M, phi, [pi.apply_tuple(t) for t in rows]) == base
 
 
 def test_definable_set_is_union_of_orbits(corpus):

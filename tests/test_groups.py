@@ -20,11 +20,19 @@ from stablelift.groups import (
 )
 from stablelift.lifting import LiftConfig, build_lift
 
-def _chain_of(G):
-    """The (levels, size) of the chain that G.elements() walks."""
-    from stablelift.groups import _chain
-
-    return _chain([g.images for g in G.generators], G.degree)
+def _level_orbits(G):
+    """(levels, size) for G's generators over the base order 0..n-1: one
+    level (b, orbit) per first moved point b of a generator, in ascending
+    order, the orbit of b under the generators whose first moved point is b
+    or later, and size the product of the orbit lengths.  size is the group
+    order exactly when the generators are a strong generating set for that
+    base order, and less otherwise."""
+    first = [next(x for x, y in enumerate(g.images) if x != y) for g in G.generators]
+    levels = []
+    for b in sorted(set(first)):
+        H = PermGroup([g for g, f in zip(G.generators, first) if f >= b], G.degree)
+        levels.append((b, next(orbit for orbit in orbits(H) if b in orbit)))
+    return levels, math.prod(len(orbit) for _, orbit in levels)
 
 
 perms = st.integers(min_value=1, max_value=6).flatmap(
@@ -235,7 +243,7 @@ def test_search_equals_oracle_on_some_size_five():
 
 def test_order_is_product_of_fundamental_orbits(m_triple):
     G = automorphism_group(m_triple)
-    assert G.order() == math.prod(len(trans) for _, trans in _chain_of(G)[0]) == 6
+    assert G.order() == math.prod(len(orbit) for _, orbit in _level_orbits(G)[0]) == 6
 
 
 def test_membership_matches_enumeration(m_triple):
@@ -440,13 +448,17 @@ def test_a_group_of_unknown_order_answers_orbits_only(m_triple):
     for ask in (G.order, G.elements, G.to_json_dict):
         with pytest.raises(GroupError, match="order is unknown"):
             ask()
-    # told an order that its generators' orbits do not give, a chain of
-    # them would answer wrong: (0 1 2) and (0 1) give orbit products 3 * 1,
-    # not 6, on the base order 0, 1, 2
+    # told its order, a group lists its members as the identity's orbit with
+    # no strong generating set: (0 1 2) and (0 1) give level orbits 3 * 1 on
+    # the base order 0, 1, 2, yet generate all six permutations
     told = PermGroup([Permutation((1, 2, 0)), Permutation((1, 0, 2))], 3, order=6)
     assert told.order() == 6
-    with pytest.raises(GroupError, match="no strong generating set"):
-        told.elements()
+    assert _level_orbits(told)[1] == 3
+    assert told.elements() == [Permutation(p) for p in itertools.permutations(range(3))]
+    # told an order its generators do not give, it lists no members
+    for wrong in (3, 12):
+        with pytest.raises(GroupError, match=f"^the generators give a group of order 6, not {wrong}$"):
+            PermGroup(told.generators, 3, order=wrong).elements()
 
 
 def test_group_serialization(m_triple):
@@ -521,15 +533,15 @@ def test_stabilizer_matches_closure_filter():
 
 def test_base_points_ascend(m_triple):
     # the first path individualizes the least point of any open cell, so
-    # each generator's first moved point is a base point, and the chain's
-    # orbit lengths multiply to the order with nothing sifted
+    # each generator's first moved point is a base point, and the level
+    # orbits' lengths multiply to the order with nothing sifted
     for M in (m_triple, digraph(6, []), digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])):
         G = automorphism_group(M)
-        base = [b for b, _ in _chain_of(G)[0]]
+        base = [b for b, _ in _level_orbits(G)[0]]
         assert base == sorted(base)
         firsts = {next(x for x, y in enumerate(g.images) if x != y) for g in G.generators}
         assert sorted(firsts) == base
-        assert _chain_of(G)[1] == G.order()
+        assert _level_orbits(G)[1] == G.order()
 
 
 def test_elements_agree_under_concurrent_calls(m_triple):
@@ -820,7 +832,7 @@ def test_generators_equal_the_walk_with_a_second_chain(corpus, random_structures
     for M, G in _greedy_cases(corpus, random_structures):
         expected, H = greedy_lex_generators(G)
         assert _printed(G) == expected
-        assert H.size() == reference.order(G) == _chain_of(G)[1] == G.order()
+        assert H.size() == reference.order(G) == _level_orbits(G)[1] == G.order()
 
 
 def test_the_search_finds_the_greedy_generators_of_the_order_8_digraph():
@@ -841,10 +853,11 @@ def test_the_search_finds_the_greedy_generators_of_the_order_8_digraph():
 
 
 def test_a_group_told_its_order_matches_one_that_is_not(corpus, random_structures):
-    # the search's group is told its order, and its chain is orbits and
-    # transversals of its strong generating set; Schreier-Sims on the same
-    # generators, not told, grows the chain of the same group over the same
-    # base, with the same fundamental orbits and members.  A stabilizer the
+    # the search's group is told its order, and its generators are a strong
+    # generating set, whose level orbits are the fundamental orbits;
+    # Schreier-Sims on the same generators, not told, grows the chain of the
+    # same group over the same base, with the same fundamental orbits and
+    # members.  A stabilizer the
     # search finds with the support individualized has the orbits of the
     # Schreier-Sims stabilizer
     import random
@@ -854,7 +867,7 @@ def test_a_group_told_its_order_matches_one_that_is_not(corpus, random_structure
         grown = reference.chain(G)
         assert grown.size() == G.order()
         assert [sorted(grown.trans[b]) for b in grown.nontrivial_levels()] == [
-            sorted(trans) for _, trans in _chain_of(G)[0]
+            sorted(orbit) for _, orbit in _level_orbits(G)[0]
         ]
         members = reference.elements(G)
         assert G.elements() == members
@@ -901,8 +914,8 @@ def test_leaf_checks_grow_with_the_chain_not_the_group(monkeypatch):
         calls.clear()
         G = automorphism_group(X)
         assert G.order() == 720
-        levels, _ = _chain_of(G)
-        bound = sum(len(trans) for _, trans in levels) + len(levels)
+        levels, _ = _level_orbits(G)
+        bound = sum(len(orbit) for _, orbit in levels) + len(levels)
         assert 0 < len(calls) <= bound < 720
         # every accepted leaf joins two orbits of the automorphisms found
         # before it, and no leaf is rejected on these structures

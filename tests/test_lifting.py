@@ -886,13 +886,13 @@ def test_padded_formulas_read_as_their_expanded_conjunctions():
             assert text == format_formula(reference)
             assert parse_formula(text, M.sig) == reference
         width = len(free_variables(node))
-        for _ in range(4):
-            v = {q: rng.randrange(M.size) for q in range(width)}
-            assert value(M, node, v) == value(M, expanded(node), v)
-            for q in rng.sample(range(width), rng.randint(1, min(width, 3))):
-                del v[q]
-            assert value(M, node, v) == value(M, expanded(node), v)
-            assert value(M, node, v) == f"uncovered free variable x{min(set(range(width)) - v.keys())}"
+        rows = [tuple(rng.randrange(M.size) for _ in range(width)) for _ in range(4)]
+        assert value(M, node, rows) == value(M, expanded(node), rows)
+        # rows cut short leave the first variable past their end uncovered
+        cut = rng.randrange(width)
+        short = [t[:cut] for t in rows]
+        assert value(M, node, short) == value(M, expanded(node), short)
+        assert value(M, node, short) == f"uncovered free variable x{cut}"
 
 
 # -- continuity witnesses ---------------------------------------------------------------------

@@ -367,6 +367,24 @@ def test_decomposition_reports_an_orbit_crossing_sorts(m_edge):
         searched_decomposition(N, (), group_N=swap)
 
 
+def test_decomposition_of_a_group_with_no_generators_counts_each_sort_whole(corpus):
+    # a group with no generators has singleton orbits, labelled by the
+    # points themselves with no orbit search: each sort's left count is its
+    # size, and the orbits number |N|; the trivial source group predicts
+    # the same counts on the right
+    from stablelift.stability import _decomposition, _source_counts
+
+    for _, M in corpus[::5]:
+        for config in (LiftConfig(k=1), LiftConfig(k=2, include_repetition_tuples=True)):
+            N = build_lift(M, config)
+            source = _source_counts(M, N.fibers, PermGroup([], M.size))
+            report = _decomposition(N, PermGroup([], N.structure.size), source)
+            lefts = [row["left"] for row in report.per_sort]
+            assert lefts == [len(N.sorts.get(row["sort"], ())) for row in report.per_sort]
+            assert report.left_total == sum(lefts) == N.structure.size
+            assert report.passed, report.per_sort
+
+
 def test_decomposition_on_corpus_sample(corpus):
     for _, M in corpus[40:60]:
         N = build_lift(M, LiftConfig(k=2))
