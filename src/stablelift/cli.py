@@ -405,6 +405,8 @@ def _cmd_corpus(args) -> tuple[dict, list[str]]:
         raise InputError(
             f"random corpus count {args.random} exceeds the guard {RANDOM_CORPUS_GUARD}"
         )
+    if args.size < 0:
+        raise InputError(f"--size {args.size} is negative")
     structures: list[tuple[str, Structure]] = []
     if args.exhaustive is not None:
         if args.exhaustive < 0:

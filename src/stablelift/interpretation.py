@@ -16,7 +16,9 @@ Validation and transport decide one language, the forms that generated
 schemes and their mutants take: each equivalence is a kernel whose key
 covers the positions its domain formula reads, and each translation is a
 constant or an equality pattern linking key positions of its first two
-sorts.  Any other scheme raises SchemeError before anything is evaluated.
+sorts.  Any other scheme, or one of the wrong shape, raises SchemeError
+before anything is evaluated: schemes and sorts are plain records, and
+_language is the one place that checks them.
 """
 
 from __future__ import annotations
@@ -74,18 +76,6 @@ class SchemeSort:
     domain_formula: Formula
     equiv_formula: Formula
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise SchemeError("sort width must be positive")
-        if free_variables(self.domain_formula) != frozenset(range(self.width)):
-            raise SchemeError(
-                f"sort domain formula must use exactly x0..x{self.width - 1}"
-            )
-        if free_variables(self.equiv_formula) != frozenset(range(2 * self.width)):
-            raise SchemeError(
-                f"sort equivalence formula must use exactly x0..x{2 * self.width - 1}"
-            )
-
 
 @dataclass(frozen=True)
 class InterpretationScheme:
@@ -96,32 +86,6 @@ class InterpretationScheme:
     # host tuples (each names its class; the generated choice is the
     # lexicographically least member)
     bijections: dict[AtomicType, dict[int, tuple[int, ...]]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        keys = [s.key for s in self.sorts]
-        if len(set(keys)) != len(keys):
-            raise SchemeError("sort keys must be distinct")
-        widths = {s.key: s.width for s in self.sorts}
-        # id(formula) -> n when its free variables are exactly x0..x(n-1),
-        # else -1: found once per distinct formula object; and the width of
-        # each distinct tuple of sort keys, summed once per object
-        exact: dict[int, int] = {}
-        totals: dict[int, int] = {}
-        for (rel, sort_keys), phi in self.translations.items():
-            total = totals.get(id(sort_keys))
-            if total is None:
-                try:
-                    total = totals[id(sort_keys)] = sum(map(widths.__getitem__, sort_keys))
-                except KeyError:
-                    raise SchemeError(f"unknown sort key in translation for {rel!r}") from None
-            n = exact.get(id(phi))
-            if n is None:
-                fv = free_variables(phi)
-                n = exact[id(phi)] = len(fv) if fv == frozenset(range(len(fv))) else -1
-            if n != total:
-                raise SchemeError(
-                    f"translation formula for {rel!r} must use exactly x0..x{total - 1}"
-                )
 
     def translation(self, rel: str, sort_keys: tuple[AtomicType, ...]) -> Formula | None:
         return self.translations.get((rel, sort_keys))
@@ -202,7 +166,9 @@ def _kernel_key(width: int, r: Formula, E: Formula) -> tuple[int, ...]:
     if pattern is None or pattern[0] or any(t != width + s for s, t in pattern[1]):
         raise SchemeError("equivalence is not a kernel")
     key = tuple(s for s, _ in pattern[1])
-    outside = set(range(width)).difference(key, inert_variables(r))
+    outside = set(range(width)).difference(key)
+    if outside:  # r's reading matters only where the key leaves a position out
+        outside -= inert_variables(r)
     if outside:
         raise SchemeError(f"domain formula reads x{min(outside)} outside the equivalence's key")
     return key
@@ -275,43 +241,60 @@ def _require_relational(M: Structure, label: str) -> None:
         )
 
 
-def _sort_cover(
-    realized: dict[AtomicType, tuple[int, ...]], scheme: InterpretationScheme
-) -> CheckResult:
-    """The scheme lists exactly the sorts the target realizes."""
-    scheme_keys = {s.key for s in scheme.sorts}
-    missing = set(realized) - scheme_keys
-    extra = scheme_keys - set(realized)
-    passed = not missing and not extra
-    witness = None if passed else f"missing={len(missing)} extra={len(extra)} sort keys"
-    return CheckResult("sort-cover", passed, witness)
-
-
 def _language(
     scheme: InterpretationScheme,
 ) -> tuple[dict[AtomicType, tuple[int, ...]], dict[int, Pattern | None]]:
     """Each sort's key and, by formula id, each translation's equality
     pattern, for a scheme in the one language that validation and transport
-    decide: each equivalence is a kernel whose key covers every position its
-    domain formula reads (see _kernel_key), and each translation is a
-    constant or an equality pattern whose pairs link key positions of its
-    first sort to key positions of its second.  Any other scheme raises
-    SchemeError naming the first sort outside it, by index and key, or else
-    the first translation, by relation and sort keys; nothing is evaluated.
+    decide; the one check of a scheme's shape, made before anything is
+    evaluated.  In order: each sort has a positive width and formulas with
+    exactly its variables, the sort keys are distinct, each equivalence is a
+    kernel whose key covers every position its domain formula reads (see
+    _kernel_key), and each translation, in scheme order, names known sorts,
+    has exactly the variables of their total width and is a constant or an
+    equality pattern whose pairs link key positions of its first sort to key
+    positions of its second.  Anything else raises SchemeError, a kernel's
+    or a pattern's naming its sort (index and key) or translation (relation
+    and sort keys).  Each distinct formula object and each distinct tuple of
+    sort keys is read once.
     """
+    widths: dict[AtomicType, int] = {}
+    for s in scheme.sorts:
+        if s.width < 1:
+            raise SchemeError("sort width must be positive")
+        if free_variables(s.domain_formula) != frozenset(range(s.width)):
+            raise SchemeError(f"sort domain formula must use exactly x0..x{s.width - 1}")
+        if free_variables(s.equiv_formula) != frozenset(range(2 * s.width)):
+            raise SchemeError(f"sort equivalence formula must use exactly x0..x{2 * s.width - 1}")
+        widths[s.key] = s.width
+    if len(widths) != len(scheme.sorts):
+        raise SchemeError("sort keys must be distinct")
     keys: dict[AtomicType, tuple[int, ...]] = {}
     for idx, s in enumerate(scheme.sorts):
         try:
             keys[s.key] = _kernel_key(s.width, s.domain_formula, s.equiv_formula)
         except SchemeError as e:
             raise SchemeError(f"sort {idx} {s.key}: {e}") from None
-    widths = {s.key: s.width for s in scheme.sorts}
+    # by id, each tuple of sort keys' total width, and each formula's free
+    # width (-1 when its free variables are not x0..x(n-1)) and pattern
+    totals: dict[int, int] = {}
+    exact: dict[int, int] = {}
     patterns: dict[int, Pattern | None] = {}
     for (rel, sort_keys), phi in scheme.translations.items():
-        try:
-            pattern = patterns[id(phi)]
-        except KeyError:  # read off the tree once per distinct formula
-            pattern = patterns[id(phi)] = _equality_pattern(phi)
+        total = totals.get(id(sort_keys))
+        if total is None:
+            try:
+                total = totals[id(sort_keys)] = sum(map(widths.__getitem__, sort_keys))
+            except KeyError:
+                raise SchemeError(f"unknown sort key in translation for {rel!r}") from None
+        n = exact.get(id(phi))
+        if n is None:
+            fv = free_variables(phi)
+            n = exact[id(phi)] = len(fv) if fv == frozenset(range(len(fv))) else -1
+            patterns[id(phi)] = _equality_pattern(phi)
+        if n != total:
+            raise SchemeError(f"translation formula for {rel!r} must use exactly x0..x{total - 1}")
+        pattern = patterns[id(phi)]
         if pattern is None:
             problem = "not a constant or an equality pattern"
         elif not pattern[1]:
@@ -334,10 +317,15 @@ def _sort_pass(
     scheme: InterpretationScheme,
     realized: dict[AtomicType, tuple[int, ...]],
 ) -> tuple[dict[AtomicType, _Quotient], list[CheckResult], dict[int, Pattern | None]]:
-    """Each scheme sort's quotient over M1, with the sort-quotient checks and
-    then the sort-bijection checks, each in scheme order, and the patterns
-    of _language, which first refuses a scheme outside the language."""
+    """Each scheme sort's quotient over M1, with the sort-cover check (the
+    scheme lists exactly the sorts the target realizes), the sort-quotient
+    checks and then the sort-bijection checks, each in scheme order, and the
+    patterns of _language, which first refuses a scheme outside the
+    language."""
     keys, patterns = _language(scheme)
+    missing, extra = len(realized.keys() - keys.keys()), len(keys.keys() - realized.keys())
+    witness = f"missing={missing} extra={extra} sort keys" if missing or extra else None
+    cover = CheckResult("sort-cover", witness is None, witness)
     quotients: dict[AtomicType, _Quotient] = {}
     sort_checks, bijection_checks = [], []
     for idx, s in enumerate(scheme.sorts):
@@ -349,7 +337,7 @@ def _sort_pass(
             q, scheme.bijections.get(s.key, {}), realized.get(s.key, ())
         )
         bijection_checks.append(CheckResult(f"sort-bijection[{idx}]", problem is None, problem))
-    return quotients, sort_checks + bijection_checks, patterns
+    return quotients, [cover, *sort_checks, *bijection_checks], patterns
 
 
 def validate_scheme(
@@ -377,7 +365,7 @@ def validate_scheme(
     _require_relational(M2, "target structure")
     realized = M2.sort_partition
     quotients, sort_checks, patterns = _sort_pass(M1, scheme, realized)
-    report = ValidationReport([_sort_cover(realized, scheme), *sort_checks])
+    report = ValidationReport(sort_checks)
 
     # each realized element's quotient, where the scheme has its sort
     quotient_of = {
@@ -389,13 +377,11 @@ def validate_scheme(
     # for, which only a short count can leave
     arity_of = dict(M2.sig.relations)
     table: dict[str, list] = {name: [] for name in arity_of}
-    # whether a tuple of sort keys has only realized sorts, by object
-    covered: dict[int, bool] = {}
+    # the scheme's sorts that the target does not realize, which a
+    # translation must not name; none when the sort cover holds
+    unrealized = quotients.keys() - realized.keys()
     for (name, keys), phi in scheme.translations.items():
-        ok = covered.get(id(keys))
-        if ok is None:
-            ok = covered[id(keys)] = all(map(realized.__contains__, keys))
-        if ok and len(keys) == arity_of.get(name):
+        if len(keys) == arity_of.get(name) and not (unrealized and unrealized.intersection(keys)):
             table[name].append((keys, phi))
     # a row holds distinct tuples of realized sorts, so it misses one exactly
     # when it is short
@@ -544,7 +530,7 @@ def induced_automorphism(
         raise SchemeError("the supplied permutation is not an automorphism of the host")
     realized = M2.sort_partition
     quotients, sort_checks, _ = _sort_pass(M1, scheme, realized)
-    for check in [_sort_cover(realized, scheme), *sort_checks]:
+    for check in sort_checks:
         if not check.passed:
             raise SchemeError(check.witness)
     images = [-1] * M2.size
@@ -580,12 +566,9 @@ def weaken_equivalence(scheme: InterpretationScheme, sort_index: int) -> Interpr
     into singletons; the sort bijection stops being onto whenever some class
     had more than one member."""
     sorts = list(scheme.sorts)
-    s = sorts[sort_index]
-    m = s.width
+    m = sorts[sort_index].width
     identity = Padded(2 * m, tuple(Equal(Var(q), Var(m + q)) for q in range(m)))
-    sorts[sort_index] = SchemeSort(
-        key=s.key, width=s.width, domain_formula=s.domain_formula, equiv_formula=identity
-    )
+    sorts[sort_index] = replace(sorts[sort_index], equiv_formula=identity)
     return replace(scheme, sorts=tuple(sorts))
 
 

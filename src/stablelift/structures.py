@@ -261,7 +261,7 @@ def validate_structure(sig: Signature, raw: dict) -> Structure:
         }
         constants = {
             k: _integer(x, f"constant {k!r}")
-            for k, x in dict(raw.get("constants", {})).items()
+            for k, x in raw.get("constants", {}).items()
         }
         return Structure(
             sig=sig,

@@ -648,6 +648,10 @@ _NOT_AN_INT = "invalid literal for int() with base 10: 'x'"
          "padding list needs 2 widths (one per relation/copy pair)"),
         (["corpus", "--out", "OUT", "--random", "1", "--size", str(cli.DEFAULT_SIZE_GUARD + 1)],
          f"random corpus size guarded to <= {cli.DEFAULT_SIZE_GUARD}"),
+        (["lift", "--in", "EDGE", "--padding", "explicit:5,x"], f"bad padding list: {_NOT_AN_INT}"),
+        (["lift", "--in", "EDGE", "--padding", "wide"],
+         "--padding must be 'auto' or 'explicit:<m1,m2,...>'"),
+        (["corpus", "--out", "OUT", "--random", "1", "--size", "-1"], "--size -1 is negative"),
     ],
 )
 def test_malformed_flags_exit_2_with_their_message(capsys, tmp_path, edge_file, argv, message):

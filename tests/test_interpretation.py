@@ -23,7 +23,7 @@ from references import (
     tautology,
 )
 from stabilizer_oracle import identity, multiply
-from stablelift import interpretation
+from stablelift import formulas, interpretation
 from stablelift.corpus import digraph
 from stablelift.formulas import (
     And,
@@ -409,56 +409,177 @@ def test_a_wide_quotient_is_built_quickly(m_edge):
     assert q.index(t) == 1
 
 
-# -- scheme construction ----------------------------------------------------------
+# -- scheme shape --------------------------------------------------------------------
+
+# Schemes and their sorts are plain records: building one checks nothing,
+# and validation and transport refuse a scheme of the wrong shape, each with
+# the same message, before any formula is evaluated.
 
 
-def test_scheme_sort_construction_errors(m_edge):
-    _, _, scheme = _scheme_setup(m_edge)
-    s = next(s for s in scheme.sorts if s.width == 1)
+def _assert_refused(M, target, scheme, message, evaluated):
+    """validate_scheme and induced_automorphism each raise SchemeError with
+    exactly ``message``, and nothing is evaluated."""
+    for call in (validate_scheme, lambda *args: induced_automorphism(*args, identity(M.size))):
+        with pytest.raises(SchemeError) as err:
+            call(M, target, scheme)
+        assert str(err.value) == message
+    assert not evaluated
+
+
+def _with_sort(scheme, i, sort):
+    """scheme with its sort i replaced."""
+    return replace(scheme, sorts=(*scheme.sorts[:i], sort, *scheme.sorts[i + 1:]))
+
+
+def test_scheme_sort_construction_errors(m_edge, monkeypatch):
+    _, companion, scheme = _scheme_setup(m_edge)
+    i, s = next((i, s) for i, s in enumerate(scheme.sorts) if s.width == 1)
     one = parse_formula("x0 = x0", m_edge.sig)
     two = parse_formula("x0 = x1", m_edge.sig)
-    with pytest.raises(SchemeError, match=r"^sort width must be positive$"):
-        SchemeSort(s.key, 0, one, two)
-    with pytest.raises(SchemeError, match=r"^sort domain formula must use exactly x0\.\.x0$"):
-        SchemeSort(s.key, 1, two, two)
-    with pytest.raises(
-        SchemeError, match=r"^sort equivalence formula must use exactly x0\.\.x1$"
+    evaluated = _eval_spy(monkeypatch)
+    for sort, message in (
+        (SchemeSort(s.key, 0, one, two), "sort width must be positive"),
+        (SchemeSort(s.key, 1, two, two), "sort domain formula must use exactly x0..x0"),
+        (SchemeSort(s.key, 1, one, one), "sort equivalence formula must use exactly x0..x1"),
     ):
-        SchemeSort(s.key, 1, one, one)
+        _assert_refused(m_edge, companion, _with_sort(scheme, i, sort), message, evaluated)
 
 
-def test_interpretation_scheme_construction_errors(m_edge, m_pair):
-    _, _, scheme = _scheme_setup(m_edge)
-    with pytest.raises(SchemeError, match=r"^sort keys must be distinct$"):
-        InterpretationScheme(sorts=scheme.sorts + scheme.sorts[:1], translations={})
+def test_interpretation_scheme_construction_errors(m_edge, m_pair, monkeypatch):
+    _, companion, scheme = _scheme_setup(m_edge)
+    evaluated = _eval_spy(monkeypatch)
+
+    def refused(message, sorts=scheme.sorts, translations=None):
+        bad = InterpretationScheme(sorts, translations or {}, scheme.bijections)
+        _assert_refused(m_edge, companion, bad, message, evaluated)
+
+    refused("sort keys must be distinct", sorts=scheme.sorts + scheme.sorts[:1])
     # a sort key the scheme does not list: one from another structure's lift
     _, _, other = _scheme_setup(m_pair, k=2)
     known = {s.key for s in scheme.sorts}
     stranger = next(s.key for s in other.sorts if s.key not in known)
     (rel, keys), phi0 = next(iter(scheme.translations.items()))
-    with pytest.raises(SchemeError, match=rf"^unknown sort key in translation for {rel!r}$"):
-        InterpretationScheme(
-            sorts=scheme.sorts,
-            translations={(rel, (stranger,) + keys[1:]): phi0},
-        )
+    refused(
+        f"unknown sort key in translation for {rel!r}",
+        translations={(rel, (stranger,) + keys[1:]): phi0},
+    )
     widths = {s.key: s.width for s in scheme.sorts}
     total = sum(widths[k] for k in keys)
-    message = rf"^translation formula for {rel!r} must use exactly x0\.\.x{total - 1}$"
+    message = f"translation formula for {rel!r} must use exactly x0..x{total - 1}"
     # one variable too many, one too few, and x1..x(total): a gap at x0
     for used in (range(total + 1), range(total - 1), range(1, total + 1)):
         phi = parse_formula(" & ".join(f"x{q} = x{q}" for q in used), m_edge.sig)
-        with pytest.raises(SchemeError, match=message):
-            InterpretationScheme(sorts=scheme.sorts, translations={(rel, keys): phi})
+        refused(message, translations={(rel, keys): phi})
     # a formula object shared with a translation of another width is
     # checked against each one's own width
     other, shared = next(
         (at, phi) for at, phi in scheme.translations.items() if sum(widths[k] for k in at[1]) != total
     )
-    with pytest.raises(SchemeError, match=message):
-        InterpretationScheme(
-            sorts=scheme.sorts,
-            translations={other: shared, (rel, keys): shared},
-        )
+    refused(message, translations={other: shared, (rel, keys): shared})
+
+
+def test_a_scheme_is_refused_at_its_first_fault_in_check_order(m_edge, monkeypatch):
+    # every sort is checked before any translation, and each translation
+    # whole before the next: an equivalence that is no kernel is named
+    # before a translation of the wrong width, and a translation that is no
+    # pattern before a later one of the wrong width
+    _, companion, scheme = _scheme_setup(m_edge)
+    entries = list(scheme.translations.items())
+    (rel0, keys0), phi0 = entries[0]
+    (rel, keys), phi = entries[-1]
+    s = scheme.sorts[0]
+    wide = Padded(len(free_variables(phi)) + 1)
+    evaluated = _eval_spy(monkeypatch)
+    late_wide = _with_translation(scheme, len(entries) - 1, wide)
+    unkernel = _with_equivalence(late_wide, 0, Or((s.equiv_formula,) * 2))
+    _assert_refused(m_edge, companion, unkernel, f"sort 0 {s.key}: equivalence is not a kernel", evaluated)
+    no_pattern = _with_translation(late_wide, 0, Or((phi0, phi0)))
+    message = f"translation of {rel0!r} at sorts {keys0}: not a constant or an equality pattern"
+    _assert_refused(m_edge, companion, no_pattern, message, evaluated)
+    # alone, the wide translation is named
+    message = f"translation formula for {rel!r} must use exactly x0..x{len(free_variables(phi)) - 1}"
+    _assert_refused(m_edge, companion, late_wide, message, evaluated)
+
+
+def _walk_spy(monkeypatch):
+    """The formula objects that formulas._add_free walks from the top, one
+    entry per walk: its calls on the parts of a formula it is walking are
+    not recorded."""
+    walked = []
+    original = formulas._add_free
+    depth = 0
+
+    def recording(phi, out):
+        nonlocal depth
+        if not depth:
+            walked.append(phi)
+        depth += 1
+        try:
+            return original(phi, out)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(formulas, "_add_free", recording)
+    return walked
+
+
+def test_mutants_walk_no_formula_and_validation_walks_each_once(corpus, monkeypatch):
+    # building a CLI mutant checks nothing; validating a scheme or a mutant
+    # reads the free variables of each distinct formula object once, and a
+    # domain formula once more where its sort has padding, to find that it
+    # reads none of it (inert_variables)
+    walked = _walk_spy(monkeypatch)
+    checked = 0
+    for _, M in corpus[::7]:
+        for k in (1, 2, 3):
+            _, companion, scheme = _scheme_setup(M, k)
+            walked.clear()
+            mutants = list(_cli_mutants(M, scheme))
+            assert not walked
+            for mutant in (scheme, *mutants):
+                padded = {
+                    id(s.domain_formula)
+                    for s in mutant.sorts
+                    if len(interpretation._kernel_key(s.width, s.domain_formula, s.equiv_formula)) < s.width
+                }
+                formula_ids = {id(phi) for phi in mutant.translations.values()}
+                formula_ids.update(id(f) for s in mutant.sorts for f in (s.domain_formula, s.equiv_formula))
+                walked.clear()
+                validate_scheme(M, companion, mutant)
+                counts = Counter(map(id, walked))
+                assert {i: counts[i] for i in formula_ids} == {i: 1 + (i in padded) for i in formula_ids}
+                checked += 1
+    assert checked > 30, checked
+
+
+def test_transport_refuses_a_map_that_is_no_target_automorphism(m_pair):
+    # the target is the companion less one off-diagonal samefiber_edge pair:
+    # its sorts are the companion's, so the sort checks pass, but the map
+    # the swap induces sends a pair the target holds onto the dropped one
+    _, companion, scheme = _scheme_setup(m_pair, k=2)
+    name = "samefiber_edge"
+    dropped = min((a, b) for a, b in companion.relations[name] if a != b)
+    relations = {**companion.relations, name: [t for t in companion.relations[name] if t != dropped]}
+    target = Structure(companion.sig, companion.size, relations, repetition_free=companion.repetition_free)
+    assert interpretation.sort_partition(target) == interpretation.sort_partition(companion)
+    assert not validate_scheme(m_pair, target, scheme).passed
+    with pytest.raises(SchemeError) as err:
+        induced_automorphism(m_pair, target, scheme, Permutation((1, 0)))
+    assert str(err.value) == "induced map is not an automorphism of the target"
+
+
+def test_transport_raises_its_invariance_error_when_the_host_check_is_wrong(m_edge, monkeypatch):
+    # a host automorphism keeps every definable set, so only a wrong host
+    # check can hand over a map that moves a representative out of its sort:
+    # the swap moves the edge (0, 1) of the limit sort's one representative
+    _, companion, scheme = _scheme_setup(m_edge)
+    original = interpretation.is_automorphism
+    monkeypatch.setattr(interpretation, "is_automorphism", lambda S, g: S is m_edge or original(S, g))
+    with pytest.raises(SchemeError) as err:
+        induced_automorphism(m_edge, companion, scheme, Permutation((1, 0)))
+    assert str(err.value) == (
+        "scheme not automorphism-invariant: image of (0, 1, 0) leaves the range of the sort bijection"
+    )
 
 
 def _bijection_entries(data):
@@ -537,9 +658,7 @@ def _without_translation(scheme, i):
 
 def _with_equivalence(scheme, i, E):
     """scheme with the equivalence formula of its sort i replaced."""
-    s = scheme.sorts[i]
-    sorts = (*scheme.sorts[:i], SchemeSort(s.key, s.width, s.domain_formula, E), *scheme.sorts[i + 1:])
-    return replace(scheme, sorts=sorts)
+    return _with_sort(scheme, i, replace(scheme.sorts[i], equiv_formula=E))
 
 
 @pytest.mark.hashseed
@@ -943,7 +1062,7 @@ def _product_scan_report(M1, M2, scheme):
     ]
     witness = f"no translation formula for {missing[0]!r}" if missing else None
     cover = CheckResult("translation-cover", not missing, witness)
-    report = ValidationReport([interpretation._sort_cover(realized, scheme), *sort_checks, cover])
+    report = ValidationReport([*sort_checks, cover])
     element_sort = {b: key for key, block in realized.items() for b in block}
     rep_of = {}
     for fmap in scheme.bijections.values():

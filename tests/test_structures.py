@@ -198,6 +198,16 @@ def test_loader_rejects_bool_where_an_int_is_expected(overrides):
         structure_from_json(_doc(**overrides))
 
 
+@pytest.mark.parametrize("field", ["relations", "functions", "constants"])
+def test_loader_rejects_a_list_where_an_object_is_expected(field):
+    # a list of [name, value] pairs is no object: read as one, a repeated
+    # name would silently keep its last value
+    pairs = list(json.loads(_doc())[field].items())
+    with pytest.raises(StructureError) as e:
+        structure_from_json(_doc(**{field: pairs + pairs[:1]}))
+    assert str(e.value) == "malformed structure data: 'list' object has no attribute 'items'"
+
+
 @pytest.mark.parametrize("value", ["no", 0, 1, None, []])
 def test_loader_requires_boolean_repetition_free(value):
     with pytest.raises(StructureError, match="repetition_free"):
